@@ -18,7 +18,6 @@ from .laurent import (
     PrimitiveFactor,
     expand_factor,
     expand_product,
-    series_ratio,
 )
 from .models import REGISTRY, build_model, list_models, run_model
 from .params import Param, ParamPoly
@@ -26,10 +25,8 @@ from .symbols import (
     Axis,
     AxisPoly,
     MatrixSymbol,
-    PolyhomAmplitude,
     compose_observable,
     decompose_phase,
-    exp_asymptotic,
     involution_exp,
     series_pow,
 )
@@ -39,7 +36,6 @@ from .tables import (
     AffineExp,
     BranchPolicy,
     angular_moment,
-    angular_reduce,
     gauss_radial,
     osc_linear,
     sphere_volume,

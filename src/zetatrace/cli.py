@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import models as model_registry
 from .engine import KVAmplitudeSpec, kv_trace_at_zero, potential_numeric
-from .errors import ParseError, ValidationError, ZetatraceError
+from .errors import ParseError, UsageError, ValidationError, ZetatraceError
 from .laurent import DEFAULT_ORDER
 from .modelfile import parse_model_file
 from .models import REGISTRY, RegistryEntry, run_model
@@ -28,9 +27,12 @@ def _parse_params(items) -> dict[str, float]:
     out = {}
     for item in items or ():
         name, _, value = item.partition("=")
-        if not name or not value:
-            raise SystemExit(2)
-        out[name.strip()] = float(value)
+        try:
+            if not name.strip():
+                raise ValueError
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise UsageError(f"--param expects name=number, got {item!r}") from None
     return out
 
 
@@ -130,30 +132,25 @@ def _emit_potential(run, args, bindings) -> int:
 def cmd_run(args, extra_registry=None) -> int:
     bindings = _parse_params(args.param)
     policy = BranchPolicy(args.branch)
+    if args.series_order < 2:
+        raise UsageError(f"--series-order must be at least 2, got {args.series_order}")
     overrides = {}
     if args.dim is not None:
+        if args.dim < 1:
+            raise UsageError(f"--dim must be at least 1, got {args.dim}")
         overrides["n"] = args.dim
-    try:
-        run = run_model(
-            args.model, policy, args.series_order, registry=extra_registry, **overrides
-        )
-    except ZetatraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    run = run_model(
+        args.model, policy, args.series_order, registry=extra_registry, **overrides
+    )
     return _emit_run(run, args, bindings)
 
 
 def cmd_check(args) -> int:
     policy = BranchPolicy(args.branch)
     names = list(REGISTRY)
-
-    def one(name):
-        return name, run_model(name, policy)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        outcomes = list(pool.map(one, names))
     failed = 0
-    for name, run in outcomes:
+    for name in names:
+        run = run_model(name, policy)
         status = "pass" if run.passed else "FAIL"
         if not run.passed:
             failed += 1
@@ -172,15 +169,7 @@ def cmd_list(args, extra_registry=None) -> int:
 
 
 def cmd_kv_trace(args) -> int:
-    try:
-        spec = _parse_kv_file(args.file)
-        value = kv_trace_at_zero(spec)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZetatraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    value = kv_trace_at_zero(_parse_kv_file(args.file))
     print(f"trace(0) = {value.render_text()}")
     try:
         print(f"numeric: {_fmt_number(value.eval({}))}")
@@ -189,70 +178,71 @@ def cmd_kv_trace(args) -> int:
     return 0
 
 
+#: per kv-file section, its keys and how each value is read
+_KV_KEYS = {
+    "kv": {"dimension": int, "volume": float},
+    "term": {"degree": Fraction, "log_order": int, "angular": float},
+}
+
+
 def _parse_kv_file(path) -> KVAmplitudeSpec:
-    dimension = None
-    vol = ParamPoly.one()
-    terms = []
-    section = None
-    current: dict[str, str] = {}
-
-    def flush(lineno):
-        if section == "term":
-            if "degree" not in current:
-                raise ParseError("term without degree", lineno)
-            terms.append(
-                (
-                    Fraction(current["degree"]),
-                    int(current.get("log_order", "0")),
-                    ParamPoly.number(float(current.get("angular", "1"))),
-                )
-            )
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    sections: list[tuple[str, dict, int]] = []  # (name, values, header line)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            flush(lineno)
-            current = {}
             section = line.strip("[]").strip().lower()
-            if section not in ("kv", "term"):
+            if section not in _KV_KEYS:
                 raise ParseError(f"unknown section [{section}]", lineno)
+            sections.append((section, {}, lineno))
             continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if section == "kv":
-            if key == "dimension":
-                dimension = int(value)
-            elif key == "volume":
-                vol = ParamPoly.number(float(value))
-            else:
-                raise ParseError(f"unknown key {key!r} in [kv]", lineno)
-        elif section == "term":
-            if key not in ("degree", "log_order", "angular"):
-                raise ParseError(f"unknown key {key!r} in [term]", lineno)
-            current[key] = value
-        else:
+        if not sections:
             raise ParseError("content before any section header", lineno)
-    flush(lineno)
-    if dimension is None:
+        section, values, _ = sections[-1]
+        key, _, value = (part.strip() for part in line.partition("="))
+        read = _KV_KEYS[section].get(key)
+        if read is None:
+            raise ParseError(f"unknown key {key!r} in [{section}]", lineno)
+        try:
+            values[key] = read(value)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
+    header: dict = {}
+    terms = []
+    for section, values, lineno in sections:
+        if section == "kv":
+            header.update(values)
+            continue
+        if "degree" not in values:
+            raise ParseError("term without degree", lineno)
+        terms.append(
+            (
+                values["degree"],
+                values.get("log_order", 0),
+                ParamPoly.number(values.get("angular", 1.0)),
+            )
+        )
+    if "dimension" not in header:
         raise ParseError("missing dimension in [kv] section", 1)
-    return KVAmplitudeSpec(dimension=dimension, terms=tuple(terms), vol_x=vol)
+    if header["dimension"] < 1:
+        raise ParseError(f"dimension must be at least 1, got {header['dimension']}", 1)
+    vol = ParamPoly.number(header["volume"]) if "volume" in header else ParamPoly.one()
+    return KVAmplitudeSpec(dimension=header["dimension"], terms=tuple(terms), vol_x=vol)
 
 
 def cmd_model(args) -> int:
     try:
         spec = parse_model_file(args.file)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return 2
-    entry = RegistryEntry(lambda **kw: spec, spec.description, "custom")
+    entry = RegistryEntry(lambda: spec, spec.description, "custom")
     registry = {spec.name: entry}
     if args.list:
         return cmd_list(args, registry)
@@ -310,6 +300,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (UsageError, ParseError, ValidationError) as exc:
+        # the input is at fault: a flag, a file or a model that fails validation
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ZetatraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

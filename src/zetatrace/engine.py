@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -223,8 +223,26 @@ def complete_square(
 
 
 # ---------------------------------------------------------------------------
-# Reduction to ZetaTermSums
+# Enumeration of the reduced integrals
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReducedIntegral:
+    """One closed-form integral of the reduction, in a single regulator.
+
+    ``gauss`` is int_R |u|^q e^(-i rate T u^2) du and ``osc`` is
+    int_0^inf r^q e^(sign i rate T r) dr; ``rate`` is a positive monomial.
+    """
+
+    kind: str  # gauss | osc
+    q: AffineExp
+    sign: int
+    rate: ParamPoly
+
+
+#: one reduced symbol's alternatives as (multiplier, integral) pairs
+Alternatives = list[tuple[ParamPoly, ReducedIntegral]]
 
 
 def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
@@ -238,13 +256,9 @@ def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
     return sign, ParamPoly({key: abs(coeff.real)})
 
 
-def _reduce_axis_1d(
-    q: AffineExp,
-    degree: int,
-    g2: ParamPoly,
-    g1: ParamPoly,
-    policy: BranchPolicy,
-) -> list[tuple[complex, ZetaTerm]]:
+def _axis_alternatives(
+    q: AffineExp, degree: int, g2: ParamPoly, g1: ParamPoly
+) -> Alternatives:
     """One full-line axis integral int_R u^degree |u|^(share z) e^(-iT(g2 u^2 + g1 u)) du."""
     has2 = not g2.is_zero()
     has1 = not g1.is_zero()
@@ -256,27 +270,22 @@ def _reduce_axis_1d(
         sgn, rate = _sign_split(g2)
         if sgn < 0:
             raise UnsupportedStructure("quadratic phase coefficient must be positive")
-        return [(1.0, gauss_radial(q.shifted(degree), policy, rate))]
+        return [(ParamPoly.number(1.0), ReducedIntegral("gauss", q, 1, rate))]
     if has1:
         sgn, rate = _sign_split(g1)
-        out = []
-        for direction in (1, -1):
-            # u = direction * r: e^(-iT g1 u) = e^(-i sgn direction |g1| T r)
-            osc = osc_linear(q.shifted(degree), -sgn * direction, policy, rate)
-            out.append((complex(direction**degree), osc))
-        return out
+        # u = direction * r: e^(-iT g1 u) = e^(-i sgn direction |g1| T r)
+        return [
+            (ParamPoly.number(complex(direction**degree)),
+             ReducedIntegral("osc", q, -sgn * direction, rate))
+            for direction in (1, -1)
+        ]
     raise DegenerateCase("axis carries no phase; its gauge integral has no extension")
 
 
-def _reduce_radial(
-    q: AffineExp,
-    dim: int,
-    moment: ParamPoly,
-    g2: ParamPoly,
-    g1: ParamPoly,
-    policy: BranchPolicy,
-) -> list[tuple[ParamPoly, ZetaTerm]]:
-    """Radial reduction over an N-dimensional group with sphere moment attached."""
+def _radial_alternatives(
+    q: AffineExp, moment: ParamPoly, g2: ParamPoly, g1: ParamPoly
+) -> Alternatives:
+    """Radial integral over an N-dimensional group with its sphere moment attached."""
     has2 = not g2.is_zero()
     has1 = not g1.is_zero()
     if has2 and has1:
@@ -285,11 +294,79 @@ def _reduce_radial(
         sgn, rate = _sign_split(g2)
         if sgn < 0:
             raise UnsupportedStructure("quadratic phase coefficient must be positive")
-        return [(moment.scale(0.5), gauss_radial(q, policy, rate))]
+        return [(moment.scale(0.5), ReducedIntegral("gauss", q, 1, rate))]
     if has1:
         sgn, rate = _sign_split(g1)
-        return [(moment, osc_linear(q, -sgn, policy, rate))]
+        return [(moment, ReducedIntegral("osc", q, -sgn, rate))]
     raise DegenerateCase("radial group carries no phase")
+
+
+def reduced_integrals(
+    pieces: Sequence[IntegrandPiece],
+    model: ModelSpec,
+    phase: ReducedPhase,
+    plan: GaugePlan,
+) -> Iterator[tuple[ParamPoly, Fraction, Iterator[Alternatives]]]:
+    """The reduction's only enumeration of closed-form integrals.
+
+    Per piece, amplitude monomial and T power this yields the coefficient,
+    the T power and a lazy iterator over the reduced symbols, group by
+    group, giving each symbol's alternatives.  A branch picks one
+    alternative per symbol and is worth the coefficient times the picked
+    multipliers and integrals; handing branches out in this factored form
+    evaluates each integral once.  A symbol with no alternatives (odd degree
+    under a Gaussian, zero sphere moment) makes its item vanish.  Every
+    structural check of the reduction runs here, as the iterator reaches
+    the symbol.  ``reduce_pieces`` maps the integrals to table rows,
+    ``oracle.model_quotient`` to quadratures.
+    """
+    for piece in pieces:
+        for mono_key, tpoly in piece.amp.monomials():
+            degrees = dict(mono_key)
+            for t_power, poly in tpoly.parts.items():
+                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, plan)
+
+
+def _symbol_alternatives(
+    piece: IntegrandPiece,
+    degrees: Mapping[str, int],
+    model: ModelSpec,
+    phase: ReducedPhase,
+    plan: GaugePlan,
+) -> Iterator[Alternatives]:
+    def phase_of(symbol: str) -> tuple[ParamPoly, ParamPoly]:
+        g2 = phase.g2.get(symbol, ParamPoly.zero())
+        g1 = phase.g1.get(symbol, ParamPoly.zero())
+        if piece.osc_sign and phase.osc_symbol == symbol:
+            g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
+        return g2, g1
+
+    consumed: set[str] = set()
+    for group in model.groups:
+        dim = len(group.axes)
+        if group.reduction == "radial" and dim > 1:
+            rsym = group.radius_symbol()
+            hats = [f"{a}^" for a in group.axes]
+            consumed |= {rsym, *hats}
+            moment = angular_moment(tuple(degrees.get(h, 0) for h in hats), dim)
+            if moment.is_zero():
+                yield []
+                continue
+            reg, _ = plan.shares[rsym]
+            q = AffineExp.of(reg, 1, degrees.get(rsym, 0) + dim - 1)
+            yield _radial_alternatives(q, moment, *phase_of(rsym))
+            continue
+        # separable: axis by axis on the full line
+        for a in group.axes:
+            consumed.add(a)
+            d = degrees.get(a, 0)
+            reg, share = plan.shares[a]
+            yield _axis_alternatives(AffineExp.of(reg, share, d), d, *phase_of(a))
+    leftovers = set(degrees) - consumed
+    if leftovers:
+        raise UnsupportedStructure(
+            f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
+        )
 
 
 def reduce_pieces(
@@ -300,88 +377,28 @@ def reduce_pieces(
     policy: BranchPolicy,
 ) -> ZetaTermSum:
     """Reduce integrand pieces to the canonical term sum, one term per branch."""
-    regulators = model.regulators()
+    tokens = tuple(sorted(model.tokens))
     out: list[ZetaTerm] = []
-    for piece in pieces:
-        for mono_key, tpoly in piece.amp.monomials():
-            degrees = dict(mono_key)
-            for t_power, poly in tpoly.parts.items():
-                base = ZetaTerm(
-                    MeroFactorProduct(poly * model.prefactor),
-                    t_const=t_power,
-                    phase=phase.const,
-                    tokens=tuple(sorted(model.tokens)),
-                )
-                branches = [base]
-                consumed: set[str] = set()
-                for group in model.groups:
-                    branches, used = _reduce_group(
-                        branches, group, degrees, piece, phase, plan, policy
-                    )
-                    consumed |= used
-                leftovers = set(degrees) - consumed
-                if leftovers:
-                    raise UnsupportedStructure(
-                        f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
-                    )
-                out.extend(b for b in branches if not b.coeff.prefactor.is_zero())
-    return ZetaTermSum(out, regulators, model.t_symbol)
-
-
-def _reduce_group(
-    branches: list[ZetaTerm],
-    group: GaugeGroup,
-    degrees: Mapping[str, int],
-    piece: IntegrandPiece,
-    phase: ReducedPhase,
-    plan: GaugePlan,
-    policy: BranchPolicy,
-) -> tuple[list[ZetaTerm], set[str]]:
-    used: set[str] = set()
-    dim = len(group.axes)
-    radial = group.reduction == "radial" and dim > 1
-    rsym = group.radius_symbol()
-
-    if radial:
-        used.add(rsym)
-        hat_powers = []
-        for a in group.axes:
-            hname = f"{a}^"
-            hat_powers.append(degrees.get(hname, 0))
-            if hname in degrees:
-                used.add(hname)
-        d_r = degrees.get(rsym, 0)
-        moment = angular_moment(tuple(hat_powers), dim)
-        if moment.is_zero():
-            return [], used
-        reg, _ = plan.shares[rsym]
-        q = AffineExp.of(reg, 1, d_r + dim - 1)
-        g2 = phase.g2.get(rsym, ParamPoly.zero())
-        g1 = phase.g1.get(rsym, ParamPoly.zero())
-        if piece.osc_sign and phase.osc_symbol == rsym:
-            g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
-        frags = _reduce_radial(q, dim, moment, g2, g1, policy)
-        return (
-            [b.times(f.scaled(mult if isinstance(mult, ParamPoly) else ParamPoly.number(mult)))
-             for b in branches for mult, f in frags],
-            used,
-        )
-
-    # separable: reduce axis by axis on the full line
-    for a in group.axes:
-        used.add(a)
-        d = degrees.get(a, 0)
-        reg, share = plan.shares[a]
-        q = AffineExp.of(reg, share, 0)
-        g2 = phase.g2.get(a, ParamPoly.zero())
-        g1 = phase.g1.get(a, ParamPoly.zero())
-        if piece.osc_sign and phase.osc_symbol == a:
-            g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
-        frags = _reduce_axis_1d(q, d, g2, g1, policy)
+    for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan):
         branches = [
-            b.times(f.scaled(ParamPoly.number(mult))) for b in branches for mult, f in frags
+            ZetaTerm(
+                MeroFactorProduct(poly * model.prefactor),
+                t_const=t_power,
+                phase=phase.const,
+                tokens=tokens,
+            )
         ]
-    return branches, used
+        for alternatives in symbols:
+            rows = [_table_row(integral, policy).scaled(mult) for mult, integral in alternatives]
+            branches = [b.times(row) for b in branches for row in rows]
+        out.extend(b for b in branches if not b.coeff.prefactor.is_zero())
+    return ZetaTermSum(out, model.regulators(), model.t_symbol)
+
+
+def _table_row(integral: ReducedIntegral, policy: BranchPolicy) -> ZetaTerm:
+    if integral.kind == "gauss":
+        return gauss_radial(integral.q, policy, integral.rate)
+    return osc_linear(integral.q, integral.sign, policy, integral.rate)
 
 
 # ---------------------------------------------------------------------------

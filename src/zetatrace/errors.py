@@ -50,10 +50,6 @@ class DegenerateCase(ZetatraceError):
     """Phase has no quadratic and no linear part but nonconstant dependence."""
 
 
-class ZeroLeadingCoefficient(ZetatraceError):
-    """Asymptotic exponential requires a nonzero order-zero coefficient."""
-
-
 class NotInvolution(ZetatraceError):
     """Matrix part K fails K^2 = I."""
 
@@ -100,9 +96,15 @@ class ParseError(ZetatraceError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        where = f" at line {line}, column {column}" if line is not None else ""
+        where = ""
+        if line is not None:
+            where = f" at line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(f"{message}{where}")
 
 
 class ValidationError(ZetatraceError):
     """Parsed model violates the reducibility hypotheses."""
+
+
+class UsageError(ZetatraceError):
+    """A command-line flag has a value the program cannot use."""

@@ -19,12 +19,7 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from .errors import (
-    DivergentLimit,
-    UnsupportedFactor,
-    UnsupportedStructure,
-    ZeroOverZeroUnresolved,
-)
+from .errors import UnsupportedFactor, UnsupportedStructure
 from .params import ExpKey, ParamPoly, _fraction, log_param
 
 DEFAULT_ORDER = 4
@@ -431,46 +426,3 @@ def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentS
     for f in p.factors:
         series = series.mul(expand_factor(f, order), ParamPoly.zero())
     return series.scale(p.prefactor)
-
-
-def series_reciprocal(s: LaurentSeries, order: int) -> LaurentSeries:
-    s = s.normalized()
-    if s.is_zero():
-        raise UnsupportedStructure("reciprocal of the zero series")
-    lead_inv = s.coeffs[0].inverse()
-    out = [ParamPoly.zero()] * (order + 1)
-    out[0] = lead_inv
-    for n in range(1, order + 1):
-        acc = ParamPoly.zero()
-        for k in range(1, n + 1):
-            if k < len(s.coeffs):
-                acc = acc + s.coeffs[k] * out[n - k]
-        out[n] = -(lead_inv * acc)
-    return LaurentSeries(-s.lead, out)
-
-
-def series_quotient(n: LaurentSeries, d: LaurentSeries, order: int) -> LaurentSeries:
-    return n.mul(series_reciprocal(d, order), ParamPoly.zero())
-
-
-def series_ratio(n: LaurentSeries, d: LaurentSeries) -> ParamPoly:
-    """The z -> 0 limit of n/d.
-
-    Returns the ratio of leading coefficients when the lead orders match,
-    zero when the numerator vanishes faster, raises ``DivergentLimit`` when
-    the denominator vanishes faster and ``ZeroOverZeroUnresolved`` when both
-    are identically zero to the truncation order.
-    """
-    n = n.normalized()
-    d = d.normalized()
-    if d.is_zero():
-        if n.is_zero():
-            raise ZeroOverZeroUnresolved("both series vanish to truncation order")
-        raise DivergentLimit("denominator is identically zero to truncation order")
-    if n.is_zero():
-        return ParamPoly.zero()
-    if n.lead > d.lead:
-        return ParamPoly.zero()
-    if n.lead < d.lead:
-        raise DivergentLimit(f"quotient diverges like z^{n.lead - d.lead}")
-    return n.coeffs[0] * d.coeffs[0].inverse()

@@ -376,8 +376,11 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
 
 
 def parse_model_file(path, name: str | None = None) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     import os
 
     default_name = os.path.splitext(os.path.basename(str(path)))[0]

@@ -7,6 +7,7 @@ with a numeric cross-check at random positive bindings).
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .engine import (
     effective_potential,
     expectation,
 )
-from .errors import UnknownModel
+from .errors import UnknownModel, ValidationError
 from .laurent import DEFAULT_ORDER
 from .params import Param, ParamPoly
 from .symbols import Axis, AxisPoly, MatrixSymbol, TPoly
@@ -170,7 +171,7 @@ def _dirac_k(n: int) -> tuple[tuple[tuple[AxisPoly, ...], ...], tuple[str, ...],
             (sv[1][0], sv[1][1], zero, zero),
         )
         return k, hats, 4
-    raise ValueError("spatial dimension must be 1, 2 or 3")
+    raise ValidationError(f"spatial dimension must be 1, 2 or 3, got {n}")
 
 
 def dirac_fermion(n: int = 3) -> ModelSpec:
@@ -285,9 +286,21 @@ class ModelRun:
 
 
 def build_model(name: str, **overrides) -> ModelSpec:
-    if name not in REGISTRY:
+    return _build(REGISTRY, name, overrides)
+
+
+def _build(table: Mapping[str, RegistryEntry], name: str, overrides) -> ModelSpec:
+    if name not in table:
         raise UnknownModel(name)
-    return REGISTRY[name].builder(**overrides)
+    builder = table[name].builder
+    if overrides:
+        try:
+            inspect.signature(builder).bind(**overrides)
+        except TypeError:
+            raise ValidationError(
+                f"model {name} takes no override {', '.join(sorted(overrides))}"
+            ) from None
+    return builder(**overrides)
 
 
 def _matches(value: ParamPoly | Divergent, expected: ParamPoly,
@@ -315,9 +328,7 @@ def run_model(
     table = dict(REGISTRY)
     if registry:
         table.update(registry)
-    if name not in table:
-        raise UnknownModel(name)
-    model = table[name].builder(**overrides)
+    model = _build(table, name, overrides)
     failures: list[str] = []
 
     if model.kind == "potential":

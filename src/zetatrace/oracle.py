@@ -1,11 +1,17 @@
 """Independent numeric verification.
 
-Everything here avoids the engine's closed forms: oscillatory half-line
-integrals are computed by damped quadrature with Richardson extrapolation in
-the damping parameter, Gaussian-phase integrals are linearized by the t = u^2
-substitution before quadrature, the complex Gamma function is a local
-Lanczos approximation, and small-z / finite-T limits are polynomial
-extrapolations over sample grids.
+Shared with the engine: the gauge, the phase split and the enumeration of
+reduced integrals (``engine.reduced_integrals``), which also holds every
+structural check, so the oracle reduces exactly the sum the engine reduces
+and rejects what the engine rejects.
+
+Independent of the engine, and so what the cross-check tests: the value of
+each integral and the limits.  Oscillatory half-line integrals are computed
+by damped quadrature with Richardson extrapolation in the damping parameter,
+Gaussian-phase integrals are linearized by the t = u^2 substitution before
+quadrature, the complex Gamma function is a local Lanczos approximation, and
+small-z / finite-T limits are polynomial extrapolations over sample grids.
+No table row, Laurent series or term sum is built here.
 """
 
 from __future__ import annotations
@@ -187,90 +193,43 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
                    bindings: Mapping[str, float]) -> complex:
     """num(z, T)/den(z, T) with every reduced integral done by quadrature.
 
-    Shares the engine's piece enumeration but replaces each closed-form table
-    row by damped numeric integration, so the Laurent and limit machinery is
-    cross-checked end to end.
+    The integrals come from the engine's enumeration
+    (``engine.reduced_integrals``), so both sides reduce the same sum and
+    reject the same structures; each integral is then computed by damped
+    quadrature instead of read off a table row, so the Laurent and limit
+    machinery is cross-checked end to end.  One ``z`` is used for every
+    regulator: the quotient is sampled on the diagonal z1 = z2 = ... = z,
+    while the engine eliminates the regulators one at a time.
     """
-    from .engine import apply_gauge, _build_phase
+    from .engine import _build_phase, apply_gauge, reduced_integrals
     from .symbols import AxisPoly, compose_observable
-    from .tables import angular_moment
 
     plan = apply_gauge(model)
     phase, evo = _build_phase(model)
     obs = model.observables[observable_name]
+    rotation = cmath.exp(1j * phase.const.eval(bindings) * t_value)
 
-    def piece_value(pieces) -> complex:
+    def trace_value(pieces) -> complex:
         total = 0j
-        for piece in pieces:
-            for mono_key, tpoly in piece.amp.monomials():
-                degrees = dict(mono_key)
-                for t_power, poly in tpoly.parts.items():
-                    coeff = poly.eval(bindings) * t_value ** float(t_power)
-                    coeff *= cmath.exp(1j * phase.const.eval(bindings) * t_value)
-                    branch_vals = [coeff]
-                    for group in model.groups:
-                        branch_vals = _numeric_group(
-                            branch_vals, group, degrees, piece, phase, plan,
-                            z, t_value, bindings,
-                        )
-                    total += sum(branch_vals)
+        for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan):
+            value = poly.eval(bindings) * t_value ** float(t_power) * rotation
+            for alternatives in symbols:
+                value *= sum(
+                    mult.eval(bindings) * _quadrature(integral, z, t_value, bindings)
+                    for mult, integral in alternatives
+                )
+            total += value
         return total
 
-    num = piece_value(compose_observable(evo, obs))
-    den = piece_value(compose_observable(evo, AxisPoly.number(1)))
+    num = trace_value(compose_observable(evo, obs))
+    den = trace_value(compose_observable(evo, AxisPoly.number(1)))
     return num / den
 
 
-def _numeric_group(branch_vals, group, degrees, piece, phase, plan, z, t_value, bindings):
-    from .tables import angular_moment
-
-    dim = len(group.axes)
-    radial = group.reduction == "radial" and dim > 1
-    out = []
-    if radial:
-        rsym = group.radius_symbol()
-        hat_powers = tuple(degrees.get(f"{a}^", 0) for a in group.axes)
-        moment = angular_moment(hat_powers, dim).eval(bindings)
-        if moment == 0:
-            return [0j]
-        d_r = degrees.get(rsym, 0)
-        q = z + d_r + dim - 1
-        val = _numeric_radial(q, phase, rsym, piece, t_value, bindings)
-        return [b * moment * val for b in branch_vals]
-    for a in group.axes:
-        d = degrees.get(a, 0)
-        share = float(plan.shares[a][1])
-        q = share * z + d
-        g2 = phase.g2.get(a)
-        g1 = phase.g1.get(a)
-        if g2 is not None and not g2.is_zero():
-            if d % 2:
-                return [0j]
-            a_val = g2.eval(bindings).real * t_value
-            val = gauss_power_osc(q, a_val)
-        else:
-            val = 0j
-            g1v = g1.eval(bindings).real if g1 is not None else 0.0
-            if piece.osc_sign and phase.osc_symbol == a:
-                g1v -= piece.osc_sign * phase.osc_coeff.eval(bindings).real
-            for direction in (1, -1):
-                val += (direction**d) * half_line_power_osc(
-                    share * z + d, t_value, -1 if g1v * direction > 0 else 1, abs(g1v)
-                )
-        branch_vals = [b * val for b in branch_vals]
-    return branch_vals
-
-
-def _numeric_radial(q, phase, rsym, piece, t_value, bindings):
-    from .params import ParamPoly
-
-    g2 = phase.g2.get(rsym, ParamPoly.zero())
-    g1 = phase.g1.get(rsym, ParamPoly.zero())
-    if not g2.is_zero():
-        a_val = g2.eval(bindings).real * t_value
-        return 0.5 * gauss_power_osc(q, a_val)
-    g1v = g1.eval(bindings).real if not g1.is_zero() else 0.0
-    if piece.osc_sign and phase.osc_symbol == rsym:
-        g1v -= piece.osc_sign * phase.osc_coeff.eval(bindings).real
-    sign = -1 if g1v > 0 else 1
-    return half_line_power_osc(q, t_value, sign, abs(g1v))
+def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float]) -> complex:
+    """Numeric value of one ``engine.ReducedIntegral`` at regulator value z."""
+    q = float(integral.q.a) * z + float(integral.q.b)
+    rate = integral.rate.eval(bindings).real
+    if integral.kind == "gauss":
+        return gauss_power_osc(q, rate * t_value)
+    return half_line_power_osc(q, t_value, integral.sign, rate)

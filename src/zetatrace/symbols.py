@@ -1,4 +1,4 @@
-"""Phase decomposition, polyhomogeneous amplitudes and matrix-symbol exponentials.
+"""Phase decomposition, power-series powers and matrix-symbol exponentials.
 
 Integrands live in a small polynomial algebra over "axis symbols" (gauged
 integration variables, group radii, direction components) whose coefficients
@@ -23,7 +23,6 @@ from .errors import (
     NotInvolution,
     ShapeMismatch,
     UnsupportedStructure,
-    ZeroLeadingCoefficient,
 )
 from .params import ParamPoly, _fraction
 
@@ -318,7 +317,7 @@ def decompose_phase(h: AxisPoly, axes: Sequence[str]) -> PhaseDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Power-series powers and the exponential of an asymptotic expansion
+# Power-series powers
 # ---------------------------------------------------------------------------
 
 
@@ -371,77 +370,6 @@ def _is_zero_like(x) -> bool:
     if hasattr(x, "is_zero"):
         return x.is_zero()
     return x == 0
-
-
-@dataclass
-class PolyhomAmplitude:
-    """Amplitude with expansion sum_iota r^(d_iota) (ln r)^(l_iota) * angular part.
-
-    ``terms`` is ordered by strictly decreasing degree; ``integrable`` is an
-    optional numeric-quadrature payload for the order-zero remainder.
-    """
-
-    terms: list[tuple[Fraction, int, ParamPoly]]
-    integrable: object | None = None
-
-    def __post_init__(self):
-        degs = [d for d, _, _ in self.terms]
-        if any(d1 <= d2 for d1, d2 in zip(degs, degs[1:])):
-            raise UnsupportedStructure("expansion degrees must strictly decrease")
-
-
-def exp_asymptotic(
-    coeffs: Mapping[int, TPoly], scale: TPoly, order: int
-) -> dict[int, TPoly]:
-    """Coefficients of exp(scale * sum_j a_j r^(-j)) to r^(-order).
-
-    The j = 0 coefficient must be nonzero and T-free so the constant factor
-    stays a plain exponential prefactor; the inverse-power tail is
-    exponentiated with the power-series recursion.
-    """
-    a0 = coeffs.get(0, TPoly.zero())
-    if a0.is_zero():
-        raise ZeroLeadingCoefficient("exp of an expansion with vanishing order-zero term")
-    tail = {j: c for j, c in coeffs.items() if j > 0 and not c.is_zero()}
-    if any(j < 0 for j in coeffs):
-        raise UnsupportedStructure("positive powers of r cannot sit in the amplitude tail")
-    # exp(scale * a0) stays symbolic only when scale * a0 is numeric
-    head = scale * a0
-    head_num = _tpoly_number(head)
-    prefactor = TPoly.of(ParamPoly.number(np.exp(head_num))) if head_num is not None else None
-    if prefactor is None:
-        raise UnsupportedStructure(
-            "constant part of the exponent must be numeric; split symbolic constants "
-            "into the phase bookkeeping instead"
-        )
-    out: dict[int, TPoly] = {0: prefactor}
-    if not tail:
-        return out
-    # sum_k (scale * tail)^k / k!
-    acc: dict[int, TPoly] = {0: TPoly.of(ParamPoly.one())}
-    power: dict[int, TPoly] = {0: TPoly.of(ParamPoly.one())}
-    for k in range(1, order + 1):
-        nxt: dict[int, TPoly] = {}
-        for j1, c1 in power.items():
-            for j2, c2 in tail.items():
-                j = j1 + j2
-                if j <= order:
-                    add = c1 * c2 * scale
-                    nxt[j] = nxt.get(j, TPoly.zero()) + add
-        power = {j: c * (1.0 / k) for j, c in nxt.items()}
-        if not power:
-            break
-        for j, c in power.items():
-            acc[j] = acc.get(j, TPoly.zero()) + c
-    return {j: c * prefactor for j, c in acc.items() if j <= order}
-
-
-def _tpoly_number(t: TPoly) -> complex | None:
-    if t.is_zero():
-        return 0j
-    if set(t.parts) != {Fraction(0)}:
-        return None
-    return t.parts[Fraction(0)].as_number()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Rows implemented:
 
 * ``osc_linear`` -- int_0^inf r^q e^(+-i rate T r) dr as Gamma(q+1) * phase * (rate T)^(-q-1)
 * ``gauss_radial`` -- int_R e^(-i rate T u^2) |u|^q du as Gamma((q+1)/2) * (i rate T)^(-(q+1)/2)
-* ``sphere_volume`` / ``angular_reduce`` -- exact sphere moments as polynomials in pi
+* ``angular_moment`` / ``sphere_volume`` -- exact sphere moments as polynomials in pi
 
 Two continuation branches exist for the linear row.  ``principal`` is the
 +i0-damped value (matched by the numeric oracle); ``paper`` keeps the
@@ -152,11 +152,3 @@ def angular_moment(powers: tuple[int, ...], dim: int) -> ParamPoly:
 def sphere_volume(dim: int) -> ParamPoly:
     """vol(S^(dim-1)) = 2 pi^(dim/2) / Gamma(dim/2); dim = 1 gives the two-point set."""
     return angular_moment((), dim)
-
-
-def angular_reduce(monomials: dict[tuple[int, ...], ParamPoly], dim: int) -> ParamPoly:
-    """Reduce a polynomial in the direction components to its sphere integral."""
-    total = ParamPoly.zero()
-    for powers, coeff in monomials.items():
-        total = total + coeff * angular_moment(powers, dim)
-    return total

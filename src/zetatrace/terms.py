@@ -357,6 +357,26 @@ def _lead_order(series: LaurentSeries, scale: float) -> int | None:
     return None
 
 
+def _expand_to_lead(
+    sums: list[ZetaTermSum], regulator: str, order: int
+) -> tuple[list[LaurentSeries], list[int | None], float, int]:
+    """Expand the sums jointly in one regulator until each lead order shows.
+
+    The truncation starts at ``order`` and doubles while some sum vanishes
+    to it, up to ``MAX_ORDER``.  Returns the normalized series, their lead
+    orders (``None`` for a sum still vanishing at the last truncation), the
+    shared magnitude scale and the truncation used.
+    """
+    k = order
+    while True:
+        series = [_expand_sum_in(s, regulator, k).normalized() for s in sums]
+        scale = max((c.magnitude() for x in series for c in x.coeffs), default=0.0) or 1.0
+        leads = [_lead_order(x, scale) for x in series]
+        if None not in leads or k >= MAX_ORDER:
+            return series, leads, scale, k
+        k *= 2
+
+
 def cancel_common_tokens(n: ZetaTermSum, d: ZetaTermSum) -> tuple[ZetaTermSum, ZetaTermSum]:
     """Remove token multisets shared globally by numerator and denominator."""
 
@@ -406,14 +426,7 @@ def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
     current = s
     for reg in s.regulators:
         rest = tuple(r for r in current.regulators if r != reg)
-        k = order
-        while True:
-            series = _expand_sum_in(current, reg, k).normalized()
-            scale = max((c.magnitude() for c in series.coeffs), default=0.0) or 1.0
-            lead = _lead_order(series, scale)
-            if lead is not None or k >= MAX_ORDER:
-                break
-            k *= 2
+        (series,), (lead,), scale, _ = _expand_to_lead([current], reg, order)
         if lead is None:
             current = ZetaTermSum.zero(rest, s.t_symbol)
             continue
@@ -456,26 +469,9 @@ def ratio_limit(
         raise DivergentLimit("denominator is identically zero")
     n, d = cancel_common_tokens(n, d)
     for reg in n.regulators:
-        k = order
-        while True:
-            ln = _expand_sum_in(n, reg, k).normalized()
-            ld = _expand_sum_in(d, reg, k).normalized()
-            scale = max(
-                [c.magnitude() for c in ln.coeffs]
-                + [c.magnitude() for c in ld.coeffs]
-                + [0.0]
-            ) or 1.0
-            pn = _lead_order(ln, scale)
-            pd = _lead_order(ld, scale)
-            if pd is not None and pn is not None:
-                break
-            if k >= MAX_ORDER:
-                if pd is None and pn is None:
-                    raise ZeroOverZeroUnresolved(
-                        f"0/0 in {reg} unresolved at truncation order {k}"
-                    )
-                break
-            k *= 2
+        (ln, ld), (pn, pd), scale, k = _expand_to_lead([n, d], reg, order)
+        if pn is None and pd is None:
+            raise ZeroOverZeroUnresolved(f"0/0 in {reg} unresolved at truncation order {k}")
         if trace is not None:
             trace.append(
                 f"limit {reg} -> 0: lead orders num = {pn}, den = {pd}"

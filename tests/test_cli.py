@@ -184,3 +184,51 @@ def test_kv_trace_critical_degree_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "kv-trace", str(path))
     assert code == 1
     assert "critical" in err
+
+
+def assert_input_error(code, err, fragment):
+    """Exit 2 with a single 'error: ...' line naming the fault, no traceback."""
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert fragment in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["harmonic_oscillator_1d", "--series-order", "1"], "--series-order must be at least 2"),
+        (["harmonic_oscillator_1d", "--dim", "2"], "takes no override n"),
+        (["harmonic_oscillator_nd", "--dim", "0"], "--dim must be at least 1"),
+        (["dirac_fermion", "--dim", "4"], "spatial dimension must be 1, 2 or 3"),
+        (["harmonic_oscillator_1d", "--param", "m=abc"], "--param expects name=number, got 'm=abc'"),
+        (["harmonic_oscillator_1d", "--param", "foo"], "--param expects name=number, got 'foo'"),
+    ],
+    ids=["series-order-1", "dim-without-n", "dim-0", "dirac-dim-4", "param-not-a-number", "param-without-value"],
+)
+def test_run_bad_flag_value_exits_two(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert out == ""
+    assert_input_error(code, err, fragment)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[kv]\ndimension = abc\n", "dimension must be a number, got 'abc' at line 2"),
+        ("[kv]\ndimension = 1\n[term]\ndegree = x\n", "degree must be a number, got 'x' at line 4"),
+    ],
+    ids=["dimension", "degree"],
+)
+def test_kv_trace_non_numeric_value_exits_two(tmp_path, capsys, text, fragment):
+    path = tmp_path / "amp.kv"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "kv-trace", str(path))
+    assert_input_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("command", ["kv-trace", "model"])
+def test_missing_input_file_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "absent.txt"
+    code, _, err = run_cli(capsys, command, str(path))
+    assert_input_error(code, err, f"cannot read {path}")

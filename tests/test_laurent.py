@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from zetatrace import oracle
 from zetatrace.errors import DivergentLimit, ZeroOverZeroUnresolved
 from zetatrace.laurent import (
-    LaurentSeries,
     MeroFactorProduct,
     PrimitiveFactor,
     expand_factor,
     expand_product,
     gamma_value,
     half_turn,
-    series_quotient,
-    series_ratio,
 )
 from zetatrace.params import ParamPoly
+from zetatrace.terms import ZetaTerm, ZetaTermSum, ratio_limit
 
 
 def c(series, power):
@@ -96,39 +94,47 @@ def test_paper_style_prefactor_value_at_zero():
     assert c(series, 0) == pytest.approx(-1j)
 
 
-def test_series_ratio_z_over_z():
-    z = expand_factor(PrimitiveFactor.affine(1, 0), order=3)
-    assert series_ratio(z, z).as_number() == pytest.approx(1.0)
+def zsum(*terms):
+    return ZetaTermSum(list(terms), ("z",))
 
 
-def test_series_ratio_cancelling_phase_factor():
+def factor_term(*factors, coeff=1.0):
+    return ZetaTerm(MeroFactorProduct(ParamPoly.number(coeff), factors))
+
+
+def limit_value(n, d):
+    return ratio_limit(n, d).constant_part().as_number()
+
+
+def test_ratio_limit_z_over_z():
+    z = factor_term(PrimitiveFactor.affine(1, 0))
+    assert limit_value(zsum(z), zsum(z)) == pytest.approx(1.0)
+
+
+def test_ratio_limit_cancelling_phase_factor():
     # (e^(-i pi (z+2)) - 1) over itself -> 1
-    one = LaurentSeries(0, [ParamPoly.one()] + [ParamPoly.zero()] * 3)
-    e = expand_factor(PrimitiveFactor.exp_ipi(-1, -2), order=3)
-    num = e.add(one.scale(ParamPoly.number(-1)), ParamPoly.zero())
-    assert series_ratio(num, num).as_number() == pytest.approx(1.0)
+    num = zsum(factor_term(PrimitiveFactor.exp_ipi(-1, -2)), factor_term(coeff=-1.0))
+    assert limit_value(num, num) == pytest.approx(1.0)
 
 
-def test_series_ratio_order_comparison():
-    z = expand_factor(PrimitiveFactor.affine(1, 0), order=3)
-    z2 = z.mul(z, ParamPoly.zero())
-    assert series_ratio(z2, z).is_zero()
+def test_ratio_limit_order_comparison():
+    z = zsum(factor_term(PrimitiveFactor.affine(1, 0)))
+    z2 = zsum(factor_term(PrimitiveFactor.affine(1, 0, power=2)))
+    assert ratio_limit(z2, z).is_zero()
     with pytest.raises(DivergentLimit):
-        series_ratio(z, z2)
+        ratio_limit(z, z2)
 
 
-def test_series_ratio_zero_over_zero():
-    zero = LaurentSeries(0, [ParamPoly.zero()] * 4)
+def test_ratio_limit_zero_over_zero():
+    zero = zsum(factor_term(), factor_term(coeff=-1.0))
     with pytest.raises(ZeroOverZeroUnresolved):
-        series_ratio(zero, zero)
+        ratio_limit(zero, zero)
 
 
-def test_series_quotient_regular_value():
-    num = expand_factor(PrimitiveFactor.affine(1, 3), order=3)  # 3 + z
-    den = expand_factor(PrimitiveFactor.affine(1, 1), order=3)  # 1 + z
-    q = series_quotient(num, den, 3)
-    assert c(q, 0) == pytest.approx(3.0)
-    assert c(q, 1) == pytest.approx(-2.0)  # (3+z)/(1+z) = 3 - 2z + ...
+def test_ratio_limit_regular_quotient():
+    num = zsum(factor_term(PrimitiveFactor.affine(1, 3)))  # 3 + z
+    den = zsum(factor_term(PrimitiveFactor.affine(1, 1)))  # 1 + z
+    assert limit_value(num, den) == pytest.approx(3.0)
 
 
 FACTORS = [

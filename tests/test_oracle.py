@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from zetatrace import oracle
-from zetatrace.errors import DivergenceDetected, NonConvergent
+from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 
 
 def test_lanczos_gamma_accuracy_on_strip():
@@ -77,6 +77,72 @@ def test_small_z_limit_model_quotients():
         }
         got = oracle.small_z_limit(samples)
         assert got == pytest.approx(res.finite_t.eval(bindings, tv), rel=1e-4)
+
+
+SHIFTED_OSCILLATOR = """
+[params]
+m = positive
+w = positive
+F = positive
+[axes]
+xi1 = momentum
+x1 = position
+[phase]
+1/2*xi1^2/m + 1/2*m*w^2*x1^2 + w + F*x1
+[observable]
+1/2*xi1^2/m + 1/2*m*w^2*x1^2 + w + F*x1
+"""
+
+
+def test_model_quotient_rejects_what_the_engine_rejects():
+    # quadratic and linear phase on x1: neither side may drop the linear part
+    from zetatrace.engine import expectation
+    from zetatrace.modelfile import parse_model_text, to_model_spec
+
+    model = to_model_spec(parse_model_text(SHIFTED_OSCILLATOR, "shifted"))
+    with pytest.raises(UnsupportedStructure) as engine_error:
+        expectation(model, "observable")
+    with pytest.raises(UnsupportedStructure) as oracle_error:
+        oracle.model_quotient(model, "observable", -0.1, 10.0, {"m": 1.0, "w": 1.0, "F": 1.0})
+    assert "complete the square" in str(engine_error.value)
+    assert str(oracle_error.value) == str(engine_error.value)
+
+
+def regulator_sum_value(s, zs, t_value, bindings):
+    """A term sum at explicit per-regulator values zs, with the oracle's Gamma."""
+    total = 0j
+    for t in s.terms:
+        v = t.coeff.prefactor.eval(bindings)
+        for f in t.coeff.factors:
+            v *= f.numeric(zs[f.regulator], gamma_fn=oracle.gamma, bindings=bindings)
+        v *= t_value ** (float(t.t_const) + sum(float(a) * zs[r] for r, a in t.t_lin))
+        v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
+        total += v
+    return total
+
+
+def test_model_quotient_samples_the_regulator_diagonal():
+    """The oracle sets every regulator to the same z; the engine eliminates z1, then z2."""
+    from zetatrace.engine import build_trace_sums
+    from zetatrace.models import harmonic_oscillator_1d
+    from zetatrace.tables import PRINCIPAL
+
+    model = harmonic_oscillator_1d()
+    bindings = {"m": 1.0, "hbar": 1.0, "omega": 1.0}
+    tv = 10.0
+    num, den, _ = build_trace_sums(model, model.observables["H"], PRINCIPAL)
+    assert num.regulators == ("z1", "z2")
+
+    def engine_quotient(z1, z2):
+        zs = {"z1": z1, "z2": z2}
+        return regulator_sum_value(num, zs, tv, bindings) / regulator_sum_value(den, zs, tv, bindings)
+
+    for z in (-0.2, -0.1):
+        got = oracle.model_quotient(model, "H", z, tv, bindings)
+        assert got == pytest.approx(engine_quotient(z, z), rel=1e-6)
+    # off the diagonal the quotient differs, so the diagonal is a choice, not an identity
+    diagonal = oracle.model_quotient(model, "H", -0.2, tv, bindings)
+    assert abs(engine_quotient(-0.2, -0.1) - diagonal) > 1e-3 * abs(diagonal)
 
 
 def test_finite_t_sweep_recovers_constant_plus_decay():

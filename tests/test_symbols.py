@@ -13,16 +13,13 @@ from zetatrace.errors import (
     NotInvolution,
     ShapeMismatch,
     UnsupportedStructure,
-    ZeroLeadingCoefficient,
 )
 from zetatrace.params import ParamPoly
 from zetatrace.symbols import (
     AxisPoly,
     MatrixSymbol,
-    TPoly,
     compose_observable,
     decompose_phase,
-    exp_asymptotic,
     involution_exp,
     series_pow,
 )
@@ -71,70 +68,6 @@ def test_recursion_with_leading_zero():
     # (X + X^2)^2 = X^2 + 2 X^3 + X^4
     got = series_pow([Fraction(0), Fraction(1), Fraction(1)], 2, 4)
     assert got == [0, 0, 1, 2, 1]
-
-
-# ---------------------------------------------------------------------------
-# exp_asymptotic
-# ---------------------------------------------------------------------------
-
-
-def tp(c):
-    return TPoly.of(ParamPoly.number(c))
-
-
-def test_exp_of_constant_term():
-    out = exp_asymptotic({0: tp(2.0)}, tp(3.0), order=4)
-    assert set(out) == {0}
-    assert out[0].plain().as_number() == pytest.approx(math.exp(6.0))
-
-
-def test_exp_of_one_plus_inverse_power():
-    # e^(1 + 1/r) = e (1 + r^-1 + r^-2/2 + ...)
-    out = exp_asymptotic({0: tp(1.0), 1: tp(1.0)}, tp(1.0), order=2)
-    e = math.e
-    assert out[0].plain().as_number() == pytest.approx(e)
-    assert out[1].plain().as_number() == pytest.approx(e)
-    assert out[2].plain().as_number() == pytest.approx(e / 2)
-
-
-def test_exp_asymptotic_oracle_series():
-    # independent oracle: numerically exponentiate the truncated series
-    scale = 0.7 + 0.2j
-    coeffs = {0: tp(1.0), 1: tp(0.5), 2: tp(-0.25)}
-    out = exp_asymptotic(coeffs, tp(scale), order=3)
-    r = 40.0
-    approx = sum(c.plain().as_number() * r**-j for j, c in out.items())
-    direct = cmath.exp(scale * (1.0 + 0.5 / r - 0.25 / r**2))
-    assert approx == pytest.approx(direct, rel=1e-6)
-
-
-def test_exp_asymptotic_zero_lead_rejected():
-    with pytest.raises(ZeroLeadingCoefficient):
-        exp_asymptotic({1: tp(1.0)}, tp(1.0), order=2)
-
-
-def test_exp_asymptotic_inverse_pair():
-    coeffs = {0: tp(1.0), 1: tp(0.8), 2: tp(0.3)}
-    plus = exp_asymptotic(coeffs, tp(1.0), order=3)
-    minus = exp_asymptotic(coeffs, tp(-1.0), order=3)
-    prod = {0: 0j}
-    for j1, c1 in plus.items():
-        for j2, c2 in minus.items():
-            if j1 + j2 <= 3:
-                prod[j1 + j2] = prod.get(j1 + j2, 0j) + (
-                    c1.plain().as_number() * c2.plain().as_number()
-                )
-    assert prod[0] == pytest.approx(1.0)
-    for j in range(1, 4):
-        assert abs(prod.get(j, 0j)) < 1e-12
-
-
-def test_polyhom_amplitude_requires_decreasing_degrees():
-    from zetatrace.symbols import PolyhomAmplitude
-
-    PolyhomAmplitude(terms=[(Fraction(-1), 0, ParamPoly.one()), (Fraction(-2), 1, ParamPoly.one())])
-    with pytest.raises(UnsupportedStructure):
-        PolyhomAmplitude(terms=[(Fraction(-2), 0, ParamPoly.one()), (Fraction(-1), 0, ParamPoly.one())])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from zetatrace.tables import (
     PRINCIPAL,
     AffineExp,
     angular_moment,
-    angular_reduce,
     gauss_radial,
     osc_linear,
     sphere_volume,
@@ -133,11 +132,11 @@ class TestSphere:
 
     def test_constant_angular_part(self):
         m = ParamPoly.var("m")
-        out = angular_reduce({(): m.scale(4)}, 3)
+        out = m.scale(4) * angular_moment((), 3)
         assert out == m * ParamPoly.monomial(16, {"pi": 1})
 
     def test_odd_component_vanishes(self):
-        assert angular_reduce({(1, 0, 0): ParamPoly.one()}, 3).is_zero()
+        assert angular_moment((1, 0, 0), 3).is_zero()
 
     def test_quadratic_moment_on_circle(self):
         # direct quadrature of cos^2 over [0, 2 pi)
