@@ -8,8 +8,9 @@ quadrature oracle's small-z extrapolation.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zetatrace import oracle
 from zetatrace.engine import expectation

@@ -6,8 +6,9 @@ and the numeric value at the default parameter bindings.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zetatrace.models import REGISTRY, run_model
 from zetatrace.params import ParamPoly

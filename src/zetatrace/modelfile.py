@@ -144,6 +144,8 @@ def render_ast(node) -> str:
         return node[1]
     if kind == "sym":
         return node[1]
+    if kind == "line":
+        return render_ast(node[2])
     if kind == "neg":
         return f"-{_wrap(node[1], above=('+', '-', 'neg'))}"
     if kind in ("+", "-"):
@@ -171,6 +173,8 @@ def _wrap(node, above: tuple[str, ...]) -> str:
 
 def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1) -> AxisPoly:
     kind = node[0]
+    if kind == "line":
+        return lower_ast(node[2], axis_names, param_names, node[1])
     if kind == "num":
         return AxisPoly.number(float(node[1]))
     if kind == "sym":
@@ -315,7 +319,8 @@ def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
 
 
 def _merge_expr(current, line: str, lineno: int):
-    node = parse_expression(line, lineno)
+    """Add one expression line to a section, keeping its line number for lowering errors."""
+    node = ("line", lineno, parse_expression(line, lineno))
     return node if current is None else ("+", current, node)
 
 

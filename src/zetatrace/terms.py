@@ -5,9 +5,14 @@ Every reduced trace integral is a finite sum of terms
     K(z1, z2, ...) * T^(a1 z1 + a2 z2 + ... + b) * (ln T)^l * e^(i c T)
 
 with ``K`` a product of primitive meromorphic factors, rational ``a_k`` and
-``b``, and ``c`` a real parameter polynomial.  ``ratio_limit`` eliminates the
+``b``, and ``c`` a real parameter polynomial.  ``ratio_limit`` first divides
+numerator and denominator by one reference divisor taken from the first
+denominator term (its phases, ``const_pow`` factors, ``T^(a.z)`` exponent and
+the Gammas every term shares up to an integer shift), which leaves the
+quotient alone but the Laurent expansions small; it then eliminates the
 regulators one at a time (joint Laurent expansion of numerator and
-denominator, lead-order comparison), ``value_at_zero`` evaluates a single sum
+denominator, lead-order comparison) and reports lead orders of the undivided
+sums, i.e. shifted by the divisor's order.  ``value_at_zero`` evaluates a single sum
 at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
 ``T -> infinity``.
 """
@@ -15,6 +20,7 @@ at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -29,8 +35,10 @@ from .errors import (
 from .laurent import (
     DEFAULT_ORDER,
     MAX_ORDER,
+    FactorKind,
     LaurentSeries,
     MeroFactorProduct,
+    PrimitiveFactor,
     expand_product,
 )
 from .params import ParamPoly, _fraction
@@ -417,6 +425,115 @@ def cancel_common_tokens(n: ZetaTermSum, d: ZetaTermSum) -> tuple[ZetaTermSum, Z
     return strip(n), strip(d)
 
 
+def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
+    """Key and offset: factors with one key divide into simpler ones.
+
+    Gammas of one regulator and slope whose offsets differ by the integer
+    returned, half-turn phases of one regulator, and powers of one base in
+    one regulator.  Exponents enter as integers: hashing them is much cheaper
+    than hashing ``Fraction``s.
+    """
+    if f.kind is FactorKind.GAMMA:
+        a, b = f.alpha, f.beta
+        whole, frac = divmod(b.numerator, b.denominator)
+        return (f.kind, f.regulator, a.numerator, a.denominator, frac, b.denominator), whole
+    if f.kind is FactorKind.EXP_IPI:
+        return (f.kind, f.regulator), 0
+    if f.kind is FactorKind.CONST_POW:
+        return (f.kind, f.regulator, f.base), 0
+    return None
+
+
+def _partners(factors: tuple[PrimitiveFactor, ...]) -> dict[tuple, list[tuple[int, int]]]:
+    """Key -> (offset, index) of every factor a divisor factor can pair with."""
+    out: dict[tuple, list[tuple[int, int]]] = {}
+    for i, f in enumerate(factors):
+        keyed = _pair_key(f)
+        if keyed is not None:
+            out.setdefault(keyed[0], []).append((keyed[1], i))
+    return out
+
+
+def _factor_quotient(p: PrimitiveFactor, f: PrimitiveFactor, k: int) -> list[PrimitiveFactor]:
+    """p / f for a partner pair, as primitive factors; Gammas differ by k in offset."""
+    if f.kind is FactorKind.GAMMA:
+        # Gamma(x + k) / Gamma(x) = x (x+1) ... (x+k-1), or 1/((x-1) ... (x+k)) for k < 0
+        if k >= 0:
+            return [PrimitiveFactor.affine(f.alpha, f.beta + j, 1, f.regulator) for j in range(k)]
+        return [
+            PrimitiveFactor.affine(f.alpha, f.beta - j, -1, f.regulator) for j in range(1, -k + 1)
+        ]
+    if p.alpha == f.alpha and p.beta == f.beta:
+        return []
+    return [replace(p, alpha=p.alpha - f.alpha, beta=p.beta - f.beta)]
+
+
+def _divide_term(
+    t: ZetaTerm, partners: dict[tuple, list[tuple[int, int]]], divisor: list[tuple], t_lin: TLin
+) -> ZetaTerm:
+    factors = t.coeff.factors
+    slots = [[f] for f in factors]
+    extra = []
+    for f, key, offset in divisor:
+        free = partners.get(key)
+        if not free:  # an unpaired phase or const_pow: multiply by its inverse
+            extra.append(replace(f, alpha=-f.alpha, beta=-f.beta))
+            continue
+        # the nearest Gamma keeps the affine product short; phases and powers have offset 0
+        j = min(range(len(free)), key=lambda j: abs(free[j][0] - offset)) if len(free) > 1 else 0
+        p_offset, i = free.pop(j)
+        slots[i] = _factor_quotient(factors[i], f, p_offset - offset)
+    return replace(
+        t,
+        coeff=MeroFactorProduct(
+            t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)
+        ),
+        t_lin=_tlin(_merge_tlin(t.t_lin, tuple((r, -a) for r, a in t_lin))),
+    )
+
+
+def divide_by_reference(
+    n: ZetaTermSum, d: ZetaTermSum
+) -> tuple[ZetaTermSum, ZetaTermSum, dict[str, int]]:
+    """Divide every term of n and d by one divisor g taken from d's first term.
+
+    g holds the first denominator term's half-turn phases, its ``const_pow``
+    factors, its ``T^(a.z)`` exponent and each of its Gammas that has, in
+    every term of n and d, a partner Gamma of the same regulator and slope at
+    an integer offset.  Paired Gammas become affine factors, paired phases
+    and powers of the same base subtract their exponents, unpaired ones are
+    multiplied in inverted.  Prefactors, constant ``T`` powers, ``ln T``
+    powers, oscillating phases and tokens are left alone, so the quotient
+    n/d and the prefactors its limit is read from do not change.  Returns the
+    divided sums and g's order at 0 in each regulator.
+    """
+    r = d.terms[0]
+    partners = [_partners(t.coeff.factors) for t in n.terms + d.terms]
+    divisor = []
+    taken: Counter = Counter()
+    orders: dict[str, int] = {}
+    for f in r.coeff.factors:
+        keyed = _pair_key(f)
+        if keyed is None:
+            continue
+        key, offset = keyed
+        if f.kind is FactorKind.GAMMA:
+            if any(len(p.get(key, ())) <= taken[key] for p in partners):
+                continue
+            taken[key] += 1
+            orders[f.regulator] = orders.get(f.regulator, 0) - f.pole_order()
+        divisor.append((f, key, offset))
+    if not divisor and not r.t_lin:
+        return n, d, {}
+    divided = [_divide_term(t, p, divisor, r.t_lin) for t, p in zip(n.terms + d.terms, partners)]
+    k = len(n.terms)
+    return (
+        ZetaTermSum(divided[:k], n.regulators, n.t_symbol),
+        ZetaTermSum(divided[k:], d.regulators, d.t_symbol),
+        orders,
+    )
+
+
 def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
     """Evaluate the meromorphic extension of the sum at regulator zero.
 
@@ -456,25 +573,33 @@ def ratio_limit(
 ) -> TAsymptote:
     """Iterated regulator limits of the quotient n/d at fixed T.
 
-    Matching cancelling tokens are removed pairwise first.  Then for each
+    Matching cancelling tokens are removed pairwise first.  Then both sums
+    are divided by one reference divisor g from the first denominator term
+    (``divide_by_reference``): Gamma pairs with integer shifts become affine
+    factors and phase and ``const_pow`` pairs become constants, so the
+    expansions carry few factors and almost no formal logarithms.  For each
     regulator (declared order) the joint Laurent expansions of numerator and
     denominator are compared: equal lead orders keep the lead coefficients,
     a faster-vanishing numerator short-circuits to zero, a faster-vanishing
     denominator raises ``DivergentLimit``.  ``trace`` collects per-regulator
-    Laurent diagnostics when supplied.
+    Laurent diagnostics when supplied; the lead orders it reports are those
+    of the undivided sums, i.e. the divided ones plus g's order.
     """
     if n.regulators != d.regulators:
         raise UnsupportedStructure("numerator and denominator use different regulators")
     if not d.terms:
         raise DivergentLimit("denominator is identically zero")
     n, d = cancel_common_tokens(n, d)
+    n, d, g_orders = divide_by_reference(n, d)
     for reg in n.regulators:
         (ln, ld), (pn, pd), scale, k = _expand_to_lead([n, d], reg, order)
         if pn is None and pd is None:
             raise ZeroOverZeroUnresolved(f"0/0 in {reg} unresolved at truncation order {k}")
         if trace is not None:
+            g = g_orders.get(reg, 0)
+            num, den = (None if p is None else p + g for p in (pn, pd))
             trace.append(
-                f"limit {reg} -> 0: lead orders num = {pn}, den = {pd}"
+                f"limit {reg} -> 0: lead orders num = {num}, den = {den}"
                 f" (truncation {k})"
             )
         if pn is None:

@@ -78,6 +78,25 @@ def test_unknown_symbol_rejected():
         to_model_spec(parse_model_text(text, "bad"))
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        # the observable spans lines 10-11; the unknown symbol sits on line 11
+        ("(T*xi/(2*pi*J))^2/(-i*T)", "xi^2\ny*xi", 11, "unknown symbol 'y'"),
+        # the phase spans lines 8-9; the bad division sits on line 9
+        ("xi^2/(2*J)", "xi^2/(2*J)\nxi/xi", 9, "division by an axis-dependent"),
+    ],
+    ids=["observable", "phase"],
+)
+def test_lowering_error_names_the_line_in_the_file(old, new, line, message):
+    text = ROTOR_FILE.replace(old, new)
+    with pytest.raises(ParseError) as err:
+        to_model_spec(parse_model_text(text, "bad"))
+    assert err.value.line == line
+    assert message in str(err.value)
+    assert f"at line {line}" in str(err.value)
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ParseError):
         parse_model_text("[nonsense]\n", "bad")

@@ -1,3 +1,6 @@
+import cmath
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetatrace import oracle
+from zetatrace.engine import build_trace_sums
 from zetatrace.errors import DivergentLimit, PoleAtZero
 from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor
+from zetatrace.models import harmonic_oscillator_1d, schwinger_boson_mass, topological_oscillator
 from zetatrace.params import ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, osc_linear
 from zetatrace.terms import (
@@ -14,6 +19,8 @@ from zetatrace.terms import (
     TAsymptote,
     ZetaTerm,
     ZetaTermSum,
+    _tlin,
+    divide_by_reference,
     ratio_limit,
     thermal_limit,
     value_at_zero,
@@ -239,3 +246,217 @@ def test_multi_regulator_sequential_elimination():
         ZetaTermSum([t], ("z1", "z2")), ZetaTermSum([d], ("z1", "z2"))
     )
     assert thermal_limit(ta).as_number() == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Division by a reference denominator term
+# ---------------------------------------------------------------------------
+
+
+def _model_sums(make):
+    model = make()
+    (obs,) = model.observables.values()
+    num, den, _ = build_trace_sums(model, obs, PAPER)
+    return num, den, model.default_bindings()
+
+
+def _fermion_chain():
+    m = ParamPoly.var("m")
+    den = [osc_linear(q(2), +1, PAPER), osc_linear(q(2), -1, PAPER)]
+    num = [t.scaled(m) for t in den]
+    num.append(osc_linear(q(3), +1, PAPER).scaled(ParamPoly.number(-1j)))
+    num.append(osc_linear(q(3), -1, PAPER).scaled(ParamPoly.number(1j)))
+    return osc_sum(num), osc_sum(den), {"m": 1.3}
+
+
+def _log_chain():
+    # (Gamma(z) T^-z - Gamma(z)) / (2 Gamma(z+1)) -> -ln(T)/2
+    den = ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), (PrimitiveFactor.gamma(1, 1),)))
+    return osc_sum([gamma_term(1.0, Fraction(-1)), gamma_term(-1.0)]), osc_sum([den]), {}
+
+
+def _mixed_chain():
+    """Terms that lack the reference's phase or Gamma, or carry a power of another base."""
+    m, half = ParamPoly.var("m"), ParamPoly.number(0.5)
+
+    def term(coeff, factors, t_lin, t_const):
+        return ZetaTerm(MeroFactorProduct(coeff, factors), _tlin({"z": t_lin}), t_const)
+
+    den = [
+        term(ParamPoly.one(), (
+            PrimitiveFactor.gamma(1, 1),
+            PrimitiveFactor.exp_ipi(Fraction(1, 4), 0),
+            PrimitiveFactor.const_pow(half, Fraction(1, 2), Fraction(1, 2)),
+        ), -1, 0),
+        term(half, (
+            PrimitiveFactor.gamma(Fraction(1, 3), Fraction(2, 3)),
+            PrimitiveFactor.const_pow(ParamPoly.number(3.0), 1, 0),
+        ), 0, 0),
+    ]
+    num = [
+        term(m.scale(3.0), (
+            PrimitiveFactor.gamma(1, 2),
+            PrimitiveFactor.exp_ipi(Fraction(1, 2), Fraction(1, 2)),
+            PrimitiveFactor.const_pow(half, 1, 1),
+        ), -1, -1),
+        term(m.scale(1.5), (
+            PrimitiveFactor.const_pow(ParamPoly.monomial(2.0, {"a": 1}), 1, 0),
+        ), 0, -1),
+    ]
+    return osc_sum(num), osc_sum(den), {"m": 1.3}
+
+
+def _cancelling_chain():
+    """Both sides vanish at z = 0, so the slopes of unpaired factors set the limit."""
+    m = ParamPoly.var("m")
+    # no const_pow here: its ln(base) would leave a non-monomial lead denominator
+    shared = (PrimitiveFactor.exp_ipi(Fraction(1, 2), 0),)
+    den = [
+        ZetaTerm(MeroFactorProduct(ParamPoly.one(), (PrimitiveFactor.gamma(1, 1),) + shared)),
+        # a Gamma of another slope: no partner for the reference's Gamma(z+1)
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-1.0), (PrimitiveFactor.gamma(Fraction(1, 2), 1),))),
+    ]
+    num = [
+        ZetaTerm(
+            MeroFactorProduct(m, (PrimitiveFactor.gamma(1, 1),) + shared), t_lin=_tlin({"z": -1})
+        ),
+        ZetaTerm(MeroFactorProduct(-m, (PrimitiveFactor.gamma(Fraction(1, 2), 1),))),
+    ]
+    return osc_sum(num), osc_sum(den), {"m": 1.3}
+
+
+RATIO_POOL = [
+    _fermion_chain,
+    _log_chain,
+    _mixed_chain,
+    _cancelling_chain,
+    lambda: _model_sums(harmonic_oscillator_1d),
+    lambda: _model_sums(topological_oscillator),
+    lambda: _model_sums(schwinger_boson_mass),
+]
+
+_LEAD_RE = re.compile(r"limit (\w+) -> 0: lead orders num = (\S+), den = (\S+) ")
+
+
+def _lead_orders(trace):
+    return [m.groups() for m in map(_LEAD_RE.match, trace) if m]
+
+
+def _quotient_near_zero(num, den, bindings, t_value, eps=1e-5):
+    """n(z)/d(z) on the regulator diagonal, Richardson-extrapolated to z = 0."""
+
+    def value(s, z):
+        total = 0j
+        for t in s.terms:
+            power = sum(float(a) for _, a in t.t_lin) * z + float(t.t_const)
+            v = t.coeff.numeric(z, oracle.gamma, bindings) * t_value**power
+            v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
+            total += v
+        return total
+
+    q = lambda z: value(num, z) / value(den, z)
+    return 2 * q(eps) - q(2 * eps)
+
+
+@pytest.mark.parametrize("make", RATIO_POOL)
+def test_ratio_limit_matches_the_quotient_near_zero(make):
+    num, den, bindings = make()
+    ta = ratio_limit(num, den)
+    point = {**bindings, "a": 0.8}
+    for t_value in (7.0, 23.0):
+        expected = _quotient_near_zero(num, den, point, t_value)
+        assert ta.eval(point, t_value) == pytest.approx(expected, rel=1e-6)
+
+
+@st.composite
+def common_factors(draw, regulators):
+    """A ZetaTerm of Gammas (shifted, fresh, with a pole), phases, powers and T^(a z)."""
+    reg = lambda: draw(st.sampled_from(regulators))
+    half = Fraction(1, 2)
+    factors = [
+        PrimitiveFactor.gamma(half, half + draw(st.integers(0, 3)), reg())
+        for _ in range(draw(st.integers(0, 2)))
+    ]  # integer shifts of the Gamma(z/2 + 1/2) class the Gaussian tables produce
+    factors += [
+        PrimitiveFactor.gamma(1, draw(st.integers(1, 3)), reg())
+        for _ in range(draw(st.integers(0, 1)))
+    ]
+    if draw(st.booleans()):  # a class no table produces
+        factors.append(PrimitiveFactor.gamma(Fraction(1, 3), Fraction(2, 3), reg()))
+    if draw(st.booleans()):  # a pole at z = 0
+        factors.append(PrimitiveFactor.gamma(1, -draw(st.integers(0, 1)), reg()))
+    fracs = st.sampled_from([Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 2)])
+    for _ in range(draw(st.integers(0, 2))):
+        factors.append(PrimitiveFactor.exp_ipi(draw(fracs), draw(fracs), reg()))
+    bases = st.sampled_from([ParamPoly.number(0.5), ParamPoly.monomial(2.0, {"a": 1})])
+    for _ in range(draw(st.integers(0, 2))):
+        factors.append(PrimitiveFactor.const_pow(draw(bases), draw(fracs), draw(fracs), reg()))
+    prefactor = draw(st.sampled_from([1.0, -2.5, 0.5j, 3.0 - 1.0j]))
+    t_lin = _tlin({r: draw(fracs) for r in regulators})
+    return ZetaTerm(
+        MeroFactorProduct(ParamPoly.number(prefactor), tuple(draw(st.permutations(factors)))),
+        t_lin=t_lin,
+        t_const=draw(fracs),
+    )
+
+
+@given(st.data())
+def test_ratio_limit_invariant_under_a_common_factor(data):
+    """n*c / d*c has the same limit as n/d; the traced lead orders shift by c's order."""
+    num, den, bindings = data.draw(st.sampled_from(RATIO_POOL))()
+    c = data.draw(common_factors(num.regulators))
+    base_trace, trace = [], []
+    base = ratio_limit(num, den, trace=base_trace)
+    common = ZetaTermSum([c], num.regulators, num.t_symbol)
+    got = ratio_limit(num * common, den * common, trace=trace)
+    points = [({**bindings, "a": 0.8}, 7.0), ({**bindings, "a": 1.7}, 23.0)]
+    for point, t_value in points:
+        assert got.eval(point, t_value) == pytest.approx(base.eval(point, t_value), rel=1e-9)
+    order = {r: 0 for r in num.regulators}
+    for f in c.coeff.factors:
+        order[f.regulator] -= f.pole_order()
+    shifted = [
+        (r, str(int(pn) + order[r]), str(int(pd) + order[r]))
+        for r, pn, pd in _lead_orders(base_trace)
+    ]
+    assert _lead_orders(trace) == shifted
+
+
+def test_reference_with_a_pole_leaves_affine_factors_at_offset_zero():
+    # (m Gamma(z) T^-z + Gamma(z+1)/T) / (Gamma(z) T^-z + Gamma(z+2)): r = Gamma(z) T^-z
+    def term(coeff, beta, t_lin=Fraction(0), t_const=Fraction(0)):
+        return ZetaTerm(
+            MeroFactorProduct(coeff, (PrimitiveFactor.gamma(1, beta),)),
+            t_lin=_tlin({"z": t_lin}),
+            t_const=t_const,
+        )
+
+    m = ParamPoly.var("m")
+    num = osc_sum([term(m, 0, Fraction(-1)), term(ParamPoly.one(), 1, t_const=Fraction(-1))])
+    den = osc_sum([term(ParamPoly.one(), 0, Fraction(-1)), term(ParamPoly.one(), 2)])
+    n_div, d_div, orders = divide_by_reference(num, den)
+    assert orders == {"z": -1}
+    assert n_div.terms[0].coeff.factors == () and d_div.terms[0].coeff.factors == ()
+    assert n_div.terms[1].coeff.factors == (PrimitiveFactor.affine(1, 0),)
+    assert d_div.terms[1].coeff.factors == (
+        PrimitiveFactor.affine(1, 0), PrimitiveFactor.affine(1, 1)
+    )
+    assert n_div.terms[1].t_lin == (("z", Fraction(1)),)
+    trace = []
+    ta = ratio_limit(num, den, trace=trace)
+    assert _lead_orders(trace) == [("z", "-1", "-1")]
+    assert thermal_limit(ta) == m
+    assert ta.eval({"m": 1.3}, 10.0) == pytest.approx(1.3, rel=1e-12)
+
+
+def test_division_pairs_factors_within_their_regulator():
+    def term(*factors):
+        return ZetaTerm(MeroFactorProduct(ParamPoly.one(), factors))
+
+    e = PrimitiveFactor.exp_ipi
+    den = ZetaTermSum([term(e(Fraction(1, 2), 0, "z1"), e(1, Fraction(1, 2), "z2"))], ("z1", "z2"))
+    num = ZetaTermSum([term(e(1, 1, "z2"), e(Fraction(1, 2), 0, "z1"))], ("z1", "z2"))
+    n_div, d_div, orders = divide_by_reference(num, den)
+    assert orders == {}
+    assert d_div.terms[0].coeff.factors == ()
+    assert n_div.terms[0].coeff.factors == (e(0, Fraction(1, 2), "z2"),)
