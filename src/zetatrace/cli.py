@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,9 +29,10 @@ def _parse_params(items) -> dict[str, float]:
     for item in items or ():
         name, _, value = item.partition("=")
         try:
-            if not name.strip():
+            number = float(value)
+            if not name.strip() or not math.isfinite(number):
                 raise ValueError
-            out[name.strip()] = float(value)
+            out[name.strip()] = number
         except ValueError:
             raise UsageError(f"--param expects name=number, got {item!r}") from None
     return out

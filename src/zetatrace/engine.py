@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-import numpy as np
+import mpmath
 
 from .errors import (
     CriticalDegree,
@@ -654,7 +654,7 @@ def potential_numeric(
             if exps.pop(phi, Fraction(0)) == p:
                 c = c + ParamPoly({tuple(sorted(exps.items())): coeff})
         poly_coeffs.append(c.eval(bindings).real)
-    roots = [r.real for r in np.roots(poly_coeffs) if abs(r.imag) < 1e-9]
+    roots = _real_roots(poly_coeffs)
     h = 1e-4
     minima, masses = [], []
     for r in sorted(roots):
@@ -663,3 +663,62 @@ def potential_numeric(
             minima.append(r)
             masses.append(math.sqrt(curv))
     return minima, masses
+
+
+def _real_roots(coeffs: Sequence[float]) -> list[float]:
+    """Real roots of a polynomial given highest power first, found as numpy.roots does.
+
+    Leading zero coefficients are dropped, each trailing zero is an exact root
+    at 0, and the other roots are the eigenvalues of the balanced companion
+    matrix.  A root counts as real when its imaginary part is below 1e-9.
+    """
+    c = list(coeffs)
+    while c and c[0] == 0:
+        del c[0]
+    roots = []
+    while c and c[-1] == 0:
+        c.pop()
+        roots.append(0.0)
+    n = len(c) - 1
+    if n < 1:
+        return roots
+    companion = [[0.0] * n for _ in range(n)]
+    companion[0] = [-x / c[0] for x in c[1:]]
+    if not all(math.isfinite(x) for x in companion[0]):
+        raise UnsolvablePotential("dV has non-finite coefficient ratios at these bindings")
+    for i in range(1, n):
+        companion[i][i - 1] = 1.0
+    _balance(companion)
+    matrix = mpmath.matrix(companion)
+    # mpmath.eig returns eigenvectors of a 1x1 matrix whatever it is asked
+    eigs = mpmath.eig(matrix, left=False, right=False) if n > 1 else [matrix[0, 0]]
+    return roots + [float(mpmath.re(e)) for e in eigs if abs(mpmath.im(e)) < 1e-9]
+
+
+def _balance(a: list[list[float]]) -> None:
+    """Diagonal similarity in place, by powers of 2, that evens out row and column norms.
+
+    LAPACK balances a matrix this way before its eigenvalue solve (Parlett and
+    Reinsch); mpmath.eig does not, and gives eigenvalues 0, 0 for the
+    companion matrix [[0, 1e20], [1, 0]] of x^2 - 1e20.  Scaling by powers
+    of 2 is exact.
+    """
+    n = len(a)
+    done = False
+    while not done:
+        done = True
+        for i in range(n):
+            col = sum(abs(a[j][i]) for j in range(n) if j != i)
+            row = sum(abs(a[i][j]) for j in range(n) if j != i)
+            if col == 0 or row == 0:
+                continue
+            f, scaled_col, total = 1.0, col, col + row
+            while scaled_col < row / 2:
+                f, scaled_col = f * 2, scaled_col * 4
+            while scaled_col > row * 2:
+                f, scaled_col = f / 2, scaled_col / 4
+            if (scaled_col + row) / f < 0.95 * total:
+                done = False
+                for j in range(n):
+                    a[i][j] /= f
+                    a[j][i] *= f

@@ -11,12 +11,11 @@ rewritten into ``e^(+-i c t)`` pairs immediately.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateCase,
@@ -394,23 +393,18 @@ class MatrixSymbol:
 
     def __post_init__(self):
         rng = random.Random(1723)
+        identity = [[1.0 if i == j else 0.0 for j in range(self.dim)] for i in range(self.dim)]
         for _ in range(4):
             vals = self._random_direction(rng)
             K = self.k_numeric(vals)
-            if not np.allclose(K @ K, np.eye(self.dim), atol=1e-9):
+            if not _allclose(_matmul(K, K), identity, atol=1e-9):
                 raise NotInvolution("K^2 != I at a sampled direction")
 
     def _random_direction(self, rng) -> dict[str, float]:
-        if not self.direction_syms:
-            return {}
-        vec = np.array([rng.gauss(0, 1) for _ in self.direction_syms])
-        vec /= np.linalg.norm(vec)
-        return dict(zip(self.direction_syms, vec))
+        return dict(zip(self.direction_syms, _unit_vector(rng, len(self.direction_syms))))
 
-    def k_numeric(self, axis_values: Mapping[str, complex]) -> np.ndarray:
-        return np.array(
-            [[e.eval(axis_values, {}, 1.0) for e in row] for row in self.kmatrix]
-        )
+    def k_numeric(self, axis_values: Mapping[str, complex]) -> list[list[complex]]:
+        return [[e.eval(axis_values, {}, 1.0) for e in row] for row in self.kmatrix]
 
     def k_trace(self) -> AxisPoly:
         tr = AxisPoly.zero()
@@ -434,16 +428,6 @@ class InvolutionEvolution:
 
     symbol: MatrixSymbol
     pieces: tuple[EvolutionPiece, ...]
-
-    def matrix_numeric(self, t: float, axis_values, bindings) -> np.ndarray:
-        b = self.symbol.scalar.eval(axis_values, bindings, 1.0)
-        c = self.symbol.coeff.eval(axis_values, bindings, 1.0)
-        K = self.symbol.k_numeric(axis_values)
-        out = np.zeros((self.symbol.dim, self.symbol.dim), dtype=complex)
-        for p in self.pieces:
-            osc = np.exp(1j * p.osc_sign * c * t)
-            out += osc * (p.weight_identity * np.eye(self.symbol.dim) + p.weight_k * K)
-        return np.exp(-1j * b * t) * out
 
 
 def involution_exp(m: MatrixSymbol) -> InvolutionEvolution:
@@ -509,12 +493,31 @@ def _verify_span(evo_sym: MatrixSymbol, obs: MatrixSymbol):
     rng = random.Random(3319)
     syms = tuple(set(evo_sym.direction_syms) | set(obs.direction_syms))
     for _ in range(3):
-        vec = np.array([rng.gauss(0, 1) for _ in syms]) if syms else np.array([])
-        if len(vec):
-            vec /= np.linalg.norm(vec)
-        vals = dict(zip(syms, vec))
-        axis_vals = dict(vals)
+        axis_vals = dict(zip(syms, _unit_vector(rng, len(syms))))
         K = evo_sym.k_numeric(axis_vals)
         target = obs.k_numeric(axis_vals)  # obs.kmatrix must equal K
-        if not np.allclose(K, target, atol=1e-9):
+        if not _allclose(K, target, atol=1e-9):
             raise ShapeMismatch("observable involution differs from the evolution's")
+
+
+def _unit_vector(rng: random.Random, n: int) -> list[float]:
+    """n Gaussian draws from ``rng`` scaled to unit length (empty for n = 0)."""
+    vec = [rng.gauss(0, 1) for _ in range(n)]
+    norm = math.sqrt(sum(v * v for v in vec))
+    return [v / norm for v in vec] if vec else vec
+
+
+def _matmul(a: Sequence[Sequence[complex]], b: Sequence[Sequence[complex]]) -> list[list[complex]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _allclose(a: Sequence[Sequence[complex]], b: Sequence[Sequence[complex]], atol: float) -> bool:
+    """numpy.allclose(a, b, atol=atol) for equal shapes: |a - b| <= atol + 1e-5 |b| entrywise.
+
+    Matrices of different shapes are not close.
+    """
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        return False
+    return all(
+        abs(x - y) <= atol + 1e-5 * abs(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+    )

@@ -53,6 +53,16 @@ def test_run_with_trace_shows_derivation_chain(capsys):
     assert "thermal limit" in out
 
 
+def test_run_phi4_numeric_overflowing_fallback_exits_one(capsys):
+    # the closed forms are finite, but -6 mu^2/lambda overflows in the fallback's
+    # companion matrix: an error line, not a traceback
+    code, _, err = run_cli(
+        capsys, "run", "phi4", "--numeric", "--param", "mu=1e150", "--param", "lambda=1e-300"
+    )
+    assert code == 1
+    assert err.strip().splitlines() == ["error: dV has non-finite coefficient ratios at these bindings"]
+
+
 def test_run_unknown_model_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "nonexistent_model")
     assert code == 1
@@ -203,8 +213,13 @@ def assert_input_error(code, err, fragment):
         (["dirac_fermion", "--dim", "4"], "spatial dimension must be 1, 2 or 3"),
         (["harmonic_oscillator_1d", "--param", "m=abc"], "--param expects name=number, got 'm=abc'"),
         (["harmonic_oscillator_1d", "--param", "foo"], "--param expects name=number, got 'foo'"),
+        (["phi4", "--numeric", "--param", "mu=nan"], "--param expects name=number, got 'mu=nan'"),
+        (["phi4", "--numeric", "--param", "lambda=1e999"], "got 'lambda=1e999'"),
     ],
-    ids=["series-order-1", "dim-without-n", "dim-0", "dirac-dim-4", "param-not-a-number", "param-without-value"],
+    ids=[
+        "series-order-1", "dim-without-n", "dim-0", "dirac-dim-4", "param-not-a-number",
+        "param-without-value", "param-nan", "param-infinite",
+    ],
 )
 def test_run_bad_flag_value_exits_two(capsys, argv, fragment):
     code, out, err = run_cli(capsys, "run", *argv)

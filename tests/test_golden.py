@@ -33,6 +33,13 @@ def _cases() -> dict[str, list[str]]:
         cases[f"run_{model}_order16"] = [
             "run", model, "--series-order", "16", "--emit", "json", "--trace",
         ]
+    # the numeric fallback (cubic roots of dV and second-difference masses)
+    cases["run_phi4_numeric_text"] = [
+        "run", "phi4", "--numeric", "--param", "mu=1", "--param", "lambda=6",
+    ]
+    cases["run_phi4_numeric_json"] = [
+        "run", "phi4", "--numeric", "--emit", "json", "--param", "mu=1.3", "--param", "lambda=2.7",
+    ]
     return cases
 
 

@@ -24,6 +24,8 @@ from zetatrace.symbols import (
     series_pow,
 )
 
+from evolution_matrix import matrix_numeric
+
 
 def mono(c, **exps):
     return ParamPoly.monomial(c, {k: Fraction(v) for k, v in exps.items()})
@@ -108,7 +110,7 @@ def test_involution_with_zero_coefficient_is_scalar():
     )
     evo = involution_exp(sym)
     t, xi = 0.9, 1.7
-    got = evo.matrix_numeric(t, {"xi": xi}, {"b": 0.5})
+    got = matrix_numeric(evo, t, {"xi": xi}, {"b": 0.5})
     want = cmath.exp(-1j * 0.5 * t) * np.eye(2)
     assert np.allclose(got, want)
 
@@ -153,9 +155,9 @@ def test_involution_group_law():
         t1, t2 = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
         vals = {"xi": rng.uniform(-2, 2)}
         binds = {"m": rng.uniform(0.5, 2)}
-        e1 = evo.matrix_numeric(t1, vals, binds)
-        e2 = evo.matrix_numeric(t2, vals, binds)
-        e12 = evo.matrix_numeric(t1 + t2, vals, binds)
+        e1 = matrix_numeric(evo, t1, vals, binds)
+        e2 = matrix_numeric(evo, t2, vals, binds)
+        e12 = matrix_numeric(evo, t1 + t2, vals, binds)
         assert np.allclose(e1 @ e2, e12, atol=1e-9)
 
 
@@ -168,7 +170,7 @@ def test_involution_matches_expm():
     vals, binds = {"xi": 1.3}, {"m": 0.9}
     H = np.array([[0.9, 1.3], [1.3, 0.9]])
     want = expm(-1j * H * t)
-    got = evo.matrix_numeric(t, vals, binds)
+    got = matrix_numeric(evo, t, vals, binds)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -220,6 +222,91 @@ def test_compose_matrix_oracle_2x2():
             for p in pieces
         ) * cmath.exp(-1j * m * t)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def numbers(rows):
+    return tuple(tuple(AxisPoly.number(x) for x in row) for row in rows)
+
+
+def sigma_dot(h1, h2, h3):
+    """sigma . n over three direction symbols: K^2 = |n|^2 I."""
+    h = [AxisPoly.symbol(s) for s in (h1, h2, h3)]
+    return ((h[2], h[0] + (-1j) * h[1]), (h[0] + 1j * h[1], -h[2]))
+
+
+def test_span_check_rejects_a_nearby_involution():
+    # the observable's K is sigma_x rotated by 1e-3 towards sigma_z: still K^2 = I
+    evo = involution_exp(schwinger_symbol())
+    eps = 1e-3
+    tilted = MatrixSymbol(
+        dim=2,
+        scalar=AxisPoly.zero(),
+        coeff=AxisPoly.number(1),
+        kmatrix=numbers(((math.sin(eps), math.cos(eps)), (math.cos(eps), -math.sin(eps)))),
+    )
+    with pytest.raises(ShapeMismatch, match="involution differs"):
+        compose_observable(evo, tilted)
+    same = MatrixSymbol(
+        dim=2, scalar=AxisPoly.zero(), coeff=AxisPoly.number(1), kmatrix=pauli_x()
+    )
+    assert len(compose_observable(evo, same)) == 2
+
+
+def test_involution_check_rejects_an_off_diagonal_defect():
+    # K = I + 5e-4 sigma_x gives K^2 = I + 1e-3 sigma_x (diagonal 1 + 2.5e-7)
+    with pytest.raises(NotInvolution):
+        MatrixSymbol(
+            dim=2,
+            scalar=AxisPoly.zero(),
+            coeff=AxisPoly.symbol("xi"),
+            kmatrix=numbers(((1.0, 5e-4), (5e-4, 1.0))),
+        )
+
+
+def test_involution_check_keeps_the_relative_tolerance():
+    # |K^2 - I| <= 1e-9 + 1e-5 |I| entrywise, as numpy.allclose(K @ K, I, atol=1e-9)
+    def diag(d):
+        return MatrixSymbol(
+            dim=2,
+            scalar=AxisPoly.zero(),
+            coeff=AxisPoly.symbol("xi"),
+            kmatrix=numbers(((d, 0.0), (0.0, 1.0))),
+        )
+
+    diag(1 + 4e-6)  # K^2 has 1 + 8e-6 on the diagonal
+    with pytest.raises(NotInvolution):
+        diag(1 + 6e-6)  # 1 + 1.2e-5
+
+
+def test_involution_check_rejects_a_kmatrix_of_the_wrong_shape():
+    with pytest.raises(NotInvolution):
+        MatrixSymbol(  # 3x3 entries for a 2x2 symbol
+            dim=2,
+            scalar=AxisPoly.zero(),
+            coeff=AxisPoly.symbol("xi"),
+            kmatrix=numbers(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+        )
+
+
+def test_sigma_dot_direction_involution_passes_the_span_check():
+    sym = MatrixSymbol(
+        dim=2,
+        scalar=AxisPoly.constant(ParamPoly.var("m")),
+        coeff=AxisPoly.symbol("r"),
+        kmatrix=sigma_dot("h1", "h2", "h3"),
+        direction_syms=("h1", "h2", "h3"),
+    )
+    evo = involution_exp(sym)
+    assert {p.osc_sign for p in compose_observable(evo, sym)} == {1, -1}
+    swapped = MatrixSymbol(
+        dim=2,
+        scalar=AxisPoly.zero(),
+        coeff=AxisPoly.symbol("r"),
+        kmatrix=sigma_dot("h2", "h1", "h3"),
+        direction_syms=("h1", "h2", "h3"),
+    )
+    with pytest.raises(ShapeMismatch, match="involution differs"):
+        compose_observable(evo, swapped)
 
 
 def test_shape_mismatch():
