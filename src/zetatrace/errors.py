@@ -9,6 +9,10 @@ class UnboundParameter(ZetatraceError):
     """Numeric evaluation hit a parameter without a binding."""
 
 
+class NumericOverflow(ZetatraceError):
+    """Numeric evaluation of a parameter power left the float range."""
+
+
 class UnsupportedFactor(ZetatraceError):
     """A primitive factor cannot be expanded at z = 0."""
 

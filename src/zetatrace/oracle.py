@@ -11,7 +11,9 @@ by damped quadrature with Richardson extrapolation in the damping parameter,
 Gaussian-phase integrals are linearized by the t = u^2 substitution before
 quadrature, the complex Gamma function is a local Lanczos approximation, and
 small-z / finite-T limits are polynomial extrapolations over sample grids.
-No table row, Laurent series or term sum is built here.
+No table row, Laurent series or term sum is built here.  Within one
+cross-check (``small_z_ratio``) each distinct integral is computed once, and
+its value is reused on both sides of the quotient and at every z sample.
 """
 
 from __future__ import annotations
@@ -56,12 +58,6 @@ def gamma(z: complex) -> complex:
 
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
-
-
-def _quad_complex(f: Callable[[float], complex], a: float, b: float, **kw) -> complex:
-    re, _ = integrate.quad(lambda r: f(r).real, a, b, limit=400, **kw)
-    im, _ = integrate.quad(lambda r: f(r).imag, a, b, limit=400, **kw)
-    return re + 1j * im
 
 
 def _damped_half_line(profile: Callable[[float], float], omega: float, eps: float) -> complex:
@@ -110,9 +106,14 @@ def damped_quadrature(
     return full
 
 
+def _power_osc(p: float, omega: float) -> complex:
+    """Numeric int_0^inf r^p e^(i omega r) dr, Re p > -1: every reduced integral."""
+    return damped_quadrature(lambda r: r**p if r > 0 else 0.0, omega)
+
+
 def half_line_power_osc(q: float, t_value: float, sign: int, rate: float = 1.0) -> complex:
     """Numeric int_0^inf r^q e^(sign i rate T r) dr, Re q > -1."""
-    return damped_quadrature(lambda r: r**q if r > 0 else 0.0, sign * rate * t_value)
+    return _power_osc(q, sign * rate * t_value)
 
 
 def gauss_power_osc(q: float, a_value: float) -> complex:
@@ -121,8 +122,7 @@ def gauss_power_osc(q: float, a_value: float) -> complex:
     Equals int_0^inf t^((q-1)/2) e^(-i a t) dt, which the damped linear-phase
     quadrature handles.
     """
-    p = (q - 1.0) / 2.0
-    return damped_quadrature(lambda t: t**p if t > 0 else 0.0, -a_value)
+    return _power_osc((q - 1.0) / 2.0, -a_value)
 
 
 def small_z_limit(samples: Mapping[float, complex], tol: float = 5e-3) -> complex:
@@ -181,16 +181,22 @@ def decay_exponent(fn: Callable[[float], complex], t_grid: Sequence[float]) -> f
 
 def small_z_ratio(model, observable_name: str, z_samples: Sequence[float],
                   t_value: float, bindings: Mapping[str, float]) -> complex:
-    """Extrapolated z -> 0 quotient of the model's trace integrals at fixed T."""
+    """Extrapolated z -> 0 quotient of the model's trace integrals at fixed T.
+
+    The per-z quotients share one store of integral values, so an integral
+    that recurs on both sides or at several z is computed once per call.
+    """
+    store: dict[tuple[float, float], complex] = {}
     samples = {
-        z: model_quotient(model, observable_name, z, t_value, bindings)
+        z: model_quotient(model, observable_name, z, t_value, bindings, store=store)
         for z in z_samples
     }
     return small_z_limit(samples)
 
 
 def model_quotient(model, observable_name: str, z: float, t_value: float,
-                   bindings: Mapping[str, float]) -> complex:
+                   bindings: Mapping[str, float], *,
+                   store: dict[tuple[float, float], complex] | None = None) -> complex:
     """num(z, T)/den(z, T) with every reduced integral done by quadrature.
 
     The integrals come from the engine's enumeration
@@ -200,7 +206,14 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     machinery is cross-checked end to end.  One ``z`` is used for every
     regulator: the quotient is sampled on the diagonal z1 = z2 = ... = z,
     while the engine eliminates the regulators one at a time.
+
+    Each distinct integral is computed once: ``store`` maps the (exponent,
+    omega) floats that ``damped_quadrature`` receives to its value.
+    ``small_z_ratio`` passes one store to all its z samples; by default the
+    store is fresh.
     """
+    if store is None:
+        store = {}
     from .engine import _build_phase, apply_gauge, reduced_integrals
     from .symbols import AxisPoly, compose_observable
 
@@ -215,7 +228,7 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
             value = poly.eval(bindings) * t_value ** float(t_power) * rotation
             for alternatives in symbols:
                 value *= sum(
-                    mult.eval(bindings) * _quadrature(integral, z, t_value, bindings)
+                    mult.eval(bindings) * _quadrature(integral, z, t_value, bindings, store)
                     for mult, integral in alternatives
                 )
             total += value
@@ -226,10 +239,20 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     return num / den
 
 
-def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float]) -> complex:
-    """Numeric value of one ``engine.ReducedIntegral`` at regulator value z."""
+def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float],
+                store: dict[tuple[float, float], complex]) -> complex:
+    """Numeric value of one ``engine.ReducedIntegral`` at regulator value z.
+
+    The key is (p, omega) of ``_power_osc``, computed as ``gauss_power_osc``
+    and ``half_line_power_osc`` compute them, so a stored value is the value
+    a fresh quadrature would return.
+    """
     q = float(integral.q.a) * z + float(integral.q.b)
     rate = integral.rate.eval(bindings).real
     if integral.kind == "gauss":
-        return gauss_power_osc(q, rate * t_value)
-    return half_line_power_osc(q, t_value, integral.sign, rate)
+        key = ((q - 1.0) / 2.0, -(rate * t_value))
+    else:
+        key = (q, integral.sign * rate * t_value)
+    if key not in store:
+        store[key] = _power_osc(*key)
+    return store[key]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import UnboundParameter, UnsupportedStructure
+from .errors import NumericOverflow, UnboundParameter, UnsupportedStructure
 
 COEFF_TOL = 1e-12
 
@@ -264,7 +264,11 @@ class ParamPoly:
         for key, coeff in self.terms.items():
             term = complex(coeff)
             for name, exp in key:
-                term *= self._resolve(name, bindings) ** float(exp)
+                base = self._resolve(name, bindings)
+                try:
+                    term *= base ** float(exp)
+                except OverflowError:
+                    raise NumericOverflow(f"{name}^{exp} overflows at {name} = {base:g}") from None
             value += term
         return value
 

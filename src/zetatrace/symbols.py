@@ -491,7 +491,7 @@ def compose_observable(
 def _verify_span(evo_sym: MatrixSymbol, obs: MatrixSymbol):
     """Check numerically that the observable matrix equals beta I + gamma K."""
     rng = random.Random(3319)
-    syms = tuple(set(evo_sym.direction_syms) | set(obs.direction_syms))
+    syms = tuple(sorted(set(evo_sym.direction_syms) | set(obs.direction_syms)))
     for _ in range(3):
         axis_vals = dict(zip(syms, _unit_vector(rng, len(syms))))
         K = evo_sym.k_numeric(axis_vals)

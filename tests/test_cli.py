@@ -63,6 +63,14 @@ def test_run_phi4_numeric_overflowing_fallback_exits_one(capsys):
     assert err.strip().splitlines() == ["error: dV has non-finite coefficient ratios at these bindings"]
 
 
+def test_run_phi4_numeric_overflowing_power_exits_one(capsys):
+    # mu^2 = 1e400 leaves the float range while the fallback evaluates dV: an error line,
+    # not a traceback
+    code, _, err = run_cli(capsys, "run", "phi4", "--numeric", "--param", "mu=1e200")
+    assert code == 1
+    assert err.strip().splitlines() == ["error: mu^2 overflows at mu = 1e+200"]
+
+
 def test_run_unknown_model_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "nonexistent_model")
     assert code == 1

@@ -170,3 +170,106 @@ def test_decay_exponent_fits_power_law():
     assert oracle.decay_exponent(lambda t: 2.0 / t**2, [10, 20, 40]) == pytest.approx(
         -2.0, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# One store of integral values per small_z_ratio call
+# ---------------------------------------------------------------------------
+
+Z_SAMPLES = (-0.2, -0.1, -0.05)
+
+
+def oracle_cases():
+    """The five ratio models of the engine-vs-oracle cross-check."""
+    from zetatrace.models import (
+        dirac_fermion,
+        harmonic_oscillator_1d,
+        schwinger_boson_mass,
+        schwinger_free,
+        topological_oscillator,
+    )
+
+    return [
+        (topological_oscillator(), "chi_top"),
+        (harmonic_oscillator_1d(), "H"),
+        (schwinger_free(), "H_m"),
+        (dirac_fermion(3), "H_m"),
+        (schwinger_boson_mass(), "m_g^2"),
+    ]
+
+
+def ho_1d():
+    # bindings away from 1, so the x and xi Gaussians have different rates
+    from zetatrace.models import harmonic_oscillator_1d
+
+    return harmonic_oscillator_1d(), "H", {"m": 1.1, "hbar": 0.9, "omega": 1.3}
+
+
+def count_quadratures(monkeypatch, fail_at=None):
+    """Record (2^p, omega) of each oracle.damped_quadrature call; raise NonConvergent on call ``fail_at``."""
+    calls = []
+    real = oracle.damped_quadrature
+
+    def counting(profile, omega, *args, **kwargs):
+        calls.append((profile(2.0), omega))
+        if len(calls) == fail_at:
+            raise NonConvergent("forced")
+        return real(profile, omega, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "damped_quadrature", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_shared_store_gives_exactly_the_per_z_values(seed):
+    import random
+
+    rng = random.Random(seed)
+    for model, obs in oracle_cases():
+        bindings = {p.name: rng.uniform(0.7, 1.4) for p in model.params}
+        tv = rng.uniform(5.0, 20.0)
+        fresh = {z: oracle.model_quotient(model, obs, z, tv, bindings) for z in Z_SAMPLES}
+        assert oracle.small_z_ratio(model, obs, Z_SAMPLES, tv, bindings) == oracle.small_z_limit(fresh)
+
+
+def test_shared_store_computes_each_distinct_integral_once(monkeypatch):
+    model, obs, bindings = ho_1d()
+    lookups = []
+    real_lookup = oracle._quadrature
+
+    def counting_lookup(*args):
+        lookups.append(args)
+        return real_lookup(*args)
+
+    monkeypatch.setattr(oracle, "_quadrature", counting_lookup)
+    calls = count_quadratures(monkeypatch)
+    oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
+    # 24 integral rows over both sides and three z, 12 distinct (exponent, omega) pairs
+    assert len(lookups) == 24
+    assert len(calls) == len(set(calls)) == 12
+
+
+def test_shared_store_lives_for_one_call(monkeypatch):
+    model, obs, bindings = ho_1d()
+    calls = count_quadratures(monkeypatch)
+    for tv in (10.0, 12.0, 10.0):
+        oracle.small_z_ratio(model, obs, Z_SAMPLES, tv, bindings)
+    assert len(calls) == 36
+    assert calls[24:] == calls[:12]
+
+
+def test_nonconvergent_integral_propagates_from_small_z_ratio(monkeypatch):
+    model, obs, bindings = ho_1d()
+    count_quadratures(monkeypatch, fail_at=7)
+    with pytest.raises(NonConvergent, match="forced"):
+        oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
+
+
+def test_nonconvergent_integral_is_not_stored(monkeypatch):
+    model, obs, bindings = ho_1d()
+    calls = count_quadratures(monkeypatch, fail_at=3)
+    store = {}
+    with pytest.raises(NonConvergent, match="forced"):
+        oracle.model_quotient(model, obs, -0.1, 10.0, bindings, store=store)
+    assert len(calls) == 3
+    assert len(store) == 2 and all(isinstance(v, complex) for v in store.values())

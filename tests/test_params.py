@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetatrace.errors import UnboundParameter, UnsupportedStructure
+from zetatrace.errors import NumericOverflow, UnboundParameter, UnsupportedStructure
 from zetatrace.params import ParamPoly, format_real, log_param
 
 
@@ -46,6 +46,11 @@ def test_eval_sqrt_six_over_lambda_mu():
 def test_eval_unbound_raises():
     with pytest.raises(UnboundParameter):
         mono(1, m=1).eval({})
+
+
+def test_eval_overflowing_power_raises_a_zetatrace_error():
+    with pytest.raises(NumericOverflow, match=r"^mu\^2 overflows at mu = 1e\+200$"):
+        mono(1, mu=2).eval({"mu": 1e200})
 
 
 def test_pi_bound_automatically():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,19 @@ def test_run_all_models_runs_from_any_directory(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "== harmonic_oscillator_1d" in proc.stdout
+
+
+def test_finite_t_scan_runs_from_any_directory(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "finite_t_scan.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocks = [b for b in proc.stdout.split("\n\n") if b.strip()]
+    assert len(blocks) == 5
+    for block in blocks:
+        # "   finite-T @ T=10  : +0.500000000-0.100000000j"
+        values = dict(re.findall(r"^ +(finite-T|quadrature) @ T=10 *: (\S+)$", block, re.M))
+        engine, quad = complex(values["finite-T"]), complex(values["quadrature"])
+        assert abs(quad - engine) <= 1e-4 * abs(engine), block

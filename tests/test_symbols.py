@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +311,48 @@ def test_sigma_dot_direction_involution_passes_the_span_check():
     )
     with pytest.raises(ShapeMismatch, match="involution differs"):
         compose_observable(evo, swapped)
+
+
+SPAN_DRAWS = """
+from zetatrace.params import ParamPoly
+from zetatrace.symbols import AxisPoly, MatrixSymbol, compose_observable, involution_exp
+
+h = [AxisPoly.symbol(s) for s in ("h1", "h2", "h3")]
+sym = MatrixSymbol(
+    dim=2,
+    scalar=AxisPoly.constant(ParamPoly.var("m")),
+    coeff=AxisPoly.symbol("r"),
+    kmatrix=((h[2], h[0] + (-1j) * h[1]), (h[0] + 1j * h[1], -h[2])),
+    direction_syms=("h1", "h2", "h3"),
+)
+evo = involution_exp(sym)
+draws = []
+k_numeric = MatrixSymbol.k_numeric
+
+def recording(self, axis_values):
+    draws.append(sorted(axis_values.items()))
+    return k_numeric(self, axis_values)
+
+MatrixSymbol.k_numeric = recording
+compose_observable(evo, sym)
+print(repr(draws))
+"""
+
+
+def test_span_check_draws_the_same_directions_under_any_hash_seed():
+    # set iteration order follows PYTHONHASHSEED; the sampled directions must not
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", SPAN_DRAWS], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("[[('h1', ")
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_shape_mismatch():
