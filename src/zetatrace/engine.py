@@ -317,14 +317,20 @@ def reduced_integrals(
     evaluates each integral once.  A symbol with no alternatives (odd degree
     under a Gaussian, zero sphere moment) makes its item vanish.  Every
     structural check of the reduction runs here, as the iterator reaches
-    the symbol.  ``reduce_pieces`` maps the integrals to table rows,
+    the symbol.  Within one call each symbol's alternatives are computed
+    once and then shared (the same list object) by every item with the same
+    key: the symbol, its degree and the piece's oscillation sign, plus the
+    direction degrees for a radial group.  A check that raises stores
+    nothing, so it raises again, with the same message, at every item that
+    reaches it.  ``reduce_pieces`` maps the integrals to table rows,
     ``oracle.model_quotient`` to quadratures.
     """
+    memo: dict[tuple, Alternatives] = {}
     for piece in pieces:
         for mono_key, tpoly in piece.amp.monomials():
             degrees = dict(mono_key)
             for t_power, poly in tpoly.parts.items():
-                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, plan)
+                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, plan, memo)
 
 
 def _symbol_alternatives(
@@ -333,6 +339,7 @@ def _symbol_alternatives(
     model: ModelSpec,
     phase: ReducedPhase,
     plan: GaugePlan,
+    memo: dict[tuple, Alternatives],
 ) -> Iterator[Alternatives]:
     def phase_of(symbol: str) -> tuple[ParamPoly, ParamPoly]:
         g2 = phase.g2.get(symbol, ParamPoly.zero())
@@ -348,20 +355,32 @@ def _symbol_alternatives(
             rsym = group.radius_symbol()
             hats = [f"{a}^" for a in group.axes]
             consumed |= {rsym, *hats}
-            moment = angular_moment(tuple(degrees.get(h, 0) for h in hats), dim)
-            if moment.is_zero():
-                yield []
-                continue
-            reg, _ = plan.shares[rsym]
-            q = AffineExp.of(reg, 1, degrees.get(rsym, 0) + dim - 1)
-            yield _radial_alternatives(q, moment, *phase_of(rsym))
+            hat_degrees = tuple(degrees.get(h, 0) for h in hats)
+            d = degrees.get(rsym, 0)
+            key = (rsym, d, piece.osc_sign, hat_degrees)
+            alternatives = memo.get(key)
+            if alternatives is None:
+                moment = angular_moment(hat_degrees, dim)
+                if moment.is_zero():
+                    alternatives = []
+                else:
+                    reg, _ = plan.shares[rsym]
+                    q = AffineExp.of(reg, 1, d + dim - 1)
+                    alternatives = _radial_alternatives(q, moment, *phase_of(rsym))
+                memo[key] = alternatives
+            yield alternatives
             continue
         # separable: axis by axis on the full line
         for a in group.axes:
             consumed.add(a)
             d = degrees.get(a, 0)
-            reg, share = plan.shares[a]
-            yield _axis_alternatives(AffineExp.of(reg, share, d), d, *phase_of(a))
+            key = (a, d, piece.osc_sign)
+            alternatives = memo.get(key)
+            if alternatives is None:
+                reg, share = plan.shares[a]
+                alternatives = _axis_alternatives(AffineExp.of(reg, share, d), d, *phase_of(a))
+                memo[key] = alternatives
+            yield alternatives
     leftovers = set(degrees) - consumed
     if leftovers:
         raise UnsupportedStructure(
@@ -375,35 +394,100 @@ def reduce_pieces(
     phase: ReducedPhase,
     plan: GaugePlan,
     policy: BranchPolicy,
+    rows: dict[tuple, ZetaTerm],
 ) -> ZetaTermSum:
-    """Reduce integrand pieces to the canonical term sum, one term per branch."""
+    """Reduce integrand pieces to the canonical term sum, one term per branch.
+
+    ``rows`` holds the table row of each distinct integral, keyed exactly
+    (``_table_row``); a row is built on its first use and then shared by
+    reference.  ``build_trace_sums`` passes one store to both of its calls,
+    so the two sides share their rows.  A branch grows as its coefficient and
+    the tuple of its picked rows, each scaled by its multiplier, and becomes
+    one ``ZetaTerm`` at the end: the coefficient times every picked
+    prefactor in pick order, the picked factors concatenated, the ``T``
+    exponents summed, the evolution phase and the model's tokens.
+    """
     tokens = tuple(sorted(model.tokens))
     out: list[ZetaTerm] = []
     for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan):
-        branches = [
-            ZetaTerm(
-                MeroFactorProduct(poly * model.prefactor),
-                t_const=t_power,
-                phase=phase.const,
-                tokens=tokens,
-            )
-        ]
+        branches: list[tuple[ParamPoly, tuple[ZetaTerm, ...]]] = [(poly * model.prefactor, ())]
         for alternatives in symbols:
-            rows = [_table_row(integral, policy).scaled(mult) for mult, integral in alternatives]
-            branches = [b.times(row) for b in branches for row in rows]
-        out.extend(b for b in branches if not b.coeff.prefactor.is_zero())
+            picks = [
+                _scaled(_table_row(integral, policy, rows), mult)
+                for mult, integral in alternatives
+            ]
+            branches = [
+                (_times(coeff, row.coeff.prefactor), picked + (row,))
+                for coeff, picked in branches
+                for row in picks
+            ]
+        out.extend(
+            _branch_term(coeff, picked, t_power, phase.const, tokens)
+            for coeff, picked in branches
+            if not coeff.is_zero()
+        )
     return ZetaTermSum(out, model.regulators(), model.t_symbol)
 
 
-def _table_row(integral: ReducedIntegral, policy: BranchPolicy) -> ZetaTerm:
-    if integral.kind == "gauss":
-        return gauss_radial(integral.q, policy, integral.rate)
-    return osc_linear(integral.q, integral.sign, policy, integral.rate)
+def _is_exactly_one(poly: ParamPoly) -> bool:
+    # no tolerance: a product with such a factor is bit-identical to the other factor
+    return poly.terms == {(): 1.0}
+
+
+def _times(coeff: ParamPoly, factor: ParamPoly) -> ParamPoly:
+    return coeff if _is_exactly_one(factor) else coeff * factor
+
+
+def _scaled(row: ZetaTerm, mult: ParamPoly) -> ZetaTerm:
+    return row if _is_exactly_one(mult) else row.scaled(mult)
+
+
+def _branch_term(
+    coeff: ParamPoly,
+    picked: tuple[ZetaTerm, ...],
+    t_power: Fraction,
+    phase: ParamPoly,
+    tokens: tuple[str, ...],
+) -> ZetaTerm:
+    t_lin: dict[str, Fraction] = {}
+    t_const = t_power
+    for row in picked:
+        t_const += row.t_const
+        for reg, a in row.t_lin:
+            t_lin[reg] = t_lin.get(reg, 0) + a
+    factors = tuple(f for row in picked for f in row.coeff.factors)
+    t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a != 0))
+    return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase, tokens)
+
+
+def _table_row(
+    integral: ReducedIntegral, policy: BranchPolicy, rows: dict[tuple, ZetaTerm]
+) -> ZetaTerm:
+    # exact key: the rate by its monomials and float coefficients, never by
+    # ParamPoly's tolerant equality, which could alias two different rates
+    rate = tuple(sorted(integral.rate.terms.items()))
+    key = (integral.kind, integral.q, integral.sign, rate, policy.mode)
+    row = rows.get(key)
+    if row is None:
+        if integral.kind == "gauss":
+            row = gauss_radial(integral.q, policy, integral.rate)
+        else:
+            row = osc_linear(integral.q, integral.sign, policy, integral.rate)
+        rows[key] = row
+    return row
 
 
 # ---------------------------------------------------------------------------
 # Expectation values
 # ---------------------------------------------------------------------------
+
+
+#: one derivation step: its text, or a callable that renders the text when read
+Step = str | Callable[[], str]
+
+
+def _render_steps(steps: Sequence[Step]) -> list[str]:
+    return [s if isinstance(s, str) else s() for s in steps]
 
 
 @dataclass
@@ -414,32 +498,45 @@ class ExpectationResult:
     finite_t: TAsymptote | None
     branch: str
     series_order: int
-    trace: list[str] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not isinstance(self.value, Divergent)
+
+    @property
+    def trace(self) -> list[str]:
+        """The derivation text, one line per step, rendered when read."""
+        return _render_steps(self.steps)
 
 
 def build_trace_sums(
     model: ModelSpec,
     observable: AxisPoly | MatrixSymbol,
     policy: BranchPolicy,
-) -> tuple[ZetaTermSum, ZetaTermSum, list[str]]:
-    """Numerator and denominator term sums under the same gauge."""
+) -> tuple[ZetaTermSum, ZetaTermSum, list[Step]]:
+    """Numerator and denominator term sums under the same gauge, and the steps so far.
+
+    Both sums draw their table rows from one store, so each distinct row is
+    built once per call.  The steps render the gauge and both sums only when
+    the trace is read.
+    """
     plan = apply_gauge(model)
     phase, evo = _build_phase(model)
-    trace = [f"gauge: {plan.render()}"]
     num_pieces = compose_observable(evo, observable)
     den_pieces = compose_observable(evo, AxisPoly.number(1))
-    num = reduce_pieces(num_pieces, model, phase, plan, policy)
-    den = reduce_pieces(den_pieces, model, phase, plan, policy)
+    rows: dict[tuple, ZetaTerm] = {}
+    num = reduce_pieces(num_pieces, model, phase, plan, policy, rows)
+    den = reduce_pieces(den_pieces, model, phase, plan, policy, rows)
     if num.regulators != den.regulators or num.t_symbol != den.t_symbol:
         raise UnsupportedStructure("numerator and denominator gauges diverged")
-    trace.append(f"reduce: numerator {len(num.terms)} terms, denominator {len(den.terms)} terms")
-    trace.append(f"numerator = {num.render()}")
-    trace.append(f"denominator = {den.render()}")
-    return num, den, trace
+    steps: list[Step] = [
+        lambda: f"gauge: {plan.render()}",
+        f"reduce: numerator {len(num.terms)} terms, denominator {len(den.terms)} terms",
+        lambda: f"numerator = {num.render()}",
+        lambda: f"denominator = {den.render()}",
+    ]
+    return num, den, steps
 
 
 def expectation(
@@ -449,22 +546,25 @@ def expectation(
     series_order: int = DEFAULT_ORDER,
 ) -> ExpectationResult:
     obs = model.observables[observable_name]
-    num, den, trace = build_trace_sums(model, obs, policy)
+    num, den, steps = build_trace_sums(model, obs, policy)
     try:
-        finite_t = ratio_limit(num, den, series_order, trace=trace)
+        finite_t = ratio_limit(num, den, series_order, trace=steps)
     except DivergentLimit as exc:
         return ExpectationResult(
             model.name, observable_name, Divergent(str(exc)), None,
-            policy.mode, series_order, trace + [f"limit: divergent ({exc})"],
+            policy.mode, series_order, steps + [f"limit: divergent ({exc})"],
         )
-    trace.append(f"regulator limits: finite-{model.t_symbol} value = {finite_t.render()}")
     value = thermal_limit(finite_t)
-    value_text = value.render() if isinstance(value, ParamPoly) else repr(value)
-    trace.append(f"thermal limit: {value_text}")
-    result = ExpectationResult(
-        model.name, observable_name, value, finite_t, policy.mode, series_order, trace
+    steps.append(
+        lambda: f"regulator limits: finite-{model.t_symbol} value = {finite_t.render()}"
     )
-    return result
+    steps.append(
+        lambda: "thermal limit: "
+        + (value.render() if isinstance(value, ParamPoly) else repr(value))
+    )
+    return ExpectationResult(
+        model.name, observable_name, value, finite_t, policy.mode, series_order, steps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +633,12 @@ class PotentialResult:
     minima: list[ParamPoly]
     masses: list[ParamPoly]
     residual: TAsymptote
-    trace: list[str] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
+
+    @property
+    def trace(self) -> list[str]:
+        """The derivation text, one line per step, rendered when read."""
+        return _render_steps(self.steps)
 
 
 def effective_potential(
@@ -551,11 +656,9 @@ def effective_potential(
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
     plan = apply_gauge(model)
     phase, evo = _build_phase(model)
-    trace = [f"gauge: {plan.render()}"]
     z_sum = reduce_pieces(
-        compose_observable(evo, AxisPoly.number(1)), model, phase, plan, policy
+        compose_observable(evo, AxisPoly.number(1)), model, phase, plan, policy, {}
     )
-    trace.append(f"partition sum = {z_sum.render()}")
     z0 = value_at_zero(z_sum, series_order)
     if len(z0.terms) != 1:
         raise LogOfNonmonomial("partition function is not a single structured term")
@@ -565,10 +668,6 @@ def effective_potential(
     if mono is None:
         raise LogOfNonmonomial(f"residual factor is not a monomial: {t.coeff.render()}")
     residual = TAsymptote([t], model.t_symbol)
-    trace.append(
-        f"V = {pot.render()} + ln({t.coeff.render()} * {model.t_symbol}^{t.t_power}) "
-        f"/ (-i*{model.t_symbol})"
-    )
 
     phi = model.field_param
     d1 = pot.diff(phi)
@@ -583,11 +682,19 @@ def effective_potential(
             mass = curv.mono_pow(Fraction(1, 2))
             if all(not mass.almost_equal(m) for m in masses):
                 masses.append(mass)
-    trace.append(
-        "critical points: " + ", ".join(p.render() for p in crit)
-        + f"; minima: {[p.render() for p in minima]}; masses: {[m.render() for m in masses]}"
-    )
-    return PotentialResult(pot, crit, minima, masses, residual, trace)
+    steps: list[Step] = [
+        lambda: f"gauge: {plan.render()}",
+        lambda: f"partition sum = {z_sum.render()}",
+        lambda: (
+            f"V = {pot.render()} + ln({t.coeff.render()} * {model.t_symbol}^{t.t_power}) "
+            f"/ (-i*{model.t_symbol})"
+        ),
+        lambda: (
+            "critical points: " + ", ".join(p.render() for p in crit)
+            + f"; minima: {[p.render() for p in minima]}; masses: {[m.render() for m in masses]}"
+        ),
+    ]
+    return PotentialResult(pot, crit, minima, masses, residual, steps)
 
 
 def _solve_odd_cubic(d1: ParamPoly, phi: str) -> list[ParamPoly]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .engine import GaugeGroup, ModelSpec, apply_gauge, _build_phase
+from .engine import GaugeGroup, ModelSpec, _build_phase, apply_gauge, reduced_integrals
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
 from .params import Param, ParamPoly
-from .symbols import Axis, AxisPoly, TPoly
+from .symbols import Axis, AxisPoly, TPoly, compose_observable
 
 AXIS_KINDS = ("position", "momentum", "field")
 
@@ -342,7 +342,13 @@ def render_model(model: ParsedModel) -> str:
 
 
 def to_model_spec(parsed: ParsedModel) -> ModelSpec:
-    """Lower a parsed file into a runnable spec, validating reducibility."""
+    """Lower a parsed file into a runnable spec, validating reducibility.
+
+    Validation runs the gauge, the phase split and every per-symbol check of
+    the reduction (``engine.reduced_integrals``) on the observable and on the
+    unit denominator, without building table rows; a failing check is a
+    ``ValidationError`` with the check's own message.
+    """
     params = tuple(Param(n, default=v) for n, v in parsed.params)
     pnames = parsed.param_names()
     anames = parsed.axis_names()
@@ -373,8 +379,14 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
         expected=expected,
     )
     try:
-        apply_gauge(spec)
-        _build_phase(spec)
+        plan = apply_gauge(spec)
+        phase, evo = _build_phase(spec)
+        # the reduction's per-symbol checks, for both sides, without building table rows
+        for obs in (observable, AxisPoly.number(1)):
+            pieces = compose_observable(evo, obs)
+            for _, _, symbols in reduced_integrals(pieces, spec, phase, plan):
+                for _ in symbols:
+                    pass
     except (DegenerateCase, UnsupportedStructure) as exc:
         raise ValidationError(str(exc)) from exc
     return spec

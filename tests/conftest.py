@@ -1,4 +1,11 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from zetatrace.engine import GaugeGroup, ModelSpec
+from zetatrace.params import Param, ParamPoly
+from zetatrace.symbols import Axis, AxisPoly
 
 settings.register_profile(
     "det",
@@ -8,3 +15,31 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
+
+
+@pytest.fixture
+def shifted_oscillator():
+    """H = xi1^2/(2m) + m w^2 x1^2/2 + w + F x1, built directly as a spec.
+
+    Model-file validation rejects it (x1 carries a quadratic and a linear
+    phase), so the engine and the oracle can only be shown to reject it too
+    on a spec built by hand.
+    """
+    def mono(c, **exps):
+        return ParamPoly.monomial(c, {k: Fraction(v) for k, v in exps.items()})
+
+    h = (
+        AxisPoly.symbol("xi1", 2, mono(0.5, m=-1))
+        + AxisPoly.symbol("x1", 2, mono(0.5, m=1, w=2))
+        + AxisPoly.constant(mono(1, w=1))
+        + AxisPoly.symbol("x1", 1, mono(1, F=1))
+    )
+    return ModelSpec(
+        name="shifted",
+        description="custom model",
+        params=(Param("m"), Param("w"), Param("F")),
+        axes=(Axis("xi1", "momentum", "g_xi1"), Axis("x1", "position", "g_x1")),
+        groups=(GaugeGroup("g_xi1", ("xi1",), "z1"), GaugeGroup("g_x1", ("x1",), "z2")),
+        hamiltonian=h,
+        observables={"observable": h},
+    )

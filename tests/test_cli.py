@@ -149,6 +149,19 @@ def test_model_file_divergent_observable_exits_one(tmp_path, capsys):
     assert "diverges" in out
 
 
+def test_model_file_with_a_negative_quadratic_phase_exits_two(tmp_path, capsys):
+    # rejected at validation, not when the reduction reaches the axis
+    path = tmp_path / "negative.zt"
+    path.write_text(
+        "[params]\nJ = positive\n[axes]\nxi = momentum\n[phase]\n-xi^2/(2*J)\n"
+        "[observable]\nxi^2/(2*J)\n"
+    )
+    code, out, err = run_cli(capsys, "model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "invalid model: quadratic phase coefficient must be positive\n"
+
+
 def test_model_file_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.zt"
     path.write_text("[phase]\nxi +* 2\n")

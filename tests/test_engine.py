@@ -1,10 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from zetatrace import oracle
+from zetatrace import engine, oracle, tables
 from zetatrace.engine import (
     _real_roots,
     GaugeGroup,
@@ -20,23 +22,29 @@ from zetatrace.engine import (
 )
 from zetatrace.errors import (
     CriticalDegree,
+    GammaPole,
     UncoveredAxis,
     UnsolvablePotential,
+    UnsupportedStructure,
     ZeroQuadraticCoefficient,
 )
+from zetatrace.laurent import MeroFactorProduct
 from zetatrace.models import (
+    REGISTRY,
+    build_model,
     dirac_fermion,
     harmonic_oscillator_1d,
     harmonic_oscillator_nd,
     phi4,
+    run_model,
     schwinger_boson_mass,
     schwinger_free,
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import Axis, AxisPoly, PhaseDecomposition
+from zetatrace.symbols import Axis, AxisPoly, PhaseDecomposition, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
-from zetatrace.terms import thermal_limit
+from zetatrace.terms import TAsymptote, ZetaTerm, ZetaTermSum, thermal_limit
 
 
 def mono(c, **exps):
@@ -421,3 +429,189 @@ def test_branch_policy_invariance_of_expectations():
         paper_value = expectation(model, obs, PAPER).value
         principal_value = expectation(model, obs, PRINCIPAL).value
         assert paper_value == principal_value
+
+
+# ---------------------------------------------------------------------------
+# Row store, memoized alternatives and one-pass branches
+# ---------------------------------------------------------------------------
+
+
+def _unit_and_observables(model):
+    """(label, pieces) for every observable and for the unit denominator."""
+    _, evo = engine._build_phase(model)
+    sides = [("1", compose_observable(evo, AxisPoly.number(1)))]
+    if model.kind != "potential":
+        sides += [(name, compose_observable(evo, obs)) for name, obs in model.observables.items()]
+    return sides
+
+
+def _reduce_by_products(pieces, model, policy):
+    """Each branch as a chain of ZetaTerm.times over freshly built, scaled table rows."""
+    plan = apply_gauge(model)
+    phase, _ = engine._build_phase(model)
+    tokens = tuple(sorted(model.tokens))
+    out = []
+    for poly, t_power, symbols in engine.reduced_integrals(pieces, model, phase, plan):
+        start = ZetaTerm(
+            MeroFactorProduct(poly * model.prefactor),
+            t_const=t_power,
+            phase=phase.const,
+            tokens=tokens,
+        )
+        branches = [start]
+        for alternatives in symbols:
+            rows = []
+            for mult, integral in alternatives:
+                if integral.kind == "gauss":
+                    row = tables.gauss_radial(integral.q, policy, integral.rate)
+                else:
+                    row = tables.osc_linear(integral.q, integral.sign, policy, integral.rate)
+                rows.append(row.scaled(mult))
+            branches = [b.times(row) for b in branches for row in rows]
+        out.extend(b for b in branches if not b.coeff.prefactor.is_zero())
+    return out
+
+
+EQUIVALENCE_MODELS = (
+    [(name, {}) for name in REGISTRY]
+    + [("harmonic_oscillator_nd", {"n": n}) for n in range(1, 7)]
+    + [("harmonic_oscillator_nd", {"n": n, "per_axis": True}) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("policy", [PAPER, PRINCIPAL], ids=lambda p: p.mode)
+@pytest.mark.parametrize(
+    "name, overrides", EQUIVALENCE_MODELS, ids=[f"{n}{o or ''}" for n, o in EQUIVALENCE_MODELS]
+)
+def test_reduction_equals_the_product_of_fresh_rows(name, overrides, policy):
+    model = build_model(name, **overrides)
+    plan = apply_gauge(model)
+    phase, _ = engine._build_phase(model)
+    for label, pieces in _unit_and_observables(model):
+        got = engine.reduce_pieces(pieces, model, phase, plan, policy, {}).terms
+        want = _reduce_by_products(pieces, model, policy)
+        assert len(got) == len(want), label
+        for g, w in zip(got, want):
+            assert g.coeff.factors == w.coeff.factors, label
+            assert g.coeff.prefactor.terms == w.coeff.prefactor.terms, label
+            assert g.t_lin == w.t_lin and g.t_const == w.t_const and g.t_log == w.t_log, label
+            assert g.phase.terms == w.phase.terms and g.tokens == w.tokens, label
+
+
+def _count_rows(monkeypatch):
+    built = []
+    for name in ("gauss_radial", "osc_linear"):
+        def counted(*args, _row=getattr(engine, name), **kwargs):
+            row = _row(*args, **kwargs)
+            built.append(row)
+            return row
+        monkeypatch.setattr(engine, name, counted)
+    return built
+
+
+def test_each_distinct_row_is_built_once_per_derivation(monkeypatch):
+    # 14 pieces x 12 axes reach only 4 distinct Gaussian rows
+    built = _count_rows(monkeypatch)
+    model = harmonic_oscillator_nd(6)
+    num, den, _ = build_trace_sums(model, model.observables["H"], PAPER)
+    assert len(built) == 4
+    # shared by reference: every factor comes from one of the 4 rows
+    row_factors = {id(f) for row in built for f in row.coeff.factors}
+    assert all(id(f) in row_factors for t in num.terms + den.terms for f in t.coeff.factors)
+
+
+def test_two_derivations_share_no_rows(monkeypatch):
+    built = _count_rows(monkeypatch)
+    model = harmonic_oscillator_nd(2)
+    first = build_trace_sums(model, model.observables["H"], PAPER)
+    n_first = len(built)
+    second = build_trace_sums(model, model.observables["H"], PAPER)
+    assert len(built) == 2 * n_first
+    ids_first = {id(f) for s in first[:2] for t in s.terms for f in t.coeff.factors}
+    ids_second = {id(f) for s in second[:2] for t in s.terms for f in t.coeff.factors}
+    assert not ids_first & ids_second
+
+
+def test_a_raising_row_is_not_stored(monkeypatch):
+    calls = []
+    real = engine.gauss_radial
+
+    def fails_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise GammaPole("first build fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "gauss_radial", fails_once)
+    model = harmonic_oscillator_1d()
+    plan = apply_gauge(model)
+    phase, evo = engine._build_phase(model)
+    pieces = compose_observable(evo, AxisPoly.number(1))
+    rows = {}
+    with pytest.raises(GammaPole, match="first build fails"):
+        engine.reduce_pieces(pieces, model, phase, plan, PAPER, rows)
+    assert rows == {}
+    den = engine.reduce_pieces(pieces, model, phase, plan, PAPER, rows)
+    assert len(rows) == 2 and len(calls) == 3  # the failed row was built again
+    assert [t.coeff.factors for t in den.terms] == [
+        t.coeff.factors for t in _reduce_by_products(pieces, model, PAPER)
+    ]
+
+
+def _item_errors(pieces, model):
+    """The error each item's symbols raise, walking on after each one."""
+    plan = apply_gauge(model)
+    phase, _ = engine._build_phase(model)
+    errors = []
+    for _, _, symbols in engine.reduced_integrals(pieces, model, phase, plan):
+        with pytest.raises(UnsupportedStructure) as exc:
+            for _ in symbols:
+                pass
+        errors.append(str(exc.value))
+    return errors
+
+
+def test_a_raising_alternative_is_not_stored(shifted_oscillator):
+    # every item reaching x1 raises, not only the first one
+    pieces = compose_observable(None, AxisPoly.number(1))
+    errors = _item_errors(pieces * 3, shifted_oscillator)
+    assert errors == ["complete the square before reducing this axis"] * 3
+    with pytest.raises(UnsupportedStructure, match="complete the square"):
+        build_trace_sums(shifted_oscillator, shifted_oscillator.observables["observable"], PAPER)
+
+
+def test_a_negative_quadratic_coefficient_raises_at_every_item():
+    model = topological_oscillator()
+    model.hamiltonian = AxisPoly.symbol("xi", 2, mono(-0.5, J=-1))
+    pieces = compose_observable(None, AxisPoly.symbol("xi", 2) + AxisPoly.number(1))
+    errors = _item_errors(pieces * 2, model)
+    assert errors == ["quadratic phase coefficient must be positive"] * 4
+    with pytest.raises(UnsupportedStructure, match="must be positive"):
+        expectation(model, "chi_top", PAPER)
+
+
+# ---------------------------------------------------------------------------
+# The derivation text is rendered when read
+# ---------------------------------------------------------------------------
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_runs_render_nothing_until_the_trace_is_read(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rendered while nobody asked")
+
+    runs = {}
+    with monkeypatch.context() as patch:
+        for owner in (ZetaTermSum, TAsymptote, engine.GaugePlan):
+            patch.setattr(owner, "render", refuse)
+        for name in REGISTRY:
+            runs[name] = run_model(name, PAPER)
+    for name, run in runs.items():
+        lines = (GOLDEN / f"run_{name}_paper.txt").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines[2:]]
+        if run.potential is not None:
+            assert all(r["trace"] == run.potential.trace for r in records), name
+        else:
+            assert [r["trace"] for r in records] == [res.trace for res in run.results.values()]

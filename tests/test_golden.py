@@ -33,6 +33,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"run_{model}_order16"] = [
             "run", model, "--series-order", "16", "--emit", "json", "--trace",
         ]
+    # the largest reduction of the ladder: 12 axes, 13 numerator terms
+    cases["run_harmonic_oscillator_nd_dim6"] = [
+        "run", "harmonic_oscillator_nd", "--dim", "6", "--emit", "json", "--trace",
+    ]
     # the numeric fallback (cubic roots of dV and second-difference masses)
     cases["run_phi4_numeric_text"] = [
         "run", "phi4", "--numeric", "--param", "mu=1", "--param", "lambda=6",

@@ -158,3 +158,59 @@ def test_numeric_parameter_value_becomes_default():
     text = ROTOR_FILE.replace("J = positive", "J = 2.5")
     spec = to_model_spec(parse_model_text(text, "rotor"))
     assert spec.default_bindings() == {"J": 2.5}
+
+
+NEGATIVE_ROTOR = textwrap.dedent(
+    """
+    [params]
+    J = positive
+    [axes]
+    xi = momentum
+    [phase]
+    -xi^2/(2*J)
+    [observable]
+    xi^2/(2*J)
+    """
+)
+
+SHIFTED_OSCILLATOR = textwrap.dedent(
+    """
+    [params]
+    m = positive
+    w = positive
+    F = positive
+    [axes]
+    xi1 = momentum
+    x1 = position
+    [phase]
+    1/2*xi1^2/m + 1/2*m*w^2*x1^2 + w + F*x1
+    [observable]
+    1/2*xi1^2/m + 1/2*m*w^2*x1^2 + w + F*x1
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (NEGATIVE_ROTOR, "quadratic phase coefficient must be positive"),
+        (SHIFTED_OSCILLATOR, "complete the square before reducing this axis"),
+    ],
+    ids=["negative-quadratic", "shifted"],
+)
+def test_validation_runs_the_reduction_checks(text, message):
+    with pytest.raises(ValidationError) as exc:
+        to_model_spec(parse_model_text(text, "bad"))
+    assert str(exc.value) == message
+
+
+def test_validation_builds_no_table_rows(monkeypatch):
+    from zetatrace import engine
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a table row was built during validation")
+
+    monkeypatch.setattr(engine, "gauss_radial", refuse)
+    monkeypatch.setattr(engine, "osc_linear", refuse)
+    spec = to_model_spec(parse_model_text(ROTOR_FILE, "rotor"))
+    assert [a.name for a in spec.axes] == ["xi"]

@@ -79,27 +79,11 @@ def test_small_z_limit_model_quotients():
         assert got == pytest.approx(res.finite_t.eval(bindings, tv), rel=1e-4)
 
 
-SHIFTED_OSCILLATOR = """
-[params]
-m = positive
-w = positive
-F = positive
-[axes]
-xi1 = momentum
-x1 = position
-[phase]
-1/2*xi1^2/m + 1/2*m*w^2*x1^2 + w + F*x1
-[observable]
-1/2*xi1^2/m + 1/2*m*w^2*x1^2 + w + F*x1
-"""
-
-
-def test_model_quotient_rejects_what_the_engine_rejects():
+def test_model_quotient_rejects_what_the_engine_rejects(shifted_oscillator):
     # quadratic and linear phase on x1: neither side may drop the linear part
     from zetatrace.engine import expectation
-    from zetatrace.modelfile import parse_model_text, to_model_spec
 
-    model = to_model_spec(parse_model_text(SHIFTED_OSCILLATOR, "shifted"))
+    model = shifted_oscillator
     with pytest.raises(UnsupportedStructure) as engine_error:
         expectation(model, "observable")
     with pytest.raises(UnsupportedStructure) as oracle_error:
