@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import models as model_registry
-from .engine import KVAmplitudeSpec, kv_trace_at_zero, potential_numeric
+from .engine import KVAmplitudeSpec, kv_trace_at_zero
 from .errors import ParseError, UsageError, ValidationError, ZetatraceError
 from .laurent import DEFAULT_ORDER
 from .modelfile import parse_model_file
@@ -117,14 +117,6 @@ def _emit_potential(run, args, bindings) -> int:
             if args.numeric or bindings:
                 line += f"  = {_fmt_number(poly.eval(full_bindings))}"
             print(line)
-        if args.numeric:
-            minima, masses = potential_numeric(run.model, full_bindings)
-            print(
-                "numeric fallback: minima "
-                + ", ".join(f"{v:.6g}" for v in minima)
-                + "; masses "
-                + ", ".join(f"{v:.6g}" for v in masses)
-            )
         if args.trace:
             for step in pot.trace:
                 print(f"  | {step}")
@@ -239,11 +231,7 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
 
 
 def cmd_model(args) -> int:
-    try:
-        spec = parse_model_file(args.file)
-    except ValidationError as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return 2
+    spec = parse_model_file(args.file)
     entry = RegistryEntry(lambda: spec, spec.description, "custom")
     registry = {spec.name: entry}
     if args.list:

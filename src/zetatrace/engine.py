@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-import mpmath
-
 from .errors import (
     CriticalDegree,
     DegenerateCase,
@@ -99,12 +97,6 @@ class ModelSpec:
             if g.regulator not in seen:
                 seen.append(g.regulator)
         return tuple(seen)
-
-    def group_of(self, symbol: str) -> GaugeGroup | None:
-        for g in self.groups:
-            if symbol in g.axes or symbol == g.radius_symbol():
-                return g
-        return None
 
     def default_bindings(self) -> dict[str, float]:
         return {p.name: p.default for p in self.params if p.default is not None}
@@ -501,10 +493,6 @@ class ExpectationResult:
     steps: list[Step] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return not isinstance(self.value, Divergent)
-
-    @property
     def trace(self) -> list[str]:
         """The derivation text, one line per step, rendered when read."""
         return _render_steps(self.steps)
@@ -733,99 +721,3 @@ def _definite_sign(poly: ParamPoly) -> int:
     if abs(coeff.imag) > 1e-12 * abs(coeff):
         raise UnsolvablePotential("curvature is not real")
     return 1 if coeff.real > 0 else -1
-
-
-def potential_numeric(
-    model: ModelSpec, bindings: Mapping[str, float]
-) -> tuple[list[float], list[float]]:
-    """Numeric fallback: cubic roots of dV and second-difference curvatures."""
-    if model.kind != "potential" or model.field_param is None:
-        raise UnsupportedStructure("not a potential model")
-    phase, _ = _build_phase(model)
-    pot = -phase.const
-    phi = model.field_param
-
-    def v(x: float) -> float:
-        return pot.eval({**bindings, phi: x}).real
-
-    d1 = pot.diff(phi)
-    max_deg = max(
-        (int(dict(k).get(phi, 0)) for k in d1.terms), default=0
-    )
-    # numeric polynomial coefficients of d1 in phi, highest power first
-    poly_coeffs = []
-    for p in range(max_deg, -1, -1):
-        c = ParamPoly.zero()
-        for key, coeff in d1.terms.items():
-            exps = dict(key)
-            if exps.pop(phi, Fraction(0)) == p:
-                c = c + ParamPoly({tuple(sorted(exps.items())): coeff})
-        poly_coeffs.append(c.eval(bindings).real)
-    roots = _real_roots(poly_coeffs)
-    h = 1e-4
-    minima, masses = [], []
-    for r in sorted(roots):
-        curv = (v(r + h) - 2 * v(r) + v(r - h)) / h**2
-        if curv > 0:
-            minima.append(r)
-            masses.append(math.sqrt(curv))
-    return minima, masses
-
-
-def _real_roots(coeffs: Sequence[float]) -> list[float]:
-    """Real roots of a polynomial given highest power first, found as numpy.roots does.
-
-    Leading zero coefficients are dropped, each trailing zero is an exact root
-    at 0, and the other roots are the eigenvalues of the balanced companion
-    matrix.  A root counts as real when its imaginary part is below 1e-9.
-    """
-    c = list(coeffs)
-    while c and c[0] == 0:
-        del c[0]
-    roots = []
-    while c and c[-1] == 0:
-        c.pop()
-        roots.append(0.0)
-    n = len(c) - 1
-    if n < 1:
-        return roots
-    companion = [[0.0] * n for _ in range(n)]
-    companion[0] = [-x / c[0] for x in c[1:]]
-    if not all(math.isfinite(x) for x in companion[0]):
-        raise UnsolvablePotential("dV has non-finite coefficient ratios at these bindings")
-    for i in range(1, n):
-        companion[i][i - 1] = 1.0
-    _balance(companion)
-    matrix = mpmath.matrix(companion)
-    # mpmath.eig returns eigenvectors of a 1x1 matrix whatever it is asked
-    eigs = mpmath.eig(matrix, left=False, right=False) if n > 1 else [matrix[0, 0]]
-    return roots + [float(mpmath.re(e)) for e in eigs if abs(mpmath.im(e)) < 1e-9]
-
-
-def _balance(a: list[list[float]]) -> None:
-    """Diagonal similarity in place, by powers of 2, that evens out row and column norms.
-
-    LAPACK balances a matrix this way before its eigenvalue solve (Parlett and
-    Reinsch); mpmath.eig does not, and gives eigenvalues 0, 0 for the
-    companion matrix [[0, 1e20], [1, 0]] of x^2 - 1e20.  Scaling by powers
-    of 2 is exact.
-    """
-    n = len(a)
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            col = sum(abs(a[j][i]) for j in range(n) if j != i)
-            row = sum(abs(a[i][j]) for j in range(n) if j != i)
-            if col == 0 or row == 0:
-                continue
-            f, scaled_col, total = 1.0, col, col + row
-            while scaled_col < row / 2:
-                f, scaled_col = f * 2, scaled_col * 4
-            while scaled_col > row * 2:
-                f, scaled_col = f / 2, scaled_col / 4
-            if (scaled_col + row) / f < 0.95 * total:
-                done = False
-                for j in range(n):
-                    a[i][j] /= f
-                    a[j][i] *= f

@@ -182,10 +182,6 @@ class MeroFactorProduct:
     prefactor: ParamPoly
     factors: tuple[PrimitiveFactor, ...] = ()
 
-    @staticmethod
-    def from_number(c) -> "MeroFactorProduct":
-        return MeroFactorProduct(ParamPoly.number(c))
-
     def scaled(self, poly: ParamPoly) -> "MeroFactorProduct":
         return MeroFactorProduct(self.prefactor * poly, self.factors)
 

@@ -14,6 +14,8 @@ small-z / finite-T limits are polynomial extrapolations over sample grids.
 No table row, Laurent series or term sum is built here.  Within one
 cross-check (``small_z_ratio``) each distinct integral is computed once, and
 its value is reused on both sides of the quotient and at every z sample.
+``potential_numeric`` finds a potential's minima and masses from V alone, by
+``np.roots`` and second differences, without the engine's closed forms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import integrate
 
-from .errors import DivergenceDetected, NonConvergent
+from .engine import _build_phase, apply_gauge, reduced_integrals
+from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
+from .params import ParamPoly
+from .symbols import AxisPoly, compose_observable
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7.0
@@ -142,7 +147,6 @@ def small_z_limit(samples: Mapping[float, complex], tol: float = 5e-3) -> comple
 class SweepFit:
     limit: complex
     residual: float
-    decay_coeff: complex
 
 
 def finite_t_sweep(fn: Callable[[float], complex], t_grid: Sequence[float]) -> SweepFit:
@@ -161,7 +165,7 @@ def finite_t_sweep(fn: Callable[[float], complex], t_grid: Sequence[float]) -> S
     coeffs, *_ = np.linalg.lstsq(mat, ys, rcond=None)
     fitted = mat @ coeffs
     residual = float(np.max(np.abs(fitted - ys)))
-    return SweepFit(complex(coeffs[0]), residual, complex(coeffs[1]))
+    return SweepFit(complex(coeffs[0]), residual)
 
 
 def decay_exponent(fn: Callable[[float], complex], t_grid: Sequence[float]) -> float:
@@ -214,9 +218,6 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     """
     if store is None:
         store = {}
-    from .engine import _build_phase, apply_gauge, reduced_integrals
-    from .symbols import AxisPoly, compose_observable
-
     plan = apply_gauge(model)
     phase, evo = _build_phase(model)
     obs = model.observables[observable_name]
@@ -256,3 +257,50 @@ def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float
     if key not in store:
         store[key] = _power_osc(*key)
     return store[key]
+
+
+# ---------------------------------------------------------------------------
+# Effective potential at numeric bindings
+# ---------------------------------------------------------------------------
+
+
+def potential_numeric(model, bindings: Mapping[str, float]) -> tuple[list[float], list[float]]:
+    """Minima and masses of a potential model at numeric bindings.
+
+    V is the engine's volume-limit potential (``engine._build_phase``); the
+    symbolic extrema are not used.  Each real root of dV where the second
+    difference of V is positive is a minimum with mass sqrt(V'').  The step
+    is 1e-4 times the largest |root| (1e-4 if every root is 0): a fixed step
+    of 1e-4 differences V below its rounding error once the roots reach 1e10.
+    """
+    if model.kind != "potential" or model.field_param is None:
+        raise UnsupportedStructure("not a potential model")
+    phi = model.field_param
+    pot = -_build_phase(model)[0].const
+    coeffs: dict[int, float] = {}  # dV by power of phi
+    for key, coeff in pot.diff(phi).terms.items():
+        power = int(dict(key).get(phi, 0))
+        term = ParamPoly({key: coeff}).eval({**bindings, phi: 1.0}).real
+        coeffs[power] = coeffs.get(power, 0.0) + term
+    roots = _real_roots([coeffs.get(p, 0.0) for p in range(max(coeffs, default=0), -1, -1)])
+    h = 1e-4 * (max((abs(r) for r in roots), default=0.0) or 1.0)
+    minima, masses = [], []
+    for r in roots:
+        above, at, below = (pot.eval({**bindings, phi: x}).real for x in (r + h, r, r - h))
+        curv = (above - 2 * at + below) / h**2
+        if curv > 0:
+            minima.append(r)
+            masses.append(math.sqrt(curv))
+    return minima, masses
+
+
+def _real_roots(coeffs: Sequence[float]) -> list[float]:
+    """Real roots, ascending, of a polynomial given highest power first.
+
+    A root counts as real when |imag| <= 1e-6 * max(1, |root|): ``np.roots``
+    returns a double root as a complex pair about sqrt(machine epsilon) *
+    |root| apart.
+    """
+    return sorted(
+        float(r.real) for r in np.roots(coeffs) if abs(r.imag) <= 1e-6 * max(1.0, abs(r))
+    )

@@ -355,11 +355,6 @@ def _merge_keys(k1: ExpKey, k2: ExpKey) -> ExpKey:
     return tuple(sorted(exps.items()))
 
 
-ZERO = ParamPoly.zero()
-ONE = ParamPoly.one()
-PI = ParamPoly.var("pi")
-
-
 def log_param(base: ParamPoly) -> ParamPoly:
     """Formal logarithm of a positive monomial, registered for evaluation."""
     if not base.is_positive_monomial():

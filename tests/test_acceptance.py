@@ -17,7 +17,6 @@ from zetatrace.engine import (
     effective_potential,
     expectation,
     kv_trace_at_zero,
-    potential_numeric,
 )
 from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor, expand_product
 from zetatrace.models import (
@@ -32,6 +31,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.modelfile import parse_model_text, render_model, to_model_spec
+from zetatrace.oracle import potential_numeric
 from zetatrace.params import ParamPoly
 from zetatrace.symbols import series_pow
 from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, gauss_radial, osc_linear

@@ -42,7 +42,27 @@ def test_run_phi4_numeric(capsys):
     assert code == 0
     assert "minimum" in out
     assert "1.41421" in out
-    assert "numeric fallback: minima -1, 1" in out
+    assert "numeric fallback" not in out
+
+
+def numeric_values(capsys, *argv):
+    """The numbers that ``--numeric`` prints, once from text and once from JSON output."""
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, lines, _ = run_cli(capsys, *argv, "--emit", "json")
+    assert code == 0
+    from_text = [line.rpartition("  = ")[2] for line in text.splitlines()[1:]]
+    from_json = [json.loads(line)["numeric_value"] for line in lines.splitlines()]
+    return from_text, from_json
+
+
+def test_run_phi4_numeric_prints_the_same_values_in_text_and_json(capsys):
+    from_text, from_json = numeric_values(
+        capsys, "run", "phi4", "--numeric", "--param", "mu=1.3", "--param", "lambda=2.7"
+    )
+    assert from_text == from_json == [
+        "0", "1.9379255805", "-1.9379255805", "1.9379255805", "-1.9379255805", "1.83847763109",
+    ]
 
 
 def test_run_with_trace_shows_derivation_chain(capsys):
@@ -53,22 +73,27 @@ def test_run_with_trace_shows_derivation_chain(capsys):
     assert "thermal limit" in out
 
 
-def test_run_phi4_numeric_overflowing_fallback_exits_one(capsys):
-    # the closed forms are finite, but -6 mu^2/lambda overflows in the fallback's
-    # companion matrix: an error line, not a traceback
-    code, _, err = run_cli(
+def test_run_phi4_numeric_at_extreme_bindings_exits_zero(capsys):
+    # -6 mu^2/lambda leaves the float range, but the closed forms evaluate to finite numbers
+    from_text, from_json = numeric_values(
         capsys, "run", "phi4", "--numeric", "--param", "mu=1e150", "--param", "lambda=1e-300"
     )
-    assert code == 1
-    assert err.strip().splitlines() == ["error: dV has non-finite coefficient ratios at these bindings"]
+    assert from_text == from_json == [
+        "0", "2.44948974278e+300", "-2.44948974278e+300",
+        "2.44948974278e+300", "-2.44948974278e+300", "1.41421356237e+150",
+    ]
 
 
-def test_run_phi4_numeric_overflowing_power_exits_one(capsys):
-    # mu^2 = 1e400 leaves the float range while the fallback evaluates dV: an error line,
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_run_numeric_overflowing_power_exits_one(capsys, emit):
+    # e^2 = 1e400 leaves the float range while the closed form is evaluated: an error line,
     # not a traceback
-    code, _, err = run_cli(capsys, "run", "phi4", "--numeric", "--param", "mu=1e200")
+    code, out, err = run_cli(
+        capsys, "run", "schwinger_boson_mass", "--numeric", "--param", "e=1e200", "--emit", emit
+    )
     assert code == 1
-    assert err.strip().splitlines() == ["error: mu^2 overflows at mu = 1e+200"]
+    assert out == ""
+    assert err.strip().splitlines() == ["error: e^2 overflows at e = 1e+200"]
 
 
 def test_run_unknown_model_exits_one(capsys):
@@ -159,7 +184,7 @@ def test_model_file_with_a_negative_quadratic_phase_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "model", str(path))
     assert code == 2
     assert out == ""
-    assert err == "invalid model: quadratic phase coefficient must be positive\n"
+    assert err == "error: quadratic phase coefficient must be positive\n"
 
 
 def test_model_file_parse_error_exits_two(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from zetatrace import engine, oracle, tables
 from zetatrace.engine import (
-    _real_roots,
     GaugeGroup,
     KVAmplitudeSpec,
     ModelSpec,
@@ -18,13 +17,11 @@ from zetatrace.engine import (
     effective_potential,
     expectation,
     kv_trace_at_zero,
-    potential_numeric,
 )
 from zetatrace.errors import (
     CriticalDegree,
     GammaPole,
     UncoveredAxis,
-    UnsolvablePotential,
     UnsupportedStructure,
     ZeroQuadraticCoefficient,
 )
@@ -363,58 +360,44 @@ def test_free_quadratic_potential():
 
 
 def test_phi4_numeric_fallback():
-    minima, masses = potential_numeric(phi4(), {"mu": 1.0, "lambda": 6.0})
+    minima, masses = oracle.potential_numeric(phi4(), {"mu": 1.0, "lambda": 6.0})
     assert sorted(round(v, 6) for v in minima) == [-1.0, 1.0]
     assert all(m == pytest.approx(math.sqrt(2), abs=1e-4) for m in masses)
+    # lambda = 0 turns the cubic of phi4 into -mu^2 phi: one root, a maximum
+    assert oracle.potential_numeric(phi4(), {"mu": 1.0, "lambda": 0.0}) == ([], [])
 
 
 def test_phi4_numeric_fallback_returns_builtin_floats():
     for bindings in ({"mu": 1.0, "lambda": 6.0}, {"mu": 0.0, "lambda": 6.0}):
-        minima, masses = potential_numeric(phi4(), bindings)
+        minima, masses = oracle.potential_numeric(phi4(), bindings)
         assert minima and masses
         assert all(type(v) is float for v in minima + masses)
 
 
 def test_phi4_numeric_fallback_keeps_the_triple_root_at_mu_zero():
     # dV = lambda/6 phi^3: three roots at 0, each a (flat) minimum
-    assert _real_roots([1.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
-    minima, masses = potential_numeric(phi4(), {"mu": 0.0, "lambda": 6.0})
+    minima, masses = oracle.potential_numeric(phi4(), {"mu": 0.0, "lambda": 6.0})
     assert minima == [0.0, 0.0, 0.0]
     assert masses == [pytest.approx(math.sqrt(0.5) * 1e-4)] * 3
 
 
-def test_real_roots_ignore_leading_zero_coefficients():
-    assert _real_roots([0.0, 1.0, 0.0, -1.0]) == _real_roots([1.0, 0.0, -1.0])
-    assert sorted(_real_roots([0.0, 0.0, 1.0, 0.0, -1.0])) == pytest.approx([-1.0, 1.0])
-    assert _real_roots([2.0, 3.0]) == [-1.5]
-    assert _real_roots([0.0, 5.0]) == [] and _real_roots([0.0]) == []
-    # lambda = 0 turns the cubic of phi4 into -mu^2 phi: one root, a maximum
-    assert potential_numeric(phi4(), {"mu": 1.0, "lambda": 0.0}) == ([], [])
-
-
-def test_real_roots_match_numpy_roots():
-    import numpy as np
-
-    rng = random.Random(4242)
-    for _ in range(300):
-        coeffs = [rng.uniform(-3, 3) for _ in range(rng.randint(2, 5))]
-        want = sorted(r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-9)
-        got = sorted(_real_roots(coeffs))
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), coeffs
-
-
-def test_real_roots_reject_non_finite_coefficient_ratios():
-    for coeffs in ([1.0, math.nan, 1.0], [1.0, math.inf, 1.0], [1e-300, 0.0, -1e300]):
-        with pytest.raises(UnsolvablePotential, match="non-finite"):
-            _real_roots(coeffs)
-
-
-def test_real_roots_of_a_badly_scaled_quadratic():
-    # mpmath.eig on the unbalanced companion [[0, 1e20], [1, 0]] returns 0, 0
-    assert sorted(_real_roots([1.0, 0.0, -1e20])) == pytest.approx([-1e10, 1e10], rel=1e-12)
-    assert sorted(_real_roots([1.0, 0.0, -1e-20])) == pytest.approx([-1e-10, 1e-10], rel=1e-12)
-    minima, _ = potential_numeric(phi4(), {"mu": 1e4, "lambda": 6e-12})
+def test_phi4_numeric_fallback_at_badly_scaled_bindings():
+    # minima at +-1e10: a fixed step of 1e-4 would difference V below its rounding error
+    minima, masses = oracle.potential_numeric(phi4(), {"mu": 1e4, "lambda": 6e-12})
     assert minima == pytest.approx([-1e10, 1e10], rel=1e-12)
+    assert masses == pytest.approx([math.sqrt(2) * 1e4] * 2, rel=1e-6)
+
+
+def test_phi4_closed_forms_match_the_numeric_fallback():
+    pot = effective_potential(phi4(), PAPER)
+    rng = random.Random(7)
+    for _ in range(20):
+        bindings = {"mu": 10 ** rng.uniform(-3, 3), "lambda": 10 ** rng.uniform(-6, 3)}
+        minima, masses = oracle.potential_numeric(phi4(), bindings)
+        closed_minima = sorted(p.eval(bindings).real for p in pot.minima)
+        assert minima == pytest.approx(closed_minima, rel=1e-9), bindings
+        closed_mass = pot.masses[0].eval(bindings).real
+        assert masses == pytest.approx([closed_mass] * 2, rel=1e-6), bindings
 
 
 def test_branch_policy_invariance_of_expectations():

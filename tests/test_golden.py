@@ -37,7 +37,7 @@ def _cases() -> dict[str, list[str]]:
     cases["run_harmonic_oscillator_nd_dim6"] = [
         "run", "harmonic_oscillator_nd", "--dim", "6", "--emit", "json", "--trace",
     ]
-    # the numeric fallback (cubic roots of dV and second-difference masses)
+    # --numeric: the closed forms evaluated at the bound parameters, in both emit modes
     cases["run_phi4_numeric_text"] = [
         "run", "phi4", "--numeric", "--param", "mu=1", "--param", "lambda=6",
     ]

@@ -257,3 +257,49 @@ def test_nonconvergent_integral_is_not_stored(monkeypatch):
         oracle.model_quotient(model, obs, -0.1, 10.0, bindings, store=store)
     assert len(calls) == 3
     assert len(store) == 2 and all(isinstance(v, complex) for v in store.values())
+
+
+# ---------------------------------------------------------------------------
+# Numeric minima and masses of a potential
+# ---------------------------------------------------------------------------
+
+
+def test_potential_numeric_keeps_a_repeated_nonzero_root(monkeypatch):
+    from fractions import Fraction
+
+    from zetatrace.engine import GaugeGroup, ModelSpec
+    from zetatrace.params import Param, ParamPoly
+    from zetatrace.symbols import Axis, AxisPoly
+
+    # V = phi^4/4 - 4 phi^3/3 + 5 phi^2/2 - 2 phi, so dV = (phi - 1)^2 (phi - 2)
+    v = ParamPoly.zero()
+    for c, e in ((Fraction(1, 4), 4), (Fraction(-4, 3), 3), (Fraction(5, 2), 2), (-2, 1)):
+        v = v + ParamPoly.monomial(c, {"phi": Fraction(e)})
+    model = ModelSpec(
+        name="double_root",
+        description="potential whose dV has a double root at 1",
+        params=(Param("phi", positive=False),),
+        axes=(Axis("p", "momentum", "g"),),
+        groups=(GaugeGroup("g", ("p",), "z"),),
+        hamiltonian=AxisPoly.symbol("p", 2, ParamPoly.number(0.5)) + AxisPoly.constant(v),
+        observables={},
+        t_symbol="TX",
+        kind="potential",
+        field_param="phi",
+    )
+    roots = []
+    real_roots = oracle._real_roots
+    monkeypatch.setattr(oracle, "_real_roots", lambda c: roots.append(real_roots(c)) or roots[-1])
+    minima, masses = oracle.potential_numeric(model, {})
+    # the double root comes back from np.roots as a pair with |imag| ~ 3e-8
+    assert roots == [pytest.approx([1.0, 1.0, 2.0], rel=1e-12)]
+    # V'' = 3 phi^2 - 8 phi + 5 is 1 at phi = 2 and 0 at the inflection phi = 1
+    assert minima[-1] == pytest.approx(2.0, rel=1e-12)
+    assert masses[-1] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_potential_numeric_rejects_a_ratio_model():
+    from zetatrace.models import harmonic_oscillator_1d
+
+    with pytest.raises(UnsupportedStructure, match="not a potential model"):
+        oracle.potential_numeric(harmonic_oscillator_1d(), {})
