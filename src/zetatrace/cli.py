@@ -96,15 +96,19 @@ def _emit_potential(run, args, bindings) -> int:
     rows += [("minimum", p) for p in pot.minima]
     rows += [("mass", p) for p in pot.masses]
     full_bindings = {**run.model.default_bindings(), **bindings}
+    # every row is evaluated before anything is printed, so an overflow leaves stdout empty
+    numeric = [
+        poly.eval(full_bindings) if args.numeric or bindings else None for _, poly in rows
+    ]
     if args.emit == "json":
-        for label, poly in rows:
+        for (label, poly), value in zip(rows, numeric):
             record = {
                 "model": run.model.name,
                 "observable": label,
                 "value": poly.render(),
             }
-            if args.numeric or bindings:
-                record["numeric_value"] = _fmt_number(poly.eval(full_bindings))
+            if value is not None:
+                record["numeric_value"] = _fmt_number(value)
             record["branch"] = args.branch
             record["series_order"] = args.series_order
             if args.trace:
@@ -112,10 +116,10 @@ def _emit_potential(run, args, bindings) -> int:
             print(json.dumps(record))
     else:
         print(f"V({run.model.field_param}) = {pot.potential.render_text()}  (volume limit)")
-        for label, poly in rows:
+        for (label, poly), value in zip(rows, numeric):
             line = f"{label}: {poly.render_text()}"
-            if args.numeric or bindings:
-                line += f"  = {_fmt_number(poly.eval(full_bindings))}"
+            if value is not None:
+                line += f"  = {_fmt_number(value)}"
             print(line)
         if args.trace:
             for step in pot.trace:

@@ -34,9 +34,11 @@ from .symbols import (
     InvolutionEvolution,
     MatrixSymbol,
     PhaseDecomposition,
+    T,
     compose_observable,
     decompose_phase,
     involution_exp,
+    t_free,
 )
 from .tables import AffineExp, BranchPolicy, PAPER, angular_moment, gauss_radial, osc_linear
 from .terms import (
@@ -152,7 +154,7 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
     )
     if isinstance(model.hamiltonian, MatrixSymbol):
         evo = involution_exp(model.hamiltonian)
-        b = model.hamiltonian.scalar.constant_part().plain()
+        b = t_free(model.hamiltonian.scalar.constant_part())
         if model.hamiltonian.scalar.symbols():
             raise UnsupportedStructure("matrix scalar part must be axis-free")
         c = model.hamiltonian.coeff
@@ -160,7 +162,7 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
         if len(syms) != 1:
             raise UnsupportedStructure("involution coefficient must be one radial symbol")
         (sym,) = syms
-        coeff = c.coefficient_of(sym, 1).constant_part().plain()
+        coeff = t_free(c.coefficient_of(sym, 1).constant_part())
         if coeff.is_zero() or not (c - AxisPoly.symbol(sym, 1, coeff)).is_zero():
             raise UnsupportedStructure("involution coefficient must be linear in the radius")
         phase = ReducedPhase(
@@ -175,8 +177,6 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
         {a.name for a in model.axes} | {g.radius_symbol() for g in model.groups}
     )
     decomp = decompose_phase(model.hamiltonian, symbols)
-    if decomp.h0_tail:
-        raise UnsupportedStructure("inverse-power phase tails are not reduced symbolically")
     phase = ReducedPhase(
         g2={k: v * hbar_inv for k, v in decomp.h2.items()},
         g1={k: v * hbar_inv for k, v in decomp.h1.items()},
@@ -209,7 +209,6 @@ def complete_square(
         h2=dict(phase.h2),
         h1={k: (ParamPoly.zero() if k == axis else v) for k, v in phase.h1.items()},
         h0_const=phase.h0_const,
-        h0_tail=dict(phase.h0_tail),
     )
     return new_phase, new_amp, const, shift
 
@@ -319,9 +318,9 @@ def reduced_integrals(
     """
     memo: dict[tuple, Alternatives] = {}
     for piece in pieces:
-        for mono_key, tpoly in piece.amp.monomials():
+        for mono_key, coeff in piece.amp.monomials():
             degrees = dict(mono_key)
-            for t_power, poly in tpoly.parts.items():
+            for t_power, poly in coeff.by_power(T).items():
                 yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, plan, memo)
 
 
@@ -687,20 +686,14 @@ def effective_potential(
 
 def _solve_odd_cubic(d1: ParamPoly, phi: str) -> list[ParamPoly]:
     """Roots of A*phi + B*phi^3 as parameter monomials (plus phi = 0)."""
-    a = ParamPoly.zero()
-    b = ParamPoly.zero()
-    for key, coeff in d1.terms.items():
-        exps = dict(key)
-        e = exps.pop(phi, Fraction(0))
-        rest = ParamPoly({tuple(sorted(exps.items())): coeff})
-        if e == 1:
-            a = a + rest
-        elif e == 3:
-            b = b + rest
-        else:
+    parts = d1.by_power(phi)
+    for e in parts:
+        if e not in (1, 3):
             raise UnsolvablePotential(
                 f"derivative term phi^{e} outside the phi*(a + b*phi^2) pattern"
             )
+    a = parts.get(Fraction(1), ParamPoly.zero())
+    b = parts.get(Fraction(3), ParamPoly.zero())
     roots = [ParamPoly.zero()]
     if b.is_zero():
         return roots

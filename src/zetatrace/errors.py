@@ -10,7 +10,7 @@ class UnboundParameter(ZetatraceError):
 
 
 class NumericOverflow(ZetatraceError):
-    """Numeric evaluation of a parameter power left the float range."""
+    """Numeric evaluation of a parameter power, a term or a sum left the float range."""
 
 
 class UnsupportedFactor(ZetatraceError):

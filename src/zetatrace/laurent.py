@@ -270,9 +270,6 @@ class LaurentSeries:
     def scale(self, poly) -> "LaurentSeries":
         return LaurentSeries(self.lead, [c * poly for c in self.coeffs])
 
-    def shift(self, k: int) -> "LaurentSeries":
-        return LaurentSeries(self.lead + k, self.coeffs)
-
     def render(self, regulator: str = "z") -> str:
         parts = []
         for j, c in enumerate(self.coeffs):

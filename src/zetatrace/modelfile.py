@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .engine import GaugeGroup, ModelSpec, _build_phase, apply_gauge, reduced_integrals
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
 from .params import Param, ParamPoly
-from .symbols import Axis, AxisPoly, TPoly, compose_observable
+from .symbols import Axis, AxisPoly, T, compose_observable, t_free
 
 AXIS_KINDS = ("position", "momentum", "field")
 
@@ -182,7 +182,7 @@ def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1) 
         if name == "i":
             return AxisPoly.number(1j)
         if name == "T":
-            return AxisPoly({(): TPoly.of(ParamPoly.one(), 1)})
+            return AxisPoly.constant(ParamPoly.var(T))
         if name in axis_names:
             return AxisPoly.symbol(name)
         if name in param_names or name == "pi":
@@ -226,15 +226,15 @@ def _int_exponent(node, line: int) -> int:
 def _invert(p: AxisPoly, line: int) -> AxisPoly:
     if p.symbols():
         raise ParseError("division by an axis-dependent expression", line)
-    tp = p.constant_part()
-    if len(tp.parts) != 1:
+    parts = p.constant_part().by_power(T)
+    if len(parts) != 1:
         raise ParseError("division by a non-monomial expression", line)
-    ((tpow, poly),) = tp.parts.items()
+    ((t_power, poly),) = parts.items()
     try:
         inv = poly.inverse()
     except UnsupportedStructure as exc:
         raise ParseError(f"cannot invert {poly.render()}: {exc}", line) from exc
-    return AxisPoly({(): TPoly.of(inv, -tpow)})
+    return AxisPoly.constant(inv, -t_power)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
     expected = {}
     if parsed.expect_ast is not None:
         exp_poly = lower_ast(parsed.expect_ast, set(), pnames)
-        expected["observable"] = exp_poly.constant_part().plain()
+        expected["observable"] = t_free(exp_poly.constant_part())
     spec = ModelSpec(
         name=parsed.name,
         description="custom model",

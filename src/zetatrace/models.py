@@ -24,7 +24,7 @@ from .engine import (
 from .errors import UnknownModel, ValidationError
 from .laurent import DEFAULT_ORDER
 from .params import Param, ParamPoly
-from .symbols import Axis, AxisPoly, MatrixSymbol, TPoly
+from .symbols import Axis, AxisPoly, MatrixSymbol
 from .tables import PAPER, BranchPolicy
 from .terms import Divergent
 
@@ -99,9 +99,7 @@ def topological_oscillator() -> ModelSpec:
     j = Param("J", default=1.0)
     h = AxisPoly.symbol("xi", 2, _poly(0.5, J=-1))
     # Q^2/(-i T) with Q = T xi / (2 pi J): equals (i T / (4 pi^2 J^2)) xi^2
-    charge_sq = AxisPoly(
-        {(("xi", 2),): TPoly.of(_poly(0.25j, pi=-2, J=-2), 1)}
-    )
+    charge_sq = AxisPoly.symbol("xi", 2, _poly(0.25j, pi=-2, J=-2, T=1))
     return ModelSpec(
         name="topological_oscillator",
         description="quantum rotor; topological susceptibility and energy gap",

@@ -31,7 +31,6 @@ from scipy import integrate
 
 from .engine import _build_phase, apply_gauge, reduced_integrals
 from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
-from .params import ParamPoly
 from .symbols import AxisPoly, compose_observable
 
 # Lanczos approximation, g = 7, 9 coefficients.
@@ -277,11 +276,8 @@ def potential_numeric(model, bindings: Mapping[str, float]) -> tuple[list[float]
         raise UnsupportedStructure("not a potential model")
     phi = model.field_param
     pot = -_build_phase(model)[0].const
-    coeffs: dict[int, float] = {}  # dV by power of phi
-    for key, coeff in pot.diff(phi).terms.items():
-        power = int(dict(key).get(phi, 0))
-        term = ParamPoly({key: coeff}).eval({**bindings, phi: 1.0}).real
-        coeffs[power] = coeffs.get(power, 0.0) + term
+    dv = pot.diff(phi).by_power(phi)
+    coeffs = {int(e): part.eval(bindings).real for e, part in dv.items()}  # dV by power of phi
     roots = _real_roots([coeffs.get(p, 0.0) for p in range(max(coeffs, default=0), -1, -1)])
     h = 1e-4 * (max((abs(r) for r in roots), default=0.0) or 1.0)
     minima, masses = [], []

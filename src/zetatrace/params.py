@@ -9,6 +9,7 @@ value so that results such as ``e^2 * pi^-1`` stay symbolic until evaluated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,21 +245,30 @@ class ParamPoly:
     def subs(self, name: str, value: "ParamPoly") -> "ParamPoly":
         """Substitute a parameter by a ParamPoly (integer exponents only)."""
         out = ParamPoly.zero()
-        for key, coeff in self.terms.items():
-            exps = dict(key)
-            e = exps.pop(name, Fraction(0))
-            rest = ParamPoly({tuple(sorted(exps.items())): coeff})
-            if e == 0:
-                out = out + rest
-            else:
-                if e.denominator != 1 or e < 0:
-                    raise UnsupportedStructure("substitution needs nonnegative integer exponents")
-                out = out + rest * (value ** int(e))
+        for e, rest in self.by_power(name).items():
+            if e.denominator != 1 or e < 0:
+                raise UnsupportedStructure("substitution needs nonnegative integer exponents")
+            out = out + (rest if e == 0 else rest * value ** int(e))
         return out
+
+    def by_power(self, name: str) -> dict[Fraction, "ParamPoly"]:
+        """The coefficient of each power of one parameter, in order of first appearance.
+
+        ``sum(part * var(name, power))`` over the items gives back every term
+        of the poly; a poly free of ``name`` gives ``{0: itself}``, the zero
+        poly no parts.
+        """
+        parts: dict[Fraction, dict[ExpKey, complex]] = {}
+        for key, coeff in self.terms.items():
+            power = next((e for n, e in key if n == name), Fraction(0))
+            rest = tuple(item for item in key if item[0] != name)
+            parts.setdefault(power, {})[rest] = coeff
+        return {power: ParamPoly(terms) for power, terms in parts.items()}
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, bindings: Mapping[str, float] | None = None) -> complex:
+        """The value at ``bindings``; ``NumericOverflow`` if a power, term or sum is not finite."""
         bindings = dict(bindings or {})
         value = 0j
         for key, coeff in self.terms.items():
@@ -269,7 +279,12 @@ class ParamPoly:
                     term *= base ** float(exp)
                 except OverflowError:
                     raise NumericOverflow(f"{name}^{exp} overflows at {name} = {base:g}") from None
+            if not cmath.isfinite(term):
+                at = ", ".join(f"{name} = {self._resolve(name, bindings):g}" for name, _ in key)
+                raise NumericOverflow(f"{ParamPoly({key: coeff}).render()} overflows at {at}")
             value += term
+        if not cmath.isfinite(value):
+            raise NumericOverflow(f"{self.render()} overflows")
         return value
 
     @staticmethod

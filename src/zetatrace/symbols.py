@@ -2,7 +2,9 @@
 
 Integrands live in a small polynomial algebra over "axis symbols" (gauged
 integration variables, group radii, direction components) whose coefficients
-are parameter polynomials times explicit powers of the time-volume symbol T.
+are ``ParamPoly``s.  The time-volume symbol ``T`` is one of their parameters,
+so an explicit power of T is one more rational exponent on a named positive
+symbol; ``ParamPoly.by_power("T")`` splits a coefficient by those powers.
 Matrix Hamiltonians are restricted to the scalar-plus-involution form
 ``b I + c K`` with ``K^2 = I``, whose exponential has the exact closed form
 ``e^(-i b t) (cos(c t) I - i sin(c t) K)``; the trigonometric functions are
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedStructure,
 )
-from .params import ParamPoly, _fraction
+from .params import ParamPoly
 
 
 @dataclass(frozen=True)
@@ -35,83 +37,27 @@ class Axis:
     group: str | None = None
 
 
-class TPoly:
-    """ParamPoly coefficients keyed by an explicit rational power of T."""
+#: the time-volume symbol, a parameter of every amplitude coefficient
+T = "T"
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts: Mapping[Fraction, ParamPoly] | None = None):
-        cleaned: dict[Fraction, ParamPoly] = {}
-        for tp, poly in (parts or {}).items():
-            if not poly.is_zero():
-                cleaned[_fraction(tp)] = cleaned.get(_fraction(tp), ParamPoly.zero()) + poly
-        self.parts = {tp: p for tp, p in cleaned.items() if not p.is_zero()}
-
-    @staticmethod
-    def of(poly: ParamPoly, t_power=0) -> "TPoly":
-        return TPoly({_fraction(t_power): poly})
-
-    @staticmethod
-    def zero() -> "TPoly":
-        return TPoly()
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        parts = dict(self.parts)
-        for tp, poly in other.parts.items():
-            parts[tp] = parts.get(tp, ParamPoly.zero()) + poly
-        return TPoly(parts)
-
-    def __mul__(self, other):
-        if isinstance(other, TPoly):
-            out: dict[Fraction, ParamPoly] = {}
-            for t1, p1 in self.parts.items():
-                for t2, p2 in other.parts.items():
-                    key = t1 + t2
-                    out[key] = out.get(key, ParamPoly.zero()) + p1 * p2
-            return TPoly(out)
-        if isinstance(other, ParamPoly):
-            return TPoly({tp: p * other for tp, p in self.parts.items()})
-        return TPoly({tp: p.scale(other) for tp, p in self.parts.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TPoly":
-        return self * (-1)
-
-    def plain(self) -> ParamPoly:
-        """The T-free part, erroring if any T power is present."""
-        if not self.parts:
-            return ParamPoly.zero()
-        if set(self.parts) != {Fraction(0)}:
-            raise UnsupportedStructure("coefficient carries explicit T powers")
-        return self.parts[Fraction(0)]
-
-    def eval(self, bindings, t_value: float) -> complex:
-        return sum(
-            p.eval(bindings) * t_value ** float(tp) for tp, p in self.parts.items()
-        )
-
-    def __repr__(self):
-        body = " + ".join(
-            f"({p.render()})*T^{tp}" if tp else f"({p.render()})"
-            for tp, p in sorted(self.parts.items())
-        )
-        return body or "0"
+def t_free(poly: ParamPoly) -> ParamPoly:
+    """``poly`` itself, checked to carry no explicit power of ``T``."""
+    if T in poly.params():
+        raise UnsupportedStructure("coefficient carries explicit T powers")
+    return poly
 
 
 MonoKey = tuple[tuple[str, int], ...]
 
 
 class AxisPoly:
-    """Polynomial in axis symbols with TPoly coefficients."""
+    """Polynomial in axis symbols with ParamPoly coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[MonoKey, TPoly] | None = None):
-        cleaned: dict[MonoKey, TPoly] = {}
+    def __init__(self, terms: Mapping[MonoKey, ParamPoly] | None = None):
+        cleaned: dict[MonoKey, ParamPoly] = {}
         for key, coeff in (terms or {}).items():
             if not coeff.is_zero():
                 prev = cleaned.get(key)
@@ -126,7 +72,8 @@ class AxisPoly:
 
     @staticmethod
     def constant(poly: ParamPoly, t_power=0) -> "AxisPoly":
-        return AxisPoly({(): TPoly.of(poly, t_power)})
+        """``poly * T^t_power`` as an axis-free polynomial."""
+        return AxisPoly({(): poly * ParamPoly.var(T, t_power) if t_power else poly})
 
     @staticmethod
     def number(c) -> "AxisPoly":
@@ -135,14 +82,14 @@ class AxisPoly:
     @staticmethod
     def symbol(name: str, degree: int = 1, coeff: ParamPoly | None = None) -> "AxisPoly":
         key: MonoKey = ((name, degree),) if degree else ()
-        return AxisPoly({key: TPoly.of(coeff if coeff is not None else ParamPoly.one())})
+        return AxisPoly({key: coeff if coeff is not None else ParamPoly.one()})
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "AxisPoly") -> "AxisPoly":
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, TPoly.zero()) + c
+            terms[k] = terms.get(k, ParamPoly.zero()) + c
         return AxisPoly(terms)
 
     def __sub__(self, other: "AxisPoly") -> "AxisPoly":
@@ -153,14 +100,14 @@ class AxisPoly:
 
     def __mul__(self, other):
         if isinstance(other, AxisPoly):
-            out: dict[MonoKey, TPoly] = {}
+            out: dict[MonoKey, ParamPoly] = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
                     key = _merge_monos(k1, k2)
                     prod = c1 * c2
-                    out[key] = out.get(key, TPoly.zero()) + prod
+                    out[key] = out.get(key, ParamPoly.zero()) + prod
             return AxisPoly(out)
-        if isinstance(other, (ParamPoly, TPoly, int, float, complex)):
+        if isinstance(other, (ParamPoly, int, float, complex)):
             return AxisPoly({k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
@@ -190,18 +137,18 @@ class AxisPoly:
 
     def coefficient_of(self, name: str, degree: int) -> "AxisPoly":
         """Coefficient of name^degree (the remaining monomial part is kept)."""
-        out: dict[MonoKey, TPoly] = {}
+        out: dict[MonoKey, ParamPoly] = {}
         for key, coeff in self.terms.items():
             d = dict(key).get(name, 0)
             if d == degree:
                 rest = tuple((n, p) for n, p in key if n != name)
-                out[rest] = out.get(rest, TPoly.zero()) + coeff
+                out[rest] = out.get(rest, ParamPoly.zero()) + coeff
         return AxisPoly(out)
 
-    def constant_part(self) -> TPoly:
-        return self.terms.get((), TPoly.zero())
+    def constant_part(self) -> ParamPoly:
+        return self.terms.get((), ParamPoly.zero())
 
-    def monomials(self) -> Iterable[tuple[MonoKey, TPoly]]:
+    def monomials(self) -> Iterable[tuple[MonoKey, ParamPoly]]:
         return self.terms.items()
 
     def substitute(self, name: str, value: "AxisPoly") -> "AxisPoly":
@@ -216,7 +163,7 @@ class AxisPoly:
     def eval(self, axis_values: Mapping[str, complex], bindings, t_value: float = 1.0) -> complex:
         total = 0j
         for key, coeff in self.terms.items():
-            v = coeff.eval(bindings, t_value)
+            v = coeff.eval({**bindings, T: t_value})
             for name, deg in key:
                 v *= axis_values[name] ** deg
             total += v
@@ -228,7 +175,7 @@ class AxisPoly:
         parts = []
         for key, coeff in sorted(self.terms.items()):
             syms = "*".join(f"{n}^{d}" if d != 1 else n for n, d in key)
-            parts.append(f"({coeff!r})" + (f"*{syms}" if syms else ""))
+            parts.append(f"({coeff.render()})" + (f"*{syms}" if syms else ""))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -252,16 +199,14 @@ class PhaseDecomposition:
     """Per-axis quadratic/linear phase coefficients plus the constant part.
 
     ``h2[axis]`` and ``h1[axis]`` are ParamPoly coefficients of axis^2 and
-    axis^1; ``h0`` collects the axis-free remainder (constant plus an optional
-    inverse-power tail in a radial symbol).
+    axis^1; ``h0_const`` is the axis-free remainder.
     """
 
     h2: dict[str, ParamPoly]
     h1: dict[str, ParamPoly]
     h0_const: ParamPoly
-    h0_tail: dict[int, ParamPoly] = field(default_factory=dict)
 
-    def reassemble(self, radial_symbol: str | None = None) -> AxisPoly:
+    def reassemble(self) -> AxisPoly:
         out = AxisPoly.constant(self.h0_const)
         for name, c in self.h2.items():
             if not c.is_zero():
@@ -269,10 +214,6 @@ class PhaseDecomposition:
         for name, c in self.h1.items():
             if not c.is_zero():
                 out = out + AxisPoly.symbol(name, 1, c)
-        for j, c in self.h0_tail.items():
-            if radial_symbol is None:
-                raise UnsupportedStructure("tail terms need a radial symbol")
-            out = out + AxisPoly.symbol(radial_symbol, -j, c)
         return out
 
 
@@ -280,30 +221,29 @@ def decompose_phase(h: AxisPoly, axes: Sequence[str]) -> PhaseDecomposition:
     """Extract h2 and h1 per axis and the constant part.
 
     The input must be a sum of per-axis monomials of degree at most two;
-    cross-axis couplings and higher degrees are rejected.  Axes with
-    h2 = h1 = 0 but nonconstant dependence raise ``DegenerateCase``.
+    cross-axis couplings, inverse powers and higher degrees are rejected.
+    Axes with h2 = h1 = 0 but nonconstant dependence raise ``DegenerateCase``.
     """
     h2: dict[str, ParamPoly] = {}
     h1: dict[str, ParamPoly] = {}
     const = ParamPoly.zero()
-    tail: dict[int, ParamPoly] = {}
     for key, coeff in h.terms.items():
         names = [n for n, _ in key]
         if len(names) > 1:
             raise UnsupportedStructure(f"cross-axis phase coupling: {key}")
         if not names:
-            const = const + coeff.plain()
+            const = const + t_free(coeff)
             continue
         (name, deg), = key
         if name not in axes:
             raise UnsupportedStructure(f"phase depends on unknown symbol {name}")
-        poly = coeff.plain()
+        poly = t_free(coeff)
         if deg == 2:
             h2[name] = h2.get(name, ParamPoly.zero()) + poly
         elif deg == 1:
             h1[name] = h1.get(name, ParamPoly.zero()) + poly
         elif deg < 0:
-            tail[-deg] = tail.get(-deg, ParamPoly.zero()) + poly
+            raise UnsupportedStructure("inverse-power phase tails are not reduced symbolically")
         else:
             raise DegenerateCase(
                 f"axis {name} has neither quadratic nor linear phase but degree {deg}"
@@ -312,7 +252,7 @@ def decompose_phase(h: AxisPoly, axes: Sequence[str]) -> PhaseDecomposition:
         if h2.get(name, ParamPoly.zero()).is_zero() and h1.get(name, ParamPoly.zero()).is_zero():
             if h.degree_in(name) > 0:
                 raise DegenerateCase(f"axis {name}: h2 = h1 = 0 with nonconstant phase")
-    return PhaseDecomposition(h2, h1, const, tail)
+    return PhaseDecomposition(h2, h1, const)
 
 
 # ---------------------------------------------------------------------------

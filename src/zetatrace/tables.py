@@ -52,9 +52,6 @@ class AffineExp:
     def of(regulator: str, a, b) -> "AffineExp":
         return AffineExp(regulator, _fraction(a), _fraction(b))
 
-    def shifted(self, db) -> "AffineExp":
-        return AffineExp(self.regulator, self.a, self.b + _fraction(db))
-
 
 def _check_gamma_arg(q: AffineExp, denom: int = 1):
     """(q + 1)/denom must not be a non-positive integer when a = 0."""

@@ -96,6 +96,21 @@ def test_run_numeric_overflowing_power_exits_one(capsys, emit):
     assert err.strip().splitlines() == ["error: e^2 overflows at e = 1e+200"]
 
 
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_run_phi4_numeric_overflowing_product_exits_one(capsys, emit):
+    # mu = 1e200 and lambda^-1/2 = 1e150 are in range, the minimum 2.4e350 is not: nothing is
+    # printed before the error line
+    code, out, err = run_cli(
+        capsys, "run", "phi4", "--numeric", "--param", "mu=1e200", "--param", "lambda=1e-300",
+        "--emit", emit,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "error: 2.44948974278 * lambda^-1/2 * mu overflows at lambda = 1e-300, mu = 1e+200"
+    ]
+
+
 def test_run_unknown_model_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "nonexistent_model")
     assert code == 1

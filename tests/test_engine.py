@@ -94,7 +94,7 @@ def test_complete_square_unit_case():
     assert const.as_number() == pytest.approx(1.0)
     assert shift.as_number() == pytest.approx(1.0)
     # amp(r - shift) = r - 1
-    assert new_amp.constant_part().plain().as_number() == pytest.approx(-1.0)
+    assert new_amp.constant_part().as_number() == pytest.approx(-1.0)
 
 
 def test_complete_square_identity_when_no_linear_part():

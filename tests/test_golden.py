@@ -3,7 +3,10 @@
 Each case runs one ``zetatrace`` command through ``cli.main`` and compares its
 exit code and stdout with ``tests/golden/<name>.txt``.  The files pin the text
 and JSON output (closed forms, traces, finite-T renders) so that a change to
-the pipeline that should leave results alone can be shown to do so.
+the pipeline that should leave results alone can be shown to do so.  A model
+file named in a case lives in ``tests/golden`` and is recorded by its bare
+file name, so the recorded command line does not depend on where the
+checkout is.
 
 To re-record after an intended output change::
 
@@ -44,6 +47,11 @@ def _cases() -> dict[str, list[str]]:
     cases["run_phi4_numeric_json"] = [
         "run", "phi4", "--numeric", "--emit", "json", "--param", "mu=1.3", "--param", "lambda=2.7",
     ]
+    # a model file whose observable mixes explicit powers of T in one axis
+    # monomial (x^2 carries T^0 and T^1) and in its constant (T^0 and T^-1)
+    cases["model_oscillator_mixed_t"] = [
+        "model", "oscillator_mixed_t.zt", "--emit", "json", "--trace",
+    ]
     return cases
 
 
@@ -53,7 +61,7 @@ CASES = _cases()
 def _record(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+        code = main([str(GOLDEN / a) if a.endswith(".zt") else a for a in argv])
     return f"$ zetatrace {' '.join(argv)}\nexit {code}\n{out.getvalue()}"
 
 

@@ -53,6 +53,18 @@ def test_eval_overflowing_power_raises_a_zetatrace_error():
         mono(1, mu=2).eval({"mu": 1e200})
 
 
+def test_eval_overflowing_product_of_finite_powers_raises():
+    # each power is in range, their product is not
+    message = r"^lam\^-1/2 \* mu overflows at lam = 1e-300, mu = 1e\+200$"
+    with pytest.raises(NumericOverflow, match=message):
+        mono(1, mu=1, lam=Fraction(-1, 2)).eval({"mu": 1e200, "lam": 1e-300})
+
+
+def test_eval_overflowing_sum_of_finite_terms_raises():
+    with pytest.raises(NumericOverflow, match="overflows"):
+        (mono(1e308) + mono(1e308, a=1)).eval({"a": 1.0})
+
+
 def test_pi_bound_automatically():
     assert mono(1, pi=2).eval({}) == pytest.approx(math.pi**2)
 
@@ -139,3 +151,36 @@ def test_log_param_evaluates_to_log_of_base():
     base = mono(2, J=1)
     lg = log_param(base)
     assert lg.eval({"J": 3.0}) == pytest.approx(math.log(6.0))
+
+
+@st.composite
+def multi_polys(draw, names=("a", "b", "c", "T")):
+    """Sums of monomials in any subset of ``names``."""
+    total = ParamPoly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        exps = draw(st.dictionaries(st.sampled_from(names), exponents, max_size=len(names)))
+        total = total + ParamPoly.monomial(draw(coeffs), exps)
+    return total
+
+
+@given(multi_polys(), st.sampled_from(["a", "b", "c", "T"]))
+def test_by_power_parts_sum_back_to_the_terms(p, name):
+    parts = p.by_power(name)
+    powers = [dict(key).get(name, Fraction(0)) for key in p.terms]
+    assert list(parts) == list(dict.fromkeys(powers))  # order of first appearance
+    back = {}
+    for power, part in parts.items():
+        assert name not in part.params()
+        for key, coeff in (part * ParamPoly.var(name, power)).terms.items():
+            assert key not in back
+            back[key] = coeff
+    assert back == p.terms
+
+
+@given(multi_polys(names=("a", "b", "c")))
+def test_by_power_of_an_absent_parameter_is_the_poly_itself(p):
+    parts = p.by_power("T")
+    if p.is_zero():
+        assert parts == {}
+    else:
+        assert list(parts) == [0] and parts[0].terms == p.terms
