@@ -5,6 +5,14 @@ factors (Gamma of an affine argument, a half-turn exponential ``e^{i pi (a z + b
 an integer power of an affine polynomial, and rational powers of positive
 parameter monomials).  Each factor has a closed Taylor/Laurent expansion at
 ``z = 0``; products expand by truncated convolution.
+
+The series of a Gamma, half-turn or affine factor is plain numbers times one
+fixed monomial (``pi^(1/2)`` for a Gamma at a half-integer, else none), so
+``expand_product`` convolves the leading run of such factors over complex
+numbers and lifts each coefficient to a ``ParamPoly`` once.  From the first
+``const_pow`` factor on, whose coefficients carry ``ln(base)^k``, it
+multiplies ``ParamPoly`` series.  Either way the float operations, and so
+every last bit, are those of a ``ParamPoly`` fold over the factors in order.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from .errors import UnsupportedFactor, UnsupportedStructure
-from .params import ExpKey, ParamPoly, _fraction, log_param
+from .params import ExpKey, ParamPoly, _fraction, _merge_keys, log_param
 
 DEFAULT_ORDER = 4
 MAX_ORDER = 16
@@ -214,7 +222,9 @@ class LaurentSeries:
     Coefficients are any ring elements supporting ``+``, ``*`` (by another
     coefficient or a scalar via ``scale``) and ``is_zero``.  The engine uses
     ``ParamPoly`` coefficients here and term-sum coefficients in the limit
-    machinery.
+    machinery.  ``expand_product`` multiplies these series only from its first
+    ``const_pow`` factor on; the Gamma, half-turn and affine factors before it
+    are convolved as lists of complex numbers.
     """
 
     __slots__ = ("lead", "coeffs")
@@ -413,9 +423,47 @@ def _convolve(xs: Sequence[complex], ys: Sequence[complex], n: int) -> list[comp
     return out
 
 
+def _terms(series: LaurentSeries) -> list[tuple[ExpKey, complex] | None]:
+    """The one term of each coefficient of a factor's series, None where it is zero."""
+    terms = []
+    for c in series.coeffs:
+        (term,) = c.terms.items() or (None,)  # a single monomial, by construction
+        terms.append(term)
+    return terms
+
+
 def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Truncated Laurent expansion of a factor product times its prefactor."""
-    series = LaurentSeries(0, [ParamPoly.one()] + [ParamPoly.zero()] * order)
-    for f in p.factors:
+    """Truncated Laurent expansion of a factor product times its prefactor.
+
+    Bit for bit the fold ``series.mul(expand_factor(f))`` over the factors in
+    order, then ``.scale(prefactor)``: the factors before the first
+    ``const_pow`` are convolved as complex numbers in that same order, which
+    performs the same float operations.
+    """
+    factors = p.factors
+    split = next((i for i, f in enumerate(factors) if f.kind is FactorKind.CONST_POW), len(factors))
+    lead, nums, key = 0, [1 + 0j] + [0j] * order, ExpKey()
+    for f in factors[:split]:
+        series = expand_factor(f, order)
+        terms = _terms(series)
+        lead += series.lead
+        nums = _convolve(nums, [t[1] if t else 0j for t in terms], order + 1)
+        key = _merge_keys(key, next((t[0] for t in terms if t), ()))  # one monomial per factor
+    if split == len(factors):
+        pre = [(_merge_keys(key, k), c) for k, c in p.prefactor.terms.items()]
+        return LaurentSeries(lead, [ParamPoly({k: x * c for k, c in pre}) for x in nums])
+    # The first const_pow's coefficients carry distinct powers of ln(base), so
+    # no two products share a monomial: each coefficient is one dict of
+    # products, which is what the fold's additions leave after pruning.
+    series = expand_factor(factors[split], order)
+    logs = _terms(series)
+    series = LaurentSeries(lead + series.lead, [
+        ParamPoly({
+            _merge_keys(key, logs[m - i][0]): nums[i] * logs[m - i][1]
+            for i in range(m + 1) if nums[i] and logs[m - i]
+        })
+        for m in range(order + 1)
+    ])
+    for f in factors[split + 1:]:
         series = series.mul(expand_factor(f, order), ParamPoly.zero())
     return series.scale(p.prefactor)

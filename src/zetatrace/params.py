@@ -5,6 +5,13 @@ complex floating-point coefficients and rational exponents of named positive
 parameters.  This is the coefficient field for every series and term sum in
 the engine.  ``pi`` is pre-registered as a parameter with a known numeric
 value so that results such as ``e^2 * pi^-1`` stay symbolic until evaluated.
+
+A monomial's exponents are an ``ExpKey``: the sorted ``(name, Fraction)``
+pairs as a tuple that hashes once, when it is built.  Hashing a ``Fraction``
+is slow, and the dict arithmetic looks each key up several times.  A key
+equals, and hashes like, the plain tuple of its pairs, so plain-tuple lookups
+(``poly.terms == {(): 1.0}``) keep working.  A coefficient that is not finite
+raises ``NumericOverflow``; it is never dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +42,27 @@ class Param:
     default: float | None = None
 
 
-ExpKey = tuple[tuple[str, Fraction], ...]
+class ExpKey(tuple):
+    """The ``(name, Fraction)`` exponent pairs of one monomial, hashed once when built.
+
+    Callers pass the pairs sorted by name, without zero exponents.
+    """
+
+    def __new__(cls, pairs=()):
+        key = tuple.__new__(cls, pairs)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: an unpickled key hashes afresh
+        return ExpKey, (tuple(self),)
+
+
+#: the key of the monomial 1, shared by every pure number
+_NO_PARAMS = ExpKey()
 
 
 def _fraction(x) -> Fraction:
@@ -49,8 +76,10 @@ def _fraction(x) -> Fraction:
 
 
 def format_real(x: float) -> str:
-    """Render a real number, preferring small exact fractions."""
-    if x == int(x) and abs(x) < 1e15:
+    """Render a real number, preferring small exact fractions; 12 digits from 1e15 on."""
+    if not abs(x) < 1e15:
+        return f"{x:.12g}"
+    if x == int(x):
         return str(int(x))
     frac = Fraction(x).limit_denominator(10_000)
     if abs(float(frac) - x) <= 1e-12 * max(1.0, abs(x)):
@@ -80,16 +109,25 @@ class ParamPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[ExpKey, complex] | None = None):
+    def __init__(self, terms: Mapping[tuple, complex] | None = None):
         merged: dict[ExpKey, complex] = {}
         if terms:
             for key, coeff in terms.items():
                 if coeff == 0:
                     continue
-                merged[key] = merged.get(key, 0) + complex(coeff)
+                if type(key) is not ExpKey:
+                    key = ExpKey(key) if key else _NO_PARAMS
+                # a mapping's keys are distinct; 0 + turns -0.0 into 0.0
+                merged[key] = 0 + complex(coeff)
         if merged:
-            scale = max(abs(c) for c in merged.values())
-            merged = {k: c for k, c in merged.items() if abs(c) > COEFF_TOL * scale and c != 0}
+            values = merged.values()
+            if not all(map(cmath.isfinite, values)):
+                key, c = next((k, c) for k, c in merged.items() if not cmath.isfinite(c))
+                mono = "*".join(f"{n}^{e}" for n, e in key) or "1"
+                raise NumericOverflow(f"the coefficient of {mono} is not finite: {c}")
+            floor = COEFF_TOL * max(map(abs, values))
+            if min(map(abs, values)) <= floor:
+                merged = {k: c for k, c in merged.items() if abs(c) > floor}
         object.__setattr__(self, "terms", merged)
 
     # -- constructors ------------------------------------------------------
@@ -109,12 +147,11 @@ class ParamPoly:
     @staticmethod
     def var(name: str, exponent=1, coeff=1.0) -> "ParamPoly":
         e = _fraction(exponent)
-        key: ExpKey = () if e == 0 else ((name, e),)
-        return ParamPoly({key: complex(coeff)})
+        return ParamPoly({_NO_PARAMS if e == 0 else ExpKey(((name, e),)): complex(coeff)})
 
     @staticmethod
     def monomial(coeff, exponents: Mapping[str, Fraction]) -> "ParamPoly":
-        key = tuple(sorted((n, _fraction(e)) for n, e in exponents.items() if e != 0))
+        key = ExpKey(sorted((n, _fraction(e)) for n, e in exponents.items() if e != 0))
         return ParamPoly({key: complex(coeff)})
 
     # -- queries -----------------------------------------------------------
@@ -362,12 +399,12 @@ class ParamPoly:
 def _merge_keys(k1: ExpKey, k2: ExpKey) -> ExpKey:
     exps = dict(k1)
     for name, e in k2:
-        tot = exps.get(name, Fraction(0)) + e
+        tot = exps[name] + e if name in exps else e
         if tot == 0:
             exps.pop(name, None)
         else:
             exps[name] = tot
-    return tuple(sorted(exps.items()))
+    return ExpKey(sorted(exps.items()))
 
 
 def log_param(base: ParamPoly) -> ParamPoly:

@@ -257,6 +257,26 @@ def test_kv_trace_critical_degree_exits_one(tmp_path, capsys):
     assert "critical" in err
 
 
+def test_kv_trace_overflowing_amplitude_exits_one(tmp_path, capsys):
+    # the volume times the angular factor leaves the float range: the trace
+    # is not 0, it cannot be computed in floats
+    path = tmp_path / "amp.kv"
+    path.write_text("[kv]\ndimension = 1\nvolume = 1e308\n[term]\ndegree = -3\nangular = 10\n")
+    code, out, err = run_cli(capsys, "kv-trace", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+
+
+def test_kv_trace_prints_a_huge_trace_in_twelve_digits(tmp_path, capsys):
+    path = tmp_path / "amp.kv"
+    path.write_text("[kv]\ndimension = 1\nvolume = 1e307\n[term]\ndegree = -3\n")
+    code, out, _ = run_cli(capsys, "kv-trace", str(path))
+    assert code == 0
+    assert out == "trace(0) = 1e+307\nnumeric: 1e+307\n"
+
+
 def assert_input_error(code, err, fragment):
     """Exit 2 with a single 'error: ...' line naming the fault, no traceback."""
     assert code == 2

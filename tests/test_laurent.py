@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetatrace import oracle
 from zetatrace.errors import DivergentLimit, ZeroOverZeroUnresolved
 from zetatrace.laurent import (
+    LaurentSeries,
     MeroFactorProduct,
     PrimitiveFactor,
     expand_factor,
@@ -161,6 +162,55 @@ def test_expand_product_is_multiplicative(fa, fb):
         x = (joint.coeff_at(p) or ParamPoly.zero()).eval({})
         y = (split.coeff_at(p) or ParamPoly.zero()).eval({})
         assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+
+
+def folded_product(p, order):
+    """The ParamPoly fold ``expand_product`` must reproduce bit for bit."""
+    series = LaurentSeries(0, [ParamPoly.one()] + [ParamPoly.zero()] * order)
+    for f in p.factors:
+        series = series.mul(expand_factor(f, order), ParamPoly.zero())
+    return series.scale(p.prefactor)
+
+
+def exact(series):
+    """Lead, terms, and their repr in insertion order: later sums add in that order."""
+    return series.lead, [c.terms for c in series.coeffs], [repr(list(c.terms.items())) for c in series.coeffs]
+
+
+slopes = st.sampled_from([Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 4)])
+half_integers = st.integers(-3, 3).map(lambda k: Fraction(2 * k + 1, 2))
+numeric_factors = st.one_of(
+    st.builds(PrimitiveFactor.gamma, slopes, half_integers),
+    st.builds(PrimitiveFactor.gamma, slopes, st.integers(-3, 0)),
+    st.builds(PrimitiveFactor.exp_ipi, slopes, slopes),
+    st.builds(PrimitiveFactor.affine, slopes, st.just(0), st.integers(-3, 3).filter(bool)),
+    st.builds(PrimitiveFactor.affine, slopes, slopes, st.integers(-3, 3).filter(bool)),
+)
+bases = st.builds(
+    lambda c, e: ParamPoly.monomial(c, {"J": e, "m": Fraction(1, 2)}),
+    st.sampled_from([0.3, 2.0, 7.5]),
+    st.sampled_from([Fraction(1), Fraction(-1, 2)]),
+)
+const_pows = st.builds(PrimitiveFactor.const_pow, bases, slopes, slopes)
+any_factors = st.booleans().flatmap(lambda power: const_pows if power else numeric_factors)
+monomials = st.builds(
+    ParamPoly.monomial,
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.dictionaries(st.sampled_from(["pi", "T", "J", "ln(J)"]), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(-2)]), max_size=2),
+)
+prefactors = st.lists(monomials, min_size=1, max_size=3).map(lambda ms: sum(ms, ParamPoly.zero()))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(numeric_factors, max_size=4),
+    st.lists(any_factors, max_size=3),
+    prefactors,
+    st.integers(2, 16),
+)
+def test_expand_product_is_the_param_poly_fold_bit_for_bit(head, tail, prefactor, order):
+    p = MeroFactorProduct(prefactor, tuple(head + tail))
+    assert exact(expand_product(p, order)) == exact(folded_product(p, order))
 
 
 @pytest.mark.parametrize("factor", FACTORS)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetatrace.errors import NumericOverflow, UnboundParameter, UnsupportedStructure
-from zetatrace.params import ParamPoly, format_real, log_param
+from zetatrace.params import ExpKey, ParamPoly, format_real, log_param
 
 
 def mono(c, **exps):
@@ -137,6 +138,57 @@ def test_format_real_irrational_stays_decimal():
     assert format_real(math.sqrt(6)) == "2.44948974278"
     assert format_real(0.5) == "1/2"
     assert format_real(1.0 - 1e-13) == "1"
+
+
+def test_format_real_prints_twelve_digits_from_1e15_on():
+    assert format_real(1e307) == "1e+307"
+    assert format_real(-2.5e20) == "-2.5e+20"
+    assert format_real(1e15) == "1e+15"
+    assert format_real(999999999999999.0) == "999999999999999"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+def test_a_non_finite_coefficient_raises_instead_of_pruning_the_poly(bad):
+    a = (("a", Fraction(1)),)
+    # before and after a finite term: max() hides a nan that does not come first
+    for terms in ({(): 1.0, a: bad}, {a: bad, (): 1.0}, {a: bad}):
+        with pytest.raises(NumericOverflow, match="not finite"):
+            ParamPoly(terms)
+
+
+def test_overflowing_arithmetic_raises():
+    big = ParamPoly.number(1e308)
+    with pytest.raises(NumericOverflow):
+        big * ParamPoly.number(10)
+    with pytest.raises(NumericOverflow):
+        big + big
+
+
+def test_exponent_keys_hash_and_compare_like_plain_tuples():
+    pairs = (("J", Fraction(-1, 2)), ("m", Fraction(3)))
+    key = ExpKey(pairs)
+    assert hash(key) == hash(tuple(key)) == hash(pairs)
+    assert key == pairs and pairs == key and ExpKey() == ()
+    assert {pairs: 1}[key] == 1 and {key: 1}[pairs] == 1
+    assert ParamPoly({pairs: 2.0}) == ParamPoly({key: 2.0})
+    assert ParamPoly({pairs: 2.0}).terms == {pairs: 2.0}
+    assert ParamPoly.one().terms == {(): 1.0}
+    product = mono(2, J=1) * mono(3, m=3) + ParamPoly({pairs: 1.0})
+    assert all(type(k) is ExpKey for k in product.terms)
+
+
+def test_exponent_keys_survive_pickling():
+    poly = mono(2, J=Fraction(1, 2)) + ParamPoly.var("m") + ParamPoly.one()
+    loaded = pickle.loads(pickle.dumps(poly))
+    assert loaded.terms == poly.terms
+    assert all(type(k) is ExpKey and hash(k) == hash(tuple(k)) for k in loaded.terms)
+
+
+def test_an_unpickled_key_hashes_afresh():
+    key = ExpKey((("J", Fraction(1, 2)),))
+    key._hash = 12345  # as if pickled by a process with another string-hash seed
+    loaded = pickle.loads(pickle.dumps(key))
+    assert loaded == key and hash(loaded) == hash(tuple(key))
 
 
 def test_diff_and_subs():
