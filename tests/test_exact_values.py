@@ -7,7 +7,10 @@ model, of the potential, its critical points, minima, masses and residual)
 in ``tests/golden/exact_values.txt``.  It covers the registry models on both
 branches and the complexity ladders: ``harmonic_oscillator_nd`` n = 1..6
 grouped and n = 1..3 per axis, and ``harmonic_oscillator_1d`` and
-``dirac_fermion`` n = 3 at series orders 4, 8 and 16.
+``dirac_fermion`` n = 3 at series orders 4, 8 and 16.  It also covers model
+files on both branches (``golden/oscillator_mixed_t.zt`` and the files in
+``MODEL_FILES``, whose coefficients are not dyadic, so that their floats
+round) and one trace-at-zero amplitude (``KV_SPEC``).
 
 A change meant to keep results bit for bit must leave the file as it is.  To
 re-record after an intended change of values::
@@ -15,16 +18,89 @@ re-record after an intended change of values::
     PYTHONPATH=src python tests/test_exact_values.py
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from zetatrace.models import REGISTRY, run_model
+from zetatrace.engine import KVAmplitudeSpec, kv_trace_at_zero
+from zetatrace.modelfile import parse_model_text, to_model_spec
+from zetatrace.models import REGISTRY, RegistryEntry, run_model
 from zetatrace.params import ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL
 
-RECORD = Path(__file__).parent / "golden" / "exact_values.txt"
+GOLDEN = Path(__file__).parent / "golden"
+RECORD = GOLDEN / "exact_values.txt"
 POLICIES = {"paper": PAPER, "principal": PRINCIPAL}
+
+#: model file name -> text; coefficients such as 3/7 are not exact in binary
+MODEL_FILES = {
+    "rotor_3_7": """\
+[params]
+J = positive
+[axes]
+xi = momentum
+[phase]
+3/7*xi^2/J
+[observable]
+(T*xi/(2*pi*J))^2/(-i*T)
+""",
+    "oscillator_1_axis": """\
+[params]
+m = positive
+w = positive
+[axes]
+xi1 = momentum
+x1 = position
+[phase]
+3/7*xi1^2/m + 2/9*m*w^2*x1^2 + 5/7*w
+[observable]
+3/7*xi1^2/m + 2/9*m*w^2*x1^2 + 5/7*w + i*T*x1^2
+""",
+    "oscillator_2_axes_grouped": """\
+[params]
+m = positive
+w = positive
+[axes]
+xi1 = momentum, gp
+x1 = position, gx
+xi2 = momentum, gp
+x2 = position, gx
+[phase]
+2/9*xi1^2/m + 5/7*m*w^2*x1^2 + 2/9*xi2^2/m + 5/7*m*w^2*x2^2 + 3/7*w
+[observable]
+2/9*xi1^2/m + 5/7*m*w^2*x1^2 + 2/9*xi2^2/m + 5/7*m*w^2*x2^2 + 3/7*w + i*T*x1^2
+""",
+    "oscillator_3_axes": """\
+[params]
+m = positive
+w = positive
+[axes]
+xi1 = momentum
+x1 = position
+xi2 = momentum
+x2 = position
+xi3 = momentum
+x3 = position
+[phase]
+3/7*xi1^2/m + 5/7*m*w^2*x1^2 + 2/9*xi2^2/m + 3/7*m*w^2*x2^2 + 5/7*xi3^2/m + 2/9*m*w^2*x3^2 + 2/9*w
+[observable]
+3/7*xi1^2/m + 5/7*m*w^2*x1^2 + 2/9*xi2^2/m + 3/7*m*w^2*x2^2 + 5/7*xi3^2/m + 2/9*m*w^2*x3^2 + 2/9*w + i*T*x1^2
+""",
+    "oscillator_mixed_t": (GOLDEN / "oscillator_mixed_t.zt").read_text(encoding="utf-8"),
+}
+
+#: a trace-at-zero amplitude with non-dyadic volume, degrees and angular parts
+KV_SPEC = KVAmplitudeSpec(
+    dimension=3,
+    terms=(
+        (Fraction(-1, 2), 0, ParamPoly.number(2 / 9)),
+        (Fraction(1, 3), 2, ParamPoly.number(5 / 7)),
+        (Fraction(-5), 1, ParamPoly.number(3 / 7)),
+    ),
+    vol_x=ParamPoly.number(3 / 7),
+)
+KV_CASE = "kv|dimension=3"
 
 
 def _cases() -> dict[str, tuple[str, dict, str, int]]:
@@ -39,6 +115,10 @@ def _cases() -> dict[str, tuple[str, dict, str, int]]:
     for order in (4, 8, 16):
         cases[f"harmonic_oscillator_1d|paper|{order}"] = ("harmonic_oscillator_1d", {}, "paper", order)
         cases[f"dirac_fermion|n=3|paper|{order}"] = ("dirac_fermion", {"n": 3}, "paper", order)
+    for name in MODEL_FILES:
+        for b in POLICIES:
+            cases[f"file:{name}|{b}|4"] = (f"file:{name}", {}, b, 4)
+    cases[KV_CASE] = ("kv", {}, "", 0)
     return cases
 
 
@@ -62,9 +142,19 @@ def _asymptote_lines(label: str, asym) -> list[str]:
     return lines or [f"{label} none"]
 
 
+def _run(model: str, overrides: dict, branch: str, order: int):
+    if not model.startswith("file:"):
+        return run_model(model, POLICIES[branch], order, **overrides)
+    name = model[len("file:"):]
+    spec = to_model_spec(parse_model_text(MODEL_FILES[name], name))
+    registry = {name: RegistryEntry(lambda: spec, spec.description, "custom")}
+    return run_model(name, POLICIES[branch], order, registry)
+
+
 def _exact_lines(case: str) -> list[str]:
-    model, overrides, branch, order = CASES[case]
-    run = run_model(model, POLICIES[branch], order, **overrides)
+    if case == KV_CASE:
+        return _poly_lines("trace(0)", kv_trace_at_zero(KV_SPEC))
+    run = _run(*CASES[case])
     lines = []
     for obs, res in sorted(run.results.items()):
         if isinstance(res.value, ParamPoly):
