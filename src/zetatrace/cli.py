@@ -211,6 +211,8 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
             values[key] = read(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
+        if read is float and not math.isfinite(values[key]):
+            raise ParseError(f"{key} must be finite, got {value!r}", lineno)
     header: dict = {}
     terms = []
     for section, values, lineno in sections:

@@ -241,7 +241,7 @@ def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
     if mono is None:
         raise UnsupportedStructure(f"phase coefficient is not a monomial: {poly.render()}")
     coeff, key = mono
-    if abs(coeff.imag) > 1e-12 * abs(coeff):
+    if coeff.imag != 0:
         raise UnsupportedStructure("phase coefficient must be real")
     sign = 1 if coeff.real > 0 else -1
     return sign, ParamPoly({key: abs(coeff.real)})
@@ -420,17 +420,13 @@ def reduce_pieces(
     return ZetaTermSum(out, model.regulators(), model.t_symbol)
 
 
-def _is_exactly_one(poly: ParamPoly) -> bool:
-    # no tolerance: a product with such a factor is bit-identical to the other factor
-    return poly.terms == {(): 1.0}
-
-
+# a product with a factor of exactly 1 is bit-identical to the other factor
 def _times(coeff: ParamPoly, factor: ParamPoly) -> ParamPoly:
-    return coeff if _is_exactly_one(factor) else coeff * factor
+    return coeff if factor.is_one() else coeff * factor
 
 
 def _scaled(row: ZetaTerm, mult: ParamPoly) -> ZetaTerm:
-    return row if _is_exactly_one(mult) else row.scaled(mult)
+    return row if mult.is_one() else row.scaled(mult)
 
 
 def _branch_term(
@@ -711,6 +707,6 @@ def _definite_sign(poly: ParamPoly) -> int:
     if mono is None:
         raise UnsolvablePotential(f"curvature {poly.render()} has indefinite sign")
     coeff, _ = mono
-    if abs(coeff.imag) > 1e-12 * abs(coeff):
+    if coeff.imag != 0:
         raise UnsolvablePotential("curvature is not real")
     return 1 if coeff.real > 0 else -1

@@ -219,12 +219,14 @@ class MeroFactorProduct:
 class LaurentSeries:
     """Truncated Laurent series sum(coeffs[j] * z^(lead + j)).
 
-    Coefficients are any ring elements supporting ``+``, ``*`` (by another
-    coefficient or a scalar via ``scale``) and ``is_zero``.  The engine uses
-    ``ParamPoly`` coefficients here and term-sum coefficients in the limit
-    machinery.  ``expand_product`` multiplies these series only from its first
-    ``const_pow`` factor on; the Gamma, half-turn and affine factors before it
-    are convolved as lists of complex numbers.
+    Coefficients are ring elements supporting ``+`` and ``*``.  A factor's or
+    product's series has ``ParamPoly`` coefficients; the regulator elimination
+    in ``terms`` builds series whose coefficients are term sums.  A
+    coefficient may be zero, the lead one included: the lead order of a
+    series is where its first nonzero coefficient sits.  ``expand_product``
+    multiplies these series only from its first ``const_pow`` factor on; the
+    Gamma, half-turn and affine factors before it are convolved as lists of
+    complex numbers.
     """
 
     __slots__ = ("lead", "coeffs")
@@ -233,40 +235,11 @@ class LaurentSeries:
         self.lead = lead
         self.coeffs = list(coeffs)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def normalized(self) -> "LaurentSeries":
-        lead, coeffs = self.lead, list(self.coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            lead += 1
-        return LaurentSeries(lead, coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def coeff_at(self, power: int):
         idx = power - self.lead
         if 0 <= idx < len(self.coeffs):
             return self.coeffs[idx]
         return None
-
-    def add(self, other: "LaurentSeries", zero) -> "LaurentSeries":
-        lead = min(self.lead, other.lead)
-        top = min(self.lead + len(self.coeffs), other.lead + len(other.coeffs))
-        n = top - lead
-        out = [zero for _ in range(max(n, 0))]
-        for i in range(len(out)):
-            p = lead + i
-            a = self.coeff_at(p)
-            b = other.coeff_at(p)
-            if a is not None:
-                out[i] = out[i] + a
-            if b is not None:
-                out[i] = out[i] + b
-        return LaurentSeries(lead, out)
 
     def mul(self, other: "LaurentSeries", zero) -> "LaurentSeries":
         n = min(len(self.coeffs), len(other.coeffs))
@@ -279,19 +252,6 @@ class LaurentSeries:
 
     def scale(self, poly) -> "LaurentSeries":
         return LaurentSeries(self.lead, [c * poly for c in self.coeffs])
-
-    def render(self, regulator: str = "z") -> str:
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            p = self.lead + j
-            if c.is_zero():
-                continue
-            cs = c.render() if hasattr(c, "render") else str(c)
-            if p == 0:
-                parts.append(f"({cs})")
-            else:
-                parts.append(f"({cs}) {regulator}^{p}")
-        return " + ".join(parts) if parts else "0"
 
 
 def _numeric_series(lead: int, coeffs: Sequence[complex]) -> LaurentSeries:

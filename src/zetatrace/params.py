@@ -10,8 +10,16 @@ A monomial's exponents are an ``ExpKey``: the sorted ``(name, Fraction)``
 pairs as a tuple that hashes once, when it is built.  Hashing a ``Fraction``
 is slow, and the dict arithmetic looks each key up several times.  A key
 equals, and hashes like, the plain tuple of its pairs, so plain-tuple lookups
-(``poly.terms == {(): 1.0}``) keep working.  A coefficient that is not finite
-raises ``NumericOverflow``; it is never dropped.
+(``poly.terms == {(): 1.0}``) keep working.  A plain tuple passed as a key is
+sorted and stripped of zero exponents, and coefficients of keys naming the
+same monomial are summed.
+
+Zero means zero: only a coefficient equal to 0 is dropped, so which terms a
+sum keeps, and so which Laurent order leads, depends only on exact
+cancellation.  A coefficient that is not finite raises ``NumericOverflow``;
+it is never dropped.  ``==`` compares within ``COEFF_TOL`` of the larger
+coefficient; such an equality is not transitive, so a ``ParamPoly`` has no
+hash.
 """
 
 from __future__ import annotations
@@ -91,10 +99,9 @@ def format_real(x: float) -> str:
 
 def format_complex(c: complex) -> str:
     re, im = c.real, c.imag
-    scale = max(abs(re), abs(im), 1.0)
-    if abs(im) <= 1e-14 * scale:
+    if im == 0:
         return format_real(re)
-    if abs(re) <= 1e-14 * scale:
+    if re == 0:
         if im == 1:
             return "i"
         if im == -1:
@@ -113,21 +120,17 @@ class ParamPoly:
         merged: dict[ExpKey, complex] = {}
         if terms:
             for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
                 if type(key) is not ExpKey:
-                    key = ExpKey(key) if key else _NO_PARAMS
-                # a mapping's keys are distinct; 0 + turns -0.0 into 0.0
-                merged[key] = 0 + complex(coeff)
-        if merged:
-            values = merged.values()
-            if not all(map(cmath.isfinite, values)):
-                key, c = next((k, c) for k, c in merged.items() if not cmath.isfinite(c))
-                mono = "*".join(f"{n}^{e}" for n, e in key) or "1"
-                raise NumericOverflow(f"the coefficient of {mono} is not finite: {c}")
-            floor = COEFF_TOL * max(map(abs, values))
-            if min(map(abs, values)) <= floor:
-                merged = {k: c for k, c in merged.items() if abs(c) > floor}
+                    key = _exp_key(key)
+                if key in merged:  # two keys of one monomial, one of them unsorted
+                    coeff += merged.pop(key)
+                if coeff != 0:
+                    # 0 + turns -0.0 into 0.0
+                    merged[key] = 0 + complex(coeff)
+        if merged and not all(map(cmath.isfinite, merged.values())):
+            key, c = next((k, c) for k, c in merged.items() if not cmath.isfinite(c))
+            mono = "*".join(f"{n}^{e}" for n, e in key) or "1"
+            raise NumericOverflow(f"the coefficient of {mono} is not finite: {c}")
         object.__setattr__(self, "terms", merged)
 
     # -- constructors ------------------------------------------------------
@@ -160,9 +163,7 @@ class ParamPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): 1.0} or (
-            len(self.terms) == 1 and () in self.terms and abs(self.terms[()] - 1) <= COEFF_TOL
-        )
+        return self.terms == {(): 1.0}
 
     def as_number(self) -> complex | None:
         """Return the numeric value if the poly is a pure number, else None."""
@@ -184,7 +185,7 @@ class ParamPoly:
         if mono is None:
             return False
         coeff, _ = mono
-        return abs(coeff.imag) <= 1e-14 * abs(coeff) and coeff.real > 0
+        return coeff.imag == 0 and coeff.real > 0
 
     def params(self) -> set[str]:
         return {name for key in self.terms for name, _ in key}
@@ -245,7 +246,7 @@ class ParamPoly:
         if mono is None:
             raise UnsupportedStructure(f"rational power of a non-monomial: {self.render()}")
         coeff, key = mono
-        if abs(coeff.imag) > 1e-14 * abs(coeff) or coeff.real <= 0:
+        if coeff.imag != 0 or coeff.real <= 0:
             raise UnsupportedStructure("rational power requires a positive coefficient")
         new_coeff = coeff.real ** float(e)
         new_key = tuple((n, p * e) for n, p in key if p * e != 0)
@@ -336,20 +337,13 @@ class ParamPoly:
 
     # -- identity / rendering ---------------------------------------------
 
-    def key(self) -> tuple:
-        """Hashable canonical identity (coefficients rounded to 12 digits)."""
-        return tuple(
-            (k, round(c.real, 12), round(c.imag, 12))
-            for k, c in sorted(self.terms.items())
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.almost_equal(other, COEFF_TOL)
 
-    def __hash__(self):
-        return hash(self.key())
+    # a tolerant equality is not transitive: no hash can agree with it
+    __hash__ = None
 
     def almost_equal(self, other: "ParamPoly", tol: float = COEFF_TOL) -> bool:
         keys = set(self.terms) | set(other.terms)
@@ -394,6 +388,13 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self.render()})"
+
+
+def _exp_key(pairs: tuple) -> ExpKey:
+    """The key of plain ``(name, exponent)`` pairs: sorted, zero exponents dropped."""
+    if not pairs:
+        return _NO_PARAMS
+    return ExpKey(sorted(item for item in pairs if item[1] != 0))
 
 
 def _merge_keys(k1: ExpKey, k2: ExpKey) -> ExpKey:

@@ -15,6 +15,11 @@ denominator, lead-order comparison) and reports lead orders of the undivided
 sums, i.e. shifted by the divisor's order.  ``value_at_zero`` evaluates a single sum
 at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
 ``T -> infinity``.
+
+A Laurent coefficient vanishes when its terms, grouped by exact structure
+(factors, ``T`` and ``ln T`` powers, the phase's exact coefficients,
+tokens), have prefactors that sum to the zero poly: no magnitude scale or
+tolerance decides which order leads.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class ZetaTerm:
             self.t_lin,
             self.t_const,
             self.t_log,
-            self.phase.key(),
+            frozenset(self.phase.terms.items()),
             self.tokens,
         )
 
@@ -154,8 +159,8 @@ class ZetaTermSum:
     def scale(self, poly: ParamPoly) -> "ZetaTermSum":
         return ZetaTermSum([t.scaled(poly) for t in self.terms], self.regulators, self.t_symbol)
 
-    def merged(self, scale: float | None = None) -> "ZetaTermSum":
-        """Merge terms with identical structure; drop prefactors that cancel."""
+    def merged(self) -> "ZetaTermSum":
+        """Merge terms with identical structure; drop those whose prefactors sum to zero."""
         buckets: dict[tuple, tuple[ZetaTerm, ParamPoly]] = {}
         for t in self.terms:
             key = t.structure_key()
@@ -164,30 +169,20 @@ class ZetaTermSum:
                 buckets[key] = (rep, acc + t.coeff.prefactor)
             else:
                 buckets[key] = (t, t.coeff.prefactor)
-        if scale is None:
-            scale = self.magnitude() or 1.0
-        out = []
-        for rep, acc in buckets.values():
-            if _poly_negligible(acc, scale):
-                continue
-            out.append(replace(rep, coeff=MeroFactorProduct(acc, rep.coeff.factors)))
+        out = [
+            replace(rep, coeff=MeroFactorProduct(acc, rep.coeff.factors))
+            for rep, acc in buckets.values()
+            if not acc.is_zero()
+        ]
         return ZetaTermSum(out, self.regulators, self.t_symbol)
 
-    def magnitude(self) -> float:
-        mags = [abs(c) for t in self.terms for c in t.coeff.prefactor.terms.values()]
-        return max(mags) if mags else 0.0
-
-    def is_zero(self, scale: float | None = None) -> bool:
-        return not self.merged(scale).terms
+    def is_zero(self) -> bool:
+        return not self.merged().terms
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         return "  +  ".join(t.render(self.t_symbol) for t in self.terms)
-
-
-def _poly_negligible(poly: ParamPoly, scale: float) -> bool:
-    return all(abs(c) <= 1e-10 * scale for c in poly.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ class TAsymptote:
         order: list[tuple] = []
         reps: dict[tuple, TAsymTerm] = {}
         for t in terms:
-            key = (t.t_power, t.log_power, t.phase.key())
+            key = (t.t_power, t.log_power, frozenset(t.phase.terms.items()))
             if key not in merged:
                 merged[key] = t.coeff
                 order.append(key)
@@ -295,93 +290,67 @@ class TAsymptote:
 # ---------------------------------------------------------------------------
 
 
-def _expand_term_in(term: ZetaTerm, regulator: str, order: int) -> LaurentSeries:
-    """Laurent series of one term in the given regulator.
-
-    Coefficients are ZetaTermSums free of that regulator; the expansion of
-    T^(a z) contributes exact powers of ln T.
-    """
-    local = [f for f in term.coeff.factors if f.regulator == regulator]
-    rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
-    a = term.t_coeff(regulator)
-    rest = ZetaTerm(
-        coeff=MeroFactorProduct(ParamPoly.one(), rest_factors),
-        t_lin=tuple((r, v) for r, v in term.t_lin if r != regulator),
-        t_const=term.t_const,
-        t_log=term.t_log,
-        phase=term.phase,
-        tokens=term.tokens,
-    )
-    base = expand_product(
-        MeroFactorProduct(term.coeff.prefactor, tuple(local)), order
-    )
-    # multiply by sum_k (a ln T)^k z^k / k!
-    out: dict[int, list[ZetaTerm]] = {}
-    top = base.lead + len(base.coeffs)
-    for j, cpoly in enumerate(base.coeffs):
-        if cpoly.is_zero():
-            continue
-        p0 = base.lead + j
-        kmax = top - 1 - p0 if a != 0 else 0
-        for k in range(kmax + 1):
-            p = p0 + k
-            factor = float(a) ** k / math.factorial(k) if k else 1.0
-            t = replace(
-                rest,
-                coeff=MeroFactorProduct(cpoly.scale(factor), rest_factors),
-                t_log=rest.t_log + k,
-            )
-            out.setdefault(p, []).append(t)
-    if not out:
-        return LaurentSeries(0, [ZetaTermSum.zero()])
-    lead = min(out)
-    topp = top
-    coeffs = []
-    for p in range(lead, topp):
-        coeffs.append(ZetaTermSum(out.get(p, []), (), ""))
-    return LaurentSeries(lead, coeffs)
-
-
 def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> LaurentSeries:
+    """Laurent series of a sum in one regulator, truncated where its shortest term ends.
+
+    Coefficients are ZetaTermSums free of that regulator, each holding its
+    terms' contributions in sum order; the expansion of T^(a z) contributes
+    exact powers of ln T.
+    """
     rest_regs = tuple(r for r in s.regulators if r != regulator)
-    zero = ZetaTermSum.zero(rest_regs, s.t_symbol)
-    series = LaurentSeries(0, [zero])
-    first = True
+    out: dict[int, list[ZetaTerm]] = {}
+    top = None
     for term in s.terms:
-        ts = _expand_term_in(term, regulator, order)
-        ts = LaurentSeries(
-            ts.lead,
-            [ZetaTermSum(c.terms, rest_regs, s.t_symbol) for c in ts.coeffs],
-        )
-        series = ts if first else series.add(ts, zero)
-        first = False
-    return series
+        local = tuple(f for f in term.coeff.factors if f.regulator == regulator)
+        rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
+        a = term.t_coeff(regulator)
+        rest = replace(term, t_lin=tuple((r, v) for r, v in term.t_lin if r != regulator))
+        base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
+        end = base.lead + len(base.coeffs)
+        top = end if top is None else min(top, end)
+        # multiply by sum_k (a ln T)^k z^k / k!
+        for j, cpoly in enumerate(base.coeffs):
+            if cpoly.is_zero():
+                continue
+            p0 = base.lead + j
+            for k in range(end - p0 if a != 0 else 1):
+                factor = float(a) ** k / math.factorial(k) if k else 1.0
+                out.setdefault(p0 + k, []).append(replace(
+                    rest,
+                    coeff=MeroFactorProduct(cpoly.scale(factor), rest_factors),
+                    t_log=rest.t_log + k,
+                ))
+    powers = [p for p in out if p < top]
+    if not powers:
+        return LaurentSeries(0, [ZetaTermSum.zero(rest_regs, s.t_symbol)])
+    return LaurentSeries(min(powers), [
+        ZetaTermSum(out.get(p, []), rest_regs, s.t_symbol) for p in range(min(powers), top)
+    ])
 
 
-def _lead_order(series: LaurentSeries, scale: float) -> int | None:
+def _lead_order(series: LaurentSeries) -> int | None:
     for j, c in enumerate(series.coeffs):
-        if not c.is_zero(scale):
+        if not c.is_zero():
             return series.lead + j
     return None
 
 
 def _expand_to_lead(
     sums: list[ZetaTermSum], regulator: str, order: int
-) -> tuple[list[LaurentSeries], list[int | None], float, int]:
+) -> tuple[list[LaurentSeries], list[int | None], int]:
     """Expand the sums jointly in one regulator until each lead order shows.
 
     The truncation starts at ``order`` and doubles while some sum vanishes
-    to it, up to ``MAX_ORDER``.  Returns the normalized series, their lead
-    orders (``None`` for a sum still vanishing at the last truncation), the
-    shared magnitude scale and the truncation used.
+    to it, up to ``MAX_ORDER``.  Returns the series, their lead orders
+    (``None`` for a sum still vanishing at the last truncation) and the
+    truncation used.
     """
     k = order
     while True:
-        series = [_expand_sum_in(s, regulator, k).normalized() for s in sums]
-        scale = max((c.magnitude() for x in series for c in x.coeffs), default=0.0) or 1.0
-        leads = [_lead_order(x, scale) for x in series]
+        series = [_expand_sum_in(s, regulator, k) for s in sums]
+        leads = [_lead_order(x) for x in series]
         if None not in leads or k >= MAX_ORDER:
-            return series, leads, scale, k
+            return series, leads, k
         k *= 2
 
 
@@ -543,7 +512,7 @@ def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
     current = s
     for reg in s.regulators:
         rest = tuple(r for r in current.regulators if r != reg)
-        (series,), (lead,), scale, _ = _expand_to_lead([current], reg, order)
+        (series,), (lead,), _ = _expand_to_lead([current], reg, order)
         if lead is None:
             current = ZetaTermSum.zero(rest, s.t_symbol)
             continue
@@ -551,7 +520,7 @@ def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
             residue = series.coeff_at(lead)
             raise PoleAtZero(-lead, residue.merged().render() if residue else None)
         coeff = series.coeff_at(0)
-        terms = coeff.merged(scale).terms if coeff is not None else []
+        terms = coeff.merged().terms if coeff is not None else []
         current = ZetaTermSum(terms, rest, s.t_symbol)
     return _to_asymptote(current)
 
@@ -592,7 +561,7 @@ def ratio_limit(
     n, d = cancel_common_tokens(n, d)
     n, d, g_orders = divide_by_reference(n, d)
     for reg in n.regulators:
-        (ln, ld), (pn, pd), scale, k = _expand_to_lead([n, d], reg, order)
+        (ln, ld), (pn, pd), k = _expand_to_lead([n, d], reg, order)
         if pn is None and pd is None:
             raise ZeroOverZeroUnresolved(f"0/0 in {reg} unresolved at truncation order {k}")
         if trace is not None:
@@ -613,8 +582,8 @@ def ratio_limit(
                 f"quotient diverges like {reg}^{pn - pd} at fixed {n.t_symbol}"
             )
         rest = tuple(r for r in n.regulators if r != reg)
-        n = ZetaTermSum(ln.coeff_at(pn).merged(scale).terms, rest, n.t_symbol)
-        d = ZetaTermSum(ld.coeff_at(pd).merged(scale).terms, rest, d.t_symbol)
+        n = ZetaTermSum(ln.coeff_at(pn).merged().terms, rest, n.t_symbol)
+        d = ZetaTermSum(ld.coeff_at(pd).merged().terms, rest, d.t_symbol)
     return divide_term_sums(n, d)
 
 

@@ -323,6 +323,24 @@ def test_kv_trace_non_numeric_value_exits_two(tmp_path, capsys, text, fragment):
     assert_input_error(code, err, fragment)
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[kv]\ndimension = 1\nvolume = nan\n", "volume must be finite, got 'nan' at line 3"),
+        ("[kv]\ndimension = 1\n[term]\ndegree = -3\nangular = inf\n",
+         "angular must be finite, got 'inf' at line 5"),
+        ("[kv]\ndimension = 1\nvolume = -inf\n", "volume must be finite, got '-inf' at line 3"),
+    ],
+    ids=["volume-nan", "angular-inf", "volume-minus-inf"],
+)
+def test_kv_trace_non_finite_value_exits_two(tmp_path, capsys, text, fragment):
+    path = tmp_path / "amp.kv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "kv-trace", str(path))
+    assert out == ""
+    assert_input_error(code, err, fragment)
+
+
 @pytest.mark.parametrize("command", ["kv-trace", "model"])
 def test_missing_input_file_exits_two(tmp_path, capsys, command):
     path = tmp_path / "absent.txt"

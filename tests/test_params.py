@@ -177,6 +177,45 @@ def test_exponent_keys_hash_and_compare_like_plain_tuples():
     assert all(type(k) is ExpKey for k in product.terms)
 
 
+def test_an_unsorted_key_names_the_same_monomial():
+    total = ParamPoly({(("b", 1), ("a", 1)): 1.0}) + ParamPoly.monomial(1.0, {"a": 1, "b": 1})
+    assert total.terms == {(("a", 1), ("b", 1)): 2.0}
+    assert total.render() == "2 * a * b"
+
+
+def test_plain_keys_are_sorted_stripped_of_zero_exponents_and_summed():
+    p = ParamPoly({
+        (("a", 1), ("b", 0)): 1.0,
+        (("a", 1),): 2.0,
+        (("c", 1), ("b", 1)): 3.0,
+        ExpKey((("b", 1), ("c", 1))): -3.0,
+        (("e", 2), ("d", 1)): 4.0,
+        ExpKey((("d", 1), ("e", 2))): 5.0,
+    })
+    assert p.terms == {(("a", 1),): 3.0, (("d", 1), ("e", 2)): 9.0}
+    assert all(type(k) is ExpKey for k in p.terms)
+
+
+def test_only_exact_zeros_are_dropped():
+    small = ParamPoly.var("X").scale(1e-13)
+    total = small + ParamPoly.var("Y")
+    assert total.terms == {(("X", 1),): 1e-13, (("Y", 1),): 1.0}
+    assert (small + ParamPoly.var("X", coeff=-1e-13)).terms == {}
+
+
+def test_exactness_tests_need_exact_values():
+    assert ParamPoly.one().is_one() and not ParamPoly.number(1 + 1e-15).is_one()
+    assert not ParamPoly.number(complex(1, 1e-20)).is_positive_monomial()
+    with pytest.raises(UnsupportedStructure):
+        ParamPoly.number(complex(4, 1e-20)).mono_pow(Fraction(1, 2))
+
+
+def test_a_param_poly_is_unhashable():
+    # == is tolerant and so not transitive: no hash can agree with it
+    with pytest.raises(TypeError):
+        hash(ParamPoly.one())
+
+
 def test_exponent_keys_survive_pickling():
     poly = mono(2, J=Fraction(1, 2)) + ParamPoly.var("m") + ParamPoly.one()
     loaded = pickle.loads(pickle.dumps(poly))

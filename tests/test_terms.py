@@ -17,6 +17,7 @@ from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, osc_linear
 from zetatrace.terms import (
     Divergent,
     TAsymptote,
+    TAsymTerm,
     ZetaTerm,
     ZetaTermSum,
     _tlin,
@@ -460,3 +461,28 @@ def test_division_pairs_factors_within_their_regulator():
     assert orders == {}
     assert d_div.terms[0].coeff.factors == ()
     assert n_div.terms[0].coeff.factors == (e(0, Fraction(1, 2), "z2"),)
+
+
+def test_merged_drops_only_buckets_that_cancel_exactly():
+    near = ParamPoly.number(-1.0 + 1e-11)
+    s = ZetaTermSum([
+        ZetaTerm.from_poly(ParamPoly.number(1.0)),
+        ZetaTerm.from_poly(ParamPoly.number(2.0), t_const=1),
+        ZetaTerm.from_poly(near),
+        ZetaTerm.from_poly(ParamPoly.number(0.5), t_const=2),
+        ZetaTerm.from_poly(ParamPoly.number(-0.5), t_const=2),
+    ])
+    merged = s.merged().terms
+    assert [t.t_const for t in merged] == [0, 1]
+    assert merged[0].coeff.prefactor.terms == {(): 1.0 + (-1.0 + 1e-11)}
+    assert not s.is_zero()
+
+
+def test_phases_that_differ_in_the_last_digits_are_not_merged():
+    w = ParamPoly.var("w")
+    w_near = ParamPoly.var("w", coeff=1 + 1e-13)
+    s = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.one(), phase=p) for p in (w, w_near, w)])
+    assert [t.phase.terms for t in s.merged().terms] == [w.terms, w_near.terms]
+    asym = TAsymptote([TAsymTerm(ParamPoly.one(), phase=p) for p in (w, w_near, w)])
+    assert [t.phase.terms for t in asym.terms] == [w.terms, w_near.terms]
+    assert [t.coeff.terms for t in asym.terms] == [{(): 2.0}, {(): 1.0}]
