@@ -18,8 +18,8 @@ at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
 
 A Laurent coefficient vanishes when its terms, grouped by exact structure
 (factors, ``T`` and ``ln T`` powers, the phase's exact coefficients,
-tokens), have prefactors that sum to the zero poly: no magnitude scale or
-tolerance decides which order leads.
+tokens), have prefactors that sum to the zero poly: which order leads
+depends on exact cancellation alone, never on a tolerance.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> LaurentSeries:
         local = tuple(f for f in term.coeff.factors if f.regulator == regulator)
         rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
         a = term.t_coeff(regulator)
-        rest = replace(term, t_lin=tuple((r, v) for r, v in term.t_lin if r != regulator))
+        t_lin = tuple((r, v) for r, v in term.t_lin if r != regulator)
         base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
         end = base.lead + len(base.coeffs)
         top = end if top is None else min(top, end)
@@ -316,15 +316,16 @@ def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> LaurentSeries:
             for k in range(end - p0 if a != 0 else 1):
                 factor = float(a) ** k / math.factorial(k) if k else 1.0
                 out.setdefault(p0 + k, []).append(replace(
-                    rest,
+                    term,
                     coeff=MeroFactorProduct(cpoly.scale(factor), rest_factors),
-                    t_log=rest.t_log + k,
+                    t_lin=t_lin,
+                    t_log=term.t_log + k,
                 ))
-    powers = [p for p in out if p < top]
-    if not powers:
+    lead = min((p for p in out if p < top), default=None)
+    if lead is None:
         return LaurentSeries(0, [ZetaTermSum.zero(rest_regs, s.t_symbol)])
-    return LaurentSeries(min(powers), [
-        ZetaTermSum(out.get(p, []), rest_regs, s.t_symbol) for p in range(min(powers), top)
+    return LaurentSeries(lead, [
+        ZetaTermSum(out.get(p, []), rest_regs, s.t_symbol) for p in range(lead, top)
     ])
 
 
