@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import models as model_registry
 from .engine import KVAmplitudeSpec, kv_trace_at_zero
-from .errors import ParseError, UsageError, ValidationError, ZetatraceError
+from .errors import ParseError, UnboundParameter, UsageError, ValidationError, ZetatraceError
 from .laurent import DEFAULT_ORDER
 from .modelfile import parse_model_file
 from .models import REGISTRY, RegistryEntry, run_model
@@ -55,6 +55,17 @@ def _json_record(result, numeric_value=None, include_trace=False) -> dict:
     return record
 
 
+def _evaluate(poly: ParamPoly, bindings) -> complex:
+    """``poly`` at ``bindings``; a parameter with no value is the user's to bind."""
+    try:
+        return poly.eval(bindings)
+    except UnboundParameter as exc:
+        name = exc.args[0]
+        raise UsageError(
+            f"parameter {name} has no value; bind it with --param {name}=<number>"
+        ) from None
+
+
 def _fmt_number(x: complex) -> str:
     if abs(x.imag) <= 1e-12 * max(1.0, abs(x.real)):
         return f"{x.real:.12g}"
@@ -69,7 +80,7 @@ def _emit_run(run, args, bindings) -> int:
     for name, result in run.results.items():
         numeric = None
         if (args.numeric or bindings) and isinstance(result.value, ParamPoly):
-            numeric = result.value.eval({**run.model.default_bindings(), **bindings})
+            numeric = _evaluate(result.value, {**run.model.default_bindings(), **bindings})
         records.append((result, numeric))
         if isinstance(result.value, Divergent):
             code = 1
@@ -98,7 +109,7 @@ def _emit_potential(run, args, bindings) -> int:
     full_bindings = {**run.model.default_bindings(), **bindings}
     # every row is evaluated before anything is printed, so an overflow leaves stdout empty
     numeric = [
-        poly.eval(full_bindings) if args.numeric or bindings else None for _, poly in rows
+        _evaluate(poly, full_bindings) if args.numeric or bindings else None for _, poly in rows
     ]
     if args.emit == "json":
         for (label, poly), value in zip(rows, numeric):
@@ -182,6 +193,9 @@ _KV_KEYS = {
     "term": {"degree": Fraction, "log_order": int, "angular": float},
 }
 
+#: the least value of each bounded integer kv key
+_KV_MINIMUM = {"dimension": 1, "log_order": 0}
+
 
 def _parse_kv_file(path) -> KVAmplitudeSpec:
     try:
@@ -213,6 +227,8 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
             raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
         if read is float and not math.isfinite(values[key]):
             raise ParseError(f"{key} must be finite, got {value!r}", lineno)
+        if key in _KV_MINIMUM and values[key] < _KV_MINIMUM[key]:
+            raise ParseError(f"{key} must be at least {_KV_MINIMUM[key]}, got {value!r}", lineno)
     header: dict = {}
     terms = []
     for section, values, lineno in sections:
@@ -230,8 +246,6 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
         )
     if "dimension" not in header:
         raise ParseError("missing dimension in [kv] section", 1)
-    if header["dimension"] < 1:
-        raise ParseError(f"dimension must be at least 1, got {header['dimension']}", 1)
     vol = ParamPoly.number(header["volume"]) if "volume" in header else ParamPoly.one()
     return KVAmplitudeSpec(dimension=header["dimension"], terms=tuple(terms), vol_x=vol)
 

@@ -1,15 +1,18 @@
 """Line-oriented model-definition files and their expression grammar.
 
-Sections: ``[params]`` (name = positive | numeric default), ``[axes]``
+Sections: ``[params]`` (name = positive | finite numeric default), ``[axes]``
 (name = kind[, group]), ``[phase]``, ``[observable]`` and optional
 ``[expect]``.  Expressions are built from parameters, axis names, ``i``,
 ``pi`` and ``T`` with ``+ - * / ^`` and parentheses; a recursive-descent
-parser reports precise error positions.  Only constructs the engine can
-reduce are expressible, so a file that parses and validates is runnable.
+parser reports precise error positions.  Each parameter and axis name is
+declared once, and ``i``, ``pi`` and ``T`` cannot be declared.  Only
+constructs the engine can reduce are expressible, so a file that parses and
+validates is runnable.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -19,6 +22,9 @@ from .params import Param, ParamPoly
 from .symbols import Axis, AxisPoly, T, compose_observable, t_free
 
 AXIS_KINDS = ("position", "momentum", "field")
+
+#: names the expression grammar gives a meaning of its own; a file may not declare them
+RESERVED_NAMES = ("i", "pi", "T")
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +268,17 @@ def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
     model = ParsedModel(name)
     section = None
     saw_any = False
+    declared: dict[str, int] = {}  # parameter and axis names -> line of declaration
+
+    def declare(symbol: str, lineno: int):
+        if symbol in RESERVED_NAMES:
+            raise ParseError(f"{symbol!r} is reserved and cannot be declared", lineno, 1)
+        if symbol in declared:
+            first = declared[symbol]
+            raise ParseError(f"duplicate name {symbol!r} (first declared on line {first})",
+                             lineno, 1)
+        declared[symbol] = lineno
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -281,20 +298,26 @@ def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
             pname, pval = name_.strip(), value.strip()
             if not pname or not pval:
                 raise ParseError("expected 'name = positive|value'", lineno, 1)
+            declare(pname, lineno)
             if pval == "positive":
                 model.params.append((pname, None))
             else:
                 try:
-                    model.params.append((pname, float(pval)))
+                    number = float(pval)
                 except ValueError:
                     raise ParseError(f"bad parameter value {pval!r}", lineno,
                                      line.index(pval) + 1) from None
+                if not math.isfinite(number):
+                    raise ParseError(f"{pname} must be finite, got {pval!r}", lineno,
+                                     line.index(pval) + 1)
+                model.params.append((pname, number))
         elif section == "axes":
             name_, _, rhs = line.partition("=")
             aname = name_.strip()
             fields = [f.strip() for f in rhs.split(",")]
             if not aname or not fields or not fields[0]:
                 raise ParseError("expected 'name = kind[, group]'", lineno, 1)
+            declare(aname, lineno)
             kind = fields[0]
             if kind not in AXIS_KINDS:
                 raise ParseError(f"unknown axis kind {kind!r}", lineno,

@@ -7,6 +7,7 @@ with a numeric cross-check at random positive bindings).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 from dataclasses import dataclass, field
@@ -116,20 +117,35 @@ def topological_oscillator() -> ModelSpec:
     )
 
 
-def _pauli_x() -> tuple[tuple[AxisPoly, ...], ...]:
-    one = AxisPoly.number(1)
+@functools.cache
+def _dirac_symbol(n: int, radius: str) -> MatrixSymbol:
+    """m I + radius K in n spatial dimensions, built and checked once per process.
+
+    K is sigma . h with h = (1, 0, 0) for n = 1 (sigma_x) and (h1, h2, 0) over
+    the direction symbols for n = 2; for n = 3 it is alpha . h, whose
+    off-diagonal blocks are sigma . h.
+    """
+    if n not in (1, 2, 3):
+        raise ValidationError(f"spatial dimension must be 1, 2 or 3, got {n}")
+    hats = tuple(f"xi{j}^" for j in range(1, n + 1)) if n > 1 else ()
     zero = AxisPoly.zero()
-    return ((zero, one), (one, zero))
+    h = [AxisPoly.symbol(s) for s in hats] or [AxisPoly.number(1)]
+    h += [zero] * (3 - len(h))
+    k = ((h[2], h[0] + (-1j) * h[1]), (h[0] + 1j * h[1], -h[2]))
+    if n == 3:
+        k = tuple((zero, zero) + row for row in k) + tuple(row + (zero, zero) for row in k)
+    return MatrixSymbol(
+        scalar=AxisPoly.constant(_poly(1, m=1)),
+        coeff=AxisPoly.symbol(radius),
+        kmatrix=k,
+        direction_syms=hats,
+    )
 
 
 def schwinger_free() -> ModelSpec:
     m, vol = Param("m", default=1.0), Param("X", default=1.0)
-    ham = MatrixSymbol(
-        dim=2,
-        scalar=AxisPoly.constant(_poly(1, m=1)),
-        coeff=AxisPoly.symbol("xi"),
-        kmatrix=_pauli_x(),
-    )
+    # the 1+1 D fermion: m I + xi sigma_x
+    ham = _dirac_symbol(1, "xi")
     return ModelSpec(
         name="schwinger_free",
         description="free massive fermion on a 2D space-time torus; rest energy",
@@ -143,49 +159,12 @@ def schwinger_free() -> ModelSpec:
     )
 
 
-def _dirac_k(n: int) -> tuple[tuple[tuple[AxisPoly, ...], ...], tuple[str, ...], int]:
-    one = AxisPoly.number(1)
-    zero = AxisPoly.zero()
-    if n == 1:
-        return _pauli_x(), (), 2
-    hats = tuple(f"xi{j}^" for j in range(1, n + 1))
-    h = [AxisPoly.symbol(s) for s in hats]
-    if n == 2:
-        # sigma_1 h1 + sigma_2 h2
-        k = (
-            (zero, h[0] + (-1j) * h[1]),
-            (h[0] + 1j * h[1], zero),
-        )
-        return k, hats, 2
-    if n == 3:
-        sv = (
-            (h[2], h[0] + (-1j) * h[1]),
-            (h[0] + 1j * h[1], -h[2]),
-        )
-        k = (
-            (zero, zero, sv[0][0], sv[0][1]),
-            (zero, zero, sv[1][0], sv[1][1]),
-            (sv[0][0], sv[0][1], zero, zero),
-            (sv[1][0], sv[1][1], zero, zero),
-        )
-        return k, hats, 4
-    raise ValidationError(f"spatial dimension must be 1, 2 or 3, got {n}")
-
-
 def dirac_fermion(n: int = 3) -> ModelSpec:
     m = Param("m", default=1.0)
-    kmatrix, hats, dim = _dirac_k(n)
     axes = tuple(Axis(f"xi{j}", "momentum", "g") for j in range(1, n + 1))
     group = GaugeGroup("g", tuple(a.name for a in axes), "z",
                        reduction="radial" if n > 1 else "separable")
-    radius = group.radius_symbol()
-    ham = MatrixSymbol(
-        dim=dim,
-        scalar=AxisPoly.constant(_poly(1, m=1)),
-        coeff=AxisPoly.symbol(radius),
-        kmatrix=kmatrix,
-        direction_syms=hats,
-    )
+    ham = _dirac_symbol(n, group.radius_symbol())
     return ModelSpec(
         name="dirac_fermion",
         description=f"free relativistic fermion in {n} spatial dimensions; rest energy",

@@ -90,7 +90,8 @@ def format_real(x: float) -> str:
     if x == int(x):
         return str(int(x))
     frac = Fraction(x).limit_denominator(10_000)
-    if abs(float(frac) - x) <= 1e-12 * max(1.0, abs(x)):
+    # a nonzero x never renders as 0, however small
+    if frac and abs(float(frac) - x) <= 1e-12 * max(1.0, abs(x)):
         if frac.denominator == 1:
             return str(frac.numerator)
         return f"{frac.numerator}/{frac.denominator}"
@@ -315,7 +316,7 @@ class ParamPoly:
                 base = self._resolve(name, bindings)
                 try:
                     term *= base ** float(exp)
-                except OverflowError:
+                except (OverflowError, ZeroDivisionError):  # 0 ** -1 is infinite too
                     raise NumericOverflow(f"{name}^{exp} overflows at {name} = {base:g}") from None
             if not cmath.isfinite(term):
                 at = ", ".join(f"{name} = {self._resolve(name, bindings):g}" for name, _ in key)

@@ -8,13 +8,13 @@ symbol; ``ParamPoly.by_power("T")`` splits a coefficient by those powers.
 Matrix Hamiltonians are restricted to the scalar-plus-involution form
 ``b I + c K`` with ``K^2 = I``, whose exponential has the exact closed form
 ``e^(-i b t) (cos(c t) I - i sin(c t) K)``; the trigonometric functions are
-rewritten into ``e^(+-i c t)`` pairs immediately.
+rewritten into ``e^(+-i c t)`` pairs immediately.  ``K^2 = I`` need only
+hold on the unit sphere of direction symbols, and it is decided exactly, by
+reducing polynomials modulo ``sum h^2 = 1``, never by sampling.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -316,41 +316,64 @@ def _is_zero_like(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixSymbol:
-    """Hamiltonian symbol b I + c K with K^2 = I.
+    """Hamiltonian symbol b I + c K with K^2 = I on the unit sphere of directions.
 
-    ``kmatrix`` entries are AxisPolys over direction components (or constants);
-    K^2 = I is verified numerically on construction at random points of the
-    unit sphere in the direction symbols.
+    ``kmatrix`` entries are AxisPolys over the direction symbols (or
+    constants).  Construction squares K over ``AxisPoly``, reduces each entry
+    of K^2 - I modulo sum h^2 = 1 (``reduce_on_sphere``) and requires exactly
+    zero; a K that is not square, or squares to I only up to rounding, raises
+    ``NotInvolution``.
     """
 
-    dim: int
     scalar: AxisPoly
     coeff: AxisPoly
     kmatrix: tuple[tuple[AxisPoly, ...], ...]
     direction_syms: tuple[str, ...] = ()
 
     def __post_init__(self):
-        rng = random.Random(1723)
-        identity = [[1.0 if i == j else 0.0 for j in range(self.dim)] for i in range(self.dim)]
-        for _ in range(4):
-            vals = self._random_direction(rng)
-            K = self.k_numeric(vals)
-            if not _allclose(_matmul(K, K), identity, atol=1e-9):
-                raise NotInvolution("K^2 != I at a sampled direction")
+        k, n = self.kmatrix, self.dim
+        if any(len(row) != n for row in k):
+            raise NotInvolution(f"K is not square: rows of lengths {[len(row) for row in k]}")
+        for i in range(n):
+            for j in range(n):
+                # sum the products first, then subtract: the sum may be exactly 1
+                entry = sum((k[i][l] * k[l][j] for l in range(n)), AxisPoly.zero())
+                if i == j:
+                    entry = entry - AxisPoly.number(1)
+                if not reduce_on_sphere(entry, self.direction_syms).is_zero():
+                    raise NotInvolution(f"K^2 != I in entry ({i}, {j}) on the unit sphere")
 
-    def _random_direction(self, rng) -> dict[str, float]:
-        return dict(zip(self.direction_syms, _unit_vector(rng, len(self.direction_syms))))
-
-    def k_numeric(self, axis_values: Mapping[str, complex]) -> list[list[complex]]:
-        return [[e.eval(axis_values, {}, 1.0) for e in row] for row in self.kmatrix]
+    @property
+    def dim(self) -> int:
+        return len(self.kmatrix)
 
     def k_trace(self) -> AxisPoly:
         tr = AxisPoly.zero()
         for i in range(self.dim):
             tr = tr + self.kmatrix[i][i]
         return tr
+
+
+def reduce_on_sphere(poly: AxisPoly, directions: Sequence[str]) -> AxisPoly:
+    """``poly`` modulo sum h^2 = 1 over ``directions``, exactly.
+
+    Each power h^d (d >= 2) of the last direction h becomes
+    h^(d-2) (1 - sum of the other directions squared), until h appears to
+    degree at most 1.  One polynomial generates the ideal, so the remainder is
+    unique: it is zero exactly when ``poly`` vanishes on the unit sphere.
+    """
+    if not directions or poly.degree_in(directions[-1]) < 2:
+        return poly
+    *others, h = directions
+    rest = AxisPoly.number(1)
+    for name in others:
+        rest = rest - AxisPoly.symbol(name, 2)
+    while (d := poly.degree_in(h)) >= 2:
+        c = poly.coefficient_of(h, d)
+        poly = poly - c * AxisPoly.symbol(h, d) + c * AxisPoly.symbol(h, d - 2) * rest
+    return poly
 
 
 @dataclass
@@ -399,7 +422,8 @@ def compose_observable(
 
     Scalar evolutions (``evolution is None``) simply carry the observable.
     Matrix observables must share the evolution's involution: they are
-    decomposed as beta I + gamma K and verified numerically.
+    decomposed as beta I + gamma K, and their K is checked to equal the
+    evolution's exactly on the unit sphere of directions.
     """
     if evolution is None:
         if isinstance(observable, MatrixSymbol):
@@ -429,35 +453,9 @@ def compose_observable(
 
 
 def _verify_span(evo_sym: MatrixSymbol, obs: MatrixSymbol):
-    """Check numerically that the observable matrix equals beta I + gamma K."""
-    rng = random.Random(3319)
+    """Check exactly that the observable's K equals the evolution's on the unit sphere."""
     syms = tuple(sorted(set(evo_sym.direction_syms) | set(obs.direction_syms)))
-    for _ in range(3):
-        axis_vals = dict(zip(syms, _unit_vector(rng, len(syms))))
-        K = evo_sym.k_numeric(axis_vals)
-        target = obs.k_numeric(axis_vals)  # obs.kmatrix must equal K
-        if not _allclose(K, target, atol=1e-9):
-            raise ShapeMismatch("observable involution differs from the evolution's")
-
-
-def _unit_vector(rng: random.Random, n: int) -> list[float]:
-    """n Gaussian draws from ``rng`` scaled to unit length (empty for n = 0)."""
-    vec = [rng.gauss(0, 1) for _ in range(n)]
-    norm = math.sqrt(sum(v * v for v in vec))
-    return [v / norm for v in vec] if vec else vec
-
-
-def _matmul(a: Sequence[Sequence[complex]], b: Sequence[Sequence[complex]]) -> list[list[complex]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _allclose(a: Sequence[Sequence[complex]], b: Sequence[Sequence[complex]], atol: float) -> bool:
-    """numpy.allclose(a, b, atol=atol) for equal shapes: |a - b| <= atol + 1e-5 |b| entrywise.
-
-    Matrices of different shapes are not close.
-    """
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        return False
-    return all(
-        abs(x - y) <= atol + 1e-5 * abs(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
+    for evo_row, obs_row in zip(evo_sym.kmatrix, obs.kmatrix):
+        for e, o in zip(evo_row, obs_row):
+            if not reduce_on_sphere(o - e, syms).is_zero():
+                raise ShapeMismatch("observable involution differs from the evolution's")

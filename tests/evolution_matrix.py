@@ -13,7 +13,7 @@ def matrix_numeric(evo, t: float, axis_values, bindings) -> np.ndarray:
     sym = evo.symbol
     b = sym.scalar.eval(axis_values, bindings, 1.0)
     c = sym.coeff.eval(axis_values, bindings, 1.0)
-    K = np.array(sym.k_numeric(axis_values))
+    K = np.array([[e.eval(axis_values, {}, 1.0) for e in row] for row in sym.kmatrix])
     out = np.zeros((sym.dim, sym.dim), dtype=complex)
     for p in evo.pieces:
         osc = np.exp(1j * p.osc_sign * c * t)

@@ -96,6 +96,13 @@ def test_run_numeric_overflowing_power_exits_one(capsys, emit):
     assert err.strip().splitlines() == ["error: e^2 overflows at e = 1e+200"]
 
 
+def test_run_numeric_negative_power_of_zero_exits_one(capsys):
+    code, out, err = run_cli(capsys, "run", "topological_oscillator", "--numeric", "--param", "J=0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: J^-1 overflows at J = 0\n"
+
+
 @pytest.mark.parametrize("emit", ["text", "json"])
 def test_run_phi4_numeric_overflowing_product_exits_one(capsys, emit):
     # mu = 1e200 and lambda^-1/2 = 1e150 are in range, the minimum 2.4e350 is not: nothing is
@@ -277,6 +284,14 @@ def test_kv_trace_prints_a_huge_trace_in_twelve_digits(tmp_path, capsys):
     assert out == "trace(0) = 1e+307\nnumeric: 1e+307\n"
 
 
+def test_kv_trace_prints_a_tiny_trace_in_twelve_digits(tmp_path, capsys):
+    path = tmp_path / "amp.kv"
+    path.write_text("[kv]\ndimension = 1\nvolume = 1e-13\n[term]\ndegree = -3\n")
+    code, out, _ = run_cli(capsys, "kv-trace", str(path))
+    assert code == 0
+    assert out == "trace(0) = 1e-13\nnumeric: 1e-13\n"
+
+
 def assert_input_error(code, err, fragment):
     """Exit 2 with a single 'error: ...' line naming the fault, no traceback."""
     assert code == 2
@@ -346,3 +361,66 @@ def test_missing_input_file_exits_two(tmp_path, capsys, command):
     path = tmp_path / "absent.txt"
     code, _, err = run_cli(capsys, command, str(path))
     assert_input_error(code, err, f"cannot read {path}")
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[kv]\ndimension = 1\n[term]\ndegree = -3\nlog_order = -1\n",
+         "log_order must be at least 0, got '-1' at line 5"),
+        ("[kv]\ndimension = 0\n", "dimension must be at least 1, got '0' at line 2"),
+    ],
+    ids=["log-order-negative", "dimension-0"],
+)
+def test_kv_trace_value_below_its_minimum_exits_two(tmp_path, capsys, text, fragment):
+    path = tmp_path / "amp.kv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "kv-trace", str(path))
+    assert out == ""
+    assert_input_error(code, err, fragment)
+
+
+# the README's rotor: <observable> = 1/(4 pi^2 J)
+ROTOR = (
+    "[params]\nJ = 1\n[axes]\nxi = momentum\n[phase]\nxi^2/(2*J)\n"
+    "[observable]\n(T*xi/(2*pi*J))^2/(-i*T)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (ROTOR.replace("xi = momentum\n", "xi = momentum\nxi = momentum\n"),
+         "duplicate name 'xi' (first declared on line 4) at line 5"),
+        (ROTOR.replace("J = 1\n", "J = 1\nJ = 3\n"),
+         "duplicate name 'J' (first declared on line 2) at line 3"),
+        (ROTOR.replace("J = 1\n", "J = 1\nxi = positive\n"),
+         "duplicate name 'xi' (first declared on line 3) at line 5"),
+        (ROTOR.replace("J = 1\n", "J = 1\npi = 3\n"), "'pi' is reserved and cannot be declared at line 3"),
+        (ROTOR.replace("J = 1\n", "J = 1\ni = 2\n"), "'i' is reserved and cannot be declared at line 3"),
+        (ROTOR.replace("xi = momentum\n", "xi = momentum\nT = position\n"),
+         "'T' is reserved and cannot be declared at line 5"),
+        (ROTOR.replace("J = 1", "J = inf"), "J must be finite, got 'inf' at line 2"),
+        (ROTOR.replace("J = 1", "J = nan"), "J must be finite, got 'nan' at line 2"),
+        (ROTOR.replace("J = 1", "J = 1e999"), "J must be finite, got '1e999' at line 2"),
+    ],
+    ids=[
+        "axis-twice", "param-twice", "param-and-axis", "reserved-pi", "reserved-i", "reserved-T",
+        "param-inf", "param-nan", "param-overflowing",
+    ],
+)
+def test_model_file_declaration_faults_exit_two(tmp_path, capsys, text, fragment):
+    path = tmp_path / "rotor.zt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "model", str(path), "--numeric")
+    assert out == ""
+    assert_input_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_model_numeric_names_the_parameter_without_a_value(tmp_path, capsys, emit):
+    path = tmp_path / "rotor.zt"
+    path.write_text(ROTOR.replace("J = 1", "J = positive"))
+    code, out, err = run_cli(capsys, "model", str(path), "--numeric", "--emit", emit)
+    assert out == ""
+    assert_input_error(code, err, "parameter J has no value; bind it with --param J=<number>")

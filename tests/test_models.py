@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetatrace.errors import UnknownModel
+from zetatrace.errors import UnknownModel, ValidationError
 from zetatrace.models import (
     REGISTRY,
     RegistryEntry,
@@ -11,6 +11,7 @@ from zetatrace.models import (
     dirac_fermion,
     list_models,
     run_model,
+    schwinger_free,
 )
 from zetatrace.params import ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL
@@ -69,6 +70,19 @@ def test_dirac_all_dimensions_give_rest_mass():
         run = run_model("dirac_fermion", n=n)
         assert run.passed, f"N={n}"
         assert run.results["H_m"].value == ParamPoly.var("m")
+
+
+def test_matrix_symbols_are_built_once_per_process():
+    for n in (1, 2, 3):
+        assert dirac_fermion(n).hamiltonian is dirac_fermion(n).hamiltonian
+    assert dirac_fermion(2).hamiltonian is not dirac_fermion(3).hamiltonian
+    assert schwinger_free().hamiltonian is schwinger_free().hamiltonian
+
+
+def test_dirac_outside_one_to_three_dimensions_is_invalid_every_time():
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="spatial dimension must be 1, 2 or 3, got 4"):
+            dirac_fermion(4)
 
 
 def test_all_models_pass_on_both_branches():

@@ -1,11 +1,8 @@
 import cmath
+import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +22,7 @@ from zetatrace.symbols import (
     compose_observable,
     decompose_phase,
     involution_exp,
+    reduce_on_sphere,
     series_pow,
 )
 
@@ -88,7 +86,6 @@ def pauli_x():
 
 def schwinger_symbol():
     return MatrixSymbol(
-        dim=2,
         scalar=AxisPoly.constant(ParamPoly.var("m")),
         coeff=AxisPoly.symbol("xi"),
         kmatrix=pauli_x(),
@@ -107,7 +104,6 @@ def test_involution_exp_schwinger_trace():
 
 def test_involution_with_zero_coefficient_is_scalar():
     sym = MatrixSymbol(
-        dim=2,
         scalar=AxisPoly.constant(ParamPoly.var("b")),
         coeff=AxisPoly.symbol("xi", coeff=ParamPoly.zero()),
         kmatrix=pauli_x(),
@@ -133,7 +129,6 @@ def dirac3_k():
 
 def test_dirac_trace_structure():
     sym = MatrixSymbol(
-        dim=4,
         scalar=AxisPoly.constant(ParamPoly.var("m")),
         coeff=AxisPoly.symbol("r"),
         kmatrix=dirac3_k(),
@@ -182,7 +177,6 @@ def test_not_involution_rejected():
     one, zero = AxisPoly.number(1), AxisPoly.zero()
     with pytest.raises(NotInvolution):
         MatrixSymbol(
-            dim=2,
             scalar=AxisPoly.zero(),
             coeff=AxisPoly.symbol("xi"),
             kmatrix=((one, one), (one, one)),
@@ -243,16 +237,13 @@ def test_span_check_rejects_a_nearby_involution():
     evo = involution_exp(schwinger_symbol())
     eps = 1e-3
     tilted = MatrixSymbol(
-        dim=2,
         scalar=AxisPoly.zero(),
         coeff=AxisPoly.number(1),
         kmatrix=numbers(((math.sin(eps), math.cos(eps)), (math.cos(eps), -math.sin(eps)))),
     )
     with pytest.raises(ShapeMismatch, match="involution differs"):
         compose_observable(evo, tilted)
-    same = MatrixSymbol(
-        dim=2, scalar=AxisPoly.zero(), coeff=AxisPoly.number(1), kmatrix=pauli_x()
-    )
+    same = MatrixSymbol(scalar=AxisPoly.zero(), coeff=AxisPoly.number(1), kmatrix=pauli_x())
     assert len(compose_observable(evo, same)) == 2
 
 
@@ -260,41 +251,38 @@ def test_involution_check_rejects_an_off_diagonal_defect():
     # K = I + 5e-4 sigma_x gives K^2 = I + 1e-3 sigma_x (diagonal 1 + 2.5e-7)
     with pytest.raises(NotInvolution):
         MatrixSymbol(
-            dim=2,
             scalar=AxisPoly.zero(),
             coeff=AxisPoly.symbol("xi"),
             kmatrix=numbers(((1.0, 5e-4), (5e-4, 1.0))),
         )
 
 
-def test_involution_check_keeps_the_relative_tolerance():
-    # |K^2 - I| <= 1e-9 + 1e-5 |I| entrywise, as numpy.allclose(K @ K, I, atol=1e-9)
+def test_involution_check_is_exact():
+    # a K that squares to I only up to rounding is not an involution
     def diag(d):
         return MatrixSymbol(
-            dim=2,
             scalar=AxisPoly.zero(),
             coeff=AxisPoly.symbol("xi"),
             kmatrix=numbers(((d, 0.0), (0.0, 1.0))),
         )
 
-    diag(1 + 4e-6)  # K^2 has 1 + 8e-6 on the diagonal
-    with pytest.raises(NotInvolution):
-        diag(1 + 6e-6)  # 1 + 1.2e-5
+    for d in (1 + 4e-6, 1 + 2**-52):
+        with pytest.raises(NotInvolution):
+            diag(d)
+    diag(-1.0)
 
 
 def test_involution_check_rejects_a_kmatrix_of_the_wrong_shape():
     with pytest.raises(NotInvolution):
-        MatrixSymbol(  # 3x3 entries for a 2x2 symbol
-            dim=2,
+        MatrixSymbol(  # two rows of three entries
             scalar=AxisPoly.zero(),
             coeff=AxisPoly.symbol("xi"),
-            kmatrix=numbers(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+            kmatrix=numbers(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
         )
 
 
 def test_sigma_dot_direction_involution_passes_the_span_check():
     sym = MatrixSymbol(
-        dim=2,
         scalar=AxisPoly.constant(ParamPoly.var("m")),
         coeff=AxisPoly.symbol("r"),
         kmatrix=sigma_dot("h1", "h2", "h3"),
@@ -303,7 +291,6 @@ def test_sigma_dot_direction_involution_passes_the_span_check():
     evo = involution_exp(sym)
     assert {p.osc_sign for p in compose_observable(evo, sym)} == {1, -1}
     swapped = MatrixSymbol(
-        dim=2,
         scalar=AxisPoly.zero(),
         coeff=AxisPoly.symbol("r"),
         kmatrix=sigma_dot("h2", "h1", "h3"),
@@ -313,52 +300,72 @@ def test_sigma_dot_direction_involution_passes_the_span_check():
         compose_observable(evo, swapped)
 
 
-SPAN_DRAWS = """
-from zetatrace.params import ParamPoly
-from zetatrace.symbols import AxisPoly, MatrixSymbol, compose_observable, involution_exp
-
-h = [AxisPoly.symbol(s) for s in ("h1", "h2", "h3")]
-sym = MatrixSymbol(
-    dim=2,
-    scalar=AxisPoly.constant(ParamPoly.var("m")),
-    coeff=AxisPoly.symbol("r"),
-    kmatrix=((h[2], h[0] + (-1j) * h[1]), (h[0] + 1j * h[1], -h[2])),
-    direction_syms=("h1", "h2", "h3"),
-)
-evo = involution_exp(sym)
-draws = []
-k_numeric = MatrixSymbol.k_numeric
-
-def recording(self, axis_values):
-    draws.append(sorted(axis_values.items()))
-    return k_numeric(self, axis_values)
-
-MatrixSymbol.k_numeric = recording
-compose_observable(evo, sym)
-print(repr(draws))
-"""
-
-
-def test_span_check_draws_the_same_directions_under_any_hash_seed():
-    # set iteration order follows PYTHONHASHSEED; the sampled directions must not
-    src = Path(__file__).resolve().parent.parent / "src"
-    outputs = []
-    for seed in ("1", "2", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
-        proc = subprocess.run(
-            [sys.executable, "-c", SPAN_DRAWS], env=env, capture_output=True, text=True, timeout=60
+def test_span_check_is_exact_for_any_order_of_the_direction_symbols():
+    for order in itertools.permutations(("h1", "h2", "h3")):
+        sym = MatrixSymbol(
+            scalar=AxisPoly.constant(ParamPoly.var("m")),
+            coeff=AxisPoly.symbol("r"),
+            kmatrix=sigma_dot("h1", "h2", "h3"),
+            direction_syms=order,
         )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0].startswith("[[('h1', ")
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+        evo = involution_exp(sym)
+        assert len(compose_observable(evo, sym)) == 2
+        swapped = MatrixSymbol(
+            scalar=AxisPoly.zero(),
+            coeff=AxisPoly.symbol("r"),
+            kmatrix=sigma_dot("h2", "h1", "h3"),
+            direction_syms=order,
+        )
+        with pytest.raises(ShapeMismatch, match="involution differs"):
+            compose_observable(evo, swapped)
+
+
+def test_sigma_dot_without_direction_symbols_is_not_an_involution():
+    # off the unit sphere (sigma . h)^2 = |h|^2 I, not I
+    with pytest.raises(NotInvolution):
+        MatrixSymbol(
+            scalar=AxisPoly.zero(),
+            coeff=AxisPoly.symbol("r"),
+            kmatrix=sigma_dot("h1", "h2", "h3"),
+        )
+
+
+DIRECTIONS = ("h1", "h2", "h3")
+
+
+@st.composite
+def direction_polys(draw):
+    """Polynomials in h1, h2, h3 of degree <= 4 with small integer coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = draw(st.tuples(*[st.integers(0, 4)] * 3).filter(lambda e: sum(e) <= 4))
+        key = tuple((h, e) for h, e in zip(DIRECTIONS, exps) if e)
+        terms[key] = ParamPoly.number(draw(st.integers(-3, 3)))
+    return AxisPoly(terms)
+
+
+@given(direction_polys())
+def test_sphere_reduction_is_a_remainder_that_agrees_on_the_sphere(poly):
+    rem = reduce_on_sphere(poly, DIRECTIONS)
+    assert rem.degree_in("h3") <= 1
+    rng = random.Random(5)
+    for _ in range(3):
+        v = [rng.gauss(0, 1) for _ in DIRECTIONS]
+        norm = math.sqrt(sum(x * x for x in v))
+        point = {h: x / norm for h, x in zip(DIRECTIONS, v)}
+        assert abs(rem.eval(point, {}) - poly.eval(point, {})) <= 1e-9
+    sphere = sum((AxisPoly.symbol(h, 2) for h in DIRECTIONS), AxisPoly.number(-1))
+    assert reduce_on_sphere(poly * sphere, DIRECTIONS).is_zero()
+
+
+def test_sphere_reduction_without_directions_is_the_identity():
+    poly = AxisPoly.symbol("h1", 3) + AxisPoly.number(2)
+    assert reduce_on_sphere(poly, ()) is poly
 
 
 def test_shape_mismatch():
     evo = involution_exp(schwinger_symbol())
     other = MatrixSymbol(
-        dim=4,
         scalar=AxisPoly.zero(),
         coeff=AxisPoly.symbol("r"),
         kmatrix=dirac3_k(),
