@@ -5,12 +5,14 @@ in the last bit of a float.  This check records ``repr`` of every coefficient
 of each closed-form value and finite-``T`` asymptote (and, for a potential
 model, of the potential, its critical points, minima, masses and residual)
 in ``tests/golden/exact_values.txt``.  It covers the registry models on both
-branches and the complexity ladders: ``harmonic_oscillator_nd`` n = 1..6
-grouped and n = 1..3 per axis, and ``harmonic_oscillator_1d`` and
+branches and the complexity ladders on both branches: ``harmonic_oscillator_nd``
+n = 1..6 grouped and n = 1..3 per axis, and ``harmonic_oscillator_1d`` and
 ``dirac_fermion`` n = 3 at series orders 4, 8 and 16.  It also covers model
 files on both branches (``golden/oscillator_mixed_t.zt`` and the files in
 ``MODEL_FILES``, whose coefficients are not dyadic, so that their floats
-round) and one trace-at-zero amplitude (``KV_SPEC``).
+round), one trace-at-zero amplitude (``KV_SPEC``) and one hand-built sum
+whose per-term poles cancel in both regulators (``POLE_SUM``), so that its
+lead orders show only past the terms' own leads.
 
 A change meant to keep results bit for bit must leave the file as it is.  To
 re-record after an intended change of values::
@@ -24,10 +26,12 @@ from pathlib import Path
 import pytest
 
 from zetatrace.engine import KVAmplitudeSpec, kv_trace_at_zero
+from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor
 from zetatrace.modelfile import parse_model_text, to_model_spec
 from zetatrace.models import REGISTRY, RegistryEntry, run_model
 from zetatrace.params import ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL
+from zetatrace.terms import ZetaTerm, ZetaTermSum, value_at_zero
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORD = GOLDEN / "exact_values.txt"
@@ -103,22 +107,44 @@ KV_SPEC = KVAmplitudeSpec(
 KV_CASE = "kv|dimension=3"
 
 
+def _pole_pair(z: str, c: float, base: ParamPoly, slope: Fraction, t_a: Fraction, t_b: Fraction) -> ZetaTermSum:
+    """c Gamma(z) base^(slope z) T^(t_a z) - c Gamma(z) T^(t_b z): the 1/z poles cancel."""
+    regs = ("z1", "z2")
+    gamma = PrimitiveFactor.gamma(1, 0, z)
+    power = PrimitiveFactor.const_pow(base, slope, 0, z)
+    return ZetaTermSum([
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(c), (gamma, power)), t_lin=((z, t_a),)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-c), (gamma,)), t_lin=((z, t_b),)),
+    ], regs)
+
+
+#: a two-regulator sum whose terms all have poles, cancelling in each regulator
+POLE_SUM = _pole_pair(
+    "z1", 3 / 7, ParamPoly.monomial(2 / 9, {"J": Fraction(1)}), Fraction(1, 3), Fraction(-1, 2), Fraction(1, 3)
+) * _pole_pair(
+    "z2", 2 / 9, ParamPoly.monomial(5 / 7, {"m": Fraction(1, 2)}), Fraction(-2, 3), Fraction(2, 5), Fraction(-1, 7)
+)
+POLE_SUM_CASE = "sum:poles_cancel|4"
+
+
 def _cases() -> dict[str, tuple[str, dict, str, int]]:
     """Case name -> (model, overrides, branch, series order)."""
     cases = {f"{m}|{b}|4": (m, {}, b, 4) for m in REGISTRY for b in POLICIES}
-    for n in range(1, 7):
-        cases[f"harmonic_oscillator_nd|n={n}|paper|4"] = ("harmonic_oscillator_nd", {"n": n}, "paper", 4)
-    for n in range(1, 4):
-        cases[f"harmonic_oscillator_nd|n={n},per_axis|paper|4"] = (
-            "harmonic_oscillator_nd", {"n": n, "per_axis": True}, "paper", 4,
-        )
-    for order in (4, 8, 16):
-        cases[f"harmonic_oscillator_1d|paper|{order}"] = ("harmonic_oscillator_1d", {}, "paper", order)
-        cases[f"dirac_fermion|n=3|paper|{order}"] = ("dirac_fermion", {"n": 3}, "paper", order)
+    for b in POLICIES:
+        for n in range(1, 7):
+            cases[f"harmonic_oscillator_nd|n={n}|{b}|4"] = ("harmonic_oscillator_nd", {"n": n}, b, 4)
+        for n in range(1, 4):
+            cases[f"harmonic_oscillator_nd|n={n},per_axis|{b}|4"] = (
+                "harmonic_oscillator_nd", {"n": n, "per_axis": True}, b, 4,
+            )
+        for order in (4, 8, 16):
+            cases[f"harmonic_oscillator_1d|{b}|{order}"] = ("harmonic_oscillator_1d", {}, b, order)
+            cases[f"dirac_fermion|n=3|{b}|{order}"] = ("dirac_fermion", {"n": 3}, b, order)
     for name in MODEL_FILES:
         for b in POLICIES:
             cases[f"file:{name}|{b}|4"] = (f"file:{name}", {}, b, 4)
     cases[KV_CASE] = ("kv", {}, "", 0)
+    cases[POLE_SUM_CASE] = ("sum", {}, "", 4)
     return cases
 
 
@@ -154,6 +180,8 @@ def _run(model: str, overrides: dict, branch: str, order: int):
 def _exact_lines(case: str) -> list[str]:
     if case == KV_CASE:
         return _poly_lines("trace(0)", kv_trace_at_zero(KV_SPEC))
+    if case == POLE_SUM_CASE:
+        return _asymptote_lines("value_at_zero", value_at_zero(POLE_SUM, CASES[case][3]))
     run = _run(*CASES[case])
     lines = []
     for obs, res in sorted(run.results.items()):
