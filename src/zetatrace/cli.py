@@ -38,6 +38,20 @@ def _parse_params(items) -> dict[str, float]:
     return out
 
 
+def _check_signs(model, bindings: dict[str, float]) -> None:
+    """A parameter declared positive takes no negative ``--param`` value.
+
+    Zero is left to the evaluation, which reports a negative power of it as
+    an overflow.
+    """
+    for p in model.params:
+        value = bindings.get(p.name)
+        if p.positive and value is not None and value < 0:
+            raise UsageError(
+                f"--param {p.name} must not be negative ({p.name} is declared positive), got {value:g}"
+            )
+
+
 def _json_record(result, numeric_value=None, include_trace=False) -> dict:
     record = {
         "model": result.model,
@@ -151,6 +165,7 @@ def cmd_run(args, extra_registry=None) -> int:
     run = run_model(
         args.model, policy, args.series_order, registry=extra_registry, **overrides
     )
+    _check_signs(run.model, bindings)
     return _emit_run(run, args, bindings)
 
 
@@ -204,6 +219,7 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     sections: list[tuple[str, dict, int]] = []  # (name, values, header line)
+    set_on: dict[str, int] = {}  # keys of the current section -> their line
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,7 +228,12 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
             section = line.strip("[]").strip().lower()
             if section not in _KV_KEYS:
                 raise ParseError(f"unknown section [{section}]", lineno)
+            if section == "kv":  # [term] sections repeat, the header does not
+                first = next((at for name, _, at in sections if name == "kv"), None)
+                if first is not None:
+                    raise ParseError(f"duplicate section [kv] (first on line {first})", lineno)
             sections.append((section, {}, lineno))
+            set_on = {}
             continue
         if not sections:
             raise ParseError("content before any section header", lineno)
@@ -221,6 +242,11 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
         read = _KV_KEYS[section].get(key)
         if read is None:
             raise ParseError(f"unknown key {key!r} in [{section}]", lineno)
+        if key in set_on:
+            raise ParseError(
+                f"duplicate key {key!r} in [{section}] (first set on line {set_on[key]})", lineno
+            )
+        set_on[key] = lineno
         try:
             values[key] = read(value)
         except (ValueError, ZeroDivisionError):

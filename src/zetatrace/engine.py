@@ -396,17 +396,23 @@ def reduce_pieces(
     the tuple of its picked rows, each scaled by its multiplier, and becomes
     one ``ZetaTerm`` at the end: the coefficient times every picked
     prefactor in pick order, the picked factors concatenated, the ``T``
-    exponents summed, the evolution phase and the model's tokens.
+    exponents summed, the evolution phase and the model's tokens.  An
+    alternatives list that ``reduced_integrals`` shares between items is
+    turned into its scaled rows once.
     """
     tokens = tuple(sorted(model.tokens))
     out: list[ZetaTerm] = []
+    # alternatives list id -> (the list, which keeps the id from reuse; its scaled rows)
+    picks_of: dict[int, tuple[Alternatives, list[ZetaTerm]]] = {}
     for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan):
         branches: list[tuple[ParamPoly, tuple[ZetaTerm, ...]]] = [(poly * model.prefactor, ())]
         for alternatives in symbols:
-            picks = [
-                _scaled(_table_row(integral, policy, rows), mult)
-                for mult, integral in alternatives
-            ]
+            if id(alternatives) not in picks_of:
+                picks_of[id(alternatives)] = (alternatives, [
+                    _scaled(_table_row(integral, policy, rows), mult)
+                    for mult, integral in alternatives
+                ])
+            picks = picks_of[id(alternatives)][1]
             branches = [
                 (_times(coeff, row.coeff.prefactor), picked + (row,))
                 for coeff, picked in branches
@@ -436,12 +442,16 @@ def _branch_term(
     phase: ParamPoly,
     tokens: tuple[str, ...],
 ) -> ZetaTerm:
+    # rows repeat across symbols: each distinct row's exponents times its multiplicity
+    distinct: dict[int, list] = {}
+    for row in picked:
+        distinct.setdefault(id(row), [row, 0])[1] += 1
     t_lin: dict[str, Fraction] = {}
     t_const = t_power
-    for row in picked:
-        t_const += row.t_const
+    for row, n in distinct.values():
+        t_const += n * row.t_const
         for reg, a in row.t_lin:
-            t_lin[reg] = t_lin.get(reg, 0) + a
+            t_lin[reg] = t_lin.get(reg, 0) + n * a
     factors = tuple(f for row in picked for f in row.coeff.factors)
     t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a != 0))
     return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase, tokens)

@@ -84,7 +84,12 @@ def gamma_value(beta: Fraction) -> ParamPoly:
 
 @dataclass(frozen=True)
 class PrimitiveFactor:
-    """One primitive meromorphic building block in a single regulator."""
+    """One primitive meromorphic building block in a single regulator.
+
+    A factor hashes once, on first use, and keeps the hash: term sums are
+    merged by multisets of factors, and hashing the ``Fraction`` fields each
+    time is slow.
+    """
 
     kind: FactorKind
     alpha: Fraction
@@ -92,6 +97,20 @@ class PrimitiveFactor:
     power: int = 1
     base: tuple[float, ExpKey] | None = None  # positive monomial: (coeff, exponent key)
     regulator: str = "z"
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.alpha, self.beta, self.power, self.base, self.regulator)
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes differ between processes: an unpickled factor hashes afresh
+        return PrimitiveFactor, self._fields()
 
     # -- constructors -------------------------------------------------------
 
@@ -301,8 +320,8 @@ def _reciprocal_numeric(coeffs: Sequence[complex], order: int) -> list[complex]:
 
 def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Laurent series of a primitive factor at z = 0, ``order`` terms past the lead."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     a = f.alpha
 
     if f.kind is FactorKind.EXP_IPI:

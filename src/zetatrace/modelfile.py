@@ -1,6 +1,6 @@
 """Line-oriented model-definition files and their expression grammar.
 
-Sections: ``[params]`` (name = positive | finite numeric default), ``[axes]``
+Sections: ``[params]`` (name = positive | finite positive default), ``[axes]``
 (name = kind[, group]), ``[phase]``, ``[observable]`` and optional
 ``[expect]``.  Expressions are built from parameters, axis names, ``i``,
 ``pi`` and ``T`` with ``+ - * / ^`` and parentheses; a recursive-descent
@@ -309,6 +309,9 @@ def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
                                      line.index(pval) + 1) from None
                 if not math.isfinite(number):
                     raise ParseError(f"{pname} must be finite, got {pval!r}", lineno,
+                                     line.index(pval) + 1)
+                if number <= 0:
+                    raise ParseError(f"{pname} must be positive, got {pval!r}", lineno,
                                      line.index(pval) + 1)
                 model.params.append((pname, number))
         elif section == "axes":

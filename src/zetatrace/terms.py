@@ -16,10 +16,18 @@ sums, i.e. shifted by the divisor's order.  ``value_at_zero`` evaluates a single
 at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
 ``T -> infinity``.
 
+Elimination is lead first.  Each limit reads one Laurent coefficient of a
+sum, the lead one, so every term is first expanded to its own lead
+coefficient only; the full series to the requested truncation is built only
+when the coefficients at the least of those leads cancel.  A coefficient
+below a truncation is the same float operations at every truncation, so the
+leads, their coefficients and the truncation reported are those of the full
+expansion, bit for bit.
+
 A Laurent coefficient vanishes when its terms, grouped by exact structure
-(factors, ``T`` and ``ln T`` powers, the phase's exact coefficients,
-tokens), have prefactors that sum to the zero poly: which order leads
-depends on exact cancellation alone, never on a tolerance.
+(the multiset of factors, ``T`` and ``ln T`` powers, the phase's exact
+coefficients, tokens), have prefactors that sum to the zero poly: which
+order leads depends on exact cancellation alone, never on a tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .laurent import (
     DEFAULT_ORDER,
     MAX_ORDER,
     FactorKind,
-    LaurentSeries,
     MeroFactorProduct,
     PrimitiveFactor,
     expand_product,
@@ -88,7 +95,7 @@ class ZetaTerm:
 
     def structure_key(self) -> tuple:
         return (
-            tuple(sorted(self.coeff.factors, key=repr)),
+            frozenset(Counter(self.coeff.factors).items()),
             self.t_lin,
             self.t_const,
             self.t_log,
@@ -170,7 +177,10 @@ class ZetaTermSum:
             else:
                 buckets[key] = (t, t.coeff.prefactor)
         out = [
-            replace(rep, coeff=MeroFactorProduct(acc, rep.coeff.factors))
+            rep if acc is rep.coeff.prefactor else ZetaTerm(
+                MeroFactorProduct(acc, rep.coeff.factors),
+                rep.t_lin, rep.t_const, rep.t_log, rep.phase, rep.tokens,
+            )
             for rep, acc in buckets.values()
             if not acc.is_zero()
         ]
@@ -290,14 +300,15 @@ class TAsymptote:
 # ---------------------------------------------------------------------------
 
 
-def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> LaurentSeries:
-    """Laurent series of a sum in one regulator, truncated where its shortest term ends.
+def _coefficients(
+    s: ZetaTermSum, regulator: str, order: int
+) -> tuple[dict[int, list[ZetaTerm]], int]:
+    """Each power's terms in a truncation-``order`` expansion, and where the shortest term ends.
 
-    Coefficients are ZetaTermSums free of that regulator, each holding its
-    terms' contributions in sum order; the expansion of T^(a z) contributes
-    exact powers of ln T.
+    A term with no factor in the regulator is its own prefactor at z^0.  The
+    expansion of T^(a z) contributes exact powers of ln T.  Terms keep sum
+    order within each power.
     """
-    rest_regs = tuple(r for r in s.regulators if r != regulator)
     out: dict[int, list[ZetaTerm]] = {}
     top = None
     for term in s.terms:
@@ -305,54 +316,80 @@ def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> LaurentSeries:
         rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
         a = term.t_coeff(regulator)
         t_lin = tuple((r, v) for r, v in term.t_lin if r != regulator)
-        base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
-        end = base.lead + len(base.coeffs)
+        if local:
+            base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
+            lead, coeffs = base.lead, base.coeffs
+        else:
+            lead, coeffs = 0, [term.coeff.prefactor]
+        end = lead + order + 1
         top = end if top is None else min(top, end)
         # multiply by sum_k (a ln T)^k z^k / k!
-        for j, cpoly in enumerate(base.coeffs):
+        for j, cpoly in enumerate(coeffs):
             if cpoly.is_zero():
                 continue
-            p0 = base.lead + j
+            p0 = lead + j
             for k in range(end - p0 if a != 0 else 1):
-                factor = float(a) ** k / math.factorial(k) if k else 1.0
-                out.setdefault(p0 + k, []).append(replace(
-                    term,
-                    coeff=MeroFactorProduct(cpoly.scale(factor), rest_factors),
-                    t_lin=t_lin,
-                    t_log=term.t_log + k,
+                c = cpoly.scale(float(a) ** k / math.factorial(k)) if k else cpoly
+                out.setdefault(p0 + k, []).append(ZetaTerm(
+                    MeroFactorProduct(c, rest_factors), t_lin, term.t_const,
+                    term.t_log + k, term.phase, term.tokens,
                 ))
-    lead = min((p for p in out if p < top), default=None)
-    if lead is None:
-        return LaurentSeries(0, [ZetaTermSum.zero(rest_regs, s.t_symbol)])
-    return LaurentSeries(lead, [
-        ZetaTermSum(out.get(p, []), rest_regs, s.t_symbol) for p in range(lead, top)
-    ])
+    return out, top
 
 
-def _lead_order(series: LaurentSeries) -> int | None:
-    for j, c in enumerate(series.coeffs):
-        if not c.is_zero():
-            return series.lead + j
-    return None
+def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> tuple[int | None, ZetaTermSum]:
+    """Lead order of a sum in one regulator and its lead coefficient, merged.
+
+    Lead first: each term is expanded to its own lead coefficient only
+    (truncation 0).  If the merged coefficient at the least of those leads
+    is nonzero, it leads.  Only if it cancels is the sum expanded to
+    truncation ``order``, and the search goes on from the next power up to
+    where the shortest term ends.  A coefficient below the truncation is the
+    same sequence of float operations at any truncation; only the sign of a
+    zero can differ, and ``ParamPoly`` normalises it.  So the lead and its
+    coefficient are bit for bit those of the full expansion.  Each
+    coefficient is merged once.  The coefficient is a sum free of the
+    regulator; the lead is None, with a zero sum, when every coefficient
+    below the truncation vanishes.
+    """
+    rest = tuple(r for r in s.regulators if r != regulator)
+    if not s.terms:
+        return None, ZetaTermSum.zero(rest, s.t_symbol)
+    low = None
+    for truncation in (0, order):
+        out, top = _coefficients(s, regulator, truncation)
+        if low is None:
+            low = min(out, default=top)
+        for p in range(low, top):
+            if p in out:
+                coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
+                if coeff.terms:
+                    return p, coeff
+        low = top
+    return None, ZetaTermSum.zero(rest, s.t_symbol)
 
 
 def _expand_to_lead(
     sums: list[ZetaTermSum], regulator: str, order: int
-) -> tuple[list[LaurentSeries], list[int | None], int]:
-    """Expand the sums jointly in one regulator until each lead order shows.
+) -> tuple[list[int | None], list[ZetaTermSum], int]:
+    """Lead order and merged lead coefficient of each sum in one regulator.
 
-    The truncation starts at ``order`` and doubles while some sum vanishes
-    to it, up to ``MAX_ORDER``.  Returns the series, their lead orders
-    (``None`` for a sum still vanishing at the last truncation) and the
-    truncation used.
+    Each sum is expanded lead first (``_expand_sum_in``) at truncation
+    ``order``.  While some sum vanishes to the truncation, the truncation
+    doubles, up to ``MAX_ORDER``, and those sums are expanded again; a lead
+    found at one truncation is the lead at every higher one.  Returns the
+    lead orders (``None`` for a sum still vanishing at the last truncation),
+    the lead coefficients and the truncation used.
     """
+    found = [_expand_sum_in(s, regulator, order) for s in sums]
     k = order
-    while True:
-        series = [_expand_sum_in(s, regulator, k) for s in sums]
-        leads = [_lead_order(x) for x in series]
-        if None not in leads or k >= MAX_ORDER:
-            return series, leads, k
+    while k < MAX_ORDER and any(lead is None for lead, _ in found):
         k *= 2
+        found = [
+            _expand_sum_in(s, regulator, k) if lead is None else (lead, coeff)
+            for s, (lead, coeff) in zip(sums, found)
+        ]
+    return [lead for lead, _ in found], [coeff for _, coeff in found], k
 
 
 def cancel_common_tokens(n: ZetaTermSum, d: ZetaTermSum) -> tuple[ZetaTermSum, ZetaTermSum]:
@@ -453,12 +490,10 @@ def _divide_term(
         j = min(range(len(free)), key=lambda j: abs(free[j][0] - offset)) if len(free) > 1 else 0
         p_offset, i = free.pop(j)
         slots[i] = _factor_quotient(factors[i], f, p_offset - offset)
-    return replace(
-        t,
-        coeff=MeroFactorProduct(
-            t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)
-        ),
-        t_lin=_tlin(_merge_tlin(t.t_lin, tuple((r, -a) for r, a in t_lin))),
+    return ZetaTerm(
+        MeroFactorProduct(t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)),
+        _tlin(_merge_tlin(t.t_lin, tuple((r, -a) for r, a in t_lin))),
+        t.t_const, t.t_log, t.phase, t.tokens,
     )
 
 
@@ -512,17 +547,11 @@ def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
     """
     current = s
     for reg in s.regulators:
-        rest = tuple(r for r in current.regulators if r != reg)
-        (series,), (lead,), _ = _expand_to_lead([current], reg, order)
-        if lead is None:
-            current = ZetaTermSum.zero(rest, s.t_symbol)
-            continue
-        if lead < 0:
-            residue = series.coeff_at(lead)
-            raise PoleAtZero(-lead, residue.merged().render() if residue else None)
-        coeff = series.coeff_at(0)
-        terms = coeff.merged().terms if coeff is not None else []
-        current = ZetaTermSum(terms, rest, s.t_symbol)
+        (lead,), (coeff,), _ = _expand_to_lead([current], reg, order)
+        if lead is not None and lead < 0:
+            raise PoleAtZero(-lead, coeff.render())
+        # the value at z = 0 is the lead coefficient if the lead is z^0, else zero
+        current = coeff if lead == 0 else ZetaTermSum.zero(coeff.regulators, s.t_symbol)
     return _to_asymptote(current)
 
 
@@ -562,7 +591,7 @@ def ratio_limit(
     n, d = cancel_common_tokens(n, d)
     n, d, g_orders = divide_by_reference(n, d)
     for reg in n.regulators:
-        (ln, ld), (pn, pd), k = _expand_to_lead([n, d], reg, order)
+        (pn, pd), (cn, cd), k = _expand_to_lead([n, d], reg, order)
         if pn is None and pd is None:
             raise ZeroOverZeroUnresolved(f"0/0 in {reg} unresolved at truncation order {k}")
         if trace is not None:
@@ -582,9 +611,7 @@ def ratio_limit(
             raise DivergentLimit(
                 f"quotient diverges like {reg}^{pn - pd} at fixed {n.t_symbol}"
             )
-        rest = tuple(r for r in n.regulators if r != reg)
-        n = ZetaTermSum(ln.coeff_at(pn).merged().terms, rest, n.t_symbol)
-        d = ZetaTermSum(ld.coeff_at(pd).merged().terms, rest, d.t_symbol)
+        n, d = cn, cd
     return divide_term_sums(n, d)
 
 

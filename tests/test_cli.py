@@ -311,10 +311,14 @@ def assert_input_error(code, err, fragment):
         (["harmonic_oscillator_1d", "--param", "foo"], "--param expects name=number, got 'foo'"),
         (["phi4", "--numeric", "--param", "mu=nan"], "--param expects name=number, got 'mu=nan'"),
         (["phi4", "--numeric", "--param", "lambda=1e999"], "got 'lambda=1e999'"),
+        (["topological_oscillator", "--param", "J=-1"],
+         "--param J must not be negative (J is declared positive), got -1"),
+        (["phi4", "--numeric", "--param", "mu=-0.5"], "--param mu must not be negative"),
     ],
     ids=[
         "series-order-1", "dim-without-n", "dim-0", "dirac-dim-4", "param-not-a-number",
-        "param-without-value", "param-nan", "param-infinite",
+        "param-without-value", "param-nan", "param-infinite", "param-negative",
+        "param-negative-potential",
     ],
 )
 def test_run_bad_flag_value_exits_two(capsys, argv, fragment):
@@ -380,6 +384,34 @@ def test_kv_trace_value_below_its_minimum_exits_two(tmp_path, capsys, text, frag
     assert_input_error(code, err, fragment)
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[kv]\ndimension = 1\n[term]\ndegree = -3\ndegree = -5\n",
+         "duplicate key 'degree' in [term] (first set on line 4) at line 5"),
+        ("[kv]\ndimension = 1\nvolume = 2\ndimension = 3\n",
+         "duplicate key 'dimension' in [kv] (first set on line 2) at line 4"),
+        ("[kv]\ndimension = 1\n[term]\ndegree = -3\n[kv]\nvolume = 2\n",
+         "duplicate section [kv] (first on line 1) at line 5"),
+    ],
+    ids=["term-key", "kv-key", "kv-section"],
+)
+def test_kv_trace_repeated_key_or_section_exits_two(tmp_path, capsys, text, fragment):
+    path = tmp_path / "amp.kv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "kv-trace", str(path))
+    assert out == ""
+    assert_input_error(code, err, fragment)
+
+
+def test_kv_trace_repeats_term_sections(tmp_path, capsys):
+    path = tmp_path / "amp.kv"
+    path.write_text("[kv]\ndimension = 1\n[term]\ndegree = -3\n[term]\ndegree = -3\n")
+    code, out, _ = run_cli(capsys, "kv-trace", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "trace(0) = 2"
+
+
 # the README's rotor: <observable> = 1/(4 pi^2 J)
 ROTOR = (
     "[params]\nJ = 1\n[axes]\nxi = momentum\n[phase]\nxi^2/(2*J)\n"
@@ -403,10 +435,12 @@ ROTOR = (
         (ROTOR.replace("J = 1", "J = inf"), "J must be finite, got 'inf' at line 2"),
         (ROTOR.replace("J = 1", "J = nan"), "J must be finite, got 'nan' at line 2"),
         (ROTOR.replace("J = 1", "J = 1e999"), "J must be finite, got '1e999' at line 2"),
+        (ROTOR.replace("J = 1", "J = -1"), "J must be positive, got '-1' at line 2, column 5"),
+        (ROTOR.replace("J = 1", "J = 0.0"), "J must be positive, got '0.0' at line 2, column 5"),
     ],
     ids=[
         "axis-twice", "param-twice", "param-and-axis", "reserved-pi", "reserved-i", "reserved-T",
-        "param-inf", "param-nan", "param-overflowing",
+        "param-inf", "param-nan", "param-overflowing", "param-negative", "param-zero",
     ],
 )
 def test_model_file_declaration_faults_exit_two(tmp_path, capsys, text, fragment):
@@ -415,6 +449,14 @@ def test_model_file_declaration_faults_exit_two(tmp_path, capsys, text, fragment
     code, out, err = run_cli(capsys, "model", str(path), "--numeric")
     assert out == ""
     assert_input_error(code, err, fragment)
+
+
+def test_model_rejects_a_negative_param_flag(tmp_path, capsys):
+    path = tmp_path / "rotor.zt"
+    path.write_text(ROTOR)
+    code, out, err = run_cli(capsys, "model", str(path), "--param", "J=-2")
+    assert out == ""
+    assert_input_error(code, err, "--param J must not be negative (J is declared positive), got -2")
 
 
 @pytest.mark.parametrize("emit", ["text", "json"])

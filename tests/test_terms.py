@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from zetatrace import oracle
 from zetatrace.engine import build_trace_sums
 from zetatrace.errors import DivergentLimit, PoleAtZero
-from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor
+from zetatrace.laurent import MAX_ORDER, MeroFactorProduct, PrimitiveFactor, expand_product
 from zetatrace.models import harmonic_oscillator_1d, schwinger_boson_mass, topological_oscillator
 from zetatrace.params import ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, osc_linear
@@ -20,6 +21,7 @@ from zetatrace.terms import (
     TAsymTerm,
     ZetaTerm,
     ZetaTermSum,
+    _expand_to_lead,
     _tlin,
     divide_by_reference,
     ratio_limit,
@@ -486,3 +488,202 @@ def test_phases_that_differ_in_the_last_digits_are_not_merged():
     asym = TAsymptote([TAsymTerm(ParamPoly.one(), phase=p) for p in (w, w_near, w)])
     assert [t.phase.terms for t in asym.terms] == [w.terms, w_near.terms]
     assert [t.coeff.terms for t in asym.terms] == [{(): 2.0}, {(): 1.0}]
+
+
+def test_merged_keys_factors_as_a_multiset():
+    g, e = PrimitiveFactor.gamma(1, Fraction(1, 2)), PrimitiveFactor.exp_ipi(1, 0)
+    s = ZetaTermSum([
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(1.0), (g, e, g))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), (g, g, e))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(4.0), (g, e, e))),
+    ])
+    merged = s.merged().terms
+    assert [t.coeff.factors for t in merged] == [(g, e, g), (g, e, e)]
+    assert [t.coeff.prefactor.terms for t in merged] == [{(): 3.0}, {(): 4.0}]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimitiveFactor.gamma(Fraction(1, 2), -1, "z2"),
+    lambda: PrimitiveFactor.exp_ipi(Fraction(-1, 4), Fraction(3, 4)),
+    lambda: PrimitiveFactor.affine(2, Fraction(1, 3), -2),
+    lambda: PrimitiveFactor.const_pow(ParamPoly.monomial(2 / 9, {"J": Fraction(1, 2)}), 1, 0, "z1"),
+])
+def test_primitive_factor_hash_contract(make):
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) == hash(b)
+    object.__setattr__(a, "_hash", 12345)  # as if pickled by a process with another string-hash seed
+    loaded = pickle.loads(pickle.dumps(a))
+    assert loaded == b and hash(loaded) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# Lead-first elimination against the full expansion
+# ---------------------------------------------------------------------------
+
+
+def full_expansion_lead(s, regulator, order):
+    """Lead order and merged lead coefficient, every term expanded to truncation ``order``.
+
+    The reference that lead-first elimination must reproduce bit for bit:
+    each coefficient built from the terms' full expansions, below where the
+    shortest term ends, searched from the lowest power.
+    """
+    rest = tuple(r for r in s.regulators if r != regulator)
+    out, top = {}, None
+    for term in s.terms:
+        local = tuple(f for f in term.coeff.factors if f.regulator == regulator)
+        rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
+        a = term.t_coeff(regulator)
+        t_lin = tuple((r, v) for r, v in term.t_lin if r != regulator)
+        base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
+        end = base.lead + len(base.coeffs)
+        top = end if top is None else min(top, end)
+        for j, cpoly in enumerate(base.coeffs):
+            if cpoly.is_zero():
+                continue
+            p0 = base.lead + j
+            for k in range(end - p0 if a != 0 else 1):
+                factor = float(a) ** k / math.factorial(k) if k else 1.0
+                out.setdefault(p0 + k, []).append(ZetaTerm(
+                    MeroFactorProduct(cpoly.scale(factor), rest_factors), t_lin, term.t_const,
+                    term.t_log + k, term.phase, term.tokens,
+                ))
+    for p in sorted(p for p in out if p < top):
+        coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
+        if coeff.terms:
+            return p, coeff
+    return None, ZetaTermSum.zero(rest, s.t_symbol)
+
+
+def full_expansion_to_lead(sums, regulator, order):
+    """The order-doubling loop over full expansions: every sum at every truncation."""
+    k = order
+    while True:
+        found = [full_expansion_lead(s, regulator, k) for s in sums]
+        if all(lead is not None for lead, _ in found) or k >= MAX_ORDER:
+            return [lead for lead, _ in found], [coeff for _, coeff in found], k
+        k *= 2
+
+
+def exact_terms(s):
+    """Every term's structure and the repr of its coefficients, in sum order."""
+    return s.regulators, [
+        (t.coeff.factors, t.t_lin, t.t_const, t.t_log, t.tokens,
+         repr(list(t.phase.terms.items())), repr(list(t.coeff.prefactor.terms.items())))
+        for t in s.terms
+    ]
+
+
+lead_slopes = st.sampled_from([Fraction(k, d) for k in (-3, -1, 1, 2) for d in (1, 3, 4)])
+lead_bases = st.builds(
+    lambda c, e: ParamPoly.monomial(c, {"J": e}),
+    st.sampled_from([2 / 9, 5 / 7, 3.0]),
+    st.sampled_from([Fraction(1), Fraction(-1, 2)]),
+)
+
+
+def lead_factors(z):
+    """Any factor in regulator z: Gammas with and without poles, half-turns,
+    affine powers at zero and nonzero offsets, and const_pows of zero and
+    nonzero slope."""
+    return st.one_of(
+        st.builds(PrimitiveFactor.gamma, lead_slopes, st.integers(-2, 2), st.just(z)),
+        st.builds(PrimitiveFactor.gamma, lead_slopes, st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]), st.just(z)),
+        st.builds(PrimitiveFactor.exp_ipi, lead_slopes, lead_slopes, st.just(z)),
+        st.builds(PrimitiveFactor.affine, lead_slopes, st.sampled_from([0, Fraction(2, 3)]),
+                  st.integers(-2, 2).filter(bool), st.just(z)),
+        st.builds(PrimitiveFactor.const_pow, lead_bases, st.sampled_from([Fraction(0), Fraction(1, 3)]),
+                  lead_slopes, st.just(z)),
+    )
+
+
+def unit_lead_factors(z):
+    """Factors in regulator z whose z^0 coefficient is exactly 1."""
+    return st.one_of(
+        st.builds(PrimitiveFactor.exp_ipi, lead_slopes, st.sampled_from([0, 2]), st.just(z)),
+        st.builds(PrimitiveFactor.affine, lead_slopes, st.just(1), st.integers(-2, 2).filter(bool), st.just(z)),
+        st.builds(PrimitiveFactor.const_pow, lead_bases, lead_slopes, st.just(0), st.just(z)),
+    )
+
+
+lead_prefactors = st.builds(
+    lambda c, w: ParamPoly.number(c) + ParamPoly.var("w", coeff=w),
+    st.sampled_from([3 / 7, -2 / 9, 1.5j]),
+    st.sampled_from([0.0, 5 / 7]),
+)
+t_slopes = st.sampled_from([Fraction(0), Fraction(-1, 2), Fraction(1, 3)])
+
+
+@st.composite
+def lead_sums(draw, z, regulators, most=2):
+    """A sum in regulator z of free terms and pairs that cancel at their shared lead.
+
+    A pair is c B U T^(a z) - c B V T^(b z), with U and V of lead 1: its lead
+    coefficients cancel exactly, so the lead shows only past the terms' own
+    leads.  A term may also come with its exact negation, which cancels at
+    every order.
+    """
+    terms = []
+    for _ in range(draw(st.integers(0, most))):
+        factors = tuple(draw(st.lists(lead_factors(z), max_size=3)))
+        terms.append(ZetaTerm(MeroFactorProduct(draw(lead_prefactors), factors),
+                              t_lin=_tlin({z: draw(t_slopes)}), t_const=draw(t_slopes)))
+    for _ in range(draw(st.integers(0 if terms else 1, most))):
+        base = tuple(draw(st.lists(lead_factors(z), max_size=2)))
+        c = draw(lead_prefactors)
+        for sign in (c, -c):
+            extra = tuple(draw(st.lists(unit_lead_factors(z), max_size=2)))
+            terms.append(ZetaTerm(MeroFactorProduct(sign, base + extra), t_lin=_tlin({z: draw(t_slopes)})))
+    if draw(st.booleans()):
+        t = terms[draw(st.integers(0, len(terms) - 1))]
+        terms.append(ZetaTerm(MeroFactorProduct(-t.coeff.prefactor, t.coeff.factors), t.t_lin, t.t_const))
+    return ZetaTermSum(draw(st.permutations(terms)), regulators)
+
+
+@st.composite
+def lead_problems(draw):
+    """One or two sums in one or two regulators; a two-regulator sum is a
+    product of one sum per regulator, so its lead coefficients in z1 cancel
+    again in z2."""
+    regulators = draw(st.sampled_from([("z1",), ("z1", "z2")]))
+    most = 3 - len(regulators)  # terms per kind: a product of two sums is long
+    sums = []
+    for _ in range(draw(st.integers(1, 2))):
+        s = draw(lead_sums("z1", regulators, most))
+        if len(regulators) == 2:
+            s = s * draw(lead_sums("z2", regulators, most))
+        sums.append(s)
+    return sums, draw(st.sampled_from([2, 3, 4]))
+
+
+@given(lead_problems())
+def test_lead_first_elimination_is_the_full_expansion_bit_for_bit(problem):
+    sums, order = problem
+    for reg in sums[0].regulators:
+        leads, coeffs, k = _expand_to_lead(sums, reg, order)
+        want_leads, want_coeffs, want_k = full_expansion_to_lead(sums, reg, order)
+        assert (leads, k) == (want_leads, want_k)
+        assert [exact_terms(c) for c in coeffs] == [exact_terms(c) for c in want_coeffs]
+        sums = coeffs
+
+
+def test_lead_first_elimination_falls_back_past_a_cancelling_lead():
+    # every term's lead is z^-1, and the leads cancel: the sum leads at z^0
+    gamma = PrimitiveFactor.gamma(1, 0)
+    s = ZetaTermSum([
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(3 / 7), (gamma,)), t_lin=(("z", Fraction(-1, 2)),)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-3 / 7), (gamma,))),
+    ])
+    (lead,), (coeff,), k = _expand_to_lead([s], "z", 4)
+    want_leads, want_coeffs, want_k = full_expansion_to_lead([s], "z", 4)
+    assert (lead, k) == (0, 4) and ([lead], k) == (want_leads, want_k)
+    assert exact_terms(coeff) == exact_terms(want_coeffs[0])
+    assert [t.t_log for t in coeff.terms] == [1]
+
+
+def test_lead_first_elimination_doubles_the_truncation_for_a_vanishing_sum():
+    t = ZetaTerm(MeroFactorProduct(ParamPoly.number(0.3), (PrimitiveFactor.gamma(1, -1),)))
+    vanishing = ZetaTermSum([t, t.scaled(ParamPoly.number(-1.0))])
+    leads, coeffs, k = _expand_to_lead([vanishing, ZetaTermSum([t])], "z", 3)
+    assert (leads, k) == ([None, -1], 24)
+    assert coeffs[0].terms == []
