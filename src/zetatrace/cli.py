@@ -41,8 +41,8 @@ def _parse_params(items) -> dict[str, float]:
 def _check_signs(model, bindings: dict[str, float]) -> None:
     """A parameter declared positive takes no negative ``--param`` value.
 
-    Zero is left to the evaluation, which reports a negative power of it as
-    an overflow.
+    A zero is left to the evaluation, which reports a negative power of it
+    as an overflow (exit 1).
     """
     for p in model.params:
         value = bindings.get(p.name)

@@ -338,19 +338,17 @@ def _coefficients(
 
 
 def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> tuple[int | None, ZetaTermSum]:
-    """Lead order of a sum in one regulator and its lead coefficient, merged.
+    """Lead order of a sum in one regulator, and its lead coefficient merged.
 
     Lead first: each term is expanded to its own lead coefficient only
-    (truncation 0).  If the merged coefficient at the least of those leads
-    is nonzero, it leads.  Only if it cancels is the sum expanded to
-    truncation ``order``, and the search goes on from the next power up to
-    where the shortest term ends.  A coefficient below the truncation is the
-    same sequence of float operations at any truncation; only the sign of a
-    zero can differ, and ``ParamPoly`` normalises it.  So the lead and its
-    coefficient are bit for bit those of the full expansion.  Each
-    coefficient is merged once.  The coefficient is a sum free of the
-    regulator; the lead is None, with a zero sum, when every coefficient
-    below the truncation vanishes.
+    (truncation 0).  Only if the merged coefficient at the least of those
+    leads cancels is the sum expanded to truncation ``order`` and searched
+    on, up to where its shortest term ends; each coefficient is merged once.
+    A coefficient below a truncation is the same float operations at any
+    truncation (only the sign of a zero can differ, and ``ParamPoly``
+    normalises it), so the result is the full expansion's bit for bit.  The
+    coefficient is free of the regulator; the lead is None, with a zero sum,
+    when every coefficient below the truncation vanishes.
     """
     rest = tuple(r for r in s.regulators if r != regulator)
     if not s.terms:

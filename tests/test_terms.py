@@ -507,7 +507,7 @@ def test_merged_keys_factors_as_a_multiset():
     lambda: PrimitiveFactor.exp_ipi(Fraction(-1, 4), Fraction(3, 4)),
     lambda: PrimitiveFactor.affine(2, Fraction(1, 3), -2),
     lambda: PrimitiveFactor.const_pow(ParamPoly.monomial(2 / 9, {"J": Fraction(1, 2)}), 1, 0, "z1"),
-])
+], ids=["gamma", "half-turn", "affine", "const-pow"])
 def test_primitive_factor_hash_contract(make):
     a, b = make(), make()
     assert a == b and hash(a) == hash(b) == hash(b)
