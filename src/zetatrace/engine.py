@@ -86,6 +86,8 @@ class ModelSpec:
     expected: dict[str, ParamPoly] = field(default_factory=dict)
     hbar: str | None = None
     prefactor: ParamPoly = field(default_factory=ParamPoly.one)
+    #: sector labels whose traces factor out of both sums and cancel; the trace
+    #: ends every numerator and denominator term with them
     tokens: tuple[str, ...] = ()
     t_symbol: str = "T"
     kind: str = "expectation"  # expectation | potential
@@ -396,11 +398,9 @@ def reduce_pieces(
     the tuple of its picked rows, each scaled by its multiplier, and becomes
     one ``ZetaTerm`` at the end: the coefficient times every picked
     prefactor in pick order, the picked factors concatenated, the ``T``
-    exponents summed, the evolution phase and the model's tokens.  An
-    alternatives list that ``reduced_integrals`` shares between items is
+    exponents summed and the evolution phase.  An alternatives list that ``reduced_integrals`` shares between items is
     turned into its scaled rows once.
     """
-    tokens = tuple(sorted(model.tokens))
     out: list[ZetaTerm] = []
     # alternatives list id -> (the list, which keeps the id from reuse; its scaled rows)
     picks_of: dict[int, tuple[Alternatives, list[ZetaTerm]]] = {}
@@ -419,7 +419,7 @@ def reduce_pieces(
                 for row in picks
             ]
         out.extend(
-            _branch_term(coeff, picked, t_power, phase.const, tokens)
+            _branch_term(coeff, picked, t_power, phase.const)
             for coeff, picked in branches
             if not coeff.is_zero()
         )
@@ -440,7 +440,6 @@ def _branch_term(
     picked: tuple[ZetaTerm, ...],
     t_power: Fraction,
     phase: ParamPoly,
-    tokens: tuple[str, ...],
 ) -> ZetaTerm:
     # rows repeat across symbols: each distinct row's exponents times its multiplicity
     distinct: dict[int, list] = {}
@@ -454,7 +453,7 @@ def _branch_term(
             t_lin[reg] = t_lin.get(reg, 0) + n * a
     factors = tuple(f for row in picked for f in row.coeff.factors)
     t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a != 0))
-    return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase, tokens)
+    return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase)
 
 
 def _table_row(
@@ -521,13 +520,12 @@ def build_trace_sums(
     rows: dict[tuple, ZetaTerm] = {}
     num = reduce_pieces(num_pieces, model, phase, plan, policy, rows)
     den = reduce_pieces(den_pieces, model, phase, plan, policy, rows)
-    if num.regulators != den.regulators or num.t_symbol != den.t_symbol:
-        raise UnsupportedStructure("numerator and denominator gauges diverged")
+    tokens = sorted(model.tokens)
     steps: list[Step] = [
         lambda: f"gauge: {plan.render()}",
         f"reduce: numerator {len(num.terms)} terms, denominator {len(den.terms)} terms",
-        lambda: f"numerator = {num.render()}",
-        lambda: f"denominator = {den.render()}",
+        lambda: f"numerator = {num.render(tokens)}",
+        lambda: f"denominator = {den.render(tokens)}",
     ]
     return num, den, steps
 
@@ -677,7 +675,7 @@ def effective_potential(
                 masses.append(mass)
     steps: list[Step] = [
         lambda: f"gauge: {plan.render()}",
-        lambda: f"partition sum = {z_sum.render()}",
+        lambda: f"partition sum = {z_sum.render(sorted(model.tokens))}",
         lambda: (
             f"V = {pot.render()} + ln({t.coeff.render()} * {model.t_symbol}^{t.t_power}) "
             f"/ (-i*{model.t_symbol})"

@@ -160,13 +160,12 @@ class PrimitiveFactor:
             return -self.power
         return 0
 
-    def numeric(self, z: complex, gamma_fn: Callable[[complex], complex] | None = None,
+    def numeric(self, z: complex, gamma_fn: Callable[[complex], complex],
                 bindings=None) -> complex:
         """Direct numeric value at a given z (for oracle comparisons)."""
         arg = complex(self.alpha) * z + complex(self.beta)
         if self.kind is FactorKind.GAMMA:
-            g = gamma_fn or (lambda w: complex(mpmath.gamma(w)))
-            return g(arg)
+            return gamma_fn(arg)
         if self.kind is FactorKind.EXP_IPI:
             return cmath.exp(1j * math.pi * arg)
         if self.kind is FactorKind.AFFINE:
@@ -215,10 +214,8 @@ class MeroFactorProduct:
     def times(self, other: "MeroFactorProduct") -> "MeroFactorProduct":
         return MeroFactorProduct(self.prefactor * other.prefactor, self.factors + other.factors)
 
-    def pole_order(self) -> int:
-        return sum(f.pole_order() for f in self.factors)
-
-    def numeric(self, z: complex, gamma_fn=None, bindings=None) -> complex:
+    def numeric(self, z: complex, gamma_fn: Callable[[complex], complex],
+                bindings=None) -> complex:
         v = self.prefactor.eval(bindings or {})
         for f in self.factors:
             v *= f.numeric(z, gamma_fn, bindings)

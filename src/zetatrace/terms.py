@@ -26,7 +26,7 @@ expansion, bit for bit.
 
 A Laurent coefficient vanishes when its terms, grouped by exact structure
 (the multiset of factors, ``T`` and ``ln T`` powers, the phase's exact
-coefficients, tokens), have prefactors that sum to the zero poly: which
+coefficients), have prefactors that sum to the zero poly: which
 order leads depends on exact cancellation alone, never on a tolerance.
 """
 
@@ -36,7 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DivergentLimit,
@@ -67,14 +67,13 @@ def _tlin(mapping: Mapping[str, Fraction] | TLin | None) -> TLin:
 
 @dataclass(frozen=True)
 class ZetaTerm:
-    """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T) * tokens."""
+    """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T)."""
 
     coeff: MeroFactorProduct
     t_lin: TLin = ()
     t_const: Fraction = Fraction(0)
     t_log: int = 0
     phase: ParamPoly = field(default_factory=ParamPoly.zero)
-    tokens: tuple[str, ...] = ()
 
     @staticmethod
     def from_poly(poly: ParamPoly, t_const=0, **kw) -> "ZetaTerm":
@@ -90,7 +89,6 @@ class ZetaTerm:
             t_const=self.t_const + other.t_const,
             t_log=self.t_log + other.t_log,
             phase=self.phase + other.phase,
-            tokens=tuple(sorted(self.tokens + other.tokens)),
         )
 
     def structure_key(self) -> tuple:
@@ -100,7 +98,6 @@ class ZetaTerm:
             self.t_const,
             self.t_log,
             frozenset(self.phase.terms.items()),
-            self.tokens,
         )
 
     def t_coeff(self, regulator: str) -> Fraction:
@@ -123,8 +120,6 @@ class ZetaTerm:
             parts.append(f"ln({t_symbol})^{self.t_log}")
         if not self.phase.is_zero():
             parts.append(f"e^(i*({self.phase.render(mul='*')})*{t_symbol})")
-        if self.tokens:
-            parts.append("[" + ",".join(self.tokens) + "]")
         return " * ".join(parts)
 
 
@@ -149,22 +144,12 @@ class ZetaTermSum:
     def zero(regulators=("z",), t_symbol="T") -> "ZetaTermSum":
         return ZetaTermSum([], regulators, t_symbol)
 
-    def __add__(self, other: "ZetaTermSum") -> "ZetaTermSum":
-        return ZetaTermSum(self.terms + other.terms, self.regulators, self.t_symbol)
-
-    def __mul__(self, other):
-        if isinstance(other, ParamPoly):
-            return self.scale(other)
-        if isinstance(other, ZetaTermSum):
-            return ZetaTermSum(
-                [a.times(b) for a in self.terms for b in other.terms],
-                self.regulators,
-                self.t_symbol,
-            )
-        return NotImplemented
-
-    def scale(self, poly: ParamPoly) -> "ZetaTermSum":
-        return ZetaTermSum([t.scaled(poly) for t in self.terms], self.regulators, self.t_symbol)
+    def __mul__(self, other: "ZetaTermSum") -> "ZetaTermSum":
+        return ZetaTermSum(
+            [a.times(b) for a in self.terms for b in other.terms],
+            self.regulators,
+            self.t_symbol,
+        )
 
     def merged(self) -> "ZetaTermSum":
         """Merge terms with identical structure; drop those whose prefactors sum to zero."""
@@ -179,7 +164,7 @@ class ZetaTermSum:
         out = [
             rep if acc is rep.coeff.prefactor else ZetaTerm(
                 MeroFactorProduct(acc, rep.coeff.factors),
-                rep.t_lin, rep.t_const, rep.t_log, rep.phase, rep.tokens,
+                rep.t_lin, rep.t_const, rep.t_log, rep.phase,
             )
             for rep, acc in buckets.values()
             if not acc.is_zero()
@@ -189,10 +174,12 @@ class ZetaTermSum:
     def is_zero(self) -> bool:
         return not self.merged().terms
 
-    def render(self) -> str:
+    def render(self, tokens: Sequence[str] = ()) -> str:
+        """The sum as text; ``tokens``, a model's sector labels, end every term."""
         if not self.terms:
             return "0"
-        return "  +  ".join(t.render(self.t_symbol) for t in self.terms)
+        label = f" * [{','.join(tokens)}]" if tokens else ""
+        return "  +  ".join(t.render(self.t_symbol) + label for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +319,7 @@ def _coefficients(
                 c = cpoly.scale(float(a) ** k / math.factorial(k)) if k else cpoly
                 out.setdefault(p0 + k, []).append(ZetaTerm(
                     MeroFactorProduct(c, rest_factors), t_lin, term.t_const,
-                    term.t_log + k, term.phase, term.tokens,
+                    term.t_log + k, term.phase,
                 ))
     return out, top
 
@@ -388,46 +375,6 @@ def _expand_to_lead(
             for s, (lead, coeff) in zip(sums, found)
         ]
     return [lead for lead, _ in found], [coeff for _, coeff in found], k
-
-
-def cancel_common_tokens(n: ZetaTermSum, d: ZetaTermSum) -> tuple[ZetaTermSum, ZetaTermSum]:
-    """Remove token multisets shared globally by numerator and denominator."""
-
-    def common(s: ZetaTermSum) -> tuple[str, ...]:
-        if not s.terms:
-            return ()
-        sets = [list(t.tokens) for t in s.terms]
-        base = sets[0]
-        for other in sets[1:]:
-            keep = []
-            pool = list(other)
-            for tok in base:
-                if tok in pool:
-                    pool.remove(tok)
-                    keep.append(tok)
-            base = keep
-        return tuple(base)
-
-    shared = list(common(n))
-    pool = list(common(d))
-    both = []
-    for tok in shared:
-        if tok in pool:
-            pool.remove(tok)
-            both.append(tok)
-
-    def strip(s: ZetaTermSum) -> ZetaTermSum:
-        out = []
-        for t in s.terms:
-            toks = list(t.tokens)
-            for tok in both:
-                toks.remove(tok)
-            out.append(replace(t, tokens=tuple(sorted(toks))))
-        return ZetaTermSum(out, s.regulators, s.t_symbol)
-
-    if not both:
-        return n, d
-    return strip(n), strip(d)
 
 
 def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
@@ -491,7 +438,7 @@ def _divide_term(
     return ZetaTerm(
         MeroFactorProduct(t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)),
         _tlin(_merge_tlin(t.t_lin, tuple((r, -a) for r, a in t_lin))),
-        t.t_const, t.t_log, t.phase, t.tokens,
+        t.t_const, t.t_log, t.phase,
     )
 
 
@@ -506,8 +453,8 @@ def divide_by_reference(
     an integer offset.  Paired Gammas become affine factors, paired phases
     and powers of the same base subtract their exponents, unpaired ones are
     multiplied in inverted.  Prefactors, constant ``T`` powers, ``ln T``
-    powers, oscillating phases and tokens are left alone, so the quotient
-    n/d and the prefactors its limit is read from do not change.  Returns the
+    powers and oscillating phases are left alone, so the quotient n/d and
+    the prefactors its limit is read from do not change.  Returns the
     divided sums and g's order at 0 in each regulator.
     """
     r = d.terms[0]
@@ -570,9 +517,8 @@ def ratio_limit(
 ) -> TAsymptote:
     """Iterated regulator limits of the quotient n/d at fixed T.
 
-    Matching cancelling tokens are removed pairwise first.  Then both sums
-    are divided by one reference divisor g from the first denominator term
-    (``divide_by_reference``): Gamma pairs with integer shifts become affine
+    Both sums are first divided by one reference divisor g from the first
+    denominator term (``divide_by_reference``): Gamma pairs with integer shifts become affine
     factors and phase and ``const_pow`` pairs become constants, so the
     expansions carry few factors and almost no formal logarithms.  For each
     regulator (declared order) the joint Laurent expansions of numerator and
@@ -586,7 +532,6 @@ def ratio_limit(
         raise UnsupportedStructure("numerator and denominator use different regulators")
     if not d.terms:
         raise DivergentLimit("denominator is identically zero")
-    n, d = cancel_common_tokens(n, d)
     n, d, g_orders = divide_by_reference(n, d)
     for reg in n.regulators:
         (pn, pd), (cn, cd), k = _expand_to_lead([n, d], reg, order)
@@ -627,16 +572,9 @@ def divide_term_sums(n: ZetaTermSum, d: ZetaTermSum) -> TAsymptote:
     for t in n.merged().terms:
         if t.coeff.factors:
             raise UnsupportedStructure("numerator still carries regulator factors")
-        toks = list(t.tokens)
-        for tok in dt.tokens:
-            if tok not in toks:
-                raise UnresolvedDenominator(f"token {tok} does not cancel")
-            toks.remove(tok)
         log_pow = t.t_log - dt.t_log
         if log_pow < 0:
             raise UnresolvedDenominator("negative ln T power after division")
-        if toks:
-            raise UnresolvedDenominator(f"tokens survive the quotient: {toks}")
         out.append(
             TAsymTerm(
                 t.coeff.prefactor.divide(dt.coeff.prefactor),

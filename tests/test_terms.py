@@ -146,14 +146,6 @@ def test_ratio_limit_zero_when_numerator_vanishes_faster():
     assert ta.is_zero()
 
 
-def test_token_cancellation():
-    tok = ("sector:A", "sector:A", "vol")
-    n = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.var("m"), tokens=tok)])
-    d = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.one(), tokens=tok)])
-    ta = ratio_limit(n, d)
-    assert thermal_limit(ta) == ParamPoly.var("m")
-
-
 def test_phase_cancellation_between_numerator_and_denominator():
     phase = ParamPoly.var("m").scale(-1)
     n = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.var("m"), phase=phase)])
@@ -546,7 +538,7 @@ def full_expansion_lead(s, regulator, order):
                 factor = float(a) ** k / math.factorial(k) if k else 1.0
                 out.setdefault(p0 + k, []).append(ZetaTerm(
                     MeroFactorProduct(cpoly.scale(factor), rest_factors), t_lin, term.t_const,
-                    term.t_log + k, term.phase, term.tokens,
+                    term.t_log + k, term.phase,
                 ))
     for p in sorted(p for p in out if p < top):
         coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
@@ -568,7 +560,7 @@ def full_expansion_to_lead(sums, regulator, order):
 def exact_terms(s):
     """Every term's structure and the repr of its coefficients, in sum order."""
     return s.regulators, [
-        (t.coeff.factors, t.t_lin, t.t_const, t.t_log, t.tokens,
+        (t.coeff.factors, t.t_lin, t.t_const, t.t_log,
          repr(list(t.phase.terms.items())), repr(list(t.coeff.prefactor.terms.items())))
         for t in s.terms
     ]
