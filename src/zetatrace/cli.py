@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -39,16 +40,13 @@ def _parse_params(items) -> dict[str, float]:
 
 
 def _check_signs(model, bindings: dict[str, float]) -> None:
-    """A parameter declared positive takes no negative ``--param`` value.
-
-    A zero is left to the evaluation, which reports a negative power of it
-    as an overflow (exit 1).
-    """
+    """A parameter declared positive takes only a positive ``--param`` value."""
     for p in model.params:
         value = bindings.get(p.name)
-        if p.positive and value is not None and value < 0:
+        if p.positive and value is not None and value <= 0:
+            problem = "must not be zero" if value == 0 else "must not be negative"
             raise UsageError(
-                f"--param {p.name} must not be negative ({p.name} is declared positive), got {value:g}"
+                f"--param {p.name} {problem} ({p.name} is declared positive), got {value:g}"
             )
 
 
@@ -202,10 +200,23 @@ def cmd_kv_trace(args) -> int:
     return 0
 
 
+#: the largest decimal exponent of a kv degree; int() reads no longer integer either
+_KV_MAX_EXPONENT = 4300
+_KV_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
+def _read_degree(text: str) -> Fraction:
+    """A degree, read exactly; ``Fraction`` forms 10**exponent, so a larger one is refused."""
+    m = _KV_EXPONENT.search(text)
+    if m and abs(float(m.group(1))) > _KV_MAX_EXPONENT:
+        raise OverflowError
+    return Fraction(text)
+
+
 #: per kv-file section, its keys and how each value is read
 _KV_KEYS = {
     "kv": {"dimension": int, "volume": float},
-    "term": {"degree": Fraction, "log_order": int, "angular": float},
+    "term": {"degree": _read_degree, "log_order": int, "angular": float},
 }
 
 #: the least value of each bounded integer kv key
@@ -251,6 +262,10 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
             values[key] = read(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
+        except OverflowError:
+            raise ParseError(
+                f"{key} exponent must be at most {_KV_MAX_EXPONENT} in magnitude, got {value!r}", lineno
+            ) from None
         if read is float and not math.isfinite(values[key]):
             raise ParseError(f"{key} must be finite, got {value!r}", lineno)
         if key in _KV_MINIMUM and values[key] < _KV_MINIMUM[key]:

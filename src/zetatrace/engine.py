@@ -20,6 +20,7 @@ from .errors import (
     DegenerateCase,
     DivergentLimit,
     LogOfNonmonomial,
+    NumericOverflow,
     UncoveredAxis,
     UnsolvablePotential,
     UnsupportedStructure,
@@ -591,7 +592,8 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
 
     The homogeneous part contributes
     (-1)^(l+1) l! * vol(X) * int_sphere(angular) / (N + d)^(l+1)
-    per term; degrees d = -N are critical and rejected.
+    per term; degrees d = -N are critical and rejected.  A factor
+    l!/(N + d)^(l+1) that leaves the float range is a ``NumericOverflow``.
     """
     n = spec.dimension
     total = ParamPoly.zero()
@@ -599,7 +601,7 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
         total = total + ParamPoly.number(complex(spec.ball_payload()))
     if spec.integrable_payload is not None:
         total = total + ParamPoly.number(complex(spec.integrable_payload()))
-    for d, l, angular in spec.terms:
+    for i, (d, l, angular) in enumerate(spec.terms, start=1):
         d = _fraction(d)
         if d == -n:
             raise CriticalDegree(f"degree {d} is critical in dimension {n}")
@@ -607,7 +609,14 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
             sphere = ParamPoly.number(complex(angular()))
         else:
             sphere = angular * angular_moment((), n)
-        factor = ((-1) ** (l + 1)) * math.factorial(l) / float(n + d) ** (l + 1)
+        try:
+            if l > 170:  # 171! is past the float range, and a far larger l! is slow to form
+                raise OverflowError
+            factor = ((-1) ** (l + 1)) * math.factorial(l) / float(n + d) ** (l + 1)
+        except (OverflowError, ZeroDivisionError):  # or the power underflows to 0
+            raise NumericOverflow(
+                f"term {i}: l!/(N + d)^(l+1) leaves the float range (N = {n}, l = {l})"
+            ) from None
         total = total + (spec.vol_x * sphere).scale(factor)
     return total
 

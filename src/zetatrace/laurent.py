@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from .errors import UnsupportedFactor, UnsupportedStructure
+from .errors import NumericOverflow, UnsupportedFactor, UnsupportedStructure
 from .params import ExpKey, ParamPoly, _fraction, _merge_keys, log_param
 
 DEFAULT_ORDER = 4
@@ -61,12 +61,24 @@ def polygamma_value(k: int, x: Fraction) -> float:
     return float(mpmath.psi(k, mpmath.mpf(x.numerator) / x.denominator))
 
 
+#: Gamma at an integer or half-integer argument beyond this leaves the float
+#: range: Gamma(172) = 171! and Gamma(172.5) overflow, Gamma(-172.5) underflows
+GAMMA_ARG_MAX = Fraction(343, 2)
+
+
 @lru_cache(maxsize=None)
 def gamma_value(beta: Fraction) -> ParamPoly:
-    """Gamma(beta) as a ParamPoly; integer/half-integer arguments stay exact in pi^(1/2)."""
+    """Gamma(beta) as a ParamPoly; integer/half-integer arguments stay exact in pi^(1/2).
+
+    ``NumericOverflow`` where Gamma(beta) leaves the float range; at an
+    integer or half-integer it is raised before any factorial or product
+    is formed.
+    """
+    if beta.denominator == 1 and beta <= 0:
+        raise UnsupportedFactor(f"Gamma pole at {beta}")
+    if beta.denominator <= 2 and abs(beta) > GAMMA_ARG_MAX:
+        raise NumericOverflow(f"Gamma({beta}) leaves the float range")
     if beta.denominator == 1:
-        if beta <= 0:
-            raise UnsupportedFactor(f"Gamma pole at {beta}")
         return ParamPoly.number(float(math.factorial(beta.numerator - 1)))
     if beta.denominator == 2:
         # Gamma(1/2 + k) = rational * sqrt(pi)

@@ -26,6 +26,10 @@ AXIS_KINDS = ("position", "momentum", "field")
 #: names the expression grammar gives a meaning of its own; a file may not declare them
 RESERVED_NAMES = ("i", "pi", "T")
 
+#: the largest exponent literal a file may write: the bundled models need 4, and a
+#: power of a sum expands term by term, so a larger exponent can stall lowering
+MAX_EXPONENT = 16
+
 
 # ---------------------------------------------------------------------------
 # Expression tokenizer / parser (AST of nested tuples)
@@ -120,7 +124,16 @@ class _Parser:
         tok = self.peek()
         if tok and tok.kind == "op" and tok.text == "^":
             self.next()
+            start = self.peek()
             exponent = self.unary()
+            literal = exponent
+            while literal[0] == "neg":
+                literal = literal[1]
+            # float() reads a digit string of any length, exactly near the bound
+            if literal[0] == "num" and float(literal[1]) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {literal[1]} is larger than {MAX_EXPONENT}", self.line, start.column
+                )
             return ("^", base, exponent)
         return base
 

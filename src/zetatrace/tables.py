@@ -132,17 +132,17 @@ def angular_moment(powers: tuple[int, ...], dim: int) -> ParamPoly:
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    powers = tuple(powers) + (0,) * (dim - len(powers))
     if len(powers) > dim:
         raise UnsupportedAngular("more direction components than dimensions")
     if any(p < 0 for p in powers):
         raise UnsupportedAngular("negative direction powers")
     if any(p % 2 for p in powers):
         return ParamPoly.zero()
-    num = ParamPoly.number(2.0)
+    den = gamma_value(Fraction(dim + sum(powers), 2))
+    # each component without a power contributes Gamma(1/2) = 1.0 * pi^(1/2)
+    num = ParamPoly.monomial(2.0, {"pi": Fraction(dim - len(powers), 2)})
     for p in powers:
         num = num * gamma_value(Fraction(p + 1, 2))
-    den = gamma_value(Fraction(dim + sum(powers), 2))
     return num * den.inverse()
 
 

@@ -96,13 +96,6 @@ def test_run_numeric_overflowing_power_exits_one(capsys, emit):
     assert err.strip().splitlines() == ["error: e^2 overflows at e = 1e+200"]
 
 
-def test_run_numeric_negative_power_of_zero_exits_one(capsys):
-    code, out, err = run_cli(capsys, "run", "topological_oscillator", "--numeric", "--param", "J=0")
-    assert code == 1
-    assert out == ""
-    assert err == "error: J^-1 overflows at J = 0\n"
-
-
 @pytest.mark.parametrize("emit", ["text", "json"])
 def test_run_phi4_numeric_overflowing_product_exits_one(capsys, emit):
     # mu = 1e200 and lambda^-1/2 = 1e150 are in range, the minimum 2.4e350 is not: nothing is
@@ -276,6 +269,32 @@ def test_kv_trace_overflowing_amplitude_exits_one(tmp_path, capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize(
+    "kv, fragment",
+    [
+        ("[kv]\ndimension = 400\n[term]\ndegree = -3\n", "Gamma(200) leaves the float range"),
+        # the sphere volume's Gamma is rejected before any factorial is formed
+        ("[kv]\ndimension = 100000000\n[term]\ndegree = -3\n",
+         "Gamma(50000000) leaves the float range"),
+        ("[kv]\ndimension = 3\n[term]\ndegree = -5\nlog_order = 100000\n",
+         "term 1: l!/(N + d)^(l+1) leaves the float range (N = 3, l = 100000)"),
+        ("[kv]\ndimension = 3\n[term]\ndegree = 1e400\n",
+         "term 1: l!/(N + d)^(l+1) leaves the float range (N = 3, l = 0)"),
+        # (N + d)^61 underflows to 0, so the factor overflows
+        ("[kv]\ndimension = 3\n[term]\ndegree = -3.0000000001\nlog_order = 60\n",
+         "term 1: l!/(N + d)^(l+1) leaves the float range (N = 3, l = 60)"),
+    ],
+    ids=["dimension-400", "dimension-1e8", "log-order-1e5", "degree-1e400", "power-underflow"],
+)
+def test_kv_trace_out_of_range_arithmetic_exits_one(tmp_path, capsys, kv, fragment):
+    path = tmp_path / "amp.kv"
+    path.write_text(kv)
+    code, out, err = run_cli(capsys, "kv-trace", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {fragment}\n"
+
+
 def test_kv_trace_prints_a_huge_trace_in_twelve_digits(tmp_path, capsys):
     path = tmp_path / "amp.kv"
     path.write_text("[kv]\ndimension = 1\nvolume = 1e307\n[term]\ndegree = -3\n")
@@ -314,11 +333,15 @@ def assert_input_error(code, err, fragment):
         (["topological_oscillator", "--param", "J=-1"],
          "--param J must not be negative (J is declared positive), got -1"),
         (["phi4", "--numeric", "--param", "mu=-0.5"], "--param mu must not be negative"),
+        (["topological_oscillator", "--numeric", "--param", "J=0"],
+         "--param J must not be zero (J is declared positive), got 0"),
+        (["harmonic_oscillator_1d", "--numeric", "--param", "omega=0"],
+         "--param omega must not be zero"),
     ],
     ids=[
         "series-order-1", "dim-without-n", "dim-0", "dirac-dim-4", "param-not-a-number",
         "param-without-value", "param-nan", "param-infinite", "param-negative",
-        "param-negative-potential",
+        "param-negative-potential", "param-zero", "param-zero-omega",
     ],
 )
 def test_run_bad_flag_value_exits_two(capsys, argv, fragment):
@@ -449,6 +472,15 @@ def test_model_file_declaration_faults_exit_two(tmp_path, capsys, text, fragment
     code, out, err = run_cli(capsys, "model", str(path), "--numeric")
     assert out == ""
     assert_input_error(code, err, fragment)
+
+
+def test_model_exponent_past_the_bound_exits_two_without_lowering(tmp_path, capsys):
+    # lowering xi^100000000 would multiply out 10^8 factors
+    path = tmp_path / "rotor.zt"
+    path.write_text(ROTOR.replace("(T*xi/(2*pi*J))^2/(-i*T)", "xi^100000000"))
+    code, out, err = run_cli(capsys, "model", str(path))
+    assert out == ""
+    assert_input_error(code, err, "exponent 100000000 is larger than 16 at line 8, column 4")
 
 
 def test_model_rejects_a_negative_param_flag(tmp_path, capsys):

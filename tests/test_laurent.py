@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetatrace import oracle
-from zetatrace.errors import DivergentLimit, ZeroOverZeroUnresolved
+from zetatrace.errors import DivergentLimit, NumericOverflow, ZeroOverZeroUnresolved
 from zetatrace.laurent import (
     LaurentSeries,
     MeroFactorProduct,
@@ -250,6 +250,16 @@ def test_gamma_value_half_integers_symbolic_in_pi():
     assert g.render() == "pi^1/2"
     ratio = gamma_value(Fraction(3, 2)) * gamma_value(Fraction(1, 2)).inverse()
     assert ratio.as_number() == pytest.approx(0.5)
+
+
+def test_gamma_value_rejects_arguments_past_the_float_range():
+    # the last integer and half-integer arguments whose Gamma is a finite float
+    assert gamma_value(Fraction(171)).as_number() == float(math.factorial(170))
+    assert gamma_value(Fraction(343, 2)).terms
+    assert gamma_value(Fraction(-343, 2)).terms
+    for beta in (Fraction(172), Fraction(345, 2), Fraction(-345, 2), Fraction(10**12)):
+        with pytest.raises(NumericOverflow, match=rf"Gamma\({beta}\) leaves the float range"):
+            gamma_value(beta)
 
 
 def test_const_pow_expansion_uses_formal_logs():

@@ -5,6 +5,7 @@ import pytest
 from zetatrace.engine import expectation
 from zetatrace.errors import ParseError, ValidationError
 from zetatrace.modelfile import (
+    MAX_EXPONENT,
     parse_expression,
     parse_model_text,
     render_ast,
@@ -70,6 +71,25 @@ def test_parse_error_has_position():
         parse_expression("2*(x+", line=7)
     assert err.value.line == 7
     assert "end of expression" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, literal, column",
+    [("xi^17", "17", 4), ("2*xi^-100000000", "100000000", 6), ("J^(--40)/xi", "40", 3),
+     ("xi^" + "9" * 5000, "9" * 5000, 4)],
+    ids=["just-past", "negative-huge", "parenthesised", "5000-digits"],
+)
+def test_exponent_past_the_bound_is_a_parse_error(text, literal, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, line=3)
+    assert (err.value.line, err.value.column) == (3, column)
+    assert str(err.value).startswith(f"exponent {literal} is larger than {MAX_EXPONENT} at line 3")
+
+
+def test_exponents_up_to_the_bound_parse():
+    assert MAX_EXPONENT == 16
+    for text in ("xi^16", "xi^-16", "J^(16)*xi^2"):
+        parse_expression(text)
 
 
 def test_unknown_symbol_rejected():

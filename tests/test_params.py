@@ -54,6 +54,11 @@ def test_eval_overflowing_power_raises_a_zetatrace_error():
         mono(1, mu=2).eval({"mu": 1e200})
 
 
+def test_eval_negative_power_of_zero_raises():
+    with pytest.raises(NumericOverflow, match=r"^J\^-1 overflows at J = 0$"):
+        ParamPoly.var("J", -1).eval({"J": 0.0})
+
+
 def test_eval_overflowing_product_of_finite_powers_raises():
     # each power is in range, their product is not
     message = r"^lam\^-1/2 \* mu overflows at lam = 1e-300, mu = 1e\+200$"
