@@ -192,11 +192,9 @@ def cmd_list(args, extra_registry=None) -> int:
 
 def cmd_kv_trace(args) -> int:
     value = kv_trace_at_zero(_parse_kv_file(args.file))
+    numeric = _fmt_number(value.eval({}))
     print(f"trace(0) = {value.render_text()}")
-    try:
-        print(f"numeric: {_fmt_number(value.eval({}))}")
-    except ZetatraceError:
-        pass
+    print(f"numeric: {numeric}")
     return 0
 
 

@@ -283,8 +283,14 @@ def test_kv_trace_overflowing_amplitude_exits_one(tmp_path, capsys):
         # (N + d)^61 underflows to 0, so the factor overflows
         ("[kv]\ndimension = 3\n[term]\ndegree = -3.0000000001\nlog_order = 60\n",
          "term 1: l!/(N + d)^(l+1) leaves the float range (N = 3, l = 60)"),
+        # the closed form is finite, its value 8.5e307 * pi is not
+        ("[kv]\ndimension = 2\nvolume = 1.7e308\n[term]\ndegree = -4\nangular = 0.5\n",
+         "8.5e+307 * pi overflows at pi = 3.14159"),
     ],
-    ids=["dimension-400", "dimension-1e8", "log-order-1e5", "degree-1e400", "power-underflow"],
+    ids=[
+        "dimension-400", "dimension-1e8", "log-order-1e5", "degree-1e400", "power-underflow",
+        "numeric-value",
+    ],
 )
 def test_kv_trace_out_of_range_arithmetic_exits_one(tmp_path, capsys, kv, fragment):
     path = tmp_path / "amp.kv"

@@ -1,8 +1,8 @@
 """Mutated kv files through ``cli.main``: every run ends in exit 0, 1 or 2.
 
-A run prints at most one ``error:`` line and never a traceback; an input at
-fault (exit 2) or arithmetic that leaves the float range (exit 1) is
-reported, not raised.
+A run prints the trace and its numeric value, or one ``error:`` line and
+never a traceback: an input at fault (exit 2) or arithmetic that leaves the
+float range (exit 1) is reported, not raised.
 """
 
 import contextlib
@@ -73,6 +73,8 @@ def test_kv_trace_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_facto
     assert "Traceback" not in err.getvalue()
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     if code == 0:
-        assert errors == [] and out.getvalue().startswith("trace(0) = ")
+        assert errors == []
+        trace, numeric = out.getvalue().splitlines()
+        assert trace.startswith("trace(0) = ") and numeric.startswith("numeric: ")
     else:
         assert err.getvalue().count("\n") == 1 and len(errors) == 1
