@@ -399,8 +399,9 @@ def reduce_pieces(
     the tuple of its picked rows, each scaled by its multiplier, and becomes
     one ``ZetaTerm`` at the end: the coefficient times every picked
     prefactor in pick order, the picked factors concatenated, the ``T``
-    exponents summed and the evolution phase.  An alternatives list that ``reduced_integrals`` shares between items is
-    turned into its scaled rows once.
+    exponents summed and the evolution phase.  An alternatives list that
+    ``reduced_integrals`` shares between items is turned into its scaled
+    rows once.
     """
     out: list[ZetaTerm] = []
     # alternatives list id -> (the list, which keeps the id from reuse; its scaled rows)
