@@ -594,7 +594,10 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
     The homogeneous part contributes
     (-1)^(l+1) l! * vol(X) * int_sphere(angular) / (N + d)^(l+1)
     per term; degrees d = -N are critical and rejected.  A factor
-    l!/(N + d)^(l+1) that leaves the float range is a ``NumericOverflow``.
+    l!/(N + d)^(l+1) that leaves the float range is a ``NumericOverflow``,
+    and so is a term with nonzero volume and angular part whose contribution
+    rounds to 0 (a product of nonzero polynomials is never exactly 0).
+    Distinct terms may still cancel exactly in the sum.
     """
     n = spec.dimension
     total = ParamPoly.zero()
@@ -618,7 +621,10 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
             raise NumericOverflow(
                 f"term {i}: l!/(N + d)^(l+1) leaves the float range (N = {n}, l = {l})"
             ) from None
-        total = total + (spec.vol_x * sphere).scale(factor)
+        contribution = (spec.vol_x * sphere).scale(factor)
+        if contribution.is_zero() and not (spec.vol_x.is_zero() or sphere.is_zero()):
+            raise NumericOverflow(f"term {i}: vol(X) * angular * l!/(N + d)^(l+1) underflows to 0")
+        total = total + contribution
     return total
 
 

@@ -13,6 +13,11 @@ numbers and lifts each coefficient to a ``ParamPoly`` once.  From the first
 ``const_pow`` factor on, whose coefficients carry ``ln(base)^k``, it
 multiplies ``ParamPoly`` series.  Either way the float operations, and so
 every last bit, are those of a ``ParamPoly`` fold over the factors in order.
+
+mpmath is imported only inside ``polygamma_value`` and the general branch of
+``gamma_value``: Gamma at integers and half-integers is exact in ``pi^(1/2)``,
+no bundled command expands a Gamma past its lead, and the import costs a
+process tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
-
-import mpmath
 
 from .errors import NumericOverflow, UnsupportedFactor, UnsupportedStructure
 from .params import ExpKey, ParamPoly, _fraction, _merge_keys, log_param
@@ -58,6 +61,8 @@ def half_turn(beta: Fraction) -> complex:
 @lru_cache(maxsize=None)
 def polygamma_value(k: int, x: Fraction) -> float:
     """psi^(k)(x) for rational non-pole x, evaluated once and cached."""
+    import mpmath
+
     return float(mpmath.psi(k, mpmath.mpf(x.numerator) / x.denominator))
 
 
@@ -91,6 +96,8 @@ def gamma_value(beta: Fraction) -> ParamPoly:
             for j in range(1, -k + 1):
                 rat /= Fraction(1, 2) - j
         return ParamPoly.monomial(float(rat), {"pi": Fraction(1, 2)})
+    import mpmath
+
     return ParamPoly.number(float(mpmath.gamma(mpmath.mpf(beta.numerator) / beta.denominator)))
 
 

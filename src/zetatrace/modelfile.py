@@ -30,6 +30,17 @@ RESERVED_NAMES = ("i", "pi", "T")
 #: power of a sum expands term by term, so a larger exponent can stall lowering
 MAX_EXPONENT = 16
 
+#: the deepest nesting of parentheses, unary minus signs and exponents a file
+#: may write: the parser recurses on each level
+MAX_NESTING = 100
+
+#: the most coefficient products lowering one section may form.  A product of
+#: a and b forms size(a) * size(b) of them, size counting the parameter
+#: monomials of every axis term, and a power is charged factor by factor: a
+#: power of a sum, or a sum of many such powers, expands term by term, and
+#: lowering it costs about 15 us per product
+LOWERING_BUDGET = 20_000
+
 
 # ---------------------------------------------------------------------------
 # Expression tokenizer / parser (AST of nested tuples)
@@ -72,6 +83,17 @@ class _Parser:
         self.tokens = tokens
         self.line = line
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, tok: Token, parse):
+        """``parse()`` one level deeper; a ``ParseError`` past ``MAX_NESTING``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.line, tok.column)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -116,7 +138,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok.kind == "op" and tok.text == "-":
             self.next()
-            return ("neg", self.unary())
+            return ("neg", self.nested(tok, self.unary))
         return self.power()
 
     def power(self):
@@ -125,7 +147,7 @@ class _Parser:
         if tok and tok.kind == "op" and tok.text == "^":
             self.next()
             start = self.peek()
-            exponent = self.unary()
+            exponent = self.nested(tok, self.unary)
             literal = exponent
             while literal[0] == "neg":
                 literal = literal[1]
@@ -144,7 +166,7 @@ class _Parser:
         if tok.kind == "ident":
             return ("sym", tok.text)
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            node = self.nested(tok, self.expr)
             self.expect_op(")")
             return node
         raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.column)
@@ -191,47 +213,73 @@ def _wrap(node, above: tuple[str, ...]) -> str:
 
 
 def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1) -> AxisPoly:
-    kind = node[0]
-    if kind == "line":
-        return lower_ast(node[2], axis_names, param_names, node[1])
-    if kind == "num":
-        return AxisPoly.number(float(node[1]))
-    if kind == "sym":
-        name = node[1]
-        if name == "i":
-            return AxisPoly.number(1j)
-        if name == "T":
-            return AxisPoly.constant(ParamPoly.var(T))
-        if name in axis_names:
-            return AxisPoly.symbol(name)
-        if name in param_names or name == "pi":
-            return AxisPoly.constant(ParamPoly.var(name))
-        raise ParseError(f"unknown symbol {name!r}", line)
-    if kind == "neg":
-        return -lower_ast(node[1], axis_names, param_names, line)
-    if kind == "+":
-        return lower_ast(node[1], axis_names, param_names, line) + lower_ast(
-            node[2], axis_names, param_names, line
-        )
-    if kind == "-":
-        return lower_ast(node[1], axis_names, param_names, line) - lower_ast(
-            node[2], axis_names, param_names, line
-        )
-    if kind == "*":
-        return lower_ast(node[1], axis_names, param_names, line) * lower_ast(
-            node[2], axis_names, param_names, line
-        )
-    if kind == "/":
-        num = lower_ast(node[1], axis_names, param_names, line)
-        den = lower_ast(node[2], axis_names, param_names, line)
-        return num * _invert(den, line)
-    if kind == "^":
-        base = lower_ast(node[1], axis_names, param_names, line)
-        exp = _int_exponent(node[2], line)
-        if exp >= 0:
-            return base**exp
-        return _invert(base**(-exp), line)
-    raise ParseError(f"unsupported node {kind}", line)
+    """Lower one section's expression; a ``ParseError`` past ``LOWERING_BUDGET``."""
+    spent = 0
+
+    def product(a: AxisPoly, b: AxisPoly, line: int) -> AxisPoly:
+        nonlocal spent
+        spent += _size(a) * _size(b)
+        if spent > LOWERING_BUDGET:
+            raise ParseError(f"expanding this expression takes more than {LOWERING_BUDGET} "
+                             "coefficient products", line)
+        return a * b
+
+    def lower(node, line: int) -> AxisPoly:
+        kind = node[0]
+        if kind == "line":
+            return lower(node[2], node[1])
+        if kind == "num":
+            return AxisPoly.number(float(node[1]))
+        if kind == "sym":
+            name = node[1]
+            if name == "i":
+                return AxisPoly.number(1j)
+            if name == "T":
+                return AxisPoly.constant(ParamPoly.var(T))
+            if name in axis_names:
+                return AxisPoly.symbol(name)
+            if name in param_names or name == "pi":
+                return AxisPoly.constant(ParamPoly.var(name))
+            raise ParseError(f"unknown symbol {name!r}", line)
+        if kind == "neg":
+            return -lower(node[1], line)
+        if kind in _CHAINS:
+            # a run of one precedence is a left-deep chain, one node per term
+            # (or per line of a section): fold it left to right, not recursively
+            ops = _CHAINS[kind]
+            chain = []
+            while node[0] in ops:
+                chain.append(node)
+                node = node[1]
+            out = lower(node, line)
+            for op, _, rhs in reversed(chain):
+                if op == "+":
+                    out = out + lower(rhs, line)
+                elif op == "-":
+                    out = out - lower(rhs, line)
+                elif op == "*":
+                    out = product(out, lower(rhs, line), line)
+                else:
+                    out = product(out, _invert(lower(rhs, line), line), line)
+            return out
+        if kind == "^":
+            base = lower(node[1], line)
+            exp = _int_exponent(node[2], line)
+            out = AxisPoly.number(1)
+            for _ in range(abs(exp)):  # factor by factor, as AxisPoly.__pow__ does
+                out = product(out, base, line)
+            return out if exp >= 0 else _invert(out, line)
+        raise ParseError(f"unsupported node {kind}", line)
+
+    return lower(node, line)
+
+
+_CHAINS = {"+": ("+", "-"), "-": ("+", "-"), "*": ("*", "/"), "/": ("*", "/")}
+
+
+def _size(p: AxisPoly) -> int:
+    """The number of parameter monomials over all axis terms of ``p``."""
+    return sum(len(c.terms) for c in p.terms.values())
 
 
 def _int_exponent(node, line: int) -> int:

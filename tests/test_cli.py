@@ -286,10 +286,13 @@ def test_kv_trace_overflowing_amplitude_exits_one(tmp_path, capsys):
         # the closed form is finite, its value 8.5e307 * pi is not
         ("[kv]\ndimension = 2\nvolume = 1.7e308\n[term]\ndegree = -4\nangular = 0.5\n",
          "8.5e+307 * pi overflows at pi = 3.14159"),
+        # 1e-300 * 1e-300 rounds to 0: the trace is not 0, it cannot be computed in floats
+        ("[kv]\ndimension = 1\nvolume = 1e-300\n[term]\ndegree = -3\nangular = 1e-300\n",
+         "term 1: vol(X) * angular * l!/(N + d)^(l+1) underflows to 0"),
     ],
     ids=[
         "dimension-400", "dimension-1e8", "log-order-1e5", "degree-1e400", "power-underflow",
-        "numeric-value",
+        "numeric-value", "coefficient-underflow",
     ],
 )
 def test_kv_trace_out_of_range_arithmetic_exits_one(tmp_path, capsys, kv, fragment):
@@ -469,11 +472,17 @@ ROTOR = (
         # lowering xi^100000000 would multiply out 10^8 factors
         (ROTOR.replace("(T*xi/(2*pi*J))^2/(-i*T)", "xi^100000000"),
          "exponent 100000000 is larger than 16 at line 8, column 4"),
+        # each power is in bound; nine of them take more products than lowering may form
+        (ROTOR.replace("(T*xi/(2*pi*J))^2/(-i*T)", " + ".join(["(xi+J+2)^16"] * 9)),
+         "expanding this expression takes more than 20000 coefficient products at line 8"),
+        # the parser recurses on each level
+        (ROTOR.replace("(T*xi/(2*pi*J))^2/(-i*T)", "(" * 3000 + "xi" + ")" * 3000),
+         "expression nested deeper than 100 levels at line 8, column 101"),
     ],
     ids=[
         "axis-twice", "param-twice", "param-and-axis", "reserved-pi", "reserved-i", "reserved-T",
         "param-inf", "param-nan", "param-overflowing", "param-negative", "param-zero",
-        "exponent-past-bound",
+        "exponent-past-bound", "lowering-past-budget", "nesting-past-bound",
     ],
 )
 def test_model_file_declaration_faults_exit_two(tmp_path, capsys, text, fragment):

@@ -1,18 +1,41 @@
-"""Mutated kv files through ``cli.main``: every run ends in exit 0, 1 or 2.
+"""Mutated kv and model files through ``cli.main``: every run ends in exit 0, 1 or 2.
 
-A run prints the trace and its numeric value, or one ``error:`` line and
-never a traceback: an input at fault (exit 2) or arithmetic that leaves the
-float range (exit 1) is reported, not raised.
+A run prints its result, or one ``error:`` line and never a traceback: an
+input at fault (exit 2) or arithmetic that leaves the float range (exit 1)
+is reported, not raised.  A divergent observable is a printed result with
+exit code 1.
 """
 
 import contextlib
 import io
 import itertools
+import re
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetatrace.cli import main
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_code_and_at_most_one_error_line(code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 0:
+        assert errors == [] and out
+    elif err == "":
+        # a divergent observable is a result: printed, with exit code 1
+        assert code == 1 and "diverges" in out
+    else:
+        assert err.count("\n") == 1 and len(errors) == 1
 
 VALID = {
     "kv": [("dimension", "3"), ("volume", "1.0")],
@@ -66,15 +89,88 @@ def kv_files(draw):
 def test_kv_trace_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.kv"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["kv-trace", str(path)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    code, out, err = run_main(["kv-trace", str(path)])
+    assert_exit_code_and_at_most_one_error_line(code, out, err)
     if code == 0:
-        assert errors == []
-        trace, numeric = out.getvalue().splitlines()
+        trace, numeric = out.splitlines()
         assert trace.startswith("trace(0) = ") and numeric.startswith("numeric: ")
-    else:
-        assert err.getvalue().count("\n") == 1 and len(errors) == 1
+
+
+# ---------------------------------------------------------------------------
+# model files
+# ---------------------------------------------------------------------------
+
+#: the README's rotor and the golden mixed-T oscillator
+MODEL_FILES = [
+    "[params]\nJ = positive\n[axes]\nxi = momentum\n[phase]\nxi^2/(2*J)\n"
+    "[observable]\n(T*xi/(2*pi*J))^2/(-i*T)\n[expect]\n1/(4*pi^2*J)\n",
+    (Path(__file__).resolve().parent / "golden" / "oscillator_mixed_t.zt").read_text(),
+]
+
+#: a line splits into these tokens and back: names, numbers, operators,
+#: brackets, the '=' and ',' of declarations, and runs of blanks
+_ZT_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+\.?\d*|\.\d+|\s+|.")
+
+zt_names = st.sampled_from([
+    # declared, reserved, section and axis-kind words, unknown
+    "xi", "x", "J", "m", "w", "i", "pi", "T", "positive", "momentum", "position", "field",
+    "gp", "gx", "phase", "y", "e308", "_",
+])
+zt_numbers = st.one_of(
+    # exponents at and past MAX_EXPONENT, and values at the edges of the float range
+    st.sampled_from(["0", "0.0", "1", "2", "16", "17", "1e308", "1e-300", "4e-324", "1e400",
+                     "inf", "nan", ".5", "3.", "99999999", "9" * 400, "1/3"]),
+    st.integers(-20, 20).map(str),
+)
+zt_operators = st.sampled_from(
+    # MAX_NESTING is 100
+    list("+-*/^()[]=,#. ") + ["^16", "^-16", "^17", "\n", "\t", "(" * 101, "-" * 101]
+)
+zt_tokens = st.one_of(zt_names, zt_numbers, zt_operators)
+
+
+def same_kind(token: str):
+    """Tokens of the kind of ``token``: a mutation that keeps the line well formed more often."""
+    if token[0].isalpha() or token[0] == "_":
+        return zt_names
+    return zt_numbers if token[0].isdigit() or token[0] == "." else zt_operators
+
+
+section_lines = st.sampled_from([
+    "[params]", "[axes]", "[phase]", "[observable]", "[expect]", "[nonsense]", "[phase",
+    "J = positive", "J = 0", "m = 1e308", "y = momentum", "xi = momentum, gp", "z = field",
+    "xi^2", "x^2", "xi*x", "xi^2/(2*J) + x", "(xi+x+T)^16", "w/T", "i*T*x^2", "0", "",
+])
+
+
+@st.composite
+def model_files(draw):
+    """A valid file with tokens replaced, inserted or deleted and lines dropped or added."""
+    lines = draw(st.sampled_from(MODEL_FILES)).splitlines()
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 3, 4]))):
+        op = draw(st.sampled_from(["replace", "replace", "insert", "delete", "line"]))
+        if op == "line" or not lines:
+            if lines and draw(st.booleans()):
+                del lines[draw(st.integers(0, len(lines) - 1))]
+            else:
+                lines.insert(draw(st.integers(0, len(lines))), draw(section_lines))
+            continue
+        row = draw(st.integers(0, len(lines) - 1))
+        tokens = _ZT_TOKEN.findall(lines[row])
+        at = draw(st.integers(0, len(tokens)))
+        if op == "insert":
+            tokens.insert(at, draw(zt_tokens))
+        elif at < len(tokens):
+            kind = same_kind(tokens[at])
+            tokens[at:at + 1] = [draw(st.one_of(kind, zt_tokens))] if op == "replace" else []
+        lines[row] = "".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, deadline=5000)
+@given(text=model_files(), numeric=st.booleans())
+def test_model_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, text, numeric):
+    path = tmp_path_factory.getbasetemp() / "fuzz.zt"
+    path.write_text(text)
+    code, out, err = run_main(["model", str(path)] + (["--numeric"] if numeric else []))
+    assert_exit_code_and_at_most_one_error_line(code, out, err)

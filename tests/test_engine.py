@@ -280,6 +280,20 @@ def test_kv_trace_matches_direct_continuation():
                 assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_kv_trace_terms_that_cancel_exactly_give_an_exact_zero():
+    # d = -1 and d = -3 in dimension 2 contribute -2 pi / 1 and -2 pi / (-1)
+    spec = KVAmplitudeSpec(
+        dimension=2,
+        terms=((Fraction(-1), 0, ParamPoly.one()), (Fraction(-3), 0, ParamPoly.one())),
+    )
+    assert kv_trace_at_zero(spec).is_zero()
+
+
+def test_kv_trace_zero_angular_part_is_not_an_underflow():
+    spec = KVAmplitudeSpec(dimension=1, terms=((Fraction(-3), 0, ParamPoly.zero()),))
+    assert kv_trace_at_zero(spec).is_zero()
+
+
 def test_kv_trace_critical_degree_rejected():
     spec = KVAmplitudeSpec(dimension=2, terms=((Fraction(-2), 0, ParamPoly.one()),))
     with pytest.raises(CriticalDegree):

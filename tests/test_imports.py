@@ -1,9 +1,11 @@
-"""numpy and scipy stay in the quadrature oracle.
+"""numpy and scipy stay in the quadrature oracle; mpmath loads only on demand.
 
 The closed-form pipeline and the whole command line run on the standard
-library and mpmath; only ``zetatrace.oracle`` loads numpy and scipy.  Each
-check runs a fresh interpreter, since this test process has numpy loaded
-already.
+library: only ``zetatrace.oracle`` loads numpy and scipy, and mpmath is
+imported only where a Gamma value at an argument that is neither an integer
+nor a half-integer, or a polygamma value, is asked for; no bundled command
+asks for one.  Each check runs a fresh interpreter, since this test process
+has numpy and mpmath loaded already.
 """
 
 import json
@@ -20,38 +22,62 @@ MODEL_FILE = (
 )
 KV_FILE = "[kv]\ndimension = 1\nvolume = 1.0\n[term]\ndegree = -3\nlog_order = 0\nangular = 1\n"
 
+OPTIONAL_LIBS = "{'numpy', 'scipy', 'mpmath'}"
 
-def loaded_array_libs(body: str) -> list[str]:
-    """Run ``body`` in a fresh interpreter; return which of numpy/scipy it loaded."""
-    code = (
-        f"import json, sys\n{body}\n"
-        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))\n"
-    )
+
+def fresh_interpreter(body: str) -> list:
+    """Run ``body`` in a fresh interpreter; return the JSON values it printed, one a line."""
+    code = f"import json, sys\n{body}\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def loaded_libs_after_each(steps: list[str]) -> list[list[str]]:
+    """Which of numpy, scipy and mpmath are loaded after each of ``steps``."""
+    report = (
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & "
+        f"{OPTIONAL_LIBS})))"
+    )
+    return fresh_interpreter("\n".join(f"{step}\n{report}" for step in steps))
 
 
 def test_cli_loads_neither_numpy_nor_scipy(tmp_path):
     (tmp_path / "rotor.zt").write_text(MODEL_FILE)
     (tmp_path / "amp.kv").write_text(KV_FILE)
-    body = f"""
-import contextlib, io
-import zetatrace
-from zetatrace import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["check"]) == 0
-    assert cli.main(["run", "phi4", "--numeric", "--param", "mu=1", "--param", "lambda=6"]) == 0
-    assert cli.main(["list"]) == 0
-    assert cli.main(["model", {str(tmp_path / "rotor.zt")!r}]) == 0
-    assert cli.main(["kv-trace", {str(tmp_path / "amp.kv")!r}]) == 0
-"""
-    assert loaded_array_libs(body) == []
+    commands = [
+        ["check"],
+        ["run", "phi4", "--numeric", "--param", "mu=1", "--param", "lambda=6"],
+        ["list"],
+        ["model", str(tmp_path / "rotor.zt")],
+        ["kv-trace", str(tmp_path / "amp.kv")],
+    ]
+    steps = ["import contextlib, io\nimport zetatrace", "from zetatrace import cli"] + [
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
+        for argv in commands
+    ]
+    assert loaded_libs_after_each(steps) == [[]] * len(steps)
 
 
 def test_oracle_still_imports_with_numpy_and_scipy():
-    assert loaded_array_libs("import zetatrace.oracle") == ["numpy", "scipy"]
+    assert loaded_libs_after_each(["import zetatrace.oracle"]) == [["numpy", "scipy"]]
+
+
+def test_mpmath_loads_on_demand_with_the_same_values():
+    # a Gamma series past its lead needs psi(1); Gamma(1/3) is not exact in pi^(1/2)
+    values = """
+from fractions import Fraction
+from zetatrace import laurent
+series = laurent.expand_factor(laurent.PrimitiveFactor.gamma(1, 1), order=2)
+print(json.dumps(repr((series.lead, [c.terms for c in series.coeffs]))))
+print(json.dumps(repr(laurent.gamma_value(Fraction(1, 3)).terms)))
+print(json.dumps('mpmath' in sys.modules))
+"""
+    on_demand = fresh_interpreter(values)
+    preloaded = fresh_interpreter("import mpmath\n" + values)
+    assert on_demand[-1] is True
+    assert on_demand == preloaded

@@ -4,8 +4,12 @@ import pytest
 
 from zetatrace.engine import expectation
 from zetatrace.errors import ParseError, ValidationError
+from zetatrace import modelfile
 from zetatrace.modelfile import (
+    LOWERING_BUDGET,
     MAX_EXPONENT,
+    MAX_NESTING,
+    lower_ast,
     parse_expression,
     parse_model_text,
     render_ast,
@@ -13,6 +17,7 @@ from zetatrace.modelfile import (
     to_model_spec,
 )
 from zetatrace.params import ParamPoly
+from zetatrace.symbols import AxisPoly
 from zetatrace.tables import PAPER
 from zetatrace.terms import thermal_limit
 
@@ -92,6 +97,37 @@ def test_exponents_up_to_the_bound_parse():
         parse_expression(text)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("(" * 101 + "xi" + ")" * 101, 101), ("-" * 101 + "xi", 101), ("xi" + "^1" * 101, 203),
+     ("xi^" + "-" * 100 + "2", 103)],
+    ids=["parentheses", "minus-signs", "exponents", "exponent-and-minus-signs"],
+)
+def test_nesting_past_the_bound_is_a_parse_error(text, column):
+    assert MAX_NESTING == 100
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, line=3)
+    assert (err.value.line, err.value.column) == (3, column)
+    assert str(err.value).startswith("expression nested deeper than 100 levels at line 3")
+
+
+def test_nesting_up_to_the_bound_parses():
+    for text in ("(" * 100 + "xi" + ")" * 100, "-" * 100 + "xi", "xi^" + "-" * 99 + "2"):
+        parse_expression(text)
+
+
+def test_long_sums_products_and_sections_lower_without_recursing():
+    # each is a left-deep chain 1500 nodes deep, past the interpreter's recursion limit
+    axes, params = {"xi"}, {"J"}
+    total = lower_ast(parse_expression(" + ".join(["xi^2"] * 1499) + " - xi^2"), axes, params)
+    assert total.terms == (AxisPoly.symbol("xi", 2) * 1498.0).terms
+    product = lower_ast(parse_expression("*".join(["J"] * 750) + "/J" * 750), axes, params)
+    assert product.terms == AxisPoly.number(1).terms
+    section = parse_model_text(ROTOR_FILE.replace("xi^2/(2*J)", "xi^2/(2*J)\n" * 1500), "long")
+    assert lower_ast(section.phase_ast, axes, params).terms == lower_ast(
+        parse_expression("1500*xi^2/(2*J)"), axes, params).terms
+
+
 def test_unknown_symbol_rejected():
     text = ROTOR_FILE.replace("(2*J)", "(2*K)")
     with pytest.raises(ParseError):
@@ -115,6 +151,53 @@ def test_lowering_error_names_the_line_in_the_file(old, new, line, message):
     assert err.value.line == line
     assert message in str(err.value)
     assert f"at line {line}" in str(err.value)
+
+
+LOWERING_FILE = (
+    "[params]\nm = positive\nJ = positive\nw = positive\nmu = positive\n"
+    "[axes]\nxi = momentum\nx = position\nxi2 = momentum\nx2 = position\n"
+    "[phase]\nxi^2/m + x^2\n{phase}\n[observable]\nxi^2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [
+        "(xi+x+xi2+x2)^16*(xi+x+xi2+x2)^8",
+        "(xi+x+m)^16*(xi+x+m)^16*(xi+x+m)^16",
+        # no single product is large: the cost is in the number of copies
+        " + ".join(["(xi+x+xi2+x2)^16"] * 8),
+        # one axis term, but 969 parameter monomials on each side
+        "(m+J+w+mu)^16*(m+J+w+mu)^16",
+    ],
+    ids=["product-of-powers", "three-powers", "sum-of-powers", "parameter-powers"],
+)
+def test_lowering_past_the_budget_is_a_parse_error(phase):
+    with pytest.raises(ParseError) as err:
+        to_model_spec(parse_model_text(LOWERING_FILE.format(phase=phase), "big"))
+    assert err.value.line == 13
+    assert str(err.value) == (
+        f"expanding this expression takes more than {LOWERING_BUDGET} coefficient products at line 13"
+    )
+
+
+def test_lowering_budget_counts_parameter_monomials_and_each_power_factor(monkeypatch):
+    # (xi+x)^2 forms 1*2 + 2*2 products; times (J+m), one axis term of two
+    # monomials, 3*2 more
+    node = parse_expression("(xi+x)^2*(J+m)")
+    monkeypatch.setattr(modelfile, "LOWERING_BUDGET", 12)
+    assert len(lower_ast(node, {"xi", "x"}, {"J", "m"}).terms) == 3
+    monkeypatch.setattr(modelfile, "LOWERING_BUDGET", 11)
+    with pytest.raises(ParseError, match="more than 11 coefficient products"):
+        lower_ast(node, {"xi", "x"}, {"J", "m"})
+
+
+def test_lowering_within_the_budget_is_the_plain_power():
+    base = lower_ast(parse_expression("xi+x+xi2+m/2"), {"xi", "x", "xi2"}, {"m"})
+    power = lower_ast(parse_expression("(xi+x+xi2+m/2)^9"), {"xi", "x", "xi2"}, {"m"})
+    assert power.terms == (base**9).terms
+    inverse = lower_ast(parse_expression("(2*m)^-3"), set(), {"m"})
+    assert inverse.constant_part() == ParamPoly.monomial(0.125, {"m": -3})
 
 
 def test_unknown_section_rejected():
