@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import pytest
 from scipy import special
@@ -260,6 +261,51 @@ def test_nonconvergent_integral_is_not_stored(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The oracle's values, to the last bit
+# ---------------------------------------------------------------------------
+
+ORACLE_RECORD = Path(__file__).parent / "golden" / "oracle_values.txt"
+ORACLE_POINT_SEEDS = (1, 2)  # one fixed (bindings, T) point per seed
+
+
+def oracle_value_lines() -> list[str]:
+    """``repr`` of small_z_ratio, or its error text, for each oracle case and point."""
+    import random
+
+    lines = []
+    for seed in ORACLE_POINT_SEEDS:
+        rng = random.Random(seed)
+        for model, obs in oracle_cases():
+            bindings = {p.name: rng.uniform(0.7, 1.4) for p in model.params}
+            tv = rng.uniform(5.0, 20.0)
+            try:
+                out = repr(oracle.small_z_ratio(model, obs, Z_SAMPLES, tv, bindings))
+            except NonConvergent as exc:
+                out = f"NonConvergent: {exc}"
+            lines.append(f"{model.name} {obs} {bindings!r} T={tv!r} -> {out}")
+    return lines
+
+
+def oracle_record_header() -> list[str]:
+    import numpy
+    import scipy
+
+    return [
+        f"# recorded with numpy {numpy.__version__}, scipy {scipy.__version__}",
+        "# re-record after an intended change of values: PYTHONPATH=src python tests/test_oracle.py",
+    ]
+
+
+def test_oracle_values_match_the_record_bit_for_bit():
+    """QUADPACK and LAPACK fix these bits; a change meant to keep them leaves the file as it is."""
+    recorded = ORACLE_RECORD.read_text(encoding="utf-8").splitlines()
+    header = [line for line in recorded if line.startswith("#")]
+    assert [line for line in recorded if not line.startswith("#")] == oracle_value_lines(), (
+        f"{header[0]}; installed: {oracle_record_header()[0]}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Numeric minima and masses of a potential
 # ---------------------------------------------------------------------------
 
@@ -303,3 +349,9 @@ def test_potential_numeric_rejects_a_ratio_model():
 
     with pytest.raises(UnsupportedStructure, match="not a potential model"):
         oracle.potential_numeric(harmonic_oscillator_1d(), {})
+
+
+if __name__ == "__main__":
+    ORACLE_RECORD.write_text(
+        "".join(f"{line}\n" for line in oracle_record_header() + oracle_value_lines()), encoding="utf-8"
+    )
