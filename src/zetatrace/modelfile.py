@@ -189,12 +189,19 @@ def render_ast(node) -> str:
         return render_ast(node[2])
     if kind == "neg":
         return f"-{_wrap(node[1], above=('+', '-', 'neg'))}"
-    if kind in ("+", "-"):
-        return f"{render_ast(node[1])} {kind} {_wrap(node[2], above=('+', '-') if kind == '-' else ())}"
-    if kind in ("*", "/"):
-        lhs = _wrap(node[1], above=("+", "-", "neg"))
-        rhs = _wrap(node[2], above=("+", "-", "neg", "*", "/"))
-        return f"{lhs}{kind}{rhs}"
+    if kind in _CHAINS:
+        # a left-deep chain, as lower_ast folds it: render it left to right, not recursively
+        chain = []
+        while node[0] in _CHAINS[kind]:
+            chain.append(node)
+            node = node[1]
+        out = [render_ast(node) if kind in "+-" else _wrap(node, above=("+", "-", "neg"))]
+        for op, _, rhs in reversed(chain):
+            if op in "+-":
+                out.append(f" {op} {_wrap(rhs, above=('+', '-') if op == '-' else ())}")
+            else:
+                out.append(f"{op}{_wrap(rhs, above=('+', '-', 'neg', '*', '/'))}")
+        return "".join(out)
     if kind == "^":
         return f"{_wrap(node[1], above=('+', '-', 'neg', '*', '/', '^'))}^{_wrap(node[2], above=('+', '-', '*', '/', '^'))}"
     raise ValueError(kind)

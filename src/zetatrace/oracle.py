@@ -13,7 +13,8 @@ quadrature, the complex Gamma function is a local Lanczos approximation, and
 small-z / finite-T limits are polynomial extrapolations over sample grids.
 No table row, Laurent series or term sum is built here.  Within one
 cross-check (``small_z_ratio``) each distinct integral is computed once, and
-its value is reused on both sides of the quotient and at every z sample.
+its value is reused on both sides of the quotient and at every z sample; a
+±omega pair is computed once, the -omega value being the exact conjugate.
 ``potential_numeric`` finds a potential's minima and masses from V alone, by
 ``np.roots`` and second differences, without the engine's closed forms.
 """
@@ -64,17 +65,15 @@ def gamma(z: complex) -> complex:
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
 
 
-def _damped_half_line(profile: Callable[[float], float], omega: float, eps: float) -> complex:
-    """int_0^inf profile(r) e^(i omega r) e^(-eps r) dr via weighted quadrature."""
-    damped = lambda r: profile(r) * math.exp(-eps * r)
-    with warnings.catch_warnings():
-        # accuracy is certified by the Richardson self-check, not QUADPACK's flags
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if omega == 0.0:
-            val, _ = integrate.quad(damped, 0.0, np.inf, limit=400)
-            return complex(val)
-        re, _ = integrate.quad(damped, 0.0, np.inf, weight="cos", wvar=abs(omega), limit=400)
-        im, _ = integrate.quad(damped, 0.0, np.inf, weight="sin", wvar=abs(omega), limit=400)
+def _damped_half_line(p: float, omega: float, eps: float) -> complex:
+    """int_0^inf r^p e^(i omega r) e^(-eps r) dr, omega != 0, via weighted quadrature.
+
+    The two QUADPACK calls run at |omega|, so the value at -omega is the
+    exact conjugate of the value at omega.
+    """
+    damped = lambda r: (r**p if r > 0 else 0.0) * math.exp(-eps * r)
+    re, _ = integrate.quad(damped, 0.0, np.inf, weight="cos", wvar=abs(omega), limit=400)
+    im, _ = integrate.quad(damped, 0.0, np.inf, weight="sin", wvar=abs(omega), limit=400)
     if omega < 0:
         im = -im
     return re + 1j * im
@@ -89,18 +88,24 @@ def richardson(eps_values: Sequence[float], values: Sequence[complex]) -> comple
 
 
 def damped_quadrature(
-    profile: Callable[[float], float],
+    p: float,
     omega: float,
     eps_seq: Sequence[float] = DEFAULT_EPS,
     tol: float = 1e-6,
 ) -> complex:
-    """Abel-regularized int_0^inf profile(r) e^(i omega r) dr.
+    """Abel-regularized int_0^inf r^p e^(i omega r) dr, Re p > -1: every reduced integral.
 
     The damping e^(-eps r) is removed by polynomial extrapolation over the
     eps sequence; disagreement between the last two extrapolants above
-    ``tol`` (relative) raises ``NonConvergent``.
+    ``tol`` (relative) raises ``NonConvergent``.  At omega = 0 the integral
+    has no Abel limit, which also raises ``NonConvergent``.
     """
-    values = [_damped_half_line(profile, omega, e) for e in eps_seq]
+    if omega == 0.0:
+        raise NonConvergent(f"int_0^inf r^{p:g} dr has no Abel limit at omega = 0")
+    with warnings.catch_warnings():
+        # accuracy is certified by the Richardson self-check, not QUADPACK's flags
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        values = [_damped_half_line(p, omega, e) for e in eps_seq]
     full = richardson(eps_seq, values)
     drop = richardson(eps_seq[:-1], values[:-1])
     if abs(full - drop) > tol * max(1.0, abs(full)):
@@ -110,14 +115,9 @@ def damped_quadrature(
     return full
 
 
-def _power_osc(p: float, omega: float) -> complex:
-    """Numeric int_0^inf r^p e^(i omega r) dr, Re p > -1: every reduced integral."""
-    return damped_quadrature(lambda r: r**p if r > 0 else 0.0, omega)
-
-
 def half_line_power_osc(q: float, t_value: float, sign: int, rate: float = 1.0) -> complex:
     """Numeric int_0^inf r^q e^(sign i rate T r) dr, Re q > -1."""
-    return _power_osc(q, sign * rate * t_value)
+    return damped_quadrature(q, sign * rate * t_value)
 
 
 def gauss_power_osc(q: float, a_value: float) -> complex:
@@ -126,7 +126,7 @@ def gauss_power_osc(q: float, a_value: float) -> complex:
     Equals int_0^inf t^((q-1)/2) e^(-i a t) dt, which the damped linear-phase
     quadrature handles.
     """
-    return _power_osc((q - 1.0) / 2.0, -a_value)
+    return damped_quadrature((q - 1.0) / 2.0, -a_value)
 
 
 def small_z_limit(samples: Mapping[float, complex], tol: float = 5e-3) -> complex:
@@ -211,9 +211,9 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     while the engine eliminates the regulators one at a time.
 
     Each distinct integral is computed once: ``store`` maps the (exponent,
-    omega) floats that ``damped_quadrature`` receives to its value.
-    ``small_z_ratio`` passes one store to all its z samples; by default the
-    store is fresh.
+    omega) floats that ``damped_quadrature`` receives to its value, and
+    (exponent, -omega) is read as its conjugate.  ``small_z_ratio`` passes
+    one store to all its z samples; by default the store is fresh.
     """
     if store is None:
         store = {}
@@ -243,19 +243,23 @@ def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float
                 store: dict[tuple[float, float], complex]) -> complex:
     """Numeric value of one ``engine.ReducedIntegral`` at regulator value z.
 
-    The key is (p, omega) of ``_power_osc``, computed as ``gauss_power_osc``
-    and ``half_line_power_osc`` compute them, so a stored value is the value
-    a fresh quadrature would return.
+    The key is (p, omega) of ``damped_quadrature``, computed as
+    ``gauss_power_osc`` and ``half_line_power_osc`` compute them, so a stored
+    value is the value a fresh quadrature would return.  A key whose mirror
+    (p, -omega) is stored is served as the mirror's conjugate, which is what
+    a fresh quadrature returns bit for bit.
     """
     q = float(integral.q.a) * z + float(integral.q.b)
     rate = integral.rate.eval(bindings).real
     if integral.kind == "gauss":
-        key = ((q - 1.0) / 2.0, -(rate * t_value))
+        p, omega = (q - 1.0) / 2.0, -(rate * t_value)
     else:
-        key = (q, integral.sign * rate * t_value)
-    if key not in store:
-        store[key] = _power_osc(*key)
-    return store[key]
+        p, omega = q, integral.sign * rate * t_value
+    if (p, -omega) in store:
+        return store[p, -omega].conjugate()
+    if (p, omega) not in store:
+        store[p, omega] = damped_quadrature(p, omega)
+    return store[p, omega]
 
 
 # ---------------------------------------------------------------------------

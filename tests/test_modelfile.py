@@ -1,6 +1,9 @@
 import textwrap
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zetatrace.engine import expectation
 from zetatrace.errors import ParseError, ValidationError
@@ -18,7 +21,7 @@ from zetatrace.modelfile import (
 )
 from zetatrace.params import ParamPoly
 from zetatrace.symbols import AxisPoly
-from zetatrace.tables import PAPER
+from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import thermal_limit
 
 ROTOR_FILE = textwrap.dedent(
@@ -126,6 +129,17 @@ def test_long_sums_products_and_sections_lower_without_recursing():
     section = parse_model_text(ROTOR_FILE.replace("xi^2/(2*J)", "xi^2/(2*J)\n" * 1500), "long")
     assert lower_ast(section.phase_ast, axes, params).terms == lower_ast(
         parse_expression("1500*xi^2/(2*J)"), axes, params).terms
+
+
+@pytest.mark.parametrize("phase", [
+    "xi^2/(2*J)\n" * 1500,
+    " + ".join(["xi^2/(2*J)"] * 750) + " - xi^2*J/J/J" * 750 + "\n",
+], ids=["1500-lines", "1500-terms"])
+def test_long_sections_render_and_round_trip_without_recursing(phase):
+    parsed = parse_model_text(ROTOR_FILE.replace("xi^2/(2*J)\n", phase), "long")
+    text = render_model(parsed)
+    assert render_model(parse_model_text(text, "long")) == text
+    assert text.splitlines()[text.splitlines().index("[phase]") + 1].count("xi^2") == 1500
 
 
 def test_unknown_symbol_rejected():
@@ -317,3 +331,68 @@ def test_validation_builds_no_table_rows(monkeypatch):
     monkeypatch.setattr(engine, "osc_linear", refuse)
     spec = to_model_spec(parse_model_text(ROTOR_FILE, "rotor"))
     assert [a.name for a in spec.axes] == ["xi"]
+
+
+# ---------------------------------------------------------------------------
+# Generated families with known answers
+# ---------------------------------------------------------------------------
+
+POSITIVE_RATIONALS = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
+
+
+def assert_form(poly, want: dict):
+    """``poly`` has exactly the monomials of ``want`` (zeros dropped), each to rounding."""
+    want = {key: c for key, c in want.items() if c != 0}
+    assert set(poly.terms) == set(want)
+    for key, c in want.items():
+        assert poly.terms[key] == pytest.approx(complex(c), rel=1e-12)
+
+
+@given(c=POSITIVE_RATIONALS)
+def test_rotor_family_matches_its_closed_form_on_both_branches(c):
+    """Phase c*xi^2/J gives chi = 1/(8 c pi^2 J), with no finite-T correction."""
+    spec = to_model_spec(parse_model_text(
+        f"[params]\nJ = positive\n[axes]\nxi = momentum\n[phase]\n{c}*xi^2/J\n"
+        "[observable]\n(T*xi/(2*pi*J))^2/(-i*T)\n",
+        "rotor",
+    ))
+    closed = {(("J", Fraction(-1)), ("pi", Fraction(-2))): 1 / (8 * c)}
+    for branch in (PAPER, PRINCIPAL):
+        res = expectation(spec, "observable", branch)
+        assert_form(res.value, closed)
+        (lead,) = res.finite_t.terms
+        assert (lead.t_power, lead.log_power, lead.phase.terms) == (0, 0, {})
+        assert_form(lead.coeff, closed)
+
+
+@given(
+    ab=st.lists(st.tuples(POSITIVE_RATIONALS, POSITIVE_RATIONALS), min_size=1, max_size=3),
+    c0=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+    grouped=st.booleans(),
+)
+def test_oscillator_family_matches_its_closed_form_on_both_branches(ab, c0, grouped):
+    """k axes sum(a_j xi_j^2/m + b_j m w^2 x_j^2) + c0*w, observable adding i*T*x1^2.
+
+    The value is c0*w + 1/(2 b_1 m w^2); at finite T each of the 2k quadratic
+    axes adds -i/(2T), so the decay term is -i*k/T.
+    """
+    k = len(ab)
+    axes = "".join(
+        f"xi{j} = momentum{', gp' if grouped else ''}\nx{j} = position{', gx' if grouped else ''}\n"
+        for j in range(1, k + 1)
+    )
+    phase = " + ".join(f"{a}*xi{j}^2/m + {b}*m*w^2*x{j}^2" for j, (a, b) in enumerate(ab, 1))
+    phase += f" + {c0}*w"
+    spec = to_model_spec(parse_model_text(
+        f"[params]\nm = positive\nw = positive\n[axes]\n{axes}[phase]\n{phase}\n"
+        f"[observable]\n{phase} + i*T*x1^2\n",
+        "oscillator",
+    ))
+    closed = {(("w", Fraction(1)),): c0, (("m", Fraction(-1)), ("w", Fraction(-2))): 1 / (2 * ab[0][1])}
+    for branch in (PAPER, PRINCIPAL):
+        res = expectation(spec, "observable", branch)
+        assert_form(res.value, closed)
+        lead, decay = res.finite_t.terms
+        assert [(t.t_power, t.log_power, t.phase.terms) for t in (lead, decay)] == [(0, 0, {}), (-1, 0, {})]
+        assert_form(lead.coeff, closed)
+        assert_form(decay.coeff, {(): -1j * k})

@@ -1,8 +1,11 @@
 import cmath
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special
 
 from zetatrace import oracle
@@ -33,7 +36,7 @@ def test_lanczos_gamma_known_values():
 
 def test_damped_quadrature_pure_oscillation():
     # int_0^inf e^(i r) dr -> i
-    got = oracle.damped_quadrature(lambda r: 1.0, 1.0)
+    got = oracle.damped_quadrature(0.0, 1.0)
     assert got == pytest.approx(1j, abs=1e-6)
 
 
@@ -44,11 +47,33 @@ def test_damped_quadrature_fresnel():
 
 
 def test_damped_quadrature_real_gamma():
-    # no oscillation: int_0^inf r^(-1/2) e^(-r) dr = Gamma(1/2)
-    got = oracle.damped_quadrature(
-        lambda r: r**-0.5 * math.exp(-r) if r > 0 else 0.0, 0.0
-    )
-    assert got == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+    # int_0^inf r^p e^(i omega r) dr = Gamma(p+1) e^(sgn(omega) i pi (p+1)/2) / |omega|^(p+1)
+    for p in (-0.5, 1.0):
+        for omega in (2.0, -2.0):
+            want = math.gamma(p + 1) * cmath.exp(math.copysign(1, omega) * 1j * math.pi * (p + 1) / 2)
+            got = oracle.damped_quadrature(p, omega)
+            assert got == pytest.approx(want / abs(omega) ** (p + 1), rel=1e-6)
+
+
+def test_damped_quadrature_without_oscillation_has_no_abel_limit():
+    with pytest.raises(NonConvergent, match="no Abel limit at omega = 0"):
+        oracle.damped_quadrature(-0.5, 0.0)
+
+
+@given(
+    p=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
+    omega=st.floats(0.5, 30.0),
+)
+def test_damped_quadrature_at_minus_omega_is_the_exact_conjugate(p, omega):
+    """What lets the store serve (p, -omega) from (p, omega) bit for bit."""
+    try:
+        plus = oracle.damped_quadrature(p, omega)
+    except NonConvergent as exc:
+        with pytest.raises(NonConvergent, match=re.escape(str(exc))):
+            oracle.damped_quadrature(p, -omega)
+        return
+    minus = oracle.damped_quadrature(p, -omega)
+    assert (minus.real, minus.imag) == (plus.real, -plus.imag)
 
 
 def test_small_z_limit_linear_data():
@@ -191,15 +216,15 @@ def ho_1d():
 
 
 def count_quadratures(monkeypatch, fail_at=None):
-    """Record (2^p, omega) of each oracle.damped_quadrature call; raise NonConvergent on call ``fail_at``."""
+    """Record (p, omega) of each oracle.damped_quadrature call; raise NonConvergent on call ``fail_at``."""
     calls = []
     real = oracle.damped_quadrature
 
-    def counting(profile, omega, *args, **kwargs):
-        calls.append((profile(2.0), omega))
+    def counting(p, omega, *args, **kwargs):
+        calls.append((p, omega))
         if len(calls) == fail_at:
             raise NonConvergent("forced")
-        return real(profile, omega, *args, **kwargs)
+        return real(p, omega, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "damped_quadrature", counting)
     return calls
@@ -232,6 +257,17 @@ def test_shared_store_computes_each_distinct_integral_once(monkeypatch):
     # 24 integral rows over both sides and three z, 12 distinct (exponent, omega) pairs
     assert len(lookups) == 24
     assert len(calls) == len(set(calls)) == 12
+
+
+@pytest.mark.parametrize("case", [2, 3], ids=["schwinger_free", "dirac_fermion3"])
+def test_shared_store_computes_a_mirror_pair_once(monkeypatch, case):
+    """Every r^p e^(i omega r) of these models comes with its mirror (p, -omega)."""
+    model, obs = oracle_cases()[case]
+    bindings = {p.name: 1.1 for p in model.params}
+    calls = count_quadratures(monkeypatch)
+    oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
+    # 12 distinct (p, omega) keys, 6 distinct (p, |omega|)
+    assert len(calls) == len({(p, abs(omega)) for p, omega in calls}) == 6
 
 
 def test_shared_store_lives_for_one_call(monkeypatch):
