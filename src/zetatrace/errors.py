@@ -83,7 +83,7 @@ class UnsolvablePotential(ZetatraceError):
 
 
 class NonConvergent(ZetatraceError):
-    """Numeric extrapolation error estimate exceeded its threshold."""
+    """A numeric self-check failed: two quadrature rays or two extrapolants disagree."""
 
 
 class DivergenceDetected(ZetatraceError):

@@ -7,10 +7,13 @@ and rejects what the engine rejects.
 
 Independent of the engine, and so what the cross-check tests: the value of
 each integral and the limits.  Oscillatory half-line integrals are computed
-by damped quadrature with Richardson extrapolation in the damping parameter,
-Gaussian-phase integrals are linearized by the t = u^2 substitution before
-quadrature, the complex Gamma function is a local Lanczos approximation, and
-small-z / finite-T limits are polynomial extrapolations over sample grids.
+by contour rotation (a numerical Wick rotation): QUADPACK integrates along
+two rays into the half plane where the integrand decays, and Cauchy's
+theorem makes the two agree.  No Gamma function is evaluated, and the ray
+phases e^(i theta (p+1)) at theta = pi/3, pi/4 are not the tables'
+half-turns.  Gaussian-phase integrals are linearized by the t = u^2
+substitution before quadrature, and small-z / finite-T limits are polynomial
+extrapolations over sample grids.
 No table row, Laurent series or term sum is built here.  Within one
 cross-check (``small_z_ratio``) each distinct integral is computed once, and
 its value is reused on both sides of the quotient and at every z sample; a
@@ -34,85 +37,59 @@ from .engine import _build_phase, apply_gauge, reduced_integrals
 from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 from .symbols import AxisPoly, compose_observable
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# Two rays of the rotated contour; Cauchy's theorem makes their integrals equal.
+RAY_ANGLES = (math.pi / 3, math.pi / 4)
+RAY_REL = 1e-10
 
 
-def gamma(z: complex) -> complex:
-    """Complex Gamma via the Lanczos series with reflection for Re(z) < 1/2."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+def _ray_integral(p: float, w: float, theta: float) -> complex:
+    """int_0^inf r^p e^(i w r) dr, w > 0, along the ray r = s e^(i theta).
 
-
-DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
-
-
-def _damped_half_line(p: float, omega: float, eps: float) -> complex:
-    """int_0^inf r^p e^(i omega r) e^(-eps r) dr, omega != 0, via weighted quadrature.
-
-    The two QUADPACK calls run at |omega|, so the value at -omega is the
-    exact conjugate of the value at omega.
+    On the ray the integrand is e^(i theta (p+1)) s^p e^(-w s sin theta)
+    e^(i w s cos theta): QUADPACK's cos/sin weights take the oscillation, and
+    the interval ends at w s sin theta = 60, past which the tail is below
+    1e-20 of the integral for p <= 3.5.  QAWO evaluates s = 0, where s^p
+    raises for p < 0, hence the guard.
     """
-    damped = lambda r: (r**p if r > 0 else 0.0) * math.exp(-eps * r)
-    re, _ = integrate.quad(damped, 0.0, np.inf, weight="cos", wvar=abs(omega), limit=400)
-    im, _ = integrate.quad(damped, 0.0, np.inf, weight="sin", wvar=abs(omega), limit=400)
-    if omega < 0:
-        im = -im
-    return re + 1j * im
+    decay = w * math.sin(theta)
+    profile = lambda s: (s**p if s > 0 else 0.0) * math.exp(-decay * s)
+    end, wvar = 60.0 / decay, w * math.cos(theta)
+    re, _ = integrate.quad(profile, 0.0, end, weight="cos", wvar=wvar,
+                           epsabs=0.0, epsrel=1e-13, limit=400)
+    im, _ = integrate.quad(profile, 0.0, end, weight="sin", wvar=wvar,
+                           epsabs=0.0, epsrel=1e-13, limit=400)
+    return cmath.exp(1j * theta * (p + 1)) * complex(re, im)
 
 
-def richardson(eps_values: Sequence[float], values: Sequence[complex]) -> complex:
-    """Polynomial extrapolation to eps = 0 through the sampled values."""
-    n = len(eps_values)
-    mat = np.array([[e**k for k in range(n)] for e in eps_values], dtype=complex)
+def richardson(points: Sequence[float], values: Sequence[complex]) -> complex:
+    """Polynomial extrapolation to 0 through the values sampled at the points."""
+    n = len(points)
+    mat = np.array([[x**k for k in range(n)] for x in points], dtype=complex)
     coeffs = np.linalg.solve(mat, np.array(values, dtype=complex))
     return complex(coeffs[0])
 
 
-def damped_quadrature(
-    p: float,
-    omega: float,
-    eps_seq: Sequence[float] = DEFAULT_EPS,
-    tol: float = 1e-6,
-) -> complex:
+def damped_quadrature(p: float, omega: float) -> complex:
     """Abel-regularized int_0^inf r^p e^(i omega r) dr, Re p > -1: every reduced integral.
 
-    The damping e^(-eps r) is removed by polynomial extrapolation over the
-    eps sequence; disagreement between the last two extrapolants above
-    ``tol`` (relative) raises ``NonConvergent``.  At omega = 0 the integral
-    has no Abel limit, which also raises ``NonConvergent``.
+    The Abel limit equals the integral along any ray r = s e^(i sgn(omega)
+    theta), 0 < theta <= pi/2 (a numerical Wick rotation), where the
+    integrand decays like e^(-|omega| s sin theta).  It is computed on the
+    two rays of ``RAY_ANGLES`` and the first is returned; rays that differ
+    by more than ``RAY_REL`` (relative) raise ``NonConvergent``.  Both run at
+    |omega|, so the value at -omega is the exact conjugate of the value at
+    omega.  At omega = 0 the integral has no Abel limit, which also raises
+    ``NonConvergent``.
     """
     if omega == 0.0:
         raise NonConvergent(f"int_0^inf r^{p:g} dr has no Abel limit at omega = 0")
     with warnings.catch_warnings():
-        # accuracy is certified by the Richardson self-check, not QUADPACK's flags
+        # accuracy is certified by the two-ray self-check, not QUADPACK's flags
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        values = [_damped_half_line(p, omega, e) for e in eps_seq]
-    full = richardson(eps_seq, values)
-    drop = richardson(eps_seq[:-1], values[:-1])
-    if abs(full - drop) > tol * max(1.0, abs(full)):
-        raise NonConvergent(
-            f"extrapolants differ by {abs(full - drop):.3g} (value {abs(full):.3g})"
-        )
-    return full
+        first, second = (_ray_integral(p, abs(omega), theta) for theta in RAY_ANGLES)
+    if abs(first - second) > RAY_REL * abs(first):
+        raise NonConvergent(f"rays differ by {abs(first - second):.3g} (value {abs(first):.3g})")
+    return first.conjugate() if omega < 0 else first
 
 
 def half_line_power_osc(q: float, t_value: float, sign: int, rate: float = 1.0) -> complex:
@@ -123,8 +100,8 @@ def half_line_power_osc(q: float, t_value: float, sign: int, rate: float = 1.0) 
 def gauss_power_osc(q: float, a_value: float) -> complex:
     """Numeric int_R |u|^q e^(-i a u^2) du via the t = u^2 substitution.
 
-    Equals int_0^inf t^((q-1)/2) e^(-i a t) dt, which the damped linear-phase
-    quadrature handles.
+    Equals int_0^inf t^((q-1)/2) e^(-i a t) dt, which ``damped_quadrature``
+    computes.
     """
     return damped_quadrature((q - 1.0) / 2.0, -a_value)
 
@@ -204,11 +181,12 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
 
     The integrals come from the engine's enumeration
     (``engine.reduced_integrals``), so both sides reduce the same sum and
-    reject the same structures; each integral is then computed by damped
-    quadrature instead of read off a table row, so the Laurent and limit
-    machinery is cross-checked end to end.  One ``z`` is used for every
-    regulator: the quotient is sampled on the diagonal z1 = z2 = ... = z,
-    while the engine eliminates the regulators one at a time.
+    reject the same structures; each integral is then computed by ray
+    quadrature (``damped_quadrature``) instead of read off a table row, so
+    the Laurent and limit machinery is cross-checked end to end.  One ``z``
+    is used for every regulator: the quotient is sampled on the diagonal
+    z1 = z2 = ... = z, while the engine eliminates the regulators one at a
+    time.
 
     Each distinct integral is computed once: ``store`` maps the (exponent,
     omega) floats that ``damped_quadrature`` receives to its value, and
@@ -247,7 +225,7 @@ def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float
     ``gauss_power_osc`` and ``half_line_power_osc`` compute them, so a stored
     value is the value a fresh quadrature would return.  A key whose mirror
     (p, -omega) is stored is served as the mirror's conjugate, which is what
-    a fresh quadrature returns bit for bit.
+    a fresh quadrature returns bit for bit: both run the same rays at |omega|.
     """
     q = float(integral.q.a) * z + float(integral.q.b)
     rate = integral.rate.eval(bindings).real

@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,8 @@ from scipy import special
 from zetatrace import oracle
 from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 
+import lanczos
+
 
 def test_lanczos_gamma_accuracy_on_strip():
     import random
@@ -19,40 +20,54 @@ def test_lanczos_gamma_accuracy_on_strip():
     for _ in range(40):
         z = complex(rng.uniform(0.5, 5.0), rng.uniform(-5.0, 5.0))
         want = complex(special.gamma(z))
-        assert oracle.gamma(z) == pytest.approx(want, rel=1e-12)
+        assert lanczos.gamma(z) == pytest.approx(want, rel=1e-12)
 
 
 def test_lanczos_gamma_reflection():
     for z in (-0.5, -1.5 + 0.3j, -2.7):
         want = complex(special.gamma(z))
-        assert oracle.gamma(z) == pytest.approx(want, rel=1e-10)
+        assert lanczos.gamma(z) == pytest.approx(want, rel=1e-10)
 
 
 def test_lanczos_gamma_known_values():
-    assert oracle.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert oracle.gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert oracle.gamma(4.0) == pytest.approx(6.0, rel=1e-13)
+    assert lanczos.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    assert lanczos.gamma(1.0) == pytest.approx(1.0, rel=1e-13)
+    assert lanczos.gamma(4.0) == pytest.approx(6.0, rel=1e-13)
+
+
+def gamma_closed_form(p, omega):
+    """int_0^inf r^p e^(i omega r) dr = Gamma(p+1) e^(sgn(omega) i pi (p+1)/2) / |omega|^(p+1)."""
+    turn = cmath.exp(math.copysign(1, omega) * 1j * math.pi * (p + 1) / 2)
+    return math.gamma(p + 1) * turn / abs(omega) ** (p + 1)
 
 
 def test_damped_quadrature_pure_oscillation():
     # int_0^inf e^(i r) dr -> i
     got = oracle.damped_quadrature(0.0, 1.0)
-    assert got == pytest.approx(1j, abs=1e-6)
+    assert got == pytest.approx(1j, abs=1e-12)
 
 
 def test_damped_quadrature_fresnel():
     got = oracle.gauss_power_osc(0.0, 1.0)
     want = math.sqrt(math.pi) * cmath.exp(-1j * math.pi / 4)
-    assert got == pytest.approx(want, rel=1e-6)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_damped_quadrature_real_gamma():
-    # int_0^inf r^p e^(i omega r) dr = Gamma(p+1) e^(sgn(omega) i pi (p+1)/2) / |omega|^(p+1)
     for p in (-0.5, 1.0):
         for omega in (2.0, -2.0):
-            want = math.gamma(p + 1) * cmath.exp(math.copysign(1, omega) * 1j * math.pi * (p + 1) / 2)
             got = oracle.damped_quadrature(p, omega)
-            assert got == pytest.approx(want / abs(omega) ** (p + 1), rel=1e-6)
+            assert got == pytest.approx(gamma_closed_form(p, omega), rel=1e-12)
+
+
+@given(
+    p=st.floats(-0.9, 3.5, exclude_min=True, exclude_max=True),
+    log_omega=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([1, -1]),
+)
+def test_damped_quadrature_matches_gamma_over_the_oracle_range(p, log_omega, sign):
+    omega = sign * 10.0**log_omega
+    assert oracle.damped_quadrature(p, omega) == pytest.approx(gamma_closed_form(p, omega), rel=1e-12)
 
 
 def test_damped_quadrature_without_oscillation_has_no_abel_limit():
@@ -66,14 +81,58 @@ def test_damped_quadrature_without_oscillation_has_no_abel_limit():
 )
 def test_damped_quadrature_at_minus_omega_is_the_exact_conjugate(p, omega):
     """What lets the store serve (p, -omega) from (p, omega) bit for bit."""
-    try:
-        plus = oracle.damped_quadrature(p, omega)
-    except NonConvergent as exc:
-        with pytest.raises(NonConvergent, match=re.escape(str(exc))):
-            oracle.damped_quadrature(p, -omega)
-        return
+    plus = oracle.damped_quadrature(p, omega)
     minus = oracle.damped_quadrature(p, -omega)
     assert (minus.real, minus.imag) == (plus.real, -plus.imag)
+
+
+def skew_second_ray(monkeypatch, rel):
+    """Scale every integral on the second ray by (1 + rel)."""
+    real = oracle._ray_integral
+
+    def skewed(p, w, theta):
+        value = real(p, w, theta)
+        return value * (1 + rel) if theta == oracle.RAY_ANGLES[1] else value
+
+    monkeypatch.setattr(oracle, "_ray_integral", skewed)
+
+
+def test_rays_that_disagree_raise_nonconvergent(monkeypatch):
+    skew_second_ray(monkeypatch, 2 * oracle.RAY_REL)
+    with pytest.raises(NonConvergent, match="rays differ by"):
+        oracle.damped_quadrature(0.5, 2.0)
+    model, obs, bindings = ho_1d()
+    store = {}
+    with pytest.raises(NonConvergent, match="rays differ by"):
+        oracle.model_quotient(model, obs, -0.1, 10.0, bindings, store=store)
+    assert store == {}
+
+
+def test_rays_within_the_tolerance_give_the_first_ray(monkeypatch):
+    want = oracle.damped_quadrature(0.5, -2.0)
+    skew_second_ray(monkeypatch, 0.5 * oracle.RAY_REL)
+    assert oracle.damped_quadrature(0.5, -2.0) == want
+
+
+# seed 303 of perfbench's oracle workload: the Abel-damped oracle raised here
+SEED_303_M, SEED_303_T = 0.8623630368881414, 18.055025945184497
+
+
+@pytest.mark.parametrize("p", [2.8, 2.9])
+def test_damped_quadrature_at_the_seed_303_point(p):
+    got = oracle.damped_quadrature(p, SEED_303_T)
+    assert got == pytest.approx(gamma_closed_form(p, SEED_303_T), rel=1e-12)
+
+
+def test_dirac_fermion_at_the_seed_303_point_matches_the_engine():
+    from zetatrace.engine import expectation
+    from zetatrace.models import dirac_fermion
+    from zetatrace.tables import PRINCIPAL
+
+    model, bindings = dirac_fermion(3), {"m": SEED_303_M}
+    engine_value = expectation(model, "H_m", PRINCIPAL).finite_t.eval(bindings, SEED_303_T)
+    got = oracle.small_z_ratio(model, "H_m", Z_SAMPLES, SEED_303_T, bindings)
+    assert got == pytest.approx(engine_value, rel=1e-9)
 
 
 def test_small_z_limit_linear_data():
@@ -102,7 +161,7 @@ def test_small_z_limit_model_quotients():
             for z in (-0.2, -0.1, -0.05)
         }
         got = oracle.small_z_limit(samples)
-        assert got == pytest.approx(res.finite_t.eval(bindings, tv), rel=1e-4)
+        assert got == pytest.approx(res.finite_t.eval(bindings, tv), rel=1e-9)
 
 
 def test_model_quotient_rejects_what_the_engine_rejects(shifted_oscillator):
@@ -124,7 +183,7 @@ def regulator_sum_value(s, zs, t_value, bindings):
     for t in s.terms:
         v = t.coeff.prefactor.eval(bindings)
         for f in t.coeff.factors:
-            v *= f.numeric(zs[f.regulator], gamma_fn=oracle.gamma, bindings=bindings)
+            v *= f.numeric(zs[f.regulator], gamma_fn=lanczos.gamma, bindings=bindings)
         v *= t_value ** (float(t.t_const) + sum(float(a) * zs[r] for r, a in t.t_lin))
         v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
         total += v
