@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import NumericOverflow, UnsupportedFactor, UnsupportedStructure
 from .params import ExpKey, ParamPoly, _fraction, _merge_keys, log_param
@@ -179,19 +179,6 @@ class PrimitiveFactor:
             return -self.power
         return 0
 
-    def numeric(self, z: complex, gamma_fn: Callable[[complex], complex],
-                bindings=None) -> complex:
-        """Direct numeric value at a given z (for oracle comparisons)."""
-        arg = complex(self.alpha) * z + complex(self.beta)
-        if self.kind is FactorKind.GAMMA:
-            return gamma_fn(arg)
-        if self.kind is FactorKind.EXP_IPI:
-            return cmath.exp(1j * math.pi * arg)
-        if self.kind is FactorKind.AFFINE:
-            return arg ** self.power
-        b = self.base_poly().eval(bindings or {})
-        return b ** arg
-
     def render(self) -> str:
         z = self.regulator
         a, b = self.alpha, self.beta
@@ -233,13 +220,6 @@ class MeroFactorProduct:
     def times(self, other: "MeroFactorProduct") -> "MeroFactorProduct":
         return MeroFactorProduct(self.prefactor * other.prefactor, self.factors + other.factors)
 
-    def numeric(self, z: complex, gamma_fn: Callable[[complex], complex],
-                bindings=None) -> complex:
-        v = self.prefactor.eval(bindings or {})
-        for f in self.factors:
-            v *= f.numeric(z, gamma_fn, bindings)
-        return v
-
     def render(self) -> str:
         parts = [self.prefactor.render(mul="*")]
         parts += [f.render() for f in self.factors]
@@ -269,12 +249,6 @@ class LaurentSeries:
     def __init__(self, lead: int, coeffs: Sequence):
         self.lead = lead
         self.coeffs = list(coeffs)
-
-    def coeff_at(self, power: int):
-        idx = power - self.lead
-        if 0 <= idx < len(self.coeffs):
-            return self.coeffs[idx]
-        return None
 
     def mul(self, other: "LaurentSeries", zero) -> "LaurentSeries":
         n = min(len(self.coeffs), len(other.coeffs))

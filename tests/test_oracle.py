@@ -11,6 +11,7 @@ from zetatrace import oracle
 from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 
 import lanczos
+from factor_values import factor_value
 
 
 def test_lanczos_gamma_accuracy_on_strip():
@@ -183,7 +184,7 @@ def regulator_sum_value(s, zs, t_value, bindings):
     for t in s.terms:
         v = t.coeff.prefactor.eval(bindings)
         for f in t.coeff.factors:
-            v *= f.numeric(zs[f.regulator], gamma_fn=lanczos.gamma, bindings=bindings)
+            v *= factor_value(f, zs[f.regulator], bindings)
         v *= t_value ** (float(t.t_const) + sum(float(a) * zs[r] for r, a in t.t_lin))
         v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
         total += v

@@ -19,11 +19,12 @@ from zetatrace.tables import (
 )
 
 import lanczos
+from factor_values import product_value
 
 
 def term_value(term, z, t_value, bindings=None):
     """Numeric value of a table row at explicit z and T."""
-    v = term.coeff.numeric(z, gamma_fn=lanczos.gamma, bindings=bindings)
+    v = product_value(term.coeff, z, bindings)
     texp = float(term.t_const) + sum(float(a) * z for _, a in term.t_lin)
     return v * t_value**texp
 

@@ -30,6 +30,7 @@ from zetatrace.terms import (
 )
 
 import lanczos
+from factor_values import product_value
 
 
 def gamma_term(sign=1.0, t_lin=Fraction(0), t_const=Fraction(0)):
@@ -346,7 +347,7 @@ def _quotient_near_zero(num, den, bindings, t_value, eps=1e-5):
         total = 0j
         for t in s.terms:
             power = sum(float(a) for _, a in t.t_lin) * z + float(t.t_const)
-            v = t.coeff.numeric(z, lanczos.gamma, bindings) * t_value**power
+            v = product_value(t.coeff, z, bindings) * t_value**power
             v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
             total += v
         return total
