@@ -6,7 +6,7 @@ of each closed-form value and finite-``T`` asymptote (and, for a potential
 model, of the potential, its critical points, minima, masses and residual)
 in ``tests/golden/exact_values.txt``.  It covers the registry models on both
 branches and the complexity ladders on both branches: ``harmonic_oscillator_nd``
-n = 1..6 grouped and n = 1..3 per axis, and ``harmonic_oscillator_1d`` and
+n = 1..12 grouped and n = 1..3 per axis, and ``harmonic_oscillator_1d`` and
 ``dirac_fermion`` n = 3 at series orders 4, 8 and 16.  It also covers model
 files on both branches (``golden/oscillator_mixed_t.zt`` and the files in
 ``MODEL_FILES``, whose coefficients are not dyadic, so that their floats
@@ -131,7 +131,7 @@ def _cases() -> dict[str, tuple[str, dict, str, int]]:
     """Case name -> (model, overrides, branch, series order)."""
     cases = {f"{m}|{b}|4": (m, {}, b, 4) for m in REGISTRY for b in POLICIES}
     for b in POLICIES:
-        for n in range(1, 7):
+        for n in range(1, 13):
             cases[f"harmonic_oscillator_nd|n={n}|{b}|4"] = ("harmonic_oscillator_nd", {"n": n}, b, 4)
         for n in range(1, 4):
             cases[f"harmonic_oscillator_nd|n={n},per_axis|{b}|4"] = (
