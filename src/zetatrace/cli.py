@@ -150,15 +150,25 @@ def _emit_potential(run, args, bindings) -> int:
     return 0
 
 
+#: a derivation's cost grows like the cube of the dimension (64 takes under a
+#: second, 400 a minute) and with the series order (20000 takes seconds)
+MAX_DIM = 64
+MAX_SERIES_ORDER = 256
+
+
 def cmd_run(args, extra_registry=None) -> int:
     bindings = _parse_params(args.param)
     policy = BranchPolicy(args.branch)
     if args.series_order < 2:
         raise UsageError(f"--series-order must be at least 2, got {args.series_order}")
+    if args.series_order > MAX_SERIES_ORDER:
+        raise UsageError(f"--series-order must be at most {MAX_SERIES_ORDER}, got {args.series_order}")
     overrides = {}
     if args.dim is not None:
         if args.dim < 1:
             raise UsageError(f"--dim must be at least 1, got {args.dim}")
+        if args.dim > MAX_DIM:
+            raise UsageError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
         overrides["n"] = args.dim
     run = run_model(
         args.model, policy, args.series_order, registry=extra_registry, **overrides

@@ -334,6 +334,10 @@ def assert_input_error(code, err, fragment):
         (["harmonic_oscillator_1d", "--series-order", "1"], "--series-order must be at least 2"),
         (["harmonic_oscillator_1d", "--dim", "2"], "takes no override n"),
         (["harmonic_oscillator_nd", "--dim", "0"], "--dim must be at least 1"),
+        (["harmonic_oscillator_nd", "--dim", "65"], "--dim must be at most 64, got 65"),
+        (["harmonic_oscillator_nd", "--dim", "2000"], "--dim must be at most 64, got 2000"),
+        (["dirac_fermion", "--series-order", "257"], "--series-order must be at most 256, got 257"),
+        (["dirac_fermion", "--series-order", "20000"], "--series-order must be at most 256"),
         (["dirac_fermion", "--dim", "4"], "spatial dimension must be 1, 2 or 3"),
         (["harmonic_oscillator_1d", "--param", "m=abc"], "--param expects name=number, got 'm=abc'"),
         (["harmonic_oscillator_1d", "--param", "foo"], "--param expects name=number, got 'foo'"),
@@ -348,7 +352,8 @@ def assert_input_error(code, err, fragment):
          "--param omega must not be zero"),
     ],
     ids=[
-        "series-order-1", "dim-without-n", "dim-0", "dirac-dim-4", "param-not-a-number",
+        "series-order-1", "dim-without-n", "dim-0", "dim-65", "dim-2000", "series-order-257",
+        "series-order-20000", "dirac-dim-4", "param-not-a-number",
         "param-without-value", "param-nan", "param-infinite", "param-negative",
         "param-negative-potential", "param-zero", "param-zero-omega",
     ],
