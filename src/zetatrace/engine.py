@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
+from . import rational
 from .errors import (
     CriticalDegree,
     DegenerateCase,
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .laurent import DEFAULT_ORDER, MeroFactorProduct
 from .params import Param, ParamPoly, _fraction
+from .rational import Q
 from .symbols import (
     Axis,
     AxisPoly,
@@ -359,7 +361,7 @@ def _symbol_alternatives(
                     alternatives = []
                 else:
                     reg, _ = plan.shares[rsym]
-                    q = AffineExp.of(reg, 1, d + dim - 1)
+                    q = AffineExp(reg, rational.ONE, (d + dim - 1, 1))
                     alternatives = _radial_alternatives(q, moment, *phase_of(rsym))
                 memo[key] = alternatives
             yield alternatives
@@ -372,7 +374,8 @@ def _symbol_alternatives(
             alternatives = memo.get(key)
             if alternatives is None:
                 reg, share = plan.shares[a]
-                alternatives = _axis_alternatives(AffineExp.of(reg, share, d), d, *phase_of(a))
+                q = AffineExp(reg, rational.of(share), (d, 1))
+                alternatives = _axis_alternatives(q, d, *phase_of(a))
                 memo[key] = alternatives
             yield alternatives
     leftovers = set(degrees) - consumed
@@ -447,14 +450,15 @@ def _branch_term(
     distinct: dict[int, list] = {}
     for row in picked:
         distinct.setdefault(id(row), [row, 0])[1] += 1
-    t_lin: dict[str, Fraction] = {}
-    t_const = t_power
+    t_lin: dict[str, Q] = {}
+    t_const = rational.of(t_power)
     for row, n in distinct.values():
-        t_const += n * row.t_const
+        t_const = rational.add(t_const, rational.mul(row.t_const, (n, 1)))
         for reg, a in row.t_lin:
-            t_lin[reg] = t_lin.get(reg, 0) + n * a
+            a = rational.mul(a, (n, 1))
+            t_lin[reg] = rational.add(t_lin[reg], a) if reg in t_lin else a
     factors = tuple(f for row in picked for f in row.coeff.factors)
-    t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a != 0))
+    t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a[0] != 0))
     return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase)
 
 

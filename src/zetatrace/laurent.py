@@ -30,8 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from . import rational
 from .errors import NumericOverflow, UnsupportedFactor, UnsupportedStructure
-from .params import ExpKey, ParamPoly, _fraction, _merge_keys, log_param
+from .params import ExpKey, ParamPoly, _merge_keys, log_param
+from .rational import Q
 
 DEFAULT_ORDER = 4
 MAX_ORDER = 16
@@ -44,50 +46,47 @@ class FactorKind(str, Enum):
     CONST_POW = "const_pow"
 
 
-def half_turn(beta: Fraction) -> complex:
+def half_turn(beta: Q) -> complex:
     """e^{i pi beta}, exact for integer and half-integer beta."""
-    r = beta % 2
-    if r == 0:
-        return 1.0 + 0j
-    if r == 1:
-        return -1.0 + 0j
-    if r == Fraction(1, 2):
-        return 1j
-    if r == Fraction(3, 2):
-        return -1j
-    return cmath.exp(1j * math.pi * float(beta))
+    n, d = beta
+    if d <= 2:
+        # beta mod 2, in halves
+        return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[n * (2 // d) % 4]
+    return cmath.exp(1j * math.pi * rational.to_float(beta))
 
 
 @lru_cache(maxsize=None)
-def polygamma_value(k: int, x: Fraction) -> float:
+def polygamma_value(k: int, x: Q) -> float:
     """psi^(k)(x) for rational non-pole x, evaluated once and cached."""
     import mpmath
 
-    return float(mpmath.psi(k, mpmath.mpf(x.numerator) / x.denominator))
+    return float(mpmath.psi(k, mpmath.mpf(x[0]) / x[1]))
 
 
-#: Gamma at an integer or half-integer argument beyond this leaves the float
-#: range: Gamma(172) = 171! and Gamma(172.5) overflow, Gamma(-172.5) underflows
-GAMMA_ARG_MAX = Fraction(343, 2)
+#: Gamma at an integer or half-integer argument beyond this many halves leaves
+#: the float range: Gamma(172) = 171! and Gamma(172.5) overflow, Gamma(-172.5)
+#: underflows
+GAMMA_ARG_MAX_HALVES = 343
 
 
 @lru_cache(maxsize=None)
-def gamma_value(beta: Fraction) -> ParamPoly:
+def gamma_value(beta: Q) -> ParamPoly:
     """Gamma(beta) as a ParamPoly; integer/half-integer arguments stay exact in pi^(1/2).
 
     ``NumericOverflow`` where Gamma(beta) leaves the float range; at an
     integer or half-integer it is raised before any factorial or product
     is formed.
     """
-    if beta.denominator == 1 and beta <= 0:
-        raise UnsupportedFactor(f"Gamma pole at {beta}")
-    if beta.denominator <= 2 and abs(beta) > GAMMA_ARG_MAX:
-        raise NumericOverflow(f"Gamma({beta}) leaves the float range")
-    if beta.denominator == 1:
-        return ParamPoly.number(float(math.factorial(beta.numerator - 1)))
-    if beta.denominator == 2:
+    n, d = beta
+    if d == 1 and n <= 0:
+        raise UnsupportedFactor(f"Gamma pole at {n}")
+    if d <= 2 and abs(n) * (2 // d) > GAMMA_ARG_MAX_HALVES:
+        raise NumericOverflow(f"Gamma({rational.text(beta)}) leaves the float range")
+    if d == 1:
+        return ParamPoly.number(float(math.factorial(n - 1)))
+    if d == 2:
         # Gamma(1/2 + k) = rational * sqrt(pi)
-        k = int(beta - Fraction(1, 2))
+        k = (n - 1) // 2
         rat = Fraction(1)
         if k >= 0:
             for j in range(k):
@@ -98,21 +97,23 @@ def gamma_value(beta: Fraction) -> ParamPoly:
         return ParamPoly.monomial(float(rat), {"pi": Fraction(1, 2)})
     import mpmath
 
-    return ParamPoly.number(float(mpmath.gamma(mpmath.mpf(beta.numerator) / beta.denominator)))
+    return ParamPoly.number(float(mpmath.gamma(mpmath.mpf(n) / d)))
 
 
 @dataclass(frozen=True)
 class PrimitiveFactor:
     """One primitive meromorphic building block in a single regulator.
 
-    A factor hashes once, on first use, and keeps the hash: term sums are
-    merged by multisets of factors, and hashing the ``Fraction`` fields each
-    time is slow.
+    Its argument is ``alpha z + beta``, both exponents normalised integer
+    pairs (``rational``); the constructors below read ints and
+    ``Fraction``s.  A factor hashes once, on first use, and keeps the hash:
+    term sums are merged by multisets of factors, and hashing the kind, an
+    ``Enum``, each time is slow.
     """
 
     kind: FactorKind
-    alpha: Fraction
-    beta: Fraction
+    alpha: Q
+    beta: Q
     power: int = 1
     base: tuple[float, ExpKey] | None = None  # positive monomial: (coeff, exponent key)
     regulator: str = "z"
@@ -135,29 +136,25 @@ class PrimitiveFactor:
 
     @staticmethod
     def gamma(alpha, beta, regulator="z") -> "PrimitiveFactor":
-        return PrimitiveFactor(FactorKind.GAMMA, _fraction(alpha), _fraction(beta), regulator=regulator)
+        return PrimitiveFactor(FactorKind.GAMMA, rational.of(alpha), rational.of(beta), regulator=regulator)
 
     @staticmethod
     def exp_ipi(alpha, beta, regulator="z") -> "PrimitiveFactor":
-        return PrimitiveFactor(FactorKind.EXP_IPI, _fraction(alpha), _fraction(beta), regulator=regulator)
+        return PrimitiveFactor(FactorKind.EXP_IPI, rational.of(alpha), rational.of(beta), regulator=regulator)
 
     @staticmethod
     def affine(alpha, beta, power=1, regulator="z") -> "PrimitiveFactor":
         return PrimitiveFactor(
-            FactorKind.AFFINE, _fraction(alpha), _fraction(beta), power=power, regulator=regulator
+            FactorKind.AFFINE, rational.of(alpha), rational.of(beta), power=power, regulator=regulator
         )
 
     @staticmethod
     def const_pow(base: ParamPoly, alpha, beta, regulator="z") -> "PrimitiveFactor":
-        mono = base.single_monomial()
-        if mono is None or not base.is_positive_monomial():
-            raise UnsupportedStructure("const_pow base must be a positive monomial")
-        coeff, key = mono
         return PrimitiveFactor(
             FactorKind.CONST_POW,
-            _fraction(alpha),
-            _fraction(beta),
-            base=(coeff.real, key),
+            rational.of(alpha),
+            rational.of(beta),
+            base=positive_base(base),
             regulator=regulator,
         )
 
@@ -170,12 +167,12 @@ class PrimitiveFactor:
     def pole_order(self) -> int:
         """Order of the pole at z = 0 (negative for a zero)."""
         if self.kind is FactorKind.GAMMA:
-            if self.beta.denominator == 1 and self.beta <= 0:
-                if self.alpha == 0:
+            if self.beta[1] == 1 and self.beta[0] <= 0:
+                if self.alpha[0] == 0:
                     raise UnsupportedFactor("Gamma pole with no regulator dependence")
                 return 1
             return 0
-        if self.kind is FactorKind.AFFINE and self.beta == 0:
+        if self.kind is FactorKind.AFFINE and self.beta[0] == 0:
             return -self.power
         return 0
 
@@ -192,18 +189,27 @@ class PrimitiveFactor:
         return f"({self.base_poly().render(mul='*')})^({arg})"
 
 
-def _affine_str(a: Fraction, b: Fraction, z: str) -> str:
+def positive_base(base: ParamPoly) -> tuple[float, ExpKey]:
+    """A ``const_pow`` base: the coefficient and key of a positive monomial."""
+    mono = base.single_monomial()
+    if mono is None or not base.is_positive_monomial():
+        raise UnsupportedStructure("const_pow base must be a positive monomial")
+    coeff, key = mono
+    return coeff.real, key
+
+
+def _affine_str(a: Q, b: Q, z: str) -> str:
     parts = []
-    if a != 0:
-        if a == 1:
+    if a[0] != 0:
+        if a == rational.ONE:
             parts.append(z)
-        elif a == -1:
+        elif a == (-1, 1):
             parts.append(f"-{z}")
         else:
-            parts.append(f"{a}*{z}")
-    if b != 0 or not parts:
-        s = str(b)
-        parts.append(f"+{s}" if b >= 0 and parts else s)
+            parts.append(f"{rational.text(a)}*{z}")
+    if b[0] != 0 or not parts:
+        s = rational.text(b)
+        parts.append(f"+{s}" if b[0] >= 0 and parts else s)
     return "".join(parts)
 
 
@@ -312,29 +318,29 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
     """Laurent series of a primitive factor at z = 0, ``order`` terms past the lead."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    a = f.alpha
+    a = rational.to_float(f.alpha)
 
     if f.kind is FactorKind.EXP_IPI:
         const = half_turn(f.beta)
-        coeffs = _exp_numeric([1j * math.pi * float(a)], order)
+        coeffs = _exp_numeric([1j * math.pi * a], order)
         return _numeric_series(0, [const * c for c in coeffs])
 
     if f.kind is FactorKind.AFFINE:
-        b = f.beta
+        b = rational.to_float(f.beta)
         n = f.power
-        if b == 0:
-            if a == 0:
+        if f.beta[0] == 0:
+            if f.alpha[0] == 0:
                 raise UnsupportedFactor("affine factor is identically zero")
-            return _numeric_series(n, [float(a) ** n] + [0j] * order)
+            return _numeric_series(n, [a ** n] + [0j] * order)
         if n >= 0:
             coeffs = [0j] * (order + 1)
             for k in range(min(n, order) + 1):
-                coeffs[k] = float(math.comb(n, k)) * float(b) ** (n - k) * float(a) ** k
+                coeffs[k] = float(math.comb(n, k)) * b ** (n - k) * a ** k
             return _numeric_series(0, coeffs)
         # negative power, regular point: generalized binomial
-        ratio = float(a) / float(b)
+        ratio = a / b
         coeffs = [0j] * (order + 1)
-        c = float(b) ** n
+        c = b ** n
         coeffs[0] = c
         binom = 1.0
         for k in range(1, order + 1):
@@ -344,24 +350,26 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
 
     if f.kind is FactorKind.GAMMA:
         b = f.beta
-        if b.denominator == 1 and b <= 0:
-            if a == 0:
-                raise UnsupportedFactor(f"Gamma({b}) has no regulator to expand against")
+        if b[1] == 1 and b[0] <= 0:
+            if f.alpha[0] == 0:
+                raise UnsupportedFactor(f"Gamma({b[0]}) has no regulator to expand against")
             # Gamma(a z + b) = Gamma(a z + 1) / prod_{k=0..n} (a z - k),  n = -b
-            n = -int(b)
-            series = expand_factor(PrimitiveFactor.gamma(a, 1, f.regulator), order + 1)
+            n = -b[0]
+            series = expand_factor(
+                PrimitiveFactor(FactorKind.GAMMA, f.alpha, rational.ONE, regulator=f.regulator), order + 1
+            )
             num = [c.as_number() for c in series.coeffs]
             for k in range(1, n + 1):
                 rec = _reciprocal_numeric(
-                    [float(-k)] + [float(a)] + [0j] * order, order + 1
+                    [float(-k)] + [a] + [0j] * order, order + 1
                 )
                 num = _convolve(num, rec, order + 2)
             # divide by (a z): shift lead down by one
-            num = [c / float(a) for c in num]
+            num = [c / a for c in num]
             return _numeric_series(-1, num[: order + 1])
         g0 = gamma_value(b)
         linear = [
-            polygamma_value(k - 1, b) * float(a) ** k / math.factorial(k)
+            polygamma_value(k - 1, b) * a ** k / math.factorial(k)
             for k in range(1, order + 1)
         ]
         coeffs = _exp_numeric(linear, order)
@@ -369,15 +377,15 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
 
     # CONST_POW: base^(a z + b) = base^b * exp(a z * ln(base))
     base = f.base_poly()
-    const = base.mono_pow(f.beta)
-    if a == 0:
+    const = base.mono_pow(rational.fraction(f.beta))
+    if f.alpha[0] == 0:
         return LaurentSeries(0, [const] + [ParamPoly.zero()] * order)
     lg = log_param(base)
     coeffs = [const]
     power = ParamPoly.one()
     for k in range(1, order + 1):
         power = power * lg
-        coeffs.append(const * power.scale(float(a) ** k / math.factorial(k)))
+        coeffs.append(const * power.scale(a ** k / math.factorial(k)))
     return LaurentSeries(0, coeffs)
 
 

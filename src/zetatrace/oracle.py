@@ -33,6 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import integrate
 
+from . import rational
 from .engine import _build_phase, apply_gauge, reduced_integrals
 from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 from .symbols import AxisPoly, compose_observable
@@ -227,7 +228,7 @@ def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float
     (p, -omega) is stored is served as the mirror's conjugate, which is what
     a fresh quadrature returns bit for bit: both run the same rays at |omega|.
     """
-    q = float(integral.q.a) * z + float(integral.q.b)
+    q = rational.to_float(integral.q.a) * z + rational.to_float(integral.q.b)
     rate = integral.rate.eval(bindings).real
     if integral.kind == "gauss":
         p, omega = (q - 1.0) / 2.0, -(rate * t_value)

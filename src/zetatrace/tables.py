@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import rational
 from .errors import GammaPole, UnsupportedAngular
-from .laurent import MeroFactorProduct, PrimitiveFactor, gamma_value
-from .params import ParamPoly, _fraction
+from .laurent import FactorKind, MeroFactorProduct, PrimitiveFactor, gamma_value, positive_base
+from .params import ParamPoly
+from .rational import Q
 from .terms import ZetaTerm
 
 
@@ -42,22 +44,30 @@ PRINCIPAL = BranchPolicy("principal")
 
 @dataclass(frozen=True)
 class AffineExp:
-    """Exponent a*z + b in one regulator."""
+    """Exponent a*z + b in one regulator; a and b are normalised integer pairs (``rational``)."""
 
     regulator: str
-    a: Fraction
-    b: Fraction
+    a: Q
+    b: Q
 
     @staticmethod
     def of(regulator: str, a, b) -> "AffineExp":
-        return AffineExp(regulator, _fraction(a), _fraction(b))
+        return AffineExp(regulator, rational.of(a), rational.of(b))
 
 
 def _check_gamma_arg(q: AffineExp, denom: int = 1):
     """(q + 1)/denom must not be a non-positive integer when a = 0."""
-    arg = (q.b + 1) / denom
-    if q.a == 0 and arg.denominator == 1 and arg <= 0:
-        raise GammaPole(f"Gamma({arg}) with no regulator present")
+    n, d = rational.add(q.b, rational.ONE)
+    d *= denom
+    if q.a[0] == 0 and n % d == 0 and n <= 0:
+        raise GammaPole(f"Gamma({n // d}) with no regulator present")
+
+
+def _const_pow(rate: ParamPoly | None, alpha: Q, beta: Q, reg: str) -> list[PrimitiveFactor]:
+    """(rate)^(alpha z + beta), or no factor for rate 1."""
+    if rate is None or rate.is_one():
+        return []
+    return [PrimitiveFactor(FactorKind.CONST_POW, alpha, beta, base=positive_base(rate), regulator=reg)]
 
 
 def osc_linear(
@@ -72,29 +82,24 @@ def osc_linear(
         raise ValueError("sign must be +1 or -1")
     _check_gamma_arg(q)
     a, b, reg = q.a, q.b, q.regulator
-    factors = [PrimitiveFactor.gamma(a, b + 1, reg)]
+    b1 = rational.add(b, rational.ONE)
     if policy.mode == "paper":
         if sign > 0:
             # -i e^(-i pi q / 2)
-            phase = PrimitiveFactor.exp_ipi(-a / 2, -b / 2 - Fraction(1, 2), reg)
+            phase = rational.mul(a, (-1, 2)), rational.mul(b1, (-1, 2))
         else:
             # +i e^(-3 i pi q / 2)
-            phase = PrimitiveFactor.exp_ipi(
-                Fraction(-3, 2) * a, Fraction(-3, 2) * b + Fraction(1, 2), reg
-            )
+            phase = rational.mul(a, (-3, 2)), rational.add(rational.mul(b, (-3, 2)), (1, 2))
     else:
         # e^(+- i pi (q+1) / 2): the +i0-damped continuation
-        s = Fraction(sign)
-        phase = PrimitiveFactor.exp_ipi(s * a / 2, s * (b + 1) / 2, reg)
-    factors.append(phase)
-    t_lin = {reg: -a}
-    t_const = -(b + 1)
-    if rate is not None and not rate.is_one():
-        factors.append(PrimitiveFactor.const_pow(rate, -a, -(b + 1), reg))
+        phase = rational.mul(a, (sign, 2)), rational.mul(b1, (sign, 2))
+    t_lin, t_const = rational.neg(a), rational.neg(b1)
+    factors = [
+        PrimitiveFactor(FactorKind.GAMMA, a, b1, regulator=reg),
+        PrimitiveFactor(FactorKind.EXP_IPI, *phase, regulator=reg),
+    ] + _const_pow(rate, t_lin, t_const, reg)
     return ZetaTerm(
-        MeroFactorProduct(ParamPoly.one(), tuple(factors)),
-        t_lin=tuple(sorted(t_lin.items())),
-        t_const=t_const,
+        MeroFactorProduct(ParamPoly.one(), tuple(factors)), t_lin=((reg, t_lin),), t_const=t_const
     )
 
 
@@ -109,17 +114,15 @@ def gauss_radial(
     the stated closed form).
     """
     _check_gamma_arg(q, denom=2)
-    a, b, reg = q.a, q.b, q.regulator
+    a, b1, reg = q.a, rational.add(q.b, rational.ONE), q.regulator
+    t_lin, t_const = rational.mul(a, (-1, 2)), rational.mul(b1, (-1, 2))
+    phase = rational.mul(a, (-1, 4)), rational.mul(b1, (-1, 4))
     factors = [
-        PrimitiveFactor.gamma(a / 2, (b + 1) / 2, reg),
-        PrimitiveFactor.exp_ipi(-a / 4, -(b + 1) / 4, reg),
-    ]
-    if rate is not None and not rate.is_one():
-        factors.append(PrimitiveFactor.const_pow(rate, -a / 2, -(b + 1) / 2, reg))
+        PrimitiveFactor(FactorKind.GAMMA, rational.neg(t_lin), rational.neg(t_const), regulator=reg),
+        PrimitiveFactor(FactorKind.EXP_IPI, *phase, regulator=reg),
+    ] + _const_pow(rate, t_lin, t_const, reg)
     return ZetaTerm(
-        MeroFactorProduct(ParamPoly.one(), tuple(factors)),
-        t_lin=tuple(sorted({reg: -a / 2}.items())),
-        t_const=-(b + 1) / 2,
+        MeroFactorProduct(ParamPoly.one(), tuple(factors)), t_lin=((reg, t_lin),), t_const=t_const
     )
 
 
@@ -138,11 +141,11 @@ def angular_moment(powers: tuple[int, ...], dim: int) -> ParamPoly:
         raise UnsupportedAngular("negative direction powers")
     if any(p % 2 for p in powers):
         return ParamPoly.zero()
-    den = gamma_value(Fraction(dim + sum(powers), 2))
+    den = gamma_value(rational.of(Fraction(dim + sum(powers), 2)))
     # each component without a power contributes Gamma(1/2) = 1.0 * pi^(1/2)
     num = ParamPoly.monomial(2.0, {"pi": Fraction(dim - len(powers), 2)})
     for p in powers:
-        num = num * gamma_value(Fraction(p + 1, 2))
+        num = num * gamma_value(rational.of(Fraction(p + 1, 2)))
     return num * den.inverse()
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import rational
 from .errors import (
     DivergentLimit,
     PoleAtZero,
@@ -53,31 +54,37 @@ from .laurent import (
     PrimitiveFactor,
     expand_product,
 )
-from .params import ParamPoly, _fraction
+from .params import ParamPoly
+from .rational import Q
 
-TLin = tuple[tuple[str, Fraction], ...]
+#: the slopes a_r of a ``T`` exponent, as sorted (regulator, pair) items
+TLin = tuple[tuple[str, Q], ...]
 
 
-def _tlin(mapping: Mapping[str, Fraction] | TLin | None) -> TLin:
+def _tlin(mapping: Mapping[str, Fraction] | None) -> TLin:
+    """The slopes of int or ``Fraction`` values by regulator, zeros dropped."""
     if not mapping:
         return ()
-    items = mapping.items() if isinstance(mapping, Mapping) else mapping
-    return tuple(sorted((r, _fraction(a)) for r, a in items if a != 0))
+    return tuple(sorted((r, rational.of(a)) for r, a in mapping.items() if a != 0))
 
 
 @dataclass(frozen=True)
 class ZetaTerm:
-    """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T)."""
+    """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T).
+
+    The exponents ``t_lin`` and ``t_const`` are normalised integer pairs
+    (``rational``); ``from_poly`` and ``_tlin`` read ints and ``Fraction``s.
+    """
 
     coeff: MeroFactorProduct
     t_lin: TLin = ()
-    t_const: Fraction = Fraction(0)
+    t_const: Q = rational.ZERO
     t_log: int = 0
     phase: ParamPoly = field(default_factory=ParamPoly.zero)
 
     @staticmethod
     def from_poly(poly: ParamPoly, t_const=0, **kw) -> "ZetaTerm":
-        return ZetaTerm(MeroFactorProduct(poly), t_const=_fraction(t_const), **kw)
+        return ZetaTerm(MeroFactorProduct(poly), t_const=rational.of(t_const), **kw)
 
     def scaled(self, poly: ParamPoly) -> "ZetaTerm":
         return replace(self, coeff=self.coeff.scaled(poly))
@@ -85,8 +92,8 @@ class ZetaTerm:
     def times(self, other: "ZetaTerm") -> "ZetaTerm":
         return ZetaTerm(
             coeff=self.coeff.times(other.coeff),
-            t_lin=_tlin(dict(_merge_tlin(self.t_lin, other.t_lin))),
-            t_const=self.t_const + other.t_const,
+            t_lin=_merge_tlin(self.t_lin, other.t_lin),
+            t_const=rational.add(self.t_const, other.t_const),
             t_log=self.t_log + other.t_log,
             phase=self.phase + other.phase,
         )
@@ -100,17 +107,17 @@ class ZetaTerm:
             frozenset(self.phase.terms.items()),
         )
 
-    def t_coeff(self, regulator: str) -> Fraction:
+    def t_coeff(self, regulator: str) -> Q:
         for r, a in self.t_lin:
             if r == regulator:
                 return a
-        return Fraction(0)
+        return rational.ZERO
 
     def render(self, t_symbol: str = "T") -> str:
         parts = [self.coeff.render()]
-        pieces = [f"{a}*{r}" for r, a in self.t_lin]
-        if self.t_const != 0:
-            pieces.append(str(self.t_const))
+        pieces = [f"{rational.text(a)}*{r}" for r, a in self.t_lin]
+        if self.t_const[0] != 0:
+            pieces.append(rational.text(self.t_const))
         if pieces:
             exp = pieces[0]
             for piece in pieces[1:]:
@@ -123,11 +130,12 @@ class ZetaTerm:
         return " * ".join(parts)
 
 
-def _merge_tlin(a: TLin, b: TLin) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = dict(a)
+def _merge_tlin(a: TLin, b: TLin) -> TLin:
+    """The slopes of the product of two ``T`` powers."""
+    out: dict[str, Q] = dict(a)
     for r, v in b:
-        out[r] = out.get(r, Fraction(0)) + v
-    return {r: v for r, v in out.items() if v != 0}
+        out[r] = rational.add(out[r], v) if r in out else v
+    return tuple(sorted((r, v) for r, v in out.items() if v[0] != 0))
 
 
 class ZetaTermSum:
@@ -302,6 +310,7 @@ def _coefficients(
         local = tuple(f for f in term.coeff.factors if f.regulator == regulator)
         rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
         a = term.t_coeff(regulator)
+        slope = rational.to_float(a)
         t_lin = tuple((r, v) for r, v in term.t_lin if r != regulator)
         if local:
             base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
@@ -315,8 +324,8 @@ def _coefficients(
             if cpoly.is_zero():
                 continue
             p0 = lead + j
-            for k in range(end - p0 if a != 0 else 1):
-                c = cpoly.scale(float(a) ** k / math.factorial(k)) if k else cpoly
+            for k in range(end - p0 if a[0] != 0 else 1):
+                c = cpoly.scale(slope ** k / math.factorial(k)) if k else cpoly
                 out.setdefault(p0 + k, []).append(ZetaTerm(
                     MeroFactorProduct(c, rest_factors), t_lin, term.t_const,
                     term.t_log + k, term.phase,
@@ -382,13 +391,13 @@ def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
 
     Gammas of one regulator and slope whose offsets differ by the integer
     returned, half-turn phases of one regulator, and powers of one base in
-    one regulator.  Exponents enter as integers: hashing them is much cheaper
-    than hashing ``Fraction``s.
+    one regulator.  A Gamma's offset b = n/d splits into the integer
+    ``n // d`` returned and the key's fractional part ``n % d`` over ``d``.
     """
     if f.kind is FactorKind.GAMMA:
-        a, b = f.alpha, f.beta
-        whole, frac = divmod(b.numerator, b.denominator)
-        return (f.kind, f.regulator, a.numerator, a.denominator, frac, b.denominator), whole
+        n, d = f.beta
+        whole, frac = divmod(n, d)
+        return (f.kind, f.regulator, f.alpha, frac, d), whole
     if f.kind is FactorKind.EXP_IPI:
         return (f.kind, f.regulator), 0
     if f.kind is FactorKind.CONST_POW:
@@ -410,18 +419,24 @@ def _factor_quotient(p: PrimitiveFactor, f: PrimitiveFactor, k: int) -> list[Pri
     """p / f for a partner pair, as primitive factors; Gammas differ by k in offset."""
     if f.kind is FactorKind.GAMMA:
         # Gamma(x + k) / Gamma(x) = x (x+1) ... (x+k-1), or 1/((x-1) ... (x+k)) for k < 0
+        a, reg = f.alpha, f.regulator
         if k >= 0:
-            return [PrimitiveFactor.affine(f.alpha, f.beta + j, 1, f.regulator) for j in range(k)]
+            return [
+                PrimitiveFactor(FactorKind.AFFINE, a, rational.add(f.beta, (j, 1)), 1, regulator=reg)
+                for j in range(k)
+            ]
         return [
-            PrimitiveFactor.affine(f.alpha, f.beta - j, -1, f.regulator) for j in range(1, -k + 1)
+            PrimitiveFactor(FactorKind.AFFINE, a, rational.sub(f.beta, (j, 1)), -1, regulator=reg)
+            for j in range(1, -k + 1)
         ]
     if p.alpha == f.alpha and p.beta == f.beta:
         return []
-    return [replace(p, alpha=p.alpha - f.alpha, beta=p.beta - f.beta)]
+    alpha, beta = rational.sub(p.alpha, f.alpha), rational.sub(p.beta, f.beta)
+    return [PrimitiveFactor(p.kind, alpha, beta, p.power, p.base, p.regulator)]
 
 
 def _divide_term(
-    t: ZetaTerm, partners: dict[tuple, list[tuple[int, int]]], divisor: list[tuple], t_lin: TLin
+    t: ZetaTerm, partners: dict[tuple, list[tuple[int, int]]], divisor: list[tuple], inverse_t_lin: TLin
 ) -> ZetaTerm:
     factors = t.coeff.factors
     slots = [[f] for f in factors]
@@ -429,7 +444,8 @@ def _divide_term(
     for f, key, offset in divisor:
         free = partners.get(key)
         if not free:  # an unpaired phase or const_pow: multiply by its inverse
-            extra.append(replace(f, alpha=-f.alpha, beta=-f.beta))
+            alpha, beta = rational.neg(f.alpha), rational.neg(f.beta)
+            extra.append(PrimitiveFactor(f.kind, alpha, beta, f.power, f.base, f.regulator))
             continue
         # the nearest Gamma keeps the affine product short; phases and powers have offset 0
         j = min(range(len(free)), key=lambda j: abs(free[j][0] - offset)) if len(free) > 1 else 0
@@ -437,7 +453,7 @@ def _divide_term(
         slots[i] = _factor_quotient(factors[i], f, p_offset - offset)
     return ZetaTerm(
         MeroFactorProduct(t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)),
-        _tlin(_merge_tlin(t.t_lin, tuple((r, -a) for r, a in t_lin))),
+        _merge_tlin(t.t_lin, inverse_t_lin),
         t.t_const, t.t_log, t.phase,
     )
 
@@ -475,7 +491,8 @@ def divide_by_reference(
         divisor.append((f, key, offset))
     if not divisor and not r.t_lin:
         return n, d, {}
-    divided = [_divide_term(t, p, divisor, r.t_lin) for t, p in zip(n.terms + d.terms, partners)]
+    inverse_t_lin = tuple((reg, rational.neg(a)) for reg, a in r.t_lin)
+    divided = [_divide_term(t, p, divisor, inverse_t_lin) for t, p in zip(n.terms + d.terms, partners)]
     k = len(n.terms)
     return (
         ZetaTermSum(divided[:k], n.regulators, n.t_symbol),
@@ -507,7 +524,7 @@ def _to_asymptote(s: ZetaTermSum) -> TAsymptote:
             raise UnsupportedStructure(
                 f"residual regulator factors survived elimination: {t.render()}"
             )
-        out.append(TAsymTerm(t.coeff.prefactor, t.t_const, t.t_log, t.phase))
+        out.append(TAsymTerm(t.coeff.prefactor, rational.fraction(t.t_const), t.t_log, t.phase))
     return TAsymptote(out, s.t_symbol)
 
 
@@ -578,7 +595,7 @@ def divide_term_sums(n: ZetaTermSum, d: ZetaTermSum) -> TAsymptote:
         out.append(
             TAsymTerm(
                 t.coeff.prefactor.divide(dt.coeff.prefactor),
-                t.t_const - dt.t_const,
+                rational.fraction(rational.sub(t.t_const, dt.t_const)),
                 log_pow,
                 t.phase - dt.phase,
             )

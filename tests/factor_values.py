@@ -11,11 +11,12 @@ import math
 
 import lanczos
 from zetatrace.laurent import FactorKind
+from zetatrace.rational import to_float
 
 
 def factor_value(f, z: complex, bindings=None) -> complex:
     """A primitive factor's value at the regulator value z."""
-    arg = complex(f.alpha) * z + complex(f.beta)
+    arg = complex(to_float(f.alpha)) * z + complex(to_float(f.beta))
     if f.kind is FactorKind.GAMMA:
         return lanczos.gamma(arg)
     if f.kind is FactorKind.EXP_IPI:

@@ -38,6 +38,7 @@ from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, gauss_radial, osc_line
 from zetatrace.terms import ZetaTermSum, ratio_limit, thermal_limit
 
 from factor_values import coeff_at, product_value
+from zetatrace.rational import to_float
 
 
 def mono(c, **exps):
@@ -178,7 +179,7 @@ def test_criterion_09_tables_match_quadrature():
 
         def value(term):
             v = product_value(term.coeff, 0.0)
-            return v * tv ** float(term.t_const)
+            return v * tv ** to_float(term.t_const)
 
         got_p = value(osc_linear(q, +1, PRINCIPAL))
         assert got_p == pytest.approx(oracle.half_line_power_osc(qv, tv, +1), rel=1e-5)

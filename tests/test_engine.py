@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from zetatrace import engine, oracle, tables
+from zetatrace import engine, oracle, rational, tables
 from zetatrace.engine import (
     GaugeGroup,
     KVAmplitudeSpec,
@@ -142,7 +142,7 @@ def test_reduce_rotor_denominator_single_gaussian_term():
     # Gamma((z+1)/2) (i T / (2J))^(-(z+1)/2): check numerically at z = -0.1
     z, tv, jv = -0.1, 7.0, 1.4
     got = product_value(term.coeff, z, {"J": jv})
-    got *= tv ** (float(term.t_const) + float(dict(term.t_lin)["z"]) * z)
+    got *= tv ** (rational.to_float(term.t_const) + rational.to_float(dict(term.t_lin)["z"]) * z)
     want = oracle.gauss_power_osc(z, tv / (2 * jv))
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -153,7 +153,7 @@ def test_reduce_fermion_denominator_both_oscillation_signs():
     assert len(den.terms) == 2
     # vol(S^2) = 4 pi times the half-line rows with exponent z + 2
     for term in den.terms:
-        assert term.t_const == Fraction(-3)
+        assert term.t_const == (-3, 1)
         pref = term.coeff.prefactor
         # dim/2 * 4pi = 2 * 4pi = 8pi
         assert pref == mono(8, pi=1)
@@ -163,9 +163,9 @@ def test_reduce_boson_numerator_shifted_gauss_exponent():
     model = schwinger_boson_mass()
     obs = model.observables["m_g^2"]
     num, den, _ = build_trace_sums(model, obs, PAPER)
-    t_consts = sorted(t.t_const for t in num.terms)
+    t_consts = sorted(rational.fraction(t.t_const) for t in num.terms)
     assert t_consts == [Fraction(-3, 2), Fraction(-1, 2)]
-    assert len(den.terms) == 1 and den.terms[0].t_const == Fraction(-1, 2)
+    assert len(den.terms) == 1 and den.terms[0].t_const == (-1, 2)
 
 
 def test_same_gauge_contract():
@@ -451,7 +451,7 @@ def _reduce_by_products(pieces, model, policy):
     for poly, t_power, symbols in engine.reduced_integrals(pieces, model, phase, plan):
         start = ZetaTerm(
             MeroFactorProduct(poly * model.prefactor),
-            t_const=t_power,
+            t_const=rational.of(t_power),
             phase=phase.const,
         )
         branches = [start]

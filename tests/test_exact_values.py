@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from zetatrace import rational
 from zetatrace.engine import KVAmplitudeSpec, kv_trace_at_zero
 from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor
 from zetatrace.modelfile import parse_model_text, to_model_spec
@@ -113,8 +114,8 @@ def _pole_pair(z: str, c: float, base: ParamPoly, slope: Fraction, t_a: Fraction
     gamma = PrimitiveFactor.gamma(1, 0, z)
     power = PrimitiveFactor.const_pow(base, slope, 0, z)
     return ZetaTermSum([
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(c), (gamma, power)), t_lin=((z, t_a),)),
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(-c), (gamma,)), t_lin=((z, t_b),)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(c), (gamma, power)), t_lin=((z, rational.of(t_a)),)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-c), (gamma,)), t_lin=((z, rational.of(t_b)),)),
     ], regs)
 
 

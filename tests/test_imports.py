@@ -70,11 +70,10 @@ def test_oracle_still_imports_with_numpy_and_scipy():
 def test_mpmath_loads_on_demand_with_the_same_values():
     # a Gamma series past its lead needs psi(1); Gamma(1/3) is not exact in pi^(1/2)
     values = """
-from fractions import Fraction
 from zetatrace import laurent
 series = laurent.expand_factor(laurent.PrimitiveFactor.gamma(1, 1), order=2)
 print(json.dumps(repr((series.lead, [c.terms for c in series.coeffs]))))
-print(json.dumps(repr(laurent.gamma_value(Fraction(1, 3)).terms)))
+print(json.dumps(repr(laurent.gamma_value((1, 3)).terms)))
 print(json.dumps('mpmath' in sys.modules))
 """
     on_demand = fresh_interpreter(values)

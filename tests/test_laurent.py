@@ -15,6 +15,7 @@ from zetatrace.laurent import (
     gamma_value,
     half_turn,
 )
+from zetatrace import rational
 from zetatrace.params import ParamPoly
 from zetatrace.terms import ZetaTerm, ZetaTermSum, ratio_limit
 
@@ -240,28 +241,28 @@ def test_gamma_at_negative_integer_argument_with_regulator():
 
 
 def test_half_turn_exact_values():
-    assert half_turn(Fraction(0)) == 1
-    assert half_turn(Fraction(1)) == -1
-    assert half_turn(Fraction(1, 2)) == 1j
-    assert half_turn(Fraction(-3, 2)) == 1j
-    assert half_turn(Fraction(-9, 2)) == -1j
+    assert half_turn(rational.of(Fraction(0))) == 1
+    assert half_turn(rational.of(Fraction(1))) == -1
+    assert half_turn(rational.of(Fraction(1, 2))) == 1j
+    assert half_turn(rational.of(Fraction(-3, 2))) == 1j
+    assert half_turn(rational.of(Fraction(-9, 2))) == -1j
 
 
 def test_gamma_value_half_integers_symbolic_in_pi():
-    g = gamma_value(Fraction(1, 2))
+    g = gamma_value(rational.of(Fraction(1, 2)))
     assert g.render() == "pi^1/2"
-    ratio = gamma_value(Fraction(3, 2)) * gamma_value(Fraction(1, 2)).inverse()
+    ratio = gamma_value(rational.of(Fraction(3, 2))) * gamma_value(rational.of(Fraction(1, 2))).inverse()
     assert ratio.as_number() == pytest.approx(0.5)
 
 
 def test_gamma_value_rejects_arguments_past_the_float_range():
     # the last integer and half-integer arguments whose Gamma is a finite float
-    assert gamma_value(Fraction(171)).as_number() == float(math.factorial(170))
-    assert gamma_value(Fraction(343, 2)).terms
-    assert gamma_value(Fraction(-343, 2)).terms
+    assert gamma_value(rational.of(Fraction(171))).as_number() == float(math.factorial(170))
+    assert gamma_value(rational.of(Fraction(343, 2))).terms
+    assert gamma_value(rational.of(Fraction(-343, 2))).terms
     for beta in (Fraction(172), Fraction(345, 2), Fraction(-345, 2), Fraction(10**12)):
         with pytest.raises(NumericOverflow, match=rf"Gamma\({beta}\) leaves the float range"):
-            gamma_value(beta)
+            gamma_value(rational.of(beta))
 
 
 def test_const_pow_expansion_uses_formal_logs():

@@ -12,6 +12,7 @@ from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStruc
 
 import lanczos
 from factor_values import factor_value
+from zetatrace.rational import to_float
 
 
 def test_lanczos_gamma_accuracy_on_strip():
@@ -185,7 +186,7 @@ def regulator_sum_value(s, zs, t_value, bindings):
         v = t.coeff.prefactor.eval(bindings)
         for f in t.coeff.factors:
             v *= factor_value(f, zs[f.regulator], bindings)
-        v *= t_value ** (float(t.t_const) + sum(float(a) * zs[r] for r, a in t.t_lin))
+        v *= t_value ** (to_float(t.t_const) + sum(to_float(a) * zs[r] for r, a in t.t_lin))
         v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
         total += v
     return total

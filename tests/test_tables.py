@@ -20,12 +20,13 @@ from zetatrace.tables import (
 
 import lanczos
 from factor_values import product_value
+from zetatrace.rational import to_float
 
 
 def term_value(term, z, t_value, bindings=None):
     """Numeric value of a table row at explicit z and T."""
     v = product_value(term.coeff, z, bindings)
-    texp = float(term.t_const) + sum(float(a) * z for _, a in term.t_lin)
+    texp = to_float(term.t_const) + sum(to_float(a) * z for _, a in term.t_lin)
     return v * t_value**texp
 
 
@@ -166,7 +167,7 @@ def test_every_row_matches_damped_quadrature():
         qv = rng.uniform(-0.4, 2.0)
         tv = rng.uniform(2.0, 12.0)
         q = AffineExp.of("z", 0, Fraction(round(qv * 16), 16))
-        qf = float(q.b)
+        qf = to_float(q.b)
         plus = term_value(osc_linear(q, +1, PRINCIPAL), 0.0, tv)
         assert plus == pytest.approx(oracle.half_line_power_osc(qf, tv, +1), rel=1e-11)
         minus = term_value(osc_linear(q, -1, PRINCIPAL), 0.0, tv)
