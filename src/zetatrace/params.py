@@ -12,7 +12,9 @@ is slow, and the dict arithmetic looks each key up several times.  A key
 equals, and hashes like, the plain tuple of its pairs, so plain-tuple lookups
 (``poly.terms == {(): 1.0}``) keep working.  A plain tuple passed as a key is
 sorted and stripped of zero exponents, and coefficients of keys naming the
-same monomial are summed.
+same monomial are summed.  Key exponents stay ``Fraction``s, unlike the
+integer pairs of the regulator side (``rational``): callers look keys up by
+``(name, Fraction)``, and rendering sorts keys by exponent value.
 
 Zero means zero: only a coefficient equal to 0 is dropped, so which terms a
 sum keeps, and so which Laurent order leads, depends only on exact

@@ -1,22 +1,14 @@
-"""Rational regulator exponents as normalised integer pairs.
+"""Regulator exponents as normalised integer pairs.
 
-Every exponent on the regulator side of a reduced integral (Gamma arguments
-a z + b, half-turn and power exponents, the ``T`` exponent's slopes and
-constant) is rational.  It is held as a pair ``(n, d)`` of ints with
-``d > 0`` and ``gcd(n, d) = 1``, so that one value has exactly one pair:
-pairs compare and hash as plain tuples, many times faster than
-``Fraction``, and equal values hash alike.  The sign of a value is the sign
-of ``n``; it is an integer when ``d == 1``.  Tuple order is not numeric
-order, so nothing sorts pairs by value.
-
-``of`` reads an int or ``Fraction`` at the public constructors;
-``fraction`` gives the ``Fraction`` back where an exponent leaves the
-regulator side (a ``TAsymTerm`` power, a ``ParamPoly`` exponent) and
-``text`` renders it as ``str(Fraction)`` does.  ``to_float`` is ``n / d``,
-correctly rounded like ``float(Fraction)``.
+Gamma arguments a z + b, half-turn and power exponents and the ``T``
+exponent's slopes and constant are rational.  Each is a pair ``(n, d)`` of
+ints with ``d > 0`` and ``gcd(n, d) = 1``, so one value has one pair and
+pairs compare and hash as plain tuples, many times faster than ``Fraction``.
+The sign of a value is the sign of ``n``.  Tuple order is not numeric order:
+nothing sorts pairs by value.  ``of`` reads an int or ``Fraction``,
+``fraction`` converts back, ``text`` renders like ``str(Fraction)``, and
+``to_float`` is ``n / d``, which is ``float(Fraction)`` bit for bit.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
