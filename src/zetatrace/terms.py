@@ -405,13 +405,15 @@ def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
     return None
 
 
-def _partners(factors: tuple[PrimitiveFactor, ...]) -> dict[tuple, list[tuple[int, int]]]:
-    """Key -> (offset, index) of every factor a divisor factor can pair with."""
-    out: dict[tuple, list[tuple[int, int]]] = {}
+def _partners(factors: tuple[PrimitiveFactor, ...]) -> dict[tuple, tuple[list[int], list[int]]]:
+    """Key -> offsets and indices, in factor order, of the factors a divisor factor can pair with."""
+    out: dict[tuple, tuple[list[int], list[int]]] = {}
     for i, f in enumerate(factors):
         keyed = _pair_key(f)
         if keyed is not None:
-            out.setdefault(keyed[0], []).append((keyed[1], i))
+            offsets, indices = out.setdefault(keyed[0], ([], []))
+            offsets.append(keyed[1])
+            indices.append(i)
     return out
 
 
@@ -436,20 +438,24 @@ def _factor_quotient(p: PrimitiveFactor, f: PrimitiveFactor, k: int) -> list[Pri
 
 
 def _divide_term(
-    t: ZetaTerm, partners: dict[tuple, list[tuple[int, int]]], divisor: list[tuple], inverse_t_lin: TLin
+    t: ZetaTerm, partners: dict[tuple, tuple[list[int], list[int]]], divisor: list[tuple],
+    inverse_t_lin: TLin,
 ) -> ZetaTerm:
     factors = t.coeff.factors
     slots = [[f] for f in factors]
     extra = []
-    for f, key, offset in divisor:
-        free = partners.get(key)
-        if not free:  # an unpaired phase or const_pow: multiply by its inverse
-            alpha, beta = rational.neg(f.alpha), rational.neg(f.beta)
-            extra.append(PrimitiveFactor(f.kind, alpha, beta, f.power, f.base, f.regulator))
+    for f, key, offset, inverse in divisor:
+        offsets, indices = partners.get(key, ((), ()))
+        if not offsets:  # an unpaired phase or const_pow: multiply by its inverse
+            extra.append(inverse)
             continue
-        # the nearest Gamma keeps the affine product short; phases and powers have offset 0
-        j = min(range(len(free)), key=lambda j: abs(free[j][0] - offset)) if len(free) > 1 else 0
-        p_offset, i = free.pop(j)
+        # the nearest Gamma (the first of equally near ones) keeps the affine
+        # product short; phases and powers have offset 0
+        if offset in offsets:
+            j = offsets.index(offset)
+        else:
+            j = min(range(len(offsets)), key=lambda j: abs(offsets[j] - offset))
+        p_offset, i = offsets.pop(j), indices.pop(j)
         slots[i] = _factor_quotient(factors[i], f, p_offset - offset)
     return ZetaTerm(
         MeroFactorProduct(t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)),
@@ -483,12 +489,16 @@ def divide_by_reference(
         if keyed is None:
             continue
         key, offset = keyed
+        inverse = None
         if f.kind is FactorKind.GAMMA:
-            if any(len(p.get(key, ())) <= taken[key] for p in partners):
+            if any(key not in p or len(p[key][0]) <= taken[key] for p in partners):
                 continue
             taken[key] += 1
             orders[f.regulator] = orders.get(f.regulator, 0) - f.pole_order()
-        divisor.append((f, key, offset))
+        else:  # built once here, used by every term in which f has no partner
+            alpha, beta = rational.neg(f.alpha), rational.neg(f.beta)
+            inverse = PrimitiveFactor(f.kind, alpha, beta, f.power, f.base, f.regulator)
+        divisor.append((f, key, offset, inverse))
     if not divisor and not r.t_lin:
         return n, d, {}
     inverse_t_lin = tuple((reg, rational.neg(a)) for reg, a in r.t_lin)

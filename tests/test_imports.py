@@ -1,7 +1,8 @@
-"""numpy and scipy stay in the quadrature oracle; mpmath loads only on demand.
+"""numpy stays in the quadrature oracle; mpmath loads only on demand.
 
 The closed-form pipeline and the whole command line run on the standard
-library: only ``zetatrace.oracle`` loads numpy and scipy, and mpmath is
+library: only ``zetatrace.oracle`` loads numpy, and none loads scipy, which
+only the tests use (``scipy.special`` and ``expm``); mpmath is
 imported only where a Gamma value at an argument that is neither an integer
 nor a half-integer, or a polygamma value, is asked for; no bundled command
 asks for one.  Each check runs a fresh interpreter, since this test process
@@ -64,7 +65,8 @@ def test_cli_loads_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_oracle_still_imports_with_numpy_and_scipy():
-    assert loaded_libs_after_each(["import zetatrace.oracle"]) == [["numpy", "scipy"]]
+    """The oracle loads numpy alone (the name predates its exp-sinh rule); scipy is for tests only."""
+    assert loaded_libs_after_each(["import zetatrace.oracle"]) == [["numpy"]]
 
 
 def test_mpmath_loads_on_demand_with_the_same_values():

@@ -460,6 +460,44 @@ def test_division_pairs_factors_within_their_regulator():
     assert n_div.terms[0].coeff.factors == (e(0, Fraction(1, 2), "z2"),)
 
 
+def gamma_quotient(b, r):
+    """Gamma(z + b) / Gamma(z + r) as the affine factors division leaves."""
+    if b >= r:
+        return [PrimitiveFactor.affine(1, j) for j in range(r, b)]
+    return [PrimitiveFactor.affine(1, j, power=-1) for j in range(r - 1, b - 1, -1)]
+
+
+@given(st.data())
+def test_division_pairs_each_divisor_gamma_with_the_first_nearest_partner(data):
+    """Exact offsets and the nearest-offset fallback pick what a plain nearest-first scan picks."""
+    offsets = data.draw(st.lists(st.integers(-2, 4), min_size=1, max_size=5))
+    refs = data.draw(st.lists(st.integers(-2, 4), min_size=1, max_size=len(offsets)))
+    g = lambda b: PrimitiveFactor.gamma(1, b)
+    num = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), tuple(g(b) for b in offsets)))])
+    den = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), tuple(g(r) for r in refs)))])
+    n_div, d_div, _ = divide_by_reference(num, den)
+    free, slots = list(enumerate(offsets)), [[g(b)] for b in offsets]
+    for r in refs:
+        k = min(range(len(free)), key=lambda k: abs(free[k][1] - r))
+        i, b = free.pop(k)
+        slots[i] = gamma_quotient(b, r)
+    assert n_div.terms[0].coeff.factors == tuple(x for slot in slots for x in slot)
+    assert d_div.terms[0].coeff.factors == ()
+
+
+def test_unpaired_phases_are_inverted_in_every_term():
+    e = PrimitiveFactor.exp_ipi
+    one = lambda *factors: ZetaTerm(MeroFactorProduct(ParamPoly.one(), factors))
+    den = osc_sum([one(e(Fraction(1, 2), 1))])
+    num = osc_sum([one(), one(PrimitiveFactor.gamma(1, 0)), one(e(Fraction(1, 2), 0))])
+    n_div, d_div, _ = divide_by_reference(num, den)
+    inverse = e(Fraction(-1, 2), -1)
+    assert [t.coeff.factors for t in n_div.terms] == [
+        (inverse,), (PrimitiveFactor.gamma(1, 0), inverse), (e(0, -1),)
+    ]
+    assert d_div.terms[0].coeff.factors == ()
+
+
 def test_merged_drops_only_buckets_that_cancel_exactly():
     near = ParamPoly.number(-1.0 + 1e-11)
     s = ZetaTermSum([
