@@ -318,8 +318,9 @@ def reduced_integrals(
     key: the symbol, its degree and the piece's oscillation sign, plus the
     direction degrees for a radial group.  A check that raises stores
     nothing, so it raises again, with the same message, at every item that
-    reaches it.  ``reduce_pieces`` maps the integrals to table rows,
-    ``oracle.model_quotient`` to quadratures.
+    reaches it.  ``reduce_pieces`` maps the integrals to table rows; the
+    oracle walks it once per side and cross-check (``oracle._build_quotient``)
+    and maps the integrals to quadratures at each z sample.
     """
     memo: dict[tuple, Alternatives] = {}
     for piece in pieces:

@@ -15,10 +15,13 @@ e^(i theta (p+1)) at theta = pi/3, pi/4 are not the tables' half-turns.
 Gaussian-phase integrals are linearized by the t = u^2 substitution before
 quadrature, and small-z / finite-T limits are polynomial extrapolations over
 sample grids.
-No table row, Laurent series or term sum is built here.  Within one
-cross-check (``small_z_ratio``) each distinct integral is computed once, and
-its value is reused on both sides of the quotient and at every z sample; a
-±omega pair is computed once, the -omega value being the exact conjugate.
+No table row, Laurent series or term sum is built here.  One cross-check
+(``small_z_ratio``) builds what does not depend on z once: the gauge, the
+phase, both sides' enumeration and the value of every coefficient and
+multiplier.  At each z sample it only sums quadratures.  Each distinct
+integral is computed once per cross-check, and its value is reused on both
+sides of the quotient and at every z sample; a ±omega pair is computed once,
+the -omega value being the exact conjugate.
 ``potential_numeric`` finds a potential's minima and masses from V alone, by
 ``np.roots`` and second differences, without the engine's closed forms.
 """
@@ -33,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .engine import _build_phase, apply_gauge, reduced_integrals
+from .engine import ReducedIntegral, _build_phase, apply_gauge, reduced_integrals
 from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 from .symbols import AxisPoly, compose_observable
 
@@ -197,18 +200,26 @@ def decay_exponent(fn: Callable[[float], complex], t_grid: Sequence[float]) -> f
 # ---------------------------------------------------------------------------
 
 
+#: one item of a side: its weight and, per reduced symbol, the alternatives
+#: as (multiplier value, integral) pairs
+Item = tuple[complex, list[list[tuple[complex, ReducedIntegral]]]]
+
+
 def small_z_ratio(model, observable_name: str, z_samples: Sequence[float],
                   t_value: float, bindings: Mapping[str, float]) -> complex:
     """Extrapolated z -> 0 quotient of the model's trace integrals at fixed T.
 
-    The per-z quotients share one store of integral values, so an integral
-    that recurs on both sides or at several z is computed once per call.
+    Everything that does not depend on z is built once per call
+    (``_build_quotient``): the gauge, the phase, both composed sides and
+    their enumeration, with every coefficient and multiplier evaluated.  At
+    each z only the quadratures are summed (``_evaluate_quotient``), and the
+    per-z quotients share one store of integral values, so an integral that
+    recurs on both sides or at several z is computed once per call.  A
+    structural error therefore raises before any quadrature runs.
     """
+    sides = _build_quotient(model, observable_name, t_value, bindings)
     store: dict[tuple[float, float], complex] = {}
-    samples = {
-        z: model_quotient(model, observable_name, z, t_value, bindings, store=store)
-        for z in z_samples
-    }
+    samples = {z: _evaluate_quotient(sides, z, t_value, bindings, store) for z in z_samples}
     return small_z_limit(samples)
 
 
@@ -224,35 +235,60 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     the Laurent and limit machinery is cross-checked end to end.  One ``z``
     is used for every regulator: the quotient is sampled on the diagonal
     z1 = z2 = ... = z, while the engine eliminates the regulators one at a
-    time.
+    time.  This is ``small_z_ratio``'s build and evaluation at a single z.
 
     Each distinct integral is computed once: ``store`` maps the (exponent,
     omega) floats that ``damped_quadrature`` receives to its value, and
-    (exponent, -omega) is read as its conjugate.  ``small_z_ratio`` passes
-    one store to all its z samples; by default the store is fresh.
+    (exponent, -omega) is read as its conjugate.  By default the store is
+    fresh.
     """
-    if store is None:
-        store = {}
+    sides = _build_quotient(model, observable_name, t_value, bindings)
+    return _evaluate_quotient(sides, z, t_value, bindings, {} if store is None else store)
+
+
+def _build_quotient(model, observable_name: str, t_value: float,
+                    bindings: Mapping[str, float]) -> tuple[list[Item], list[Item]]:
+    """The numerator's and the denominator's items, which do not depend on z.
+
+    Each item of ``engine.reduced_integrals`` becomes its weight (the
+    coefficient times T^(T power) times the evolution phase e^(i c T)) and
+    its symbols' alternatives with every multiplier evaluated.  The whole
+    enumeration runs here, so every structural check of both sides does too.
+    """
     plan = apply_gauge(model)
     phase, evo = _build_phase(model)
     obs = model.observables[observable_name]
     rotation = cmath.exp(1j * phase.const.eval(bindings) * t_value)
 
-    def trace_value(pieces) -> complex:
+    def items(pieces) -> list[Item]:
+        return [
+            (poly.eval(bindings) * t_value ** float(t_power) * rotation,
+             [[(mult.eval(bindings), integral) for mult, integral in alternatives]
+              for alternatives in symbols])
+            for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan)
+        ]
+
+    return items(compose_observable(evo, obs)), items(compose_observable(evo, AxisPoly.number(1)))
+
+
+def _evaluate_quotient(sides: tuple[list[Item], list[Item]], z: float, t_value: float,
+                       bindings: Mapping[str, float],
+                       store: dict[tuple[float, float], complex]) -> complex:
+    """num(z, T)/den(z, T) from built sides: per item, the weight times each symbol's sum."""
+
+    def trace_value(items: list[Item]) -> complex:
         total = 0j
-        for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan):
-            value = poly.eval(bindings) * t_value ** float(t_power) * rotation
+        for value, symbols in items:
             for alternatives in symbols:
                 value *= sum(
-                    mult.eval(bindings) * _quadrature(integral, z, t_value, bindings, store)
+                    mult * _quadrature(integral, z, t_value, bindings, store)
                     for mult, integral in alternatives
                 )
             total += value
         return total
 
-    num = trace_value(compose_observable(evo, obs))
-    den = trace_value(compose_observable(evo, AxisPoly.number(1)))
-    return num / den
+    num, den = sides
+    return trace_value(num) / trace_value(den)
 
 
 def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float],

@@ -206,16 +206,6 @@ class PhaseDecomposition:
     h1: dict[str, ParamPoly]
     h0_const: ParamPoly
 
-    def reassemble(self) -> AxisPoly:
-        out = AxisPoly.constant(self.h0_const)
-        for name, c in self.h2.items():
-            if not c.is_zero():
-                out = out + AxisPoly.symbol(name, 2, c)
-        for name, c in self.h1.items():
-            if not c.is_zero():
-                out = out + AxisPoly.symbol(name, 1, c)
-        return out
-
 
 def decompose_phase(h: AxisPoly, axes: Sequence[str]) -> PhaseDecomposition:
     """Extract h2 and h1 per axis and the constant part.

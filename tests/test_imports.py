@@ -64,8 +64,8 @@ def test_cli_loads_neither_numpy_nor_scipy(tmp_path):
     assert loaded_libs_after_each(steps) == [[]] * len(steps)
 
 
-def test_oracle_still_imports_with_numpy_and_scipy():
-    """The oracle loads numpy alone (the name predates its exp-sinh rule); scipy is for tests only."""
+def test_oracle_imports_numpy_alone():
+    """The oracle loads numpy alone; scipy is for tests only."""
     assert loaded_libs_after_each(["import zetatrace.oracle"]) == [["numpy"]]
 
 

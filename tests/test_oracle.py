@@ -380,6 +380,29 @@ def test_shared_store_lives_for_one_call(monkeypatch):
     assert calls[24:] == calls[:12]
 
 
+def test_small_z_ratio_enumerates_each_side_once(monkeypatch):
+    """Only the quadratures depend on z: the enumeration runs once per side, not once per sample."""
+    model, obs, bindings = ho_1d()
+    enumerations = []
+    real = oracle.reduced_integrals
+
+    def counting(*args):
+        enumerations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "reduced_integrals", counting)
+    oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
+    assert len(enumerations) == 2
+
+
+def test_small_z_ratio_raises_a_structural_error_before_any_quadrature(monkeypatch, shifted_oscillator):
+    calls = count_quadratures(monkeypatch)
+    with pytest.raises(UnsupportedStructure, match="complete the square"):
+        oracle.small_z_ratio(shifted_oscillator, "observable", Z_SAMPLES, 10.0,
+                             {"m": 1.0, "w": 1.0, "F": 1.0})
+    assert calls == []
+
+
 def test_nonconvergent_integral_propagates_from_small_z_ratio(monkeypatch):
     model, obs, bindings = ho_1d()
     count_quadratures(monkeypatch, fail_at=7)
