@@ -174,7 +174,11 @@ def cmd_run(args, extra_registry=None) -> int:
         args.model, policy, args.series_order, registry=extra_registry, **overrides
     )
     _check_signs(run.model, bindings)
-    return _emit_run(run, args, bindings)
+    code = _emit_run(run, args, bindings)
+    # a result that disagrees with its expected value is a failed run, as in ``check``
+    for failure in run.failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if run.failures else code
 
 
 def cmd_check(args) -> int:
@@ -244,7 +248,9 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
         if not line:
             continue
         if line.startswith("["):
-            section = line.strip("[]").strip().lower()
+            if not line.endswith("]"):
+                raise ParseError("unterminated section header", lineno)
+            section = line[1:-1].strip().lower()
             if section not in _KV_KEYS:
                 raise ParseError(f"unknown section [{section}]", lineno)
             if section == "kv":  # [term] sections repeat, the header does not

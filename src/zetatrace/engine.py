@@ -473,7 +473,7 @@ def _table_row(
     row = rows.get(key)
     if row is None:
         if integral.kind == "gauss":
-            row = gauss_radial(integral.q, policy, integral.rate)
+            row = gauss_radial(integral.q, integral.rate)
         else:
             row = osc_linear(integral.q, integral.sign, policy, integral.rate)
         rows[key] = row

@@ -298,22 +298,6 @@ def _exp_numeric(linear: Sequence[complex], order: int) -> list[complex]:
     return acc
 
 
-def _reciprocal_numeric(coeffs: Sequence[complex], order: int) -> list[complex]:
-    """Reciprocal Taylor coefficients of a series with nonzero constant term."""
-    a0 = coeffs[0]
-    if a0 == 0:
-        raise UnsupportedStructure("reciprocal of a series with zero lead")
-    out = [0j] * (order + 1)
-    out[0] = 1.0 / a0
-    for n in range(1, order + 1):
-        s = 0j
-        for k in range(1, n + 1):
-            ak = coeffs[k] if k < len(coeffs) else 0j
-            s += ak * out[n - k]
-        out[n] = -s / a0
-    return out
-
-
 def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Laurent series of a primitive factor at z = 0, ``order`` terms past the lead."""
     if order < 0:
@@ -360,9 +344,10 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
             )
             num = [c.as_number() for c in series.coeffs]
             for k in range(1, n + 1):
-                rec = _reciprocal_numeric(
-                    [float(-k)] + [a] + [0j] * order, order + 1
-                )
+                # 1/(a z - k) = -(1/k) sum_j (a z / k)^j
+                rec = [1.0 / -k]
+                for _ in range(order + 1):
+                    rec.append(rec[-1] * a / k)
                 num = _convolve(num, rec, order + 2)
             # divide by (a z): shift lead down by one
             num = [c / a for c in num]

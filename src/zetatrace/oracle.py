@@ -12,9 +12,10 @@ by contour rotation (a numerical Wick rotation): one fixed exp-sinh sum
 rays into the half plane where the integrand decays, and Cauchy's theorem
 makes the two agree.  No Gamma function is evaluated, and the ray phases
 e^(i theta (p+1)) at theta = pi/3, pi/4 are not the tables' half-turns.
-Gaussian-phase integrals are linearized by the t = u^2 substitution before
-quadrature, and small-z / finite-T limits are polynomial extrapolations over
-sample grids.
+Every integral, half-line or Gaussian-phase, is one (p, omega) of
+``damped_quadrature``: ``_quadrature`` holds that map, the Gaussian one by the
+t = u^2 substitution.  Small-z / finite-T limits are polynomial
+extrapolations over sample grids.
 No table row, Laurent series or term sum is built here.  One cross-check
 (``small_z_ratio``) builds what does not depend on z once: the gauge, the
 phase, both sides' enumeration and the value of every coefficient and
@@ -133,21 +134,12 @@ def damped_quadrature(p: float, omega: float) -> complex:
     return first.conjugate() if omega < 0 else first
 
 
-def half_line_power_osc(q: float, t_value: float, sign: int, rate: float = 1.0) -> complex:
-    """Numeric int_0^inf r^q e^(sign i rate T r) dr, Re q > -1."""
-    return damped_quadrature(q, sign * rate * t_value)
+#: the largest difference, absolute or relative, between the z -> 0
+#: extrapolants through all samples and through all but the last
+Z_LIMIT_TOL = 5e-3
 
 
-def gauss_power_osc(q: float, a_value: float) -> complex:
-    """Numeric int_R |u|^q e^(-i a u^2) du via the t = u^2 substitution.
-
-    Equals int_0^inf t^((q-1)/2) e^(-i a t) dt, which ``damped_quadrature``
-    computes.
-    """
-    return damped_quadrature((q - 1.0) / 2.0, -a_value)
-
-
-def small_z_limit(samples: Mapping[float, complex], tol: float = 5e-3) -> complex:
+def small_z_limit(samples: Mapping[float, complex]) -> complex:
     """Extrapolate sampled values f(z) to z = 0 by polynomial fit."""
     if len(samples) < 2:
         raise NonConvergent("need at least two z samples to extrapolate")
@@ -155,7 +147,7 @@ def small_z_limit(samples: Mapping[float, complex], tol: float = 5e-3) -> comple
     vals = [samples[z] for z in zs]
     full = richardson(zs, vals)
     drop = richardson(zs[:-1], vals[:-1])
-    if abs(full - drop) > max(tol, tol * abs(full)):
+    if abs(full - drop) > max(Z_LIMIT_TOL, Z_LIMIT_TOL * abs(full)):
         raise NonConvergent(f"z-extrapolants differ by {abs(full - drop):.3g}")
     return full
 
@@ -183,16 +175,6 @@ def finite_t_sweep(fn: Callable[[float], complex], t_grid: Sequence[float]) -> S
     fitted = mat @ coeffs
     residual = float(np.max(np.abs(fitted - ys)))
     return SweepFit(complex(coeffs[0]), residual)
-
-
-def decay_exponent(fn: Callable[[float], complex], t_grid: Sequence[float]) -> float:
-    """Slope of log|fn| against log T (a pure power a*T^p fits exactly)."""
-    ts = np.array(sorted(t_grid), dtype=float)
-    ys = np.array([abs(fn(t)) for t in ts], dtype=float)
-    if np.any(ys <= 0):
-        raise NonConvergent("cannot fit a decay exponent through zero values")
-    slope, _ = np.polyfit(np.log(ts), np.log(ys), 1)
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +277,11 @@ def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float
                 store: dict[tuple[float, float], complex]) -> complex:
     """Numeric value of one ``engine.ReducedIntegral`` at regulator value z.
 
-    The key is (p, omega) of ``damped_quadrature``, computed as
-    ``gauss_power_osc`` and ``half_line_power_osc`` compute them, so a stored
-    value is the value a fresh quadrature would return.  A key whose mirror
+    The integral is mapped to (p, omega) of ``damped_quadrature``: a
+    half-line integral r^q e^(sign i rate T r) is (q, sign rate T), and a
+    Gaussian |u|^q e^(-i rate T u^2) is ((q-1)/2, -rate T) by the t = u^2
+    substitution.  (p, omega) is also the store key, so a stored value is the
+    value a fresh quadrature would return.  A key whose mirror
     (p, -omega) is stored is served as the mirror's conjugate, which is what
     a fresh quadrature returns bit for bit: both run the same rays at |omega|.
     """

@@ -16,7 +16,6 @@ reducing polynomials modulo ``sum h^2 = 1``, never by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -159,15 +158,6 @@ class AxisPoly:
             piece = AxisPoly({rest: coeff})
             out = out + piece * (value ** d)
         return out
-
-    def eval(self, axis_values: Mapping[str, complex], bindings, t_value: float = 1.0) -> complex:
-        total = 0j
-        for key, coeff in self.terms.items():
-            v = coeff.eval({**bindings, T: t_value})
-            for name, deg in key:
-                v *= axis_values[name] ** deg
-            total += v
-        return total
 
     def render(self) -> str:
         if not self.terms:

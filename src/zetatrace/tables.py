@@ -3,15 +3,17 @@
 Rows implemented:
 
 * ``osc_linear`` -- int_0^inf r^q e^(+-i rate T r) dr as Gamma(q+1) * phase * (rate T)^(-q-1)
-* ``gauss_radial`` -- int_R e^(-i rate T u^2) |u|^q du as Gamma((q+1)/2) * (i rate T)^(-(q+1)/2)
-* ``angular_moment`` / ``sphere_volume`` -- exact sphere moments as polynomials in pi
+* ``gauss_radial`` -- int_R e^(-i rate T u^2) |u|^q du, which t = u^2 turns into the
+  principal ``osc_linear`` row at exponent (q-1)/2 and sign -1:
+  Gamma((q+1)/2) * (i rate T)^(-(q+1)/2)
+* ``angular_moment`` -- exact sphere moments as polynomials in pi; no powers
+  give the sphere's volume
 
 Two continuation branches exist for the linear row.  ``principal`` is the
 +i0-damped value (matched by the numeric oracle); ``paper`` keeps the
 conventional Laplace-table phases e^(-i pi q / 2) and e^(-3 i pi q / 2) for
 the two oscillation signs, which are conjugate continuations.  The Gaussian
-row is branch-insensitive: both policies return the +i0 Fresnel value (see
-tests for the documented relation to the conjugate-side convention).
+row is branch-insensitive: it is always the +i0 Fresnel value.
 """
 
 from __future__ import annotations
@@ -55,10 +57,9 @@ class AffineExp:
         return AffineExp(regulator, rational.of(a), rational.of(b))
 
 
-def _check_gamma_arg(q: AffineExp, denom: int = 1):
-    """(q + 1)/denom must not be a non-positive integer when a = 0."""
+def _check_gamma_arg(q: AffineExp):
+    """q + 1 must not be a non-positive integer when a = 0."""
     n, d = rational.add(q.b, rational.ONE)
-    d *= denom
     if q.a[0] == 0 and n % d == 0 and n <= 0:
         raise GammaPole(f"Gamma({n // d}) with no regulator present")
 
@@ -103,27 +104,18 @@ def osc_linear(
     )
 
 
-def gauss_radial(
-    q: AffineExp, policy: BranchPolicy, rate: ParamPoly | None = None
-) -> ZetaTerm:
+def gauss_radial(q: AffineExp, rate: ParamPoly | None = None) -> ZetaTerm:
     """int_R e^(-i * rate * T * u^2) |u|^q du = Gamma((q+1)/2) (i rate T)^(-(q+1)/2).
 
-    Branch-insensitive: the +i0 Fresnel phase e^(-i pi (q+1)/4) is used for
-    both policies (the conjugate-side convention flips the sign of every
-    ratio across an even exponent gap and is not a single-valued branch of
-    the stated closed form).
+    With t = u^2 this is int_0^inf t^((q-1)/2) e^(-i rate T t) dt, the
+    principal linear row: the +i0 Fresnel phase e^(-i pi (q+1)/4) for both
+    policies (the conjugate-side convention flips the sign of every ratio
+    across an even exponent gap and is not a single-valued branch of the
+    stated closed form).
     """
-    _check_gamma_arg(q, denom=2)
-    a, b1, reg = q.a, rational.add(q.b, rational.ONE), q.regulator
-    t_lin, t_const = rational.mul(a, (-1, 2)), rational.mul(b1, (-1, 2))
-    phase = rational.mul(a, (-1, 4)), rational.mul(b1, (-1, 4))
-    factors = [
-        PrimitiveFactor(FactorKind.GAMMA, rational.neg(t_lin), rational.neg(t_const), regulator=reg),
-        PrimitiveFactor(FactorKind.EXP_IPI, *phase, regulator=reg),
-    ] + _const_pow(rate, t_lin, t_const, reg)
-    return ZetaTerm(
-        MeroFactorProduct(ParamPoly.one(), tuple(factors)), t_lin=((reg, t_lin),), t_const=t_const
-    )
+    half_b = rational.mul(rational.sub(q.b, rational.ONE), (1, 2))
+    half_q = AffineExp(q.regulator, rational.mul(q.a, (1, 2)), half_b)
+    return osc_linear(half_q, -1, PRINCIPAL, rate)
 
 
 def angular_moment(powers: tuple[int, ...], dim: int) -> ParamPoly:
@@ -148,7 +140,3 @@ def angular_moment(powers: tuple[int, ...], dim: int) -> ParamPoly:
         num = num * gamma_value(rational.of(Fraction(p + 1, 2)))
     return num * den.inverse()
 
-
-def sphere_volume(dim: int) -> ParamPoly:
-    """vol(S^(dim-1)) = 2 pi^(dim/2) / Gamma(dim/2); dim = 1 gives the two-point set."""
-    return angular_moment((), dim)

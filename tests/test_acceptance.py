@@ -30,14 +30,16 @@ from zetatrace.models import (
     schwinger_free,
     topological_oscillator,
 )
-from zetatrace.modelfile import parse_model_text, render_model, to_model_spec
+from zetatrace.modelfile import parse_model_text, to_model_spec
 from zetatrace.oracle import potential_numeric
 from zetatrace.params import ParamPoly
 from zetatrace.symbols import series_pow
-from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, gauss_radial, osc_linear
+from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, angular_moment, gauss_radial, osc_linear
 from zetatrace.terms import ZetaTermSum, ratio_limit, thermal_limit
 
 from factor_values import coeff_at, product_value
+from fits import decay_exponent
+from model_render import render_model
 from zetatrace.rational import to_float
 
 
@@ -127,7 +129,7 @@ def test_criterion_06_schwinger_boson_mass():
         t = decaying[0]
         return t.coeff.eval({"e": 1.0}) * tv ** float(t.t_power)
 
-    exponent = oracle.decay_exponent(term_only, [10, 20, 40, 80])
+    exponent = decay_exponent(term_only, [10, 20, 40, 80])
     assert abs(exponent + 1.0) <= 0.01
     report(6, "m_g^2 = e^2/pi; field-ratio term decays with exponent -1 +- 0.01")
 
@@ -152,8 +154,6 @@ def test_criterion_07_phi4():
 
 
 def test_criterion_08_trace_at_zero_formula():
-    from zetatrace.tables import sphere_volume
-
     for dim in (1, 2, 3):
         for d in (-2.5, -3.0, -4.0):
             if d == -dim:
@@ -164,7 +164,7 @@ def test_criterion_08_trace_at_zero_formula():
                 )
                 got = kv_trace_at_zero(spec).eval({}).real
                 # direct continuation: vol * l! / (-(d + dim) - z)^(l+1) at z = 0
-                vol = sphere_volume(dim).eval({}).real
+                vol = angular_moment((), dim).eval({}).real
                 want = vol * math.factorial(log_order) / (-(d + dim)) ** (log_order + 1)
                 assert abs(got - want) <= 1e-9 * abs(want)
     report(8, "trace-at-zero equals the directly continued gauged integral, 1e-9")
@@ -182,11 +182,11 @@ def test_criterion_09_tables_match_quadrature():
             return v * tv ** to_float(term.t_const)
 
         got_p = value(osc_linear(q, +1, PRINCIPAL))
-        assert got_p == pytest.approx(oracle.half_line_power_osc(qv, tv, +1), rel=1e-5)
+        assert got_p == pytest.approx(oracle.damped_quadrature(qv, tv), rel=1e-5)
         got_m = value(osc_linear(q, -1, PRINCIPAL))
-        assert got_m == pytest.approx(oracle.half_line_power_osc(qv, tv, -1), rel=1e-5)
-        got_g = value(gauss_radial(q, PRINCIPAL))
-        assert got_g == pytest.approx(oracle.gauss_power_osc(qv, tv), rel=1e-5)
+        assert got_m == pytest.approx(oracle.damped_quadrature(qv, -tv), rel=1e-5)
+        got_g = value(gauss_radial(q))
+        assert got_g == pytest.approx(oracle.damped_quadrature((qv - 1.0) / 2.0, -tv), rel=1e-5)
     report(9, "all three table rows match damped quadrature at 5 random (q, T)")
 
 

@@ -178,6 +178,22 @@ def test_model_file_roundtrip(tmp_path, capsys):
     assert "1/4" in out and "J" in out
 
 
+
+def test_model_file_with_a_wrong_expect_exits_one(tmp_path, capsys):
+    # the rotor's value is (1/4)·J^-1·pi^-2; an [expect] without J^-1 fails the run
+    rotor = (
+        "[params]\nJ = positive\n[axes]\nxi = momentum\n[phase]\nxi^2/(2*J)\n"
+        "[observable]\n(T*xi/(2*pi*J))^2/(-i*T)\n"
+    )
+    plain, wrong = tmp_path / "rotor.zt", tmp_path / "wrong.zt"
+    plain.write_text(rotor)
+    wrong.write_text(rotor + "[expect]\n1/(4*pi^2)\n")
+    _, plain_out, _ = run_cli(capsys, "model", str(plain))
+    code, out, err = run_cli(capsys, "model", str(wrong))
+    assert code == 1
+    assert out == plain_out  # stdout is the result alone
+    assert err == "error: observable: expected 1/4 * pi^-2, got 1/4 * J^-1 * pi^-2\n"
+
 def test_model_file_divergent_observable_exits_one(tmp_path, capsys):
     path = tmp_path / "grower.zt"
     path.write_text(
@@ -434,6 +450,22 @@ def test_kv_trace_value_below_its_minimum_exits_two(tmp_path, capsys, text, frag
     ids=["term-key", "kv-key", "kv-section"],
 )
 def test_kv_trace_repeated_key_or_section_exits_two(tmp_path, capsys, text, fragment):
+    path = tmp_path / "amp.kv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "kv-trace", str(path))
+    assert out == ""
+    assert_input_error(code, err, fragment)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[kv\ndimension = 1\n", "unterminated section header at line 1"),
+        ("[kv]\ndimension = 1\n[[term]]]\ndegree = -3\n", "unknown section [[term]]] at line 3"),
+    ],
+    ids=["missing-bracket", "extra-brackets"],
+)
+def test_kv_trace_section_header_must_be_one_bracketed_name(tmp_path, capsys, text, fragment):
     path = tmp_path / "amp.kv"
     path.write_text(text)
     code, out, err = run_cli(capsys, "kv-trace", str(path))

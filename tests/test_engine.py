@@ -143,7 +143,8 @@ def test_reduce_rotor_denominator_single_gaussian_term():
     z, tv, jv = -0.1, 7.0, 1.4
     got = product_value(term.coeff, z, {"J": jv})
     got *= tv ** (rational.to_float(term.t_const) + rational.to_float(dict(term.t_lin)["z"]) * z)
-    want = oracle.gauss_power_osc(z, tv / (2 * jv))
+    # t = u^2 turns the Gaussian into int_0^inf t^((z-1)/2) e^(-i T t/(2J)) dt
+    want = oracle.damped_quadrature((z - 1.0) / 2.0, -(tv / (2 * jv)))
     assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -250,9 +251,7 @@ def direct_homogeneous_tail(dim, d, l):
 
     The radial integral is l!/(-(d + dim) - z)^(l+1) times the sphere volume.
     """
-    from zetatrace.tables import sphere_volume
-
-    vol = sphere_volume(dim).eval({}).real
+    vol = tables.angular_moment((), dim).eval({}).real
     return vol * math.factorial(l) / (-(d + dim)) ** (l + 1)
 
 
@@ -459,7 +458,7 @@ def _reduce_by_products(pieces, model, policy):
             rows = []
             for mult, integral in alternatives:
                 if integral.kind == "gauss":
-                    row = tables.gauss_radial(integral.q, policy, integral.rate)
+                    row = tables.gauss_radial(integral.q, integral.rate)
                 else:
                     row = tables.osc_linear(integral.q, integral.sign, policy, integral.rate)
                 rows.append(row.scaled(mult))

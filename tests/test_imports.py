@@ -82,3 +82,12 @@ print(json.dumps('mpmath' in sys.modules))
     preloaded = fresh_interpreter("import mpmath\n" + values)
     assert on_demand[-1] is True
     assert on_demand == preloaded
+
+
+def test_package_import_loads_no_submodule():
+    """``import zetatrace`` re-exports nothing: every caller imports a submodule."""
+    loaded = fresh_interpreter(
+        "import zetatrace\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('zetatrace.'))))"
+    )
+    assert loaded == [[]]

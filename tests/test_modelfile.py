@@ -15,14 +15,14 @@ from zetatrace.modelfile import (
     lower_ast,
     parse_expression,
     parse_model_text,
-    render_ast,
-    render_model,
     to_model_spec,
 )
 from zetatrace.params import ParamPoly
 from zetatrace.symbols import AxisPoly
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import thermal_limit
+
+from model_render import render_ast, render_model
 
 ROTOR_FILE = textwrap.dedent(
     """

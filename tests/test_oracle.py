@@ -12,6 +12,7 @@ from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStruc
 
 import lanczos
 from factor_values import factor_value
+from fits import decay_exponent
 from zetatrace.rational import to_float
 
 
@@ -50,7 +51,8 @@ def test_damped_quadrature_pure_oscillation():
 
 
 def test_damped_quadrature_fresnel():
-    got = oracle.gauss_power_osc(0.0, 1.0)
+    # int_R e^(-i u^2) du, by t = u^2
+    got = oracle.damped_quadrature(-0.5, -1.0)
     want = math.sqrt(math.pi) * cmath.exp(-1j * math.pi / 4)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -275,10 +277,10 @@ def test_finite_t_sweep_detects_growth():
 
 
 def test_decay_exponent_fits_power_law():
-    assert oracle.decay_exponent(lambda t: 5.0 / t, [10, 20, 40, 80]) == pytest.approx(
+    assert decay_exponent(lambda t: 5.0 / t, [10, 20, 40, 80]) == pytest.approx(
         -1.0, abs=1e-12
     )
-    assert oracle.decay_exponent(lambda t: 2.0 / t**2, [10, 20, 40]) == pytest.approx(
+    assert decay_exponent(lambda t: 2.0 / t**2, [10, 20, 40]) == pytest.approx(
         -2.0, abs=1e-12
     )
 

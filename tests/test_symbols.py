@@ -26,7 +26,7 @@ from zetatrace.symbols import (
     series_pow,
 )
 
-from evolution_matrix import matrix_numeric
+from evolution_matrix import axis_value, matrix_numeric
 from phase_values import reassemble
 
 
@@ -217,7 +217,7 @@ def test_compose_matrix_oracle_2x2():
         ) * cmath.exp(-1j * m * t)
         want = np.trace(E @ H)
         got = sum(
-            p.amp.eval({"xi": xi}, {"m": m}) * cmath.exp(1j * p.osc_sign * xi * t)
+            axis_value(p.amp, {"xi": xi}, {"m": m}) * cmath.exp(1j * p.osc_sign * xi * t)
             for p in pieces
         ) * cmath.exp(-1j * m * t)
         assert got == pytest.approx(want, rel=1e-12)
@@ -354,7 +354,7 @@ def test_sphere_reduction_is_a_remainder_that_agrees_on_the_sphere(poly):
         v = [rng.gauss(0, 1) for _ in DIRECTIONS]
         norm = math.sqrt(sum(x * x for x in v))
         point = {h: x / norm for h, x in zip(DIRECTIONS, v)}
-        assert abs(rem.eval(point, {}) - poly.eval(point, {})) <= 1e-9
+        assert abs(axis_value(rem, point, {}) - axis_value(poly, point, {})) <= 1e-9
     sphere = sum((AxisPoly.symbol(h, 2) for h in DIRECTIONS), AxisPoly.number(-1))
     assert reduce_on_sphere(poly * sphere, DIRECTIONS).is_zero()
 

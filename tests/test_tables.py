@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zetatrace import oracle
+from zetatrace import engine, oracle
+from zetatrace.engine import ReducedIntegral
 from zetatrace.errors import GammaPole
+from zetatrace.laurent import PrimitiveFactor
 from zetatrace.params import ParamPoly
 from zetatrace.tables import (
     PAPER,
@@ -15,12 +19,11 @@ from zetatrace.tables import (
     angular_moment,
     gauss_radial,
     osc_linear,
-    sphere_volume,
 )
 
 import lanczos
 from factor_values import product_value
-from zetatrace.rational import to_float
+from zetatrace.rational import of, to_float
 
 
 def term_value(term, z, t_value, bindings=None):
@@ -58,7 +61,7 @@ class TestOscLinear:
         term = osc_linear(AffineExp.of("z", 0, 0), +1, PRINCIPAL)
         assert term_value(term, 0.0, 4.0) == pytest.approx(1j / 4.0, rel=1e-12)
         # derived by quadrature
-        assert oracle.half_line_power_osc(0.0, 4.0, +1) == pytest.approx(1j / 4.0, rel=1e-12)
+        assert oracle.damped_quadrature(0.0, 4.0) == pytest.approx(1j / 4.0, rel=1e-12)
 
     def test_principal_rows_are_conjugate_for_real_q(self):
         for qb in (0.25, 1.5):
@@ -81,17 +84,24 @@ class TestOscLinear:
 class TestGaussRadial:
     def test_fresnel_value(self):
         # int_R e^(-i u^2) du = sqrt(pi) e^(-i pi/4): rate*T = 1 at T = 1
-        term = gauss_radial(AffineExp.of("z", 0, 0), PRINCIPAL)
+        term = gauss_radial(AffineExp.of("z", 0, 0))
         got = term_value(term, 0.0, 1.0)
         expected = math.sqrt(math.pi) * cmath.exp(-1j * math.pi / 4)
         assert got == pytest.approx(expected, rel=1e-12)
-        assert oracle.gauss_power_osc(0.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        # t = u^2: int_0^inf t^(-1/2) e^(-i t) dt
+        assert oracle.damped_quadrature(-0.5, -1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_branch_insensitive(self):
+        # the engine's row for one Gaussian integral is one row under both policies
+        integral = ReducedIntegral("gauss", q_z(), 1, ParamPoly.monomial(0.5, {"J": Fraction(-1)}))
+        paper = engine._table_row(integral, PAPER, {})
+        principal = engine._table_row(integral, PRINCIPAL, {})
+        assert paper.coeff.factors == principal.coeff.factors
+        assert paper.coeff.prefactor == principal.coeff.prefactor
+        assert (paper.t_lin, paper.t_const) == (principal.t_lin, principal.t_const)
         for z in (0.0, -0.2):
-            a = term_value(gauss_radial(q_z(), PAPER), z, 9.0)
-            b = term_value(gauss_radial(q_z(), PRINCIPAL), z, 9.0)
-            assert a == pytest.approx(b, rel=1e-12)
+            a = term_value(paper, z, 9.0, {"J": 1.5})
+            assert a == term_value(principal, z, 9.0, {"J": 1.5})
 
     def test_relation_to_conjugate_side_convention(self):
         """The worked 2D gauge-theory chain displays the conjugate-side value
@@ -111,7 +121,7 @@ class TestGaussRadial:
                 * (2 / t_value) ** ((z + 1) / 2)
             )
 
-        term = gauss_radial(q_z(), PAPER, rate=half)
+        term = gauss_radial(q_z(), rate=half)
         for z in (0.0, 0.3, -0.2):
             engine = term_value(term, z, t_value)
             relation = displayed(z).conjugate() * cmath.exp(-1j * math.pi * z)
@@ -128,11 +138,32 @@ class TestGaussRadial:
         assert angular_moment((3,), 1).is_zero()
 
 
+exponents = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+@given(a=exponents, b=exponents, scaled=st.booleans())
+def test_gaussian_row_factors(a, b, scaled):
+    """Gamma(a/2 z + (b+1)/2) e^(i pi (-a/4 z - (b+1)/4)) (rate T)^(-a/2 z - (b+1)/2), exactly."""
+    rate = ParamPoly.monomial(0.5, {"J": Fraction(-1)}) if scaled else None
+    c = (b + 1) / 2
+    if a == 0 and c.denominator == 1 and c <= 0:
+        with pytest.raises(GammaPole):
+            gauss_radial(AffineExp.of("z", a, b), rate)
+        return
+    row = gauss_radial(AffineExp.of("z", a, b), rate)
+    want = [PrimitiveFactor.gamma(a / 2, c), PrimitiveFactor.exp_ipi(-a / 4, -c / 2)]
+    if scaled:
+        want.append(PrimitiveFactor.const_pow(rate, -a / 2, -c))
+    assert list(row.coeff.factors) == want
+    assert row.coeff.prefactor == ParamPoly.one()
+    assert row.t_lin == (("z", of(-a / 2)),) and row.t_const == of(-c)
+
+
 class TestSphere:
     def test_volumes(self):
-        assert sphere_volume(3) == ParamPoly.monomial(4, {"pi": 1})
-        assert sphere_volume(2) == ParamPoly.monomial(2, {"pi": 1})
-        assert sphere_volume(1) == ParamPoly.number(2)
+        assert angular_moment((), 3) == ParamPoly.monomial(4, {"pi": 1})
+        assert angular_moment((), 2) == ParamPoly.monomial(2, {"pi": 1})
+        assert angular_moment((), 1) == ParamPoly.number(2)
 
     def test_constant_angular_part(self):
         m = ParamPoly.var("m")
@@ -158,7 +189,7 @@ class TestSphere:
             for j in range(dim):
                 powers = tuple(2 if i == j else 0 for i in range(dim))
                 total = total + angular_moment(powers, dim)
-            assert total == sphere_volume(dim)
+            assert total == angular_moment((), dim)
 
 
 def test_every_row_matches_damped_quadrature():
@@ -169,20 +200,20 @@ def test_every_row_matches_damped_quadrature():
         q = AffineExp.of("z", 0, Fraction(round(qv * 16), 16))
         qf = to_float(q.b)
         plus = term_value(osc_linear(q, +1, PRINCIPAL), 0.0, tv)
-        assert plus == pytest.approx(oracle.half_line_power_osc(qf, tv, +1), rel=1e-11)
+        assert plus == pytest.approx(oracle.damped_quadrature(qf, tv), rel=1e-11)
         minus = term_value(osc_linear(q, -1, PRINCIPAL), 0.0, tv)
-        assert minus == pytest.approx(oracle.half_line_power_osc(qf, tv, -1), rel=1e-11)
-        gauss = term_value(gauss_radial(q, PRINCIPAL), 0.0, tv)
-        assert gauss == pytest.approx(oracle.gauss_power_osc(qf, tv), rel=1e-11)
+        assert minus == pytest.approx(oracle.damped_quadrature(qf, -tv), rel=1e-11)
+        gauss = term_value(gauss_radial(q), 0.0, tv)
+        assert gauss == pytest.approx(oracle.damped_quadrature((qf - 1.0) / 2.0, -tv), rel=1e-11)
 
 
 def test_table_rows_at_negative_z_match_quadrature():
     for z in (-0.3, -0.1):
         tv = 5.0
         got = term_value(osc_linear(q_z(), +1, PRINCIPAL), z, tv)
-        assert got == pytest.approx(oracle.half_line_power_osc(z, tv, +1), rel=1e-11)
-        gotg = term_value(gauss_radial(q_z(), PRINCIPAL), z, tv)
-        assert gotg == pytest.approx(oracle.gauss_power_osc(z, tv), rel=1e-11)
+        assert got == pytest.approx(oracle.damped_quadrature(z, tv), rel=1e-11)
+        gotg = term_value(gauss_radial(q_z()), z, tv)
+        assert gotg == pytest.approx(oracle.damped_quadrature((z - 1.0) / 2.0, -tv), rel=1e-11)
 
 
 def test_rate_scaling():

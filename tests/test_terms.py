@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetatrace import oracle, rational
+from zetatrace import rational
 from zetatrace.engine import build_trace_sums
 from zetatrace.errors import DivergentLimit, PoleAtZero
 from zetatrace.laurent import MAX_ORDER, MeroFactorProduct, PrimitiveFactor, expand_product
@@ -31,6 +31,7 @@ from zetatrace.terms import (
 
 import lanczos
 from factor_values import product_value
+from fits import decay_exponent
 
 
 def gamma_term(sign=1.0, t_lin=Fraction(0), t_const=Fraction(0)):
@@ -131,7 +132,7 @@ def test_ratio_limit_boson_chain_decays_like_one_over_t():
     assert ta.terms[0].t_power == -1
     assert isinstance(thermal_limit(ta), ParamPoly)
     assert thermal_limit(ta).is_zero()
-    exponent = oracle.decay_exponent(lambda t: ta.eval({}, t), [10, 20, 40, 80])
+    exponent = decay_exponent(lambda t: ta.eval({}, t), [10, 20, 40, 80])
     assert exponent == pytest.approx(-1.0, abs=0.01)
 
 
