@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from . import models as model_registry
 from .engine import KVAmplitudeSpec, kv_trace_at_zero
 from .errors import ParseError, UnboundParameter, UsageError, ValidationError, ZetatraceError
 from .laurent import DEFAULT_ORDER
-from .modelfile import parse_model_file
+from .modelfile import parse_model_file, read_text, sectioned_lines
 from .models import REGISTRY, RegistryEntry, run_model
 from .params import ParamPoly
 from .tables import BranchPolicy
@@ -50,21 +51,16 @@ def _check_signs(model, bindings: dict[str, float]) -> None:
             )
 
 
-def _json_record(result, numeric_value=None, include_trace=False) -> dict:
-    record = {
-        "model": result.model,
-        "observable": result.observable,
-        "value": result.value.render(mul=" * ")
-        if isinstance(result.value, ParamPoly)
-        else f"divergent: {result.value.reason}",
-    }
-    if numeric_value is not None:
-        record["numeric_value"] = _fmt_number(numeric_value)
-    record["branch"] = result.branch
-    record["series_order"] = result.series_order
-    if include_trace:
+def _json_line(args, result, model: str, observable: str, value: str, numeric) -> str:
+    """One output record, its fields in a fixed order; ``result.trace`` is read only for --trace."""
+    record = {"model": model, "observable": observable, "value": value}
+    if numeric is not None:
+        record["numeric_value"] = _fmt_number(numeric)
+    record["branch"] = args.branch
+    record["series_order"] = args.series_order
+    if args.trace:
         record["trace"] = list(result.trace)
-    return record
+    return json.dumps(record)
 
 
 def _evaluate(poly: ParamPoly, bindings) -> complex:
@@ -98,7 +94,9 @@ def _emit_run(run, args, bindings) -> int:
             code = 1
     if args.emit == "json":
         for result, numeric in records:
-            print(json.dumps(_json_record(result, numeric, args.trace)))
+            value = result.value
+            text = value.render(mul=" * ") if isinstance(value, ParamPoly) else f"divergent: {value.reason}"
+            print(_json_line(args, result, result.model, result.observable, text, numeric))
     else:
         for result, numeric in records:
             if isinstance(result.value, Divergent):
@@ -125,18 +123,7 @@ def _emit_potential(run, args, bindings) -> int:
     ]
     if args.emit == "json":
         for (label, poly), value in zip(rows, numeric):
-            record = {
-                "model": run.model.name,
-                "observable": label,
-                "value": poly.render(),
-            }
-            if value is not None:
-                record["numeric_value"] = _fmt_number(value)
-            record["branch"] = args.branch
-            record["series_order"] = args.series_order
-            if args.trace:
-                record["trace"] = list(pot.trace)
-            print(json.dumps(record))
+            print(_json_line(args, pot, run.model.name, label, poly.render(), value))
     else:
         print(f"V({run.model.field_param}) = {pot.potential.render_text()}  (volume limit)")
         for (label, poly), value in zip(rows, numeric):
@@ -236,54 +223,40 @@ _KV_MINIMUM = {"dimension": 1, "log_order": 0}
 
 
 def _parse_kv_file(path) -> KVAmplitudeSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     sections: list[tuple[str, dict, int]] = []  # (name, values, header line)
     set_on: dict[str, int] = {}  # keys of the current section -> their line
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError("unterminated section header", lineno)
-            section = line[1:-1].strip().lower()
-            if section not in _KV_KEYS:
-                raise ParseError(f"unknown section [{section}]", lineno)
+    for section, lineno, line in sectioned_lines(read_text(path), _KV_KEYS):
+        if line is None:
             if section == "kv":  # [term] sections repeat, the header does not
                 first = next((at for name, _, at in sections if name == "kv"), None)
                 if first is not None:
-                    raise ParseError(f"duplicate section [kv] (first on line {first})", lineno)
+                    raise ParseError(f"duplicate section [kv] (first on line {first})", lineno, 2)
             sections.append((section, {}, lineno))
             set_on = {}
             continue
-        if not sections:
-            raise ParseError("content before any section header", lineno)
-        section, values, _ = sections[-1]
+        values = sections[-1][1]
         key, _, value = (part.strip() for part in line.partition("="))
         read = _KV_KEYS[section].get(key)
         if read is None:
-            raise ParseError(f"unknown key {key!r} in [{section}]", lineno)
+            raise ParseError(f"unknown key {key!r} in [{section}]", lineno, 1)
         if key in set_on:
             raise ParseError(
-                f"duplicate key {key!r} in [{section}] (first set on line {set_on[key]})", lineno
+                f"duplicate key {key!r} in [{section}] (first set on line {set_on[key]})", lineno, 1
             )
         set_on[key] = lineno
+        at = (lineno, line.index(value, len(key)) + 1)  # where the value starts
         try:
             values[key] = read(value)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
+            raise ParseError(f"{key} must be a number, got {value!r}", *at) from None
         except OverflowError:
             raise ParseError(
-                f"{key} exponent must be at most {_KV_MAX_EXPONENT} in magnitude, got {value!r}", lineno
+                f"{key} exponent must be at most {_KV_MAX_EXPONENT} in magnitude, got {value!r}", *at
             ) from None
         if read is float and not math.isfinite(values[key]):
-            raise ParseError(f"{key} must be finite, got {value!r}", lineno)
+            raise ParseError(f"{key} must be finite, got {value!r}", *at)
         if key in _KV_MINIMUM and values[key] < _KV_MINIMUM[key]:
-            raise ParseError(f"{key} must be at least {_KV_MINIMUM[key]}, got {value!r}", lineno)
+            raise ParseError(f"{key} must be at least {_KV_MINIMUM[key]}, got {value!r}", *at)
     header: dict = {}
     terms = []
     for section, values, lineno in sections:
@@ -291,7 +264,7 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
             header.update(values)
             continue
         if "degree" not in values:
-            raise ParseError("term without degree", lineno)
+            raise ParseError("term without degree", lineno, 1)
         terms.append(
             (
                 values["degree"],
@@ -300,7 +273,7 @@ def _parse_kv_file(path) -> KVAmplitudeSpec:
             )
         )
     if "dimension" not in header:
-        raise ParseError("missing dimension in [kv] section", 1)
+        raise ParseError("missing dimension in [kv] section", 1, 1)
     vol = ParamPoly.number(header["volume"]) if "volume" in header else ParamPoly.one()
     return KVAmplitudeSpec(dimension=header["dimension"], terms=tuple(terms), vol_x=vol)
 
@@ -364,7 +337,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # inside the try: a reader that left (``| head``) raises here
+        return code
+    except BrokenPipeError:
+        # stdout is closed: send what is left to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ParseError, ValidationError) as exc:
         # the input is at fault: a flag, a file or a model that fails validation
         print(f"error: {exc}", file=sys.stderr)

@@ -105,10 +105,9 @@ class PrimitiveFactor:
     """One primitive meromorphic building block in a single regulator.
 
     Its argument is ``alpha z + beta``, both exponents normalised integer
-    pairs (``rational``); the constructors below read ints and
-    ``Fraction``s.  A factor hashes once, on first use, and keeps the hash:
-    term sums are merged by multisets of factors, and hashing the kind, an
-    ``Enum``, each time is slow.
+    pairs (``rational``).  A factor hashes once, on first use, and keeps the
+    hash: term sums are merged by multisets of factors, and hashing the
+    kind, an ``Enum``, each time is slow.
     """
 
     kind: FactorKind
@@ -131,32 +130,6 @@ class PrimitiveFactor:
     def __reduce__(self):
         # string hashes differ between processes: an unpickled factor hashes afresh
         return PrimitiveFactor, self._fields()
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def gamma(alpha, beta, regulator="z") -> "PrimitiveFactor":
-        return PrimitiveFactor(FactorKind.GAMMA, rational.of(alpha), rational.of(beta), regulator=regulator)
-
-    @staticmethod
-    def exp_ipi(alpha, beta, regulator="z") -> "PrimitiveFactor":
-        return PrimitiveFactor(FactorKind.EXP_IPI, rational.of(alpha), rational.of(beta), regulator=regulator)
-
-    @staticmethod
-    def affine(alpha, beta, power=1, regulator="z") -> "PrimitiveFactor":
-        return PrimitiveFactor(
-            FactorKind.AFFINE, rational.of(alpha), rational.of(beta), power=power, regulator=regulator
-        )
-
-    @staticmethod
-    def const_pow(base: ParamPoly, alpha, beta, regulator="z") -> "PrimitiveFactor":
-        return PrimitiveFactor(
-            FactorKind.CONST_POW,
-            rational.of(alpha),
-            rational.of(beta),
-            base=positive_base(base),
-            regulator=regulator,
-        )
 
     # -- properties ---------------------------------------------------------
 
@@ -222,9 +195,6 @@ class MeroFactorProduct:
 
     def scaled(self, poly: ParamPoly) -> "MeroFactorProduct":
         return MeroFactorProduct(self.prefactor * poly, self.factors)
-
-    def times(self, other: "MeroFactorProduct") -> "MeroFactorProduct":
-        return MeroFactorProduct(self.prefactor * other.prefactor, self.factors + other.factors)
 
     def render(self) -> str:
         parts = [self.prefactor.render(mul="*")]

@@ -13,8 +13,10 @@ validates is runnable.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .engine import GaugeGroup, ModelSpec, _build_phase, apply_gauge, reduced_integrals
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
@@ -297,9 +299,38 @@ class ParsedModel:
         return {n for n, _, _ in self.axes}
 
 
+def read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def sectioned_lines(text: str, names) -> Iterator[tuple[str, int, str | None]]:
+    """(section, line number, content) of each header and content line of a file of
+    ``[name]`` sections, ``name`` in ``names``; a header's content is None.  ``#``
+    starts a comment, and blank lines are skipped."""
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ParseError("unterminated section header", lineno, len(line))
+            section = line[1:-1].strip().lower()
+            if section not in names:
+                raise ParseError(f"unknown section [{section}]", lineno, 2)
+            yield section, lineno, None
+        elif section is None:
+            raise ParseError("content before any section header", lineno, 1)
+        else:
+            yield section, lineno, line
+
+
 def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
     model = ParsedModel(name)
-    section = None
     saw_any = False
     declared: dict[str, int] = {}  # parameter and axis names -> line of declaration
 
@@ -312,20 +343,10 @@ def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
                              lineno, 1)
         declared[symbol] = lineno
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for section, lineno, line in sectioned_lines(text, ("params", "axes", "phase", "observable", "expect")):
         saw_any = True
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError("unterminated section header", lineno, len(line))
-            section = line[1:-1].strip().lower()
-            if section not in ("params", "axes", "phase", "observable", "expect"):
-                raise ParseError(f"unknown section [{section}]", lineno, 2)
+        if line is None:
             continue
-        if section is None:
-            raise ParseError("content before any section header", lineno, 1)
         if section == "params":
             name_, _, value = line.partition("=")
             pname, pval = name_.strip(), value.strip()
@@ -435,13 +456,6 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
 
 
 def parse_model_file(path, name: str | None = None) -> ModelSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    import os
-
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
-    parsed = parse_model_text(text, name or default_name)
+    parsed = parse_model_text(read_text(path), name or default_name)
     return to_model_spec(parsed)

@@ -52,10 +52,6 @@ class AffineExp:
     a: Q
     b: Q
 
-    @staticmethod
-    def of(regulator: str, a, b) -> "AffineExp":
-        return AffineExp(regulator, rational.of(a), rational.of(b))
-
 
 def _check_gamma_arg(q: AffineExp):
     """q + 1 must not be a non-positive integer when a = 0."""

@@ -61,19 +61,12 @@ from .rational import Q
 TLin = tuple[tuple[str, Q], ...]
 
 
-def _tlin(mapping: Mapping[str, Fraction] | None) -> TLin:
-    """The slopes of int or ``Fraction`` values by regulator, zeros dropped."""
-    if not mapping:
-        return ()
-    return tuple(sorted((r, rational.of(a)) for r, a in mapping.items() if a != 0))
-
-
 @dataclass(frozen=True)
 class ZetaTerm:
     """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T).
 
     The exponents ``t_lin`` and ``t_const`` are normalised integer pairs
-    (``rational``); ``from_poly`` and ``_tlin`` read ints and ``Fraction``s.
+    (``rational``).
     """
 
     coeff: MeroFactorProduct
@@ -82,21 +75,8 @@ class ZetaTerm:
     t_log: int = 0
     phase: ParamPoly = field(default_factory=ParamPoly.zero)
 
-    @staticmethod
-    def from_poly(poly: ParamPoly, t_const=0, **kw) -> "ZetaTerm":
-        return ZetaTerm(MeroFactorProduct(poly), t_const=rational.of(t_const), **kw)
-
     def scaled(self, poly: ParamPoly) -> "ZetaTerm":
         return replace(self, coeff=self.coeff.scaled(poly))
-
-    def times(self, other: "ZetaTerm") -> "ZetaTerm":
-        return ZetaTerm(
-            coeff=self.coeff.times(other.coeff),
-            t_lin=_merge_tlin(self.t_lin, other.t_lin),
-            t_const=rational.add(self.t_const, other.t_const),
-            t_log=self.t_log + other.t_log,
-            phase=self.phase + other.phase,
-        )
 
     def structure_key(self) -> tuple:
         return (
@@ -152,13 +132,6 @@ class ZetaTermSum:
     def zero(regulators=("z",), t_symbol="T") -> "ZetaTermSum":
         return ZetaTermSum([], regulators, t_symbol)
 
-    def __mul__(self, other: "ZetaTermSum") -> "ZetaTermSum":
-        return ZetaTermSum(
-            [a.times(b) for a in self.terms for b in other.terms],
-            self.regulators,
-            self.t_symbol,
-        )
-
     def merged(self) -> "ZetaTermSum":
         """Merge terms with identical structure; drop those whose prefactors sum to zero."""
         buckets: dict[tuple, tuple[ZetaTerm, ParamPoly]] = {}
@@ -178,9 +151,6 @@ class ZetaTermSum:
             if not acc.is_zero()
         ]
         return ZetaTermSum(out, self.regulators, self.t_symbol)
-
-    def is_zero(self) -> bool:
-        return not self.merged().terms
 
     def render(self, tokens: Sequence[str] = ()) -> str:
         """The sum as text; ``tokens``, a model's sector labels, end every term."""
@@ -219,44 +189,18 @@ class TAsymptote:
     __slots__ = ("terms", "t_symbol")
 
     def __init__(self, terms: Iterable[TAsymTerm] = (), t_symbol: str = "T"):
-        merged: dict[tuple, ParamPoly] = {}
-        order: list[tuple] = []
-        reps: dict[tuple, TAsymTerm] = {}
+        merged: dict[tuple, TAsymTerm] = {}  # the first term of each structure, coefficients summed
         for t in terms:
             key = (t.t_power, t.log_power, frozenset(t.phase.terms.items()))
-            if key not in merged:
-                merged[key] = t.coeff
-                order.append(key)
-                reps[key] = t
-            else:
-                merged[key] = merged[key] + t.coeff
-        out = []
-        for key in order:
-            coeff = merged[key]
-            if not coeff.is_zero():
-                out.append(replace(reps[key], coeff=coeff))
+            rep = merged.get(key)
+            merged[key] = t if rep is None else replace(rep, coeff=rep.coeff + t.coeff)
+        out = [t for t in merged.values() if not t.coeff.is_zero()]
         self.terms = sorted(out, key=lambda t: (-t.t_power, -t.log_power))
         self.t_symbol = t_symbol
 
     @staticmethod
-    def constant(poly: ParamPoly, t_symbol="T") -> "TAsymptote":
-        return TAsymptote([TAsymTerm(poly)], t_symbol)
-
-    @staticmethod
     def zero(t_symbol="T") -> "TAsymptote":
         return TAsymptote([], t_symbol)
-
-    def __add__(self, other: "TAsymptote") -> "TAsymptote":
-        return TAsymptote(self.terms + other.terms, self.t_symbol)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_part(self) -> ParamPoly:
-        for t in self.terms:
-            if t.t_power == 0 and t.log_power == 0 and t.phase.is_zero():
-                return t.coeff
-        return ParamPoly.zero()
 
     def eval(self, bindings: Mapping[str, float], t_value: float) -> complex:
         import cmath
@@ -386,6 +330,9 @@ def _expand_to_lead(
     return [lead for lead, _ in found], [coeff for _, coeff in found], k
 
 
+_POWER_KINDS = (FactorKind.EXP_IPI, FactorKind.CONST_POW)
+
+
 def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
     """Key and offset: factors with one key divide into simpler ones.
 
@@ -437,6 +384,22 @@ def _factor_quotient(p: PrimitiveFactor, f: PrimitiveFactor, k: int) -> list[Pri
     return [PrimitiveFactor(p.kind, alpha, beta, p.power, p.base, p.regulator)]
 
 
+def _one_per_key(factors: tuple[PrimitiveFactor, ...]) -> tuple[PrimitiveFactor, ...]:
+    """The factors with each regulator's phases, and each base's powers, folded into
+    one, dropped where the exponents cancel: division pairs them one by one, and
+    what it leaves can multiply to an exact 1 that the floats miss."""
+    out: dict = {}
+    for i, f in enumerate(factors):
+        key = (f.kind, f.regulator, f.base) if f.kind in _POWER_KINDS else i
+        g = out.get(key)
+        out[key] = f if g is None else replace(
+            g, alpha=rational.add(g.alpha, f.alpha), beta=rational.add(g.beta, f.beta)
+        )
+    if len(out) == len(factors):
+        return factors
+    return tuple(f for f in out.values() if f.kind not in _POWER_KINDS or f.alpha[0] or f.beta[0])
+
+
 def _divide_term(
     t: ZetaTerm, partners: dict[tuple, tuple[list[int], list[int]]], divisor: list[tuple],
     inverse_t_lin: TLin,
@@ -458,7 +421,7 @@ def _divide_term(
         p_offset, i = offsets.pop(j), indices.pop(j)
         slots[i] = _factor_quotient(factors[i], f, p_offset - offset)
     return ZetaTerm(
-        MeroFactorProduct(t.coeff.prefactor, tuple(x for s in slots for x in s) + tuple(extra)),
+        MeroFactorProduct(t.coeff.prefactor, _one_per_key(tuple(x for s in slots for x in s) + tuple(extra))),
         _merge_tlin(t.t_lin, inverse_t_lin),
         t.t_const, t.t_log, t.phase,
     )
@@ -474,10 +437,12 @@ def divide_by_reference(
     every term of n and d, a partner Gamma of the same regulator and slope at
     an integer offset.  Paired Gammas become affine factors, paired phases
     and powers of the same base subtract their exponents, unpaired ones are
-    multiplied in inverted.  Prefactors, constant ``T`` powers, ``ln T``
-    powers and oscillating phases are left alone, so the quotient n/d and
-    the prefactors its limit is read from do not change.  Returns the
-    divided sums and g's order at 0 in each regulator.
+    multiplied in inverted, and what a term is left with of one regulator's
+    phases or one base's powers is one factor (``_one_per_key``).
+    Prefactors, constant ``T`` powers, ``ln T`` powers and oscillating
+    phases are left alone, so the quotient n/d and the prefactors its limit
+    is read from do not change.  Returns the divided sums and g's order at 0
+    in each regulator.
     """
     r = d.terms[0]
     partners = [_partners(t.coeff.factors) for t in n.terms + d.terms]

@@ -43,3 +43,21 @@ def shifted_oscillator():
         hamiltonian=h,
         observables={"observable": h},
     )
+
+
+@pytest.fixture
+def divergent_inverse_momentum():
+    """<1/xi> under the linear phase c*xi, one axis and regulator z.
+
+    The quotient diverges like z^-1 at fixed T: the one spec on which
+    ``expectation`` returns ``Divergent`` rather than a value.
+    """
+    return ModelSpec(
+        name="divergent",
+        description="custom model",
+        params=(Param("c"),),
+        axes=(Axis("xi", "momentum", "g_xi"),),
+        groups=(GaugeGroup("g_xi", ("xi",), "z"),),
+        hamiltonian=AxisPoly.symbol("xi", 1, ParamPoly.var("c")),
+        observables={"observable": AxisPoly.symbol("xi", -1)},
+    )

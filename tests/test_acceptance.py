@@ -18,7 +18,7 @@ from zetatrace.engine import (
     expectation,
     kv_trace_at_zero,
 )
-from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor, expand_product
+from zetatrace.laurent import FactorKind, MeroFactorProduct, PrimitiveFactor, expand_product
 from zetatrace.models import (
     REGISTRY,
     dirac_fermion,
@@ -40,7 +40,7 @@ from zetatrace.terms import ZetaTermSum, ratio_limit, thermal_limit
 from factor_values import coeff_at, product_value
 from fits import decay_exponent
 from model_render import render_model
-from zetatrace.rational import to_float
+from zetatrace.rational import of, to_float
 
 
 def mono(c, **exps):
@@ -100,7 +100,7 @@ def test_criterion_05_dirac_fermion():
     m = ParamPoly.var("m")
 
     def q(b):
-        return AffineExp.of("z", 1, b)
+        return AffineExp("z", (1, 1), (b, 1))
 
     den_terms = [
         osc_linear(q(2), +1, PAPER).scaled(vol),
@@ -175,7 +175,7 @@ def test_criterion_09_tables_match_quadrature():
     for _ in range(5):
         qv = round(rng.uniform(-0.4, 2.0), 3)
         tv = rng.uniform(2.0, 12.0)
-        q = AffineExp.of("z", 0, Fraction(str(qv)))
+        q = AffineExp("z", (0, 1), of(Fraction(str(qv))))
 
         def value(term):
             v = product_value(term.coeff, 0.0)
@@ -231,8 +231,11 @@ def test_criterion_11_power_series_recursion():
 
 def test_criterion_12_property_suites():
     # series ring law on a sample product
-    fa = (PrimitiveFactor.gamma(1, 1), PrimitiveFactor.exp_ipi(Fraction(-1, 2), 0))
-    fb = (PrimitiveFactor.affine(1, 3),)
+    fa = (
+        PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 1)),
+        PrimitiveFactor(FactorKind.EXP_IPI, (-1, 2), (0, 1)),
+    )
+    fb = (PrimitiveFactor(FactorKind.AFFINE, (1, 1), (3, 1)),)
     joint = expand_product(MeroFactorProduct(ParamPoly.one(), fa + fb), 4)
     split = expand_product(MeroFactorProduct(ParamPoly.one(), fa), 4).mul(
         expand_product(MeroFactorProduct(ParamPoly.one(), fb), 4), ParamPoly.zero()
@@ -244,8 +247,8 @@ def test_criterion_12_property_suites():
 
     # ratio_limit(s, s) = 1
     s = ZetaTermSum(
-        [osc_linear(AffineExp.of("z", 1, 1), +1, PAPER),
-         osc_linear(AffineExp.of("z", 1, 1), -1, PAPER)]
+        [osc_linear(AffineExp("z", (1, 1), (1, 1)), +1, PAPER),
+         osc_linear(AffineExp("z", (1, 1), (1, 1)), -1, PAPER)]
     )
     assert thermal_limit(ratio_limit(s, s)).as_number() == pytest.approx(1.0)
 

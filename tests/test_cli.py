@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from zetatrace.cli import main
+from zetatrace.cli import build_parser, cmd_run, main
+from zetatrace.models import RegistryEntry
 
 
 def run_cli(capsys, *argv):
@@ -473,6 +478,25 @@ def test_kv_trace_section_header_must_be_one_bracketed_name(tmp_path, capsys, te
     assert_input_error(code, err, fragment)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[kv\n", "at line 1, column 3"),
+        ("dimension = 1\n", "at line 1, column 1"),
+        ("[kv]\n[terms]\n", "at line 2, column 2"),
+        ("[kv]\ndimension = 1\nspin = 2\n", "at line 3, column 1"),
+        ("[kv]\ndimension =  abc # comment\n", "at line 2, column 14"),
+        ("[kv]\ndimension = 1\n[term]\ndegree = -3\nlog_order = -1\n", "at line 5, column 13"),
+    ],
+    ids=["header", "before-header", "section", "key", "value", "minimum"],
+)
+def test_kv_trace_errors_give_the_column_as_model_files_do(tmp_path, capsys, text, where):
+    path = tmp_path / "amp.kv"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "kv-trace", str(path))
+    assert code == 2 and err.rstrip().endswith(where)
+
+
 def test_kv_trace_repeats_term_sections(tmp_path, capsys):
     path = tmp_path / "amp.kv"
     path.write_text("[kv]\ndimension = 1\n[term]\ndegree = -3\n[term]\ndegree = -3\n")
@@ -545,3 +569,31 @@ def test_model_numeric_names_the_parameter_without_a_value(tmp_path, capsys, emi
     code, out, err = run_cli(capsys, "model", str(path), "--numeric", "--emit", emit)
     assert out == ""
     assert_input_error(code, err, "parameter J has no value; bind it with --param J=<number>")
+
+
+@pytest.mark.parametrize("emit, want", [
+    ("text", "<observable> diverges: quotient diverges like z^-1 at fixed T\n"),
+    ("json", json.dumps({
+        "model": "divergent", "observable": "observable",
+        "value": "divergent: quotient diverges like z^-1 at fixed T",
+        "branch": "paper", "series_order": 4,
+    }) + "\n"),
+])
+def test_run_prints_a_divergent_result_and_exits_one(capsys, divergent_inverse_momentum, emit, want):
+    registry = {"divergent": RegistryEntry(lambda: divergent_inverse_momentum, "custom model", "custom")}
+    code = cmd_run(build_parser().parse_args(["run", "divergent", "--emit", emit]), registry)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, want, "")
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # about 200 KB of trace, more than a pipe holds: the write after the close fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "zetatrace.cli", "run", "harmonic_oscillator_nd", "--dim", "24", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")

@@ -41,7 +41,7 @@ from zetatrace.models import (
 from zetatrace.params import Param, ParamPoly
 from zetatrace.symbols import Axis, AxisPoly, PhaseDecomposition, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
-from zetatrace.terms import TAsymptote, ZetaTerm, ZetaTermSum, thermal_limit
+from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
 from factor_values import product_value
 
@@ -204,6 +204,14 @@ def test_expectation_volume_cancels():
     res = expectation(schwinger_free(), "H_m", PAPER)
     assert res.value == ParamPoly.var("m")
     assert "X" not in res.value.params()
+
+
+def test_expectation_reports_a_divergent_quotient(divergent_inverse_momentum):
+    res = expectation(divergent_inverse_momentum, "observable", PAPER)
+    assert isinstance(res.value, Divergent)
+    assert res.value.reason == "quotient diverges like z^-1 at fixed T"
+    assert res.finite_t is None
+    assert res.trace[-1] == "limit: divergent (quotient diverges like z^-1 at fixed T)"
 
 
 def test_reality_of_final_values():
@@ -443,7 +451,7 @@ def _unit_and_observables(model):
 
 
 def _reduce_by_products(pieces, model, policy):
-    """Each branch as a chain of ZetaTerm.times over freshly built, scaled table rows."""
+    """Each branch as a chain of term products over freshly built, scaled table rows."""
     plan = apply_gauge(model)
     phase, _ = engine._build_phase(model)
     out = []
@@ -462,7 +470,16 @@ def _reduce_by_products(pieces, model, policy):
                 else:
                     row = tables.osc_linear(integral.q, integral.sign, policy, integral.rate)
                 rows.append(row.scaled(mult))
-            branches = [b.times(row) for b in branches for row in rows]
+            branches = [
+                ZetaTerm(
+                    MeroFactorProduct(
+                        b.coeff.prefactor * r.coeff.prefactor, b.coeff.factors + r.coeff.factors
+                    ),
+                    _merge_tlin(b.t_lin, r.t_lin), rational.add(b.t_const, r.t_const),
+                    b.t_log + r.t_log, b.phase + r.phase,
+                )
+                for b in branches for r in rows
+            ]
         out.extend(b for b in branches if not b.coeff.prefactor.is_zero())
     return out
 

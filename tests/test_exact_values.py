@@ -27,10 +27,11 @@ import pytest
 
 from zetatrace import rational
 from zetatrace.engine import KVAmplitudeSpec, kv_trace_at_zero
-from zetatrace.laurent import MeroFactorProduct, PrimitiveFactor
+from zetatrace.laurent import FactorKind, MeroFactorProduct, PrimitiveFactor, positive_base
 from zetatrace.modelfile import parse_model_text, to_model_spec
 from zetatrace.models import REGISTRY, RegistryEntry, run_model
 from zetatrace.params import ParamPoly
+from zetatrace.rational import Q
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import ZetaTerm, ZetaTermSum, value_at_zero
 
@@ -108,23 +109,25 @@ KV_SPEC = KVAmplitudeSpec(
 KV_CASE = "kv|dimension=3"
 
 
-def _pole_pair(z: str, c: float, base: ParamPoly, slope: Fraction, t_a: Fraction, t_b: Fraction) -> ZetaTermSum:
-    """c Gamma(z) base^(slope z) T^(t_a z) - c Gamma(z) T^(t_b z): the 1/z poles cancel."""
-    regs = ("z1", "z2")
-    gamma = PrimitiveFactor.gamma(1, 0, z)
-    power = PrimitiveFactor.const_pow(base, slope, 0, z)
-    return ZetaTermSum([
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(c), (gamma, power)), t_lin=((z, rational.of(t_a)),)),
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(-c), (gamma,)), t_lin=((z, rational.of(t_b)),)),
-    ], regs)
+def _pole_pair(z: str, c: float, base: ParamPoly, slope: Q, t_a: Q, t_b: Q) -> list:
+    """c Gamma(z) base^(slope z) T^(t_a z) and -c Gamma(z) T^(t_b z), as (prefactor,
+    factors, slope of T) triples: their 1/z poles cancel."""
+    gamma = PrimitiveFactor(FactorKind.GAMMA, rational.ONE, rational.ZERO, regulator=z)
+    power = PrimitiveFactor(FactorKind.CONST_POW, slope, rational.ZERO, base=positive_base(base), regulator=z)
+    return [(ParamPoly.number(c), (gamma, power), (z, t_a)), (ParamPoly.number(-c), (gamma,), (z, t_b))]
 
 
-#: a two-regulator sum whose terms all have poles, cancelling in each regulator
-POLE_SUM = _pole_pair(
-    "z1", 3 / 7, ParamPoly.monomial(2 / 9, {"J": Fraction(1)}), Fraction(1, 3), Fraction(-1, 2), Fraction(1, 3)
-) * _pole_pair(
-    "z2", 2 / 9, ParamPoly.monomial(5 / 7, {"m": Fraction(1, 2)}), Fraction(-2, 3), Fraction(2, 5), Fraction(-1, 7)
-)
+#: a two-regulator sum whose terms all have poles, cancelling in each regulator:
+#: the product of one pole pair in z1 and one in z2
+POLE_SUM = ZetaTermSum([
+    ZetaTerm(MeroFactorProduct(c1 * c2, f1 + f2), t_lin=(t1, t2))
+    for c1, f1, t1 in _pole_pair(
+        "z1", 3 / 7, ParamPoly.monomial(2 / 9, {"J": Fraction(1)}), (1, 3), (-1, 2), (1, 3)
+    )
+    for c2, f2, t2 in _pole_pair(
+        "z2", 2 / 9, ParamPoly.monomial(5 / 7, {"m": Fraction(1, 2)}), (-2, 3), (2, 5), (-1, 7)
+    )
+], ("z1", "z2"))
 POLE_SUM_CASE = "sum:poles_cancel|4"
 
 

@@ -47,6 +47,11 @@ def _cases() -> dict[str, list[str]]:
     cases["run_phi4_numeric_json"] = [
         "run", "phi4", "--numeric", "--emit", "json", "--param", "mu=1.3", "--param", "lambda=2.7",
     ]
+    # the numeric line of an expectation model, and the potential's text trace
+    cases["run_topological_oscillator_numeric"] = [
+        "run", "topological_oscillator", "--numeric", "--param", "J=2",
+    ]
+    cases["run_phi4_trace_text"] = ["run", "phi4", "--trace"]
     # a model file whose observable mixes explicit powers of T in one axis
     # monomial (x^2 carries T^0 and T^1) and in its constant (T^0 and T^-1)
     cases["model_oscillator_mixed_t"] = [

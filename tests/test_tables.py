@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zetatrace import engine, oracle
 from zetatrace.engine import ReducedIntegral
 from zetatrace.errors import GammaPole
-from zetatrace.laurent import PrimitiveFactor
+from zetatrace.laurent import FactorKind, PrimitiveFactor, positive_base
 from zetatrace.params import ParamPoly
 from zetatrace.tables import (
     PAPER,
@@ -37,14 +37,13 @@ def factor_strings(term):
     return [f.render() for f in term.coeff.factors]
 
 
-def q_z(b=0):
-    return AffineExp.of("z", 1, b)
+Q_Z = AffineExp("z", (1, 1), (0, 1))  # the exponent z
 
 
 class TestOscLinear:
     def test_paper_positive_row(self):
     	# -i e^(-i pi z/2) Gamma(z+1) T^(-z-1)
-        term = osc_linear(q_z(), +1, PAPER)
+        term = osc_linear(Q_Z, +1, PAPER)
         assert "Gamma(z+1)" in factor_strings(term)
         for z in (0.0, 0.3, -0.2):
             expected = -1j * cmath.exp(-1j * math.pi * z / 2) * lanczos.gamma(z + 1) * 10.0 ** (-z - 1)
@@ -52,39 +51,39 @@ class TestOscLinear:
 
     def test_paper_negative_row(self):
         # +i e^(-3 i pi z/2) Gamma(z+1) T^(-z-1)
-        term = osc_linear(q_z(), -1, PAPER)
+        term = osc_linear(Q_Z, -1, PAPER)
         for z in (0.0, 0.3, -0.2):
             expected = 1j * cmath.exp(-3j * math.pi * z / 2) * lanczos.gamma(z + 1) * 10.0 ** (-z - 1)
             assert term_value(term, z, 10.0) == pytest.approx(expected, rel=1e-12)
 
     def test_principal_q_zero_gives_i_over_t(self):
-        term = osc_linear(AffineExp.of("z", 0, 0), +1, PRINCIPAL)
+        term = osc_linear(AffineExp("z", (0, 1), (0, 1)), +1, PRINCIPAL)
         assert term_value(term, 0.0, 4.0) == pytest.approx(1j / 4.0, rel=1e-12)
         # derived by quadrature
         assert oracle.damped_quadrature(0.0, 4.0) == pytest.approx(1j / 4.0, rel=1e-12)
 
     def test_principal_rows_are_conjugate_for_real_q(self):
         for qb in (0.25, 1.5):
-            plus = term_value(osc_linear(AffineExp.of("z", 1, 0), +1, PRINCIPAL), qb, 7.0)
-            minus = term_value(osc_linear(AffineExp.of("z", 1, 0), -1, PRINCIPAL), qb, 7.0)
+            plus = term_value(osc_linear(Q_Z, +1, PRINCIPAL), qb, 7.0)
+            minus = term_value(osc_linear(Q_Z, -1, PRINCIPAL), qb, 7.0)
             assert plus == pytest.approx(minus.conjugate(), rel=1e-12)
 
     def test_paper_rows_are_not_conjugate(self):
         # the conventional table is asymmetric at non-integer exponents
         qb = 0.25
-        plus = term_value(osc_linear(q_z(), +1, PAPER), qb, 7.0)
-        minus = term_value(osc_linear(q_z(), -1, PAPER), qb, 7.0)
+        plus = term_value(osc_linear(Q_Z, +1, PAPER), qb, 7.0)
+        minus = term_value(osc_linear(Q_Z, -1, PAPER), qb, 7.0)
         assert abs(plus - minus.conjugate()) > 1e-3 * abs(plus)
 
     def test_gamma_pole_without_regulator(self):
         with pytest.raises(GammaPole):
-            osc_linear(AffineExp.of("z", 0, -1), +1, PAPER)
+            osc_linear(AffineExp("z", (0, 1), (-1, 1)), +1, PAPER)
 
 
 class TestGaussRadial:
     def test_fresnel_value(self):
         # int_R e^(-i u^2) du = sqrt(pi) e^(-i pi/4): rate*T = 1 at T = 1
-        term = gauss_radial(AffineExp.of("z", 0, 0))
+        term = gauss_radial(AffineExp("z", (0, 1), (0, 1)))
         got = term_value(term, 0.0, 1.0)
         expected = math.sqrt(math.pi) * cmath.exp(-1j * math.pi / 4)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -93,7 +92,7 @@ class TestGaussRadial:
 
     def test_branch_insensitive(self):
         # the engine's row for one Gaussian integral is one row under both policies
-        integral = ReducedIntegral("gauss", q_z(), 1, ParamPoly.monomial(0.5, {"J": Fraction(-1)}))
+        integral = ReducedIntegral("gauss", Q_Z, 1, ParamPoly.monomial(0.5, {"J": Fraction(-1)}))
         paper = engine._table_row(integral, PAPER, {})
         principal = engine._table_row(integral, PRINCIPAL, {})
         assert paper.coeff.factors == principal.coeff.factors
@@ -121,7 +120,7 @@ class TestGaussRadial:
                 * (2 / t_value) ** ((z + 1) / 2)
             )
 
-        term = gauss_radial(q_z(), rate=half)
+        term = gauss_radial(Q_Z, rate=half)
         for z in (0.0, 0.3, -0.2):
             engine = term_value(term, z, t_value)
             relation = displayed(z).conjugate() * cmath.exp(-1j * math.pi * z)
@@ -148,12 +147,15 @@ def test_gaussian_row_factors(a, b, scaled):
     c = (b + 1) / 2
     if a == 0 and c.denominator == 1 and c <= 0:
         with pytest.raises(GammaPole):
-            gauss_radial(AffineExp.of("z", a, b), rate)
+            gauss_radial(AffineExp("z", of(a), of(b)), rate)
         return
-    row = gauss_radial(AffineExp.of("z", a, b), rate)
-    want = [PrimitiveFactor.gamma(a / 2, c), PrimitiveFactor.exp_ipi(-a / 4, -c / 2)]
+    row = gauss_radial(AffineExp("z", of(a), of(b)), rate)
+    want = [
+        PrimitiveFactor(FactorKind.GAMMA, of(a / 2), of(c)),
+        PrimitiveFactor(FactorKind.EXP_IPI, of(-a / 4), of(-c / 2)),
+    ]
     if scaled:
-        want.append(PrimitiveFactor.const_pow(rate, -a / 2, -c))
+        want.append(PrimitiveFactor(FactorKind.CONST_POW, of(-a / 2), of(-c), base=positive_base(rate)))
     assert list(row.coeff.factors) == want
     assert row.coeff.prefactor == ParamPoly.one()
     assert row.t_lin == (("z", of(-a / 2)),) and row.t_const == of(-c)
@@ -197,7 +199,7 @@ def test_every_row_matches_damped_quadrature():
     for _ in range(5):
         qv = rng.uniform(-0.4, 2.0)
         tv = rng.uniform(2.0, 12.0)
-        q = AffineExp.of("z", 0, Fraction(round(qv * 16), 16))
+        q = AffineExp("z", (0, 1), of(Fraction(round(qv * 16), 16)))
         qf = to_float(q.b)
         plus = term_value(osc_linear(q, +1, PRINCIPAL), 0.0, tv)
         assert plus == pytest.approx(oracle.damped_quadrature(qf, tv), rel=1e-11)
@@ -210,17 +212,17 @@ def test_every_row_matches_damped_quadrature():
 def test_table_rows_at_negative_z_match_quadrature():
     for z in (-0.3, -0.1):
         tv = 5.0
-        got = term_value(osc_linear(q_z(), +1, PRINCIPAL), z, tv)
+        got = term_value(osc_linear(Q_Z, +1, PRINCIPAL), z, tv)
         assert got == pytest.approx(oracle.damped_quadrature(z, tv), rel=1e-11)
-        gotg = term_value(gauss_radial(q_z()), z, tv)
+        gotg = term_value(gauss_radial(Q_Z), z, tv)
         assert gotg == pytest.approx(oracle.damped_quadrature((z - 1.0) / 2.0, -tv), rel=1e-11)
 
 
 def test_rate_scaling():
     rate = ParamPoly.monomial(0.5, {"J": Fraction(-1)})
-    term = osc_linear(q_z(), +1, PRINCIPAL, rate=rate)
+    term = osc_linear(Q_Z, +1, PRINCIPAL, rate=rate)
     bindings = {"J": 2.0}
     got = term_value(term, -0.1, 8.0, bindings)
     # effective T' = rate * T = 8/4 = 2
-    want = term_value(osc_linear(q_z(), +1, PRINCIPAL), -0.1, 2.0)
+    want = term_value(osc_linear(Q_Z, +1, PRINCIPAL), -0.1, 2.0)
     assert got == pytest.approx(want, rel=1e-10)

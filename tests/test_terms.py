@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from zetatrace import rational
 from zetatrace.engine import build_trace_sums
 from zetatrace.errors import DivergentLimit, PoleAtZero
-from zetatrace.laurent import MAX_ORDER, MeroFactorProduct, PrimitiveFactor, expand_product
+from zetatrace.laurent import (
+    MAX_ORDER,
+    FactorKind,
+    MeroFactorProduct,
+    PrimitiveFactor,
+    expand_product,
+    positive_base,
+)
 from zetatrace.models import harmonic_oscillator_1d, schwinger_boson_mass, topological_oscillator
 from zetatrace.params import ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, osc_linear
@@ -22,7 +30,7 @@ from zetatrace.terms import (
     ZetaTerm,
     ZetaTermSum,
     _expand_to_lead,
-    _tlin,
+    _merge_tlin,
     divide_by_reference,
     ratio_limit,
     thermal_limit,
@@ -34,18 +42,18 @@ from factor_values import product_value
 from fits import decay_exponent
 
 
-def gamma_term(sign=1.0, t_lin=Fraction(0), t_const=Fraction(0)):
-    """sign * Gamma(z) * T^(t_lin z + t_const)."""
-    return ZetaTerm(
-        MeroFactorProduct(ParamPoly.number(sign), (PrimitiveFactor.gamma(1, 0),)),
-        t_lin=_tlin({"z": t_lin}),
-        t_const=rational.of(t_const),
-    )
+GAMMA_Z = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (0, 1))  # Gamma(z)
+T_MINUS_Z = (("z", (-1, 1)),)  # the slopes of T^-z
+
+
+def gamma_term(sign=1.0, t_lin=()):
+    """sign * Gamma(z) * T^(t_lin . z)."""
+    return ZetaTerm(MeroFactorProduct(ParamPoly.number(sign), (GAMMA_Z,)), t_lin=t_lin)
 
 
 def test_value_at_zero_cancelled_poles_leave_log():
     # Gamma(z) T^(-z) - Gamma(z): the 1/z poles cancel, the cross term is -ln T
-    s = ZetaTermSum([gamma_term(1.0, Fraction(-1)), gamma_term(-1.0)])
+    s = ZetaTermSum([gamma_term(1.0, T_MINUS_Z), gamma_term(-1.0)])
     ta = value_at_zero(s)
     assert len(ta.terms) == 1
     t = ta.terms[0]
@@ -59,13 +67,14 @@ def test_value_at_zero_cancelled_poles_leave_log():
 
 
 def test_value_at_zero_constant():
-    s = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.number(3.25))])
+    s = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.number(3.25)))])
     ta = value_at_zero(s)
-    assert ta.constant_part().as_number() == pytest.approx(3.25)
+    assert [(t.t_power, t.log_power) for t in ta.terms] == [(0, 0)]
+    assert ta.terms[0].coeff.as_number() == pytest.approx(3.25)
 
 
 def test_value_at_zero_reports_uncancelled_pole():
-    s = ZetaTermSum([gamma_term(1.0, Fraction(-1))])
+    s = ZetaTermSum([gamma_term(1.0, T_MINUS_Z)])
     with pytest.raises(PoleAtZero) as err:
         value_at_zero(s)
     assert err.value.order == 1
@@ -75,8 +84,8 @@ def osc_sum(terms, regulators=("z",)):
     return ZetaTermSum(terms, regulators)
 
 
-def q(b, a=1):
-    return AffineExp.of("z", a, b)
+def q(b):
+    return AffineExp("z", rational.ONE, (b, 1))
 
 
 def test_ratio_limit_fermion_reduction_chain():
@@ -107,25 +116,25 @@ def test_ratio_limit_boson_chain_decays_like_one_over_t():
         MeroFactorProduct(
             ParamPoly.one(),
             (
-                PrimitiveFactor.gamma(Fraction(1, 2), Fraction(3, 2)),
-                PrimitiveFactor.exp_ipi(Fraction(-1, 4), Fraction(-3, 4)),
-                PrimitiveFactor.const_pow(half, Fraction(-1, 2), Fraction(-3, 2)),
+                PrimitiveFactor(FactorKind.GAMMA, (1, 2), (3, 2)),
+                PrimitiveFactor(FactorKind.EXP_IPI, (-1, 4), (-3, 4)),
+                PrimitiveFactor(FactorKind.CONST_POW, (-1, 2), (-3, 2), base=positive_base(half)),
             ),
         ),
-        t_lin=_tlin({"z": Fraction(-1, 2)}),
-        t_const=rational.of(Fraction(-3, 2)),
+        t_lin=(("z", (-1, 2)),),
+        t_const=(-3, 2),
     )
     den = ZetaTerm(
         MeroFactorProduct(
             ParamPoly.one(),
             (
-                PrimitiveFactor.gamma(Fraction(1, 2), Fraction(1, 2)),
-                PrimitiveFactor.exp_ipi(Fraction(-1, 4), Fraction(-1, 4)),
-                PrimitiveFactor.const_pow(half, Fraction(-1, 2), Fraction(-1, 2)),
+                PrimitiveFactor(FactorKind.GAMMA, (1, 2), (1, 2)),
+                PrimitiveFactor(FactorKind.EXP_IPI, (-1, 4), (-1, 4)),
+                PrimitiveFactor(FactorKind.CONST_POW, (-1, 2), (-1, 2), base=positive_base(half)),
             ),
         ),
-        t_lin=_tlin({"z": Fraction(-1, 2)}),
-        t_const=rational.of(Fraction(-1, 2)),
+        t_lin=(("z", (-1, 2)),),
+        t_const=(-1, 2),
     )
     ta = ratio_limit(osc_sum([num]), osc_sum([den]))
     assert len(ta.terms) == 1
@@ -138,71 +147,61 @@ def test_ratio_limit_boson_chain_decays_like_one_over_t():
 
 def test_ratio_limit_divergent_when_denominator_vanishes_faster():
     num = osc_sum([gamma_term(1.0)])  # Gamma(z): pole of order 1
-    den = osc_sum([ZetaTerm.from_poly(ParamPoly.one())])
+    den = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one()))])
     with pytest.raises(DivergentLimit):
         ratio_limit(num, den)
 
 
 def test_ratio_limit_zero_when_numerator_vanishes_faster():
-    num = osc_sum([ZetaTerm.from_poly(ParamPoly.one())])
+    num = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one()))])
     den = osc_sum([gamma_term(1.0)])
     ta = ratio_limit(num, den)
-    assert ta.is_zero()
+    assert not ta.terms
 
 
 def test_phase_cancellation_between_numerator_and_denominator():
     phase = ParamPoly.var("m").scale(-1)
-    n = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.var("m"), phase=phase)])
-    d = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.one(), phase=phase)])
+    n = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.var("m")), phase=phase)])
+    d = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.one()), phase=phase)])
     assert thermal_limit(ratio_limit(n, d)) == ParamPoly.var("m")
 
 
 def test_thermal_limit_cases():
     m = ParamPoly.var("m")
     # m - 3/T -> m
-    ta = TAsymptote.constant(m) + TAsymptote(
-        [type(TAsymptote.constant(m).terms[0])(ParamPoly.number(-3), Fraction(-1), 0, ParamPoly.zero())]
-    )
+    ta = TAsymptote([TAsymTerm(m), TAsymTerm(ParamPoly.number(-3), Fraction(-1))])
     assert thermal_limit(ta) == m
     # e^2/pi + c/T -> e^2/pi
     val = ParamPoly.monomial(1, {"e": Fraction(2), "pi": Fraction(-1)})
-    ta2 = TAsymptote.constant(val) + TAsymptote(
-        [type(ta.terms[0])(ParamPoly.number(-1j), Fraction(-1), 0, ParamPoly.zero())]
-    )
+    ta2 = TAsymptote([TAsymTerm(val), TAsymTerm(ParamPoly.number(-1j), Fraction(-1))])
     assert thermal_limit(ta2) == val
     # ln T -> divergent
-    ta3 = TAsymptote([type(ta.terms[0])(ParamPoly.one(), Fraction(0), 1, ParamPoly.zero())])
+    ta3 = TAsymptote([TAsymTerm(ParamPoly.one(), Fraction(0), 1)])
     assert isinstance(thermal_limit(ta3), Divergent)
 
 
 def test_thermal_limit_rejects_surviving_oscillation():
-    ta = TAsymptote(
-        [type(TAsymptote.constant(ParamPoly.one()).terms[0])(
-            ParamPoly.one(), Fraction(0), 0, ParamPoly.var("omega")
-        )]
-    )
+    ta = TAsymptote([TAsymTerm(ParamPoly.one(), phase=ParamPoly.var("omega"))])
     out = thermal_limit(ta)
     assert isinstance(out, Divergent)
     assert "oscillatory" in out.reason
 
 
 def test_value_at_zero_linearity():
-    s1 = ZetaTermSum([gamma_term(1.0, Fraction(-1)), gamma_term(-1.0)])
-    s2 = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.number(2.0))])
+    s1 = ZetaTermSum([gamma_term(1.0, T_MINUS_Z), gamma_term(-1.0)])
+    s2 = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0)))])
     joint = value_at_zero(ZetaTermSum(s1.terms + s2.terms))
-    split = value_at_zero(s1) + value_at_zero(s2)
+    a, b = value_at_zero(s1), value_at_zero(s2)
     for t_value in (3.0, 7.0):
-        assert joint.eval({}, t_value) == pytest.approx(split.eval({}, t_value))
+        assert joint.eval({}, t_value) == pytest.approx(a.eval({}, t_value) + b.eval({}, t_value))
 
 
 SUM_POOL = [
     lambda: osc_sum([osc_linear(q(0), +1, PAPER)]),
     lambda: osc_sum([osc_linear(q(1), +1, PAPER), osc_linear(q(1), -1, PAPER)]),
     lambda: osc_sum([osc_linear(q(2), +1, PRINCIPAL), osc_linear(q(2), -1, PRINCIPAL)]),
-    lambda: osc_sum([gamma_term(2.0, Fraction(-1)), gamma_term(-2.0)]),
-    lambda: osc_sum(
-        [ZetaTerm.from_poly(ParamPoly.var("m"), t_const=Fraction(-2))]
-    ),
+    lambda: osc_sum([gamma_term(2.0, T_MINUS_Z), gamma_term(-2.0)]),
+    lambda: osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.var("m")), t_const=(-2, 1))]),
 ]
 
 
@@ -217,8 +216,8 @@ def test_ratio_limit_unresolved_zero_over_zero_escalates_then_fails():
     from zetatrace.errors import ZeroOverZeroUnresolved
 
     pair = [
-        ZetaTerm.from_poly(ParamPoly.one()),
-        ZetaTerm.from_poly(ParamPoly.number(-1.0)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.one())),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-1.0))),
     ]
     with pytest.raises(ZeroOverZeroUnresolved):
         ratio_limit(osc_sum(list(pair)), osc_sum(list(pair)))
@@ -230,15 +229,15 @@ def test_multi_regulator_sequential_elimination():
         MeroFactorProduct(
             ParamPoly.number(2.0),
             (
-                PrimitiveFactor.gamma(1, 1, "z1"),
-                PrimitiveFactor.affine(1, 3, regulator="z2"),
+                PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 1), regulator="z1"),
+                PrimitiveFactor(FactorKind.AFFINE, (1, 1), (3, 1), regulator="z2"),
             ),
         ),
     )
     d = ZetaTerm(
         MeroFactorProduct(
             ParamPoly.one(),
-            (PrimitiveFactor.affine(1, 3, regulator="z2"),),
+            (PrimitiveFactor(FactorKind.AFFINE, (1, 1), (3, 1), regulator="z2"),),
         ),
     )
     ta = ratio_limit(
@@ -270,37 +269,39 @@ def _fermion_chain():
 
 def _log_chain():
     # (Gamma(z) T^-z - Gamma(z)) / (2 Gamma(z+1)) -> -ln(T)/2
-    den = ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), (PrimitiveFactor.gamma(1, 1),)))
-    return osc_sum([gamma_term(1.0, Fraction(-1)), gamma_term(-1.0)]), osc_sum([den]), {}
+    gamma_1 = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 1))
+    den = ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), (gamma_1,)))
+    return osc_sum([gamma_term(1.0, T_MINUS_Z), gamma_term(-1.0)]), osc_sum([den]), {}
 
 
 def _mixed_chain():
     """Terms that lack the reference's phase or Gamma, or carry a power of another base."""
     m, half = ParamPoly.var("m"), ParamPoly.number(0.5)
+    power = partial(PrimitiveFactor, FactorKind.CONST_POW)
 
-    def term(coeff, factors, t_lin, t_const):
-        return ZetaTerm(MeroFactorProduct(coeff, factors), _tlin({"z": t_lin}), rational.of(t_const))
+    def term(coeff, factors, t_lin=(), t_const=rational.ZERO):
+        return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin, t_const)
 
     den = [
         term(ParamPoly.one(), (
-            PrimitiveFactor.gamma(1, 1),
-            PrimitiveFactor.exp_ipi(Fraction(1, 4), 0),
-            PrimitiveFactor.const_pow(half, Fraction(1, 2), Fraction(1, 2)),
-        ), -1, 0),
+            PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 1)),
+            PrimitiveFactor(FactorKind.EXP_IPI, (1, 4), (0, 1)),
+            power((1, 2), (1, 2), base=positive_base(half)),
+        ), T_MINUS_Z),
         term(half, (
-            PrimitiveFactor.gamma(Fraction(1, 3), Fraction(2, 3)),
-            PrimitiveFactor.const_pow(ParamPoly.number(3.0), 1, 0),
-        ), 0, 0),
+            PrimitiveFactor(FactorKind.GAMMA, (1, 3), (2, 3)),
+            power((1, 1), (0, 1), base=positive_base(ParamPoly.number(3.0))),
+        )),
     ]
     num = [
         term(m.scale(3.0), (
-            PrimitiveFactor.gamma(1, 2),
-            PrimitiveFactor.exp_ipi(Fraction(1, 2), Fraction(1, 2)),
-            PrimitiveFactor.const_pow(half, 1, 1),
-        ), -1, -1),
+            PrimitiveFactor(FactorKind.GAMMA, (1, 1), (2, 1)),
+            PrimitiveFactor(FactorKind.EXP_IPI, (1, 2), (1, 2)),
+            power((1, 1), (1, 1), base=positive_base(half)),
+        ), T_MINUS_Z, (-1, 1)),
         term(m.scale(1.5), (
-            PrimitiveFactor.const_pow(ParamPoly.monomial(2.0, {"a": 1}), 1, 0),
-        ), 0, -1),
+            power((1, 1), (0, 1), base=positive_base(ParamPoly.monomial(2.0, {"a": 1}))),
+        ), t_const=(-1, 1)),
     ]
     return osc_sum(num), osc_sum(den), {"m": 1.3}
 
@@ -309,17 +310,17 @@ def _cancelling_chain():
     """Both sides vanish at z = 0, so the slopes of unpaired factors set the limit."""
     m = ParamPoly.var("m")
     # no const_pow here: its ln(base) would leave a non-monomial lead denominator
-    shared = (PrimitiveFactor.exp_ipi(Fraction(1, 2), 0),)
+    shared = (PrimitiveFactor(FactorKind.EXP_IPI, (1, 2), (0, 1)),)
+    gamma_1 = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 1))
+    # a Gamma of another slope: no partner for the reference's Gamma(z+1)
+    gamma_half = PrimitiveFactor(FactorKind.GAMMA, (1, 2), (1, 1))
     den = [
-        ZetaTerm(MeroFactorProduct(ParamPoly.one(), (PrimitiveFactor.gamma(1, 1),) + shared)),
-        # a Gamma of another slope: no partner for the reference's Gamma(z+1)
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(-1.0), (PrimitiveFactor.gamma(Fraction(1, 2), 1),))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.one(), (gamma_1,) + shared)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-1.0), (gamma_half,))),
     ]
     num = [
-        ZetaTerm(
-            MeroFactorProduct(m, (PrimitiveFactor.gamma(1, 1),) + shared), t_lin=_tlin({"z": -1})
-        ),
-        ZetaTerm(MeroFactorProduct(-m, (PrimitiveFactor.gamma(Fraction(1, 2), 1),))),
+        ZetaTerm(MeroFactorProduct(m, (gamma_1,) + shared), t_lin=T_MINUS_Z),
+        ZetaTerm(MeroFactorProduct(-m, (gamma_half,))),
     ]
     return osc_sum(num), osc_sum(den), {"m": 1.3}
 
@@ -371,31 +372,33 @@ def test_ratio_limit_matches_the_quotient_near_zero(make):
 def common_factors(draw, regulators):
     """A ZetaTerm of Gammas (shifted, fresh, with a pole), phases, powers and T^(a z)."""
     reg = lambda: draw(st.sampled_from(regulators))
-    half = Fraction(1, 2)
+    gamma = partial(PrimitiveFactor, FactorKind.GAMMA)
     factors = [
-        PrimitiveFactor.gamma(half, half + draw(st.integers(0, 3)), reg())
+        gamma((1, 2), (2 * draw(st.integers(0, 3)) + 1, 2), regulator=reg())
         for _ in range(draw(st.integers(0, 2)))
     ]  # integer shifts of the Gamma(z/2 + 1/2) class the Gaussian tables produce
     factors += [
-        PrimitiveFactor.gamma(1, draw(st.integers(1, 3)), reg())
+        gamma(rational.ONE, (draw(st.integers(1, 3)), 1), regulator=reg())
         for _ in range(draw(st.integers(0, 1)))
     ]
     if draw(st.booleans()):  # a class no table produces
-        factors.append(PrimitiveFactor.gamma(Fraction(1, 3), Fraction(2, 3), reg()))
+        factors.append(gamma((1, 3), (2, 3), regulator=reg()))
     if draw(st.booleans()):  # a pole at z = 0
-        factors.append(PrimitiveFactor.gamma(1, -draw(st.integers(0, 1)), reg()))
-    fracs = st.sampled_from([Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 2)])
+        factors.append(gamma(rational.ONE, (-draw(st.integers(0, 1)), 1), regulator=reg()))
+    fracs = st.sampled_from([(0, 1), (-1, 4), (1, 2), (3, 2)])
     for _ in range(draw(st.integers(0, 2))):
-        factors.append(PrimitiveFactor.exp_ipi(draw(fracs), draw(fracs), reg()))
-    bases = st.sampled_from([ParamPoly.number(0.5), ParamPoly.monomial(2.0, {"a": 1})])
+        factors.append(PrimitiveFactor(FactorKind.EXP_IPI, draw(fracs), draw(fracs), regulator=reg()))
+    bases = st.sampled_from([ParamPoly.number(0.5), ParamPoly.monomial(2.0, {"a": 1})]).map(positive_base)
     for _ in range(draw(st.integers(0, 2))):
-        factors.append(PrimitiveFactor.const_pow(draw(bases), draw(fracs), draw(fracs), reg()))
+        base = draw(bases)
+        power = PrimitiveFactor(FactorKind.CONST_POW, draw(fracs), draw(fracs), base=base, regulator=reg())
+        factors.append(power)
     prefactor = draw(st.sampled_from([1.0, -2.5, 0.5j, 3.0 - 1.0j]))
-    t_lin = _tlin({r: draw(fracs) for r in regulators})
+    slopes = [(r, draw(fracs)) for r in regulators]
     return ZetaTerm(
         MeroFactorProduct(ParamPoly.number(prefactor), tuple(draw(st.permutations(factors)))),
-        t_lin=t_lin,
-        t_const=rational.of(draw(fracs)),
+        t_lin=tuple((r, a) for r, a in slopes if a != rational.ZERO),
+        t_const=draw(fracs),
     )
 
 
@@ -406,8 +409,17 @@ def test_ratio_limit_invariant_under_a_common_factor(data):
     c = data.draw(common_factors(num.regulators))
     base_trace, trace = [], []
     base = ratio_limit(num, den, trace=base_trace)
-    common = ZetaTermSum([c], num.regulators, num.t_symbol)
-    got = ratio_limit(num * common, den * common, trace=trace)
+
+    def with_c(s):
+        return ZetaTermSum([
+            ZetaTerm(
+                MeroFactorProduct(t.coeff.prefactor * c.coeff.prefactor, t.coeff.factors + c.coeff.factors),
+                _merge_tlin(t.t_lin, c.t_lin), rational.add(t.t_const, c.t_const), t.t_log, t.phase,
+            )
+            for t in s.terms
+        ], s.regulators, s.t_symbol)
+
+    got = ratio_limit(with_c(num), with_c(den), trace=trace)
     points = [({**bindings, "a": 0.8}, 7.0), ({**bindings, "a": 1.7}, 23.0)]
     for point, t_value in points:
         assert got.eval(point, t_value) == pytest.approx(base.eval(point, t_value), rel=1e-9)
@@ -423,23 +435,19 @@ def test_ratio_limit_invariant_under_a_common_factor(data):
 
 def test_reference_with_a_pole_leaves_affine_factors_at_offset_zero():
     # (m Gamma(z) T^-z + Gamma(z+1)/T) / (Gamma(z) T^-z + Gamma(z+2)): r = Gamma(z) T^-z
-    def term(coeff, beta, t_lin=Fraction(0), t_const=Fraction(0)):
-        return ZetaTerm(
-            MeroFactorProduct(coeff, (PrimitiveFactor.gamma(1, beta),)),
-            t_lin=_tlin({"z": t_lin}),
-            t_const=rational.of(t_const),
-        )
+    def term(coeff, beta, t_lin=(), t_const=rational.ZERO):
+        gamma = PrimitiveFactor(FactorKind.GAMMA, rational.ONE, (beta, 1))
+        return ZetaTerm(MeroFactorProduct(coeff, (gamma,)), t_lin=t_lin, t_const=t_const)
 
     m = ParamPoly.var("m")
-    num = osc_sum([term(m, 0, Fraction(-1)), term(ParamPoly.one(), 1, t_const=Fraction(-1))])
-    den = osc_sum([term(ParamPoly.one(), 0, Fraction(-1)), term(ParamPoly.one(), 2)])
+    num = osc_sum([term(m, 0, T_MINUS_Z), term(ParamPoly.one(), 1, t_const=(-1, 1))])
+    den = osc_sum([term(ParamPoly.one(), 0, T_MINUS_Z), term(ParamPoly.one(), 2)])
     n_div, d_div, orders = divide_by_reference(num, den)
     assert orders == {"z": -1}
     assert n_div.terms[0].coeff.factors == () and d_div.terms[0].coeff.factors == ()
-    assert n_div.terms[1].coeff.factors == (PrimitiveFactor.affine(1, 0),)
-    assert d_div.terms[1].coeff.factors == (
-        PrimitiveFactor.affine(1, 0), PrimitiveFactor.affine(1, 1)
-    )
+    z, z_plus_1 = (PrimitiveFactor(FactorKind.AFFINE, (1, 1), (b, 1)) for b in (0, 1))
+    assert n_div.terms[1].coeff.factors == (z,)
+    assert d_div.terms[1].coeff.factors == (z, z_plus_1)
     assert n_div.terms[1].t_lin == (("z", (1, 1)),)
     trace = []
     ta = ratio_limit(num, den, trace=trace)
@@ -452,20 +460,21 @@ def test_division_pairs_factors_within_their_regulator():
     def term(*factors):
         return ZetaTerm(MeroFactorProduct(ParamPoly.one(), factors))
 
-    e = PrimitiveFactor.exp_ipi
-    den = ZetaTermSum([term(e(Fraction(1, 2), 0, "z1"), e(1, Fraction(1, 2), "z2"))], ("z1", "z2"))
-    num = ZetaTermSum([term(e(1, 1, "z2"), e(Fraction(1, 2), 0, "z1"))], ("z1", "z2"))
+    e = partial(PrimitiveFactor, FactorKind.EXP_IPI)
+    regs = ("z1", "z2")
+    den = ZetaTermSum([term(e((1, 2), (0, 1), regulator="z1"), e((1, 1), (1, 2), regulator="z2"))], regs)
+    num = ZetaTermSum([term(e((1, 1), (1, 1), regulator="z2"), e((1, 2), (0, 1), regulator="z1"))], regs)
     n_div, d_div, orders = divide_by_reference(num, den)
     assert orders == {}
     assert d_div.terms[0].coeff.factors == ()
-    assert n_div.terms[0].coeff.factors == (e(0, Fraction(1, 2), "z2"),)
+    assert n_div.terms[0].coeff.factors == (e((0, 1), (1, 2), regulator="z2"),)
 
 
 def gamma_quotient(b, r):
     """Gamma(z + b) / Gamma(z + r) as the affine factors division leaves."""
     if b >= r:
-        return [PrimitiveFactor.affine(1, j) for j in range(r, b)]
-    return [PrimitiveFactor.affine(1, j, power=-1) for j in range(r - 1, b - 1, -1)]
+        return [PrimitiveFactor(FactorKind.AFFINE, (1, 1), (j, 1)) for j in range(r, b)]
+    return [PrimitiveFactor(FactorKind.AFFINE, (1, 1), (j, 1), power=-1) for j in range(r - 1, b - 1, -1)]
 
 
 @given(st.data())
@@ -473,7 +482,7 @@ def test_division_pairs_each_divisor_gamma_with_the_first_nearest_partner(data):
     """Exact offsets and the nearest-offset fallback pick what a plain nearest-first scan picks."""
     offsets = data.draw(st.lists(st.integers(-2, 4), min_size=1, max_size=5))
     refs = data.draw(st.lists(st.integers(-2, 4), min_size=1, max_size=len(offsets)))
-    g = lambda b: PrimitiveFactor.gamma(1, b)
+    g = lambda b: PrimitiveFactor(FactorKind.GAMMA, (1, 1), (b, 1))
     num = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), tuple(g(b) for b in offsets)))])
     den = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), tuple(g(r) for r in refs)))])
     n_div, d_div, _ = divide_by_reference(num, den)
@@ -487,37 +496,63 @@ def test_division_pairs_each_divisor_gamma_with_the_first_nearest_partner(data):
 
 
 def test_unpaired_phases_are_inverted_in_every_term():
-    e = PrimitiveFactor.exp_ipi
+    e = partial(PrimitiveFactor, FactorKind.EXP_IPI)
     one = lambda *factors: ZetaTerm(MeroFactorProduct(ParamPoly.one(), factors))
-    den = osc_sum([one(e(Fraction(1, 2), 1))])
-    num = osc_sum([one(), one(PrimitiveFactor.gamma(1, 0)), one(e(Fraction(1, 2), 0))])
+    den = osc_sum([one(e((1, 2), (1, 1)))])
+    num = osc_sum([one(), one(GAMMA_Z), one(e((1, 2), (0, 1)))])
     n_div, d_div, _ = divide_by_reference(num, den)
-    inverse = e(Fraction(-1, 2), -1)
+    inverse = e((-1, 2), (-1, 1))
     assert [t.coeff.factors for t in n_div.terms] == [
-        (inverse,), (PrimitiveFactor.gamma(1, 0), inverse), (e(0, -1),)
+        (inverse,), (GAMMA_Z, inverse), (e((0, 1), (-1, 1)),)
     ]
     assert d_div.terms[0].coeff.factors == ()
+
+
+@pytest.mark.parametrize("kind", [FactorKind.EXP_IPI, FactorKind.CONST_POW])
+def test_division_leaves_one_factor_per_phase_or_base(kind):
+    """e^(i pi (z/2 - 1/4 + 3/2)) over e^(i pi (-1/4)) e^(i pi 3/2) is the one factor
+    e^(-i pi z/2): pairing one by one left e^(i pi (-z/2 - 1/4)) e^(i pi 7/4) e^(i pi (-3/2))."""
+    base = positive_base(ParamPoly.number(0.5)) if kind is FactorKind.CONST_POW else None
+    f = lambda a, b: PrimitiveFactor(kind, a, b, base=base)
+    one = lambda *factors: ZetaTerm(MeroFactorProduct(ParamPoly.one(), factors))
+    common = (f((0, 1), (-1, 4)), f((0, 1), (3, 2)))
+    den = osc_sum([one(f((1, 2), (0, 1)), *common), one(*common), one(*common[:1])])
+    _, d_div, _ = divide_by_reference(osc_sum([]), den)
+    assert [t.coeff.factors for t in d_div.terms] == [(), (f((-1, 2), (0, 1)),), (f((-1, 2), (-3, 2)),)]
+
+
+def test_common_constant_phases_leave_the_limit_unchanged():
+    # with the three phases above left in a term, whose float product is not
+    # exactly 1, the denominator's lead coefficients no longer cancelled
+    num, den, bindings = _cancelling_chain()
+    common = tuple(PrimitiveFactor(FactorKind.EXP_IPI, (0, 1), b) for b in ((-1, 4), (3, 2)))
+    with_common = lambda s: osc_sum([
+        ZetaTerm(MeroFactorProduct(t.coeff.prefactor, t.coeff.factors + common), t.t_lin) for t in s.terms
+    ])
+    trace = []
+    got = ratio_limit(with_common(num), with_common(den), trace=trace)
+    assert _lead_orders(trace) == [("z", "1", "1")]
+    assert got.eval(bindings, 7.0) == pytest.approx(ratio_limit(num, den).eval(bindings, 7.0), rel=1e-12)
 
 
 def test_merged_drops_only_buckets_that_cancel_exactly():
     near = ParamPoly.number(-1.0 + 1e-11)
     s = ZetaTermSum([
-        ZetaTerm.from_poly(ParamPoly.number(1.0)),
-        ZetaTerm.from_poly(ParamPoly.number(2.0), t_const=1),
-        ZetaTerm.from_poly(near),
-        ZetaTerm.from_poly(ParamPoly.number(0.5), t_const=2),
-        ZetaTerm.from_poly(ParamPoly.number(-0.5), t_const=2),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(1.0))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0)), t_const=(1, 1)),
+        ZetaTerm(MeroFactorProduct(near)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(0.5)), t_const=(2, 1)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-0.5)), t_const=(2, 1)),
     ])
     merged = s.merged().terms
     assert [t.t_const for t in merged] == [(0, 1), (1, 1)]
     assert merged[0].coeff.prefactor.terms == {(): 1.0 + (-1.0 + 1e-11)}
-    assert not s.is_zero()
 
 
 def test_phases_that_differ_in_the_last_digits_are_not_merged():
     w = ParamPoly.var("w")
     w_near = ParamPoly.var("w", coeff=1 + 1e-13)
-    s = ZetaTermSum([ZetaTerm.from_poly(ParamPoly.one(), phase=p) for p in (w, w_near, w)])
+    s = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.one()), phase=p) for p in (w, w_near, w)])
     assert [t.phase.terms for t in s.merged().terms] == [w.terms, w_near.terms]
     asym = TAsymptote([TAsymTerm(ParamPoly.one(), phase=p) for p in (w, w_near, w)])
     assert [t.phase.terms for t in asym.terms] == [w.terms, w_near.terms]
@@ -525,7 +560,8 @@ def test_phases_that_differ_in_the_last_digits_are_not_merged():
 
 
 def test_merged_keys_factors_as_a_multiset():
-    g, e = PrimitiveFactor.gamma(1, Fraction(1, 2)), PrimitiveFactor.exp_ipi(1, 0)
+    g = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 2))
+    e = PrimitiveFactor(FactorKind.EXP_IPI, (1, 1), (0, 1))
     s = ZetaTermSum([
         ZetaTerm(MeroFactorProduct(ParamPoly.number(1.0), (g, e, g))),
         ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), (g, g, e))),
@@ -537,10 +573,13 @@ def test_merged_keys_factors_as_a_multiset():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: PrimitiveFactor.gamma(Fraction(1, 2), -1, "z2"),
-    lambda: PrimitiveFactor.exp_ipi(Fraction(-1, 4), Fraction(3, 4)),
-    lambda: PrimitiveFactor.affine(2, Fraction(1, 3), -2),
-    lambda: PrimitiveFactor.const_pow(ParamPoly.monomial(2 / 9, {"J": Fraction(1, 2)}), 1, 0, "z1"),
+    lambda: PrimitiveFactor(FactorKind.GAMMA, (1, 2), (-1, 1), regulator="z2"),
+    lambda: PrimitiveFactor(FactorKind.EXP_IPI, (-1, 4), (3, 4)),
+    lambda: PrimitiveFactor(FactorKind.AFFINE, (2, 1), (1, 3), power=-2),
+    lambda: PrimitiveFactor(
+        FactorKind.CONST_POW, (1, 1), (0, 1),
+        base=positive_base(ParamPoly.monomial(2 / 9, {"J": Fraction(1, 2)})), regulator="z1",
+    ),
 ], ids=["gamma", "half-turn", "affine", "const-pow"])
 def test_primitive_factor_hash_contract(make):
     a, b = make(), make()
@@ -608,9 +647,9 @@ def exact_terms(s):
     ]
 
 
-lead_slopes = st.sampled_from([Fraction(k, d) for k in (-3, -1, 1, 2) for d in (1, 3, 4)])
+lead_slopes = st.sampled_from([rational.of(Fraction(k, d)) for k in (-3, -1, 1, 2) for d in (1, 3, 4)])
 lead_bases = st.builds(
-    lambda c, e: ParamPoly.monomial(c, {"J": e}),
+    lambda c, e: positive_base(ParamPoly.monomial(c, {"J": e})),
     st.sampled_from([2 / 9, 5 / 7, 3.0]),
     st.sampled_from([Fraction(1), Fraction(-1, 2)]),
 )
@@ -620,23 +659,28 @@ def lead_factors(z):
     """Any factor in regulator z: Gammas with and without poles, half-turns,
     affine powers at zero and nonzero offsets, and const_pows of zero and
     nonzero slope."""
+    reg, gamma, integer = st.just(z), st.just(FactorKind.GAMMA), st.integers(-2, 2).map(lambda n: (n, 1))
     return st.one_of(
-        st.builds(PrimitiveFactor.gamma, lead_slopes, st.integers(-2, 2), st.just(z)),
-        st.builds(PrimitiveFactor.gamma, lead_slopes, st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]), st.just(z)),
-        st.builds(PrimitiveFactor.exp_ipi, lead_slopes, lead_slopes, st.just(z)),
-        st.builds(PrimitiveFactor.affine, lead_slopes, st.sampled_from([0, Fraction(2, 3)]),
-                  st.integers(-2, 2).filter(bool), st.just(z)),
-        st.builds(PrimitiveFactor.const_pow, lead_bases, st.sampled_from([Fraction(0), Fraction(1, 3)]),
-                  lead_slopes, st.just(z)),
+        st.builds(PrimitiveFactor, gamma, lead_slopes, integer, regulator=reg),
+        st.builds(PrimitiveFactor, gamma, lead_slopes, st.sampled_from([(1, 2), (-3, 2)]), regulator=reg),
+        st.builds(PrimitiveFactor, st.just(FactorKind.EXP_IPI), lead_slopes, lead_slopes, regulator=reg),
+        st.builds(PrimitiveFactor, st.just(FactorKind.AFFINE), lead_slopes, st.sampled_from([(0, 1), (2, 3)]),
+                  st.integers(-2, 2).filter(bool), regulator=reg),
+        st.builds(lambda base, a, b: PrimitiveFactor(FactorKind.CONST_POW, a, b, base=base, regulator=z),
+                  lead_bases, st.sampled_from([(0, 1), (1, 3)]), lead_slopes),
     )
 
 
 def unit_lead_factors(z):
     """Factors in regulator z whose z^0 coefficient is exactly 1."""
+    reg = st.just(z)
     return st.one_of(
-        st.builds(PrimitiveFactor.exp_ipi, lead_slopes, st.sampled_from([0, 2]), st.just(z)),
-        st.builds(PrimitiveFactor.affine, lead_slopes, st.just(1), st.integers(-2, 2).filter(bool), st.just(z)),
-        st.builds(PrimitiveFactor.const_pow, lead_bases, lead_slopes, st.just(0), st.just(z)),
+        st.builds(PrimitiveFactor, st.just(FactorKind.EXP_IPI), lead_slopes,
+                  st.sampled_from([(0, 1), (2, 1)]), regulator=reg),
+        st.builds(PrimitiveFactor, st.just(FactorKind.AFFINE), lead_slopes, st.just(rational.ONE),
+                  st.integers(-2, 2).filter(bool), regulator=reg),
+        st.builds(lambda base, a: PrimitiveFactor(FactorKind.CONST_POW, a, (0, 1), base=base, regulator=z),
+                  lead_bases, lead_slopes),
     )
 
 
@@ -645,7 +689,12 @@ lead_prefactors = st.builds(
     st.sampled_from([3 / 7, -2 / 9, 1.5j]),
     st.sampled_from([0.0, 5 / 7]),
 )
-t_slopes = st.sampled_from([Fraction(0), Fraction(-1, 2), Fraction(1, 3)])
+t_slopes = st.sampled_from([(0, 1), (-1, 2), (1, 3)])
+
+
+def t_lins(z):
+    """The slopes of T^(a z), a drawn from ``t_slopes``: none at a = 0."""
+    return t_slopes.map(lambda a: ((z, a),) if a != rational.ZERO else ())
 
 
 @st.composite
@@ -661,13 +710,13 @@ def lead_sums(draw, z, regulators, most=2):
     for _ in range(draw(st.integers(0, most))):
         factors = tuple(draw(st.lists(lead_factors(z), max_size=3)))
         terms.append(ZetaTerm(MeroFactorProduct(draw(lead_prefactors), factors),
-                              t_lin=_tlin({z: draw(t_slopes)}), t_const=rational.of(draw(t_slopes))))
+                              t_lin=draw(t_lins(z)), t_const=draw(t_slopes)))
     for _ in range(draw(st.integers(0 if terms else 1, most))):
         base = tuple(draw(st.lists(lead_factors(z), max_size=2)))
         c = draw(lead_prefactors)
         for sign in (c, -c):
             extra = tuple(draw(st.lists(unit_lead_factors(z), max_size=2)))
-            terms.append(ZetaTerm(MeroFactorProduct(sign, base + extra), t_lin=_tlin({z: draw(t_slopes)})))
+            terms.append(ZetaTerm(MeroFactorProduct(sign, base + extra), t_lin=draw(t_lins(z))))
     if draw(st.booleans()):
         t = terms[draw(st.integers(0, len(terms) - 1))]
         terms.append(ZetaTerm(MeroFactorProduct(-t.coeff.prefactor, t.coeff.factors), t.t_lin, t.t_const))
@@ -685,7 +734,17 @@ def lead_problems(draw):
     for _ in range(draw(st.integers(1, 2))):
         s = draw(lead_sums("z1", regulators, most))
         if len(regulators) == 2:
-            s = s * draw(lead_sums("z2", regulators, most))
+            s2 = draw(lead_sums("z2", regulators, most))
+            # terms of one regulator each, with no ln T or phase: z1 slopes sort before z2 slopes
+            s = ZetaTermSum([
+                ZetaTerm(
+                    MeroFactorProduct(
+                        a.coeff.prefactor * b.coeff.prefactor, a.coeff.factors + b.coeff.factors
+                    ),
+                    a.t_lin + b.t_lin, rational.add(a.t_const, b.t_const),
+                )
+                for a in s.terms for b in s2.terms
+            ], regulators)
         sums.append(s)
     return sums, draw(st.sampled_from([2, 3, 4]))
 
@@ -703,10 +762,9 @@ def test_lead_first_elimination_is_the_full_expansion_bit_for_bit(problem):
 
 def test_lead_first_elimination_falls_back_past_a_cancelling_lead():
     # every term's lead is z^-1, and the leads cancel: the sum leads at z^0
-    gamma = PrimitiveFactor.gamma(1, 0)
     s = ZetaTermSum([
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(3 / 7), (gamma,)), t_lin=_tlin({"z": Fraction(-1, 2)})),
-        ZetaTerm(MeroFactorProduct(ParamPoly.number(-3 / 7), (gamma,))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(3 / 7), (GAMMA_Z,)), t_lin=(("z", (-1, 2)),)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-3 / 7), (GAMMA_Z,))),
     ])
     (lead,), (coeff,), k = _expand_to_lead([s], "z", 4)
     want_leads, want_coeffs, want_k = full_expansion_to_lead([s], "z", 4)
@@ -716,7 +774,8 @@ def test_lead_first_elimination_falls_back_past_a_cancelling_lead():
 
 
 def test_lead_first_elimination_doubles_the_truncation_for_a_vanishing_sum():
-    t = ZetaTerm(MeroFactorProduct(ParamPoly.number(0.3), (PrimitiveFactor.gamma(1, -1),)))
+    gamma = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1))
+    t = ZetaTerm(MeroFactorProduct(ParamPoly.number(0.3), (gamma,)))
     vanishing = ZetaTermSum([t, t.scaled(ParamPoly.number(-1.0))])
     leads, coeffs, k = _expand_to_lead([vanishing, ZetaTermSum([t])], "z", 3)
     assert (leads, k) == ([None, -1], 24)
