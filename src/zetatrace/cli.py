@@ -40,15 +40,16 @@ def _parse_params(items) -> dict[str, float]:
     return out
 
 
-def _check_signs(model, bindings: dict[str, float]) -> None:
-    """A parameter declared positive takes only a positive ``--param`` value."""
-    for p in model.params:
-        value = bindings.get(p.name)
-        if p.positive and value is not None and value <= 0:
+def _check_params(model, bindings: dict[str, float]) -> None:
+    """``--param`` binds only declared parameters, one declared positive only to a positive value."""
+    declared = {p.name: p for p in model.params}
+    for name, value in bindings.items():
+        if name not in declared:
+            names = ", ".join(declared) or "none"
+            raise UsageError(f"--param {name}: {model.name} declares no such parameter (declared: {names})")
+        if declared[name].positive and value <= 0:
             problem = "must not be zero" if value == 0 else "must not be negative"
-            raise UsageError(
-                f"--param {p.name} {problem} ({p.name} is declared positive), got {value:g}"
-            )
+            raise UsageError(f"--param {name} {problem} ({name} is declared positive), got {value:g}")
 
 
 def _json_line(args, result, model: str, observable: str, value: str, numeric) -> str:
@@ -160,7 +161,7 @@ def cmd_run(args, extra_registry=None) -> int:
     run = run_model(
         args.model, policy, args.series_order, registry=extra_registry, **overrides
     )
-    _check_signs(run.model, bindings)
+    _check_params(run.model, bindings)
     code = _emit_run(run, args, bindings)
     # a result that disagrees with its expected value is a failed run, as in ``check``
     for failure in run.failures:

@@ -402,7 +402,7 @@ def reduce_pieces(
     so the two sides share their rows.  A branch grows as its coefficient and
     the tuple of its picked rows, each scaled by its multiplier, and becomes
     one ``ZetaTerm`` at the end: the coefficient times every picked
-    prefactor in pick order, the picked factors concatenated, the ``T``
+    prefactor in pick order, the picked factors multiplied, the ``T``
     exponents summed and the evolution phase.  An alternatives list that
     ``reduced_integrals`` shares between items is turned into its scaled
     rows once.
@@ -447,7 +447,7 @@ def _branch_term(
     t_power: Fraction,
     phase: ParamPoly,
 ) -> ZetaTerm:
-    # rows repeat across symbols: each distinct row's exponents times its multiplicity
+    # rows repeat across symbols: each distinct row's factors and exponents times its multiplicity
     distinct: dict[int, list] = {}
     for row in picked:
         distinct.setdefault(id(row), [row, 0])[1] += 1
@@ -458,7 +458,7 @@ def _branch_term(
         for reg, a in row.t_lin:
             a = rational.mul(a, (n, 1))
             t_lin[reg] = rational.add(t_lin[reg], a) if reg in t_lin else a
-    factors = tuple(f for row in picked for f in row.coeff.factors)
+    factors = tuple(f if n == 1 else f.raised(n) for row, n in distinct.values() for f in row.coeff.factors)
     t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a[0] != 0))
     return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase)
 

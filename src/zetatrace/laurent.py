@@ -1,8 +1,8 @@
 """Meromorphic factor products in the regulator and truncated Laurent expansions at z = 0.
 
-A regulator-dependent coefficient ``K(z)`` is kept as a product of primitive
-factors (Gamma of an affine argument, a half-turn exponential ``e^{i pi (a z + b)}``,
-an integer power of an affine polynomial, and rational powers of positive
+A regulator-dependent coefficient ``K(z)`` is kept as a canonical product of
+primitive factors (integer powers of a Gamma or of an affine polynomial, a
+half-turn exponential ``e^{i pi (a z + b)}``, rational powers of positive
 parameter monomials).  Each factor has a closed Taylor/Laurent expansion at
 ``z = 0``; products expand by truncated convolution.
 
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce, wraps
 from typing import Sequence
 
 from . import rational
@@ -44,6 +44,20 @@ class FactorKind(str, Enum):
     EXP_IPI = "exp_ipi"
     AFFINE = "affine"
     CONST_POW = "const_pow"
+
+
+#: kinds whose exponents, not a power, add up in a product
+EXPONENT_KINDS = (FactorKind.EXP_IPI, FactorKind.CONST_POW)
+
+
+def _kept(method):
+    """A factor keeps what ``method`` formed from it for each argument: a
+    derivation forms the same powers and products for many of its terms, and
+    each formed factor keeps its hash and ``fold_key``."""
+    def kept(self, arg):
+        formed = self.__dict__.setdefault("_formed", {})
+        return formed[arg] if arg in formed else formed.setdefault(arg, method(self, arg))
+    return wraps(method)(kept)
 
 
 def half_turn(beta: Q) -> complex:
@@ -105,9 +119,9 @@ class PrimitiveFactor:
     """One primitive meromorphic building block in a single regulator.
 
     Its argument is ``alpha z + beta``, both exponents normalised integer
-    pairs (``rational``).  A factor hashes once, on first use, and keeps the
-    hash: term sums are merged by multisets of factors, and hashing the
-    kind, an ``Enum``, each time is slow.
+    pairs (``rational``); a Gamma or affine factor is raised to ``power``.  A
+    factor hashes once, on first use, and keeps the hash: term sums are merged
+    by sets of factors, and hashing the kind, an ``Enum``, each time is slow.
     """
 
     kind: FactorKind
@@ -131,6 +145,31 @@ class PrimitiveFactor:
         # string hashes differ between processes: an unpickled factor hashes afresh
         return PrimitiveFactor, self._fields()
 
+    @cached_property
+    def fold_key(self) -> tuple | None:
+        """Factors of one key multiply into one (Gamma or affine factors of one argument, a
+        regulator's half-turns, a base's powers); None for 1.  An ``Enum`` hashes slowly."""
+        if self.kind in EXPONENT_KINDS:
+            return (self.kind._value_, self.regulator, self.base) if self.alpha[0] or self.beta[0] else None
+        return (self.kind._value_, self.regulator, self.alpha, self.beta) if self.power else None
+
+    def remade(self, alpha: Q, beta: Q, power: int = 1) -> "PrimitiveFactor":
+        return PrimitiveFactor(self.kind, alpha, beta, power, self.base, self.regulator)
+
+    @_kept
+    def raised(self, n: int) -> "PrimitiveFactor":
+        """The factor to the integer power n."""
+        if self.kind in EXPONENT_KINDS:
+            return self.remade(rational.mul(self.alpha, (n, 1)), rational.mul(self.beta, (n, 1)))
+        return self.remade(self.alpha, self.beta, self.power * n)
+
+    @_kept
+    def times(self, other: "PrimitiveFactor") -> "PrimitiveFactor":
+        """The product with a factor of the same ``fold_key``."""
+        if self.kind in EXPONENT_KINDS:
+            return self.remade(rational.add(self.alpha, other.alpha), rational.add(self.beta, other.beta))
+        return self.remade(self.alpha, self.beta, self.power + other.power)
+
     # -- properties ---------------------------------------------------------
 
     def base_poly(self) -> ParamPoly:
@@ -143,7 +182,7 @@ class PrimitiveFactor:
             if self.beta[1] == 1 and self.beta[0] <= 0:
                 if self.alpha[0] == 0:
                     raise UnsupportedFactor("Gamma pole with no regulator dependence")
-                return 1
+                return self.power
             return 0
         if self.kind is FactorKind.AFFINE and self.beta[0] == 0:
             return -self.power
@@ -154,7 +193,7 @@ class PrimitiveFactor:
         a, b = self.alpha, self.beta
         arg = _affine_str(a, b, z)
         if self.kind is FactorKind.GAMMA:
-            return f"Gamma({arg})"
+            return f"Gamma({arg})^{self.power}" if self.power != 1 else f"Gamma({arg})"
         if self.kind is FactorKind.EXP_IPI:
             return f"e^(i*pi*({arg}))"
         if self.kind is FactorKind.AFFINE:
@@ -188,10 +227,21 @@ def _affine_str(a: Q, b: Q, z: str) -> str:
 
 @dataclass(frozen=True)
 class MeroFactorProduct:
-    """Prefactor times a product of primitive factors."""
+    """Prefactor times a product of primitive factors, folded when built: one
+    factor per ``fold_key``, where the key first occurs, and none equal to 1."""
 
     prefactor: ParamPoly
     factors: tuple[PrimitiveFactor, ...] = ()
+
+    def __post_init__(self):
+        keys = {f.fold_key for f in self.factors}
+        if len(keys) < len(self.factors) or None in keys:
+            folded: dict[tuple, PrimitiveFactor] = {}
+            for f in self.factors:
+                if f.fold_key is not None:
+                    g = folded.get(f.fold_key)
+                    folded[f.fold_key] = f if g is None else g.times(f)
+            object.__setattr__(self, "factors", tuple(f for f in folded.values() if f.fold_key is not None))
 
     def scaled(self, poly: ParamPoly) -> "MeroFactorProduct":
         return MeroFactorProduct(self.prefactor * poly, self.factors)
@@ -301,6 +351,12 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
             binom *= (n - k + 1) / k
             coeffs[k] = c * binom * ratio ** k
         return _numeric_series(0, coeffs)
+
+    if f.kind is FactorKind.GAMMA and f.power != 1:  # Gamma(x)^k as a k-fold product
+        if f.power < 1:
+            raise UnsupportedFactor(f"Gamma to the power {f.power}")
+        one = expand_factor(f.remade(f.alpha, f.beta), order)
+        return reduce(lambda series, _: series.mul(one, ParamPoly.zero()), range(f.power - 1), one)
 
     if f.kind is FactorKind.GAMMA:
         b = f.beta

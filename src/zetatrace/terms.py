@@ -25,7 +25,7 @@ leads, their coefficients and the truncation reported are those of the full
 expansion, bit for bit.
 
 A Laurent coefficient vanishes when its terms, grouped by exact structure
-(the multiset of factors, ``T`` and ``ln T`` powers, the phase's exact
+(the set of canonical factors, ``T`` and ``ln T`` powers, the phase's exact
 coefficients), have prefactors that sum to the zero poly: which
 order leads depends on exact cancellation alone, never on a tolerance.
 """
@@ -33,7 +33,6 @@ order leads depends on exact cancellation alone, never on a tolerance.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -48,6 +47,7 @@ from .errors import (
 )
 from .laurent import (
     DEFAULT_ORDER,
+    EXPONENT_KINDS,
     MAX_ORDER,
     FactorKind,
     MeroFactorProduct,
@@ -80,7 +80,7 @@ class ZetaTerm:
 
     def structure_key(self) -> tuple:
         return (
-            frozenset(Counter(self.coeff.factors).items()),
+            frozenset(self.coeff.factors),
             self.t_lin,
             self.t_const,
             self.t_log,
@@ -330,100 +330,57 @@ def _expand_to_lead(
     return [lead for lead, _ in found], [coeff for _, coeff in found], k
 
 
-_POWER_KINDS = (FactorKind.EXP_IPI, FactorKind.CONST_POW)
-
-
 def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
-    """Key and offset: factors with one key divide into simpler ones.
-
-    Gammas of one regulator and slope whose offsets differ by the integer
-    returned, half-turn phases of one regulator, and powers of one base in
-    one regulator.  A Gamma's offset b = n/d splits into the integer
-    ``n // d`` returned and the key's fractional part ``n % d`` over ``d``.
-    """
-    if f.kind is FactorKind.GAMMA:
-        n, d = f.beta
-        whole, frac = divmod(n, d)
-        return (f.kind, f.regulator, f.alpha, frac, d), whole
-    if f.kind is FactorKind.EXP_IPI:
-        return (f.kind, f.regulator), 0
-    if f.kind is FactorKind.CONST_POW:
-        return (f.kind, f.regulator, f.base), 0
-    return None
+    """A Gamma's key and offset: b = n/d splits into the offset ``n // d`` and the key's
+    regulator, slope and ``n % d`` over ``d``, so Gammas of one key differ by integer shifts."""
+    if f.kind is not FactorKind.GAMMA:
+        return None
+    whole, frac = divmod(f.beta[0], f.beta[1])
+    return (f.regulator, f.alpha, frac, f.beta[1]), whole
 
 
-def _partners(factors: tuple[PrimitiveFactor, ...]) -> dict[tuple, tuple[list[int], list[int]]]:
-    """Key -> offsets and indices, in factor order, of the factors a divisor factor can pair with."""
-    out: dict[tuple, tuple[list[int], list[int]]] = {}
+def _partners(factors: tuple[PrimitiveFactor, ...]) -> dict[tuple, list[list[int]]]:
+    """Key -> [offset, index, multiplicity left] of each Gamma, in factor order."""
+    out: dict[tuple, list[list[int]]] = {}
     for i, f in enumerate(factors):
         keyed = _pair_key(f)
         if keyed is not None:
-            offsets, indices = out.setdefault(keyed[0], ([], []))
-            offsets.append(keyed[1])
-            indices.append(i)
+            out.setdefault(keyed[0], []).append([keyed[1], i, f.power])
     return out
 
 
-def _factor_quotient(p: PrimitiveFactor, f: PrimitiveFactor, k: int) -> list[PrimitiveFactor]:
-    """p / f for a partner pair, as primitive factors; Gammas differ by k in offset."""
-    if f.kind is FactorKind.GAMMA:
-        # Gamma(x + k) / Gamma(x) = x (x+1) ... (x+k-1), or 1/((x-1) ... (x+k)) for k < 0
-        a, reg = f.alpha, f.regulator
-        if k >= 0:
-            return [
-                PrimitiveFactor(FactorKind.AFFINE, a, rational.add(f.beta, (j, 1)), 1, regulator=reg)
-                for j in range(k)
-            ]
-        return [
-            PrimitiveFactor(FactorKind.AFFINE, a, rational.sub(f.beta, (j, 1)), -1, regulator=reg)
-            for j in range(1, -k + 1)
-        ]
-    if p.alpha == f.alpha and p.beta == f.beta:
-        return []
-    alpha, beta = rational.sub(p.alpha, f.alpha), rational.sub(p.beta, f.beta)
-    return [PrimitiveFactor(p.kind, alpha, beta, p.power, p.base, p.regulator)]
-
-
-def _one_per_key(factors: tuple[PrimitiveFactor, ...]) -> tuple[PrimitiveFactor, ...]:
-    """The factors with each regulator's phases, and each base's powers, folded into
-    one, dropped where the exponents cancel: division pairs them one by one, and
-    what it leaves can multiply to an exact 1 that the floats miss."""
-    out: dict = {}
-    for i, f in enumerate(factors):
-        key = (f.kind, f.regulator, f.base) if f.kind in _POWER_KINDS else i
-        g = out.get(key)
-        out[key] = f if g is None else replace(
-            g, alpha=rational.add(g.alpha, f.alpha), beta=rational.add(g.beta, f.beta)
-        )
-    if len(out) == len(factors):
-        return factors
-    return tuple(f for f in out.values() if f.kind not in _POWER_KINDS or f.alpha[0] or f.beta[0])
+def _gamma_quotient(f: PrimitiveFactor, k: int) -> list[PrimitiveFactor]:
+    """Gamma(x + k) / Gamma(x) = x (x+1) ... (x+k-1), or 1/((x-1) ... (x+k)) for k < 0; f = Gamma(x)."""
+    shifts, power = (range(k), 1) if k >= 0 else (range(-1, k - 1, -1), -1)
+    return [
+        PrimitiveFactor(FactorKind.AFFINE, f.alpha, rational.add(f.beta, (j, 1)), power, regulator=f.regulator)
+        for j in shifts
+    ]
 
 
 def _divide_term(
-    t: ZetaTerm, partners: dict[tuple, tuple[list[int], list[int]]], divisor: list[tuple],
-    inverse_t_lin: TLin,
+    t: ZetaTerm, partners: dict[tuple, list[list[int]]], divisor: list[tuple],
+    inverses: tuple[PrimitiveFactor, ...], inverse_t_lin: TLin,
 ) -> ZetaTerm:
     factors = t.coeff.factors
-    slots = [[f] for f in factors]
-    extra = []
-    for f, key, offset, inverse in divisor:
-        offsets, indices = partners.get(key, ((), ()))
-        if not offsets:  # an unpaired phase or const_pow: multiply by its inverse
-            extra.append(inverse)
-            continue
-        # the nearest Gamma (the first of equally near ones) keeps the affine
-        # product short; phases and powers have offset 0
-        if offset in offsets:
-            j = offsets.index(offset)
-        else:
-            j = min(range(len(offsets)), key=lambda j: abs(offsets[j] - offset))
-        p_offset, i = offsets.pop(j), indices.pop(j)
-        slots[i] = _factor_quotient(factors[i], f, p_offset - offset)
+    slots = [[] for _ in factors]  # the affine quotients that take each partner Gamma's place
+    for g, key, offset in divisor:
+        need = g.power
+        while need:
+            # the nearest partner (the first of equally near ones) keeps the affine product short
+            e = min((e for e in partners[key] if e[2]), key=lambda e: abs(e[0] - offset))
+            take = min(need, e[2])
+            e[2] -= take
+            need -= take
+            slots[e[1]] += [q if take == 1 else q.raised(take) for q in _gamma_quotient(g, e[0] - offset)]
+    for pool in partners.values():
+        for _, i, left in pool:
+            f = factors[i]
+            slots[i].append(f if left == f.power else f.remade(f.alpha, f.beta, left))
+    quotient = tuple(x for f, s in zip(factors, slots) for x in (s or (f,))) + inverses
     return ZetaTerm(
-        MeroFactorProduct(t.coeff.prefactor, _one_per_key(tuple(x for s in slots for x in s) + tuple(extra))),
-        _merge_tlin(t.t_lin, inverse_t_lin),
-        t.t_const, t.t_log, t.phase,
+        MeroFactorProduct(t.coeff.prefactor, quotient),
+        _merge_tlin(t.t_lin, inverse_t_lin), t.t_const, t.t_log, t.phase,
     )
 
 
@@ -432,48 +389,33 @@ def divide_by_reference(
 ) -> tuple[ZetaTermSum, ZetaTermSum, dict[str, int]]:
     """Divide every term of n and d by one divisor g taken from d's first term.
 
-    g holds the first denominator term's half-turn phases, its ``const_pow``
-    factors, its ``T^(a.z)`` exponent and each of its Gammas that has, in
-    every term of n and d, a partner Gamma of the same regulator and slope at
-    an integer offset.  Paired Gammas become affine factors, paired phases
-    and powers of the same base subtract their exponents, unpaired ones are
-    multiplied in inverted, and what a term is left with of one regulator's
-    phases or one base's powers is one factor (``_one_per_key``).
-    Prefactors, constant ``T`` powers, ``ln T`` powers and oscillating
-    phases are left alone, so the quotient n/d and the prefactors its limit
-    is read from do not change.  Returns the divided sums and g's order at 0
-    in each regulator.
+    g holds that term's phases, ``const_pow`` factors and ``T^(a.z)`` exponent,
+    multiplied in inverted (each product's canonical form folds them into the
+    term's own), and as much of each of its Gammas as every term of n and d has
+    partners for: Gammas of one ``_pair_key``, which subtract multiplicities and
+    leave affine factors in the partner's place.  Prefactors, constant ``T`` and
+    ``ln T`` powers and oscillating phases are left alone, so the quotient n/d
+    and the prefactors its limit is read from do not change.  Returns the
+    divided sums and g's order at 0 in each regulator.
     """
-    r = d.terms[0]
+    r = d.terms[0].coeff.factors
     partners = [_partners(t.coeff.factors) for t in n.terms + d.terms]
-    divisor = []
-    taken: Counter = Counter()
-    orders: dict[str, int] = {}
-    for f in r.coeff.factors:
-        keyed = _pair_key(f)
-        if keyed is None:
-            continue
-        key, offset = keyed
-        inverse = None
-        if f.kind is FactorKind.GAMMA:
-            if any(key not in p or len(p[key][0]) <= taken[key] for p in partners):
-                continue
-            taken[key] += 1
-            orders[f.regulator] = orders.get(f.regulator, 0) - f.pole_order()
-        else:  # built once here, used by every term in which f has no partner
-            alpha, beta = rational.neg(f.alpha), rational.neg(f.beta)
-            inverse = PrimitiveFactor(f.kind, alpha, beta, f.power, f.base, f.regulator)
-        divisor.append((f, key, offset, inverse))
-    if not divisor and not r.t_lin:
-        return n, d, {}
-    inverse_t_lin = tuple((reg, rational.neg(a)) for reg, a in r.t_lin)
-    divided = [_divide_term(t, p, divisor, inverse_t_lin) for t, p in zip(n.terms + d.terms, partners)]
+    divisor, orders = [], {}
+    for key, gammas in _partners(r).items():
+        left = min(sum(e[2] for e in p.get(key, ())) for p in partners)
+        for offset, i, power in gammas:
+            if left:
+                g = r[i].remade(r[i].alpha, r[i].beta, min(power, left))
+                left -= g.power
+                orders[g.regulator] = orders.get(g.regulator, 0) - g.pole_order()
+                divisor.append((g, key, offset))
+    inverses = tuple(f.raised(-1) for f in r if f.kind in EXPONENT_KINDS)
+    inverse_t_lin = tuple((reg, rational.neg(a)) for reg, a in d.terms[0].t_lin)
+    divided = [_divide_term(t, p, divisor, inverses, inverse_t_lin)
+               for t, p in zip(n.terms + d.terms, partners)]
     k = len(n.terms)
-    return (
-        ZetaTermSum(divided[:k], n.regulators, n.t_symbol),
-        ZetaTermSum(divided[k:], d.regulators, d.t_symbol),
-        orders,
-    )
+    n_div = ZetaTermSum(divided[:k], n.regulators, n.t_symbol)
+    return n_div, ZetaTermSum(divided[k:], d.regulators, d.t_symbol), orders
 
 
 def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
@@ -511,7 +453,7 @@ def ratio_limit(
 
     Both sums are first divided by one reference divisor g from the first
     denominator term (``divide_by_reference``): Gamma pairs with integer shifts become affine
-    factors and phase and ``const_pow`` pairs become constants, so the
+    factors and g's phases and powers fold into each term's own, so the
     expansions carry few factors and almost no formal logarithms.  For each
     regulator (declared order) the joint Laurent expansions of numerator and
     denominator are compared: equal lead orders keep the lead coefficients,

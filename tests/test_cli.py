@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import subprocess
@@ -371,12 +372,17 @@ def assert_input_error(code, err, fragment):
          "--param J must not be zero (J is declared positive), got 0"),
         (["harmonic_oscillator_1d", "--numeric", "--param", "omega=0"],
          "--param omega must not be zero"),
+        # pi is a constant, not a parameter: binding it would print 1/(4*9) for 1/(4*pi^2)
+        (["topological_oscillator", "--numeric", "--param", "pi=3"],
+         "--param pi: topological_oscillator declares no such parameter (declared: J)"),
+        (["harmonic_oscillator_1d", "--param", "omgea=2"],
+         "--param omgea: harmonic_oscillator_1d declares no such parameter (declared: m, hbar, omega)"),
     ],
     ids=[
         "series-order-1", "dim-without-n", "dim-0", "dim-65", "dim-2000", "series-order-257",
         "series-order-20000", "dirac-dim-4", "param-not-a-number",
         "param-without-value", "param-nan", "param-infinite", "param-negative",
-        "param-negative-potential", "param-zero", "param-zero-omega",
+        "param-negative-potential", "param-zero", "param-zero-omega", "param-pi", "param-misspelt",
     ],
 )
 def test_run_bad_flag_value_exits_two(capsys, argv, fragment):
@@ -587,13 +593,27 @@ def test_run_prints_a_divergent_result_and_exits_one(capsys, divergent_inverse_m
 
 
 def test_a_closed_stdout_ends_without_a_traceback():
-    # about 200 KB of trace, more than a pipe holds: the write after the close fails
+    # about 38 KB of trace through a pipe that holds one 4 KB page: the write after the close fails
     src = Path(__file__).resolve().parent.parent / "src"
-    with subprocess.Popen(
-        [sys.executable, "-m", "zetatrace.cli", "run", "harmonic_oscillator_nd", "--dim", "24", "--trace"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with os.fdopen(read_end, "rb") as out, subprocess.Popen(
+        [sys.executable, "-m", "zetatrace.cli", "run", "harmonic_oscillator_nd", "--dim", "64", "--trace"],
+        stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
     ) as proc:
-        assert proc.stdout.readline()
-        proc.stdout.close()
+        os.close(write_end)
+        assert out.readline()
+        out.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_the_dim_64_trace_prints_repeated_factors_as_powers(capsys):
+    # the 64 axes' repeated factors print as powers: each term shows one Gamma,
+    # one phase and one power per regulator
+    code, out, _ = run_cli(capsys, "run", "harmonic_oscillator_nd", "--dim", "64", "--trace")
+    assert code == 0
+    assert len(out.encode()) < 40_000  # 38,536 bytes when written
+    denominator = next(line for line in out.splitlines() if "| denominator = " in line)
+    assert "Gamma(1/128*z1+1/2)^64 * e^(i*pi*(-1/4*z1-16)) * (1/2*hbar*m^-1)^(-1/2*z1-32)" in denominator
+    assert denominator.count("Gamma(") == 2

@@ -527,9 +527,9 @@ def test_each_distinct_row_is_built_once_per_derivation(monkeypatch):
     model = harmonic_oscillator_nd(6)
     num, den, _ = build_trace_sums(model, model.observables["H"], PAPER)
     assert len(built) == 4
-    # shared by reference: every factor comes from one of the 4 rows
-    row_factors = {id(f) for row in built for f in row.coeff.factors}
-    assert all(id(f) in row_factors for t in num.terms + den.terms for f in t.coeff.factors)
+    # every factor is a product of the 4 rows' factors of one key
+    row_keys = {f.fold_key for row in built for f in row.coeff.factors}
+    assert all(f.fold_key in row_keys for t in num.terms + den.terms for f in t.coeff.factors)
 
 
 def test_two_derivations_share_no_rows(monkeypatch):

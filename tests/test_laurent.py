@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from zetatrace.errors import DivergentLimit, NumericOverflow, ZeroOverZeroUnresolved
 from zetatrace.laurent import (
+    EXPONENT_KINDS,
     FactorKind,
     LaurentSeries,
     MeroFactorProduct,
@@ -225,6 +227,58 @@ prefactors = st.lists(monomials, min_size=1, max_size=3).map(lambda ms: sum(ms, 
 def test_expand_product_is_the_param_poly_fold_bit_for_bit(head, tail, prefactor, order):
     p = MeroFactorProduct(prefactor, tuple(head + tail))
     assert exact(expand_product(p, order)) == exact(folded_product(p, order))
+
+
+def raw_fold(factors, order):
+    """The series of the factors as listed, repeats and split phases included."""
+    series = LaurentSeries(0, [ParamPoly.one()] + [ParamPoly.zero()] * order)
+    for f in factors:
+        series = series.mul(expand_factor(f, order), ParamPoly.zero())
+    return series
+
+
+# a few distinct factors, drawn with repetition, so that keys repeat
+repeated_factors = st.lists(any_factors, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=100)
+@given(repeated_factors, slopes, slopes, st.integers(2, 8), st.data())
+def test_a_product_is_canonical_however_its_factors_are_listed(factors, a, b, order, data):
+    p = MeroFactorProduct(ParamPoly.one(), tuple(factors))
+    keys = [f.fold_key for f in p.factors]
+    assert len(set(keys)) == len(keys)
+    assert keys == [k for k in dict.fromkeys(f.fold_key for f in factors) if k in keys]  # first occurrence
+    for f in p.factors:
+        assert (f.alpha, f.beta) != (rational.ZERO, rational.ZERO) if f.kind in EXPONENT_KINDS else f.power
+    # shuffled, each phase and power split into two whose exponents sum to its own
+    split = [
+        g for f in factors for g in (
+            [replace(f, alpha=rational.sub(f.alpha, a), beta=rational.sub(f.beta, b)), replace(f, alpha=a, beta=b)]
+            if f.kind in EXPONENT_KINDS else [f]
+        )
+    ]
+    q = MeroFactorProduct(ParamPoly.number(2.0), tuple(data.draw(st.permutations(split))))
+    assert ZetaTerm(p).structure_key() == ZetaTerm(q).structure_key()
+    (merged,) = ZetaTermSum([ZetaTerm(p), ZetaTerm(q)]).merged().terms
+    assert merged.coeff.prefactor.terms == {(): 3.0}
+    got, want = expand_product(p, order), raw_fold(factors, order)
+    assert (got.lead, len(got.coeffs)) == (want.lead, len(want.coeffs))
+    bindings = {"J": 1.3, "m": 0.7}
+    xs, ys = ([c.eval(bindings) for c in s.coeffs] for s in (got, want))
+    scale = max(1.0, *map(abs, ys))
+    assert all(abs(x - y) <= 1e-12 * scale for x, y in zip(xs, ys)), (xs, ys)
+
+
+def test_a_repeated_gamma_is_one_factor_with_its_power():
+    g = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1))  # Gamma(z-1): residue -1 at z = 0
+    p = MeroFactorProduct(ParamPoly.one(), (g, g, g))
+    assert p.factors == (g.raised(3),) and p.render() == "1 * Gamma(z-1)^3"
+    assert p.factors[0].pole_order() == 3
+    series = expand_product(p, order=2)
+    assert series.lead == -3
+    assert c(series, -3) == pytest.approx(-1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("factor", FACTORS)

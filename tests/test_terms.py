@@ -479,19 +479,24 @@ def gamma_quotient(b, r):
 
 @given(st.data())
 def test_division_pairs_each_divisor_gamma_with_the_first_nearest_partner(data):
-    """Exact offsets and the nearest-offset fallback pick what a plain nearest-first scan picks."""
+    """Exact offsets and the nearest-offset fallback pick what a plain nearest-first scan
+    over the copies of each Gamma, in the products' canonical order, picks."""
     offsets = data.draw(st.lists(st.integers(-2, 4), min_size=1, max_size=5))
     refs = data.draw(st.lists(st.integers(-2, 4), min_size=1, max_size=len(offsets)))
     g = lambda b: PrimitiveFactor(FactorKind.GAMMA, (1, 1), (b, 1))
-    num = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), tuple(g(b) for b in offsets)))])
-    den = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), tuple(g(r) for r in refs)))])
-    n_div, d_div, _ = divide_by_reference(num, den)
-    free, slots = list(enumerate(offsets)), [[g(b)] for b in offsets]
-    for r in refs:
+    num_product = MeroFactorProduct(ParamPoly.one(), tuple(g(b) for b in offsets))
+    den_product = MeroFactorProduct(ParamPoly.one(), tuple(g(r) for r in refs))
+    n_div, d_div, _ = divide_by_reference(osc_sum([ZetaTerm(num_product)]), osc_sum([ZetaTerm(den_product)]))
+    copies = lambda p: [f.beta[0] for f in p.factors for _ in range(f.power)]
+    free = list(enumerate(copies(num_product)))
+    slots = [[g(b)] for _, b in free]
+    for r in copies(den_product):
         k = min(range(len(free)), key=lambda k: abs(free[k][1] - r))
         i, b = free.pop(k)
         slots[i] = gamma_quotient(b, r)
-    assert n_div.terms[0].coeff.factors == tuple(x for slot in slots for x in slot)
+    assert n_div.terms[0].coeff.factors == MeroFactorProduct(
+        ParamPoly.one(), tuple(x for slot in slots for x in slot)
+    ).factors
     assert d_div.terms[0].coeff.factors == ()
 
 
@@ -568,7 +573,7 @@ def test_merged_keys_factors_as_a_multiset():
         ZetaTerm(MeroFactorProduct(ParamPoly.number(4.0), (g, e, e))),
     ])
     merged = s.merged().terms
-    assert [t.coeff.factors for t in merged] == [(g, e, g), (g, e, e)]
+    assert [t.coeff.factors for t in merged] == [(g.raised(2), e), (g, e.raised(2))]
     assert [t.coeff.prefactor.terms for t in merged] == [{(): 3.0}, {(): 4.0}]
 
 
