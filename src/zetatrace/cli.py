@@ -76,7 +76,7 @@ def _evaluate(poly: ParamPoly, bindings) -> complex:
 
 
 def _fmt_number(x: complex) -> str:
-    if abs(x.imag) <= 1e-12 * max(1.0, abs(x.real)):
+    if abs(x.imag) <= 1e-12 * abs(x):  # round-off on a real value, at any magnitude
         return f"{x.real:.12g}"
     return f"{x.real:.12g}{x.imag:+.12g}i"
 

@@ -22,7 +22,6 @@ from .errors import (
     DivergentLimit,
     LogOfNonmonomial,
     NumericOverflow,
-    UncoveredAxis,
     UnsolvablePotential,
     UnsupportedStructure,
     ZeroQuadraticCoefficient,
@@ -31,7 +30,6 @@ from .laurent import DEFAULT_ORDER, MeroFactorProduct
 from .params import Param, ParamPoly, _fraction
 from .rational import Q
 from .symbols import (
-    Axis,
     AxisPoly,
     IntegrandPiece,
     InvolutionEvolution,
@@ -77,12 +75,11 @@ class GaugeGroup:
 
 @dataclass
 class ModelSpec:
-    """Declarative model: axes, gauge grouping, Hamiltonian symbol, observables."""
+    """Declarative model: gauge groups (which name its axes), Hamiltonian symbol, observables."""
 
     name: str
     description: str
     params: tuple[Param, ...]
-    axes: tuple[Axis, ...]
     groups: tuple[GaugeGroup, ...]
     hamiltonian: AxisPoly | MatrixSymbol
     observables: dict[str, AxisPoly | MatrixSymbol]
@@ -122,10 +119,6 @@ class GaugePlan:
 
 def apply_gauge(model: ModelSpec) -> GaugePlan:
     """Insert the gauge family: product gauge on separable groups, ||.||^z on radial ones."""
-    grouped = {a for g in model.groups for a in g.axes}
-    for ax in model.axes:
-        if ax.name not in grouped:
-            raise UncoveredAxis(f"axis {ax.name} belongs to no gauge group")
     shares: dict[str, tuple[str, Fraction]] = {}
     for g in model.groups:
         if g.reduction == "separable" or len(g.axes) == 1:
@@ -178,9 +171,7 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
             osc_symbol=sym,
         )
         return phase, evo
-    symbols = sorted(
-        {a.name for a in model.axes} | {g.radius_symbol() for g in model.groups}
-    )
+    symbols = sorted({s for g in model.groups for s in (*g.axes, g.radius_symbol())})
     decomp = decompose_phase(model.hamiltonian, symbols)
     phase = ReducedPhase(
         g2={k: v * hbar_inv for k, v in decomp.h2.items()},
@@ -313,19 +304,30 @@ def reduced_integrals(
     evaluates each integral once.  A symbol with no alternatives (odd degree
     under a Gaussian, zero sphere moment) makes its item vanish.  Every
     structural check of the reduction runs here, as the iterator reaches
-    the symbol.  Within one call each symbol's alternatives are computed
-    once and then shared (the same list object) by every item with the same
-    key: the symbol, its degree and the piece's oscillation sign, plus the
-    direction degrees for a radial group.  A check that raises stores
-    nothing, so it raises again, with the same message, at every item that
-    reaches it.  ``reduce_pieces`` maps the integrals to table rows; the
+    the symbol; an amplitude symbol outside every group is rejected before
+    its monomial yields anything.  Within one call each symbol's
+    alternatives are computed once and then shared (the same list object)
+    by every item with the same key: the symbol, its degree and the piece's
+    oscillation sign, plus the direction degrees for a radial group.  A
+    check that raises stores nothing, so it raises again, with the same
+    message, at every item that reaches it.  ``reduce_pieces`` maps the integrals to table rows; the
     oracle walks it once per side and cross-check (``oracle._build_quotient``)
     and maps the integrals to quadratures at each z sample.
     """
+    # the symbols the groups integrate: separable axes, radial radii and directions
+    grouped: set[str] = set()
+    for g in model.groups:
+        radial = g.reduction == "radial" and len(g.axes) > 1
+        grouped |= {g.radius_symbol(), *(f"{a}^" for a in g.axes)} if radial else set(g.axes)
     memo: dict[tuple, Alternatives] = {}
     for piece in pieces:
         for mono_key, coeff in piece.amp.monomials():
             degrees = dict(mono_key)
+            leftovers = degrees.keys() - grouped
+            if leftovers:
+                raise UnsupportedStructure(
+                    f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
+                )
             for t_power, poly in coeff.by_power(T).items():
                 yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, plan, memo)
 
@@ -345,13 +347,11 @@ def _symbol_alternatives(
             g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
         return g2, g1
 
-    consumed: set[str] = set()
     for group in model.groups:
         dim = len(group.axes)
         if group.reduction == "radial" and dim > 1:
             rsym = group.radius_symbol()
             hats = [f"{a}^" for a in group.axes]
-            consumed |= {rsym, *hats}
             hat_degrees = tuple(degrees.get(h, 0) for h in hats)
             d = degrees.get(rsym, 0)
             key = (rsym, d, piece.osc_sign, hat_degrees)
@@ -369,7 +369,6 @@ def _symbol_alternatives(
             continue
         # separable: axis by axis on the full line
         for a in group.axes:
-            consumed.add(a)
             d = degrees.get(a, 0)
             key = (a, d, piece.osc_sign)
             alternatives = memo.get(key)
@@ -379,11 +378,6 @@ def _symbol_alternatives(
                 alternatives = _axis_alternatives(q, d, *phase_of(a))
                 memo[key] = alternatives
             yield alternatives
-    leftovers = set(degrees) - consumed
-    if leftovers:
-        raise UnsupportedStructure(
-            f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
-        )
 
 
 def reduce_pieces(
@@ -499,8 +493,6 @@ class ExpectationResult:
     observable: str
     value: ParamPoly | Divergent
     finite_t: TAsymptote | None
-    branch: str
-    series_order: int
     steps: list[Step] = field(default_factory=list)
 
     @property
@@ -550,7 +542,7 @@ def expectation(
     except DivergentLimit as exc:
         return ExpectationResult(
             model.name, observable_name, Divergent(str(exc)), None,
-            policy.mode, series_order, steps + [f"limit: divergent ({exc})"],
+            steps + [f"limit: divergent ({exc})"],
         )
     value = thermal_limit(finite_t)
     steps.append(
@@ -560,9 +552,7 @@ def expectation(
         lambda: "thermal limit: "
         + (value.render() if isinstance(value, ParamPoly) else repr(value))
     )
-    return ExpectationResult(
-        model.name, observable_name, value, finite_t, policy.mode, series_order, steps
-    )
+    return ExpectationResult(model.name, observable_name, value, finite_t, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +564,14 @@ def expectation(
 class KVAmplitudeSpec:
     """Amplitude data for the closed trace-at-zero formula.
 
-    Homogeneous terms (degree, log order, angular part) are supported on
-    ||xi|| >= 1.  An angular part is either a constant ParamPoly (multiplied
-    by the sphere volume; zero diagonal phase) or a callable returning the
-    already-integrated sphere value, which is how a nonzero diagonal phase
-    enters.  The unit-ball and integrable remainders are numeric payloads.
+    Homogeneous terms (degree, log order, angular part) supported on
+    ||xi|| >= 1.  An angular part is a constant ParamPoly, multiplied by the
+    sphere volume.
     """
 
     dimension: int
-    terms: tuple[tuple[Fraction, int, ParamPoly | Callable[[], complex]], ...] = ()
+    terms: tuple[tuple[Fraction, int, ParamPoly], ...] = ()
     vol_x: ParamPoly = field(default_factory=ParamPoly.one)
-    ball_payload: Callable[[], complex] | None = None
-    integrable_payload: Callable[[], complex] | None = None
 
     def __post_init__(self):
         for d, l, _ in self.terms:
@@ -594,11 +580,11 @@ class KVAmplitudeSpec:
 
 
 def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
-    """Sum of the three trace-at-zero contributions.
+    """Sum of the homogeneous terms' trace-at-zero contributions.
 
-    The homogeneous part contributes
-    (-1)^(l+1) l! * vol(X) * int_sphere(angular) / (N + d)^(l+1)
-    per term; degrees d = -N are critical and rejected.  A factor
+    Each term contributes
+    (-1)^(l+1) l! * vol(X) * int_sphere(angular) / (N + d)^(l+1);
+    degrees d = -N are critical and rejected.  A factor
     l!/(N + d)^(l+1) that leaves the float range is a ``NumericOverflow``,
     and so is a term with nonzero volume and angular part whose contribution
     rounds to 0 (a product of nonzero polynomials is never exactly 0).
@@ -606,18 +592,11 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
     """
     n = spec.dimension
     total = ParamPoly.zero()
-    if spec.ball_payload is not None:
-        total = total + ParamPoly.number(complex(spec.ball_payload()))
-    if spec.integrable_payload is not None:
-        total = total + ParamPoly.number(complex(spec.integrable_payload()))
     for i, (d, l, angular) in enumerate(spec.terms, start=1):
         d = _fraction(d)
         if d == -n:
             raise CriticalDegree(f"degree {d} is critical in dimension {n}")
-        if callable(angular):
-            sphere = ParamPoly.number(complex(angular()))
-        else:
-            sphere = angular * angular_moment((), n)
+        sphere = angular * angular_moment((), n)
         try:
             if l > 170:  # 171! is past the float range, and a far larger l! is slow to form
                 raise OverflowError

@@ -62,10 +62,6 @@ class ShapeMismatch(ZetatraceError):
     """Observable and evolution symbols have incompatible shapes."""
 
 
-class UncoveredAxis(ZetatraceError):
-    """A non-compact axis is missing from the gauge grouping."""
-
-
 class UnsupportedAngular(ZetatraceError):
     """Angular part is not polynomial in the direction components."""
 

@@ -21,7 +21,7 @@ from typing import Iterator
 from .engine import GaugeGroup, ModelSpec, _build_phase, apply_gauge, reduced_integrals
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
 from .params import Param, ParamPoly
-from .symbols import Axis, AxisPoly, T, compose_observable, t_free
+from .symbols import AxisPoly, T, compose_observable, t_free
 
 AXIS_KINDS = ("position", "momentum", "field")
 
@@ -415,15 +415,13 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
     params = tuple(Param(n, default=v) for n, v in parsed.params)
     pnames = parsed.param_names()
     anames = parsed.axis_names()
-    axes = []
-    group_members: dict[str, list[str]] = {}
-    for name, kind, group in parsed.axes:
-        gid = group or f"g_{name}"
-        axes.append(Axis(name, kind, gid))
-        group_members.setdefault(gid, []).append(name)
+    # an ungrouped axis is keyed apart from every named group: its own regulator
+    members: dict[tuple[bool, str], list[str]] = {}
+    for name, _, group in parsed.axes:
+        members.setdefault((group is None, group or name), []).append(name)
     groups = tuple(
-        GaugeGroup(gid, tuple(members), f"z{i + 1}")
-        for i, (gid, members) in enumerate(group_members.items())
+        GaugeGroup(label, tuple(axes), f"z{i + 1}")
+        for i, ((_, label), axes) in enumerate(members.items())
     )
     phase = lower_ast(parsed.phase_ast, anames, pnames)
     observable = lower_ast(parsed.observable_ast, anames, pnames)
@@ -435,7 +433,6 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
         name=parsed.name,
         description="custom model",
         params=params,
-        axes=tuple(axes),
         groups=groups,
         hamiltonian=phase,
         observables={"observable": observable},

@@ -25,7 +25,7 @@ from .engine import (
 from .errors import UnknownModel, ValidationError
 from .laurent import DEFAULT_ORDER
 from .params import Param, ParamPoly
-from .symbols import Axis, AxisPoly, MatrixSymbol
+from .symbols import AxisPoly, MatrixSymbol
 from .tables import PAPER, BranchPolicy
 from .terms import Divergent
 
@@ -46,7 +46,6 @@ def harmonic_oscillator_1d() -> ModelSpec:
         name="harmonic_oscillator_1d",
         description="1D harmonic oscillator; ground state energy",
         params=(m, hbar, omega),
-        axes=(Axis("x", "position", "gx"), Axis("xi", "momentum", "gxi")),
         groups=(
             GaugeGroup("gxi", ("xi",), "z1"),
             GaugeGroup("gx", ("x",), "z2"),
@@ -78,15 +77,10 @@ def harmonic_oscillator_nd(n: int = 3, per_axis: bool = False) -> ModelSpec:
             GaugeGroup("gxi", tuple(xi_axes), "z1"),
             GaugeGroup("gx", tuple(x_axes), "z2"),
         )
-    axes = tuple(
-        [Axis(a, "momentum", "gxi") for a in xi_axes]
-        + [Axis(a, "position", "gx") for a in x_axes]
-    )
     return ModelSpec(
         name="harmonic_oscillator_nd",
         description=f"{n}D harmonic oscillator with grouped gauge",
         params=(m, hbar, omega),
-        axes=axes,
         groups=groups,
         hamiltonian=h,
         observables={"H": h},
@@ -105,7 +99,6 @@ def topological_oscillator() -> ModelSpec:
         name="topological_oscillator",
         description="quantum rotor; topological susceptibility and energy gap",
         params=(j,),
-        axes=(Axis("xi", "momentum", "g"),),
         groups=(GaugeGroup("g", ("xi",), "z"),),
         hamiltonian=h,
         observables={"chi_top": charge_sq},
@@ -150,7 +143,6 @@ def schwinger_free() -> ModelSpec:
         name="schwinger_free",
         description="free massive fermion on a 2D space-time torus; rest energy",
         params=(m, vol),
-        axes=(Axis("xi", "momentum", "g"),),
         groups=(GaugeGroup("g", ("xi",), "z"),),
         hamiltonian=ham,
         observables={"H_m": ham},
@@ -161,15 +153,13 @@ def schwinger_free() -> ModelSpec:
 
 def dirac_fermion(n: int = 3) -> ModelSpec:
     m = Param("m", default=1.0)
-    axes = tuple(Axis(f"xi{j}", "momentum", "g") for j in range(1, n + 1))
-    group = GaugeGroup("g", tuple(a.name for a in axes), "z",
+    group = GaugeGroup("g", tuple(f"xi{j}" for j in range(1, n + 1)), "z",
                        reduction="radial" if n > 1 else "separable")
     ham = _dirac_symbol(n, group.radius_symbol())
     return ModelSpec(
         name="dirac_fermion",
         description=f"free relativistic fermion in {n} spatial dimensions; rest energy",
         params=(m,),
-        axes=axes,
         groups=(group,),
         hamiltonian=ham,
         observables={"H_m": ham},
@@ -185,7 +175,6 @@ def schwinger_boson_mass() -> ModelSpec:
         name="schwinger_boson_mass",
         description="interacting 2D gauge theory; squared gauge boson mass",
         params=(e, m),
-        axes=(Axis("E", "field", "g"),),
         groups=(GaugeGroup("g", ("E",), "z"),),
         hamiltonian=h,
         observables={"m_g^2": obs},
@@ -206,7 +195,6 @@ def phi4() -> ModelSpec:
         name="phi4",
         description="quartic scalar theory at constant field; vacua and field mass",
         params=(mu, lam, phi),
-        axes=(Axis("p", "momentum", "g"),),
         groups=(GaugeGroup("g", ("p",), "z"),),
         hamiltonian=h,
         observables={},
@@ -258,8 +246,11 @@ class ModelRun:
     model: ModelSpec
     results: dict[str, ExpectationResult]
     potential: PotentialResult | None
-    passed: bool
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def build_model(name: str, **overrides) -> ModelSpec:
@@ -318,7 +309,7 @@ def run_model(
             value = got.get(key)
             if value is None or not _matches(value, expected, model.params):
                 failures.append(f"{key}: expected {expected.render()}")
-        return ModelRun(model, {}, pot, not failures, failures)
+        return ModelRun(model, {}, pot, failures)
 
     results: dict[str, ExpectationResult] = {}
     for obs in model.observables:
@@ -327,7 +318,7 @@ def run_model(
         src = results[source]
         value = src.value if isinstance(src.value, Divergent) else src.value * multiplier
         results[derived_name] = ExpectationResult(
-            model.name, derived_name, value, None, src.branch, src.series_order,
+            model.name, derived_name, value, None,
             [f"derived: ({multiplier.render()}) * <{source}>"],
         )
     for obs, expected in model.expected.items():
@@ -337,7 +328,7 @@ def run_model(
         if not _matches(res.value, expected, model.params):
             got = res.value.render() if isinstance(res.value, ParamPoly) else repr(res.value)
             failures.append(f"{obs}: expected {expected.render()}, got {got}")
-    return ModelRun(model, results, None, not failures, failures)
+    return ModelRun(model, results, None, failures)
 
 
 def list_models(registry: Mapping[str, RegistryEntry] | None = None) -> list[tuple[str, str, str]]:

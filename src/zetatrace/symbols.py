@@ -27,15 +27,6 @@ from .errors import (
 from .params import ParamPoly
 
 
-@dataclass(frozen=True)
-class Axis:
-    """A gauged integration axis."""
-
-    name: str
-    kind: str = "momentum"  # position | momentum | field
-    group: str | None = None
-
-
 #: the time-volume symbol, a parameter of every amplitude coefficient
 T = "T"
 
@@ -240,55 +231,30 @@ def decompose_phase(h: AxisPoly, axes: Sequence[str]) -> PhaseDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def series_pow(coeffs: Sequence, n: int, order: int):
+def series_pow(coeffs: Sequence, n: int, order: int) -> list:
     """Coefficients of (sum_k a_k X^k)^n to X^order via the product recursion.
 
     c_0 = a_0^n and m a_0 c_m = sum_{k=1..m} (k n - m + k) a_k c_{m-k}.
-    Works over any field-like coefficients (Fraction, float, complex).
+    Works over numbers (Fraction, float, complex).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not coeffs:
         return []
     if n == 0:
-        one = coeffs[0] ** 0 if not isinstance(coeffs[0], (int, float, complex)) else 1
-        return [one] + [0 * coeffs[0]] * order
+        return [1] + [0] * order
     # factor out the lowest nonzero power so a_0 != 0
-    lead = 0
-    while lead < len(coeffs) and _is_zero_like(coeffs[lead]):
-        lead += 1
-    if lead == len(coeffs):
-        return [0 * coeffs[0]] * (order + 1)
-    shifted = list(coeffs[lead:])
+    lead = next((i for i, a in enumerate(coeffs) if a != 0), None)
+    if lead is None:
+        return [0] * (order + 1)
+    shifted = coeffs[lead:]
     a0 = shifted[0]
-    out = [None] * (order + 1)
-    out[0] = a0 ** n
+    out = [a0**n]
     for m in range(1, order + 1):
-        acc = None
-        for k in range(1, m + 1):
-            ak = shifted[k] if k < len(shifted) else 0 * a0
-            if _is_zero_like(ak):
-                continue
-            piece = (k * n - m + k) * ak * out[m - k]
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            out[m] = 0 * a0
-        else:
-            out[m] = acc / (m * a0) if not hasattr(acc, "divide") else acc.divide(
-                a0.scale(m)
-            )
-    shift = lead * n
-    result = [0 * a0] * (order + 1)
-    for i, c in enumerate(out):
-        if shift + i <= order:
-            result[shift + i] = c
-    return result
-
-
-def _is_zero_like(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
+        top = min(m, len(shifted) - 1)
+        acc = sum((k * n - m + k) * shifted[k] * out[m - k] for k in range(1, top + 1))
+        out.append(acc / (m * a0))
+    return ([0] * (lead * n) + out)[: order + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from zetatrace.engine import GaugeGroup, ModelSpec
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import Axis, AxisPoly
+from zetatrace.symbols import AxisPoly
 
 settings.register_profile(
     "det",
@@ -38,7 +38,6 @@ def shifted_oscillator():
         name="shifted",
         description="custom model",
         params=(Param("m"), Param("w"), Param("F")),
-        axes=(Axis("xi1", "momentum", "g_xi1"), Axis("x1", "position", "g_x1")),
         groups=(GaugeGroup("g_xi1", ("xi1",), "z1"), GaugeGroup("g_x1", ("x1",), "z2")),
         hamiltonian=h,
         observables={"observable": h},
@@ -56,7 +55,6 @@ def divergent_inverse_momentum():
         name="divergent",
         description="custom model",
         params=(Param("c"),),
-        axes=(Axis("xi", "momentum", "g_xi"),),
         groups=(GaugeGroup("g_xi", ("xi",), "z"),),
         hamiltonian=AxisPoly.symbol("xi", 1, ParamPoly.var("c")),
         observables={"observable": AxisPoly.symbol("xi", -1)},

@@ -224,6 +224,47 @@ def test_model_file_with_a_negative_quadratic_phase_exits_two(tmp_path, capsys):
     assert err == "error: quadratic phase coefficient must be positive\n"
 
 
+OSCILLATOR_PHASE = "xi^2/(2*m) + m*w^2*x^2/2 + w/2"
+
+
+def test_model_numeric_keeps_an_imaginary_part_below_one(tmp_path, capsys):
+    # <i H> = (1/2i)·w is 5e-21i at w = 1e-20: small, but all of the value
+    path = tmp_path / "osc.zt"
+    path.write_text(
+        "[params]\nm = positive\nw = positive\n[axes]\nx = position\nxi = momentum\n"
+        f"[phase]\n{OSCILLATOR_PHASE}\n[observable]\ni*({OSCILLATOR_PHASE})\n"
+    )
+    argv = ("model", str(path), "--param", "w=1e-20", "--param", "m=1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == "  numeric: 0+5e-21i"
+    code, out, _ = run_cli(capsys, *argv, "--emit", "json")
+    assert code == 0
+    assert json.loads(out)["numeric_value"] == "0+5e-21i"
+
+
+def test_numeric_round_off_on_a_real_value_prints_as_real():
+    from zetatrace.cli import _fmt_number
+
+    assert _fmt_number(complex(0.5, 1e-17)) == "0.5"
+    assert _fmt_number(complex(1e-20, 1e-33)) == "1e-20"
+    assert _fmt_number(complex(0, 0)) == "0"
+
+
+def test_an_ungrouped_axis_gets_its_own_regulator(tmp_path, capsys):
+    # xi names the group g_x; the ungrouped x must not join it
+    path = tmp_path / "osc.zt"
+    path.write_text(
+        "[params]\nm = positive\nw = positive\n[axes]\nxi = momentum, g_x\nx = position\n"
+        f"[phase]\n{OSCILLATOR_PHASE}\n[observable]\n{OSCILLATOR_PHASE}\n"
+    )
+    code, out, _ = run_cli(capsys, "model", str(path), "--trace")
+    assert code == 0
+    assert [line for line in out.splitlines() if "gauge:" in line] == [
+        "  | gauge: |x|^(1*z2) |xi|^(1*z1)"
+    ]
+
+
 def test_model_file_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.zt"
     path.write_text("[phase]\nxi +* 2\n")

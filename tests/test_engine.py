@@ -21,7 +21,6 @@ from zetatrace.engine import (
 from zetatrace.errors import (
     CriticalDegree,
     GammaPole,
-    UncoveredAxis,
     UnsupportedStructure,
     ZeroQuadraticCoefficient,
 )
@@ -39,7 +38,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import Axis, AxisPoly, PhaseDecomposition, compose_observable
+from zetatrace.symbols import AxisPoly, PhaseDecomposition, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
@@ -73,11 +72,28 @@ def test_gauge_rotor_single_axis():
     assert plan.shares == {"xi": ("z", Fraction(1))}
 
 
-def test_gauge_uncovered_axis_rejected():
+@pytest.fixture
+def no_table_rows(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a table row was built")
+
+    monkeypatch.setattr(engine, "gauss_radial", refuse)
+    monkeypatch.setattr(engine, "osc_linear", refuse)
+
+
+def test_phase_symbol_outside_every_group_rejected(no_table_rows):
     model = topological_oscillator()
     model.groups = ()
-    with pytest.raises(UncoveredAxis):
-        apply_gauge(model)
+    with pytest.raises(UnsupportedStructure, match="phase depends on unknown symbol xi"):
+        expectation(model, "chi_top")
+
+
+def test_amplitude_symbol_outside_every_group_rejected(no_table_rows):
+    model = topological_oscillator()
+    model.observables = {"chi_top": AxisPoly.symbol("xi", 2) * AxisPoly.symbol("y")}
+    with pytest.raises(UnsupportedStructure,
+                       match=r"amplitude symbols outside any gauge group: \['y'\]"):
+        expectation(model, "chi_top")
 
 
 # ---------------------------------------------------------------------------
@@ -309,32 +325,6 @@ def test_kv_trace_critical_degree_rejected():
         kv_trace_at_zero(spec)
 
 
-def test_kv_trace_numeric_payloads_add():
-    spec = KVAmplitudeSpec(
-        dimension=1,
-        terms=((Fraction(-3), 0, ParamPoly.one()),),
-        ball_payload=lambda: 0.25,
-        integrable_payload=lambda: 0.5,
-    )
-    assert kv_trace_at_zero(spec).as_number() == pytest.approx(1.75)
-
-
-def test_kv_trace_callable_angular_for_phased_diagonal():
-    import numpy as np
-
-    # sphere integral of e^(i theta(xi)) with theta = xi_1 on the circle
-    theta = np.linspace(0, 2 * math.pi, 40001)
-    sphere_value = complex(
-        np.trapezoid(np.exp(1j * np.cos(theta)), theta)
-    )
-    spec = KVAmplitudeSpec(
-        dimension=2, terms=((Fraction(-3), 0, lambda: sphere_value),)
-    )
-    got = kv_trace_at_zero(spec).as_number()
-    want = -sphere_value / (2 - 3)
-    assert got == pytest.approx(want, rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # effective potential
 # ---------------------------------------------------------------------------
@@ -366,7 +356,6 @@ def test_free_quadratic_potential():
         name="free_field",
         description="quadratic potential",
         params=(mu, phi),
-        axes=(Axis("p", "momentum", "g"),),
         groups=(GaugeGroup("g", ("p",), "z"),),
         hamiltonian=AxisPoly.symbol("p", 2, ParamPoly.number(0.5))
         + AxisPoly.constant(mono(0.5, phi=2)),

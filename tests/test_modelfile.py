@@ -44,7 +44,7 @@ ROTOR_FILE = textwrap.dedent(
 def test_parse_rotor_file_and_run():
     parsed = parse_model_text(ROTOR_FILE, "rotor")
     spec = to_model_spec(parsed)
-    assert [a.name for a in spec.axes] == ["xi"]
+    assert [g.axes for g in spec.groups] == [("xi",)]
     res = expectation(spec, "observable", PAPER)
     assert res.value == spec.expected["observable"]
     assert res.value == ParamPoly.monomial(0.25, {"pi": -2, "J": -1})
@@ -330,7 +330,7 @@ def test_validation_builds_no_table_rows(monkeypatch):
     monkeypatch.setattr(engine, "gauss_radial", refuse)
     monkeypatch.setattr(engine, "osc_linear", refuse)
     spec = to_model_spec(parse_model_text(ROTOR_FILE, "rotor"))
-    assert [a.name for a in spec.axes] == ["xi"]
+    assert [g.axes for g in spec.groups] == [("xi",)]
 
 
 # ---------------------------------------------------------------------------
