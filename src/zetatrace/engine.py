@@ -67,10 +67,13 @@ class GaugeGroup:
     regulator: str
     reduction: str = "separable"
 
+    @property
+    def radial(self) -> bool:
+        """Reduced through one radius and sphere moments: a radial group of two or more axes."""
+        return self.reduction == "radial" and len(self.axes) > 1
+
     def radius_symbol(self) -> str:
-        if len(self.axes) == 1:
-            return self.axes[0]
-        return f"|{self.name}|"
+        return self.axes[0] if len(self.axes) == 1 else f"|{self.name}|"
 
 
 @dataclass
@@ -90,44 +93,24 @@ class ModelSpec:
     #: ends every numerator and denominator term with them
     tokens: tuple[str, ...] = ()
     t_symbol: str = "T"
-    kind: str = "expectation"  # expectation | potential
-    field_param: str | None = None
+    field_param: str | None = None  # a potential model's constant field; None for expectations
     derived: dict[str, tuple[str, ParamPoly]] = field(default_factory=dict)
     #: derived[name] = (source observable, multiplier): value = multiplier * <source>
 
     def regulators(self) -> tuple[str, ...]:
-        seen = []
-        for g in self.groups:
-            if g.regulator not in seen:
-                seen.append(g.regulator)
-        return tuple(seen)
+        return tuple(dict.fromkeys(g.regulator for g in self.groups))
 
     def default_bindings(self) -> dict[str, float]:
         return {p.name: p.default for p in self.params if p.default is not None}
 
 
-@dataclass
-class GaugePlan:
-    """Gauge exponent inserted per reduced symbol: |u|^(share * z)."""
-
-    shares: dict[str, tuple[str, Fraction]]  # symbol -> (regulator, share)
-
-    def render(self) -> str:
-        parts = [f"|{sym}|^({share}*{reg})" for sym, (reg, share) in sorted(self.shares.items())]
-        return " ".join(parts)
-
-
-def apply_gauge(model: ModelSpec) -> GaugePlan:
-    """Insert the gauge family: product gauge on separable groups, ||.||^z on radial ones."""
-    shares: dict[str, tuple[str, Fraction]] = {}
+def gauge_text(model: ModelSpec) -> str:
+    """The trace's gauge line: |u|^(share*z) by symbol, share 1/N on N separable axes, 1 on a radius."""
+    parts: dict[str, str] = {}
     for g in model.groups:
-        if g.reduction == "separable" or len(g.axes) == 1:
-            share = Fraction(1, len(g.axes))
-            for a in g.axes:
-                shares[a] = (g.regulator, share)
-        else:
-            shares[g.radius_symbol()] = (g.regulator, Fraction(1))
-    return GaugePlan(shares)
+        syms = (g.radius_symbol(),) if g.radial else g.axes
+        parts.update((s, f"|{s}|^({Fraction(1, len(syms))}*{g.regulator})") for s in syms)
+    return " ".join(parts[s] for s in sorted(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +213,8 @@ class ReducedIntegral:
 
 #: one reduced symbol's alternatives as (multiplier, integral) pairs
 Alternatives = list[tuple[ParamPoly, ReducedIntegral]]
+#: one side's reduced integrals, item by item: coefficient, T power, per-symbol alternatives
+Enumeration = Iterator[tuple[ParamPoly, Fraction, Iterator[Alternatives]]]
 
 
 def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
@@ -288,12 +273,23 @@ def _radial_alternatives(
     raise DegenerateCase("radial group carries no phase")
 
 
+def reduced_sides(
+    model: ModelSpec, observables: Sequence[AxisPoly | MatrixSymbol | int]
+) -> tuple[ReducedPhase, list[Enumeration]]:
+    """The reduction's front end: the model's reduced phase and one enumeration per observable.
+
+    The phase split and each observable's composition with the evolution run
+    here, in that order; each ``reduced_integrals`` is lazy and checks as it
+    is walked.  A number stands for itself times the identity.
+    """
+    phase, evo = _build_phase(model)
+    sides = (AxisPoly.number(o) if isinstance(o, int) else o for o in observables)
+    return phase, [reduced_integrals(compose_observable(evo, o), model, phase) for o in sides]
+
+
 def reduced_integrals(
-    pieces: Sequence[IntegrandPiece],
-    model: ModelSpec,
-    phase: ReducedPhase,
-    plan: GaugePlan,
-) -> Iterator[tuple[ParamPoly, Fraction, Iterator[Alternatives]]]:
+    pieces: Sequence[IntegrandPiece], model: ModelSpec, phase: ReducedPhase
+) -> Enumeration:
     """The reduction's only enumeration of closed-form integrals.
 
     Per piece, amplitude monomial and T power this yields the coefficient,
@@ -310,15 +306,15 @@ def reduced_integrals(
     by every item with the same key: the symbol, its degree and the piece's
     oscillation sign, plus the direction degrees for a radial group.  A
     check that raises stores nothing, so it raises again, with the same
-    message, at every item that reaches it.  ``reduce_pieces`` maps the integrals to table rows; the
-    oracle walks it once per side and cross-check (``oracle._build_quotient``)
-    and maps the integrals to quadratures at each z sample.
+    message, at every item that reaches it.  Each group gives its symbols
+    their regulator and share (``gauge_text``).  ``reduce_pieces`` maps the
+    integrals to table rows; the oracle walks it once per side and
+    cross-check (``oracle._build_quotient``) and maps them to quadratures.
     """
     # the symbols the groups integrate: separable axes, radial radii and directions
     grouped: set[str] = set()
     for g in model.groups:
-        radial = g.reduction == "radial" and len(g.axes) > 1
-        grouped |= {g.radius_symbol(), *(f"{a}^" for a in g.axes)} if radial else set(g.axes)
+        grouped |= {g.radius_symbol(), *(f"{a}^" for a in g.axes)} if g.radial else set(g.axes)
     memo: dict[tuple, Alternatives] = {}
     for piece in pieces:
         for mono_key, coeff in piece.amp.monomials():
@@ -329,7 +325,7 @@ def reduced_integrals(
                     f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
                 )
             for t_power, poly in coeff.by_power(T).items():
-                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, plan, memo)
+                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, memo)
 
 
 def _symbol_alternatives(
@@ -337,7 +333,6 @@ def _symbol_alternatives(
     degrees: Mapping[str, int],
     model: ModelSpec,
     phase: ReducedPhase,
-    plan: GaugePlan,
     memo: dict[tuple, Alternatives],
 ) -> Iterator[Alternatives]:
     def phase_of(symbol: str) -> tuple[ParamPoly, ParamPoly]:
@@ -349,7 +344,7 @@ def _symbol_alternatives(
 
     for group in model.groups:
         dim = len(group.axes)
-        if group.reduction == "radial" and dim > 1:
+        if group.radial:
             rsym = group.radius_symbol()
             hats = [f"{a}^" for a in group.axes]
             hat_degrees = tuple(degrees.get(h, 0) for h in hats)
@@ -361,8 +356,7 @@ def _symbol_alternatives(
                 if moment.is_zero():
                     alternatives = []
                 else:
-                    reg, _ = plan.shares[rsym]
-                    q = AffineExp(reg, rational.ONE, (d + dim - 1, 1))
+                    q = AffineExp(group.regulator, rational.ONE, (d + dim - 1, 1))
                     alternatives = _radial_alternatives(q, moment, *phase_of(rsym))
                 memo[key] = alternatives
             yield alternatives
@@ -373,22 +367,20 @@ def _symbol_alternatives(
             key = (a, d, piece.osc_sign)
             alternatives = memo.get(key)
             if alternatives is None:
-                reg, share = plan.shares[a]
-                q = AffineExp(reg, rational.of(share), (d, 1))
+                q = AffineExp(group.regulator, (1, dim), (d, 1))
                 alternatives = _axis_alternatives(q, d, *phase_of(a))
                 memo[key] = alternatives
             yield alternatives
 
 
 def reduce_pieces(
-    pieces: Sequence[IntegrandPiece],
+    items: Enumeration,
     model: ModelSpec,
     phase: ReducedPhase,
-    plan: GaugePlan,
     policy: BranchPolicy,
     rows: dict[tuple, ZetaTerm],
 ) -> ZetaTermSum:
-    """Reduce integrand pieces to the canonical term sum, one term per branch.
+    """Reduce one side's enumeration to the canonical term sum, one term per branch.
 
     ``rows`` holds the table row of each distinct integral, keyed exactly
     (``_table_row``); a row is built on its first use and then shared by
@@ -404,7 +396,7 @@ def reduce_pieces(
     out: list[ZetaTerm] = []
     # alternatives list id -> (the list, which keeps the id from reuse; its scaled rows)
     picks_of: dict[int, tuple[Alternatives, list[ZetaTerm]]] = {}
-    for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan):
+    for poly, t_power, symbols in items:
         branches: list[tuple[ParamPoly, tuple[ZetaTerm, ...]]] = [(poly * model.prefactor, ())]
         for alternatives in symbols:
             if id(alternatives) not in picks_of:
@@ -512,16 +504,13 @@ def build_trace_sums(
     built once per call.  The steps render the gauge and both sums only when
     the trace is read.
     """
-    plan = apply_gauge(model)
-    phase, evo = _build_phase(model)
-    num_pieces = compose_observable(evo, observable)
-    den_pieces = compose_observable(evo, AxisPoly.number(1))
+    phase, (num_items, den_items) = reduced_sides(model, (observable, 1))
     rows: dict[tuple, ZetaTerm] = {}
-    num = reduce_pieces(num_pieces, model, phase, plan, policy, rows)
-    den = reduce_pieces(den_pieces, model, phase, plan, policy, rows)
+    num = reduce_pieces(num_items, model, phase, policy, rows)
+    den = reduce_pieces(den_items, model, phase, policy, rows)
     tokens = sorted(model.tokens)
     steps: list[Step] = [
-        lambda: f"gauge: {plan.render()}",
+        lambda: f"gauge: {gauge_text(model)}",
         f"reduce: numerator {len(num.terms)} terms, denominator {len(den.terms)} terms",
         lambda: f"numerator = {num.render(tokens)}",
         lambda: f"denominator = {den.render(tokens)}",
@@ -643,13 +632,10 @@ def effective_potential(
     monomial times a numeric phase; the logarithm is then taken structurally
     and the non-polynomial remainder vanishes in the volume limit.
     """
-    if model.kind != "potential" or model.field_param is None:
+    if model.field_param is None:
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
-    plan = apply_gauge(model)
-    phase, evo = _build_phase(model)
-    z_sum = reduce_pieces(
-        compose_observable(evo, AxisPoly.number(1)), model, phase, plan, policy, {}
-    )
+    phase, (z_items,) = reduced_sides(model, (1,))
+    z_sum = reduce_pieces(z_items, model, phase, policy, {})
     z0 = value_at_zero(z_sum, series_order)
     if len(z0.terms) != 1:
         raise LogOfNonmonomial("partition function is not a single structured term")
@@ -674,7 +660,7 @@ def effective_potential(
             if all(not mass.almost_equal(m) for m in masses):
                 masses.append(mass)
     steps: list[Step] = [
-        lambda: f"gauge: {plan.render()}",
+        lambda: f"gauge: {gauge_text(model)}",
         lambda: f"partition sum = {z_sum.render(sorted(model.tokens))}",
         lambda: (
             f"V = {pot.render()} + ln({t.coeff.render()} * {model.t_symbol}^{t.t_power}) "

@@ -18,10 +18,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .engine import GaugeGroup, ModelSpec, _build_phase, apply_gauge, reduced_integrals
+from .engine import GaugeGroup, ModelSpec, reduced_sides
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
 from .params import Param, ParamPoly
-from .symbols import AxisPoly, T, compose_observable, t_free
+from .symbols import AxisPoly, T
 
 AXIS_KINDS = ("position", "momentum", "field")
 
@@ -186,8 +186,10 @@ def parse_expression(text: str, line: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1) -> AxisPoly:
-    """Lower one section's expression; a ``ParseError`` past ``LOWERING_BUDGET``."""
+def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1,
+              with_t: bool = True) -> AxisPoly:
+    """Lower one section's expression; a ``ParseError`` past ``LOWERING_BUDGET``, and at
+    ``T`` unless ``with_t``."""
     spent = 0
 
     def product(a: AxisPoly, b: AxisPoly, line: int) -> AxisPoly:
@@ -209,6 +211,8 @@ def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1) 
             if name == "i":
                 return AxisPoly.number(1j)
             if name == "T":
+                if not with_t:
+                    raise ParseError("an expected value cannot depend on T", line)
                 return AxisPoly.constant(ParamPoly.var(T))
             if name in axis_names:
                 return AxisPoly.symbol(name)
@@ -292,12 +296,6 @@ class ParsedModel:
     observable_ast: object = None
     expect_ast: object = None
 
-    def param_names(self) -> set[str]:
-        return {n for n, _ in self.params}
-
-    def axis_names(self) -> set[str]:
-        return {n for n, _, _ in self.axes}
-
 
 def read_text(path) -> str:
     try:
@@ -379,6 +377,9 @@ def parse_model_text(text: str, name: str = "custom") -> ParsedModel:
             if kind not in AXIS_KINDS:
                 raise ParseError(f"unknown axis kind {kind!r}", lineno,
                                  line.index(kind) + 1)
+            if len(fields) > 2:  # the third field starts after the second comma
+                raise ParseError(f"unexpected field {fields[2]!r}; expected 'name = kind[, group]'",
+                                 lineno, len(line) - len(rhs.split(",", 2)[2].lstrip()) + 1)
             group = fields[1] if len(fields) > 1 and fields[1] else None
             model.axes.append((aname, kind, group))
         elif section == "phase":
@@ -407,14 +408,15 @@ def _merge_expr(current, line: str, lineno: int):
 def to_model_spec(parsed: ParsedModel) -> ModelSpec:
     """Lower a parsed file into a runnable spec, validating reducibility.
 
-    Validation runs the gauge, the phase split and every per-symbol check of
-    the reduction (``engine.reduced_integrals``) on the observable and on the
+    Validation runs the reduction's front end (``engine.reduced_sides``) and
+    every per-symbol check of its enumeration on the observable and on the
     unit denominator, without building table rows; a failing check is a
-    ``ValidationError`` with the check's own message.
+    ``ValidationError`` with the check's own message.  ``T`` in ``[expect]``
+    is a ``ParseError`` at its line.
     """
     params = tuple(Param(n, default=v) for n, v in parsed.params)
-    pnames = parsed.param_names()
-    anames = parsed.axis_names()
+    pnames = {n for n, _ in parsed.params}
+    anames = {n for n, _, _ in parsed.axes}
     # an ungrouped axis is keyed apart from every named group: its own regulator
     members: dict[tuple[bool, str], list[str]] = {}
     for name, _, group in parsed.axes:
@@ -427,8 +429,7 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
     observable = lower_ast(parsed.observable_ast, anames, pnames)
     expected = {}
     if parsed.expect_ast is not None:
-        exp_poly = lower_ast(parsed.expect_ast, set(), pnames)
-        expected["observable"] = t_free(exp_poly.constant_part())
+        expected["observable"] = lower_ast(parsed.expect_ast, set(), pnames, with_t=False).constant_part()
     spec = ModelSpec(
         name=parsed.name,
         description="custom model",
@@ -439,12 +440,9 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
         expected=expected,
     )
     try:
-        plan = apply_gauge(spec)
-        phase, evo = _build_phase(spec)
         # the reduction's per-symbol checks, for both sides, without building table rows
-        for obs in (observable, AxisPoly.number(1)):
-            pieces = compose_observable(evo, obs)
-            for _, _, symbols in reduced_integrals(pieces, spec, phase, plan):
+        for items in reduced_sides(spec, (observable, 1))[1]:
+            for _, _, symbols in items:
                 for _ in symbols:
                     pass
     except (DegenerateCase, UnsupportedStructure) as exc:

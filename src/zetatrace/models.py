@@ -203,7 +203,6 @@ def phi4() -> ModelSpec:
             "mass": _poly(2**0.5, mu=1),
         },
         t_symbol="TX",
-        kind="potential",
         field_param="phi",
         prefactor=_poly(0.5, pi=-1),
     )
@@ -299,7 +298,7 @@ def run_model(
     model = _build(table, name, overrides)
     failures: list[str] = []
 
-    if model.kind == "potential":
+    if model.field_param is not None:
         pot = effective_potential(model, policy, series_order)
         got = {
             "minimum": pot.minima[0] if pot.minima else None,

@@ -1,9 +1,9 @@
 """Independent numeric verification.
 
-Shared with the engine: the gauge, the phase split and the enumeration of
-reduced integrals (``engine.reduced_integrals``), which also holds every
-structural check, so the oracle reduces exactly the sum the engine reduces
-and rejects what the engine rejects.
+Shared with the engine: its reduction front end (``engine.reduced_sides``),
+that is the gauge, the phase split and the enumeration of reduced integrals,
+which also holds every structural check, so the oracle reduces exactly the
+sum the engine reduces and rejects what the engine rejects.
 
 Independent of the engine, and so what the cross-check tests: the value of
 each integral and the limits.  Oscillatory half-line integrals are computed
@@ -37,9 +37,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .engine import ReducedIntegral, _build_phase, apply_gauge, reduced_integrals
+from .engine import ReducedIntegral, reduced_sides
 from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
-from .symbols import AxisPoly, compose_observable
 
 # Two rays of the rotated contour; Cauchy's theorem makes their integrals equal.
 RAY_ANGLES = (math.pi / 3, math.pi / 4)
@@ -211,7 +210,7 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     """num(z, T)/den(z, T) with every reduced integral done by quadrature.
 
     The integrals come from the engine's enumeration
-    (``engine.reduced_integrals``), so both sides reduce the same sum and
+    (``engine.reduced_sides``), so both sides reduce the same sum and
     reject the same structures; each integral is then computed by ray
     quadrature (``damped_quadrature``) instead of read off a table row, so
     the Laurent and limit machinery is cross-checked end to end.  One ``z``
@@ -232,25 +231,24 @@ def _build_quotient(model, observable_name: str, t_value: float,
                     bindings: Mapping[str, float]) -> tuple[list[Item], list[Item]]:
     """The numerator's and the denominator's items, which do not depend on z.
 
-    Each item of ``engine.reduced_integrals`` becomes its weight (the
-    coefficient times T^(T power) times the evolution phase e^(i c T)) and
-    its symbols' alternatives with every multiplier evaluated.  The whole
-    enumeration runs here, so every structural check of both sides does too.
+    Each item of the engine's enumeration (``engine.reduced_sides``) becomes
+    its weight (the coefficient times T^(T power) times the evolution phase
+    e^(i c T)) and its symbols' alternatives with every multiplier evaluated.
+    The whole enumeration runs here, so every structural check of both sides
+    does too.
     """
-    plan = apply_gauge(model)
-    phase, evo = _build_phase(model)
-    obs = model.observables[observable_name]
+    phase, sides = reduced_sides(model, (model.observables[observable_name], 1))
     rotation = cmath.exp(1j * phase.const.eval(bindings) * t_value)
 
-    def items(pieces) -> list[Item]:
+    def weighted(items) -> list[Item]:
         return [
             (poly.eval(bindings) * t_value ** float(t_power) * rotation,
              [[(mult.eval(bindings), integral) for mult, integral in alternatives]
               for alternatives in symbols])
-            for poly, t_power, symbols in reduced_integrals(pieces, model, phase, plan)
+            for poly, t_power, symbols in items
         ]
 
-    return items(compose_observable(evo, obs)), items(compose_observable(evo, AxisPoly.number(1)))
+    return tuple(map(weighted, sides))
 
 
 def _evaluate_quotient(sides: tuple[list[Item], list[Item]], z: float, t_value: float,
@@ -306,16 +304,17 @@ def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float
 def potential_numeric(model, bindings: Mapping[str, float]) -> tuple[list[float], list[float]]:
     """Minima and masses of a potential model at numeric bindings.
 
-    V is the engine's volume-limit potential (``engine._build_phase``); the
-    symbolic extrema are not used.  Each real root of dV where the second
-    difference of V is positive is a minimum with mass sqrt(V'').  The step
-    is 1e-4 times the largest |root| (1e-4 if every root is 0): a fixed step
-    of 1e-4 differences V below its rounding error once the roots reach 1e10.
+    V is the engine's volume-limit potential, read off the reduced phase
+    (``engine.reduced_sides``); the symbolic extrema are not used.  Each
+    real root of dV where the second difference of V is positive is a
+    minimum with mass sqrt(V'').  The step is 1e-4 times the largest |root|
+    (1e-4 if every root is 0): a fixed step of 1e-4 differences V below its
+    rounding error once the roots reach 1e10.
     """
-    if model.kind != "potential" or model.field_param is None:
+    if model.field_param is None:
         raise UnsupportedStructure("not a potential model")
     phi = model.field_param
-    pot = -_build_phase(model)[0].const
+    pot = -reduced_sides(model, ())[0].const
     dv = pot.diff(phi).by_power(phi)
     coeffs = {int(e): part.eval(bindings).real for e, part in dv.items()}  # dV by power of phi
     roots = _real_roots([coeffs.get(p, 0.0) for p in range(max(coeffs, default=0), -1, -1)])

@@ -200,6 +200,31 @@ def test_model_file_with_a_wrong_expect_exits_one(tmp_path, capsys):
     assert out == plain_out  # stdout is the result alone
     assert err == "error: observable: expected 1/4 * pi^-2, got 1/4 * J^-1 * pi^-2\n"
 
+
+def test_model_file_with_t_in_expect_is_a_parse_error(tmp_path, capsys):
+    # the expected value is the T -> infinity limit: T in [expect] names the line, exit 2
+    path = tmp_path / "rotor.zt"
+    path.write_text(
+        "[params]\nJ = positive\n[axes]\nxi = momentum\n[phase]\nxi^2/(2*J)\n"
+        "[observable]\n(T*xi/(2*pi*J))^2/(-i*T)\n[expect]\n1/(4*pi^2*J)\nT/J\n"
+    )
+    code, out, err = run_cli(capsys, "model", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: an expected value cannot depend on T at line 11\n"
+
+
+def test_axes_line_with_a_third_field_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "rotor.zt"
+    path.write_text(
+        "[params]\nJ = positive\n[axes]\nxi = momentum, g1, g2, whatever\n[phase]\nxi^2/(2*J)\n"
+        "[observable]\nxi^2/(2*J)\n"
+    )
+    code, out, err = run_cli(capsys, "model", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: unexpected field 'g2'; expected 'name = kind[, group]' at line 4, column 20\n"
+    )
+
 def test_model_file_divergent_observable_exits_one(tmp_path, capsys):
     path = tmp_path / "grower.zt"
     path.write_text(

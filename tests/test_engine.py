@@ -11,7 +11,6 @@ from zetatrace.engine import (
     GaugeGroup,
     KVAmplitudeSpec,
     ModelSpec,
-    apply_gauge,
     build_trace_sums,
     complete_square,
     effective_potential,
@@ -38,7 +37,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import AxisPoly, PhaseDecomposition, compose_observable
+from zetatrace.symbols import AxisPoly, PhaseDecomposition, T
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
@@ -50,26 +49,26 @@ def mono(c, **exps):
 
 
 # ---------------------------------------------------------------------------
-# apply_gauge
+# The gauge, as the trace's first line shows it
 # ---------------------------------------------------------------------------
 
 
+def _gauge_line(model, observable):
+    return expectation(model, observable).trace[0]
+
+
 def test_gauge_1d_oscillator_has_two_regulators():
-    plan = apply_gauge(harmonic_oscillator_1d())
-    assert plan.shares["xi"] == ("z1", Fraction(1))
-    assert plan.shares["x"] == ("z2", Fraction(1))
+    assert _gauge_line(harmonic_oscillator_1d(), "H") == "gauge: |x|^(1*z2) |xi|^(1*z1)"
 
 
 def test_gauge_grouped_3d_oscillator_shares_a_third():
-    plan = apply_gauge(harmonic_oscillator_nd(3))
-    for j in (1, 2, 3):
-        assert plan.shares[f"xi{j}"] == ("z1", Fraction(1, 3))
-        assert plan.shares[f"x{j}"] == ("z2", Fraction(1, 3))
+    assert _gauge_line(harmonic_oscillator_nd(3), "H") == (
+        "gauge: |x1|^(1/3*z2) |x2|^(1/3*z2) |x3|^(1/3*z2) |xi1|^(1/3*z1) |xi2|^(1/3*z1) |xi3|^(1/3*z1)"
+    )
 
 
 def test_gauge_rotor_single_axis():
-    plan = apply_gauge(topological_oscillator())
-    assert plan.shares == {"xi": ("z", Fraction(1))}
+    assert _gauge_line(topological_oscillator(), "chi_top") == "gauge: |xi|^(1*z)"
 
 
 @pytest.fixture
@@ -361,7 +360,6 @@ def test_free_quadratic_potential():
         + AxisPoly.constant(mono(0.5, phi=2)),
         observables={},
         t_symbol="TX",
-        kind="potential",
         field_param="phi",
     )
     pot = effective_potential(model, PAPER)
@@ -430,21 +428,10 @@ def test_branch_policy_invariance_of_expectations():
 # ---------------------------------------------------------------------------
 
 
-def _unit_and_observables(model):
-    """(label, pieces) for every observable and for the unit denominator."""
-    _, evo = engine._build_phase(model)
-    sides = [("1", compose_observable(evo, AxisPoly.number(1)))]
-    if model.kind != "potential":
-        sides += [(name, compose_observable(evo, obs)) for name, obs in model.observables.items()]
-    return sides
-
-
-def _reduce_by_products(pieces, model, policy):
-    """Each branch as a chain of term products over freshly built, scaled table rows."""
-    plan = apply_gauge(model)
-    phase, _ = engine._build_phase(model)
+def _reduce_by_products(items, model, phase, policy):
+    """Each branch of one side's enumeration as a chain of term products over freshly built, scaled table rows."""
     out = []
-    for poly, t_power, symbols in engine.reduced_integrals(pieces, model, phase, plan):
+    for poly, t_power, symbols in items:
         start = ZetaTerm(
             MeroFactorProduct(poly * model.prefactor),
             t_const=rational.of(t_power),
@@ -486,11 +473,13 @@ EQUIVALENCE_MODELS = (
 )
 def test_reduction_equals_the_product_of_fresh_rows(name, overrides, policy):
     model = build_model(name, **overrides)
-    plan = apply_gauge(model)
-    phase, _ = engine._build_phase(model)
-    for label, pieces in _unit_and_observables(model):
-        got = engine.reduce_pieces(pieces, model, phase, plan, policy, {}).terms
-        want = _reduce_by_products(pieces, model, policy)
+    # the unit denominator and every observable, each enumerated twice
+    labels, observables = zip(("1", 1), *model.observables.items())
+    phase, sides = engine.reduced_sides(model, observables)
+    _, fresh_sides = engine.reduced_sides(model, observables)
+    for label, items, fresh in zip(labels, sides, fresh_sides):
+        got = engine.reduce_pieces(items, model, phase, policy, {}).terms
+        want = _reduce_by_products(fresh, model, phase, policy)
         assert len(got) == len(want), label
         for g, w in zip(got, want):
             assert g.coeff.factors == w.coeff.factors, label
@@ -545,26 +534,28 @@ def test_a_raising_row_is_not_stored(monkeypatch):
 
     monkeypatch.setattr(engine, "gauss_radial", fails_once)
     model = harmonic_oscillator_1d()
-    plan = apply_gauge(model)
-    phase, evo = engine._build_phase(model)
-    pieces = compose_observable(evo, AxisPoly.number(1))
+    phase, (first, second, fresh) = engine.reduced_sides(model, (1, 1, 1))
     rows = {}
     with pytest.raises(GammaPole, match="first build fails"):
-        engine.reduce_pieces(pieces, model, phase, plan, PAPER, rows)
+        engine.reduce_pieces(first, model, phase, PAPER, rows)
     assert rows == {}
-    den = engine.reduce_pieces(pieces, model, phase, plan, PAPER, rows)
+    den = engine.reduce_pieces(second, model, phase, PAPER, rows)
     assert len(rows) == 2 and len(calls) == 3  # the failed row was built again
     assert [t.coeff.factors for t in den.terms] == [
-        t.coeff.factors for t in _reduce_by_products(pieces, model, PAPER)
+        t.coeff.factors for t in _reduce_by_products(fresh, model, phase, PAPER)
     ]
 
 
-def _item_errors(pieces, model):
+def _powers_of_t(n):
+    """1 + T + ... + T^(n-1): one enumeration item per power, all with the same symbol degrees."""
+    return AxisPoly.constant(sum((ParamPoly.var(T, k) for k in range(1, n)), ParamPoly.one()))
+
+
+def _item_errors(model, observable):
     """The error each item's symbols raise, walking on after each one."""
-    plan = apply_gauge(model)
-    phase, _ = engine._build_phase(model)
+    _, (items,) = engine.reduced_sides(model, (observable,))
     errors = []
-    for _, _, symbols in engine.reduced_integrals(pieces, model, phase, plan):
+    for _, _, symbols in items:
         with pytest.raises(UnsupportedStructure) as exc:
             for _ in symbols:
                 pass
@@ -573,9 +564,8 @@ def _item_errors(pieces, model):
 
 
 def test_a_raising_alternative_is_not_stored(shifted_oscillator):
-    # every item reaching x1 raises, not only the first one
-    pieces = compose_observable(None, AxisPoly.number(1))
-    errors = _item_errors(pieces * 3, shifted_oscillator)
+    # every item reaching x1 raises, not only the first one: three T powers share one key
+    errors = _item_errors(shifted_oscillator, _powers_of_t(3))
     assert errors == ["complete the square before reducing this axis"] * 3
     with pytest.raises(UnsupportedStructure, match="complete the square"):
         build_trace_sums(shifted_oscillator, shifted_oscillator.observables["observable"], PAPER)
@@ -584,8 +574,8 @@ def test_a_raising_alternative_is_not_stored(shifted_oscillator):
 def test_a_negative_quadratic_coefficient_raises_at_every_item():
     model = topological_oscillator()
     model.hamiltonian = AxisPoly.symbol("xi", 2, mono(-0.5, J=-1))
-    pieces = compose_observable(None, AxisPoly.symbol("xi", 2) + AxisPoly.number(1))
-    errors = _item_errors(pieces * 2, model)
+    # each key, xi^2 and xi^0, is reached at T^0 and at T^1
+    errors = _item_errors(model, (AxisPoly.symbol("xi", 2) + AxisPoly.number(1)) * _powers_of_t(2))
     assert errors == ["quadratic phase coefficient must be positive"] * 4
     with pytest.raises(UnsupportedStructure, match="must be positive"):
         expectation(model, "chi_top", PAPER)
@@ -605,8 +595,9 @@ def test_runs_render_nothing_until_the_trace_is_read(monkeypatch):
 
     runs = {}
     with monkeypatch.context() as patch:
-        for owner in (ZetaTermSum, TAsymptote, engine.GaugePlan):
+        for owner in (ZetaTermSum, TAsymptote):
             patch.setattr(owner, "render", refuse)
+        patch.setattr(engine, "gauge_text", refuse)
         for name in REGISTRY:
             runs[name] = run_model(name, PAPER)
     for name, run in runs.items():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
-from zetatrace import oracle
+from zetatrace import engine, oracle
 from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 
 import lanczos
@@ -386,13 +386,13 @@ def test_small_z_ratio_enumerates_each_side_once(monkeypatch):
     """Only the quadratures depend on z: the enumeration runs once per side, not once per sample."""
     model, obs, bindings = ho_1d()
     enumerations = []
-    real = oracle.reduced_integrals
+    real = engine.reduced_integrals
 
     def counting(*args):
         enumerations.append(args)
         return real(*args)
 
-    monkeypatch.setattr(oracle, "reduced_integrals", counting)
+    monkeypatch.setattr(engine, "reduced_integrals", counting)
     oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
     assert len(enumerations) == 2
 
@@ -490,7 +490,6 @@ def test_potential_numeric_keeps_a_repeated_nonzero_root(monkeypatch):
         hamiltonian=AxisPoly.symbol("p", 2, ParamPoly.number(0.5)) + AxisPoly.constant(v),
         observables={},
         t_symbol="TX",
-        kind="potential",
         field_param="phi",
     )
     roots = []

@@ -9,6 +9,7 @@ process; nothing under ``perfbench/`` is changed.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import zetatrace.cli  # noqa: F401  (the tracer patches only modules already imported)
@@ -39,3 +40,32 @@ def test_tracer_installs_and_restores_every_patch_target():
     for owner, attr, original in patched:
         now = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
         assert now is original, attr
+
+
+def test_every_span_records_a_call_on_one_op_of_each_kind():
+    """A span that no op reaches reads 0 in every traced run and shows nothing."""
+    from zetatrace import engine, modelfile, models, oracle
+    from zetatrace.params import ParamPoly
+
+    module = _tracer_module()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        for name in ("harmonic_oscillator_1d", "schwinger_free"):  # a scalar and a matrix evolution
+            for result in models.run_model(name).results.values():
+                assert result.trace
+        assert models.run_model("phi4").passed
+        text = "[params]\nJ = positive\n[axes]\nxi = momentum\n[phase]\nxi^2/(2*J)\n[observable]\nxi^2/(2*J)\n"
+        spec = modelfile.to_model_spec(modelfile.parse_model_text(text, "rotor"))
+        entry = models.RegistryEntry(lambda: spec, "rotor", "")
+        assert models.run_model("rotor", registry={"rotor": entry}).results
+        kv = engine.KVAmplitudeSpec(1, ((Fraction(-3), 0, ParamPoly.one()),))
+        assert not engine.kv_trace_at_zero(kv).is_zero()
+        oracle.small_z_ratio(models.topological_oscillator(), "chi_top", (-0.2, -0.1, -0.05), 10.0,
+                             {"J": 1.0})
+    finally:
+        tracer.uninstall()
+    recorded = {span[1] for span in tracer.spans}
+    # nothing calls oracle.model_quotient since small_z_ratio builds its sides once
+    expected = {span for span, _ in module.SPAN_METRICS.values()} - {"oracle.model_quotient"}
+    assert expected - recorded == set()
