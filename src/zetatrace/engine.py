@@ -24,6 +24,7 @@ from .errors import (
     NumericOverflow,
     UnsolvablePotential,
     UnsupportedStructure,
+    ValidationError,
     ZeroQuadraticCoefficient,
 )
 from .laurent import DEFAULT_ORDER, MeroFactorProduct
@@ -210,6 +211,10 @@ class ReducedIntegral:
     sign: int
     rate: ParamPoly
 
+    def exact_key(self) -> tuple:
+        """The integral by value; the rate by its float coefficients, not by tolerant equality."""
+        return self.kind, self.q, self.sign, tuple(sorted(self.rate.terms.items()))
+
 
 #: one reduced symbol's alternatives as (multiplier, integral) pairs
 Alternatives = list[tuple[ParamPoly, ReducedIntegral]]
@@ -280,8 +285,12 @@ def reduced_sides(
 
     The phase split and each observable's composition with the evolution run
     here, in that order; each ``reduced_integrals`` is lazy and checks as it
-    is walked.  A number stands for itself times the identity.
+    is walked.  A number stands for itself times the identity.  An axis in
+    two groups is a ``ValidationError`` before any of that runs.
     """
+    axes = [a for g in model.groups for a in g.axes]
+    if twice := sorted({a for a in axes if axes.count(a) > 1}):
+        raise ValidationError(f"axes in more than one gauge group: {twice}")
     phase, evo = _build_phase(model)
     sides = (AxisPoly.number(o) if isinstance(o, int) else o for o in observables)
     return phase, [reduced_integrals(compose_observable(evo, o), model, phase) for o in sides]
@@ -303,13 +312,14 @@ def reduced_integrals(
     the symbol; an amplitude symbol outside every group is rejected before
     its monomial yields anything.  Within one call each symbol's
     alternatives are computed once and then shared (the same list object)
-    by every item with the same key: the symbol, its degree and the piece's
-    oscillation sign, plus the direction degrees for a radial group.  A
-    check that raises stores nothing, so it raises again, with the same
-    message, at every item that reaches it.  Each group gives its symbols
-    their regulator and share (``gauge_text``).  ``reduce_pieces`` maps the
-    integrals to table rows; the oracle walks it once per side and
-    cross-check (``oracle._build_quotient``) and maps them to quadratures.
+    by every item with the same key: the symbol, its regulator, its degree
+    and the piece's oscillation sign, plus the direction degrees for a
+    radial group.  A check that raises stores nothing, so it raises again,
+    with the same message, at every item that reaches it.  Each group gives
+    its symbols their regulator and share (``gauge_text``).
+    ``reduce_pieces`` maps the integrals to table rows; the oracle walks it
+    once per side and cross-check (``oracle._build_quotient``) and computes
+    all its distinct integrals in one quadrature batch.
     """
     # the symbols the groups integrate: separable axes, radial radii and directions
     grouped: set[str] = set()
@@ -349,7 +359,7 @@ def _symbol_alternatives(
             hats = [f"{a}^" for a in group.axes]
             hat_degrees = tuple(degrees.get(h, 0) for h in hats)
             d = degrees.get(rsym, 0)
-            key = (rsym, d, piece.osc_sign, hat_degrees)
+            key = (rsym, group.regulator, d, piece.osc_sign, hat_degrees)
             alternatives = memo.get(key)
             if alternatives is None:
                 moment = angular_moment(hat_degrees, dim)
@@ -364,7 +374,7 @@ def _symbol_alternatives(
         # separable: axis by axis on the full line
         for a in group.axes:
             d = degrees.get(a, 0)
-            key = (a, d, piece.osc_sign)
+            key = (a, group.regulator, d, piece.osc_sign)
             alternatives = memo.get(key)
             if alternatives is None:
                 q = AffineExp(group.regulator, (1, dim), (d, 1))
@@ -452,10 +462,7 @@ def _branch_term(
 def _table_row(
     integral: ReducedIntegral, policy: BranchPolicy, rows: dict[tuple, ZetaTerm]
 ) -> ZetaTerm:
-    # exact key: the rate by its monomials and float coefficients, never by
-    # ParamPoly's tolerant equality, which could alias two different rates
-    rate = tuple(sorted(integral.rate.terms.items()))
-    key = (integral.kind, integral.q, integral.sign, rate, policy.mode)
+    key = (integral.exact_key(), policy.mode)
     row = rows.get(key)
     if row is None:
         if integral.kind == "gauss":

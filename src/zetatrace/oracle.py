@@ -13,16 +13,13 @@ rays into the half plane where the integrand decays, and Cauchy's theorem
 makes the two agree.  No Gamma function is evaluated, and the ray phases
 e^(i theta (p+1)) at theta = pi/3, pi/4 are not the tables' half-turns.
 Every integral, half-line or Gaussian-phase, is one (p, omega) of
-``damped_quadrature``: ``_quadrature`` holds that map, the Gaussian one by the
-t = u^2 substitution.  Small-z / finite-T limits are polynomial
-extrapolations over sample grids.
-No table row, Laurent series or term sum is built here.  One cross-check
-(``small_z_ratio``) builds what does not depend on z once: the gauge, the
-phase, both sides' enumeration and the value of every coefficient and
-multiplier.  At each z sample it only sums quadratures.  Each distinct
-integral is computed once per cross-check, and its value is reused on both
-sides of the quotient and at every z sample; a ±omega pair is computed once,
-the -omega value being the exact conjugate.
+``damped_quadrature``.  Small-z / finite-T limits are polynomial
+extrapolations over sample grids.  No table row, Laurent series or term
+sum is built here.  One cross-check (``small_z_ratio``) builds what does
+not depend on z once: the gauge, the phase, both sides' enumeration, every
+coefficient and multiplier and the floats of each distinct integral.  All
+its (p, omega) keys, over both sides and every z sample, are then one
+``damped_quadrature`` batch, one row per ±omega pair.
 ``potential_numeric`` finds a potential's minima and masses from V alone, by
 ``np.roots`` and second differences, without the engine's closed forms.
 """
@@ -67,34 +64,38 @@ def _exp_sinh_nodes():
 _LOG_U, _U, _LOG_W = _exp_sinh_nodes()
 
 
-def _ray_integral(p: float, w: float, theta: float) -> complex:
-    """int_0^inf r^p e^(i w r) dr, w > 0, p > -1, along the ray r = s e^(i theta).
+def _ray_integral(p: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
+    """int_0^inf r^p e^(i w r) dr, w > 0, p > -1, along the ray r = s e^(i theta), per row of p and w.
 
     With u = w s the ray integral is e^(i theta (p+1)) w^(-(p+1)) times
     int_0^inf u^p e^(-c u) du, c = sin theta - i cos theta: an algebraic
     singularity at 0 and exponential decay, which the exp-sinh rule
     (Takahasi & Mori 1974) sums over a fixed node set.  Each node's term is
-    exp((p+1) log u + log w - c u), so u^p cannot overflow near p = -1.  The
-    rule checks itself: a sum that is not finite (p in the hundreds), an
-    end-node term above ``END_REL`` of the sum (p near -1, where the left
-    tail is cut off) or a value outside the normal float range raises
-    ``NonConvergent``.
+    exp((p+1) log u + log w - c u), so u^p cannot overflow near p = -1; the
+    rows are one (rows, nodes) array, each row summed as in a batch of one.
+    Each row, in row order, checks itself: a sum that is not finite (p in
+    the hundreds), an end-node term above ``END_REL`` of the sum (p near -1,
+    where the left tail is cut off) or a value outside the normal float
+    range raises ``NonConvergent``.
     """
     c = complex(math.sin(theta), -math.cos(theta))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        terms = np.exp((p + 1) * _LOG_U + _LOG_W - c * _U)
-        total = complex(terms.sum())
-    if not cmath.isfinite(total):
-        raise NonConvergent(f"exp-sinh sum at p = {p:g} is not finite")
-    end = max(abs(complex(terms[0])), abs(complex(terms[-1])))
-    if end > END_REL * abs(total):
-        raise NonConvergent(
-            f"exp-sinh sum at p = {p:g} is truncated (end node {end:.3g}, sum {abs(total):.3g})"
-        )
-    log_scale = -(p + 1) * math.log(w)
-    if not abs(log_scale + math.log(abs(total))) < 700.0:  # e^709 overflows
-        raise NonConvergent(f"|int_0^inf r^{p:g} e^(i {w:g} r) dr| is outside the float range")
-    return cmath.exp(complex(log_scale, theta * (p + 1))) * total
+        terms = np.exp((p[:, None] + 1) * _LOG_U + _LOG_W - c * _U)
+        totals = terms.sum(axis=1)
+    values = []
+    for p_i, w_i, total, ends in zip(p.tolist(), w.tolist(), totals.tolist(), terms[:, [0, -1]].tolist()):
+        if not cmath.isfinite(total):
+            raise NonConvergent(f"exp-sinh sum at p = {p_i:g} is not finite")
+        end = max(map(abs, ends))
+        if end > END_REL * abs(total):
+            raise NonConvergent(
+                f"exp-sinh sum at p = {p_i:g} is truncated (end node {end:.3g}, sum {abs(total):.3g})"
+            )
+        log_scale = -(p_i + 1) * math.log(w_i)
+        if not abs(log_scale + math.log(abs(total))) < 700.0:  # e^709 overflows
+            raise NonConvergent(f"|int_0^inf r^{p_i:g} e^(i {w_i:g} r) dr| is outside the float range")
+        values.append(cmath.exp(complex(log_scale, theta * (p_i + 1))) * total)
+    return np.array(values, dtype=complex)
 
 
 def richardson(points: Sequence[float], values: Sequence[complex]) -> complex:
@@ -105,32 +106,40 @@ def richardson(points: Sequence[float], values: Sequence[complex]) -> complex:
     return complex(coeffs[0])
 
 
-def damped_quadrature(p: float, omega: float) -> complex:
+def damped_quadrature(p: float | Sequence[float], omega: float | Sequence[float]) -> complex | list[complex]:
     """Abel-regularized int_0^inf r^p e^(i omega r) dr, p > -1: every reduced integral.
 
-    The Abel limit equals the integral along any ray r = s e^(i sgn(omega)
-    theta), 0 < theta <= pi/2 (a numerical Wick rotation), where the
-    integrand decays like e^(-|omega| s sin theta).  It is computed on the
-    two rays of ``RAY_ANGLES`` by the exp-sinh sum of ``_ray_integral`` and
-    the first is returned; rays that differ by more than ``RAY_REL``
-    (relative) raise ``NonConvergent``.  Both run at |omega|, so the value
-    at -omega is the exact conjugate of the value at omega.  At omega = 0
-    the integral has no Abel limit, and for p <= -1 it diverges at r = 0;
-    both raise ``NonConvergent``.
+    ``p`` and ``omega`` are floats, or equal-length sequences of rows that
+    give a list of values; a float call is a batch of one, and a row's
+    value has the same bits in any batch.  The Abel limit equals the
+    integral along any ray r = s e^(i sgn(omega) theta), 0 < theta <= pi/2
+    (a numerical Wick rotation), where the integrand decays like
+    e^(-|omega| s sin theta).  It is computed on the two rays of
+    ``RAY_ANGLES`` (``_ray_integral``) and the first is returned.  Both run
+    at |omega|, so the value at -omega is the exact conjugate of the value
+    at omega.  Checks, each step row by row: omega = 0 (no Abel limit) and
+    p <= -1 (divergent at r = 0), the first ray's, the second ray's, rays
+    that differ by more than ``RAY_REL`` (relative).  A batch with one
+    failing row raises its message from a batch of one.
 
     Validated against Gamma(p+1) e^(sgn(omega) i pi (p+1)/2) / |omega|^(p+1)
     for 1e-3 <= |omega| <= 1e3: over -0.98 < p <= 9 every value is returned
     and within rel 2e-14; below about p = -0.983 the truncation check
     raises, and above about p = 9.7 the ray check does.
     """
-    if omega == 0.0:
-        raise NonConvergent(f"int_0^inf r^{p:g} dr has no Abel limit at omega = 0")
-    if not p > -1.0:
-        raise NonConvergent(f"int_0^inf r^{p:g} e^(i omega r) dr diverges at r = 0")
-    first, second = (_ray_integral(p, abs(omega), theta) for theta in RAY_ANGLES)
-    if abs(first - second) > RAY_REL * abs(first):
-        raise NonConvergent(f"rays differ by {abs(first - second):.3g} (value {abs(first):.3g})")
-    return first.conjugate() if omega < 0 else first
+    ps, omegas = np.atleast_1d(np.asarray(p, dtype=float)), np.atleast_1d(np.asarray(omega, dtype=float))
+    for p_i, omega_i in zip(ps.tolist(), omegas.tolist()):
+        if omega_i == 0.0:
+            raise NonConvergent(f"int_0^inf r^{p_i:g} dr has no Abel limit at omega = 0")
+        if not p_i > -1.0:
+            raise NonConvergent(f"int_0^inf r^{p_i:g} e^(i omega r) dr diverges at r = 0")
+    first, second = (_ray_integral(ps, np.abs(omegas), theta).tolist() for theta in RAY_ANGLES)
+    values = []
+    for a, b, omega_i in zip(first, second, omegas.tolist()):
+        if abs(a - b) > RAY_REL * abs(a):
+            raise NonConvergent(f"rays differ by {abs(a - b):.3g} (value {abs(a):.3g})")
+        values.append(a.conjugate() if omega_i < 0 else a)
+    return values if np.ndim(p) else values[0]
 
 
 #: the largest difference, absolute or relative, between the z -> 0
@@ -181,32 +190,27 @@ def finite_t_sweep(fn: Callable[[float], complex], t_grid: Sequence[float]) -> S
 # ---------------------------------------------------------------------------
 
 
-#: one item of a side: its weight and, per reduced symbol, the alternatives
-#: as (multiplier value, integral) pairs
-Item = tuple[complex, list[list[tuple[complex, ReducedIntegral]]]]
+#: a distinct integral's floats: whether it is Gaussian, q = a z + b, and omega
+Point = tuple[bool, float, float, float]
+#: one item of a side: its weight and, per symbol, (multiplier value, point index) pairs
+Item = tuple[complex, list[list[tuple[complex, int]]]]
 
 
 def small_z_ratio(model, observable_name: str, z_samples: Sequence[float],
                   t_value: float, bindings: Mapping[str, float]) -> complex:
     """Extrapolated z -> 0 quotient of the model's trace integrals at fixed T.
 
-    Everything that does not depend on z is built once per call
-    (``_build_quotient``): the gauge, the phase, both composed sides and
-    their enumeration, with every coefficient and multiplier evaluated.  At
-    each z only the quadratures are summed (``_evaluate_quotient``), and the
-    per-z quotients share one store of integral values, so an integral that
-    recurs on both sides or at several z is computed once per call.  A
-    structural error therefore raises before any quadrature runs.
+    What does not depend on z is built once (``_build_quotient``), so a
+    structural error raises before any quadrature runs; one batch computes
+    every integral at every z (``_quadratures``), summed per z.
     """
-    sides = _build_quotient(model, observable_name, t_value, bindings)
-    store: dict[tuple[float, float], complex] = {}
-    samples = {z: _evaluate_quotient(sides, z, t_value, bindings, store) for z in z_samples}
-    return small_z_limit(samples)
+    sides, points = _build_quotient(model, observable_name, t_value, bindings)
+    values = _quadratures(points, z_samples)
+    return small_z_limit({z: _evaluate_quotient(sides, values[z]) for z in z_samples})
 
 
 def model_quotient(model, observable_name: str, z: float, t_value: float,
-                   bindings: Mapping[str, float], *,
-                   store: dict[tuple[float, float], complex] | None = None) -> complex:
+                   bindings: Mapping[str, float]) -> complex:
     """num(z, T)/den(z, T) with every reduced integral done by quadrature.
 
     The integrals come from the engine's enumeration
@@ -216,84 +220,73 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     the Laurent and limit machinery is cross-checked end to end.  One ``z``
     is used for every regulator: the quotient is sampled on the diagonal
     z1 = z2 = ... = z, while the engine eliminates the regulators one at a
-    time.  This is ``small_z_ratio``'s build and evaluation at a single z.
-
-    Each distinct integral is computed once: ``store`` maps the (exponent,
-    omega) floats that ``damped_quadrature`` receives to its value, and
-    (exponent, -omega) is read as its conjugate.  By default the store is
-    fresh.
+    time.  This is ``small_z_ratio`` at a single z, without the limit.
     """
-    sides = _build_quotient(model, observable_name, t_value, bindings)
-    return _evaluate_quotient(sides, z, t_value, bindings, {} if store is None else store)
+    sides, points = _build_quotient(model, observable_name, t_value, bindings)
+    return _evaluate_quotient(sides, _quadratures(points, (z,))[z])
 
 
-def _build_quotient(model, observable_name: str, t_value: float,
-                    bindings: Mapping[str, float]) -> tuple[list[Item], list[Item]]:
-    """The numerator's and the denominator's items, which do not depend on z.
+def _build_quotient(model, observable_name: str, t_value: float, bindings: Mapping[str, float]
+                    ) -> tuple[tuple[list[Item], list[Item]], list[Point]]:
+    """Both sides' items and the points they index, none of which depends on z.
 
     Each item of the engine's enumeration (``engine.reduced_sides``) becomes
     its weight (the coefficient times T^(T power) times the evolution phase
-    e^(i c T)) and its symbols' alternatives with every multiplier evaluated.
-    The whole enumeration runs here, so every structural check of both sides
-    does too.
+    e^(i c T)) and its symbols' alternatives: multiplier values and point
+    indices, one point per ``ReducedIntegral.exact_key``.  The points follow
+    the whole enumeration and so every structural check.  omega is
+    sign rate T for r^q e^(sign i rate T r) and -rate T for a Gaussian.
     """
     phase, sides = reduced_sides(model, (model.observables[observable_name], 1))
     rotation = cmath.exp(1j * phase.const.eval(bindings) * t_value)
+    seen: dict[tuple, tuple[int, ReducedIntegral]] = {}  # exact key -> (point index, integral)
 
     def weighted(items) -> list[Item]:
         return [
             (poly.eval(bindings) * t_value ** float(t_power) * rotation,
-             [[(mult.eval(bindings), integral) for mult, integral in alternatives]
+             [[(mult.eval(bindings), seen.setdefault(integral.exact_key(), (len(seen), integral))[0])
+               for mult, integral in alternatives]
               for alternatives in symbols])
             for poly, t_power, symbols in items
         ]
 
-    return tuple(map(weighted, sides))
+    built = tuple(map(weighted, sides))
+    points = [
+        (i.kind == "gauss", rational.to_float(i.q.a), rational.to_float(i.q.b),
+         (-1 if i.kind == "gauss" else i.sign) * (i.rate.eval(bindings).real * t_value))
+        for _, i in seen.values()
+    ]
+    return built, points
 
 
-def _evaluate_quotient(sides: tuple[list[Item], list[Item]], z: float, t_value: float,
-                       bindings: Mapping[str, float],
-                       store: dict[tuple[float, float], complex]) -> complex:
-    """num(z, T)/den(z, T) from built sides: per item, the weight times each symbol's sum."""
+def _quadratures(points: list[Point], z_samples: Sequence[float]) -> dict[float, list[complex]]:
+    """Each point's value at each z, from one ``damped_quadrature`` batch.
+
+    The rows are the distinct (p, |omega|) of every point at every z, in
+    that order: p = q, or (q-1)/2 for a Gaussian by t = u^2.  A negative
+    omega reads its row's conjugate, the bits a batch of one at it returns.
+    """
+    keys = {z: [((a * z + b - 1.0) / 2.0 if gauss else a * z + b, omega) for gauss, a, b, omega in points]
+            for z in z_samples}
+    rows = list(dict.fromkeys((p, abs(omega)) for at_z in keys.values() for p, omega in at_z))
+    value = dict(zip(rows, damped_quadrature([p for p, _ in rows], [w for _, w in rows])))
+    return {z: [value[p, abs(w)].conjugate() if w < 0 else value[p, abs(w)] for p, w in at_z]
+            for z, at_z in keys.items()}
+
+
+def _evaluate_quotient(sides: tuple[list[Item], list[Item]], values: list[complex]) -> complex:
+    """num(z, T)/den(z, T) from built sides and their points' values at z."""
 
     def trace_value(items: list[Item]) -> complex:
         total = 0j
         for value, symbols in items:
             for alternatives in symbols:
-                value *= sum(
-                    mult * _quadrature(integral, z, t_value, bindings, store)
-                    for mult, integral in alternatives
-                )
+                value *= sum(mult * values[i] for mult, i in alternatives)
             total += value
         return total
 
     num, den = sides
     return trace_value(num) / trace_value(den)
-
-
-def _quadrature(integral, z: float, t_value: float, bindings: Mapping[str, float],
-                store: dict[tuple[float, float], complex]) -> complex:
-    """Numeric value of one ``engine.ReducedIntegral`` at regulator value z.
-
-    The integral is mapped to (p, omega) of ``damped_quadrature``: a
-    half-line integral r^q e^(sign i rate T r) is (q, sign rate T), and a
-    Gaussian |u|^q e^(-i rate T u^2) is ((q-1)/2, -rate T) by the t = u^2
-    substitution.  (p, omega) is also the store key, so a stored value is the
-    value a fresh quadrature would return.  A key whose mirror
-    (p, -omega) is stored is served as the mirror's conjugate, which is what
-    a fresh quadrature returns bit for bit: both run the same rays at |omega|.
-    """
-    q = rational.to_float(integral.q.a) * z + rational.to_float(integral.q.b)
-    rate = integral.rate.eval(bindings).real
-    if integral.kind == "gauss":
-        p, omega = (q - 1.0) / 2.0, -(rate * t_value)
-    else:
-        p, omega = q, integral.sign * rate * t_value
-    if (p, -omega) in store:
-        return store[p, -omega].conjugate()
-    if (p, omega) not in store:
-        store[p, omega] = damped_quadrature(p, omega)
-    return store[p, omega]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,17 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("det")
+# fresh examples, many of them, outside Tier-1:
+#   ZETATRACE_HYPOTHESIS_PROFILE=deep python -m pytest --hypothesis-seed=<n> ...
+settings.register_profile(
+    "deep",
+    derandomize=False,
+    database=None,
+    max_examples=1000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("ZETATRACE_HYPOTHESIS_PROFILE", "det"))
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from zetatrace.errors import (
     CriticalDegree,
     GammaPole,
     UnsupportedStructure,
+    ValidationError,
     ZeroQuadraticCoefficient,
 )
 from zetatrace.laurent import MeroFactorProduct
@@ -37,7 +38,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import AxisPoly, PhaseDecomposition, T
+from zetatrace.symbols import AxisPoly, PhaseDecomposition, T, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
@@ -93,6 +94,35 @@ def test_amplitude_symbol_outside_every_group_rejected(no_table_rows):
     with pytest.raises(UnsupportedStructure,
                        match=r"amplitude symbols outside any gauge group: \['y'\]"):
         expectation(model, "chi_top")
+
+
+def rotor_gauged_twice():
+    """The rotor with its one axis in two groups, each under its own regulator."""
+    model = topological_oscillator()
+    model.groups = (GaugeGroup("a", ("xi",), "z1"), GaugeGroup("b", ("xi",), "z2"))
+    return model
+
+
+def test_groups_that_share_an_axis_are_rejected(no_table_rows):
+    # without the check this gave chi_top = 0 and the gauge line |xi|^(1*z2)
+    with pytest.raises(ValidationError, match=r"axes in more than one gauge group: \['xi'\]"):
+        expectation(rotor_gauged_twice(), "chi_top")
+
+
+def test_an_axis_twice_in_one_group_is_rejected(no_table_rows):
+    model = harmonic_oscillator_nd(2)
+    model.groups = (model.groups[0], GaugeGroup("gx", ("x1", "x1", "x2"), "z2"))
+    with pytest.raises(ValidationError, match=r"axes in more than one gauge group: \['x1'\]"):
+        expectation(model, "H")
+
+
+def test_alternatives_memo_keeps_each_groups_regulator():
+    """Past the front end's check, two groups on one axis still get their own regulators."""
+    model = rotor_gauged_twice()
+    phase, evo = engine._build_phase(model)
+    pieces = compose_observable(evo, model.observables["chi_top"])
+    ((_, _, symbols),) = engine.reduced_integrals(pieces, model, phase)
+    assert [alternatives[0][1].q.regulator for alternatives in symbols] == ["z1", "z2"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from zetatrace import engine, oracle
-from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure
+from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure, ValidationError
 
 import lanczos
 from factor_values import factor_value
@@ -124,7 +124,7 @@ def test_exp_sinh_nodes_are_read_only():
     omega=st.floats(0.5, 30.0),
 )
 def test_damped_quadrature_at_minus_omega_is_the_exact_conjugate(p, omega):
-    """What lets the store serve (p, -omega) from (p, omega) bit for bit."""
+    """What lets a batch serve (p, -omega) from its row at (p, omega) bit for bit."""
     plus = oracle.damped_quadrature(p, omega)
     minus = oracle.damped_quadrature(p, -omega)
     assert (minus.real, minus.imag) == (plus.real, -plus.imag)
@@ -146,10 +146,8 @@ def test_rays_that_disagree_raise_nonconvergent(monkeypatch):
     with pytest.raises(NonConvergent, match="rays differ by"):
         oracle.damped_quadrature(0.5, 2.0)
     model, obs, bindings = ho_1d()
-    store = {}
     with pytest.raises(NonConvergent, match="rays differ by"):
-        oracle.model_quotient(model, obs, -0.1, 10.0, bindings, store=store)
-    assert store == {}
+        oracle.model_quotient(model, obs, -0.1, 10.0, bindings)
 
 
 def test_rays_within_the_tolerance_give_the_first_ray(monkeypatch):
@@ -286,7 +284,8 @@ def test_decay_exponent_fits_power_law():
 
 
 # ---------------------------------------------------------------------------
-# One store of integral values per small_z_ratio call
+# One quadrature batch per small_z_ratio call: the store of integral values
+# that both sides and every z sample share
 # ---------------------------------------------------------------------------
 
 Z_SAMPLES = (-0.2, -0.1, -0.05)
@@ -319,18 +318,23 @@ def ho_1d():
 
 
 def count_quadratures(monkeypatch, fail_at=None):
-    """Record (p, omega) of each oracle.damped_quadrature call; raise NonConvergent on call ``fail_at``."""
-    calls = []
+    """Record the (p, omega) rows of each oracle.damped_quadrature batch.
+
+    The batch that holds row ``fail_at``, counting rows over all batches
+    from 1, raises NonConvergent instead of returning.
+    """
+    batches = []
     real = oracle.damped_quadrature
 
-    def counting(p, omega, *args, **kwargs):
-        calls.append((p, omega))
-        if len(calls) == fail_at:
+    def counting(p, omega):
+        before = sum(map(len, batches))
+        batches.append(list(zip(p, omega)))
+        if fail_at is not None and before < fail_at <= before + len(batches[-1]):
             raise NonConvergent("forced")
-        return real(p, omega, *args, **kwargs)
+        return real(p, omega)
 
     monkeypatch.setattr(oracle, "damped_quadrature", counting)
-    return calls
+    return batches
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -347,19 +351,14 @@ def test_shared_store_gives_exactly_the_per_z_values(seed):
 
 def test_shared_store_computes_each_distinct_integral_once(monkeypatch):
     model, obs, bindings = ho_1d()
-    lookups = []
-    real_lookup = oracle._quadrature
-
-    def counting_lookup(*args):
-        lookups.append(args)
-        return real_lookup(*args)
-
-    monkeypatch.setattr(oracle, "_quadrature", counting_lookup)
-    calls = count_quadratures(monkeypatch)
+    sides, _ = oracle._build_quotient(model, obs, 10.0, bindings)
+    pairs = sum(len(alternatives) for side in sides for _, symbols in side for alternatives in symbols)
+    batches = count_quadratures(monkeypatch)
     oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
-    # 24 integral rows over both sides and three z, 12 distinct (exponent, omega) pairs
-    assert len(lookups) == 24
-    assert len(calls) == len(set(calls)) == 12
+    # 24 integral rows over both sides and three z, 12 distinct (exponent, omega) pairs, one batch
+    assert pairs * len(Z_SAMPLES) == 24
+    assert len(batches) == 1
+    assert len(batches[0]) == len(set(batches[0])) == 12
 
 
 @pytest.mark.parametrize("case", [2, 3], ids=["schwinger_free", "dirac_fermion3"])
@@ -367,19 +366,21 @@ def test_shared_store_computes_a_mirror_pair_once(monkeypatch, case):
     """Every r^p e^(i omega r) of these models comes with its mirror (p, -omega)."""
     model, obs = oracle_cases()[case]
     bindings = {p.name: 1.1 for p in model.params}
-    calls = count_quadratures(monkeypatch)
+    batches = count_quadratures(monkeypatch)
     oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
-    # 12 distinct (p, omega) keys, 6 distinct (p, |omega|)
-    assert len(calls) == len({(p, abs(omega)) for p, omega in calls}) == 6
+    # 12 distinct (p, omega) keys, 6 distinct (p, |omega|): one row each, at omega > 0
+    (rows,) = batches
+    assert len(rows) == len({(p, abs(omega)) for p, omega in rows}) == 6
+    assert all(omega > 0 for _, omega in rows)
 
 
 def test_shared_store_lives_for_one_call(monkeypatch):
     model, obs, bindings = ho_1d()
-    calls = count_quadratures(monkeypatch)
+    batches = count_quadratures(monkeypatch)
     for tv in (10.0, 12.0, 10.0):
         oracle.small_z_ratio(model, obs, Z_SAMPLES, tv, bindings)
-    assert len(calls) == 36
-    assert calls[24:] == calls[:12]
+    assert [len(rows) for rows in batches] == [12, 12, 12]
+    assert batches[2] == batches[0]
 
 
 def test_small_z_ratio_enumerates_each_side_once(monkeypatch):
@@ -398,28 +399,94 @@ def test_small_z_ratio_enumerates_each_side_once(monkeypatch):
 
 
 def test_small_z_ratio_raises_a_structural_error_before_any_quadrature(monkeypatch, shifted_oscillator):
-    calls = count_quadratures(monkeypatch)
+    batches = count_quadratures(monkeypatch)
     with pytest.raises(UnsupportedStructure, match="complete the square"):
         oracle.small_z_ratio(shifted_oscillator, "observable", Z_SAMPLES, 10.0,
                              {"m": 1.0, "w": 1.0, "F": 1.0})
-    assert calls == []
+    assert batches == []
+
+
+def test_small_z_ratio_rejects_groups_that_share_an_axis_before_any_quadrature(monkeypatch):
+    from zetatrace.engine import GaugeGroup
+    from zetatrace.models import topological_oscillator
+
+    model = topological_oscillator()
+    model.groups = (GaugeGroup("a", ("xi",), "z1"), GaugeGroup("b", ("xi",), "z2"))
+    batches = count_quadratures(monkeypatch)
+    with pytest.raises(ValidationError, match=r"axes in more than one gauge group: \['xi'\]"):
+        oracle.small_z_ratio(model, "chi_top", Z_SAMPLES, 10.0, {"J": 1.0})
+    assert batches == []
 
 
 def test_nonconvergent_integral_propagates_from_small_z_ratio(monkeypatch):
     model, obs, bindings = ho_1d()
-    count_quadratures(monkeypatch, fail_at=7)
+    batches = count_quadratures(monkeypatch, fail_at=7)
     with pytest.raises(NonConvergent, match="forced"):
         oracle.small_z_ratio(model, obs, Z_SAMPLES, 10.0, bindings)
+    assert [len(rows) for rows in batches] == [12]
 
 
 def test_nonconvergent_integral_is_not_stored(monkeypatch):
     model, obs, bindings = ho_1d()
-    calls = count_quadratures(monkeypatch, fail_at=3)
-    store = {}
+    want = oracle.model_quotient(model, obs, -0.1, 10.0, bindings)
+    batches = count_quadratures(monkeypatch, fail_at=3)
     with pytest.raises(NonConvergent, match="forced"):
-        oracle.model_quotient(model, obs, -0.1, 10.0, bindings, store=store)
-    assert len(calls) == 3
-    assert len(store) == 2 and all(isinstance(v, complex) for v in store.values())
+        oracle.model_quotient(model, obs, -0.1, 10.0, bindings)
+    # the next call computes every row again and returns the unforced value
+    assert oracle.model_quotient(model, obs, -0.1, 10.0, bindings) == want
+    assert len(batches) == 2 and batches[1] == batches[0]
+
+
+def quadrature_key():
+    """(p, omega) inside the validated range, p in (-0.9, 9), |omega| in [1e-3, 1e3], either sign."""
+    return st.tuples(
+        st.floats(-0.9, 9.0, exclude_min=True, exclude_max=True),
+        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1, -1]), st.floats(-3.0, 3.0)),
+    )
+
+
+@st.composite
+def quadrature_batches(draw):
+    """Rows of a batch: distinct keys, then repeats and mirrors of them, shuffled."""
+    keys = draw(st.lists(quadrature_key(), min_size=1, max_size=8))
+    again = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from([1, -1])), max_size=6))
+    return draw(st.permutations(keys + [(p, sign * omega) for (p, omega), sign in again]))
+
+
+def bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+@given(rows=quadrature_batches())
+def test_a_batch_returns_each_rows_single_key_value_bit_for_bit(rows):
+    ps, omegas = zip(*rows)
+    batch = oracle.damped_quadrature(list(ps), list(omegas))
+    assert [bits(v) for v in batch] == [bits(oracle.damped_quadrature(p, w)) for p, w in rows]
+
+
+# one key per check that can fail, each raising from a batch of one
+FAILING_KEYS = [
+    (0.5, 0.0),  # no Abel limit
+    (-1.0, 2.0),  # diverges at r = 0
+    (200.0, 1.0),  # sum not finite
+    (-0.995, 1.5),  # end node truncated
+    (3.0, 1e300),  # outside the float range
+    (12.0, 1.5),  # rays differ
+]
+
+
+@given(rows=quadrature_batches(), bad=st.sampled_from(FAILING_KEYS), at=st.integers(0, 14),
+       sign=st.sampled_from([1, -1]))
+def test_a_batch_with_a_failing_key_raises_that_keys_message(rows, bad, at, sign):
+    p_bad, omega_bad = bad[0], sign * bad[1]
+    with pytest.raises(NonConvergent) as single:
+        oracle.damped_quadrature(p_bad, omega_bad)
+    rows = list(rows)
+    rows.insert(min(at, len(rows)), (p_bad, omega_bad))
+    ps, omegas = zip(*rows)
+    with pytest.raises(NonConvergent) as batch:
+        oracle.damped_quadrature(list(ps), list(omegas))
+    assert str(batch.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------
