@@ -293,11 +293,13 @@ def reduced_sides(
         raise ValidationError(f"axes in more than one gauge group: {twice}")
     phase, evo = _build_phase(model)
     sides = (AxisPoly.number(o) if isinstance(o, int) else o for o in observables)
-    return phase, [reduced_integrals(compose_observable(evo, o), model, phase) for o in sides]
+    moments: dict[tuple, ParamPoly] = {}
+    return phase, [reduced_integrals(compose_observable(evo, o), model, phase, moments) for o in sides]
 
 
 def reduced_integrals(
-    pieces: Sequence[IntegrandPiece], model: ModelSpec, phase: ReducedPhase
+    pieces: Sequence[IntegrandPiece], model: ModelSpec, phase: ReducedPhase,
+    moments: dict[tuple, ParamPoly] | None = None,
 ) -> Enumeration:
     """The reduction's only enumeration of closed-form integrals.
 
@@ -316,7 +318,10 @@ def reduced_integrals(
     and the piece's oscillation sign, plus the direction degrees for a
     radial group.  A check that raises stores nothing, so it raises again,
     with the same message, at every item that reaches it.  Each group gives
-    its symbols their regulator and share (``gauge_text``).
+    its symbols their regulator and share (``gauge_text``).  A radial
+    group's sphere moment depends only on its direction degrees and
+    dimension: it is kept in ``moments`` under that key, which
+    ``reduced_sides`` shares between its sides (a fresh dict by default).
     ``reduce_pieces`` maps the integrals to table rows; the oracle walks it
     once per side and cross-check (``oracle._build_quotient``) and computes
     all its distinct integrals in one quadrature batch.
@@ -326,6 +331,7 @@ def reduced_integrals(
     for g in model.groups:
         grouped |= {g.radius_symbol(), *(f"{a}^" for a in g.axes)} if g.radial else set(g.axes)
     memo: dict[tuple, Alternatives] = {}
+    moments = {} if moments is None else moments
     for piece in pieces:
         for mono_key, coeff in piece.amp.monomials():
             degrees = dict(mono_key)
@@ -335,7 +341,7 @@ def reduced_integrals(
                     f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
                 )
             for t_power, poly in coeff.by_power(T).items():
-                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, memo)
+                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, memo, moments)
 
 
 def _symbol_alternatives(
@@ -344,6 +350,7 @@ def _symbol_alternatives(
     model: ModelSpec,
     phase: ReducedPhase,
     memo: dict[tuple, Alternatives],
+    moments: dict[tuple, ParamPoly],
 ) -> Iterator[Alternatives]:
     def phase_of(symbol: str) -> tuple[ParamPoly, ParamPoly]:
         g2 = phase.g2.get(symbol, ParamPoly.zero())
@@ -362,7 +369,9 @@ def _symbol_alternatives(
             key = (rsym, group.regulator, d, piece.osc_sign, hat_degrees)
             alternatives = memo.get(key)
             if alternatives is None:
-                moment = angular_moment(hat_degrees, dim)
+                moment = moments.get((hat_degrees, dim))
+                if moment is None:
+                    moment = moments[hat_degrees, dim] = angular_moment(hat_degrees, dim)
                 if moment.is_zero():
                     alternatives = []
                 else:

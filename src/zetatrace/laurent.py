@@ -228,10 +228,23 @@ def _affine_str(a: Q, b: Q, z: str) -> str:
 @dataclass(frozen=True)
 class MeroFactorProduct:
     """Prefactor times a product of primitive factors, folded when built: one
-    factor per ``fold_key``, where the key first occurs, and none equal to 1."""
+    factor per ``fold_key``, where the key first occurs, and none equal to 1.
+
+    The constructor checks that form and folds where it does not hold.
+    ``_canonical`` skips the check, for factors taken from one canonical
+    product in its order (the same tuple, or a subset): they are folded
+    already.
+    """
 
     prefactor: ParamPoly
     factors: tuple[PrimitiveFactor, ...] = ()
+
+    @classmethod
+    def _canonical(cls, prefactor: ParamPoly, factors: tuple[PrimitiveFactor, ...]) -> "MeroFactorProduct":
+        product = object.__new__(cls)
+        object.__setattr__(product, "prefactor", prefactor)
+        object.__setattr__(product, "factors", factors)
+        return product
 
     def __post_init__(self):
         keys = {f.fold_key for f in self.factors}
@@ -244,7 +257,7 @@ class MeroFactorProduct:
             object.__setattr__(self, "factors", tuple(f for f in folded.values() if f.fold_key is not None))
 
     def scaled(self, poly: ParamPoly) -> "MeroFactorProduct":
-        return MeroFactorProduct(self.prefactor * poly, self.factors)
+        return MeroFactorProduct._canonical(self.prefactor * poly, self.factors)
 
     def render(self) -> str:
         parts = [self.prefactor.render(mul="*")]
@@ -439,14 +452,14 @@ def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentS
         key = _merge_keys(key, next((t[0] for t in terms if t), ()))  # one monomial per factor
     if split == len(factors):
         pre = [(_merge_keys(key, k), c) for k, c in p.prefactor.terms.items()]
-        return LaurentSeries(lead, [ParamPoly({k: x * c for k, c in pre}) for x in nums])
+        return LaurentSeries(lead, [ParamPoly._canonical({k: x * c for k, c in pre}) for x in nums])
     # The first const_pow's coefficients carry distinct powers of ln(base), so
     # no two products share a monomial: each coefficient is one dict of
     # products, which is what the fold's additions leave after pruning.
     series = expand_factor(factors[split], order)
     logs = _terms(series)
     series = LaurentSeries(lead + series.lead, [
-        ParamPoly({
+        ParamPoly._canonical({
             _merge_keys(key, logs[m - i][0]): nums[i] * logs[m - i][1]
             for i in range(m + 1) if nums[i] and logs[m - i]
         })

@@ -206,7 +206,7 @@ def small_z_ratio(model, observable_name: str, z_samples: Sequence[float],
     """
     sides, points = _build_quotient(model, observable_name, t_value, bindings)
     values = _quadratures(points, z_samples)
-    return small_z_limit({z: _evaluate_quotient(sides, values[z]) for z in z_samples})
+    return small_z_limit({z: _evaluate_quotient(sides, values[z], z) for z in z_samples})
 
 
 def model_quotient(model, observable_name: str, z: float, t_value: float,
@@ -223,7 +223,7 @@ def model_quotient(model, observable_name: str, z: float, t_value: float,
     time.  This is ``small_z_ratio`` at a single z, without the limit.
     """
     sides, points = _build_quotient(model, observable_name, t_value, bindings)
-    return _evaluate_quotient(sides, _quadratures(points, (z,))[z])
+    return _evaluate_quotient(sides, _quadratures(points, (z,))[z], z)
 
 
 def _build_quotient(model, observable_name: str, t_value: float, bindings: Mapping[str, float]
@@ -274,8 +274,9 @@ def _quadratures(points: list[Point], z_samples: Sequence[float]) -> dict[float,
             for z, at_z in keys.items()}
 
 
-def _evaluate_quotient(sides: tuple[list[Item], list[Item]], values: list[complex]) -> complex:
-    """num(z, T)/den(z, T) from built sides and their points' values at z."""
+def _evaluate_quotient(sides: tuple[list[Item], list[Item]], values: list[complex], z: float) -> complex:
+    """num(z, T)/den(z, T) from built sides and their points' values at z;
+    ``NonConvergent`` where the denominator is exactly 0."""
 
     def trace_value(items: list[Item]) -> complex:
         total = 0j
@@ -285,8 +286,10 @@ def _evaluate_quotient(sides: tuple[list[Item], list[Item]], values: list[comple
             total += value
         return total
 
-    num, den = sides
-    return trace_value(num) / trace_value(den)
+    den = trace_value(sides[1])
+    if den == 0:
+        raise NonConvergent(f"the denominator is exactly 0 at the z sample {z!r}")
+    return trace_value(sides[0]) / den
 
 
 # ---------------------------------------------------------------------------

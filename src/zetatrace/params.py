@@ -22,6 +22,14 @@ cancellation.  A coefficient that is not finite raises ``NumericOverflow``;
 it is never dropped.  ``==`` compares within ``COEFF_TOL`` of the larger
 coefficient; such an equality is not transitive, so a ``ParamPoly`` has no
 hash.
+
+Dropping zeros and the finite check run in one finishing step,
+``_finished``, which also turns ``-0.0`` into ``0.0``.  The constructor
+normalises keys and merges coefficients, then finishes.  The arithmetic
+(``+``, ``-``, ``*``, ``scale``, ``by_power``, ``inverse``, ``mono_pow`` and
+``zero``, ``one``, ``number``) builds one canonical ``ExpKey`` per monomial
+with ``complex`` coefficients and only finishes (``ParamPoly._canonical``),
+so each result is what the constructor would make of its terms.
 """
 
 from __future__ import annotations
@@ -127,28 +135,31 @@ class ParamPoly:
                     key = _exp_key(key)
                 if key in merged:  # two keys of one monomial, one of them unsorted
                     coeff += merged.pop(key)
-                if coeff != 0:
-                    # 0 + turns -0.0 into 0.0
-                    merged[key] = 0 + complex(coeff)
-        if merged and not all(map(cmath.isfinite, merged.values())):
-            key, c = next((k, c) for k, c in merged.items() if not cmath.isfinite(c))
-            mono = "*".join(f"{n}^{e}" for n, e in key) or "1"
-            raise NumericOverflow(f"the coefficient of {mono} is not finite: {c}")
-        object.__setattr__(self, "terms", merged)
+                merged[key] = complex(coeff)
+        object.__setattr__(self, "terms", _finished(merged))
+
+    @classmethod
+    def _canonical(cls, terms: dict[ExpKey, complex]) -> "ParamPoly":
+        """The poly of terms canonical but for zeros: one ``ExpKey`` per monomial,
+        sorted and without zero exponents, and ``complex`` coefficients.  The
+        arithmetic builds its results so; this only runs the finishing step."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", _finished(terms))
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "ParamPoly":
-        return ParamPoly()
+        return ParamPoly._canonical({})
 
     @staticmethod
     def one() -> "ParamPoly":
-        return ParamPoly({(): 1.0})
+        return ParamPoly._canonical({_NO_PARAMS: 1 + 0j})
 
     @staticmethod
     def number(c) -> "ParamPoly":
-        return ParamPoly({(): complex(c)})
+        return ParamPoly._canonical({_NO_PARAMS: complex(c)})
 
     @staticmethod
     def var(name: str, exponent=1, coeff=1.0) -> "ParamPoly":
@@ -200,20 +211,20 @@ class ParamPoly:
             return NotImplemented
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return ParamPoly(merged)
+            merged[key] = merged[key] + coeff if key in merged else coeff
+        return ParamPoly._canonical(merged)
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({k: -c for k, c in self.terms.items()})
+        return ParamPoly._canonical({k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "ParamPoly":
         c = complex(c)
         if c == 0:
             return ParamPoly.zero()
-        return ParamPoly({k: v * c for k, v in self.terms.items()})
+        return ParamPoly._canonical({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -224,8 +235,8 @@ class ParamPoly:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = _merge_keys(k1, k2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return ParamPoly(out)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return ParamPoly._canonical(out)
 
     __rmul__ = __mul__
 
@@ -252,15 +263,15 @@ class ParamPoly:
         if coeff.imag != 0 or coeff.real <= 0:
             raise UnsupportedStructure("rational power requires a positive coefficient")
         new_coeff = coeff.real ** float(e)
-        new_key = tuple((n, p * e) for n, p in key if p * e != 0)
-        return ParamPoly({new_key: complex(new_coeff)})
+        new_key = ExpKey((n, p * e) for n, p in key if p * e != 0)
+        return ParamPoly._canonical({new_key: complex(new_coeff)})
 
     def inverse(self) -> "ParamPoly":
         mono = self.single_monomial()
         if mono is None:
             raise UnsupportedStructure(f"inverse of a non-monomial: {self.render()}")
         coeff, key = mono
-        return ParamPoly({tuple((n, -p) for n, p in key): 1.0 / coeff})
+        return ParamPoly._canonical({ExpKey((n, -p) for n, p in key): 1.0 / coeff})
 
     def divide(self, den: "ParamPoly") -> "ParamPoly":
         """Exact division by a single-monomial denominator."""
@@ -302,9 +313,9 @@ class ParamPoly:
         parts: dict[Fraction, dict[ExpKey, complex]] = {}
         for key, coeff in self.terms.items():
             power = next((e for n, e in key if n == name), Fraction(0))
-            rest = tuple(item for item in key if item[0] != name)
+            rest = ExpKey(item for item in key if item[0] != name)
             parts.setdefault(power, {})[rest] = coeff
-        return {power: ParamPoly(terms) for power, terms in parts.items()}
+        return {power: ParamPoly._canonical(terms) for power, terms in parts.items()}
 
     # -- evaluation --------------------------------------------------------
 
@@ -400,7 +411,21 @@ def _exp_key(pairs: tuple) -> ExpKey:
     return ExpKey(sorted(item for item in pairs if item[1] != 0))
 
 
+def _finished(terms: dict[ExpKey, complex]) -> dict[ExpKey, complex]:
+    """The terms without exact zeros, ``-0.0`` made ``0.0``; ``NumericOverflow`` if one is not finite."""
+    out = {key: 0 + c for key, c in terms.items() if c != 0}
+    if not all(map(cmath.isfinite, out.values())):
+        key, c = next((k, c) for k, c in out.items() if not cmath.isfinite(c))
+        mono = "*".join(f"{n}^{e}" for n, e in key) or "1"
+        raise NumericOverflow(f"the coefficient of {mono} is not finite: {c}")
+    return out
+
+
 def _merge_keys(k1: ExpKey, k2: ExpKey) -> ExpKey:
+    if not k2:
+        return k1
+    if not k1:
+        return k2
     exps = dict(k1)
     for name, e in k2:
         tot = exps[name] + e if name in exps else e

@@ -47,12 +47,9 @@ class AxisPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[MonoKey, ParamPoly] | None = None):
-        cleaned: dict[MonoKey, ParamPoly] = {}
-        for key, coeff in (terms or {}).items():
-            if not coeff.is_zero():
-                prev = cleaned.get(key)
-                cleaned[key] = coeff if prev is None else prev + coeff
-        self.terms = {k: c for k, c in cleaned.items() if not c.is_zero()}
+        # one coefficient per key already: only zero coefficients are dropped, and the
+        # others are shared, not copied (no ``ParamPoly`` is changed in place)
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
 
     # -- constructors ------------------------------------------------------
 
@@ -79,7 +76,7 @@ class AxisPoly:
     def __add__(self, other: "AxisPoly") -> "AxisPoly":
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, ParamPoly.zero()) + c
+            terms[k] = terms[k] + c if k in terms else c
         return AxisPoly(terms)
 
     def __sub__(self, other: "AxisPoly") -> "AxisPoly":
@@ -95,7 +92,7 @@ class AxisPoly:
                 for k2, c2 in other.terms.items():
                     key = _merge_monos(k1, k2)
                     prod = c1 * c2
-                    out[key] = out.get(key, ParamPoly.zero()) + prod
+                    out[key] = out[key] + prod if key in out else prod
             return AxisPoly(out)
         if isinstance(other, (ParamPoly, int, float, complex)):
             return AxisPoly({k: c * other for k, c in self.terms.items()})
@@ -132,7 +129,7 @@ class AxisPoly:
             d = dict(key).get(name, 0)
             if d == degree:
                 rest = tuple((n, p) for n, p in key if n != name)
-                out[rest] = out.get(rest, ParamPoly.zero()) + coeff
+                out[rest] = out[rest] + coeff if rest in out else coeff
         return AxisPoly(out)
 
     def constant_part(self) -> ParamPoly:

@@ -144,7 +144,7 @@ class ZetaTermSum:
                 buckets[key] = (t, t.coeff.prefactor)
         out = [
             rep if acc is rep.coeff.prefactor else ZetaTerm(
-                MeroFactorProduct(acc, rep.coeff.factors),
+                MeroFactorProduct._canonical(acc, rep.coeff.factors),
                 rep.t_lin, rep.t_const, rep.t_log, rep.phase,
             )
             for rep, acc in buckets.values()
@@ -257,7 +257,7 @@ def _coefficients(
         slope = rational.to_float(a)
         t_lin = tuple((r, v) for r, v in term.t_lin if r != regulator)
         if local:
-            base = expand_product(MeroFactorProduct(term.coeff.prefactor, local), order)
+            base = expand_product(MeroFactorProduct._canonical(term.coeff.prefactor, local), order)
             lead, coeffs = base.lead, base.coeffs
         else:
             lead, coeffs = 0, [term.coeff.prefactor]
@@ -271,7 +271,7 @@ def _coefficients(
             for k in range(end - p0 if a[0] != 0 else 1):
                 c = cpoly.scale(slope ** k / math.factorial(k)) if k else cpoly
                 out.setdefault(p0 + k, []).append(ZetaTerm(
-                    MeroFactorProduct(c, rest_factors), t_lin, term.t_const,
+                    MeroFactorProduct._canonical(c, rest_factors), t_lin, term.t_const,
                     term.t_log + k, term.phase,
                 ))
     return out, top

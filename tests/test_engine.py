@@ -593,6 +593,19 @@ def _item_errors(model, observable):
     return errors
 
 
+def test_each_sphere_moment_is_computed_once_per_derivation(monkeypatch):
+    # both sides, every radial degree and oscillation sign share the one moment
+    calls = []
+
+    def counted(powers, dim):
+        calls.append((powers, dim))
+        return tables.angular_moment(powers, dim)
+
+    monkeypatch.setattr(engine, "angular_moment", counted)
+    run_model("dirac_fermion", n=3)
+    assert calls == [((0, 0, 0), 3)]
+
+
 def test_a_raising_alternative_is_not_stored(shifted_oscillator):
     # every item reaching x1 raises, not only the first one: three T powers share one key
     errors = _item_errors(shifted_oscillator, _powers_of_t(3))

@@ -232,6 +232,15 @@ def regulator_sum_value(s, zs, t_value, bindings):
     return total
 
 
+def test_a_denominator_of_exactly_zero_raises_nonconvergent_naming_the_z_sample():
+    from zetatrace.models import schwinger_free
+
+    # schwinger_free's denominator is exactly 0 at z = 0 for these values
+    bindings = {"m": 13.445080768798997, "X": 84.7448993563539}
+    with pytest.raises(NonConvergent, match=r"^the denominator is exactly 0 at the z sample 0\.0$"):
+        oracle.small_z_ratio(schwinger_free(), "H_m", (0.0, 0.1), 763.7769812304242, bindings)
+
+
 def test_model_quotient_samples_the_regulator_diagonal():
     """The oracle sets every regulator to the same z; the engine eliminates z1, then z2."""
     from zetatrace.engine import build_trace_sums

@@ -280,3 +280,60 @@ def test_by_power_of_an_absent_parameter_is_the_poly_itself(p):
         assert parts == {}
     else:
         assert list(parts) == [0] and parts[0].terms == p.terms
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic builds its results canonical: the constructor changes nothing
+# ---------------------------------------------------------------------------
+
+
+def exact_terms(p: ParamPoly) -> list:
+    """Every term in order, with its key's type and its coefficient's repr: signed zeros count."""
+    return [(key, type(key), repr(c)) for key, c in p.terms.items()]
+
+
+def assert_canonical(p: ParamPoly):
+    # as plain tuples the keys go through all of the constructor's key normalisation
+    assert exact_terms(p) == exact_terms(ParamPoly({tuple(k): c for k, c in p.terms.items()}))
+
+
+# halves and signed zeros: sums cancel exactly and products leave -0.0 parts
+parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -3.0, 1e-13])
+exact_coeffs = st.builds(complex, parts, parts)
+
+
+@st.composite
+def raw_polys(draw, names=("a", "b", "c")):
+    """Polys from the public constructor: keys unsorted, with zero exponents, repeated."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        pairs = draw(st.dictionaries(st.sampled_from(names), exponents, max_size=len(names)))
+        key = tuple(draw(st.permutations(list(pairs.items()))))
+        terms[key] = draw(exact_coeffs)
+    return ParamPoly(terms)
+
+
+@given(raw_polys(), raw_polys(), exact_coeffs, st.sampled_from(["a", "b", "c"]))
+def test_arithmetic_results_are_canonical_as_built(a, b, c, name):
+    for result in (a + b, a - b, -a, a * b, a * c, a.scale(c), a * 2, a ** 2):
+        assert_canonical(result)
+    for part in a.by_power(name).values():
+        assert_canonical(part)
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]), exponents, max_size=3), exact_coeffs, exponents)
+def test_monomial_results_are_canonical_as_built(exps, c, e):
+    m = ParamPoly.monomial(c, exps)
+    if not m.is_zero():
+        assert_canonical(m.inverse())
+    positive = ParamPoly.monomial(abs(c) + 0.25, exps)
+    assert_canonical(positive.mono_pow(e))
+    assert_canonical(positive.mono_pow(0))
+
+
+def test_the_finishing_step_turns_a_negative_zero_part_into_zero():
+    # in floats, 2j * (-1 + 0j) and -(2j) are (-0-2j)
+    for p in (ParamPoly.number(2j) * ParamPoly.number(-1), -ParamPoly.number(2j)):
+        assert exact_terms(p) == [((), ExpKey, "-2j")]
+    assert exact_terms(ParamPoly.one()) == exact_terms(ParamPoly({(): 1.0}))
+    assert exact_terms(ParamPoly.number(3)) == exact_terms(ParamPoly({(): 3}))

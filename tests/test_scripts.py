@@ -32,3 +32,17 @@ def test_finite_t_scan_runs_from_any_directory(tmp_path):
         values = dict(re.findall(r"^ +(finite-T|quadrature) @ T=10 *: (\S+)$", block, re.M))
         engine, quad = complex(values["finite-T"]), complex(values["quadrature"])
         assert abs(quad - engine) <= 1e-4 * abs(engine), block
+
+
+def test_op_digest_is_the_same_on_a_second_run(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    digests = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "op_digest.py"), "--workloads", "ladder", "--seeds", "3"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert re.fullmatch(r"[0-9a-f]{64}  15 ops\n", digests[0]), digests[0]
+    assert digests[0] == digests[1]

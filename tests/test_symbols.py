@@ -456,3 +456,47 @@ def test_decompose_reassemble_random_quadratics(a2, a1, a0):
         return
     d = decompose_phase(h, ["u"])
     assert (reassemble(d) - h).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic builds its results canonical: the constructor changes nothing
+# ---------------------------------------------------------------------------
+
+
+def exact_axis_terms(p: AxisPoly) -> list:
+    """Every key in order with its coefficient's exact terms: key types and signed zeros count."""
+    return [
+        (key, [(k, type(k), repr(c)) for k, c in coeff.terms.items()])
+        for key, coeff in p.terms.items()
+    ]
+
+
+def assert_axis_canonical(p: AxisPoly):
+    assert exact_axis_terms(p) == exact_axis_terms(AxisPoly(dict(p.terms)))
+    for key, coeff in p.terms.items():
+        assert key == tuple(sorted((n, d) for n, d in key if d))
+        assert not coeff.is_zero()
+        rebuilt = ParamPoly({tuple(k): c for k, c in coeff.terms.items()})
+        assert [(k, repr(c)) for k, c in coeff.terms.items()] == [(k, repr(c)) for k, c in rebuilt.terms.items()]
+
+
+halves = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0]).map(lambda x: complex(x, 0.0))
+axis_coeffs = st.lists(
+    st.tuples(st.sampled_from(["m", "w"]), st.integers(-2, 2), halves), min_size=1, max_size=2
+).map(lambda ts: sum((ParamPoly.var(n, e, c) for n, e, c in ts), ParamPoly.zero()))
+
+
+@st.composite
+def axis_polys(draw):
+    """Polynomials in x and y of degree <= 2 whose coefficients cancel exactly in sums."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = tuple((s, d) for s, d in zip("xy", draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))) if d)
+        terms[key] = draw(axis_coeffs)
+    return AxisPoly(terms)
+
+
+@given(axis_polys(), axis_polys(), axis_coeffs)
+def test_axis_arithmetic_results_are_canonical_as_built(a, b, c):
+    for result in (a + b, a - b, -a, a * b, a * c, c * a, a * -1.0, a ** 2, a.coefficient_of("x", 1)):
+        assert_axis_canonical(result)

@@ -785,3 +785,38 @@ def test_lead_first_elimination_doubles_the_truncation_for_a_vanishing_sum():
     leads, coeffs, k = _expand_to_lead([vanishing, ZetaTermSum([t])], "z", 3)
     assert (leads, k) == ([None, -1], 24)
     assert coeffs[0].terms == []
+
+
+# ---------------------------------------------------------------------------
+# Products built without the canonical check are canonical
+# ---------------------------------------------------------------------------
+
+
+def test_every_product_built_without_the_check_is_canonical(monkeypatch):
+    """``MeroFactorProduct._canonical`` skips the fold check: wherever the pipeline
+    calls it, the public constructor would have left the factors as they are."""
+    from pathlib import Path
+
+    from zetatrace.modelfile import parse_model_text, to_model_spec
+    from zetatrace.models import REGISTRY, RegistryEntry, run_model
+
+    trusted = MeroFactorProduct._canonical.__func__
+    calls = []
+
+    def checked(cls, prefactor, factors):
+        assert MeroFactorProduct(prefactor, factors).factors is factors, factors
+        calls.append(len(factors))
+        return trusted(cls, prefactor, factors)
+
+    monkeypatch.setattr(MeroFactorProduct, "_canonical", classmethod(checked))
+    golden = Path(__file__).resolve().parent / "golden"
+    files = {}
+    for path in sorted(golden.glob("*.zt")):
+        spec = to_model_spec(parse_model_text(path.read_text(encoding="utf-8"), path.stem))
+        files[path.stem] = RegistryEntry(lambda spec=spec, **kw: spec, spec.description, "")
+    assert files
+    for name in [*REGISTRY, *files]:
+        for policy in (PAPER, PRINCIPAL):
+            for order in (4, 8, 16):
+                run_model(name, policy, order, registry=files)
+    assert calls and any(calls)
