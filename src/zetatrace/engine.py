@@ -31,12 +31,12 @@ from .laurent import DEFAULT_ORDER, MeroFactorProduct
 from .params import Param, ParamPoly, _fraction
 from .rational import Q
 from .symbols import (
-    AxisPoly,
     IntegrandPiece,
     InvolutionEvolution,
     MatrixSymbol,
     PhaseDecomposition,
     T,
+    axis_terms,
     compose_observable,
     decompose_phase,
     involution_exp,
@@ -76,6 +76,12 @@ class GaugeGroup:
     def radius_symbol(self) -> str:
         return self.axes[0] if len(self.axes) == 1 else f"|{self.name}|"
 
+    def symbols(self) -> tuple[str, ...]:
+        """The symbols the group integrates: its axes, or a radial group's radius and directions."""
+        if self.radial:
+            return (self.radius_symbol(), *(f"{a}^" for a in self.axes))
+        return self.axes
+
 
 @dataclass
 class ModelSpec:
@@ -85,8 +91,8 @@ class ModelSpec:
     description: str
     params: tuple[Param, ...]
     groups: tuple[GaugeGroup, ...]
-    hamiltonian: AxisPoly | MatrixSymbol
-    observables: dict[str, AxisPoly | MatrixSymbol]
+    hamiltonian: ParamPoly | MatrixSymbol
+    observables: dict[str, ParamPoly | MatrixSymbol]
     expected: dict[str, ParamPoly] = field(default_factory=dict)
     hbar: str | None = None
     prefactor: ParamPoly = field(default_factory=ParamPoly.one)
@@ -103,6 +109,10 @@ class ModelSpec:
 
     def default_bindings(self) -> dict[str, float]:
         return {p.name: p.default for p in self.params if p.default is not None}
+
+    def grouped_symbols(self) -> set[str]:
+        """Every atom a gauge group names: the axis symbols of the phase and the amplitudes."""
+        return {s for g in self.groups for s in (*g.axes, g.radius_symbol(), *g.symbols())}
 
 
 def gauge_text(model: ModelSpec) -> str:
@@ -134,18 +144,20 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
     hbar_inv = (
         ParamPoly.var(model.hbar, -1) if model.hbar else ParamPoly.one()
     )
+    grouped = model.grouped_symbols()
     if isinstance(model.hamiltonian, MatrixSymbol):
         evo = involution_exp(model.hamiltonian)
-        b = t_free(model.hamiltonian.scalar.constant_part())
-        if model.hamiltonian.scalar.symbols():
+        scalar = dict(axis_terms(model.hamiltonian.scalar, grouped))
+        b = t_free(scalar.pop((), ParamPoly.zero()))
+        if scalar:
             raise UnsupportedStructure("matrix scalar part must be axis-free")
-        c = model.hamiltonian.coeff
-        syms = c.symbols()
+        parts = dict(axis_terms(model.hamiltonian.coeff, grouped))
+        syms = {name for key in parts for name, _ in key}
         if len(syms) != 1:
             raise UnsupportedStructure("involution coefficient must be one radial symbol")
         (sym,) = syms
-        coeff = t_free(c.coefficient_of(sym, 1).constant_part())
-        if coeff.is_zero() or not (c - AxisPoly.symbol(sym, 1, coeff)).is_zero():
+        coeff = t_free(parts.get(((sym, 1),), ParamPoly.zero()))
+        if coeff.is_zero() or len(parts) != 1:
             raise UnsupportedStructure("involution coefficient must be linear in the radius")
         phase = ReducedPhase(
             g2={},
@@ -155,8 +167,8 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
             osc_symbol=sym,
         )
         return phase, evo
-    symbols = sorted({s for g in model.groups for s in (*g.axes, g.radius_symbol())})
-    decomp = decompose_phase(model.hamiltonian, symbols)
+    axes = sorted({s for g in model.groups for s in (*g.axes, g.radius_symbol())})
+    decomp = decompose_phase(model.hamiltonian, axes, grouped)
     phase = ReducedPhase(
         g2={k: v * hbar_inv for k, v in decomp.h2.items()},
         g1={k: v * hbar_inv for k, v in decomp.h1.items()},
@@ -166,8 +178,8 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
 
 
 def complete_square(
-    phase: PhaseDecomposition, amp: AxisPoly, axis: str
-) -> tuple[PhaseDecomposition, AxisPoly, ParamPoly, ParamPoly]:
+    phase: PhaseDecomposition, amp: ParamPoly, axis: str
+) -> tuple[PhaseDecomposition, ParamPoly, ParamPoly, ParamPoly]:
     """Shift one axis to kill its linear phase.
 
     Returns (new phase, substituted amplitude, phase constant h1^2/(4 h2)
@@ -182,9 +194,7 @@ def complete_square(
         return phase, amp, ParamPoly.zero(), ParamPoly.zero()
     shift = h1 * h2.inverse().scale(0.5)
     const = h1 * h1 * h2.inverse().scale(0.25)
-    new_amp = amp.substitute(
-        axis, AxisPoly.symbol(axis) - AxisPoly.constant(shift)
-    )
+    new_amp = amp.subs(axis, ParamPoly.var(axis) - shift)
     new_phase = PhaseDecomposition(
         h2=dict(phase.h2),
         h1={k: (ParamPoly.zero() if k == axis else v) for k, v in phase.h1.items()},
@@ -230,7 +240,7 @@ def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
     if coeff.imag != 0:
         raise UnsupportedStructure("phase coefficient must be real")
     sign = 1 if coeff.real > 0 else -1
-    return sign, ParamPoly({key: abs(coeff.real)})
+    return sign, ParamPoly._canonical({key: complex(abs(coeff.real))})
 
 
 def _axis_alternatives(
@@ -279,22 +289,45 @@ def _radial_alternatives(
 
 
 def reduced_sides(
-    model: ModelSpec, observables: Sequence[AxisPoly | MatrixSymbol | int]
+    model: ModelSpec, observables: Sequence[ParamPoly | MatrixSymbol | int]
 ) -> tuple[ReducedPhase, list[Enumeration]]:
     """The reduction's front end: the model's reduced phase and one enumeration per observable.
 
-    The phase split and each observable's composition with the evolution run
-    here, in that order; each ``reduced_integrals`` is lazy and checks as it
-    is walked.  A number stands for itself times the identity.  An axis in
-    two groups is a ``ValidationError`` before any of that runs.
+    Every entry point calls it.  Before anything else it checks the model's
+    symbols once: an axis in two groups, or a declared parameter named like
+    a grouped symbol, is a ``ValidationError``, and an atom of the
+    Hamiltonian or of an observable that is neither a grouped symbol nor a
+    declared parameter, ``pi`` or ``T`` is an ``UnsupportedStructure``.
+    The phase split and each observable's composition with the evolution
+    run next, in that order; each ``reduced_integrals`` is lazy and checks
+    as it is walked.  A number stands for itself times the identity.
     """
     axes = [a for g in model.groups for a in g.axes]
     if twice := sorted({a for a in axes if axes.count(a) > 1}):
         raise ValidationError(f"axes in more than one gauge group: {twice}")
+    grouped = model.grouped_symbols()
+    if clash := sorted(p.name for p in model.params if p.name in grouped):
+        raise ValidationError(f"parameters named like a grouped symbol: {clash}")
+    known = grouped | {p.name for p in model.params} | {"pi", T}
+    if unknown := _atoms(model.hamiltonian) - known:
+        raise UnsupportedStructure(f"phase depends on unknown symbol {min(unknown)}")
+    for o in observables:
+        if not isinstance(o, int) and (unknown := _atoms(o) - known):
+            raise UnsupportedStructure(
+                f"amplitude symbols outside any gauge group: {sorted(unknown)}"
+            )
     phase, evo = _build_phase(model)
-    sides = (AxisPoly.number(o) if isinstance(o, int) else o for o in observables)
+    sides = (ParamPoly.number(o) if isinstance(o, int) else o for o in observables)
     moments: dict[tuple, ParamPoly] = {}
     return phase, [reduced_integrals(compose_observable(evo, o), model, phase, moments) for o in sides]
+
+
+def _atoms(symbol: ParamPoly | MatrixSymbol) -> set[str]:
+    """The names of every atom of a scalar symbol or of a matrix symbol's entries."""
+    if isinstance(symbol, ParamPoly):
+        return symbol.params()
+    entries = (symbol.scalar, symbol.coeff, *(e for row in symbol.kmatrix for e in row))
+    return set().union(*(e.params() for e in entries))
 
 
 def reduced_integrals(
@@ -303,39 +336,38 @@ def reduced_integrals(
 ) -> Enumeration:
     """The reduction's only enumeration of closed-form integrals.
 
-    Per piece, amplitude monomial and T power this yields the coefficient,
-    the T power and a lazy iterator over the reduced symbols, group by
-    group, giving each symbol's alternatives.  A branch picks one
-    alternative per symbol and is worth the coefficient times the picked
-    multipliers and integrals; handing branches out in this factored form
-    evaluates each integral once.  A symbol with no alternatives (odd degree
-    under a Gaussian, zero sphere moment) makes its item vanish.  Every
-    structural check of the reduction runs here, as the iterator reaches
-    the symbol; an amplitude symbol outside every group is rejected before
-    its monomial yields anything.  Within one call each symbol's
-    alternatives are computed once and then shared (the same list object)
-    by every item with the same key: the symbol, its regulator, its degree
-    and the piece's oscillation sign, plus the direction degrees for a
-    radial group.  A check that raises stores nothing, so it raises again,
-    with the same message, at every item that reaches it.  Each group gives
-    its symbols their regulator and share (``gauge_text``).  A radial
-    group's sphere moment depends only on its direction degrees and
-    dimension: it is kept in ``moments`` under that key, which
-    ``reduced_sides`` shares between its sides (a fresh dict by default).
-    ``reduce_pieces`` maps the integrals to table rows; the oracle walks it
-    once per side and cross-check (``oracle._build_quotient``) and computes
-    all its distinct integrals in one quadrature batch.
+    Per piece, axis part of the amplitude (``axis_terms`` over the model's
+    grouped symbols) and T power this yields the coefficient, the T power
+    and a lazy iterator over the reduced symbols, group by group, giving
+    each symbol's alternatives.  A branch picks one alternative per symbol
+    and is worth the coefficient times the picked multipliers and integrals;
+    handing branches out in this factored form evaluates each integral once.
+    A symbol with no alternatives (odd degree under a Gaussian, zero sphere
+    moment) makes its item vanish.  Every structural check of the reduction
+    runs here, as the iterator reaches the symbol; a grouped symbol that no
+    group integrates (an axis of a radial group) is rejected before its axis
+    part yields anything.  Within one call each symbol's alternatives are
+    computed once and then shared (the same list object) by every item with
+    the same key: the symbol, its regulator, its degree and the piece's
+    oscillation sign, plus the direction degrees for a radial group.  A
+    check that raises stores nothing, so it raises again, with the same
+    message, at every item that reaches it.  Each group gives its symbols
+    their regulator and share (``gauge_text``).  A radial group's sphere
+    moment depends only on its direction degrees and dimension: it is kept
+    in ``moments`` under that key, which ``reduced_sides`` shares between
+    its sides (a fresh dict by default).  ``reduce_pieces`` maps the
+    integrals to table rows; the oracle walks it once per side and
+    cross-check (``oracle._build_quotient``) and computes all its distinct
+    integrals in one quadrature batch.
     """
-    # the symbols the groups integrate: separable axes, radial radii and directions
-    grouped: set[str] = set()
-    for g in model.groups:
-        grouped |= {g.radius_symbol(), *(f"{a}^" for a in g.axes)} if g.radial else set(g.axes)
+    integrated = {s for g in model.groups for s in g.symbols()}
+    grouped = model.grouped_symbols()
     memo: dict[tuple, Alternatives] = {}
     moments = {} if moments is None else moments
     for piece in pieces:
-        for mono_key, coeff in piece.amp.monomials():
-            degrees = dict(mono_key)
-            leftovers = degrees.keys() - grouped
+        for axis_key, coeff in axis_terms(piece.amp, grouped):
+            degrees = dict(axis_key)
+            leftovers = degrees.keys() - integrated
             if leftovers:
                 raise UnsupportedStructure(
                     f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
@@ -511,7 +543,7 @@ class ExpectationResult:
 
 def build_trace_sums(
     model: ModelSpec,
-    observable: AxisPoly | MatrixSymbol,
+    observable: ParamPoly | MatrixSymbol,
     policy: BranchPolicy,
 ) -> tuple[ZetaTermSum, ZetaTermSum, list[Step]]:
     """Numerator and denominator term sums under the same gauge, and the steps so far.

@@ -21,7 +21,7 @@ from typing import Iterator
 from .engine import GaugeGroup, ModelSpec, reduced_sides
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
 from .params import Param, ParamPoly
-from .symbols import AxisPoly, T
+from .symbols import T
 
 AXIS_KINDS = ("position", "momentum", "field")
 
@@ -37,10 +37,9 @@ MAX_EXPONENT = 16
 MAX_NESTING = 100
 
 #: the most coefficient products lowering one section may form.  A product of
-#: a and b forms size(a) * size(b) of them, size counting the parameter
-#: monomials of every axis term, and a power is charged factor by factor: a
-#: power of a sum, or a sum of many such powers, expands term by term, and
-#: lowering it costs about 15 us per product
+#: a and b forms one per pair of their monomials, and a power is charged factor
+#: by factor: a power of a sum, or a sum of many such powers, expands term by
+#: term, and lowering it costs about 15 us per product
 LOWERING_BUDGET = 20_000
 
 
@@ -182,42 +181,40 @@ def parse_expression(text: str, line: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# Lowering into the axis-polynomial algebra
+# Lowering into polynomials, axis names as atoms
 # ---------------------------------------------------------------------------
 
 
 def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1,
-              with_t: bool = True) -> AxisPoly:
+              with_t: bool = True) -> ParamPoly:
     """Lower one section's expression; a ``ParseError`` past ``LOWERING_BUDGET``, and at
     ``T`` unless ``with_t``."""
     spent = 0
 
-    def product(a: AxisPoly, b: AxisPoly, line: int) -> AxisPoly:
+    def product(a: ParamPoly, b: ParamPoly, line: int) -> ParamPoly:
         nonlocal spent
-        spent += _size(a) * _size(b)
+        spent += len(a.terms) * len(b.terms)
         if spent > LOWERING_BUDGET:
             raise ParseError(f"expanding this expression takes more than {LOWERING_BUDGET} "
                              "coefficient products", line)
         return a * b
 
-    def lower(node, line: int) -> AxisPoly:
+    def lower(node, line: int) -> ParamPoly:
         kind = node[0]
         if kind == "line":
             return lower(node[2], node[1])
         if kind == "num":
-            return AxisPoly.number(float(node[1]))
+            return ParamPoly.number(float(node[1]))
         if kind == "sym":
             name = node[1]
             if name == "i":
-                return AxisPoly.number(1j)
+                return ParamPoly.number(1j)
             if name == "T":
                 if not with_t:
                     raise ParseError("an expected value cannot depend on T", line)
-                return AxisPoly.constant(ParamPoly.var(T))
-            if name in axis_names:
-                return AxisPoly.symbol(name)
-            if name in param_names or name == "pi":
-                return AxisPoly.constant(ParamPoly.var(name))
+                return ParamPoly.var(T)
+            if name in axis_names or name in param_names or name == "pi":
+                return ParamPoly.var(name)
             raise ParseError(f"unknown symbol {name!r}", line)
         if kind == "neg":
             return -lower(node[1], line)
@@ -238,26 +235,21 @@ def lower_ast(node, axis_names: set[str], param_names: set[str], line: int = 1,
                 elif op == "*":
                     out = product(out, lower(rhs, line), line)
                 else:
-                    out = product(out, _invert(lower(rhs, line), line), line)
+                    out = product(out, _invert(lower(rhs, line), axis_names, line), line)
             return out
         if kind == "^":
             base = lower(node[1], line)
             exp = _int_exponent(node[2], line)
-            out = AxisPoly.number(1)
-            for _ in range(abs(exp)):  # factor by factor, as AxisPoly.__pow__ does
+            out = ParamPoly.one()
+            for _ in range(abs(exp)):  # factor by factor, each charged to the budget
                 out = product(out, base, line)
-            return out if exp >= 0 else _invert(out, line)
+            return out if exp >= 0 else _invert(out, axis_names, line)
         raise ParseError(f"unsupported node {kind}", line)
 
     return lower(node, line)
 
 
 _CHAINS = {"+": ("+", "-"), "-": ("+", "-"), "*": ("*", "/"), "/": ("*", "/")}
-
-
-def _size(p: AxisPoly) -> int:
-    """The number of parameter monomials over all axis terms of ``p``."""
-    return sum(len(c.terms) for c in p.terms.values())
 
 
 def _int_exponent(node, line: int) -> int:
@@ -268,10 +260,10 @@ def _int_exponent(node, line: int) -> int:
     raise ParseError("exponent must be an integer literal", line)
 
 
-def _invert(p: AxisPoly, line: int) -> AxisPoly:
-    if p.symbols():
+def _invert(p: ParamPoly, axis_names: set[str], line: int) -> ParamPoly:
+    if p.params() & axis_names:
         raise ParseError("division by an axis-dependent expression", line)
-    parts = p.constant_part().by_power(T)
+    parts = p.by_power(T)
     if len(parts) != 1:
         raise ParseError("division by a non-monomial expression", line)
     ((t_power, poly),) = parts.items()
@@ -279,7 +271,7 @@ def _invert(p: AxisPoly, line: int) -> AxisPoly:
         inv = poly.inverse()
     except UnsupportedStructure as exc:
         raise ParseError(f"cannot invert {poly.render()}: {exc}", line) from exc
-    return AxisPoly.constant(inv, -t_power)
+    return inv * ParamPoly.var(T, -t_power) if t_power else inv
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +421,7 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
     observable = lower_ast(parsed.observable_ast, anames, pnames)
     expected = {}
     if parsed.expect_ast is not None:
-        expected["observable"] = lower_ast(parsed.expect_ast, set(), pnames, with_t=False).constant_part()
+        expected["observable"] = lower_ast(parsed.expect_ast, set(), pnames, with_t=False)
     spec = ModelSpec(
         name=parsed.name,
         description="custom model",

@@ -25,7 +25,7 @@ from .engine import (
 from .errors import UnknownModel, ValidationError
 from .laurent import DEFAULT_ORDER
 from .params import Param, ParamPoly
-from .symbols import AxisPoly, MatrixSymbol
+from .symbols import MatrixSymbol
 from .tables import PAPER, BranchPolicy
 from .terms import Divergent
 
@@ -38,9 +38,9 @@ def _poly(coeff, **exps) -> ParamPoly:
 def harmonic_oscillator_1d() -> ModelSpec:
     m, hbar, omega = Param("m", default=1.0), Param("hbar", default=1.0), Param("omega", default=1.0)
     h = (
-        AxisPoly.symbol("x", 2, _poly(0.5, m=1, omega=2))
-        + AxisPoly.symbol("xi", 2, _poly(0.5, hbar=2, m=-1))
-        + AxisPoly.constant(_poly(0.5, hbar=1, omega=1))
+        _poly(0.5, m=1, omega=2, x=2)
+        + _poly(0.5, hbar=2, m=-1, xi=2)
+        + _poly(0.5, hbar=1, omega=1)
     )
     return ModelSpec(
         name="harmonic_oscillator_1d",
@@ -60,11 +60,11 @@ def harmonic_oscillator_1d() -> ModelSpec:
 
 def harmonic_oscillator_nd(n: int = 3, per_axis: bool = False) -> ModelSpec:
     m, hbar, omega = Param("m", default=1.0), Param("hbar", default=1.0), Param("omega", default=1.0)
-    h = AxisPoly.constant(_poly(0.5 * n, hbar=1, omega=1))
+    h = _poly(0.5 * n, hbar=1, omega=1)
     xi_axes, x_axes = [], []
     for j in range(1, n + 1):
-        h = h + AxisPoly.symbol(f"x{j}", 2, _poly(0.5, m=1, omega=2))
-        h = h + AxisPoly.symbol(f"xi{j}", 2, _poly(0.5, hbar=2, m=-1))
+        h = h + _poly(0.5, m=1, omega=2, **{f"x{j}": 2})
+        h = h + _poly(0.5, hbar=2, m=-1, **{f"xi{j}": 2})
         xi_axes.append(f"xi{j}")
         x_axes.append(f"x{j}")
     if per_axis:
@@ -92,9 +92,9 @@ def harmonic_oscillator_nd(n: int = 3, per_axis: bool = False) -> ModelSpec:
 
 def topological_oscillator() -> ModelSpec:
     j = Param("J", default=1.0)
-    h = AxisPoly.symbol("xi", 2, _poly(0.5, J=-1))
+    h = _poly(0.5, J=-1, xi=2)
     # Q^2/(-i T) with Q = T xi / (2 pi J): equals (i T / (4 pi^2 J^2)) xi^2
-    charge_sq = AxisPoly.symbol("xi", 2, _poly(0.25j, pi=-2, J=-2, T=1))
+    charge_sq = _poly(0.25j, pi=-2, J=-2, T=1, xi=2)
     return ModelSpec(
         name="topological_oscillator",
         description="quantum rotor; topological susceptibility and energy gap",
@@ -121,15 +121,15 @@ def _dirac_symbol(n: int, radius: str) -> MatrixSymbol:
     if n not in (1, 2, 3):
         raise ValidationError(f"spatial dimension must be 1, 2 or 3, got {n}")
     hats = tuple(f"xi{j}^" for j in range(1, n + 1)) if n > 1 else ()
-    zero = AxisPoly.zero()
-    h = [AxisPoly.symbol(s) for s in hats] or [AxisPoly.number(1)]
+    zero = ParamPoly.zero()
+    h = [ParamPoly.var(s) for s in hats] or [ParamPoly.one()]
     h += [zero] * (3 - len(h))
     k = ((h[2], h[0] + (-1j) * h[1]), (h[0] + 1j * h[1], -h[2]))
     if n == 3:
         k = tuple((zero, zero) + row for row in k) + tuple(row + (zero, zero) for row in k)
     return MatrixSymbol(
-        scalar=AxisPoly.constant(_poly(1, m=1)),
-        coeff=AxisPoly.symbol(radius),
+        scalar=_poly(1, m=1),
+        coeff=ParamPoly.var(radius),
         kmatrix=k,
         direction_syms=hats,
     )
@@ -169,8 +169,8 @@ def dirac_fermion(n: int = 3) -> ModelSpec:
 
 def schwinger_boson_mass() -> ModelSpec:
     e, m = Param("e", default=1.0), Param("m", default=1.0)
-    h = AxisPoly.symbol("E", 2, _poly(0.5)) + AxisPoly.constant(_poly(1, m=1))
-    obs = AxisPoly.symbol("E", 2) + AxisPoly.constant(_poly(1, e=2, pi=-1))
+    h = _poly(0.5, E=2) + _poly(1, m=1)
+    obs = _poly(1, E=2) + _poly(1, e=2, pi=-1)
     return ModelSpec(
         name="schwinger_boson_mass",
         description="interacting 2D gauge theory; squared gauge boson mass",
@@ -187,10 +187,7 @@ def phi4() -> ModelSpec:
     mu = Param("mu", default=1.0)
     lam = Param("lambda", default=6.0)
     phi = Param("phi", positive=False)
-    h = (
-        AxisPoly.symbol("p", 2, _poly(0.5))
-        + AxisPoly.constant(_poly(-0.5, mu=2, phi=2) + _poly(Fraction(1, 24), **{"lambda": 1, "phi": 4}))
-    )
+    h = _poly(0.5, p=2) + _poly(-0.5, mu=2, phi=2) + _poly(Fraction(1, 24), **{"lambda": 1, "phi": 4})
     return ModelSpec(
         name="phi4",
         description="quartic scalar theory at constant field; vacua and field mass",

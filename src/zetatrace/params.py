@@ -1,20 +1,26 @@
 """Scalar symbolic arithmetic.
 
 A ``ParamPoly`` is a finite sum of monomials ``c * p1^e1 * p2^e2 * ...`` with
-complex floating-point coefficients and rational exponents of named positive
-parameters.  This is the coefficient field for every series and term sum in
-the engine.  ``pi`` is pre-registered as a parameter with a known numeric
-value so that results such as ``e^2 * pi^-1`` stay symbolic until evaluated.
+complex floating-point coefficients and rational exponents of named atoms.
+It is the one polynomial type of the engine: the coefficients of every
+series and term sum, and every integrand, whose gauged phase-space
+variables ("axis symbols") are atoms with integer exponents next to the
+model's parameters and ``T``.  Which atoms are axis symbols is the model's
+to say (``symbols.axis_terms`` splits a poly by them); the arithmetic does
+not tell them apart.  ``pi`` is pre-registered as a parameter with a known
+numeric value so that results such as ``e^2 * pi^-1`` stay symbolic until
+evaluated.
 
 A monomial's exponents are an ``ExpKey``: the sorted ``(name, Fraction)``
 pairs as a tuple that hashes once, when it is built.  Hashing a ``Fraction``
 is slow, and the dict arithmetic looks each key up several times.  A key
 equals, and hashes like, the plain tuple of its pairs, so plain-tuple lookups
-(``poly.terms == {(): 1.0}``) keep working.  A plain tuple passed as a key is
-sorted and stripped of zero exponents, and coefficients of keys naming the
-same monomial are summed.  Key exponents stay ``Fraction``s, unlike the
-integer pairs of the regulator side (``rational``): callers look keys up by
-``(name, Fraction)``, and rendering sorts keys by exponent value.
+(``poly.terms == {(): 1.0}``) keep working.  Every key passed to the
+constructor, an ``ExpKey`` too, is sorted and stripped of zero exponents, and
+coefficients of keys naming the same monomial are summed.  Key exponents
+stay ``Fraction``s, unlike the integer pairs of the regulator side
+(``rational``): callers look keys up by ``(name, Fraction)``, and rendering
+sorts keys by exponent value.
 
 Zero means zero: only a coefficient equal to 0 is dropped, so which terms a
 sum keeps, and so which Laurent order leads, depends only on exact
@@ -27,9 +33,10 @@ Dropping zeros and the finite check run in one finishing step,
 ``_finished``, which also turns ``-0.0`` into ``0.0``.  The constructor
 normalises keys and merges coefficients, then finishes.  The arithmetic
 (``+``, ``-``, ``*``, ``scale``, ``by_power``, ``inverse``, ``mono_pow`` and
-``zero``, ``one``, ``number``) builds one canonical ``ExpKey`` per monomial
-with ``complex`` coefficients and only finishes (``ParamPoly._canonical``),
-so each result is what the constructor would make of its terms.
+``zero``, ``one``, ``number``, ``var``, ``monomial``) builds one canonical
+``ExpKey`` per monomial with ``complex`` coefficients and only finishes
+(``ParamPoly._canonical``), so each result is what the constructor would
+make of its terms.
 """
 
 from __future__ import annotations
@@ -131,8 +138,7 @@ class ParamPoly:
         merged: dict[ExpKey, complex] = {}
         if terms:
             for key, coeff in terms.items():
-                if type(key) is not ExpKey:
-                    key = _exp_key(key)
+                key = _exp_key(key)
                 if key in merged:  # two keys of one monomial, one of them unsorted
                     coeff += merged.pop(key)
                 merged[key] = complex(coeff)
@@ -164,12 +170,12 @@ class ParamPoly:
     @staticmethod
     def var(name: str, exponent=1, coeff=1.0) -> "ParamPoly":
         e = _fraction(exponent)
-        return ParamPoly({_NO_PARAMS if e == 0 else ExpKey(((name, e),)): complex(coeff)})
+        return ParamPoly._canonical({_NO_PARAMS if e == 0 else ExpKey(((name, e),)): complex(coeff)})
 
     @staticmethod
     def monomial(coeff, exponents: Mapping[str, Fraction]) -> "ParamPoly":
         key = ExpKey(sorted((n, _fraction(e)) for n, e in exponents.items() if e != 0))
-        return ParamPoly({key: complex(coeff)})
+        return ParamPoly._canonical({key: complex(coeff)})
 
     # -- queries -----------------------------------------------------------
 
@@ -209,6 +215,11 @@ class ParamPoly:
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         if not isinstance(other, ParamPoly):
             return NotImplemented
+        # half the sums of the reduction have a zero side: the other side is the result
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged[key] + coeff if key in merged else coeff
@@ -295,7 +306,7 @@ class ParamPoly:
         return ParamPoly(out)
 
     def subs(self, name: str, value: "ParamPoly") -> "ParamPoly":
-        """Substitute a parameter by a ParamPoly (integer exponents only)."""
+        """Substitute an atom by a ParamPoly (integer exponents only)."""
         out = ParamPoly.zero()
         for e, rest in self.by_power(name).items():
             if e.denominator != 1 or e < 0:
@@ -313,7 +324,7 @@ class ParamPoly:
         parts: dict[Fraction, dict[ExpKey, complex]] = {}
         for key, coeff in self.terms.items():
             power = next((e for n, e in key if n == name), Fraction(0))
-            rest = ExpKey(item for item in key if item[0] != name)
+            rest = ExpKey(item for item in key if item[0] != name) if power else key
             parts.setdefault(power, {})[rest] = coeff
         return {power: ParamPoly._canonical(terms) for power, terms in parts.items()}
 
@@ -405,7 +416,7 @@ class ParamPoly:
 
 
 def _exp_key(pairs: tuple) -> ExpKey:
-    """The key of plain ``(name, exponent)`` pairs: sorted, zero exponents dropped."""
+    """The key of ``(name, exponent)`` pairs in any order: sorted, zero exponents dropped."""
     if not pairs:
         return _NO_PARAMS
     return ExpKey(sorted(item for item in pairs if item[1] != 0))

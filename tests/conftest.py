@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, settings
 
 from zetatrace.engine import GaugeGroup, ModelSpec
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import AxisPoly
 
 settings.register_profile(
     "det",
@@ -40,10 +39,10 @@ def shifted_oscillator():
         return ParamPoly.monomial(c, {k: Fraction(v) for k, v in exps.items()})
 
     h = (
-        AxisPoly.symbol("xi1", 2, mono(0.5, m=-1))
-        + AxisPoly.symbol("x1", 2, mono(0.5, m=1, w=2))
-        + AxisPoly.constant(mono(1, w=1))
-        + AxisPoly.symbol("x1", 1, mono(1, F=1))
+        mono(0.5, m=-1, xi1=2)
+        + mono(0.5, m=1, w=2, x1=2)
+        + mono(1, w=1)
+        + mono(1, F=1, x1=1)
     )
     return ModelSpec(
         name="shifted",
@@ -67,6 +66,6 @@ def divergent_inverse_momentum():
         description="custom model",
         params=(Param("c"),),
         groups=(GaugeGroup("g_xi", ("xi",), "z"),),
-        hamiltonian=AxisPoly.symbol("xi", 1, ParamPoly.var("c")),
-        observables={"observable": AxisPoly.symbol("xi", -1)},
+        hamiltonian=ParamPoly.monomial(1, {"c": 1, "xi": 1}),
+        observables={"observable": ParamPoly.var("xi", -1)},
     )

@@ -6,16 +6,16 @@ back lets the tests check that the split drops and aliases nothing.
 Nothing in ``zetatrace`` calls this.
 """
 
-from zetatrace.symbols import AxisPoly
+from zetatrace.params import ParamPoly
 
 
-def reassemble(d) -> AxisPoly:
+def reassemble(d) -> ParamPoly:
     """h0_const + sum over axes of h2[axis] axis^2 + h1[axis] axis, zero coefficients left out."""
-    out = AxisPoly.constant(d.h0_const)
+    out = d.h0_const
     for name, c in d.h2.items():
         if not c.is_zero():
-            out = out + AxisPoly.symbol(name, 2, c)
+            out = out + c * ParamPoly.var(name, 2)
     for name, c in d.h1.items():
         if not c.is_zero():
-            out = out + AxisPoly.symbol(name, 1, c)
+            out = out + c * ParamPoly.var(name)
     return out

@@ -33,13 +33,13 @@ from zetatrace.models import (
 from zetatrace.modelfile import parse_model_text, to_model_spec
 from zetatrace.oracle import potential_numeric
 from zetatrace.params import ParamPoly
-from zetatrace.symbols import series_pow
 from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, angular_moment, gauss_radial, osc_linear
 from zetatrace.terms import ZetaTermSum, ratio_limit, thermal_limit
 
 from factor_values import coeff_at, product_value
 from fits import decay_exponent
 from model_render import render_model
+from power_series import series_pow
 from zetatrace.rational import of, to_float
 
 

@@ -38,7 +38,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import AxisPoly, PhaseDecomposition, T, compose_observable
+from zetatrace.symbols import PhaseDecomposition, T, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
@@ -90,10 +90,49 @@ def test_phase_symbol_outside_every_group_rejected(no_table_rows):
 
 def test_amplitude_symbol_outside_every_group_rejected(no_table_rows):
     model = topological_oscillator()
-    model.observables = {"chi_top": AxisPoly.symbol("xi", 2) * AxisPoly.symbol("y")}
+    model.observables = {"chi_top": mono(1, xi=2, y=1)}
     with pytest.raises(UnsupportedStructure,
                        match=r"amplitude symbols outside any gauge group: \['y'\]"):
         expectation(model, "chi_top")
+
+
+def test_a_parameter_named_like_a_grouped_axis_is_rejected(no_table_rows):
+    model = topological_oscillator()
+    model.params += (Param("xi"),)
+    with pytest.raises(ValidationError, match=r"parameters named like a grouped symbol: \['xi'\]"):
+        expectation(model, "chi_top")
+
+
+def rotor_over_undeclared_k():
+    """The rotor with H = xi^2/(2K) and K declared nowhere."""
+    model = topological_oscillator()
+    model.hamiltonian = mono(0.5, K=-1, xi=2)
+    return model
+
+
+def dirac_without_params():
+    """The Dirac fermion with its mass, an atom of the matrix Hamiltonian's scalar part, undeclared."""
+    model = dirac_fermion(3)
+    model.params = ()
+    return model
+
+
+@pytest.mark.parametrize("build, message", [
+    (rotor_over_undeclared_k, "phase depends on unknown symbol K"),
+    (dirac_without_params, "phase depends on unknown symbol m"),
+], ids=["scalar", "matrix"])
+def test_an_undeclared_atom_is_rejected_before_any_table_row(no_table_rows, monkeypatch, build, message):
+    model = build()
+    (observable,) = model.observables
+    with pytest.raises(UnsupportedStructure, match=message):
+        expectation(model, observable)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(oracle, "damped_quadrature", refuse)
+    with pytest.raises(UnsupportedStructure, match=message):
+        oracle.small_z_ratio(model, observable, (-0.2, -0.1), 10.0, {"J": 1.0, "K": 1.0, "m": 1.0})
 
 
 def rotor_gauged_twice():
@@ -135,18 +174,18 @@ def test_complete_square_unit_case():
     phase = PhaseDecomposition(
         h2={"r": ParamPoly.one()}, h1={"r": ParamPoly.number(2)}, h0_const=ParamPoly.zero()
     )
-    amp = AxisPoly.symbol("r")
+    amp = ParamPoly.var("r")
     new_phase, new_amp, const, shift = complete_square(phase, amp, "r")
     assert new_phase.h1["r"].is_zero()
     assert const.as_number() == pytest.approx(1.0)
     assert shift.as_number() == pytest.approx(1.0)
     # amp(r - shift) = r - 1
-    assert new_amp.constant_part().as_number() == pytest.approx(-1.0)
+    assert new_amp.by_power("r")[0].as_number() == pytest.approx(-1.0)
 
 
 def test_complete_square_identity_when_no_linear_part():
     phase = PhaseDecomposition(h2={"r": ParamPoly.one()}, h1={}, h0_const=ParamPoly.zero())
-    amp = AxisPoly.symbol("r", 2)
+    amp = ParamPoly.var("r", 2)
     new_phase, new_amp, const, shift = complete_square(phase, amp, "r")
     assert const.is_zero() and shift.is_zero()
     assert (new_amp - amp).is_zero()
@@ -157,7 +196,7 @@ def test_complete_square_rotor_with_source():
     phase = PhaseDecomposition(
         h2={"xi": mono(0.5, J=-1)}, h1={"xi": ParamPoly.var("c")}, h0_const=ParamPoly.zero()
     )
-    _, _, const, shift = complete_square(phase, AxisPoly.number(1), "xi")
+    _, _, const, shift = complete_square(phase, ParamPoly.one(), "xi")
     assert shift == ParamPoly.monomial(1, {"c": 1, "J": 1})
     assert const == ParamPoly.monomial(0.5, {"c": 2, "J": 1})
     # oracle: expand h2 (xi + shift)^2 - const and compare coefficients
@@ -171,7 +210,7 @@ def test_complete_square_rotor_with_source():
 def test_complete_square_requires_quadratic_part():
     phase = PhaseDecomposition(h2={}, h1={"r": ParamPoly.one()}, h0_const=ParamPoly.zero())
     with pytest.raises(ZeroQuadraticCoefficient):
-        complete_square(phase, AxisPoly.number(1), "r")
+        complete_square(phase, ParamPoly.one(), "r")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +220,7 @@ def test_complete_square_requires_quadratic_part():
 
 def test_reduce_rotor_denominator_single_gaussian_term():
     model = topological_oscillator()
-    num, den, _ = build_trace_sums(model, AxisPoly.number(1), PAPER)
+    num, den, _ = build_trace_sums(model, ParamPoly.one(), PAPER)
     assert len(den.terms) == 1
     term = den.terms[0]
     # Gamma((z+1)/2) (i T / (2J))^(-(z+1)/2): check numerically at z = -0.1
@@ -228,7 +267,7 @@ def test_same_gauge_contract():
 
 def test_expectation_identity_observable_is_one():
     model = topological_oscillator()
-    model.observables["one"] = AxisPoly.number(1)
+    model.observables["one"] = ParamPoly.one()
     res = expectation(model, "one", PAPER)
     assert res.value.as_number() == pytest.approx(1.0)
 
@@ -386,8 +425,7 @@ def test_free_quadratic_potential():
         description="quadratic potential",
         params=(mu, phi),
         groups=(GaugeGroup("g", ("p",), "z"),),
-        hamiltonian=AxisPoly.symbol("p", 2, ParamPoly.number(0.5))
-        + AxisPoly.constant(mono(0.5, phi=2)),
+        hamiltonian=mono(0.5, p=2) + mono(0.5, phi=2),
         observables={},
         t_symbol="TX",
         field_param="phi",
@@ -578,7 +616,7 @@ def test_a_raising_row_is_not_stored(monkeypatch):
 
 def _powers_of_t(n):
     """1 + T + ... + T^(n-1): one enumeration item per power, all with the same symbol degrees."""
-    return AxisPoly.constant(sum((ParamPoly.var(T, k) for k in range(1, n)), ParamPoly.one()))
+    return sum((ParamPoly.var(T, k) for k in range(1, n)), ParamPoly.one())
 
 
 def _item_errors(model, observable):
@@ -616,9 +654,9 @@ def test_a_raising_alternative_is_not_stored(shifted_oscillator):
 
 def test_a_negative_quadratic_coefficient_raises_at_every_item():
     model = topological_oscillator()
-    model.hamiltonian = AxisPoly.symbol("xi", 2, mono(-0.5, J=-1))
+    model.hamiltonian = mono(-0.5, J=-1, xi=2)
     # each key, xi^2 and xi^0, is reached at T^0 and at T^1
-    errors = _item_errors(model, (AxisPoly.symbol("xi", 2) + AxisPoly.number(1)) * _powers_of_t(2))
+    errors = _item_errors(model, (mono(1, xi=2) + ParamPoly.one()) * _powers_of_t(2))
     assert errors == ["quadratic phase coefficient must be positive"] * 4
     with pytest.raises(UnsupportedStructure, match="must be positive"):
         expectation(model, "chi_top", PAPER)

@@ -18,7 +18,6 @@ from zetatrace.modelfile import (
     to_model_spec,
 )
 from zetatrace.params import ParamPoly
-from zetatrace.symbols import AxisPoly
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import thermal_limit
 
@@ -123,9 +122,9 @@ def test_long_sums_products_and_sections_lower_without_recursing():
     # each is a left-deep chain 1500 nodes deep, past the interpreter's recursion limit
     axes, params = {"xi"}, {"J"}
     total = lower_ast(parse_expression(" + ".join(["xi^2"] * 1499) + " - xi^2"), axes, params)
-    assert total.terms == (AxisPoly.symbol("xi", 2) * 1498.0).terms
+    assert total.terms == ParamPoly.var("xi", 2, 1498.0).terms
     product = lower_ast(parse_expression("*".join(["J"] * 750) + "/J" * 750), axes, params)
-    assert product.terms == AxisPoly.number(1).terms
+    assert product.terms == ParamPoly.one().terms
     section = parse_model_text(ROTOR_FILE.replace("xi^2/(2*J)", "xi^2/(2*J)\n" * 1500), "long")
     assert lower_ast(section.phase_ast, axes, params).terms == lower_ast(
         parse_expression("1500*xi^2/(2*J)"), axes, params).terms
@@ -181,7 +180,7 @@ LOWERING_FILE = (
         "(xi+x+m)^16*(xi+x+m)^16*(xi+x+m)^16",
         # no single product is large: the cost is in the number of copies
         " + ".join(["(xi+x+xi2+x2)^16"] * 8),
-        # one axis term, but 969 parameter monomials on each side
+        # no axis symbol, but 969 parameter monomials on each side
         "(m+J+w+mu)^16*(m+J+w+mu)^16",
     ],
     ids=["product-of-powers", "three-powers", "sum-of-powers", "parameter-powers"],
@@ -196,11 +195,10 @@ def test_lowering_past_the_budget_is_a_parse_error(phase):
 
 
 def test_lowering_budget_counts_parameter_monomials_and_each_power_factor(monkeypatch):
-    # (xi+x)^2 forms 1*2 + 2*2 products; times (J+m), one axis term of two
-    # monomials, 3*2 more
+    # (xi+x)^2 forms 1*2 + 2*2 products; times (J+m), two monomials, 3*2 more
     node = parse_expression("(xi+x)^2*(J+m)")
     monkeypatch.setattr(modelfile, "LOWERING_BUDGET", 12)
-    assert len(lower_ast(node, {"xi", "x"}, {"J", "m"}).terms) == 3
+    assert len(lower_ast(node, {"xi", "x"}, {"J", "m"}).terms) == 6
     monkeypatch.setattr(modelfile, "LOWERING_BUDGET", 11)
     with pytest.raises(ParseError, match="more than 11 coefficient products"):
         lower_ast(node, {"xi", "x"}, {"J", "m"})
@@ -211,7 +209,7 @@ def test_lowering_within_the_budget_is_the_plain_power():
     power = lower_ast(parse_expression("(xi+x+xi2+m/2)^9"), {"xi", "x", "xi2"}, {"m"})
     assert power.terms == (base**9).terms
     inverse = lower_ast(parse_expression("(2*m)^-3"), set(), {"m"})
-    assert inverse.constant_part() == ParamPoly.monomial(0.125, {"m": -3})
+    assert inverse == ParamPoly.monomial(0.125, {"m": -3})
 
 
 def test_unknown_section_rejected():

@@ -552,7 +552,6 @@ def test_potential_numeric_keeps_a_repeated_nonzero_root(monkeypatch):
 
     from zetatrace.engine import GaugeGroup, ModelSpec
     from zetatrace.params import Param, ParamPoly
-    from zetatrace.symbols import AxisPoly
 
     # V = phi^4/4 - 4 phi^3/3 + 5 phi^2/2 - 2 phi, so dV = (phi - 1)^2 (phi - 2)
     v = ParamPoly.zero()
@@ -563,7 +562,7 @@ def test_potential_numeric_keeps_a_repeated_nonzero_root(monkeypatch):
         description="potential whose dV has a double root at 1",
         params=(Param("phi", positive=False),),
         groups=(GaugeGroup("g", ("p",), "z"),),
-        hamiltonian=AxisPoly.symbol("p", 2, ParamPoly.number(0.5)) + AxisPoly.constant(v),
+        hamiltonian=ParamPoly.monomial(0.5, {"p": 2}) + v,
         observables={},
         t_symbol="TX",
         field_param="phi",

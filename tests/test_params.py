@@ -188,6 +188,13 @@ def test_an_unsorted_key_names_the_same_monomial():
     assert total.render() == "2 * a * b"
 
 
+def test_an_unsorted_exponent_key_names_the_same_monomial():
+    # the public constructor normalises every key, an ExpKey built by hand too
+    total = ParamPoly({ExpKey((("b", 1), ("a", 1))): 1.0}) + ParamPoly.monomial(1.0, {"a": 1, "b": 1})
+    assert total.terms == {(("a", 1), ("b", 1)): 2.0}
+    assert total.render() == "2 * a * b"
+
+
 def test_plain_keys_are_sorted_stripped_of_zero_exponents_and_summed():
     p = ParamPoly({
         (("a", 1), ("b", 0)): 1.0,

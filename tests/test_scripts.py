@@ -34,15 +34,23 @@ def test_finite_t_scan_runs_from_any_directory(tmp_path):
         assert abs(quad - engine) <= 1e-4 * abs(engine), block
 
 
+#: the digests of the benchmark's ops at seed 3; a change to a workload must re-record them
+PINNED_DIGESTS = {
+    "ladder": "6fcdfe8011cfb12a157e38777edf73c654bf024bf011cfbd871a4077d74bb2ba  15 ops\n",
+    "suite": "c66fa7f568c56edbedd71b183883f5542515c64377366a3512aa4f4f8f0e8b90  100 ops\n",
+}
+
+
 def test_op_digest_is_the_same_on_a_second_run(tmp_path):
+    # every op's result is bit-identical from run to run, and to the pinned digest
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    digests = []
-    for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPTS / "op_digest.py"), "--workloads", "ladder", "--seeds", "3"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
-    assert re.fullmatch(r"[0-9a-f]{64}  15 ops\n", digests[0]), digests[0]
-    assert digests[0] == digests[1]
+    for workload, pinned in PINNED_DIGESTS.items():
+        digests = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, str(SCRIPTS / "op_digest.py"), "--workloads", workload, "--seeds", "3"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests == [pinned] * 2, workload
