@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import rational
 from .errors import (
@@ -60,13 +60,20 @@ class GaugeGroup:
 
     ``separable`` groups insert |u|^(z/k) per axis and reduce axis by axis;
     ``radial`` groups insert the rotation-invariant gauge ||xi||^z and reduce
-    through one radial variable plus sphere moments.
+    through one radial variable plus sphere moments.  A group without axes,
+    or with another reduction, is a ``ValidationError``.
     """
 
     name: str
     axes: tuple[str, ...]
     regulator: str
     reduction: str = "separable"
+
+    def __post_init__(self):
+        if self.reduction not in ("separable", "radial"):
+            raise ValidationError(f"gauge group {self.name}: unknown reduction {self.reduction!r}")
+        if not self.axes:
+            raise ValidationError(f"gauge group {self.name} has no axes")
 
     @property
     def radial(self) -> bool:
@@ -76,11 +83,15 @@ class GaugeGroup:
     def radius_symbol(self) -> str:
         return self.axes[0] if len(self.axes) == 1 else f"|{self.name}|"
 
+    def gauged(self) -> tuple[str, ...]:
+        """The symbols the group's gauge applies to: its axes, or a radial group's radius."""
+        return (self.radius_symbol(),) if self.radial else self.axes
+
     def symbols(self) -> tuple[str, ...]:
-        """The symbols the group integrates: its axes, or a radial group's radius and directions."""
+        """The symbols the group integrates: the gauged ones, then a radial group's directions."""
         if self.radial:
-            return (self.radius_symbol(), *(f"{a}^" for a in self.axes))
-        return self.axes
+            return (*self.gauged(), *(f"{a}^" for a in self.axes))
+        return self.gauged()
 
 
 @dataclass
@@ -110,16 +121,16 @@ class ModelSpec:
     def default_bindings(self) -> dict[str, float]:
         return {p.name: p.default for p in self.params if p.default is not None}
 
-    def grouped_symbols(self) -> set[str]:
-        """Every atom a gauge group names: the axis symbols of the phase and the amplitudes."""
-        return {s for g in self.groups for s in (*g.axes, g.radius_symbol(), *g.symbols())}
+    def integrated_symbols(self) -> set[str]:
+        """Every symbol a gauge group integrates (``GaugeGroup.symbols``)."""
+        return {s for g in self.groups for s in g.symbols()}
 
 
 def gauge_text(model: ModelSpec) -> str:
     """The trace's gauge line: |u|^(share*z) by symbol, share 1/N on N separable axes, 1 on a radius."""
     parts: dict[str, str] = {}
     for g in model.groups:
-        syms = (g.radius_symbol(),) if g.radial else g.axes
+        syms = g.gauged()
         parts.update((s, f"|{s}|^({Fraction(1, len(syms))}*{g.regulator})") for s in syms)
     return " ".join(parts[s] for s in sorted(parts))
 
@@ -144,14 +155,14 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
     hbar_inv = (
         ParamPoly.var(model.hbar, -1) if model.hbar else ParamPoly.one()
     )
-    grouped = model.grouped_symbols()
     if isinstance(model.hamiltonian, MatrixSymbol):
+        integrated = model.integrated_symbols()
         evo = involution_exp(model.hamiltonian)
-        scalar = dict(axis_terms(model.hamiltonian.scalar, grouped))
+        scalar = dict(axis_terms(model.hamiltonian.scalar, integrated))
         b = t_free(scalar.pop((), ParamPoly.zero()))
         if scalar:
             raise UnsupportedStructure("matrix scalar part must be axis-free")
-        parts = dict(axis_terms(model.hamiltonian.coeff, grouped))
+        parts = dict(axis_terms(model.hamiltonian.coeff, integrated))
         syms = {name for key in parts for name, _ in key}
         if len(syms) != 1:
             raise UnsupportedStructure("involution coefficient must be one radial symbol")
@@ -167,8 +178,7 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
             osc_symbol=sym,
         )
         return phase, evo
-    axes = sorted({s for g in model.groups for s in (*g.axes, g.radius_symbol())})
-    decomp = decompose_phase(model.hamiltonian, axes, grouped)
+    decomp = decompose_phase(model.hamiltonian, {s for g in model.groups for s in g.gauged()})
     phase = ReducedPhase(
         g2={k: v * hbar_inv for k, v in decomp.h2.items()},
         g1={k: v * hbar_inv for k, v in decomp.h1.items()},
@@ -229,7 +239,7 @@ class ReducedIntegral:
 #: one reduced symbol's alternatives as (multiplier, integral) pairs
 Alternatives = list[tuple[ParamPoly, ReducedIntegral]]
 #: one side's reduced integrals, item by item: coefficient, T power, per-symbol alternatives
-Enumeration = Iterator[tuple[ParamPoly, Fraction, Iterator[Alternatives]]]
+Enumeration = list[tuple[ParamPoly, Fraction, tuple[Alternatives, ...]]]
 
 
 def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
@@ -293,26 +303,33 @@ def reduced_sides(
 ) -> tuple[ReducedPhase, list[Enumeration]]:
     """The reduction's front end: the model's reduced phase and one enumeration per observable.
 
-    Every entry point calls it.  Before anything else it checks the model's
-    symbols once: an axis in two groups, or a declared parameter named like
-    a grouped symbol, is a ``ValidationError``, and an atom of the
-    Hamiltonian or of an observable that is neither a grouped symbol nor a
-    declared parameter, ``pi`` or ``T`` is an ``UnsupportedStructure``.
-    The phase split and each observable's composition with the evolution
-    run next, in that order; each ``reduced_integrals`` is lazy and checks
-    as it is walked.  A number stands for itself times the identity.
+    Every entry point calls it, and every structural check of a derivation
+    runs here, before it returns: no table row, Laurent series or quadrature
+    runs first.  The model's symbols are checked first, once.  An axis in
+    two groups, or a declared parameter named like an axis or an integrated
+    symbol, is a ``ValidationError``.  An atom that is not a declared
+    parameter, ``pi`` or ``T`` must be gauged (``GaugeGroup.gauged``) in a
+    scalar Hamiltonian (``hbar`` must be declared), and integrated (``GaugeGroup.symbols``) in a matrix
+    Hamiltonian or an observable; any other atom is an
+    ``UnsupportedStructure``.  The phase split, each observable's
+    composition with the evolution and its enumeration
+    (``reduced_integrals``, with every per-symbol check) run next, in that
+    order.  A number stands for itself times the identity.
     """
     axes = [a for g in model.groups for a in g.axes]
     if twice := sorted({a for a in axes if axes.count(a) > 1}):
         raise ValidationError(f"axes in more than one gauge group: {twice}")
-    grouped = model.grouped_symbols()
-    if clash := sorted(p.name for p in model.params if p.name in grouped):
+    integrated = model.integrated_symbols()
+    if clash := sorted(p.name for p in model.params if p.name in integrated or p.name in axes):
         raise ValidationError(f"parameters named like a grouped symbol: {clash}")
-    known = grouped | {p.name for p in model.params} | {"pi", T}
-    if unknown := _atoms(model.hamiltonian) - known:
+    known = {p.name for p in model.params} | {"pi", T}
+    gauged = {s for g in model.groups for s in g.gauged()}
+    phase_symbols = integrated if isinstance(model.hamiltonian, MatrixSymbol) else gauged
+    hbar = {model.hbar} if model.hbar else set()  # the phase is H/hbar
+    if unknown := (_atoms(model.hamiltonian) | hbar) - phase_symbols - known:
         raise UnsupportedStructure(f"phase depends on unknown symbol {min(unknown)}")
     for o in observables:
-        if not isinstance(o, int) and (unknown := _atoms(o) - known):
+        if not isinstance(o, int) and (unknown := _atoms(o) - integrated - known):
             raise UnsupportedStructure(
                 f"amplitude symbols outside any gauge group: {sorted(unknown)}"
             )
@@ -332,48 +349,37 @@ def _atoms(symbol: ParamPoly | MatrixSymbol) -> set[str]:
 
 def reduced_integrals(
     pieces: Sequence[IntegrandPiece], model: ModelSpec, phase: ReducedPhase,
-    moments: dict[tuple, ParamPoly] | None = None,
+    moments: dict[tuple, ParamPoly],
 ) -> Enumeration:
     """The reduction's only enumeration of closed-form integrals.
 
     Per piece, axis part of the amplitude (``axis_terms`` over the model's
-    grouped symbols) and T power this yields the coefficient, the T power
-    and a lazy iterator over the reduced symbols, group by group, giving
-    each symbol's alternatives.  A branch picks one alternative per symbol
-    and is worth the coefficient times the picked multipliers and integrals;
-    handing branches out in this factored form evaluates each integral once.
-    A symbol with no alternatives (odd degree under a Gaussian, zero sphere
-    moment) makes its item vanish.  Every structural check of the reduction
-    runs here, as the iterator reaches the symbol; a grouped symbol that no
-    group integrates (an axis of a radial group) is rejected before its axis
-    part yields anything.  Within one call each symbol's alternatives are
-    computed once and then shared (the same list object) by every item with
-    the same key: the symbol, its regulator, its degree and the piece's
-    oscillation sign, plus the direction degrees for a radial group.  A
-    check that raises stores nothing, so it raises again, with the same
-    message, at every item that reaches it.  Each group gives its symbols
-    their regulator and share (``gauge_text``).  A radial group's sphere
-    moment depends only on its direction degrees and dimension: it is kept
-    in ``moments`` under that key, which ``reduced_sides`` shares between
-    its sides (a fresh dict by default).  ``reduce_pieces`` maps the
-    integrals to table rows; the oracle walks it once per side and
-    cross-check (``oracle._build_quotient``) and computes all its distinct
-    integrals in one quadrature batch.
+    integrated symbols) and T power this lists the coefficient, the T power
+    and each reduced symbol's alternatives, group by group.  A branch picks
+    one alternative per symbol and is worth the coefficient times the
+    picked multipliers and integrals; handing branches out in this factored
+    form evaluates each integral once.  A symbol with no alternatives (odd
+    degree under a Gaussian, zero sphere moment) makes its item vanish.
+    Every per-symbol check runs as the list is built.  Each symbol's
+    alternatives are computed once and then shared (the same list object)
+    by every item with the same key: the symbol, its regulator, its degree
+    and the piece's oscillation sign, plus the direction degrees for a
+    radial group.  Each group gives its symbols their regulator and share
+    (``gauge_text``).  A radial group's sphere moment depends only on its
+    direction degrees and dimension: it is kept in ``moments`` under that
+    key, which ``reduced_sides`` shares between its sides.
+    ``reduce_pieces`` maps the integrals to table rows; the oracle reads the
+    list once per side and cross-check (``oracle._build_quotient``) and
+    computes all its distinct integrals in one quadrature batch.
     """
-    integrated = {s for g in model.groups for s in g.symbols()}
-    grouped = model.grouped_symbols()
+    integrated = model.integrated_symbols()
     memo: dict[tuple, Alternatives] = {}
-    moments = {} if moments is None else moments
+    items: Enumeration = []
     for piece in pieces:
-        for axis_key, coeff in axis_terms(piece.amp, grouped):
-            degrees = dict(axis_key)
-            leftovers = degrees.keys() - integrated
-            if leftovers:
-                raise UnsupportedStructure(
-                    f"amplitude symbols outside any gauge group: {sorted(leftovers)}"
-                )
-            for t_power, poly in coeff.by_power(T).items():
-                yield poly, t_power, _symbol_alternatives(piece, degrees, model, phase, memo, moments)
+        for axis_key, coeff in axis_terms(piece.amp, integrated):
+            symbols = _symbol_alternatives(piece, dict(axis_key), model, phase, memo, moments)
+            items.extend((poly, t_power, symbols) for t_power, poly in coeff.by_power(T).items())
+    return items
 
 
 def _symbol_alternatives(
@@ -383,7 +389,7 @@ def _symbol_alternatives(
     phase: ReducedPhase,
     memo: dict[tuple, Alternatives],
     moments: dict[tuple, ParamPoly],
-) -> Iterator[Alternatives]:
+) -> tuple[Alternatives, ...]:
     def phase_of(symbol: str) -> tuple[ParamPoly, ParamPoly]:
         g2 = phase.g2.get(symbol, ParamPoly.zero())
         g1 = phase.g1.get(symbol, ParamPoly.zero())
@@ -391,37 +397,31 @@ def _symbol_alternatives(
             g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
         return g2, g1
 
+    out = []
     for group in model.groups:
         dim = len(group.axes)
         if group.radial:
             rsym = group.radius_symbol()
-            hats = [f"{a}^" for a in group.axes]
-            hat_degrees = tuple(degrees.get(h, 0) for h in hats)
+            hat_degrees = tuple(degrees.get(f"{a}^", 0) for a in group.axes)
             d = degrees.get(rsym, 0)
             key = (rsym, group.regulator, d, piece.osc_sign, hat_degrees)
-            alternatives = memo.get(key)
-            if alternatives is None:
-                moment = moments.get((hat_degrees, dim))
-                if moment is None:
-                    moment = moments[hat_degrees, dim] = angular_moment(hat_degrees, dim)
-                if moment.is_zero():
-                    alternatives = []
-                else:
-                    q = AffineExp(group.regulator, rational.ONE, (d + dim - 1, 1))
-                    alternatives = _radial_alternatives(q, moment, *phase_of(rsym))
-                memo[key] = alternatives
-            yield alternatives
+            if key not in memo:
+                if (hat_degrees, dim) not in moments:
+                    moments[hat_degrees, dim] = angular_moment(hat_degrees, dim)
+                moment = moments[hat_degrees, dim]
+                q = AffineExp(group.regulator, rational.ONE, (d + dim - 1, 1))
+                memo[key] = [] if moment.is_zero() else _radial_alternatives(q, moment, *phase_of(rsym))
+            out.append(memo[key])
             continue
         # separable: axis by axis on the full line
         for a in group.axes:
             d = degrees.get(a, 0)
             key = (a, group.regulator, d, piece.osc_sign)
-            alternatives = memo.get(key)
-            if alternatives is None:
+            if key not in memo:
                 q = AffineExp(group.regulator, (1, dim), (d, 1))
-                alternatives = _axis_alternatives(q, d, *phase_of(a))
-                memo[key] = alternatives
-            yield alternatives
+                memo[key] = _axis_alternatives(q, d, *phase_of(a))
+            out.append(memo[key])
+    return tuple(out)
 
 
 def reduce_pieces(

@@ -273,14 +273,12 @@ class MeroFactorProduct:
 class LaurentSeries:
     """Truncated Laurent series sum(coeffs[j] * z^(lead + j)).
 
-    Coefficients are ring elements supporting ``+`` and ``*``.  A factor's or
-    product's series has ``ParamPoly`` coefficients; the regulator elimination
-    in ``terms`` builds series whose coefficients are term sums.  A
-    coefficient may be zero, the lead one included: the lead order of a
-    series is where its first nonzero coefficient sits.  ``expand_product``
-    multiplies these series only from its first ``const_pow`` factor on; the
-    Gamma, half-turn and affine factors before it are convolved as lists of
-    complex numbers.
+    Coefficients are ``ParamPoly``s; the regulator elimination in ``terms``
+    reads a product's series and builds none of its own.  A coefficient may
+    be zero, the lead one included: the lead order of a series is where its
+    first nonzero coefficient sits.  ``expand_product`` multiplies these
+    series only from its first ``const_pow`` factor on; the Gamma, half-turn
+    and affine factors before it are convolved as lists of complex numbers.
     """
 
     __slots__ = ("lead", "coeffs")

@@ -400,11 +400,11 @@ def _merge_expr(current, line: str, lineno: int):
 def to_model_spec(parsed: ParsedModel) -> ModelSpec:
     """Lower a parsed file into a runnable spec, validating reducibility.
 
-    Validation runs the reduction's front end (``engine.reduced_sides``) and
-    every per-symbol check of its enumeration on the observable and on the
-    unit denominator, without building table rows; a failing check is a
-    ``ValidationError`` with the check's own message.  ``T`` in ``[expect]``
-    is a ``ParseError`` at its line.
+    Validation is one call of the reduction's front end
+    (``engine.reduced_sides``) on the observable and on the unit
+    denominator: it runs every structural check and builds no table rows.
+    A failing check is a ``ValidationError`` with the check's own message.
+    ``T`` in ``[expect]`` is a ``ParseError`` at its line.
     """
     params = tuple(Param(n, default=v) for n, v in parsed.params)
     pnames = {n for n, _ in parsed.params}
@@ -432,11 +432,7 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
         expected=expected,
     )
     try:
-        # the reduction's per-symbol checks, for both sides, without building table rows
-        for items in reduced_sides(spec, (observable, 1))[1]:
-            for _, _, symbols in items:
-                for _ in symbols:
-                    pass
+        reduced_sides(spec, (observable, 1))
     except (DegenerateCase, UnsupportedStructure) as exc:
         raise ValidationError(str(exc)) from exc
     return spec

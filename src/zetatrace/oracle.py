@@ -233,8 +233,8 @@ def _build_quotient(model, observable_name: str, t_value: float, bindings: Mappi
     Each item of the engine's enumeration (``engine.reduced_sides``) becomes
     its weight (the coefficient times T^(T power) times the evolution phase
     e^(i c T)) and its symbols' alternatives: multiplier values and point
-    indices, one point per ``ReducedIntegral.exact_key``.  The points follow
-    the whole enumeration and so every structural check.  omega is
+    indices, one point per ``ReducedIntegral.exact_key``.  Every structural
+    check has run in ``reduced_sides`` before the first point.  omega is
     sign rate T for r^q e^(sign i rate T r) and -rate T for a Gaussian.
     """
     phase, sides = reduced_sides(model, (model.observables[observable_name], 1))

@@ -79,28 +79,25 @@ class PhaseDecomposition:
     h0_const: ParamPoly
 
 
-def decompose_phase(
-    h: ParamPoly, axes: Sequence[str], grouped: Collection[str]
-) -> PhaseDecomposition:
+def decompose_phase(h: ParamPoly, axes: Collection[str]) -> PhaseDecomposition:
     """Extract h2 and h1 per axis and the constant part.
 
-    ``h`` is split by the ``grouped`` symbols (``axis_terms``), and each
-    axis part must be one of ``axes`` to the power one or two: cross-axis
-    couplings, inverse powers, higher degrees and grouped symbols that are
-    not phase axes are rejected.
+    ``h`` is split by the phase ``axes`` alone (``axis_terms``); every other
+    atom is part of a coefficient.  Each axis part must be one axis to the
+    power one or two: cross-axis couplings, inverse powers and higher
+    degrees are rejected.  Which atoms a phase may hold at all is checked
+    before, by ``engine.reduced_sides``.
     """
     h2: dict[str, ParamPoly] = {}
     h1: dict[str, ParamPoly] = {}
     const = ParamPoly.zero()
-    for key, coeff in axis_terms(h, grouped):
+    for key, coeff in axis_terms(h, axes):
         if len(key) > 1:
             raise UnsupportedStructure(f"cross-axis phase coupling: {key}")
         if not key:
             const = t_free(coeff)
             continue
         (name, deg), = key
-        if name not in axes:
-            raise UnsupportedStructure(f"phase depends on unknown symbol {name}")
         poly = t_free(coeff)
         if deg == 2:
             h2[name] = poly

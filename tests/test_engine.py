@@ -38,7 +38,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import PhaseDecomposition, T, compose_observable
+from zetatrace.symbols import PhaseDecomposition, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
@@ -117,22 +117,89 @@ def dirac_without_params():
     return model
 
 
-@pytest.mark.parametrize("build, message", [
-    (rotor_over_undeclared_k, "phase depends on unknown symbol K"),
-    (dirac_without_params, "phase depends on unknown symbol m"),
-], ids=["scalar", "matrix"])
-def test_an_undeclared_atom_is_rejected_before_any_table_row(no_table_rows, monkeypatch, build, message):
-    model = build()
-    (observable,) = model.observables
-    with pytest.raises(UnsupportedStructure, match=message):
-        expectation(model, observable)
+def oscillator_over_undeclared_hbar():
+    """The 1D oscillator with its phase divided by ``hbarr``, declared nowhere.
 
+    Before the check ``hbarr`` became a free symbol of the asymptote:
+    1/2*hbar*omega - i*hbarr/T.
+    """
+    model = harmonic_oscillator_1d()
+    model.hbar = "hbarr"
+    return model
+
+
+def radial_pair_with_a_phase_on_an_axis():
+    """A radial group (xi1, xi2) with H = |g|^2/2 + w + 5 xi1^2: xi1 is no gauged symbol.
+
+    Before the check the xi1 term was dropped: w*|g|^2 gave 0 and the
+    asymptote -2i*w/T, as without the term.
+    """
+    return ModelSpec(
+        name="radial_axis_phase",
+        description="custom model",
+        params=(Param("w"),),
+        groups=(GaugeGroup("g", ("xi1", "xi2"), "z", reduction="radial"),),
+        hamiltonian=mono(0.5, **{"|g|": 2}) + mono(1, w=1) + mono(5, xi1=2),
+        observables={"observable": mono(1, w=1, **{"|g|": 2})},
+    )
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("a quadrature ran")
 
     monkeypatch.setattr(oracle, "damped_quadrature", refuse)
+
+
+def assert_rejected(model, message):
+    """The engine and the oracle both raise ``UnsupportedStructure`` matching ``message``."""
+    (observable,) = model.observables
     with pytest.raises(UnsupportedStructure, match=message):
-        oracle.small_z_ratio(model, observable, (-0.2, -0.1), 10.0, {"J": 1.0, "K": 1.0, "m": 1.0})
+        expectation(model, observable)
+    bindings = {"F": 1.0, "J": 1.0, "K": 1.0, "m": 1.0, "w": 1.0}
+    with pytest.raises(UnsupportedStructure, match=message):
+        oracle.small_z_ratio(model, observable, (-0.2, -0.1), 10.0, bindings)
+
+
+@pytest.mark.parametrize("build, message", [
+    (rotor_over_undeclared_k, "phase depends on unknown symbol K"),
+    (dirac_without_params, "phase depends on unknown symbol m"),
+    (radial_pair_with_a_phase_on_an_axis, "phase depends on unknown symbol xi1"),
+    (oscillator_over_undeclared_hbar, "phase depends on unknown symbol hbarr"),
+], ids=["scalar", "matrix", "radial_axis", "hbar"])
+def test_an_undeclared_atom_is_rejected_before_any_table_row(no_table_rows, no_quadrature, build, message):
+    assert_rejected(build(), message)
+
+
+def rotor_with_negative_quadratic_phase():
+    """The rotor with H = -xi^2/(2J): its Gaussian has the wrong sign."""
+    model = topological_oscillator()
+    model.hamiltonian = mono(-0.5, J=-1, xi=2)
+    return model
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda shifted: shifted, "complete the square before reducing this axis"),
+    (lambda _: rotor_with_negative_quadratic_phase(), "quadratic phase coefficient must be positive"),
+], ids=["shifted", "negative_quadratic"])
+def test_a_per_symbol_check_raises_before_any_table_row(no_table_rows, no_quadrature, shifted_oscillator,
+                                                        build, message):
+    # the front end raises before it returns; the shifted oscillator reaches x1 after its xi1 items
+    model = build(shifted_oscillator)
+    with pytest.raises(UnsupportedStructure, match=message):
+        engine.reduced_sides(model, (*model.observables.values(), 1))
+    assert_rejected(model, message)
+
+
+@pytest.mark.parametrize("axes, reduction, message", [
+    (("xi",), "radail", "unknown reduction 'radail'"),
+    ((), "separable", "gauge group e has no axes"),
+    ((), "radial", "gauge group e has no axes"),
+], ids=["misspelled_reduction", "no_axes", "no_axes_radial"])
+def test_a_malformed_gauge_group_is_rejected(axes, reduction, message):
+    with pytest.raises(ValidationError, match=message):
+        GaugeGroup("e", axes, "z2", reduction)
 
 
 def rotor_gauged_twice():
@@ -160,7 +227,7 @@ def test_alternatives_memo_keeps_each_groups_regulator():
     model = rotor_gauged_twice()
     phase, evo = engine._build_phase(model)
     pieces = compose_observable(evo, model.observables["chi_top"])
-    ((_, _, symbols),) = engine.reduced_integrals(pieces, model, phase)
+    ((_, _, symbols),) = engine.reduced_integrals(pieces, model, phase, {})
     assert [alternatives[0][1].q.regulator for alternatives in symbols] == ["z1", "z2"]
 
 
@@ -614,23 +681,6 @@ def test_a_raising_row_is_not_stored(monkeypatch):
     ]
 
 
-def _powers_of_t(n):
-    """1 + T + ... + T^(n-1): one enumeration item per power, all with the same symbol degrees."""
-    return sum((ParamPoly.var(T, k) for k in range(1, n)), ParamPoly.one())
-
-
-def _item_errors(model, observable):
-    """The error each item's symbols raise, walking on after each one."""
-    _, (items,) = engine.reduced_sides(model, (observable,))
-    errors = []
-    for _, _, symbols in items:
-        with pytest.raises(UnsupportedStructure) as exc:
-            for _ in symbols:
-                pass
-        errors.append(str(exc.value))
-    return errors
-
-
 def test_each_sphere_moment_is_computed_once_per_derivation(monkeypatch):
     # both sides, every radial degree and oscillation sign share the one moment
     calls = []
@@ -642,24 +692,6 @@ def test_each_sphere_moment_is_computed_once_per_derivation(monkeypatch):
     monkeypatch.setattr(engine, "angular_moment", counted)
     run_model("dirac_fermion", n=3)
     assert calls == [((0, 0, 0), 3)]
-
-
-def test_a_raising_alternative_is_not_stored(shifted_oscillator):
-    # every item reaching x1 raises, not only the first one: three T powers share one key
-    errors = _item_errors(shifted_oscillator, _powers_of_t(3))
-    assert errors == ["complete the square before reducing this axis"] * 3
-    with pytest.raises(UnsupportedStructure, match="complete the square"):
-        build_trace_sums(shifted_oscillator, shifted_oscillator.observables["observable"], PAPER)
-
-
-def test_a_negative_quadratic_coefficient_raises_at_every_item():
-    model = topological_oscillator()
-    model.hamiltonian = mono(-0.5, J=-1, xi=2)
-    # each key, xi^2 and xi^0, is reached at T^0 and at T^1
-    errors = _item_errors(model, (mono(1, xi=2) + ParamPoly.one()) * _powers_of_t(2))
-    assert errors == ["quadratic phase coefficient must be positive"] * 4
-    with pytest.raises(UnsupportedStructure, match="must be positive"):
-        expectation(model, "chi_top", PAPER)
 
 
 # ---------------------------------------------------------------------------
