@@ -19,6 +19,7 @@ from zetatrace.engine import (
 )
 from zetatrace.errors import (
     CriticalDegree,
+    DegenerateCase,
     GammaPole,
     UnsupportedStructure,
     ValidationError,
@@ -190,6 +191,48 @@ def test_a_per_symbol_check_raises_before_any_table_row(no_table_rows, no_quadra
     with pytest.raises(UnsupportedStructure, match=message):
         engine.reduced_sides(model, (*model.observables.values(), 1))
     assert_rejected(model, message)
+
+
+def one_symbol_model(radial, phase, observable=1):
+    """A full-line axis ``u``, or a radial group's radius ``|g|`` over (u1, u2), with H = w + phase(s).
+
+    ``phase`` maps the gauged symbol to the Hamiltonian's axis part;
+    ``observable`` maps it to the observable, a number by default.
+    """
+    group = GaugeGroup("g", ("u1", "u2"), "z", "radial") if radial else GaugeGroup("g", ("u",), "z")
+    (s,) = group.gauged()
+    return ModelSpec(
+        name="one_symbol", description="custom model", params=(Param("w"),), groups=(group,),
+        hamiltonian=mono(1, w=1) + phase(s),
+        observables={"o": observable if isinstance(observable, int) else observable(s)},
+    )
+
+
+@pytest.mark.parametrize("radial", [False, True], ids=["axis", "radial"])
+@pytest.mark.parametrize("phase, error, message", [
+    (lambda s: mono(1, **{s: 2}) + mono(1, **{s: 1}), UnsupportedStructure,
+     ("complete the square before reducing this axis", "complete the square before reducing this group")),
+    (lambda s: ParamPoly.zero(), DegenerateCase,
+     ("axis carries no phase; its gauge integral has no extension", "radial group carries no phase")),
+    (lambda s: mono(-1, **{s: 2}), UnsupportedStructure,
+     ("quadratic phase coefficient must be positive",) * 2),
+], ids=["both_phases", "no_phase", "negative_quadratic"])
+def test_each_per_symbol_check_holds_for_both_symbol_kinds(radial, phase, error, message):
+    # message = (the axis text, the radial group text)
+    model = one_symbol_model(radial, phase)
+    with pytest.raises(error, match=message[radial]):
+        engine.reduced_sides(model, (*model.observables.values(), 1))
+
+
+@pytest.mark.parametrize("radial, observable", [
+    (False, lambda s: mono(1, **{s: 1})),  # an odd degree under a Gaussian
+    (True, lambda s: mono(1, **{"u1^": 1})),  # an odd direction degree: the sphere moment is 0
+], ids=["axis_odd_degree", "radial_odd_direction"])
+def test_a_vanishing_symbol_integral_gives_no_alternatives(radial, observable):
+    model = one_symbol_model(radial, lambda s: mono(1, **{s: 2}), observable)
+    _, (num, den) = engine.reduced_sides(model, (*model.observables.values(), 1))
+    assert [symbols for _, _, symbols in num] == [([],)]
+    assert all(alternatives for _, _, symbols in den for alternatives in symbols)
 
 
 @pytest.mark.parametrize("axes, reduction, message", [
