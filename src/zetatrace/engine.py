@@ -111,7 +111,7 @@ class ModelSpec:
     #: ends every numerator and denominator term with them
     tokens: tuple[str, ...] = ()
     t_symbol: str = "T"
-    field_param: str | None = None  # a potential model's constant field; None for expectations
+    field_param: str | None = None  # a potential model's constant field, a signed parameter of H
     derived: dict[str, tuple[str, ParamPoly]] = field(default_factory=dict)
     #: derived[name] = (source observable, multiplier): value = multiplier * <source>
 
@@ -178,13 +178,8 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
             osc_symbol=sym,
         )
         return phase, evo
-    decomp = decompose_phase(model.hamiltonian, {s for g in model.groups for s in g.gauged()})
-    phase = ReducedPhase(
-        g2={k: v * hbar_inv for k, v in decomp.h2.items()},
-        g1={k: v * hbar_inv for k, v in decomp.h1.items()},
-        const=-(decomp.h0_const * hbar_inv),
-    )
-    return phase, None
+    decomp = decompose_phase(model.hamiltonian * hbar_inv, {s for g in model.groups for s in g.gauged()})
+    return ReducedPhase(g2=decomp.h2, g1=decomp.h1, const=-decomp.h0_const), None
 
 
 def complete_square(
@@ -253,49 +248,38 @@ def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
     return sign, ParamPoly._canonical({key: complex(abs(coeff.real))})
 
 
-def _axis_alternatives(
-    q: AffineExp, degree: int, g2: ParamPoly, g1: ParamPoly
+def _alternatives(
+    q: AffineExp, degree: int, moment: ParamPoly | None, g2: ParamPoly, g1: ParamPoly
 ) -> Alternatives:
-    """One full-line axis integral int_R u^degree |u|^(share z) e^(-iT(g2 u^2 + g1 u)) du."""
-    has2 = not g2.is_zero()
-    has1 = not g1.is_zero()
+    """One gauged symbol's integral of u^degree |u|^(share z) e^(-iT(g2 u^2 + g1 u)).
+
+    ``moment`` is None for a full-line axis u; for a radial group's radius
+    u = r > 0 it is the sphere moment of the group's direction degrees, and
+    the integral is taken over r times that moment.  An integral that
+    vanishes (an odd degree under an axis Gaussian, a zero moment) has no
+    alternatives.
+    """
+    axis = moment is None
+    if not axis and moment.is_zero():
+        return []
+    has2, has1 = not g2.is_zero(), not g1.is_zero()
     if has2 and has1:
-        raise UnsupportedStructure("complete the square before reducing this axis")
+        raise UnsupportedStructure(f"complete the square before reducing this {'axis' if axis else 'group'}")
     if has2:
-        if degree % 2:
+        if axis and degree % 2:
             return []
         sgn, rate = _sign_split(g2)
         if sgn < 0:
             raise UnsupportedStructure("quadratic phase coefficient must be positive")
-        return [(ParamPoly.number(1.0), ReducedIntegral("gauss", q, 1, rate))]
+        # the table's Gaussian runs over the full line: a radius takes half of it
+        return [(ParamPoly.number(1.0) if axis else moment.scale(0.5), ReducedIntegral("gauss", q, 1, rate))]
     if has1:
         sgn, rate = _sign_split(g1)
-        # u = direction * r: e^(-iT g1 u) = e^(-i sgn direction |g1| T r)
-        return [
-            (ParamPoly.number(complex(direction**degree)),
-             ReducedIntegral("osc", q, -sgn * direction, rate))
-            for direction in (1, -1)
-        ]
-    raise DegenerateCase("axis carries no phase; its gauge integral has no extension")
-
-
-def _radial_alternatives(
-    q: AffineExp, moment: ParamPoly, g2: ParamPoly, g1: ParamPoly
-) -> Alternatives:
-    """Radial integral over an N-dimensional group with its sphere moment attached."""
-    has2 = not g2.is_zero()
-    has1 = not g1.is_zero()
-    if has2 and has1:
-        raise UnsupportedStructure("complete the square before reducing this group")
-    if has2:
-        sgn, rate = _sign_split(g2)
-        if sgn < 0:
-            raise UnsupportedStructure("quadratic phase coefficient must be positive")
-        return [(moment.scale(0.5), ReducedIntegral("gauss", q, 1, rate))]
-    if has1:
-        sgn, rate = _sign_split(g1)
-        return [(moment, ReducedIntegral("osc", q, -sgn, rate))]
-    raise DegenerateCase("radial group carries no phase")
+        # u = direction * r: e^(-iT g1 u) = e^(-i sgn direction |g1| T r); a radius has one direction
+        rays = [(ParamPoly.number(complex(d**degree)), d) for d in (1, -1)] if axis else [(moment, 1)]
+        return [(mult, ReducedIntegral("osc", q, -sgn * d, rate)) for mult, d in rays]
+    raise DegenerateCase("axis carries no phase; its gauge integral has no extension" if axis
+                         else "radial group carries no phase")
 
 
 def reduced_sides(
@@ -307,9 +291,12 @@ def reduced_sides(
     runs here, before it returns: no table row, Laurent series or quadrature
     runs first.  The model's symbols are checked first, once.  An axis in
     two groups, or a declared parameter named like an axis or an integrated
-    symbol, is a ``ValidationError``.  An atom that is not a declared
-    parameter, ``pi`` or ``T`` must be gauged (``GaugeGroup.gauged``) in a
-    scalar Hamiltonian (``hbar`` must be declared), and integrated (``GaugeGroup.symbols``) in a matrix
+    symbol, is a ``ValidationError``; so is a potential model's field that
+    is not a parameter declared signed (``positive=False``: a constant field
+    takes both signs) and an atom of the Hamiltonian.  An atom that is not
+    a declared parameter, ``pi`` or ``T`` must be gauged
+    (``GaugeGroup.gauged``) in a scalar Hamiltonian (``hbar`` must be
+    declared), and integrated (``GaugeGroup.symbols``) in a matrix
     Hamiltonian or an observable; any other atom is an
     ``UnsupportedStructure``.  The phase split, each observable's
     composition with the evolution and its enumeration
@@ -322,6 +309,9 @@ def reduced_sides(
     integrated = model.integrated_symbols()
     if clash := sorted(p.name for p in model.params if p.name in integrated or p.name in axes):
         raise ValidationError(f"parameters named like a grouped symbol: {clash}")
+    signed = {p.name for p in model.params if not p.positive}
+    if model.field_param is not None and model.field_param not in (signed & _atoms(model.hamiltonian)):
+        raise ValidationError(f"field {model.field_param} is not a signed parameter of the Hamiltonian")
     known = {p.name for p in model.params} | {"pi", T}
     gauged = {s for g in model.groups for s in g.gauged()}
     phase_symbols = integrated if isinstance(model.hamiltonian, MatrixSymbol) else gauged
@@ -360,14 +350,13 @@ def reduced_integrals(
     picked multipliers and integrals; handing branches out in this factored
     form evaluates each integral once.  A symbol with no alternatives (odd
     degree under a Gaussian, zero sphere moment) makes its item vanish.
-    Every per-symbol check runs as the list is built.  Each symbol's
-    alternatives are computed once and then shared (the same list object)
-    by every item with the same key: the symbol, its regulator, its degree
-    and the piece's oscillation sign, plus the direction degrees for a
-    radial group.  Each group gives its symbols their regulator and share
-    (``gauge_text``).  A radial group's sphere moment depends only on its
-    direction degrees and dimension: it is kept in ``moments`` under that
-    key, which ``reduced_sides`` shares between its sides.
+    Every per-symbol check runs as the list is built, by one rule for axes
+    and radii (``_symbol_alternatives``).  A symbol's alternatives are
+    computed once per memo key and then shared (the same list object) by
+    the items of that symbol with that key; the key holds the symbol, so no
+    list is shared between symbols.  A radial group's sphere moment depends
+    only on its direction degrees and dimension: it is kept in ``moments``
+    under that key, which ``reduced_sides`` shares between its sides.
     ``reduce_pieces`` maps the integrals to table rows; the oracle reads the
     list once per side and cross-check (``oracle._build_quotient``) and
     computes all its distinct integrals in one quadrature batch.
@@ -390,36 +379,32 @@ def _symbol_alternatives(
     memo: dict[tuple, Alternatives],
     moments: dict[tuple, ParamPoly],
 ) -> tuple[Alternatives, ...]:
-    def phase_of(symbol: str) -> tuple[ParamPoly, ParamPoly]:
-        g2 = phase.g2.get(symbol, ParamPoly.zero())
-        g1 = phase.g1.get(symbol, ParamPoly.zero())
-        if piece.osc_sign and phase.osc_symbol == symbol:
-            g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
-        return g2, g1
+    """One item's alternatives: a list per gauged symbol (``GaugeGroup.gauged``), group by group.
 
+    A full-line axis and a radial group's radius go through one rule,
+    ``_alternatives``, with every per-symbol check.  A symbol's exponent is
+    its share 1/len(gauged) of the regulator (``gauge_text``) plus its degree
+    and the radial Jacobian's dim - len(gauged); only a radial group's sphere
+    moment is computed apart.  The memo key is the symbol, its regulator and
+    degree, the piece's oscillation sign and the direction degrees (None on an axis).
+    """
     out = []
     for group in model.groups:
-        dim = len(group.axes)
-        if group.radial:
-            rsym = group.radius_symbol()
-            hat_degrees = tuple(degrees.get(f"{a}^", 0) for a in group.axes)
-            d = degrees.get(rsym, 0)
-            key = (rsym, group.regulator, d, piece.osc_sign, hat_degrees)
+        gauged, dim = group.gauged(), len(group.axes)
+        # a radial group's direction degrees; a full-line axis has none
+        hats = tuple(degrees.get(f"{a}^", 0) for a in group.axes) if group.radial else None
+        for s in gauged:
+            d = degrees.get(s, 0)
+            key = (s, group.regulator, d, piece.osc_sign, hats)
             if key not in memo:
-                if (hat_degrees, dim) not in moments:
-                    moments[hat_degrees, dim] = angular_moment(hat_degrees, dim)
-                moment = moments[hat_degrees, dim]
-                q = AffineExp(group.regulator, rational.ONE, (d + dim - 1, 1))
-                memo[key] = [] if moment.is_zero() else _radial_alternatives(q, moment, *phase_of(rsym))
-            out.append(memo[key])
-            continue
-        # separable: axis by axis on the full line
-        for a in group.axes:
-            d = degrees.get(a, 0)
-            key = (a, group.regulator, d, piece.osc_sign)
-            if key not in memo:
-                q = AffineExp(group.regulator, (1, dim), (d, 1))
-                memo[key] = _axis_alternatives(q, d, *phase_of(a))
+                if hats is not None and (hats, dim) not in moments:
+                    moments[hats, dim] = angular_moment(hats, dim)
+                # the symbol's share of z; the radial Jacobian r^(dim - 1) on a radius
+                q = AffineExp(group.regulator, (1, len(gauged)), (d + dim - len(gauged), 1))
+                g2, g1 = phase.g2.get(s, ParamPoly.zero()), phase.g1.get(s, ParamPoly.zero())
+                if piece.osc_sign and phase.osc_symbol == s:  # the involution's linear phase
+                    g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
+                memo[key] = _alternatives(q, d, moments.get((hats, dim)), g2, g1)
             out.append(memo[key])
     return tuple(out)
 
@@ -437,29 +422,27 @@ def reduce_pieces(
     (``_table_row``); a row is built on its first use and then shared by
     reference.  ``build_trace_sums`` passes one store to both of its calls,
     so the two sides share their rows.  A branch grows as its coefficient and
-    the tuple of its picked rows, each scaled by its multiplier, and becomes
-    one ``ZetaTerm`` at the end: the coefficient times every picked
-    prefactor in pick order, the picked factors multiplied, the ``T``
+    the tuple of its picked rows, and becomes one ``ZetaTerm`` at the end:
+    the coefficient times every picked multiplier in pick order (a table
+    row's own prefactor is 1), the picked factors multiplied, the ``T``
     exponents summed and the evolution phase.  An alternatives list that
-    ``reduced_integrals`` shares between items is turned into its scaled
-    rows once.
+    ``reduced_integrals`` shares between items is paired with its rows once.
     """
     out: list[ZetaTerm] = []
-    # alternatives list id -> (the list, which keeps the id from reuse; its scaled rows)
-    picks_of: dict[int, tuple[Alternatives, list[ZetaTerm]]] = {}
+    # alternatives list id -> (the list, which keeps the id from reuse; its (multiplier, row) picks)
+    picks_of: dict[int, tuple[Alternatives, list[tuple[ParamPoly, ZetaTerm]]]] = {}
     for poly, t_power, symbols in items:
         branches: list[tuple[ParamPoly, tuple[ZetaTerm, ...]]] = [(poly * model.prefactor, ())]
         for alternatives in symbols:
             if id(alternatives) not in picks_of:
                 picks_of[id(alternatives)] = (alternatives, [
-                    _scaled(_table_row(integral, policy, rows), mult)
-                    for mult, integral in alternatives
+                    (mult, _table_row(integral, policy, rows)) for mult, integral in alternatives
                 ])
             picks = picks_of[id(alternatives)][1]
             branches = [
-                (_times(coeff, row.coeff.prefactor), picked + (row,))
+                (_times(coeff, mult), picked + (row,))
                 for coeff, picked in branches
-                for row in picks
+                for mult, row in picks
             ]
         out.extend(
             _branch_term(coeff, picked, t_power, phase.const)
@@ -472,10 +455,6 @@ def reduce_pieces(
 # a product with a factor of exactly 1 is bit-identical to the other factor
 def _times(coeff: ParamPoly, factor: ParamPoly) -> ParamPoly:
     return coeff if factor.is_one() else coeff * factor
-
-
-def _scaled(row: ZetaTerm, mult: ParamPoly) -> ZetaTerm:
-    return row if mult.is_one() else row.scaled(mult)
 
 
 def _branch_term(

@@ -546,6 +546,28 @@ def test_free_quadratic_potential():
     assert pot.masses == [ParamPoly.one()]
 
 
+def phi4_with_field(name, *extra):
+    model = phi4()
+    model.field_param = name
+    model.params += extra
+    return model
+
+
+@pytest.mark.parametrize("model", [
+    # before the check: "curvature 0 has indefinite sign", and ([], []) from the oracle
+    phi4_with_field("phj"),
+    # before the check: no minima and no error
+    phi4_with_field("mu"),
+    phi4_with_field("psi", Param("psi", positive=False)),
+], ids=["undeclared", "declared_positive", "not_in_the_hamiltonian"])
+def test_a_potential_models_field_is_checked_before_any_table_row(no_table_rows, model):
+    message = f"field {model.field_param} is not a signed parameter of the Hamiltonian"
+    with pytest.raises(ValidationError, match=message):
+        effective_potential(model, PAPER)
+    with pytest.raises(ValidationError, match=message):
+        oracle.potential_numeric(model, {"mu": 1.0, "lambda": 6.0, "psi": 1.0})
+
+
 def test_phi4_numeric_fallback():
     minima, masses = oracle.potential_numeric(phi4(), {"mu": 1.0, "lambda": 6.0})
     assert sorted(round(v, 6) for v in minima) == [-1.0, 1.0]

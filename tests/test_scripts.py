@@ -38,6 +38,7 @@ def test_finite_t_scan_runs_from_any_directory(tmp_path):
 PINNED_DIGESTS = {
     "ladder": "6fcdfe8011cfb12a157e38777edf73c654bf024bf011cfbd871a4077d74bb2ba  15 ops\n",
     "suite": "c66fa7f568c56edbedd71b183883f5542515c64377366a3512aa4f4f8f0e8b90  100 ops\n",
+    "oracle": "f22e921e636ad774edeb52764b2f999240f9ec1e06e0e775ffbcdde7bd55cdbe  80 ops\n",
 }
 
 
