@@ -746,6 +746,44 @@ def test_a_raising_row_is_not_stored(monkeypatch):
     ]
 
 
+INVARIANT_MODELS = (
+    [(name, {}) for name in REGISTRY if build_model(name).observables]
+    + [(name, {"n": n}) for name in ("harmonic_oscillator_nd", "dirac_fermion") for n in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("policy", [PAPER, PRINCIPAL], ids=lambda p: p.mode)
+@pytest.mark.parametrize(
+    "name, overrides", INVARIANT_MODELS, ids=[f"{n}{o or ''}" for n, o in INVARIANT_MODELS]
+)
+def test_the_engines_rows_are_the_oracles_points(monkeypatch, name, overrides, policy):
+    """The engine builds one table row per oracle point, in the oracle's order."""
+    model = build_model(name, **overrides)
+    bindings = {p.name: 1.1 for p in model.params}
+    t_value = 10.0
+    rows = []
+
+    def point(gauss, q, sign, rate):
+        omega = (-1 if gauss else sign) * (rate.eval(bindings).real * t_value)
+        return gauss, rational.to_float(q.a), rational.to_float(q.b), omega
+
+    def gauss_row(q, rate, _row=engine.gauss_radial):
+        rows.append(point(True, q, 1, rate))
+        return _row(q, rate)
+
+    def osc_row(q, sign, branch, rate, _row=engine.osc_linear):
+        rows.append(point(False, q, sign, rate))
+        return _row(q, sign, branch, rate)
+
+    monkeypatch.setattr(engine, "gauss_radial", gauss_row)
+    monkeypatch.setattr(engine, "osc_linear", osc_row)
+    for observable in model.observables:
+        rows.clear()
+        build_trace_sums(model, model.observables[observable], policy)
+        _, points = oracle._build_quotient(model, observable, t_value, bindings)
+        assert rows and rows == points, observable
+
+
 def test_each_sphere_moment_is_computed_once_per_derivation(monkeypatch):
     # both sides, every radial degree and oscillation sign share the one moment
     calls = []
