@@ -11,7 +11,7 @@ fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -34,7 +34,7 @@ from .symbols import (
     IntegrandPiece,
     InvolutionEvolution,
     MatrixSymbol,
-    PhaseDecomposition,
+    ReducedPhase,
     T,
     axis_terms,
     compose_observable,
@@ -140,17 +140,6 @@ def gauge_text(model: ModelSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReducedPhase:
-    """Evolution phase split per reduced symbol, already scaled by T/hbar."""
-
-    g2: dict[str, ParamPoly]
-    g1: dict[str, ParamPoly]
-    const: ParamPoly  # e^(i * const * T)
-    osc_coeff: ParamPoly | None = None  # |c| for the involution pieces
-    osc_symbol: str | None = None
-
-
 def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | None]:
     hbar_inv = (
         ParamPoly.var(model.hbar, -1) if model.hbar else ParamPoly.one()
@@ -178,21 +167,20 @@ def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | 
             osc_symbol=sym,
         )
         return phase, evo
-    decomp = decompose_phase(model.hamiltonian * hbar_inv, {s for g in model.groups for s in g.gauged()})
-    return ReducedPhase(g2=decomp.h2, g1=decomp.h1, const=-decomp.h0_const), None
+    return decompose_phase(model.hamiltonian * hbar_inv, {s for g in model.groups for s in g.gauged()}), None
 
 
 def complete_square(
-    phase: PhaseDecomposition, amp: ParamPoly, axis: str
-) -> tuple[PhaseDecomposition, ParamPoly, ParamPoly, ParamPoly]:
+    phase: ReducedPhase, amp: ParamPoly, axis: str
+) -> tuple[ReducedPhase, ParamPoly, ParamPoly, ParamPoly]:
     """Shift one axis to kill its linear phase.
 
     Returns (new phase, substituted amplitude, phase constant h1^2/(4 h2)
     gained by e^(+i * const * T), shift h1/(2 h2)).  The gauge later applies
     to the shifted variable.
     """
-    h2 = phase.h2.get(axis, ParamPoly.zero())
-    h1 = phase.h1.get(axis, ParamPoly.zero())
+    h2 = phase.g2.get(axis, ParamPoly.zero())
+    h1 = phase.g1.get(axis, ParamPoly.zero())
     if h2.is_zero():
         raise ZeroQuadraticCoefficient(f"axis {axis} has h2 = 0")
     if h1.is_zero():
@@ -200,10 +188,8 @@ def complete_square(
     shift = h1 * h2.inverse().scale(0.5)
     const = h1 * h1 * h2.inverse().scale(0.25)
     new_amp = amp.subs(axis, ParamPoly.var(axis) - shift)
-    new_phase = PhaseDecomposition(
-        h2=dict(phase.h2),
-        h1={k: (ParamPoly.zero() if k == axis else v) for k, v in phase.h1.items()},
-        h0_const=phase.h0_const,
+    new_phase = replace(
+        phase, g2=dict(phase.g2), g1={k: (ParamPoly.zero() if k == axis else v) for k, v in phase.g1.items()}
     )
     return new_phase, new_amp, const, shift
 
@@ -231,9 +217,9 @@ class ReducedIntegral:
         return self.kind, self.q, self.sign, tuple(sorted(self.rate.terms.items()))
 
 
-#: one reduced symbol's alternatives as (multiplier, integral) pairs
-Alternatives = list[tuple[ParamPoly, ReducedIntegral]]
-#: one side's reduced integrals, item by item: coefficient, T power, per-symbol alternatives
+#: one reduced symbol's alternatives as (multiplier, integral index) pairs
+Alternatives = list[tuple[ParamPoly, int]]
+#: one side's items: coefficient, T power, per-symbol alternatives
 Enumeration = list[tuple[ParamPoly, Fraction, tuple[Alternatives, ...]]]
 
 
@@ -250,14 +236,14 @@ def _sign_split(poly: ParamPoly) -> tuple[int, ParamPoly]:
 
 def _alternatives(
     q: AffineExp, degree: int, moment: ParamPoly | None, g2: ParamPoly, g1: ParamPoly
-) -> Alternatives:
+) -> list[tuple[ParamPoly, ReducedIntegral]]:
     """One gauged symbol's integral of u^degree |u|^(share z) e^(-iT(g2 u^2 + g1 u)).
 
     ``moment`` is None for a full-line axis u; for a radial group's radius
     u = r > 0 it is the sphere moment of the group's direction degrees, and
-    the integral is taken over r times that moment.  An integral that
-    vanishes (an odd degree under an axis Gaussian, a zero moment) has no
-    alternatives.
+    the integral is taken over r times that moment.  The alternatives are
+    (multiplier, integral) pairs; an integral that vanishes (an odd degree
+    under an axis Gaussian, a zero moment) has none.
     """
     axis = moment is None
     if not axis and moment.is_zero():
@@ -284,8 +270,8 @@ def _alternatives(
 
 def reduced_sides(
     model: ModelSpec, observables: Sequence[ParamPoly | MatrixSymbol | int]
-) -> tuple[ReducedPhase, list[Enumeration]]:
-    """The reduction's front end: the model's reduced phase and one enumeration per observable.
+) -> tuple[ReducedPhase, list[ReducedIntegral], list[Enumeration]]:
+    """The reduction's front end: the reduced phase, the distinct integrals and an enumeration per observable.
 
     Every entry point calls it, and every structural check of a derivation
     runs here, before it returns: no table row, Laurent series or quadrature
@@ -301,7 +287,9 @@ def reduced_sides(
     ``UnsupportedStructure``.  The phase split, each observable's
     composition with the evolution and its enumeration
     (``reduced_integrals``, with every per-symbol check) run next, in that
-    order.  A number stands for itself times the identity.
+    order.  A number stands for itself times the identity.  The integrals
+    are the table that every side indexes: one per distinct integral, in
+    order of first use.
     """
     axes = [a for g in model.groups for a in g.axes]
     if twice := sorted({a for a in axes if axes.count(a) > 1}):
@@ -326,7 +314,9 @@ def reduced_sides(
     phase, evo = _build_phase(model)
     sides = (ParamPoly.number(o) if isinstance(o, int) else o for o in observables)
     moments: dict[tuple, ParamPoly] = {}
-    return phase, [reduced_integrals(compose_observable(evo, o), model, phase, moments) for o in sides]
+    table: dict[tuple, tuple[int, ReducedIntegral]] = {}  # exact key -> (index, integral)
+    enumerations = [reduced_integrals(compose_observable(evo, o), model, phase, moments, table) for o in sides]
+    return phase, [integral for _, integral in table.values()], enumerations
 
 
 def _atoms(symbol: ParamPoly | MatrixSymbol) -> set[str]:
@@ -339,34 +329,29 @@ def _atoms(symbol: ParamPoly | MatrixSymbol) -> set[str]:
 
 def reduced_integrals(
     pieces: Sequence[IntegrandPiece], model: ModelSpec, phase: ReducedPhase,
-    moments: dict[tuple, ParamPoly],
+    moments: dict[tuple, ParamPoly], table: dict[tuple, tuple[int, ReducedIntegral]],
 ) -> Enumeration:
     """The reduction's only enumeration of closed-form integrals.
 
     Per piece, axis part of the amplitude (``axis_terms`` over the model's
     integrated symbols) and T power this lists the coefficient, the T power
-    and each reduced symbol's alternatives, group by group.  A branch picks
-    one alternative per symbol and is worth the coefficient times the
-    picked multipliers and integrals; handing branches out in this factored
-    form evaluates each integral once.  A symbol with no alternatives (odd
-    degree under a Gaussian, zero sphere moment) makes its item vanish.
-    Every per-symbol check runs as the list is built, by one rule for axes
-    and radii (``_symbol_alternatives``).  A symbol's alternatives are
-    computed once per memo key and then shared (the same list object) by
-    the items of that symbol with that key; the key holds the symbol, so no
-    list is shared between symbols.  A radial group's sphere moment depends
-    only on its direction degrees and dimension: it is kept in ``moments``
-    under that key, which ``reduced_sides`` shares between its sides.
-    ``reduce_pieces`` maps the integrals to table rows; the oracle reads the
-    list once per side and cross-check (``oracle._build_quotient``) and
-    computes all its distinct integrals in one quadrature batch.
+    and each reduced symbol's alternatives, group by group: (multiplier,
+    index) pairs into the derivation's table of distinct integrals.  A
+    branch picks one alternative per symbol and is worth the coefficient
+    times the picked multipliers and integrals; handing branches out in this
+    factored form evaluates each integral once.  A symbol with no
+    alternatives (odd degree under a Gaussian, zero sphere moment) makes its
+    item vanish.  Every per-symbol check runs as the list is built, by one
+    rule for axes and radii (``_symbol_alternatives``).  ``reduced_sides``
+    shares ``moments`` and ``table`` between its sides.  ``reduce_pieces``
+    maps the indices to table rows, ``oracle._build_quotient`` to points.
     """
     integrated = model.integrated_symbols()
     memo: dict[tuple, Alternatives] = {}
     items: Enumeration = []
     for piece in pieces:
         for axis_key, coeff in axis_terms(piece.amp, integrated):
-            symbols = _symbol_alternatives(piece, dict(axis_key), model, phase, memo, moments)
+            symbols = _symbol_alternatives(piece, dict(axis_key), model, phase, memo, moments, table)
             items.extend((poly, t_power, symbols) for t_power, poly in coeff.by_power(T).items())
     return items
 
@@ -378,6 +363,7 @@ def _symbol_alternatives(
     phase: ReducedPhase,
     memo: dict[tuple, Alternatives],
     moments: dict[tuple, ParamPoly],
+    table: dict[tuple, tuple[int, ReducedIntegral]],
 ) -> tuple[Alternatives, ...]:
     """One item's alternatives: a list per gauged symbol (``GaugeGroup.gauged``), group by group.
 
@@ -385,8 +371,10 @@ def _symbol_alternatives(
     ``_alternatives``, with every per-symbol check.  A symbol's exponent is
     its share 1/len(gauged) of the regulator (``gauge_text``) plus its degree
     and the radial Jacobian's dim - len(gauged); only a radial group's sphere
-    moment is computed apart.  The memo key is the symbol, its regulator and
-    degree, the piece's oscillation sign and the direction degrees (None on an axis).
+    moment is computed apart.  ``table`` indexes each integral by its
+    ``ReducedIntegral.exact_key``: the one rule of which integrals are the
+    same.  The memo key is the symbol, its regulator and degree, the
+    piece's oscillation sign and the direction degrees (None on an axis).
     """
     out = []
     for group in model.groups:
@@ -404,48 +392,45 @@ def _symbol_alternatives(
                 g2, g1 = phase.g2.get(s, ParamPoly.zero()), phase.g1.get(s, ParamPoly.zero())
                 if piece.osc_sign and phase.osc_symbol == s:  # the involution's linear phase
                     g1 = g1 - phase.osc_coeff.scale(piece.osc_sign)
-                memo[key] = _alternatives(q, d, moments.get((hats, dim)), g2, g1)
+                memo[key] = [
+                    (mult, table.setdefault(integral.exact_key(), (len(table), integral))[0])
+                    for mult, integral in _alternatives(q, d, moments.get((hats, dim)), g2, g1)
+                ]
             out.append(memo[key])
     return tuple(out)
 
 
+def table_rows(integrals: Sequence[ReducedIntegral], policy: BranchPolicy) -> list[ZetaTerm]:
+    """The table row of each of a derivation's distinct integrals (``reduced_sides``), in index order."""
+    return [
+        gauss_radial(i.q, i.rate) if i.kind == "gauss" else osc_linear(i.q, i.sign, policy, i.rate)
+        for i in integrals
+    ]
+
+
 def reduce_pieces(
-    items: Enumeration,
-    model: ModelSpec,
-    phase: ReducedPhase,
-    policy: BranchPolicy,
-    rows: dict[tuple, ZetaTerm],
+    items: Enumeration, model: ModelSpec, phase: ReducedPhase, rows: Sequence[ZetaTerm]
 ) -> ZetaTermSum:
     """Reduce one side's enumeration to the canonical term sum, one term per branch.
 
-    ``rows`` holds the table row of each distinct integral, keyed exactly
-    (``_table_row``); a row is built on its first use and then shared by
-    reference.  ``build_trace_sums`` passes one store to both of its calls,
-    so the two sides share their rows.  A branch grows as its coefficient and
-    the tuple of its picked rows, and becomes one ``ZetaTerm`` at the end:
-    the coefficient times every picked multiplier in pick order (a table
-    row's own prefactor is 1), the picked factors multiplied, the ``T``
-    exponents summed and the evolution phase.  An alternatives list that
-    ``reduced_integrals`` shares between items is paired with its rows once.
+    ``rows`` holds the table row of each integral index (``table_rows``);
+    ``build_trace_sums`` passes one list to both sides.  A branch grows as
+    its coefficient and the tuple of its picked indices, and becomes one
+    ``ZetaTerm`` at the end: the coefficient times every picked multiplier
+    in pick order (a table row's own prefactor is 1), the picked rows'
+    factors multiplied, the ``T`` exponents summed and the evolution phase.
     """
     out: list[ZetaTerm] = []
-    # alternatives list id -> (the list, which keeps the id from reuse; its (multiplier, row) picks)
-    picks_of: dict[int, tuple[Alternatives, list[tuple[ParamPoly, ZetaTerm]]]] = {}
     for poly, t_power, symbols in items:
-        branches: list[tuple[ParamPoly, tuple[ZetaTerm, ...]]] = [(poly * model.prefactor, ())]
+        branches: list[tuple[ParamPoly, tuple[int, ...]]] = [(poly * model.prefactor, ())]
         for alternatives in symbols:
-            if id(alternatives) not in picks_of:
-                picks_of[id(alternatives)] = (alternatives, [
-                    (mult, _table_row(integral, policy, rows)) for mult, integral in alternatives
-                ])
-            picks = picks_of[id(alternatives)][1]
             branches = [
-                (_times(coeff, mult), picked + (row,))
+                (_times(coeff, mult), picked + (i,))
                 for coeff, picked in branches
-                for mult, row in picks
+                for mult, i in alternatives
             ]
         out.extend(
-            _branch_term(coeff, picked, t_power, phase.const)
+            _branch_term(coeff, picked, t_power, phase.const, rows)
             for coeff, picked in branches
             if not coeff.is_zero()
         )
@@ -459,38 +444,26 @@ def _times(coeff: ParamPoly, factor: ParamPoly) -> ParamPoly:
 
 def _branch_term(
     coeff: ParamPoly,
-    picked: tuple[ZetaTerm, ...],
+    picked: tuple[int, ...],
     t_power: Fraction,
     phase: ParamPoly,
+    rows: Sequence[ZetaTerm],
 ) -> ZetaTerm:
-    # rows repeat across symbols: each distinct row's factors and exponents times its multiplicity
-    distinct: dict[int, list] = {}
-    for row in picked:
-        distinct.setdefault(id(row), [row, 0])[1] += 1
+    # integrals repeat across symbols: each distinct row's factors and exponents times its multiplicity
+    counts: dict[int, int] = {}
+    for i in picked:
+        counts[i] = counts.get(i, 0) + 1
+    distinct = [(rows[i], n) for i, n in counts.items()]
     t_lin: dict[str, Q] = {}
     t_const = rational.of(t_power)
-    for row, n in distinct.values():
+    for row, n in distinct:
         t_const = rational.add(t_const, rational.mul(row.t_const, (n, 1)))
         for reg, a in row.t_lin:
             a = rational.mul(a, (n, 1))
             t_lin[reg] = rational.add(t_lin[reg], a) if reg in t_lin else a
-    factors = tuple(f if n == 1 else f.raised(n) for row, n in distinct.values() for f in row.coeff.factors)
+    factors = tuple(f if n == 1 else f.raised(n) for row, n in distinct for f in row.coeff.factors)
     t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a[0] != 0))
     return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase)
-
-
-def _table_row(
-    integral: ReducedIntegral, policy: BranchPolicy, rows: dict[tuple, ZetaTerm]
-) -> ZetaTerm:
-    key = (integral.exact_key(), policy.mode)
-    row = rows.get(key)
-    if row is None:
-        if integral.kind == "gauss":
-            row = gauss_radial(integral.q, integral.rate)
-        else:
-            row = osc_linear(integral.q, integral.sign, policy, integral.rate)
-        rows[key] = row
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +500,14 @@ def build_trace_sums(
 ) -> tuple[ZetaTermSum, ZetaTermSum, list[Step]]:
     """Numerator and denominator term sums under the same gauge, and the steps so far.
 
-    Both sums draw their table rows from one store, so each distinct row is
-    built once per call.  The steps render the gauge and both sums only when
-    the trace is read.
+    Both sums index one list of table rows, one per distinct integral
+    (``table_rows``), so each row is built once per call.  The steps render
+    the gauge and both sums only when the trace is read.
     """
-    phase, (num_items, den_items) = reduced_sides(model, (observable, 1))
-    rows: dict[tuple, ZetaTerm] = {}
-    num = reduce_pieces(num_items, model, phase, policy, rows)
-    den = reduce_pieces(den_items, model, phase, policy, rows)
+    phase, integrals, (num_items, den_items) = reduced_sides(model, (observable, 1))
+    rows = table_rows(integrals, policy)
+    num = reduce_pieces(num_items, model, phase, rows)
+    den = reduce_pieces(den_items, model, phase, rows)
     tokens = sorted(model.tokens)
     steps: list[Step] = [
         lambda: f"gauge: {gauge_text(model)}",
@@ -661,8 +634,8 @@ def effective_potential(
     """
     if model.field_param is None:
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
-    phase, (z_items,) = reduced_sides(model, (1,))
-    z_sum = reduce_pieces(z_items, model, phase, policy, {})
+    phase, integrals, (z_items,) = reduced_sides(model, (1,))
+    z_sum = reduce_pieces(z_items, model, phase, table_rows(integrals, policy))
     z0 = value_at_zero(z_sum, series_order)
     if len(z0.terms) != 1:
         raise LogOfNonmonomial("partition function is not a single structured term")

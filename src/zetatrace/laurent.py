@@ -256,9 +256,6 @@ class MeroFactorProduct:
                     folded[f.fold_key] = f if g is None else g.times(f)
             object.__setattr__(self, "factors", tuple(f for f in folded.values() if f.fold_key is not None))
 
-    def scaled(self, poly: ParamPoly) -> "MeroFactorProduct":
-        return MeroFactorProduct._canonical(self.prefactor * poly, self.factors)
-
     def render(self) -> str:
         parts = [self.prefactor.render(mul="*")]
         parts += [f.render() for f in self.factors]

@@ -1,9 +1,10 @@
 """Independent numeric verification.
 
 Shared with the engine: its reduction front end (``engine.reduced_sides``),
-that is the gauge, the phase split and the enumeration of reduced integrals,
-which also holds every structural check, so the oracle reduces exactly the
-sum the engine reduces and rejects what the engine rejects.
+that is the gauge, the phase split, the table of distinct integrals and the
+enumeration that indexes it, which also holds every structural check, so
+the oracle reduces exactly the sum the engine reduces, over the integrals
+the engine builds rows for, and rejects what the engine rejects.
 
 Independent of the engine, and so what the cross-check tests: the value of
 each integral and the limits.  Oscillatory half-line integrals are computed
@@ -17,7 +18,7 @@ Every integral, half-line or Gaussian-phase, is one (p, omega) of
 extrapolations over sample grids.  No table row, Laurent series or term
 sum is built here.  One cross-check (``small_z_ratio``) builds what does
 not depend on z once: the gauge, the phase, both sides' enumeration, every
-coefficient and multiplier and the floats of each distinct integral.  All
+coefficient and multiplier and the floats of each entry of the table.  All
 its (p, omega) keys, over both sides and every z sample, are then one
 ``damped_quadrature`` batch, one row per ±omega pair.
 ``potential_numeric`` finds a potential's minima and masses from V alone, by
@@ -34,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .engine import ReducedIntegral, reduced_sides
+from .engine import reduced_sides
 from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
 
 # Two rays of the rotated contour; Cauchy's theorem makes their integrals equal.
@@ -230,31 +231,26 @@ def _build_quotient(model, observable_name: str, t_value: float, bindings: Mappi
                     ) -> tuple[tuple[list[Item], list[Item]], list[Point]]:
     """Both sides' items and the points they index, none of which depends on z.
 
-    Each item of the engine's enumeration (``engine.reduced_sides``) becomes
-    its weight (the coefficient times T^(T power) times the evolution phase
-    e^(i c T)) and its symbols' alternatives: multiplier values and point
-    indices, one point per ``ReducedIntegral.exact_key``.  Every structural
-    check has run in ``reduced_sides`` before the first point.  omega is
-    sign rate T for r^q e^(sign i rate T r) and -rate T for a Gaussian.
+    The points are the engine's table of distinct integrals
+    (``engine.reduced_sides``), in index order.  Each item becomes its
+    weight (the coefficient times T^(T power) times the evolution phase
+    e^(i c T)) and its symbols' alternatives: multiplier values and
+    integral indices.  Every structural check has run in ``reduced_sides``
+    before the first point.  omega is sign rate T for r^q e^(sign i rate T r)
+    and -rate T for a Gaussian.
     """
-    phase, sides = reduced_sides(model, (model.observables[observable_name], 1))
+    phase, integrals, sides = reduced_sides(model, (model.observables[observable_name], 1))
     rotation = cmath.exp(1j * phase.const.eval(bindings) * t_value)
-    seen: dict[tuple, tuple[int, ReducedIntegral]] = {}  # exact key -> (point index, integral)
-
-    def weighted(items) -> list[Item]:
-        return [
-            (poly.eval(bindings) * t_value ** float(t_power) * rotation,
-             [[(mult.eval(bindings), seen.setdefault(integral.exact_key(), (len(seen), integral))[0])
-               for mult, integral in alternatives]
-              for alternatives in symbols])
-            for poly, t_power, symbols in items
-        ]
-
-    built = tuple(map(weighted, sides))
+    built = tuple(
+        [(poly.eval(bindings) * t_value ** float(t_power) * rotation,
+          [[(mult.eval(bindings), i) for mult, i in alternatives] for alternatives in symbols])
+         for poly, t_power, symbols in items]
+        for items in sides
+    )
     points = [
         (i.kind == "gauss", rational.to_float(i.q.a), rational.to_float(i.q.b),
          (-1 if i.kind == "gauss" else i.sign) * (i.rate.eval(bindings).real * t_value))
-        for _, i in seen.values()
+        for i in integrals
     ]
     return built, points
 

@@ -67,20 +67,21 @@ def axis_terms(
 
 
 @dataclass
-class PhaseDecomposition:
-    """Per-axis quadratic/linear phase coefficients plus the constant part.
+class ReducedPhase:
+    """Evolution phase e^(-iT(g2 u^2 + g1 u)) per reduced symbol u times e^(i const T), scaled by 1/hbar.
 
-    ``h2[axis]`` and ``h1[axis]`` are ParamPoly coefficients of axis^2 and
-    axis^1; ``h0_const`` is the axis-free remainder.
+    ``g2[u]`` and ``g1[u]`` are ParamPoly coefficients of u^2 and u^1.
     """
 
-    h2: dict[str, ParamPoly]
-    h1: dict[str, ParamPoly]
-    h0_const: ParamPoly
+    g2: dict[str, ParamPoly]
+    g1: dict[str, ParamPoly]
+    const: ParamPoly  # minus the axis-free part
+    osc_coeff: ParamPoly | None = None  # |c| for the involution pieces
+    osc_symbol: str | None = None
 
 
-def decompose_phase(h: ParamPoly, axes: Collection[str]) -> PhaseDecomposition:
-    """Extract h2 and h1 per axis and the constant part.
+def decompose_phase(h: ParamPoly, axes: Collection[str]) -> ReducedPhase:
+    """Split ``h`` into g2 and g1 per axis and the constant: minus the axis-free part.
 
     ``h`` is split by the phase ``axes`` alone (``axis_terms``); every other
     atom is part of a coefficient.  Each axis part must be one axis to the
@@ -88,28 +89,28 @@ def decompose_phase(h: ParamPoly, axes: Collection[str]) -> PhaseDecomposition:
     degrees are rejected.  Which atoms a phase may hold at all is checked
     before, by ``engine.reduced_sides``.
     """
-    h2: dict[str, ParamPoly] = {}
-    h1: dict[str, ParamPoly] = {}
+    g2: dict[str, ParamPoly] = {}
+    g1: dict[str, ParamPoly] = {}
     const = ParamPoly.zero()
     for key, coeff in axis_terms(h, axes):
         if len(key) > 1:
             raise UnsupportedStructure(f"cross-axis phase coupling: {key}")
         if not key:
-            const = t_free(coeff)
+            const = -t_free(coeff)
             continue
         (name, deg), = key
         poly = t_free(coeff)
         if deg == 2:
-            h2[name] = poly
+            g2[name] = poly
         elif deg == 1:
-            h1[name] = poly
+            g1[name] = poly
         elif deg < 0:
             raise UnsupportedStructure("inverse-power phase tails are not reduced symbolically")
         else:
             raise DegenerateCase(
                 f"axis {name} has neither quadratic nor linear phase but degree {deg}"
             )
-    return PhaseDecomposition(h2, h1, const)
+    return ReducedPhase(g2, g1, const)
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,6 @@ class ZetaTerm:
     t_log: int = 0
     phase: ParamPoly = field(default_factory=ParamPoly.zero)
 
-    def scaled(self, poly: ParamPoly) -> "ZetaTerm":
-        return replace(self, coeff=self.coeff.scaled(poly))
-
     def structure_key(self) -> tuple:
         return (
             frozenset(self.coeff.factors),

@@ -10,12 +10,12 @@ from zetatrace.params import ParamPoly
 
 
 def reassemble(d) -> ParamPoly:
-    """h0_const + sum over axes of h2[axis] axis^2 + h1[axis] axis, zero coefficients left out."""
-    out = d.h0_const
-    for name, c in d.h2.items():
+    """-const + sum over axes of g2[axis] axis^2 + g1[axis] axis, zero coefficients left out."""
+    out = -d.const
+    for name, c in d.g2.items():
         if not c.is_zero():
             out = out + c * ParamPoly.var(name, 2)
-    for name, c in d.h1.items():
+    for name, c in d.g1.items():
         if not c.is_zero():
             out = out + c * ParamPoly.var(name)
     return out

@@ -40,6 +40,7 @@ from factor_values import coeff_at, product_value
 from fits import decay_exponent
 from model_render import render_model
 from power_series import series_pow
+from term_scaling import scaled
 from zetatrace.rational import of, to_float
 
 
@@ -103,13 +104,13 @@ def test_criterion_05_dirac_fermion():
         return AffineExp("z", (1, 1), (b, 1))
 
     den_terms = [
-        osc_linear(q(2), +1, PAPER).scaled(vol),
-        osc_linear(q(2), -1, PAPER).scaled(vol),
+        scaled(osc_linear(q(2), +1, PAPER), vol),
+        scaled(osc_linear(q(2), -1, PAPER), vol),
     ]
-    num_terms = [t.scaled(m) for t in den_terms]
+    num_terms = [scaled(t, m) for t in den_terms]
     num_terms += [
-        osc_linear(q(3), +1, PAPER).scaled(vol * ParamPoly.number(-1j)),
-        osc_linear(q(3), -1, PAPER).scaled(vol * ParamPoly.number(1j)),
+        scaled(osc_linear(q(3), +1, PAPER), vol * ParamPoly.number(-1j)),
+        scaled(osc_linear(q(3), -1, PAPER), vol * ParamPoly.number(1j)),
     ]
     finite_t = ratio_limit(ZetaTermSum(num_terms), ZetaTermSum(den_terms))
     for tv in (10.0, 100.0):

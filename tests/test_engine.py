@@ -20,7 +20,6 @@ from zetatrace.engine import (
 from zetatrace.errors import (
     CriticalDegree,
     DegenerateCase,
-    GammaPole,
     UnsupportedStructure,
     ValidationError,
     ZeroQuadraticCoefficient,
@@ -39,11 +38,12 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import PhaseDecomposition, compose_observable
+from zetatrace.symbols import ReducedPhase, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
 from factor_values import product_value
+from term_scaling import scaled
 
 
 def mono(c, **exps):
@@ -230,7 +230,7 @@ def test_each_per_symbol_check_holds_for_both_symbol_kinds(radial, phase, error,
 ], ids=["axis_odd_degree", "radial_odd_direction"])
 def test_a_vanishing_symbol_integral_gives_no_alternatives(radial, observable):
     model = one_symbol_model(radial, lambda s: mono(1, **{s: 2}), observable)
-    _, (num, den) = engine.reduced_sides(model, (*model.observables.values(), 1))
+    _, _, (num, den) = engine.reduced_sides(model, (*model.observables.values(), 1))
     assert [symbols for _, _, symbols in num] == [([],)]
     assert all(alternatives for _, _, symbols in den for alternatives in symbols)
 
@@ -270,8 +270,10 @@ def test_alternatives_memo_keeps_each_groups_regulator():
     model = rotor_gauged_twice()
     phase, evo = engine._build_phase(model)
     pieces = compose_observable(evo, model.observables["chi_top"])
-    ((_, _, symbols),) = engine.reduced_integrals(pieces, model, phase, {})
-    assert [alternatives[0][1].q.regulator for alternatives in symbols] == ["z1", "z2"]
+    table = {}
+    ((_, _, symbols),) = engine.reduced_integrals(pieces, model, phase, {}, table)
+    integrals = [integral for _, integral in table.values()]
+    assert [integrals[alternatives[0][1]].q.regulator for alternatives in symbols] == ["z1", "z2"]
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +283,12 @@ def test_alternatives_memo_keeps_each_groups_regulator():
 
 def test_complete_square_unit_case():
     # r^2 + 2r -> (r+1)^2 - 1; amplitude picks up the shifted argument
-    phase = PhaseDecomposition(
-        h2={"r": ParamPoly.one()}, h1={"r": ParamPoly.number(2)}, h0_const=ParamPoly.zero()
+    phase = ReducedPhase(
+        g2={"r": ParamPoly.one()}, g1={"r": ParamPoly.number(2)}, const=ParamPoly.zero()
     )
     amp = ParamPoly.var("r")
     new_phase, new_amp, const, shift = complete_square(phase, amp, "r")
-    assert new_phase.h1["r"].is_zero()
+    assert new_phase.g1["r"].is_zero()
     assert const.as_number() == pytest.approx(1.0)
     assert shift.as_number() == pytest.approx(1.0)
     # amp(r - shift) = r - 1
@@ -294,7 +296,7 @@ def test_complete_square_unit_case():
 
 
 def test_complete_square_identity_when_no_linear_part():
-    phase = PhaseDecomposition(h2={"r": ParamPoly.one()}, h1={}, h0_const=ParamPoly.zero())
+    phase = ReducedPhase(g2={"r": ParamPoly.one()}, g1={}, const=ParamPoly.zero())
     amp = ParamPoly.var("r", 2)
     new_phase, new_amp, const, shift = complete_square(phase, amp, "r")
     assert const.is_zero() and shift.is_zero()
@@ -303,8 +305,8 @@ def test_complete_square_identity_when_no_linear_part():
 
 def test_complete_square_rotor_with_source():
     # h2 = 1/(2J), synthetic h1 = c: shift = cJ, constant = c^2 J / 2
-    phase = PhaseDecomposition(
-        h2={"xi": mono(0.5, J=-1)}, h1={"xi": ParamPoly.var("c")}, h0_const=ParamPoly.zero()
+    phase = ReducedPhase(
+        g2={"xi": mono(0.5, J=-1)}, g1={"xi": ParamPoly.var("c")}, const=ParamPoly.zero()
     )
     _, _, const, shift = complete_square(phase, ParamPoly.one(), "xi")
     assert shift == ParamPoly.monomial(1, {"c": 1, "J": 1})
@@ -318,7 +320,7 @@ def test_complete_square_rotor_with_source():
 
 
 def test_complete_square_requires_quadratic_part():
-    phase = PhaseDecomposition(h2={}, h1={"r": ParamPoly.one()}, h0_const=ParamPoly.zero())
+    phase = ReducedPhase(g2={}, g1={"r": ParamPoly.one()}, const=ParamPoly.zero())
     with pytest.raises(ZeroQuadraticCoefficient):
         complete_square(phase, ParamPoly.one(), "r")
 
@@ -624,11 +626,11 @@ def test_branch_policy_invariance_of_expectations():
 
 
 # ---------------------------------------------------------------------------
-# Row store, memoized alternatives and one-pass branches
+# Table rows, memoized alternatives and one-pass branches
 # ---------------------------------------------------------------------------
 
 
-def _reduce_by_products(items, model, phase, policy):
+def _reduce_by_products(items, integrals, model, phase, policy):
     """Each branch of one side's enumeration as a chain of term products over freshly built, scaled table rows."""
     out = []
     for poly, t_power, symbols in items:
@@ -640,12 +642,13 @@ def _reduce_by_products(items, model, phase, policy):
         branches = [start]
         for alternatives in symbols:
             rows = []
-            for mult, integral in alternatives:
+            for mult, i in alternatives:
+                integral = integrals[i]
                 if integral.kind == "gauss":
                     row = tables.gauss_radial(integral.q, integral.rate)
                 else:
                     row = tables.osc_linear(integral.q, integral.sign, policy, integral.rate)
-                rows.append(row.scaled(mult))
+                rows.append(scaled(row, mult))
             branches = [
                 ZetaTerm(
                     MeroFactorProduct(
@@ -675,11 +678,12 @@ def test_reduction_equals_the_product_of_fresh_rows(name, overrides, policy):
     model = build_model(name, **overrides)
     # the unit denominator and every observable, each enumerated twice
     labels, observables = zip(("1", 1), *model.observables.items())
-    phase, sides = engine.reduced_sides(model, observables)
-    _, fresh_sides = engine.reduced_sides(model, observables)
+    phase, integrals, sides = engine.reduced_sides(model, observables)
+    _, fresh_integrals, fresh_sides = engine.reduced_sides(model, observables)
+    rows = engine.table_rows(integrals, policy)
     for label, items, fresh in zip(labels, sides, fresh_sides):
-        got = engine.reduce_pieces(items, model, phase, policy, {}).terms
-        want = _reduce_by_products(fresh, model, phase, policy)
+        got = engine.reduce_pieces(items, model, phase, rows).terms
+        want = _reduce_by_products(fresh, fresh_integrals, model, phase, policy)
         assert len(got) == len(want), label
         for g, w in zip(got, want):
             assert g.coeff.factors == w.coeff.factors, label
@@ -720,30 +724,6 @@ def test_two_derivations_share_no_rows(monkeypatch):
     ids_first = {id(f) for s in first[:2] for t in s.terms for f in t.coeff.factors}
     ids_second = {id(f) for s in second[:2] for t in s.terms for f in t.coeff.factors}
     assert not ids_first & ids_second
-
-
-def test_a_raising_row_is_not_stored(monkeypatch):
-    calls = []
-    real = engine.gauss_radial
-
-    def fails_once(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            raise GammaPole("first build fails")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "gauss_radial", fails_once)
-    model = harmonic_oscillator_1d()
-    phase, (first, second, fresh) = engine.reduced_sides(model, (1, 1, 1))
-    rows = {}
-    with pytest.raises(GammaPole, match="first build fails"):
-        engine.reduce_pieces(first, model, phase, PAPER, rows)
-    assert rows == {}
-    den = engine.reduce_pieces(second, model, phase, PAPER, rows)
-    assert len(rows) == 2 and len(calls) == 3  # the failed row was built again
-    assert [t.coeff.factors for t in den.terms] == [
-        t.coeff.factors for t in _reduce_by_products(fresh, model, phase, PAPER)
-    ]
 
 
 INVARIANT_MODELS = (

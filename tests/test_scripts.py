@@ -55,3 +55,17 @@ def test_op_digest_is_the_same_on_a_second_run(tmp_path):
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout)
         assert digests == [pinned] * 2, workload
+
+
+#: the digest of every op of every workload at the script's default seeds, 1 and 7
+FULL_DIGEST = "09a7f7df02a3dc8167f5ea7f96f2cf18950aa886ba804be8fe2dcdbe64de5bb7  390 ops\n"
+
+
+def test_op_digest_at_the_default_seeds_is_pinned(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "op_digest.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == FULL_DIGEST

@@ -93,8 +93,8 @@ class TestGaussRadial:
     def test_branch_insensitive(self):
         # the engine's row for one Gaussian integral is one row under both policies
         integral = ReducedIntegral("gauss", Q_Z, 1, ParamPoly.monomial(0.5, {"J": Fraction(-1)}))
-        paper = engine._table_row(integral, PAPER, {})
-        principal = engine._table_row(integral, PRINCIPAL, {})
+        (paper,) = engine.table_rows([integral], PAPER)
+        (principal,) = engine.table_rows([integral], PRINCIPAL)
         assert paper.coeff.factors == principal.coeff.factors
         assert paper.coeff.prefactor == principal.coeff.prefactor
         assert (paper.t_lin, paper.t_const) == (principal.t_lin, principal.t_const)

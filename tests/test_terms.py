@@ -38,6 +38,7 @@ from zetatrace.terms import (
 )
 
 import lanczos
+from term_scaling import scaled
 from factor_values import product_value
 from fits import decay_exponent
 
@@ -93,10 +94,10 @@ def test_ratio_limit_fermion_reduction_chain():
     z^1 coefficients leave m - 3/T under the conventional Laplace phases."""
     m = ParamPoly.var("m")
     den_terms = [osc_linear(q(2), +1, PAPER), osc_linear(q(2), -1, PAPER)]
-    num_terms = [t.scaled(m) for t in den_terms]
+    num_terms = [scaled(t, m) for t in den_terms]
     # -i * (osc(z+3,+) - osc(z+3,-)) reproduces the displayed numerator
-    num_terms.append(osc_linear(q(3), +1, PAPER).scaled(ParamPoly.number(-1j)))
-    num_terms.append(osc_linear(q(3), -1, PAPER).scaled(ParamPoly.number(1j)))
+    num_terms.append(scaled(osc_linear(q(3), +1, PAPER), ParamPoly.number(-1j)))
+    num_terms.append(scaled(osc_linear(q(3), -1, PAPER), ParamPoly.number(1j)))
     ta = ratio_limit(osc_sum(num_terms), osc_sum(den_terms))
     for t_value in (10.0, 100.0):
         got = ta.eval({"m": 1.3}, t_value)
@@ -261,9 +262,9 @@ def _model_sums(make):
 def _fermion_chain():
     m = ParamPoly.var("m")
     den = [osc_linear(q(2), +1, PAPER), osc_linear(q(2), -1, PAPER)]
-    num = [t.scaled(m) for t in den]
-    num.append(osc_linear(q(3), +1, PAPER).scaled(ParamPoly.number(-1j)))
-    num.append(osc_linear(q(3), -1, PAPER).scaled(ParamPoly.number(1j)))
+    num = [scaled(t, m) for t in den]
+    num.append(scaled(osc_linear(q(3), +1, PAPER), ParamPoly.number(-1j)))
+    num.append(scaled(osc_linear(q(3), -1, PAPER), ParamPoly.number(1j)))
     return osc_sum(num), osc_sum(den), {"m": 1.3}
 
 
@@ -781,7 +782,7 @@ def test_lead_first_elimination_falls_back_past_a_cancelling_lead():
 def test_lead_first_elimination_doubles_the_truncation_for_a_vanishing_sum():
     gamma = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1))
     t = ZetaTerm(MeroFactorProduct(ParamPoly.number(0.3), (gamma,)))
-    vanishing = ZetaTermSum([t, t.scaled(ParamPoly.number(-1.0))])
+    vanishing = ZetaTermSum([t, scaled(t, ParamPoly.number(-1.0))])
     leads, coeffs, k = _expand_to_lead([vanishing, ZetaTermSum([t])], "z", 3)
     assert (leads, k) == ([None, -1], 24)
     assert coeffs[0].terms == []
