@@ -269,7 +269,7 @@ def _alternatives(
 
 
 def reduced_sides(
-    model: ModelSpec, observables: Sequence[ParamPoly | MatrixSymbol | int]
+    model: ModelSpec, observables: Sequence[ParamPoly | MatrixSymbol]
 ) -> tuple[ReducedPhase, list[ReducedIntegral], list[Enumeration]]:
     """The reduction's front end: the reduced phase, the distinct integrals and an enumeration per observable.
 
@@ -287,9 +287,8 @@ def reduced_sides(
     ``UnsupportedStructure``.  The phase split, each observable's
     composition with the evolution and its enumeration
     (``reduced_integrals``, with every per-symbol check) run next, in that
-    order.  A number stands for itself times the identity.  The integrals
-    are the table that every side indexes: one per distinct integral, in
-    order of first use.
+    order.  The integrals are the table that every side indexes: one per
+    distinct integral, in order of first use.
     """
     axes = [a for g in model.groups for a in g.axes]
     if twice := sorted({a for a in axes if axes.count(a) > 1}):
@@ -307,15 +306,16 @@ def reduced_sides(
     if unknown := (_atoms(model.hamiltonian) | hbar) - phase_symbols - known:
         raise UnsupportedStructure(f"phase depends on unknown symbol {min(unknown)}")
     for o in observables:
-        if not isinstance(o, int) and (unknown := _atoms(o) - integrated - known):
+        if unknown := _atoms(o) - integrated - known:
             raise UnsupportedStructure(
                 f"amplitude symbols outside any gauge group: {sorted(unknown)}"
             )
     phase, evo = _build_phase(model)
-    sides = (ParamPoly.number(o) if isinstance(o, int) else o for o in observables)
     moments: dict[tuple, ParamPoly] = {}
     table: dict[tuple, tuple[int, ReducedIntegral]] = {}  # exact key -> (index, integral)
-    enumerations = [reduced_integrals(compose_observable(evo, o), model, phase, moments, table) for o in sides]
+    enumerations = [
+        reduced_integrals(compose_observable(evo, o), model, phase, moments, table) for o in observables
+    ]
     return phase, [integral for _, integral in table.values()], enumerations
 
 
@@ -504,7 +504,7 @@ def build_trace_sums(
     (``table_rows``), so each row is built once per call.  The steps render
     the gauge and both sums only when the trace is read.
     """
-    phase, integrals, (num_items, den_items) = reduced_sides(model, (observable, 1))
+    phase, integrals, (num_items, den_items) = reduced_sides(model, (observable, ParamPoly.one()))
     rows = table_rows(integrals, policy)
     num = reduce_pieces(num_items, model, phase, rows)
     den = reduce_pieces(den_items, model, phase, rows)
@@ -634,7 +634,7 @@ def effective_potential(
     """
     if model.field_param is None:
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
-    phase, integrals, (z_items,) = reduced_sides(model, (1,))
+    phase, integrals, (z_items,) = reduced_sides(model, (ParamPoly.one(),))
     z_sum = reduce_pieces(z_items, model, phase, table_rows(integrals, policy))
     z0 = value_at_zero(z_sum, series_order)
     if len(z0.terms) != 1:

@@ -82,10 +82,6 @@ class NonConvergent(ZetatraceError):
     """A numeric self-check failed: two quadrature rays or two extrapolants disagree."""
 
 
-class DivergenceDetected(ZetatraceError):
-    """Finite-T sweep grew instead of settling."""
-
-
 class UnknownModel(ZetatraceError):
     """Requested model name is not registered."""
 

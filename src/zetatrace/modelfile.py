@@ -432,7 +432,7 @@ def to_model_spec(parsed: ParsedModel) -> ModelSpec:
         expected=expected,
     )
     try:
-        reduced_sides(spec, (observable, 1))
+        reduced_sides(spec, (observable, ParamPoly.one()))
     except (DegenerateCase, UnsupportedStructure) as exc:
         raise ValidationError(str(exc)) from exc
     return spec

@@ -14,8 +14,8 @@ rays into the half plane where the integrand decays, and Cauchy's theorem
 makes the two agree.  No Gamma function is evaluated, and the ray phases
 e^(i theta (p+1)) at theta = pi/3, pi/4 are not the tables' half-turns.
 Every integral, half-line or Gaussian-phase, is one (p, omega) of
-``damped_quadrature``.  Small-z / finite-T limits are polynomial
-extrapolations over sample grids.  No table row, Laurent series or term
+``damped_quadrature``.  The small-z limit is a polynomial extrapolation
+over the z samples, at one fixed T.  No table row, Laurent series or term
 sum is built here.  One cross-check (``small_z_ratio``) builds what does
 not depend on z once: the gauge, the phase, both sides' enumeration, every
 coefficient and multiplier and the floats of each entry of the table.  All
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import rational
 from .engine import reduced_sides
-from .errors import DivergenceDetected, NonConvergent, UnsupportedStructure
+from .errors import NonConvergent, UnsupportedStructure
+from .params import ParamPoly
 
 # Two rays of the rotated contour; Cauchy's theorem makes their integrals equal.
 RAY_ANGLES = (math.pi / 3, math.pi / 4)
@@ -161,31 +161,6 @@ def small_z_limit(samples: Mapping[float, complex]) -> complex:
     return full
 
 
-@dataclass
-class SweepFit:
-    limit: complex
-    residual: float
-
-
-def finite_t_sweep(fn: Callable[[float], complex], t_grid: Sequence[float]) -> SweepFit:
-    """Fit c + a/T + b/T^2 over the grid; growing values raise DivergenceDetected."""
-    ts = np.array(sorted(t_grid), dtype=float)
-    ys = np.array([fn(t) for t in ts], dtype=complex)
-    mags = np.abs(ys)
-    if mags[-1] > 2.0 * mags[0] + 1e-9 and mags[-1] > 1e-6:
-        raise DivergenceDetected(
-            f"|value| grew from {mags[0]:.3g} to {mags[-1]:.3g} along the sweep"
-        )
-    cols = [np.ones_like(ts), 1.0 / ts]
-    if len(ts) >= 3:
-        cols.append(1.0 / ts**2)
-    mat = np.stack(cols, axis=1).astype(complex)
-    coeffs, *_ = np.linalg.lstsq(mat, ys, rcond=None)
-    fitted = mat @ coeffs
-    residual = float(np.max(np.abs(fitted - ys)))
-    return SweepFit(complex(coeffs[0]), residual)
-
-
 # ---------------------------------------------------------------------------
 # Model-level quotient at numeric (z, T)
 # ---------------------------------------------------------------------------
@@ -239,7 +214,7 @@ def _build_quotient(model, observable_name: str, t_value: float, bindings: Mappi
     before the first point.  omega is sign rate T for r^q e^(sign i rate T r)
     and -rate T for a Gaussian.
     """
-    phase, integrals, sides = reduced_sides(model, (model.observables[observable_name], 1))
+    phase, integrals, sides = reduced_sides(model, (model.observables[observable_name], ParamPoly.one()))
     rotation = cmath.exp(1j * phase.const.eval(bindings) * t_value)
     built = tuple(
         [(poly.eval(bindings) * t_value ** float(t_power) * rotation,

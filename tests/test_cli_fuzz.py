@@ -1,4 +1,4 @@
-"""Mutated kv and model files through ``cli.main``: every run ends in exit 0, 1 or 2.
+"""Mutated kv and model files, and token streams, through ``cli.main``: every run ends in exit 0, 1 or 2.
 
 A run prints its result, or one ``error:`` line and never a traceback: an
 input at fault (exit 2) or arithmetic that leaves the float range (exit 1)
@@ -36,6 +36,14 @@ def assert_exit_code_and_at_most_one_error_line(code: int, out: str, err: str) -
         assert code == 1 and "diverges" in out
     else:
         assert err.count("\n") == 1 and len(errors) == 1
+
+
+def fuzz_settings(tier1_examples: int) -> settings:
+    """Tier-1's fixed examples; the ``deep`` profile's many fresh ones when it is loaded."""
+    if settings.default.derandomize:
+        return settings(max_examples=tier1_examples, derandomize=True, deadline=5000)
+    return settings(deadline=5000)
+
 
 VALID = {
     "kv": [("dimension", "3"), ("volume", "1.0")],
@@ -84,7 +92,7 @@ def kv_files(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=200, derandomize=True, deadline=5000)
+@fuzz_settings(200)
 @given(text=kv_files())
 def test_kv_trace_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.kv"
@@ -167,10 +175,68 @@ def model_files(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=150, derandomize=True, deadline=5000)
+@fuzz_settings(150)
 @given(text=model_files(), numeric=st.booleans())
 def test_model_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, text, numeric):
     path = tmp_path_factory.getbasetemp() / "fuzz.zt"
     path.write_text(text)
     code, out, err = run_main(["model", str(path)] + (["--numeric"] if numeric else []))
     assert_exit_code_and_at_most_one_error_line(code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# token streams, fed to both commands
+# ---------------------------------------------------------------------------
+
+#: numbers with fractions, exponents and underscores, well formed or not
+stream_numbers = st.one_of(
+    st.tuples(
+        st.sampled_from(["0", "1", "2", "12", "1_0", "1__0", "_1", "1_", "9" * 20]),
+        st.sampled_from(["", ".", ".5", ".0_1", "._5"]),
+        st.sampled_from(["", "e5", "E-3", "e+16", "e400", "e-400", "e", "e_1", "e1_0"]),
+    ).map("".join),
+    zt_numbers,
+)
+#: the section headers of both formats, whole and broken
+stream_headers = st.sampled_from(["[params]", "[axes]", "[phase]", "[observable]", "[expect]", "[kv]", "[term]",
+                                  "[", "]", "[[term]]"])
+#: the keys of both formats, the words a value can be, and names
+stream_words = st.one_of(
+    st.sampled_from(["dimension", "volume", "degree", "log_order", "angular", "positive", "momentum",
+                     "position", "field"]),
+    zt_names,
+)
+#: the pieces both file formats are made of
+stream_pieces = st.one_of(
+    stream_headers,
+    stream_words,
+    st.just("="),
+    stream_numbers,
+    st.sampled_from(list("+-*/^(),.")),
+    st.sampled_from(["#", "# note", "#[kv]", "#="]),
+    st.sampled_from([" ", "\n", "\t", "\r\n"]),
+)
+stream_lines = st.lists(st.tuples(stream_pieces, st.sampled_from(["", " "])), max_size=8).map(
+    lambda pieces: "".join(piece + gap for piece, gap in pieces)
+)
+#: a line that reads "word = tokens", as a declaration or a kv entry does
+stream_declarations = st.tuples(stream_words, st.sampled_from(["=", " = "]), stream_lines).map("".join)
+
+
+@st.composite
+def token_streams(draw):
+    """Token lines under section headers, and sometimes before the first one."""
+    lines = [draw(stream_lines)] if draw(st.integers(0, 3)) == 0 else []
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(draw(stream_headers))
+        lines += draw(st.lists(st.one_of(stream_declarations, stream_lines), max_size=4))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@fuzz_settings(80)
+@given(text=token_streams())
+def test_a_token_stream_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, text):
+    for command, name in (("model", "stream.zt"), ("kv-trace", "stream.kv")):
+        path = tmp_path_factory.getbasetemp() / name
+        path.write_text(text)
+        assert_exit_code_and_at_most_one_error_line(*run_main([command, str(path)]))

@@ -189,22 +189,22 @@ def test_a_per_symbol_check_raises_before_any_table_row(no_table_rows, no_quadra
     # the front end raises before it returns; the shifted oscillator reaches x1 after its xi1 items
     model = build(shifted_oscillator)
     with pytest.raises(UnsupportedStructure, match=message):
-        engine.reduced_sides(model, (*model.observables.values(), 1))
+        engine.reduced_sides(model, (*model.observables.values(), ParamPoly.one()))
     assert_rejected(model, message)
 
 
-def one_symbol_model(radial, phase, observable=1):
+def one_symbol_model(radial, phase, observable=lambda s: ParamPoly.one()):
     """A full-line axis ``u``, or a radial group's radius ``|g|`` over (u1, u2), with H = w + phase(s).
 
     ``phase`` maps the gauged symbol to the Hamiltonian's axis part;
-    ``observable`` maps it to the observable, a number by default.
+    ``observable`` maps it to the observable, the identity by default.
     """
     group = GaugeGroup("g", ("u1", "u2"), "z", "radial") if radial else GaugeGroup("g", ("u",), "z")
     (s,) = group.gauged()
     return ModelSpec(
         name="one_symbol", description="custom model", params=(Param("w"),), groups=(group,),
         hamiltonian=mono(1, w=1) + phase(s),
-        observables={"o": observable if isinstance(observable, int) else observable(s)},
+        observables={"o": observable(s)},
     )
 
 
@@ -221,7 +221,7 @@ def test_each_per_symbol_check_holds_for_both_symbol_kinds(radial, phase, error,
     # message = (the axis text, the radial group text)
     model = one_symbol_model(radial, phase)
     with pytest.raises(error, match=message[radial]):
-        engine.reduced_sides(model, (*model.observables.values(), 1))
+        engine.reduced_sides(model, (*model.observables.values(), ParamPoly.one()))
 
 
 @pytest.mark.parametrize("radial, observable", [
@@ -230,7 +230,7 @@ def test_each_per_symbol_check_holds_for_both_symbol_kinds(radial, phase, error,
 ], ids=["axis_odd_degree", "radial_odd_direction"])
 def test_a_vanishing_symbol_integral_gives_no_alternatives(radial, observable):
     model = one_symbol_model(radial, lambda s: mono(1, **{s: 2}), observable)
-    _, _, (num, den) = engine.reduced_sides(model, (*model.observables.values(), 1))
+    _, _, (num, den) = engine.reduced_sides(model, (*model.observables.values(), ParamPoly.one()))
     assert [symbols for _, _, symbols in num] == [([],)]
     assert all(alternatives for _, _, symbols in den for alternatives in symbols)
 
@@ -677,7 +677,7 @@ EQUIVALENCE_MODELS = (
 def test_reduction_equals_the_product_of_fresh_rows(name, overrides, policy):
     model = build_model(name, **overrides)
     # the unit denominator and every observable, each enumerated twice
-    labels, observables = zip(("1", 1), *model.observables.items())
+    labels, observables = zip(("1", ParamPoly.one()), *model.observables.items())
     phase, integrals, sides = engine.reduced_sides(model, observables)
     _, fresh_integrals, fresh_sides = engine.reduced_sides(model, observables)
     rows = engine.table_rows(integrals, policy)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from zetatrace import engine, oracle
-from zetatrace.errors import DivergenceDetected, NonConvergent, UnsupportedStructure, ValidationError
+from zetatrace.errors import NonConvergent, UnsupportedStructure, ValidationError
 
 import lanczos
 from factor_values import factor_value
@@ -263,24 +263,6 @@ def test_model_quotient_samples_the_regulator_diagonal():
     # off the diagonal the quotient differs, so the diagonal is a choice, not an identity
     diagonal = oracle.model_quotient(model, "H", -0.2, tv, bindings)
     assert abs(engine_quotient(-0.2, -0.1) - diagonal) > 1e-3 * abs(diagonal)
-
-
-def test_finite_t_sweep_recovers_constant_plus_decay():
-    m = 1.37
-    fit = oracle.finite_t_sweep(lambda t: m - 3.0 / t, [10, 20, 40, 80])
-    assert fit.limit == pytest.approx(m, abs=1e-3)
-    assert fit.residual < 1e-9
-
-
-def test_finite_t_sweep_exact_constant():
-    fit = oracle.finite_t_sweep(lambda t: 2.5 + 0j, [10, 20, 40])
-    assert fit.limit == pytest.approx(2.5)
-    assert fit.residual < 1e-12
-
-
-def test_finite_t_sweep_detects_growth():
-    with pytest.raises(DivergenceDetected):
-        oracle.finite_t_sweep(lambda t: 0.01 * t, [10, 20, 40, 80])
 
 
 def test_decay_exponent_fits_power_law():

@@ -1,10 +1,23 @@
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script_module(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+finite_t_scan = _script_module("finite_t_scan")
 
 
 def test_run_all_models_runs_from_any_directory(tmp_path):
@@ -32,6 +45,24 @@ def test_finite_t_scan_runs_from_any_directory(tmp_path):
         values = dict(re.findall(r"^ +(finite-T|quadrature) @ T=10 *: (\S+)$", block, re.M))
         engine, quad = complex(values["finite-T"]), complex(values["quadrature"])
         assert abs(quad - engine) <= 1e-4 * abs(engine), block
+
+
+def test_finite_t_sweep_recovers_constant_plus_decay():
+    m = 1.37
+    fit = finite_t_scan.finite_t_sweep(lambda t: m - 3.0 / t, [10, 20, 40, 80])
+    assert fit.limit == pytest.approx(m, abs=1e-3)
+    assert fit.residual < 1e-9
+
+
+def test_finite_t_sweep_exact_constant():
+    fit = finite_t_scan.finite_t_sweep(lambda t: 2.5 + 0j, [10, 20, 40])
+    assert fit.limit == pytest.approx(2.5)
+    assert fit.residual < 1e-12
+
+
+def test_finite_t_sweep_detects_growth():
+    with pytest.raises(finite_t_scan.DivergenceDetected):
+        finite_t_scan.finite_t_sweep(lambda t: 0.01 * t, [10, 20, 40, 80])
 
 
 #: the digests of the benchmark's ops at seed 3; a change to a workload must re-record them

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from zetatrace import rational
 from zetatrace.engine import build_trace_sums
-from zetatrace.errors import DivergentLimit, PoleAtZero
+from zetatrace.errors import DivergentLimit, PoleAtZero, UnsupportedStructure
 from zetatrace.laurent import (
     MAX_ORDER,
     FactorKind,
@@ -222,6 +222,23 @@ def test_ratio_limit_unresolved_zero_over_zero_escalates_then_fails():
     ]
     with pytest.raises(ZeroOverZeroUnresolved):
         ratio_limit(osc_sum(list(pair)), osc_sum(list(pair)))
+
+
+@pytest.mark.xfail(strict=True, raises=UnsupportedStructure,
+                   reason="the lead denominator coefficient 2 + ln(1/2) is not a monomial, so it has no inverse")
+def test_ratio_limit_divides_by_a_lead_coefficient_with_a_formal_log():
+    # z / ((1/2)^z - 1 + 2z): both sides vanish at z = 0, and the z^1 coefficients leave 1/(2 + ln(1/2));
+    # the numeric quotient z/(2^-z - 1 + 2z) converges there
+    z = PrimitiveFactor(FactorKind.AFFINE, (1, 1), (0, 1))
+    half_z = PrimitiveFactor(FactorKind.CONST_POW, (1, 1), (0, 1), base=positive_base(ParamPoly.number(0.5)))
+    num = osc_sum([ZetaTerm(MeroFactorProduct(ParamPoly.one(), (z,)))])
+    den = osc_sum([
+        ZetaTerm(MeroFactorProduct(ParamPoly.one(), (half_z,))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-1.0))),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), (z,))),
+    ])
+    value = thermal_limit(ratio_limit(num, den)).as_number()
+    assert value == pytest.approx(1 / (2 + math.log(0.5)), rel=1e-12)
 
 
 def test_multi_regulator_sequential_elimination():
