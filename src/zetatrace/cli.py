@@ -8,7 +8,6 @@ digits so byte-stable output can be diffed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -54,6 +53,8 @@ def _check_params(model, bindings: dict[str, float]) -> None:
 
 def _json_line(args, result, model: str, observable: str, value: str, numeric) -> str:
     """One output record, its fields in a fixed order; ``result.trace`` is read only for --trace."""
+    import json  # only --emit json loads it
+
     record = {"model": model, "observable": observable, "value": value}
     if numeric is not None:
         record["numeric_value"] = _fmt_number(numeric)

@@ -11,7 +11,6 @@ fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .errors import (
 from .laurent import DEFAULT_ORDER, MeroFactorProduct
 from .params import Param, ParamPoly, _fraction
 from .rational import Q
+from .records import FrozenRecord, Record
 from .symbols import (
     IntegrandPiece,
     InvolutionEvolution,
@@ -54,8 +54,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class GaugeGroup:
+class GaugeGroup(FrozenRecord):
     """Axes gauged jointly under one regulator.
 
     ``separable`` groups insert |u|^(z/k) per axis and reduce axis by axis;
@@ -64,16 +63,20 @@ class GaugeGroup:
     or with another reduction, is a ``ValidationError``.
     """
 
-    name: str
-    axes: tuple[str, ...]
-    regulator: str
-    reduction: str = "separable"
+    __slots__ = ("name", "axes", "regulator", "reduction")
 
-    def __post_init__(self):
-        if self.reduction not in ("separable", "radial"):
-            raise ValidationError(f"gauge group {self.name}: unknown reduction {self.reduction!r}")
-        if not self.axes:
-            raise ValidationError(f"gauge group {self.name} has no axes")
+    def __init__(self, name: str, axes: tuple[str, ...], regulator: str, reduction: str = "separable"):
+        if reduction not in ("separable", "radial"):
+            raise ValidationError(f"gauge group {name}: unknown reduction {reduction!r}")
+        if not axes:
+            raise ValidationError(f"gauge group {name} has no axes")
+        self.name = name
+        self.axes = axes
+        self.regulator = regulator
+        self.reduction = reduction
+
+    def _fields(self) -> tuple:
+        return (self.name, self.axes, self.regulator, self.reduction)
 
     @property
     def radial(self) -> bool:
@@ -94,26 +97,54 @@ class GaugeGroup:
         return self.gauged()
 
 
-@dataclass
-class ModelSpec:
-    """Declarative model: gauge groups (which name its axes), Hamiltonian symbol, observables."""
+class ModelSpec(Record):
+    """Declarative model: gauge groups (which name its axes), Hamiltonian symbol, observables.
 
-    name: str
-    description: str
-    params: tuple[Param, ...]
-    groups: tuple[GaugeGroup, ...]
-    hamiltonian: ParamPoly | MatrixSymbol
-    observables: dict[str, ParamPoly | MatrixSymbol]
-    expected: dict[str, ParamPoly] = field(default_factory=dict)
-    hbar: str | None = None
-    prefactor: ParamPoly = field(default_factory=ParamPoly.one)
-    #: sector labels whose traces factor out of both sums and cancel; the trace
-    #: ends every numerator and denominator term with them
-    tokens: tuple[str, ...] = ()
-    t_symbol: str = "T"
-    field_param: str | None = None  # a potential model's constant field, a signed parameter of H
-    derived: dict[str, tuple[str, ParamPoly]] = field(default_factory=dict)
-    #: derived[name] = (source observable, multiplier): value = multiplier * <source>
+    ``tokens`` are sector labels whose traces factor out of both sums and
+    cancel; the trace ends every numerator and denominator term with them.
+    ``field_param`` is a potential model's constant field, a signed parameter
+    of H.  ``derived[name] = (source observable, multiplier)`` gives the value
+    multiplier * <source>.  ``expected`` and ``derived`` default to a new
+    empty dict, ``prefactor`` to 1.
+    """
+
+    __slots__ = ("name", "description", "params", "groups", "hamiltonian", "observables", "expected",
+                 "hbar", "prefactor", "tokens", "t_symbol", "field_param", "derived")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        params: tuple[Param, ...],
+        groups: tuple[GaugeGroup, ...],
+        hamiltonian: ParamPoly | MatrixSymbol,
+        observables: dict[str, ParamPoly | MatrixSymbol],
+        expected: dict[str, ParamPoly] | None = None,
+        hbar: str | None = None,
+        prefactor: ParamPoly | None = None,
+        tokens: tuple[str, ...] = (),
+        t_symbol: str = "T",
+        field_param: str | None = None,
+        derived: dict[str, tuple[str, ParamPoly]] | None = None,
+    ):
+        self.name = name
+        self.description = description
+        self.params = params
+        self.groups = groups
+        self.hamiltonian = hamiltonian
+        self.observables = observables
+        self.expected = {} if expected is None else expected
+        self.hbar = hbar
+        self.prefactor = ParamPoly.one() if prefactor is None else prefactor
+        self.tokens = tokens
+        self.t_symbol = t_symbol
+        self.field_param = field_param
+        self.derived = {} if derived is None else derived
+
+    def _fields(self) -> tuple:
+        return (self.name, self.description, self.params, self.groups, self.hamiltonian, self.observables,
+                self.expected, self.hbar, self.prefactor, self.tokens, self.t_symbol, self.field_param,
+                self.derived)
 
     def regulators(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(g.regulator for g in self.groups))
@@ -188,8 +219,9 @@ def complete_square(
     shift = h1 * h2.inverse().scale(0.5)
     const = h1 * h1 * h2.inverse().scale(0.25)
     new_amp = amp.subs(axis, ParamPoly.var(axis) - shift)
-    new_phase = replace(
-        phase, g2=dict(phase.g2), g1={k: (ParamPoly.zero() if k == axis else v) for k, v in phase.g1.items()}
+    new_phase = ReducedPhase(
+        dict(phase.g2), {k: (ParamPoly.zero() if k == axis else v) for k, v in phase.g1.items()},
+        phase.const, phase.osc_coeff, phase.osc_symbol,
     )
     return new_phase, new_amp, const, shift
 
@@ -199,18 +231,23 @@ def complete_square(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedIntegral:
+class ReducedIntegral(FrozenRecord):
     """One closed-form integral of the reduction, in a single regulator.
 
     ``gauss`` is int_R |u|^q e^(-i rate T u^2) du and ``osc`` is
     int_0^inf r^q e^(sign i rate T r) dr; ``rate`` is a positive monomial.
     """
 
-    kind: str  # gauss | osc
-    q: AffineExp
-    sign: int
-    rate: ParamPoly
+    __slots__ = ("kind", "q", "sign", "rate")
+
+    def __init__(self, kind: str, q: AffineExp, sign: int, rate: ParamPoly):  # kind: gauss | osc
+        self.kind = kind
+        self.q = q
+        self.sign = sign
+        self.rate = rate
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.q, self.sign, self.rate)
 
     def exact_key(self) -> tuple:
         """The integral by value; the rate by its float coefficients, not by tolerant equality."""
@@ -479,13 +516,19 @@ def _render_steps(steps: Sequence[Step]) -> list[str]:
     return [s if isinstance(s, str) else s() for s in steps]
 
 
-@dataclass
-class ExpectationResult:
-    model: str
-    observable: str
-    value: ParamPoly | Divergent
-    finite_t: TAsymptote | None
-    steps: list[Step] = field(default_factory=list)
+class ExpectationResult(Record):
+    __slots__ = ("model", "observable", "value", "finite_t", "steps")
+
+    def __init__(self, model: str, observable: str, value: ParamPoly | Divergent,
+                 finite_t: TAsymptote | None, steps: list[Step] | None = None):
+        self.model = model
+        self.observable = observable
+        self.value = value
+        self.finite_t = finite_t
+        self.steps = [] if steps is None else steps
+
+    def _fields(self) -> tuple:
+        return (self.model, self.observable, self.value, self.finite_t, self.steps)
 
     @property
     def trace(self) -> list[str]:
@@ -549,23 +592,27 @@ def expectation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KVAmplitudeSpec:
+class KVAmplitudeSpec(Record):
     """Amplitude data for the closed trace-at-zero formula.
 
     Homogeneous terms (degree, log order, angular part) supported on
     ||xi|| >= 1.  An angular part is a constant ParamPoly, multiplied by the
-    sphere volume.
+    sphere volume ``vol_x``, 1 unless given.
     """
 
-    dimension: int
-    terms: tuple[tuple[Fraction, int, ParamPoly], ...] = ()
-    vol_x: ParamPoly = field(default_factory=ParamPoly.one)
+    __slots__ = ("dimension", "terms", "vol_x")
 
-    def __post_init__(self):
-        for d, l, _ in self.terms:
+    def __init__(self, dimension: int, terms: tuple[tuple[Fraction, int, ParamPoly], ...] = (),
+                 vol_x: ParamPoly | None = None):
+        for d, l, _ in terms:
             if l < 0:
                 raise UnsupportedStructure("log order must be nonnegative")
+        self.dimension = dimension
+        self.terms = terms
+        self.vol_x = ParamPoly.one() if vol_x is None else vol_x
+
+    def _fields(self) -> tuple:
+        return (self.dimension, self.terms, self.vol_x)
 
 
 def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
@@ -606,14 +653,22 @@ def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PotentialResult:
-    potential: ParamPoly  # V(field) after the volume limit
-    critical_points: list[ParamPoly]
-    minima: list[ParamPoly]
-    masses: list[ParamPoly]
-    residual: TAsymptote
-    steps: list[Step] = field(default_factory=list)
+class PotentialResult(Record):
+    """The potential V(field) after the volume limit, its extrema and masses, and the steps."""
+
+    __slots__ = ("potential", "critical_points", "minima", "masses", "residual", "steps")
+
+    def __init__(self, potential: ParamPoly, critical_points: list[ParamPoly], minima: list[ParamPoly],
+                 masses: list[ParamPoly], residual: TAsymptote, steps: list[Step] | None = None):
+        self.potential = potential
+        self.critical_points = critical_points
+        self.minima = minima
+        self.masses = masses
+        self.residual = residual
+        self.steps = [] if steps is None else steps
+
+    def _fields(self) -> tuple:
+        return (self.potential, self.critical_points, self.minima, self.masses, self.residual, self.steps)
 
     @property
     def trace(self) -> list[str]:

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce, wraps
+from functools import lru_cache, reduce, wraps
 from typing import Sequence
 
 from . import rational
 from .errors import NumericOverflow, UnsupportedFactor, UnsupportedStructure
 from .params import ExpKey, ParamPoly, _merge_keys, log_param
 from .rational import Q
+from .records import FrozenRecord
 
 DEFAULT_ORDER = 4
 MAX_ORDER = 16
@@ -55,7 +55,10 @@ def _kept(method):
     derivation forms the same powers and products for many of its terms, and
     each formed factor keeps its hash and ``fold_key``."""
     def kept(self, arg):
-        formed = self.__dict__.setdefault("_formed", {})
+        try:
+            formed = self._formed
+        except AttributeError:
+            formed = self._formed = {}
         return formed[arg] if arg in formed else formed.setdefault(arg, method(self, arg))
     return wraps(method)(kept)
 
@@ -114,44 +117,49 @@ def gamma_value(beta: Q) -> ParamPoly:
     return ParamPoly.number(float(mpmath.gamma(mpmath.mpf(n) / d)))
 
 
-@dataclass(frozen=True)
-class PrimitiveFactor:
+class PrimitiveFactor(FrozenRecord):
     """One primitive meromorphic building block in a single regulator.
 
     Its argument is ``alpha z + beta``, both exponents normalised integer
     pairs (``rational``); a Gamma or affine factor is raised to ``power``.  A
     factor hashes once, on first use, and keeps the hash: term sums are merged
     by sets of factors, and hashing the kind, an ``Enum``, each time is slow.
+
+    ``fold_key`` is set when built: factors of one key multiply into one (Gamma
+    or affine factors of one argument, a regulator's half-turns, a base's
+    powers); it is None for a factor equal to 1.  It holds the kind's value,
+    not the ``Enum``, for the same reason.
     """
 
-    kind: FactorKind
-    alpha: Q
-    beta: Q
-    power: int = 1
-    base: tuple[float, ExpKey] | None = None  # positive monomial: (coeff, exponent key)
-    regulator: str = "z"
+    __slots__ = ("kind", "alpha", "beta", "power", "base", "regulator", "fold_key", "_hash", "_formed")
+
+    def __init__(self, kind: FactorKind, alpha: Q, beta: Q, power: int = 1,
+                 base: tuple[float, ExpKey] | None = None,  # positive monomial: (coeff, exponent key)
+                 regulator: str = "z"):
+        self.kind = kind
+        self.alpha = alpha
+        self.beta = beta
+        self.power = power
+        self.base = base
+        self.regulator = regulator
+        if kind in EXPONENT_KINDS:
+            self.fold_key = (kind._value_, regulator, base) if alpha[0] or beta[0] else None
+        else:
+            self.fold_key = (kind._value_, regulator, alpha, beta) if power else None
 
     def _fields(self) -> tuple:
         return (self.kind, self.alpha, self.beta, self.power, self.base, self.regulator)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._fields())
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._fields())
+            return h
 
     def __reduce__(self):
         # string hashes differ between processes: an unpickled factor hashes afresh
         return PrimitiveFactor, self._fields()
-
-    @cached_property
-    def fold_key(self) -> tuple | None:
-        """Factors of one key multiply into one (Gamma or affine factors of one argument, a
-        regulator's half-turns, a base's powers); None for 1.  An ``Enum`` hashes slowly."""
-        if self.kind in EXPONENT_KINDS:
-            return (self.kind._value_, self.regulator, self.base) if self.alpha[0] or self.beta[0] else None
-        return (self.kind._value_, self.regulator, self.alpha, self.beta) if self.power else None
 
     def remade(self, alpha: Q, beta: Q, power: int = 1) -> "PrimitiveFactor":
         return PrimitiveFactor(self.kind, alpha, beta, power, self.base, self.regulator)
@@ -225,8 +233,7 @@ def _affine_str(a: Q, b: Q, z: str) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class MeroFactorProduct:
+class MeroFactorProduct(FrozenRecord):
     """Prefactor times a product of primitive factors, folded when built: one
     factor per ``fold_key``, where the key first occurs, and none equal to 1.
 
@@ -236,25 +243,29 @@ class MeroFactorProduct:
     already.
     """
 
-    prefactor: ParamPoly
-    factors: tuple[PrimitiveFactor, ...] = ()
+    __slots__ = ("prefactor", "factors")
+
+    def __init__(self, prefactor: ParamPoly, factors: tuple[PrimitiveFactor, ...] = ()):
+        keys = {f.fold_key for f in factors}
+        if len(keys) < len(factors) or None in keys:
+            folded: dict[tuple, PrimitiveFactor] = {}
+            for f in factors:
+                if f.fold_key is not None:
+                    g = folded.get(f.fold_key)
+                    folded[f.fold_key] = f if g is None else g.times(f)
+            factors = tuple(f for f in folded.values() if f.fold_key is not None)
+        self.prefactor = prefactor
+        self.factors = factors
 
     @classmethod
     def _canonical(cls, prefactor: ParamPoly, factors: tuple[PrimitiveFactor, ...]) -> "MeroFactorProduct":
         product = object.__new__(cls)
-        object.__setattr__(product, "prefactor", prefactor)
-        object.__setattr__(product, "factors", factors)
+        product.prefactor = prefactor
+        product.factors = factors
         return product
 
-    def __post_init__(self):
-        keys = {f.fold_key for f in self.factors}
-        if len(keys) < len(self.factors) or None in keys:
-            folded: dict[tuple, PrimitiveFactor] = {}
-            for f in self.factors:
-                if f.fold_key is not None:
-                    g = folded.get(f.fold_key)
-                    folded[f.fold_key] = f if g is None else g.times(f)
-            object.__setattr__(self, "factors", tuple(f for f in folded.values() if f.fold_key is not None))
+    def _fields(self) -> tuple:
+        return (self.prefactor, self.factors)
 
     def render(self) -> str:
         parts = [self.prefactor.render(mul="*")]

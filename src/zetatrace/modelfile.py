@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .engine import GaugeGroup, ModelSpec, reduced_sides
 from .errors import DegenerateCase, ParseError, UnsupportedStructure, ValidationError
 from .params import Param, ParamPoly
+from .records import FrozenRecord, Record
 from .symbols import T
 
 AXIS_KINDS = ("position", "momentum", "field")
@@ -53,11 +53,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    column: int
+class Token(FrozenRecord):
+    __slots__ = ("kind", "text", "column")
+
+    def __init__(self, kind: str, text: str, column: int):
+        self.kind = kind
+        self.text = text
+        self.column = column
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.text, self.column)
 
 
 def tokenize(text: str, line: int) -> list[Token]:
@@ -279,14 +284,23 @@ def _invert(p: ParamPoly, axis_names: set[str], line: int) -> ParamPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParsedModel:
-    name: str
-    params: list[tuple[str, float | None]] = field(default_factory=list)
-    axes: list[tuple[str, str, str | None]] = field(default_factory=list)
-    phase_ast: object = None
-    observable_ast: object = None
-    expect_ast: object = None
+class ParsedModel(Record):
+    """A model file's declarations and expression trees; ``params`` and ``axes`` default to a new list."""
+
+    __slots__ = ("name", "params", "axes", "phase_ast", "observable_ast", "expect_ast")
+
+    def __init__(self, name: str, params: list[tuple[str, float | None]] | None = None,
+                 axes: list[tuple[str, str, str | None]] | None = None,
+                 phase_ast: object = None, observable_ast: object = None, expect_ast: object = None):
+        self.name = name
+        self.params = [] if params is None else params
+        self.axes = [] if axes is None else axes
+        self.phase_ast = phase_ast
+        self.observable_ast = observable_ast
+        self.expect_ast = expect_ast
+
+    def _fields(self) -> tuple:
+        return (self.name, self.params, self.axes, self.phase_ast, self.observable_ast, self.expect_ast)
 
 
 def read_text(path) -> str:

@@ -8,9 +8,7 @@ with a numeric cross-check at random positive bindings).
 from __future__ import annotations
 
 import functools
-import inspect
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -25,6 +23,7 @@ from .engine import (
 from .errors import UnknownModel, ValidationError
 from .laurent import DEFAULT_ORDER
 from .params import Param, ParamPoly
+from .records import FrozenRecord, Record
 from .symbols import MatrixSymbol
 from .tables import PAPER, BranchPolicy
 from .terms import Divergent
@@ -205,11 +204,16 @@ def phi4() -> ModelSpec:
     )
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    builder: Callable[..., ModelSpec]
-    description: str
-    expected_summary: str
+class RegistryEntry(FrozenRecord):
+    __slots__ = ("builder", "description", "expected_summary")
+
+    def __init__(self, builder: Callable[..., ModelSpec], description: str, expected_summary: str):
+        self.builder = builder
+        self.description = description
+        self.expected_summary = expected_summary
+
+    def _fields(self) -> tuple:
+        return (self.builder, self.description, self.expected_summary)
 
 
 REGISTRY: dict[str, RegistryEntry] = {
@@ -237,12 +241,18 @@ REGISTRY: dict[str, RegistryEntry] = {
 }
 
 
-@dataclass
-class ModelRun:
-    model: ModelSpec
-    results: dict[str, ExpectationResult]
-    potential: PotentialResult | None
-    failures: list[str] = field(default_factory=list)
+class ModelRun(Record):
+    __slots__ = ("model", "results", "potential", "failures")
+
+    def __init__(self, model: ModelSpec, results: dict[str, ExpectationResult],
+                 potential: PotentialResult | None, failures: list[str] | None = None):
+        self.model = model
+        self.results = results
+        self.potential = potential
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return (self.model, self.results, self.potential, self.failures)
 
     @property
     def passed(self) -> bool:
@@ -258,6 +268,8 @@ def _build(table: Mapping[str, RegistryEntry], name: str, overrides) -> ModelSpe
         raise UnknownModel(name)
     builder = table[name].builder
     if overrides:
+        import inspect  # only an override needs the builder's signature
+
         try:
             inspect.signature(builder).bind(**overrides)
         except TypeError:

@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import NumericOverflow, UnboundParameter, UnsupportedStructure
+from .records import FrozenRecord
 
 COEFF_TOL = 1e-12
 
@@ -58,13 +58,18 @@ NUMERIC_CONSTANTS: dict[str, float] = {"pi": math.pi}
 _LOG_BASES: dict[str, "ParamPoly"] = {}
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(FrozenRecord):
     """A named scalar parameter, positive unless declared otherwise."""
 
-    name: str
-    positive: bool = True
-    default: float | None = None
+    __slots__ = ("name", "positive", "default")
+
+    def __init__(self, name: str, positive: bool = True, default: float | None = None):
+        self.name = name
+        self.positive = positive
+        self.default = default
+
+    def _fields(self) -> tuple:
+        return (self.name, self.positive, self.default)
 
 
 class ExpKey(tuple):

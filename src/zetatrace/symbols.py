@@ -16,7 +16,6 @@ reducing polynomials modulo ``sum h^2 = 1``, never by sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     UnsupportedStructure,
 )
 from .params import ExpKey, ParamPoly
+from .records import FrozenRecord, Record
 
 
 #: the time-volume symbol, a parameter of every amplitude coefficient
@@ -66,18 +66,26 @@ def axis_terms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReducedPhase:
+class ReducedPhase(Record):
     """Evolution phase e^(-iT(g2 u^2 + g1 u)) per reduced symbol u times e^(i const T), scaled by 1/hbar.
 
     ``g2[u]`` and ``g1[u]`` are ParamPoly coefficients of u^2 and u^1.
     """
 
-    g2: dict[str, ParamPoly]
-    g1: dict[str, ParamPoly]
-    const: ParamPoly  # minus the axis-free part
-    osc_coeff: ParamPoly | None = None  # |c| for the involution pieces
-    osc_symbol: str | None = None
+    __slots__ = ("g2", "g1", "const", "osc_coeff", "osc_symbol")
+
+    def __init__(self, g2: dict[str, ParamPoly], g1: dict[str, ParamPoly],
+                 const: ParamPoly,  # minus the axis-free part
+                 osc_coeff: ParamPoly | None = None,  # |c| for the involution pieces
+                 osc_symbol: str | None = None):
+        self.g2 = g2
+        self.g1 = g1
+        self.const = const
+        self.osc_coeff = osc_coeff
+        self.osc_symbol = osc_symbol
+
+    def _fields(self) -> tuple:
+        return (self.g2, self.g1, self.const, self.osc_coeff, self.osc_symbol)
 
 
 def decompose_phase(h: ParamPoly, axes: Collection[str]) -> ReducedPhase:
@@ -118,8 +126,7 @@ def decompose_phase(h: ParamPoly, axes: Collection[str]) -> ReducedPhase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixSymbol:
+class MatrixSymbol(FrozenRecord):
     """Hamiltonian symbol b I + c K with K^2 = I on the unit sphere of directions.
 
     ``kmatrix`` entries are polys over the direction symbols (or
@@ -129,13 +136,15 @@ class MatrixSymbol:
     ``NotInvolution``.
     """
 
-    scalar: ParamPoly
-    coeff: ParamPoly
-    kmatrix: tuple[tuple[ParamPoly, ...], ...]
-    direction_syms: tuple[str, ...] = ()
+    __slots__ = ("scalar", "coeff", "kmatrix", "direction_syms")
 
-    def __post_init__(self):
-        k, n = self.kmatrix, self.dim
+    def __init__(self, scalar: ParamPoly, coeff: ParamPoly, kmatrix: tuple[tuple[ParamPoly, ...], ...],
+                 direction_syms: tuple[str, ...] = ()):
+        self.scalar = scalar
+        self.coeff = coeff
+        self.kmatrix = kmatrix
+        self.direction_syms = direction_syms
+        k, n = kmatrix, self.dim
         if any(len(row) != n for row in k):
             raise NotInvolution(f"K is not square: rows of lengths {[len(row) for row in k]}")
         for i in range(n):
@@ -146,6 +155,9 @@ class MatrixSymbol:
                     entry = entry - ParamPoly.one()
                 if not reduce_on_sphere(entry, self.direction_syms).is_zero():
                     raise NotInvolution(f"K^2 != I in entry ({i}, {j}) on the unit sphere")
+
+    def _fields(self) -> tuple:
+        return (self.scalar, self.coeff, self.kmatrix, self.direction_syms)
 
     @property
     def dim(self) -> int:
@@ -183,21 +195,31 @@ def _degree(poly: ParamPoly, name: str):
     return max((e for key in poly.terms for n, e in key if n == name), default=0)
 
 
-@dataclass
-class EvolutionPiece:
+class EvolutionPiece(Record):
     """One exponential branch of e^(-i(bI + cK)t): weight_I * I + weight_K * K times e^(s i c t)."""
 
-    osc_sign: int
-    weight_identity: complex
-    weight_k: complex
+    __slots__ = ("osc_sign", "weight_identity", "weight_k")
+
+    def __init__(self, osc_sign: int, weight_identity: complex, weight_k: complex):
+        self.osc_sign = osc_sign
+        self.weight_identity = weight_identity
+        self.weight_k = weight_k
+
+    def _fields(self) -> tuple:
+        return (self.osc_sign, self.weight_identity, self.weight_k)
 
 
-@dataclass
-class InvolutionEvolution:
+class InvolutionEvolution(Record):
     """Closed form e^(-ibt)(cos(ct) I - i sin(ct) K) split into e^(+-ict) pieces."""
 
-    symbol: MatrixSymbol
-    pieces: tuple[EvolutionPiece, ...]
+    __slots__ = ("symbol", "pieces")
+
+    def __init__(self, symbol: MatrixSymbol, pieces: tuple[EvolutionPiece, ...]):
+        self.symbol = symbol
+        self.pieces = pieces
+
+    def _fields(self) -> tuple:
+        return (self.symbol, self.pieces)
 
 
 def involution_exp(m: MatrixSymbol) -> InvolutionEvolution:
@@ -209,16 +231,22 @@ def involution_exp(m: MatrixSymbol) -> InvolutionEvolution:
     return InvolutionEvolution(m, pieces)
 
 
-@dataclass
-class IntegrandPiece:
+class IntegrandPiece(Record):
     """One scalar piece of the composed trace integrand.
 
     ``amp`` multiplies e^(-iT * (h2 u^2 + h1 u per axis)) together with the
     piece's extra linear oscillation sign on the radial symbol.
     """
 
-    amp: ParamPoly
-    osc_sign: int = 0  # sign s in e^(s i c T r); 0 for purely quadratic models
+    __slots__ = ("amp", "osc_sign")
+
+    def __init__(self, amp: ParamPoly,
+                 osc_sign: int = 0):  # sign s in e^(s i c T r); 0 for purely quadratic models
+        self.amp = amp
+        self.osc_sign = osc_sign
+
+    def _fields(self) -> tuple:
+        return (self.amp, self.osc_sign)
 
 
 def compose_observable(

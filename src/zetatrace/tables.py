@@ -18,7 +18,6 @@ row is branch-insensitive: it is always the +i0 Fresnel value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rational
@@ -26,31 +25,40 @@ from .errors import GammaPole, UnsupportedAngular
 from .laurent import FactorKind, MeroFactorProduct, PrimitiveFactor, gamma_value, positive_base
 from .params import ParamPoly
 from .rational import Q
+from .records import FrozenRecord
 from .terms import ZetaTerm
 
 
-@dataclass(frozen=True)
-class BranchPolicy:
+class BranchPolicy(FrozenRecord):
     """Continuation branch for oscillatory table rows; fixed per evaluation run."""
 
-    mode: str = "paper"
+    __slots__ = ("mode",)
 
-    def __post_init__(self):
-        if self.mode not in ("paper", "principal"):
-            raise ValueError(f"unknown branch mode {self.mode!r}")
+    def __init__(self, mode: str = "paper"):
+        if mode not in ("paper", "principal"):
+            raise ValueError(f"unknown branch mode {mode!r}")
+        self.mode = mode
+
+    def _fields(self) -> tuple:
+        return (self.mode,)
 
 
 PAPER = BranchPolicy("paper")
 PRINCIPAL = BranchPolicy("principal")
 
 
-@dataclass(frozen=True)
-class AffineExp:
+class AffineExp(FrozenRecord):
     """Exponent a*z + b in one regulator; a and b are normalised integer pairs (``rational``)."""
 
-    regulator: str
-    a: Q
-    b: Q
+    __slots__ = ("regulator", "a", "b")
+
+    def __init__(self, regulator: str, a: Q, b: Q):
+        self.regulator = regulator
+        self.a = a
+        self.b = b
+
+    def _fields(self) -> tuple:
+        return (self.regulator, self.a, self.b)
 
 
 def _check_gamma_arg(q: AffineExp):

@@ -33,7 +33,6 @@ order leads depends on exact cancellation alone, never on a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -56,24 +55,31 @@ from .laurent import (
 )
 from .params import ParamPoly
 from .rational import Q
+from .records import FrozenRecord, Record
 
 #: the slopes a_r of a ``T`` exponent, as sorted (regulator, pair) items
 TLin = tuple[tuple[str, Q], ...]
 
 
-@dataclass(frozen=True)
-class ZetaTerm:
+class ZetaTerm(FrozenRecord):
     """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T).
 
     The exponents ``t_lin`` and ``t_const`` are normalised integer pairs
-    (``rational``).
+    (``rational``); ``phase`` is 0 unless given.
     """
 
-    coeff: MeroFactorProduct
-    t_lin: TLin = ()
-    t_const: Q = rational.ZERO
-    t_log: int = 0
-    phase: ParamPoly = field(default_factory=ParamPoly.zero)
+    __slots__ = ("coeff", "t_lin", "t_const", "t_log", "phase")
+
+    def __init__(self, coeff: MeroFactorProduct, t_lin: TLin = (), t_const: Q = rational.ZERO,
+                 t_log: int = 0, phase: ParamPoly | None = None):
+        self.coeff = coeff
+        self.t_lin = t_lin
+        self.t_const = t_const
+        self.t_log = t_log
+        self.phase = ParamPoly.zero() if phase is None else phase
+
+    def _fields(self) -> tuple:
+        return (self.coeff, self.t_lin, self.t_const, self.t_log, self.phase)
 
     def structure_key(self) -> tuple:
         return (
@@ -162,19 +168,32 @@ class ZetaTermSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TAsymTerm:
-    coeff: ParamPoly
-    t_power: Fraction = Fraction(0)
-    log_power: int = 0
-    phase: ParamPoly = field(default_factory=ParamPoly.zero)
+class TAsymTerm(FrozenRecord):
+    """c * T^p * (ln T)^l * e^(i phase T); ``phase`` is 0 unless given."""
+
+    __slots__ = ("coeff", "t_power", "log_power", "phase")
+
+    def __init__(self, coeff: ParamPoly, t_power: Fraction = Fraction(0), log_power: int = 0,
+                 phase: ParamPoly | None = None):
+        self.coeff = coeff
+        self.t_power = t_power
+        self.log_power = log_power
+        self.phase = ParamPoly.zero() if phase is None else phase
+
+    def _fields(self) -> tuple:
+        return (self.coeff, self.t_power, self.log_power, self.phase)
 
 
-@dataclass
-class Divergent:
+class Divergent(Record):
     """Thermal limit outcome for a quantity with no finite T -> infinity value."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def _fields(self) -> tuple:
+        return (self.reason,)
 
     def __repr__(self):
         return f"Divergent({self.reason})"
@@ -190,7 +209,9 @@ class TAsymptote:
         for t in terms:
             key = (t.t_power, t.log_power, frozenset(t.phase.terms.items()))
             rep = merged.get(key)
-            merged[key] = t if rep is None else replace(rep, coeff=rep.coeff + t.coeff)
+            merged[key] = t if rep is None else TAsymTerm(
+                rep.coeff + t.coeff, rep.t_power, rep.log_power, rep.phase
+            )
         out = [t for t in merged.values() if not t.coeff.is_zero()]
         self.terms = sorted(out, key=lambda t: (-t.t_power, -t.log_power))
         self.t_symbol = t_symbol

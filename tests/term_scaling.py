@@ -6,8 +6,6 @@ write a reduction chain by hand scale their rows here.  Nothing in
 ``zetatrace`` calls this.
 """
 
-from dataclasses import replace
-
 from zetatrace.laurent import MeroFactorProduct
 from zetatrace.params import ParamPoly
 from zetatrace.terms import ZetaTerm
@@ -15,4 +13,5 @@ from zetatrace.terms import ZetaTerm
 
 def scaled(term: ZetaTerm, poly: ParamPoly) -> ZetaTerm:
     """``term`` with its prefactor times ``poly``; its factors and exponents are kept."""
-    return replace(term, coeff=MeroFactorProduct(term.coeff.prefactor * poly, term.coeff.factors))
+    coeff = MeroFactorProduct(term.coeff.prefactor * poly, term.coeff.factors)
+    return ZetaTerm(coeff, term.t_lin, term.t_const, term.t_log, term.phase)

@@ -5,8 +5,10 @@ library: only ``zetatrace.oracle`` loads numpy, and none loads scipy, which
 only the tests use (``scipy.special`` and ``expm``); mpmath is
 imported only where a Gamma value at an argument that is neither an integer
 nor a half-integer, or a polygamma value, is asked for; no bundled command
-asks for one.  Each check runs a fresh interpreter, since this test process
-has numpy and mpmath loaded already.
+asks for one.  Of the standard library, a CLI process loads neither
+``dataclasses`` nor ``inspect``, and ``json`` only for ``--emit json``.
+Each check runs a fresh interpreter, since this test process has numpy and
+mpmath loaded already.
 """
 
 import json
@@ -26,9 +28,13 @@ KV_FILE = "[kv]\ndimension = 1\nvolume = 1.0\n[term]\ndegree = -3\nlog_order = 0
 OPTIONAL_LIBS = "{'numpy', 'scipy', 'mpmath'}"
 
 
+#: prints a value as one JSON line; it loads ``json`` only when first called
+EMIT = "import sys\ndef emit(value):\n    import json\n    print(json.dumps(value))\n"
+
+
 def fresh_interpreter(body: str) -> list:
-    """Run ``body`` in a fresh interpreter; return the JSON values it printed, one a line."""
-    code = f"import json, sys\n{body}\n"
+    """Run ``body`` in a fresh interpreter; return the values it printed with ``emit``, one a line."""
+    code = f"{EMIT}{body}\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -40,11 +46,16 @@ def fresh_interpreter(body: str) -> list:
 
 def loaded_libs_after_each(steps: list[str]) -> list[list[str]]:
     """Which of numpy, scipy and mpmath are loaded after each of ``steps``."""
-    report = (
-        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & "
-        f"{OPTIONAL_LIBS})))"
-    )
+    report = f"emit(sorted({{m.split('.')[0] for m in sys.modules}} & {OPTIONAL_LIBS}))"
     return fresh_interpreter("\n".join(f"{step}\n{report}" for step in steps))
+
+
+def cli_steps(commands: list[list[str]]) -> list[str]:
+    """``from zetatrace import cli``, then one step per command, its output discarded."""
+    return ["from zetatrace import cli"] + [
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
+        for argv in commands
+    ]
 
 
 def test_cli_loads_neither_numpy_nor_scipy(tmp_path):
@@ -57,11 +68,35 @@ def test_cli_loads_neither_numpy_nor_scipy(tmp_path):
         ["model", str(tmp_path / "rotor.zt")],
         ["kv-trace", str(tmp_path / "amp.kv")],
     ]
-    steps = ["import contextlib, io\nimport zetatrace", "from zetatrace import cli"] + [
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
-        for argv in commands
-    ]
+    steps = ["import contextlib, io\nimport zetatrace"] + cli_steps(commands)
     assert loaded_libs_after_each(steps) == [[]] * len(steps)
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """About 20 ms of a cold CLI process went to ``dataclasses`` and the ``inspect`` it imports.
+
+    A module counts only if it was not loaded before ``import zetatrace``
+    (``site`` may load some).  ``json`` loads for the last command alone:
+    ``--emit json`` is the only output that needs it.
+    """
+    (tmp_path / "rotor.zt").write_text(MODEL_FILE)
+    (tmp_path / "amp.kv").write_text(KV_FILE)
+    commands = [
+        ["check"],
+        ["kv-trace", str(tmp_path / "amp.kv")],
+        ["model", str(tmp_path / "rotor.zt")],
+        ["list"],
+        ["run", "phi4", "--emit", "json"],
+    ]
+    watched = "{'dataclasses', 'inspect', 'json'}"
+    snapshot = f"loaded.append(sorted((set(sys.modules) - before) & {watched}))"
+    body = "\n".join(
+        ["import contextlib, io", "loaded = []", "before = set(sys.modules)", "import zetatrace", snapshot]
+        + [f"{step}\n{snapshot}" for step in cli_steps(commands)]
+        + ["emit(loaded)"]
+    )
+    (loaded,) = fresh_interpreter(body)
+    assert loaded == [[]] * (len(commands) + 1) + [["json"]]
 
 
 def test_oracle_imports_numpy_alone():
@@ -74,9 +109,9 @@ def test_mpmath_loads_on_demand_with_the_same_values():
     values = """
 from zetatrace import laurent
 series = laurent.expand_factor(laurent.PrimitiveFactor(laurent.FactorKind.GAMMA, (1, 1), (1, 1)), order=2)
-print(json.dumps(repr((series.lead, [c.terms for c in series.coeffs]))))
-print(json.dumps(repr(laurent.gamma_value((1, 3)).terms)))
-print(json.dumps('mpmath' in sys.modules))
+emit(repr((series.lead, [c.terms for c in series.coeffs])))
+emit(repr(laurent.gamma_value((1, 3)).terms))
+emit('mpmath' in sys.modules)
 """
     on_demand = fresh_interpreter(values)
     preloaded = fresh_interpreter("import mpmath\n" + values)
@@ -88,6 +123,6 @@ def test_package_import_loads_no_submodule():
     """``import zetatrace`` re-exports nothing: every caller imports a submodule."""
     loaded = fresh_interpreter(
         "import zetatrace\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('zetatrace.'))))"
+        "emit(sorted(m for m in sys.modules if m.startswith('zetatrace.')))"
     )
     assert loaded == [[]]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -255,7 +254,9 @@ def test_a_product_is_canonical_however_its_factors_are_listed(factors, a, b, or
     # shuffled, each phase and power split into two whose exponents sum to its own
     split = [
         g for f in factors for g in (
-            [replace(f, alpha=rational.sub(f.alpha, a), beta=rational.sub(f.beta, b)), replace(f, alpha=a, beta=b)]
+            [PrimitiveFactor(f.kind, rational.sub(f.alpha, a), rational.sub(f.beta, b),
+                             f.power, f.base, f.regulator),
+             PrimitiveFactor(f.kind, a, b, f.power, f.base, f.regulator)]
             if f.kind in EXPONENT_KINDS else [f]
         )
     ]

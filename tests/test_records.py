@@ -1,0 +1,164 @@
+"""The record classes compare and hash by their fields, as dataclasses would.
+
+Every record in ``src/`` is a slotted class with an explicit constructor
+(``zetatrace.records``).  For each, built twice from the same arguments, the
+two instances are equal, and a frozen record hashes its field tuple; a
+mutable record is unhashable.  Changing any one argument gives an unequal
+instance.  An instance never equals the tuple of its fields, nor an instance
+of another class with the same fields.  Mutable defaults are fresh per
+instance, and the records that cross processes survive a pickle round trip.
+"""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from zetatrace.engine import (
+    ExpectationResult,
+    GaugeGroup,
+    KVAmplitudeSpec,
+    ModelSpec,
+    PotentialResult,
+    ReducedIntegral,
+)
+from zetatrace.laurent import FactorKind, MeroFactorProduct, PrimitiveFactor, positive_base
+from zetatrace.modelfile import ParsedModel, Token
+from zetatrace.models import ModelRun, RegistryEntry, harmonic_oscillator_1d, phi4
+from zetatrace.params import Param, ParamPoly
+from zetatrace.records import FrozenRecord
+from zetatrace.symbols import EvolutionPiece, IntegrandPiece, InvolutionEvolution, MatrixSymbol, ReducedPhase
+from zetatrace.tables import AffineExp, BranchPolicy
+from zetatrace.terms import Divergent, TAsymptote, TAsymTerm, ZetaTerm
+
+P, Q = ParamPoly.var("m"), ParamPoly.number(2.0)
+GAMMA = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 2))
+HALF_TURN = PrimitiveFactor(FactorKind.EXP_IPI, (1, 1), (0, 1))
+PRODUCT = MeroFactorProduct(P, (GAMMA,))
+K_DIAGONAL = ((ParamPoly.one(), ParamPoly.zero()), (ParamPoly.zero(), ParamPoly.number(-1.0)))
+K_SWAP = ((ParamPoly.zero(), ParamPoly.one()), (ParamPoly.one(), ParamPoly.zero()))
+MATRIX = MatrixSymbol(P, Q, K_DIAGONAL)
+PIECE = EvolutionPiece(1, 0.5, -0.5)
+SPEC = harmonic_oscillator_1d()
+RESULT = ExpectationResult("m", "H", P, None, ["reduce"])
+
+#: class -> (constructor arguments, a different value for each argument)
+CASES = {
+    Param: (("J", True, 1.0), ("K", False, 2.0)),
+    PrimitiveFactor: (
+        (FactorKind.GAMMA, (1, 1), (1, 2), 1, None, "z"),
+        (FactorKind.AFFINE, (2, 1), (1, 3), 2, positive_base(ParamPoly.monomial(2.0, {"J": 1})), "z2"),
+    ),
+    MeroFactorProduct: ((P, (GAMMA,)), (Q, (HALF_TURN,))),
+    ZetaTerm: (
+        (PRODUCT, (("z", (1, 1)),), (1, 2), 1, P),
+        (MeroFactorProduct(Q, (GAMMA,)), (), (0, 1), 0, ParamPoly.zero()),
+    ),
+    TAsymTerm: ((P, Fraction(1), 1, Q), (Q, Fraction(0), 0, ParamPoly.zero())),
+    Divergent: (("grows like T",), ("grows like ln(T)",)),
+    BranchPolicy: (("paper",), ("principal",)),
+    AffineExp: (("z", (1, 1), (0, 1)), ("z2", (2, 1), (1, 2))),
+    ReducedPhase: (({"u": P}, {"u": Q}, P, None, None), ({}, {}, Q, P, "r")),
+    MatrixSymbol: ((P, Q, K_DIAGONAL, ()), (Q, P, K_SWAP, ("h",))),
+    EvolutionPiece: ((1, 0.5, -0.5), (-1, 0.25, 0.5)),
+    InvolutionEvolution: ((MATRIX, (PIECE,)), (MatrixSymbol(Q, P, K_SWAP), ())),
+    IntegrandPiece: ((P, 1), (Q, 0)),
+    GaugeGroup: (("g", ("x",), "z", "separable"), ("h", ("x", "y"), "z2", "radial")),
+    ModelSpec: (
+        ("m", "d", (Param("J"),), (GaugeGroup("g", ("x",), "z"),), P, {"H": P}, {"H": Q}, "hbar", Q,
+         ("a",), "T", "phi", {"E": ("H", Q)}),
+        ("n", "e", (), (GaugeGroup("h", ("y",), "z"),), Q, {}, {}, None, P, (), "TX", None, {}),
+    ),
+    ReducedIntegral: (
+        ("gauss", AffineExp("z", (1, 1), (0, 1)), 1, P),
+        ("osc", AffineExp("z", (1, 2), (0, 1)), -1, Q),
+    ),
+    ExpectationResult: (("m", "H", P, None, ["reduce"]), ("n", "K", Divergent("x"), TAsymptote(), [])),
+    KVAmplitudeSpec: ((2, ((Fraction(-3), 0, P),), Q), (3, (), P)),
+    PotentialResult: ((P, [P], [P], [Q], TAsymptote(), ["gauge"]), (Q, [], [], [], TAsymptote(), [])),
+    Token: (("ident", "x", 1), ("number", "2", 3)),
+    ParsedModel: (
+        ("rotor", [("J", None)], [("xi", "momentum", None)], None, None, None),
+        ("other", [], [], ("var", "x"), ("num", 1.0), ("num", 2.0)),
+    ),
+    RegistryEntry: ((harmonic_oscillator_1d, "oscillator", "<H>"), (phi4, "quartic", "minima")),
+    ModelRun: (
+        (SPEC, {"H": RESULT}, None, ["H: expected"]),
+        (phi4(), {}, PotentialResult(P, [], [], [], TAsymptote()), []),
+    ),
+}
+
+IDS = [cls.__name__ for cls in CASES]
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_equal_fields_give_equal_records(cls):
+    args, _ = CASES[cls]
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    if not issubclass(cls, FrozenRecord):
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    try:
+        want = hash(a._fields())
+    except TypeError:  # a ParamPoly field is unhashable, so is the record
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == want
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_one_changed_field_gives_an_unequal_record(cls):
+    args, others = CASES[cls]
+    base = cls(*args)
+    for i, other in enumerate(others):
+        changed = cls(*args[:i], other, *args[i + 1:])
+        assert changed != base and not changed == base, (cls.__name__, i)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_a_record_equals_neither_its_field_tuple_nor_another_class(cls):
+    args, _ = CASES[cls]
+    record = cls(*args)
+    twin = type("Twin", (cls,), {"__slots__": ()})(*args)
+    assert twin._fields() == record._fields()
+    assert record != record._fields() and record._fields() != record
+    assert record != twin and twin != record
+    assert record != tuple(args)
+
+
+def test_mutable_defaults_are_fresh_per_instance():
+    specs = [ModelSpec("m", "d", (), (), P, {}) for _ in range(2)]
+    assert specs[0].expected is not specs[1].expected and specs[0].derived is not specs[1].derived
+    assert specs[0].prefactor is not specs[1].prefactor
+    for make in (lambda: ExpectationResult("m", "H", P, None),
+                 lambda: PotentialResult(P, [], [], [], TAsymptote())):
+        a, b = make(), make()
+        assert a.steps == b.steps == [] and a.steps is not b.steps
+    runs = [ModelRun(SPEC, {}, None) for _ in range(2)]
+    assert runs[0].failures is not runs[1].failures
+    parsed = [ParsedModel("m") for _ in range(2)]
+    assert parsed[0].params is not parsed[1].params and parsed[0].axes is not parsed[1].axes
+    assert KVAmplitudeSpec(1).vol_x is not KVAmplitudeSpec(1).vol_x
+    assert ZetaTerm(PRODUCT).phase is not ZetaTerm(PRODUCT).phase
+    assert TAsymTerm(P).phase is not TAsymTerm(P).phase
+
+
+def test_constructors_take_keywords_and_check_their_fields():
+    assert ModelSpec(name="m", description="d", params=(), groups=(), hamiltonian=P, observables={},
+                     t_symbol="TX") == ModelSpec("m", "d", (), (), P, {}, t_symbol="TX")
+    assert KVAmplitudeSpec(dimension=2, vol_x=Q) == KVAmplitudeSpec(2, (), Q)
+    with pytest.raises(ValueError):
+        BranchPolicy("nearest")
+
+
+@pytest.mark.parametrize("record", [
+    ZetaTerm(PRODUCT, (("z", (1, 1)),), (1, 2), 1, P),
+    ZetaTerm(MeroFactorProduct(Q, (HALF_TURN, GAMMA))),
+    AffineExp("z2", (1, 2), (-1, 1)),
+], ids=["term", "default-term", "affine"])
+def test_a_pickled_record_is_equal(record):
+    loaded = pickle.loads(pickle.dumps(record))
+    assert loaded == record and loaded is not record

@@ -21,7 +21,7 @@ from zetatrace.laurent import (
     positive_base,
 )
 from zetatrace.models import harmonic_oscillator_1d, schwinger_boson_mass, topological_oscillator
-from zetatrace.params import ParamPoly
+from zetatrace.params import ExpKey, ParamPoly
 from zetatrace.tables import PAPER, PRINCIPAL, AffineExp, osc_linear
 from zetatrace.terms import (
     Divergent,
@@ -607,9 +607,16 @@ def test_merged_keys_factors_as_a_multiset():
 def test_primitive_factor_hash_contract(make):
     a, b = make(), make()
     assert a == b and hash(a) == hash(b) == hash(b)
+    fields = (a.kind, a.alpha, a.beta, a.power, a.base, a.regulator)
+    assert a != fields and fields != a
+    assert a != type("Twin", (PrimitiveFactor,), {"__slots__": ()})(*fields)
+    for i, other in enumerate([FactorKind.AFFINE, (3, 1), (5, 7), 4, (1.5, ExpKey()), "z9"]):
+        if other != fields[i]:
+            assert PrimitiveFactor(*fields[:i], other, *fields[i + 1:]) != a, i
     object.__setattr__(a, "_hash", 12345)  # as if pickled by a process with another string-hash seed
     loaded = pickle.loads(pickle.dumps(a))
     assert loaded == b and hash(loaded) == hash(b)
+    assert loaded.fold_key == b.fold_key
 
 
 # ---------------------------------------------------------------------------
