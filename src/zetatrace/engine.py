@@ -75,9 +75,6 @@ class GaugeGroup(FrozenRecord):
         self.regulator = regulator
         self.reduction = reduction
 
-    def _fields(self) -> tuple:
-        return (self.name, self.axes, self.regulator, self.reduction)
-
     @property
     def radial(self) -> bool:
         """Reduced through one radius and sphere moments: a radial group of two or more axes."""
@@ -140,11 +137,6 @@ class ModelSpec(Record):
         self.t_symbol = t_symbol
         self.field_param = field_param
         self.derived = {} if derived is None else derived
-
-    def _fields(self) -> tuple:
-        return (self.name, self.description, self.params, self.groups, self.hamiltonian, self.observables,
-                self.expected, self.hbar, self.prefactor, self.tokens, self.t_symbol, self.field_param,
-                self.derived)
 
     def regulators(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(g.regulator for g in self.groups))
@@ -245,9 +237,6 @@ class ReducedIntegral(FrozenRecord):
         self.q = q
         self.sign = sign
         self.rate = rate
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.q, self.sign, self.rate)
 
     def exact_key(self) -> tuple:
         """The integral by value; the rate by its float coefficients, not by tolerant equality."""
@@ -527,9 +516,6 @@ class ExpectationResult(Record):
         self.finite_t = finite_t
         self.steps = [] if steps is None else steps
 
-    def _fields(self) -> tuple:
-        return (self.model, self.observable, self.value, self.finite_t, self.steps)
-
     @property
     def trace(self) -> list[str]:
         """The derivation text, one line per step, rendered when read."""
@@ -611,9 +597,6 @@ class KVAmplitudeSpec(Record):
         self.terms = terms
         self.vol_x = ParamPoly.one() if vol_x is None else vol_x
 
-    def _fields(self) -> tuple:
-        return (self.dimension, self.terms, self.vol_x)
-
 
 def kv_trace_at_zero(spec: KVAmplitudeSpec) -> ParamPoly:
     """Sum of the homogeneous terms' trace-at-zero contributions.
@@ -667,9 +650,6 @@ class PotentialResult(Record):
         self.residual = residual
         self.steps = [] if steps is None else steps
 
-    def _fields(self) -> tuple:
-        return (self.potential, self.critical_points, self.minima, self.masses, self.residual, self.steps)
-
     @property
     def trace(self) -> list[str]:
         """The derivation text, one line per step, rendered when read."""
@@ -712,7 +692,7 @@ def effective_potential(
         if sign > 0:
             minima.append(point)
             mass = curv.mono_pow(Fraction(1, 2))
-            if all(not mass.almost_equal(m) for m in masses):
+            if mass not in masses:
                 masses.append(mass)
     steps: list[Step] = [
         lambda: f"gauge: {gauge_text(model)}",

@@ -147,9 +147,6 @@ class PrimitiveFactor(FrozenRecord):
         else:
             self.fold_key = (kind._value_, regulator, alpha, beta) if power else None
 
-    def _fields(self) -> tuple:
-        return (self.kind, self.alpha, self.beta, self.power, self.base, self.regulator)
-
     def __hash__(self):
         try:
             return self._hash
@@ -263,9 +260,6 @@ class MeroFactorProduct(FrozenRecord):
         product.prefactor = prefactor
         product.factors = factors
         return product
-
-    def _fields(self) -> tuple:
-        return (self.prefactor, self.factors)
 
     def render(self) -> str:
         parts = [self.prefactor.render(mul="*")]

@@ -61,9 +61,6 @@ class Token(FrozenRecord):
         self.text = text
         self.column = column
 
-    def _fields(self) -> tuple:
-        return (self.kind, self.text, self.column)
-
 
 def tokenize(text: str, line: int) -> list[Token]:
     out = []
@@ -298,9 +295,6 @@ class ParsedModel(Record):
         self.phase_ast = phase_ast
         self.observable_ast = observable_ast
         self.expect_ast = expect_ast
-
-    def _fields(self) -> tuple:
-        return (self.name, self.params, self.axes, self.phase_ast, self.observable_ast, self.expect_ast)
 
 
 def read_text(path) -> str:

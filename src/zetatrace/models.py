@@ -212,9 +212,6 @@ class RegistryEntry(FrozenRecord):
         self.description = description
         self.expected_summary = expected_summary
 
-    def _fields(self) -> tuple:
-        return (self.builder, self.description, self.expected_summary)
-
 
 REGISTRY: dict[str, RegistryEntry] = {
     "harmonic_oscillator_1d": RegistryEntry(
@@ -251,9 +248,6 @@ class ModelRun(Record):
         self.potential = potential
         self.failures = [] if failures is None else failures
 
-    def _fields(self) -> tuple:
-        return (self.model, self.results, self.potential, self.failures)
-
     @property
     def passed(self) -> bool:
         return not self.failures
@@ -283,7 +277,7 @@ def _matches(value: ParamPoly | Divergent, expected: ParamPoly,
              params, seed: int = 11) -> bool:
     if isinstance(value, Divergent):
         return False
-    if value.almost_equal(expected):
+    if value == expected:
         return True
     rng = random.Random(seed)
     for _ in range(10):

@@ -25,9 +25,9 @@ sorts keys by exponent value.
 Zero means zero: only a coefficient equal to 0 is dropped, so which terms a
 sum keeps, and so which Laurent order leads, depends only on exact
 cancellation.  A coefficient that is not finite raises ``NumericOverflow``;
-it is never dropped.  ``==`` compares within ``COEFF_TOL`` of the larger
-coefficient; such an equality is not transitive, so a ``ParamPoly`` has no
-hash.
+it is never dropped.  ``==`` is the one equality: coefficients agree within
+``COEFF_TOL`` times the largest of them, or of 1.  It is not transitive, so a
+``ParamPoly`` has no hash, nor has a record holding one (``records``).
 
 Dropping zeros and the finite check run in one finishing step,
 ``_finished``, which also turns ``-0.0`` into ``0.0``.  The constructor
@@ -67,9 +67,6 @@ class Param(FrozenRecord):
         self.name = name
         self.positive = positive
         self.default = default
-
-    def _fields(self) -> tuple:
-        return (self.name, self.positive, self.default)
 
 
 class ExpKey(tuple):
@@ -370,12 +367,6 @@ class ParamPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.almost_equal(other, COEFF_TOL)
-
-    # a tolerant equality is not transitive: no hash can agree with it
-    __hash__ = None
-
-    def almost_equal(self, other: "ParamPoly", tol: float = COEFF_TOL) -> bool:
         keys = set(self.terms) | set(other.terms)
         scale = max(
             [abs(c) for c in self.terms.values()]
@@ -383,8 +374,11 @@ class ParamPoly:
             + [1.0]
         )
         return all(
-            abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol * scale for k in keys
+            abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= COEFF_TOL * scale for k in keys
         )
+
+    # a tolerant equality is not transitive: no hash can agree with it
+    __hash__ = None
 
     def render(self, mul: str = " * ", frac_parens: bool = False) -> str:
         if not self.terms:

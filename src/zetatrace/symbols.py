@@ -84,9 +84,6 @@ class ReducedPhase(Record):
         self.osc_coeff = osc_coeff
         self.osc_symbol = osc_symbol
 
-    def _fields(self) -> tuple:
-        return (self.g2, self.g1, self.const, self.osc_coeff, self.osc_symbol)
-
 
 def decompose_phase(h: ParamPoly, axes: Collection[str]) -> ReducedPhase:
     """Split ``h`` into g2 and g1 per axis and the constant: minus the axis-free part.
@@ -156,9 +153,6 @@ class MatrixSymbol(FrozenRecord):
                 if not reduce_on_sphere(entry, self.direction_syms).is_zero():
                     raise NotInvolution(f"K^2 != I in entry ({i}, {j}) on the unit sphere")
 
-    def _fields(self) -> tuple:
-        return (self.scalar, self.coeff, self.kmatrix, self.direction_syms)
-
     @property
     def dim(self) -> int:
         return len(self.kmatrix)
@@ -205,9 +199,6 @@ class EvolutionPiece(Record):
         self.weight_identity = weight_identity
         self.weight_k = weight_k
 
-    def _fields(self) -> tuple:
-        return (self.osc_sign, self.weight_identity, self.weight_k)
-
 
 class InvolutionEvolution(Record):
     """Closed form e^(-ibt)(cos(ct) I - i sin(ct) K) split into e^(+-ict) pieces."""
@@ -217,9 +208,6 @@ class InvolutionEvolution(Record):
     def __init__(self, symbol: MatrixSymbol, pieces: tuple[EvolutionPiece, ...]):
         self.symbol = symbol
         self.pieces = pieces
-
-    def _fields(self) -> tuple:
-        return (self.symbol, self.pieces)
 
 
 def involution_exp(m: MatrixSymbol) -> InvolutionEvolution:
@@ -244,9 +232,6 @@ class IntegrandPiece(Record):
                  osc_sign: int = 0):  # sign s in e^(s i c T r); 0 for purely quadratic models
         self.amp = amp
         self.osc_sign = osc_sign
-
-    def _fields(self) -> tuple:
-        return (self.amp, self.osc_sign)
 
 
 def compose_observable(

@@ -39,9 +39,6 @@ class BranchPolicy(FrozenRecord):
             raise ValueError(f"unknown branch mode {mode!r}")
         self.mode = mode
 
-    def _fields(self) -> tuple:
-        return (self.mode,)
-
 
 PAPER = BranchPolicy("paper")
 PRINCIPAL = BranchPolicy("principal")
@@ -56,9 +53,6 @@ class AffineExp(FrozenRecord):
         self.regulator = regulator
         self.a = a
         self.b = b
-
-    def _fields(self) -> tuple:
-        return (self.regulator, self.a, self.b)
 
 
 def _check_gamma_arg(q: AffineExp):

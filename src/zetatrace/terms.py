@@ -78,9 +78,6 @@ class ZetaTerm(FrozenRecord):
         self.t_log = t_log
         self.phase = ParamPoly.zero() if phase is None else phase
 
-    def _fields(self) -> tuple:
-        return (self.coeff, self.t_lin, self.t_const, self.t_log, self.phase)
-
     def structure_key(self) -> tuple:
         return (
             frozenset(self.coeff.factors),
@@ -180,9 +177,6 @@ class TAsymTerm(FrozenRecord):
         self.log_power = log_power
         self.phase = ParamPoly.zero() if phase is None else phase
 
-    def _fields(self) -> tuple:
-        return (self.coeff, self.t_power, self.log_power, self.phase)
-
 
 class Divergent(Record):
     """Thermal limit outcome for a quantity with no finite T -> infinity value."""
@@ -191,9 +185,6 @@ class Divergent(Record):
 
     def __init__(self, reason: str):
         self.reason = reason
-
-    def _fields(self) -> tuple:
-        return (self.reason,)
 
     def __repr__(self):
         return f"Divergent({self.reason})"

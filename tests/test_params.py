@@ -98,13 +98,19 @@ def polys(draw):
     return total
 
 
+def close(p, q, tol=1e-9):
+    """Coefficients agree within ``tol`` times the largest of them, or of 1: ``==`` with a looser bound."""
+    scale = max([abs(c) for c in (*p.terms.values(), *q.terms.values())] + [1.0])
+    return all(abs(p.terms.get(k, 0) - q.terms.get(k, 0)) <= tol * scale for k in p.terms.keys() | q.terms.keys())
+
+
 @given(polys(), polys(), polys())
 def test_ring_axioms(a, b, c):
-    assert (a + b).almost_equal(b + a)
-    assert (a * b).almost_equal(b * a)
-    assert ((a + b) + c).almost_equal(a + (b + c))
-    assert ((a * b) * c).almost_equal(a * (b * c), tol=1e-9)
-    assert (a * (b + c)).almost_equal(a * b + a * c, tol=1e-9)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert close((a * b) * c, a * (b * c))
+    assert close(a * (b + c), a * b + a * c)
 
 
 @given(polys(), polys())

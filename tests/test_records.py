@@ -1,18 +1,25 @@
 """The record classes compare and hash by their fields, as dataclasses would.
 
 Every record in ``src/`` is a slotted class with an explicit constructor
-(``zetatrace.records``).  For each, built twice from the same arguments, the
-two instances are equal, and a frozen record hashes its field tuple; a
-mutable record is unhashable.  Changing any one argument gives an unequal
-instance.  An instance never equals the tuple of its fields, nor an instance
-of another class with the same fields.  Mutable defaults are fresh per
-instance, and the records that cross processes survive a pickle round trip.
+(``zetatrace.records``), whose parameters are its fields and lead its
+``__slots__``; ``CASES`` holds every one.  For each, built twice from the same
+arguments, the two instances are equal, and a frozen record hashes its field
+tuple; a mutable record is unhashable.  Changing any one argument gives an
+unequal instance.  An instance never equals the tuple of its fields, nor an
+instance of another class with the same fields.  The ``repr`` names each field
+once, in order, and nothing else.  Mutable defaults are fresh per instance,
+and the records that cross processes survive a pickle round trip.
 """
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
+
+import zetatrace
 
 from zetatrace.engine import (
     ExpectationResult,
@@ -26,7 +33,7 @@ from zetatrace.laurent import FactorKind, MeroFactorProduct, PrimitiveFactor, po
 from zetatrace.modelfile import ParsedModel, Token
 from zetatrace.models import ModelRun, RegistryEntry, harmonic_oscillator_1d, phi4
 from zetatrace.params import Param, ParamPoly
-from zetatrace.records import FrozenRecord
+from zetatrace.records import FrozenRecord, Record
 from zetatrace.symbols import EvolutionPiece, IntegrandPiece, InvolutionEvolution, MatrixSymbol, ReducedPhase
 from zetatrace.tables import AffineExp, BranchPolicy
 from zetatrace.terms import Divergent, TAsymptote, TAsymTerm, ZetaTerm
@@ -162,3 +169,74 @@ def test_constructors_take_keywords_and_check_their_fields():
 def test_a_pickled_record_is_equal(record):
     loaded = pickle.loads(pickle.dumps(record))
     assert loaded == record and loaded is not record
+
+
+def constructor_parameters(cls) -> tuple:
+    return tuple(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def src_records() -> set[type]:
+    """Every record class of ``src/``: the subclasses of ``Record`` in the modules of ``zetatrace``."""
+    for module in pkgutil.iter_modules(zetatrace.__path__):
+        importlib.import_module(f"zetatrace.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("zetatrace.") and sub.__module__ != "zetatrace.records":
+                found.add(sub)
+    return found
+
+
+def test_every_record_declares_its_fields_once_in_its_constructor():
+    assert src_records() == CASES.keys()
+    for cls, (args, _) in CASES.items():
+        names = constructor_parameters(cls)
+        assert cls.__slots__[:len(names)] == names, cls.__name__
+        assert cls.__match_args__ == names, cls.__name__
+        record = cls(*args)
+        assert record._fields() == tuple(getattr(record, name) for name in names), cls.__name__
+
+
+def test_a_record_needs_no_more_than_its_constructor():
+    class Pair(FrozenRecord):
+        __slots__ = ("a", "b", "tag", "_memo")
+
+        def __init__(self, a, b=0, *, tag=""):
+            self.a = a
+            self.b = b
+            self.tag = tag
+            self._memo = object()
+
+    assert Pair(1, 2) == Pair(1, 2) and Pair(1, 2) != Pair(1, 3) and Pair(1) != Pair(1, tag="x")
+    assert hash(Pair(1, 2)) == hash((1, 2, "")) and repr(Pair(1)) == "Pair(a=1, b=0, tag='')"
+    assert type("Triple", (Pair,), {"__slots__": ("c",)})(1, 2)._fields() == (1, 2, "")
+
+
+@pytest.mark.parametrize("slots", [("b", "a"), ("a",), ("_memo", "a", "b"), ()])
+def test_a_constructor_parameter_that_is_not_a_leading_slot_is_an_error(slots):
+    with pytest.raises(TypeError, match="must lead __slots__"):
+        class Bad(Record):
+            __slots__ = slots
+
+            def __init__(self, a, b):
+                pass
+
+
+@pytest.mark.parametrize("cls", [cls for cls in CASES if cls is not Divergent], ids=lambda cls: cls.__name__)
+def test_a_repr_names_each_field_once_in_order(cls):
+    record = cls(*CASES[cls][0])
+    args = ", ".join(f"{name}={getattr(record, name)!r}" for name in constructor_parameters(cls))
+    assert repr(record) == f"{cls.__name__}({args})"
+
+
+def test_a_divergent_prints_its_reason_alone():
+    assert repr(Divergent("term grows like T^1")) == "Divergent(term grows like T^1)"
+
+
+def test_a_primitive_factors_repr_shows_no_cache():
+    factor = PrimitiveFactor(*CASES[PrimitiveFactor][0])
+    hash(factor)
+    factor.raised(2)  # memoised in _formed
+    assert factor._hash is not None and factor._formed and factor.fold_key is not None
+    assert not any(slot in repr(factor) for slot in ("fold_key", "_hash", "_formed"))
