@@ -20,7 +20,7 @@ def main():
         print(f"== {name}")
         for policy in (PAPER, PRINCIPAL):
             run = run_model(name, policy)
-            tag = f"[{policy.mode:9}]"
+            tag = f"[{policy:9}]"
             if run.potential is not None:
                 minima = ", ".join(p.render() for p in run.potential.minima)
                 masses = ", ".join(m.render() for m in run.potential.masses)

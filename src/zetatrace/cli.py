@@ -21,7 +21,7 @@ from .laurent import DEFAULT_ORDER
 from .modelfile import parse_model_file, read_text, sectioned_lines
 from .models import REGISTRY, RegistryEntry, run_model
 from .params import ParamPoly
-from .tables import BranchPolicy
+from .tables import PAPER, PRINCIPAL
 from .terms import Divergent
 
 
@@ -147,7 +147,6 @@ MAX_SERIES_ORDER = 256
 
 def cmd_run(args, extra_registry=None) -> int:
     bindings = _parse_params(args.param)
-    policy = BranchPolicy(args.branch)
     if args.series_order < 2:
         raise UsageError(f"--series-order must be at least 2, got {args.series_order}")
     if args.series_order > MAX_SERIES_ORDER:
@@ -160,7 +159,7 @@ def cmd_run(args, extra_registry=None) -> int:
             raise UsageError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
         overrides["n"] = args.dim
     run = run_model(
-        args.model, policy, args.series_order, registry=extra_registry, **overrides
+        args.model, args.branch, args.series_order, registry=extra_registry, **overrides
     )
     _check_params(run.model, bindings)
     code = _emit_run(run, args, bindings)
@@ -171,11 +170,10 @@ def cmd_run(args, extra_registry=None) -> int:
 
 
 def cmd_check(args) -> int:
-    policy = BranchPolicy(args.branch)
     names = list(REGISTRY)
     failed = 0
     for name in names:
-        run = run_model(name, policy)
+        run = run_model(name, args.branch)
         status = "pass" if run.passed else "FAIL"
         if not run.passed:
             failed += 1
@@ -183,7 +181,7 @@ def cmd_check(args) -> int:
         print(f"{status:4}  {name:28} {summary}")
         for f in run.failures:
             print(f"      {f}")
-    print(f"{len(names) - failed}/{len(names)} models passing ({policy.mode} branch)")
+    print(f"{len(names) - failed}/{len(names)} models passing ({args.branch} branch)")
     return 1 if failed else 0
 
 
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--param", action="append", metavar="k=v",
                        help="bind a parameter for numeric output")
-        p.add_argument("--branch", choices=("paper", "principal"), default="paper")
+        p.add_argument("--branch", choices=(PAPER, PRINCIPAL), default=PAPER)
         p.add_argument("--series-order", type=int, default=DEFAULT_ORDER)
         p.add_argument("--emit", choices=("text", "json"), default="text")
         p.add_argument("--trace", action="store_true",
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     check_p = sub.add_parser("check", help="run every bundled model against its expected value")
-    check_p.add_argument("--branch", choices=("paper", "principal"), default="paper")
+    check_p.add_argument("--branch", choices=(PAPER, PRINCIPAL), default=PAPER)
     check_p.set_defaults(fn=cmd_check)
 
     list_p = sub.add_parser("list", help="list registered models")

@@ -42,7 +42,7 @@ from .symbols import (
     involution_exp,
     t_free,
 )
-from .tables import AffineExp, BranchPolicy, PAPER, angular_moment, gauss_radial, osc_linear
+from .tables import AffineExp, PAPER, angular_moment, gauss_radial, osc_linear
 from .terms import (
     Divergent,
     TAsymptote,
@@ -426,7 +426,7 @@ def _symbol_alternatives(
     return tuple(out)
 
 
-def table_rows(integrals: Sequence[ReducedIntegral], policy: BranchPolicy) -> list[ZetaTerm]:
+def table_rows(integrals: Sequence[ReducedIntegral], policy: str) -> list[ZetaTerm]:
     """The table row of each of a derivation's distinct integrals (``reduced_sides``), in index order."""
     return [
         gauss_radial(i.q, i.rate) if i.kind == "gauss" else osc_linear(i.q, i.sign, policy, i.rate)
@@ -525,7 +525,7 @@ class ExpectationResult(Record):
 def build_trace_sums(
     model: ModelSpec,
     observable: ParamPoly | MatrixSymbol,
-    policy: BranchPolicy,
+    policy: str,
 ) -> tuple[ZetaTermSum, ZetaTermSum, list[Step]]:
     """Numerator and denominator term sums under the same gauge, and the steps so far.
 
@@ -550,7 +550,7 @@ def build_trace_sums(
 def expectation(
     model: ModelSpec,
     observable_name: str,
-    policy: BranchPolicy = PAPER,
+    policy: str = PAPER,
     series_order: int = DEFAULT_ORDER,
 ) -> ExpectationResult:
     obs = model.observables[observable_name]
@@ -658,7 +658,7 @@ class PotentialResult(Record):
 
 def effective_potential(
     model: ModelSpec,
-    policy: BranchPolicy = PAPER,
+    policy: str = PAPER,
     series_order: int = DEFAULT_ORDER,
 ) -> PotentialResult:
     """ln Z / (-i T X) for a constant field, then extrema and masses.

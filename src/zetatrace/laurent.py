@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import rational
@@ -39,7 +38,10 @@ DEFAULT_ORDER = 4
 MAX_ORDER = 16
 
 
-class FactorKind(str, Enum):
+class FactorKind:
+    """The four kinds of primitive factor, as plain strings: compare them with
+    ``==``, since an unpickled kind is a fresh string."""
+
     GAMMA = "gamma"
     EXP_IPI = "exp_ipi"
     AFFINE = "affine"
@@ -48,19 +50,6 @@ class FactorKind(str, Enum):
 
 #: kinds whose exponents, not a power, add up in a product
 EXPONENT_KINDS = (FactorKind.EXP_IPI, FactorKind.CONST_POW)
-
-
-def _kept(method):
-    """A factor keeps what ``method`` formed from it for each argument: a
-    derivation forms the same powers and products for many of its terms, and
-    each formed factor keeps its hash and ``fold_key``."""
-    def kept(self, arg):
-        try:
-            formed = self._formed
-        except AttributeError:
-            formed = self._formed = {}
-        return formed[arg] if arg in formed else formed.setdefault(arg, method(self, arg))
-    return wraps(method)(kept)
 
 
 def half_turn(beta: Q) -> complex:
@@ -86,7 +75,6 @@ def polygamma_value(k: int, x: Q) -> float:
 GAMMA_ARG_MAX_HALVES = 343
 
 
-@lru_cache(maxsize=None)
 def gamma_value(beta: Q) -> ParamPoly:
     """Gamma(beta) as a ParamPoly; integer/half-integer arguments stay exact in pi^(1/2).
 
@@ -121,19 +109,16 @@ class PrimitiveFactor(FrozenRecord):
     """One primitive meromorphic building block in a single regulator.
 
     Its argument is ``alpha z + beta``, both exponents normalised integer
-    pairs (``rational``); a Gamma or affine factor is raised to ``power``.  A
-    factor hashes once, on first use, and keeps the hash: term sums are merged
-    by sets of factors, and hashing the kind, an ``Enum``, each time is slow.
+    pairs (``rational``); a Gamma or affine factor is raised to ``power``.
 
     ``fold_key`` is set when built: factors of one key multiply into one (Gamma
     or affine factors of one argument, a regulator's half-turns, a base's
-    powers); it is None for a factor equal to 1.  It holds the kind's value,
-    not the ``Enum``, for the same reason.
+    powers); it is None for a factor equal to 1.
     """
 
-    __slots__ = ("kind", "alpha", "beta", "power", "base", "regulator", "fold_key", "_hash", "_formed")
+    __slots__ = ("kind", "alpha", "beta", "power", "base", "regulator", "fold_key")
 
-    def __init__(self, kind: FactorKind, alpha: Q, beta: Q, power: int = 1,
+    def __init__(self, kind: str, alpha: Q, beta: Q, power: int = 1,
                  base: tuple[float, ExpKey] | None = None,  # positive monomial: (coeff, exponent key)
                  regulator: str = "z"):
         self.kind = kind
@@ -143,32 +128,19 @@ class PrimitiveFactor(FrozenRecord):
         self.base = base
         self.regulator = regulator
         if kind in EXPONENT_KINDS:
-            self.fold_key = (kind._value_, regulator, base) if alpha[0] or beta[0] else None
+            self.fold_key = (kind, regulator, base) if alpha[0] or beta[0] else None
         else:
-            self.fold_key = (kind._value_, regulator, alpha, beta) if power else None
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = h = hash(self._fields())
-            return h
-
-    def __reduce__(self):
-        # string hashes differ between processes: an unpickled factor hashes afresh
-        return PrimitiveFactor, self._fields()
+            self.fold_key = (kind, regulator, alpha, beta) if power else None
 
     def remade(self, alpha: Q, beta: Q, power: int = 1) -> "PrimitiveFactor":
         return PrimitiveFactor(self.kind, alpha, beta, power, self.base, self.regulator)
 
-    @_kept
     def raised(self, n: int) -> "PrimitiveFactor":
         """The factor to the integer power n."""
         if self.kind in EXPONENT_KINDS:
             return self.remade(rational.mul(self.alpha, (n, 1)), rational.mul(self.beta, (n, 1)))
         return self.remade(self.alpha, self.beta, self.power * n)
 
-    @_kept
     def times(self, other: "PrimitiveFactor") -> "PrimitiveFactor":
         """The product with a factor of the same ``fold_key``."""
         if self.kind in EXPONENT_KINDS:
@@ -183,13 +155,13 @@ class PrimitiveFactor(FrozenRecord):
 
     def pole_order(self) -> int:
         """Order of the pole at z = 0 (negative for a zero)."""
-        if self.kind is FactorKind.GAMMA:
+        if self.kind == FactorKind.GAMMA:
             if self.beta[1] == 1 and self.beta[0] <= 0:
                 if self.alpha[0] == 0:
                     raise UnsupportedFactor("Gamma pole with no regulator dependence")
                 return self.power
             return 0
-        if self.kind is FactorKind.AFFINE and self.beta[0] == 0:
+        if self.kind == FactorKind.AFFINE and self.beta[0] == 0:
             return -self.power
         return 0
 
@@ -197,11 +169,11 @@ class PrimitiveFactor(FrozenRecord):
         z = self.regulator
         a, b = self.alpha, self.beta
         arg = _affine_str(a, b, z)
-        if self.kind is FactorKind.GAMMA:
+        if self.kind == FactorKind.GAMMA:
             return f"Gamma({arg})^{self.power}" if self.power != 1 else f"Gamma({arg})"
-        if self.kind is FactorKind.EXP_IPI:
+        if self.kind == FactorKind.EXP_IPI:
             return f"e^(i*pi*({arg}))"
-        if self.kind is FactorKind.AFFINE:
+        if self.kind == FactorKind.AFFINE:
             return f"({arg})^{self.power}" if self.power != 1 else f"({arg})"
         return f"({self.base_poly().render(mul='*')})^({arg})"
 
@@ -337,12 +309,12 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
         raise ValueError("order must be >= 0")
     a = rational.to_float(f.alpha)
 
-    if f.kind is FactorKind.EXP_IPI:
+    if f.kind == FactorKind.EXP_IPI:
         const = half_turn(f.beta)
         coeffs = _exp_numeric([1j * math.pi * a], order)
         return _numeric_series(0, [const * c for c in coeffs])
 
-    if f.kind is FactorKind.AFFINE:
+    if f.kind == FactorKind.AFFINE:
         b = rational.to_float(f.beta)
         n = f.power
         if f.beta[0] == 0:
@@ -365,13 +337,13 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
             coeffs[k] = c * binom * ratio ** k
         return _numeric_series(0, coeffs)
 
-    if f.kind is FactorKind.GAMMA and f.power != 1:  # Gamma(x)^k as a k-fold product
+    if f.kind == FactorKind.GAMMA and f.power != 1:  # Gamma(x)^k as a k-fold product
         if f.power < 1:
             raise UnsupportedFactor(f"Gamma to the power {f.power}")
         one = expand_factor(f.remade(f.alpha, f.beta), order)
         return reduce(lambda series, _: series.mul(one, ParamPoly.zero()), range(f.power - 1), one)
 
-    if f.kind is FactorKind.GAMMA:
+    if f.kind == FactorKind.GAMMA:
         b = f.beta
         if b[1] == 1 and b[0] <= 0:
             if f.alpha[0] == 0:
@@ -442,7 +414,7 @@ def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentS
     performs the same float operations.
     """
     factors = p.factors
-    split = next((i for i, f in enumerate(factors) if f.kind is FactorKind.CONST_POW), len(factors))
+    split = next((i for i, f in enumerate(factors) if f.kind == FactorKind.CONST_POW), len(factors))
     lead, nums, key = 0, [1 + 0j] + [0j] * order, ExpKey()
     for f in factors[:split]:
         series = expand_factor(f, order)

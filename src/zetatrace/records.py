@@ -1,16 +1,16 @@
 """Value semantics for the pipeline's slotted record classes.
 
 A record's fields are its constructor's parameters, in order, and lead its
-``__slots__`` (defining the class raises ``TypeError`` otherwise); later slots,
-a cached hash or a memo, are not fields.  A subclass without a constructor
-keeps its parent's fields.  ``_fields`` returns their values as a tuple, which
-``==``, the hash and the ``repr`` read: an instance equals only an instance of
-its own class with an equal field tuple.  A ``Record`` is unhashable.  A
-``FrozenRecord`` hashes its field tuple, so only when every field hashes: a
-``ParamPoly`` has no hash, so hashing a ``ZetaTerm``, ``TAsymTerm``,
-``MeroFactorProduct``, ``ReducedIntegral`` or ``MatrixSymbol`` raises
-``TypeError``.  A frozen record is never assigned to after its constructor
-returns: its hash depends on that.
+``__slots__`` (defining the class raises ``TypeError`` otherwise); a later
+slot, such as a factor's ``fold_key``, is not a field.  A subclass without a
+constructor keeps its parent's fields.  ``_fields`` returns their values as a
+tuple, which ``==``, the hash and the ``repr`` read: an instance equals only
+an instance of its own class with an equal field tuple.  A ``Record`` is
+unhashable.  A ``FrozenRecord`` hashes its field tuple, so only when every
+field hashes: a ``ParamPoly`` has no hash, so hashing a ``ZetaTerm``,
+``TAsymTerm``, ``MeroFactorProduct``, ``ReducedIntegral`` or ``MatrixSymbol``
+raises ``TypeError``.  A frozen record is never assigned to after its
+constructor returns: its hash depends on that.
 """
 
 from operator import attrgetter

@@ -29,19 +29,9 @@ from .records import FrozenRecord
 from .terms import ZetaTerm
 
 
-class BranchPolicy(FrozenRecord):
-    """Continuation branch for oscillatory table rows; fixed per evaluation run."""
-
-    __slots__ = ("mode",)
-
-    def __init__(self, mode: str = "paper"):
-        if mode not in ("paper", "principal"):
-            raise ValueError(f"unknown branch mode {mode!r}")
-        self.mode = mode
-
-
-PAPER = BranchPolicy("paper")
-PRINCIPAL = BranchPolicy("principal")
+#: the continuation branches of the linear row, one fixed per evaluation run
+PAPER = "paper"
+PRINCIPAL = "principal"
 
 
 class AffineExp(FrozenRecord):
@@ -70,19 +60,22 @@ def _const_pow(rate: ParamPoly | None, alpha: Q, beta: Q, reg: str) -> list[Prim
 
 
 def osc_linear(
-    q: AffineExp, sign: int, policy: BranchPolicy, rate: ParamPoly | None = None
+    q: AffineExp, sign: int, policy: str, rate: ParamPoly | None = None
 ) -> ZetaTerm:
     """int_0^inf r^q e^(sign * i * rate * T * r) dr.
 
     Returns Gamma(q+1) * phase * (rate*T)^(-q-1) with the phase set by the
-    branch policy.  ``rate`` defaults to 1 and must be a positive monomial.
+    branch, ``PAPER`` or ``PRINCIPAL``.  ``rate`` defaults to 1 and must be a
+    positive monomial.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if policy not in (PAPER, PRINCIPAL):
+        raise ValueError(f"unknown branch mode {policy!r}")
     _check_gamma_arg(q)
     a, b, reg = q.a, q.b, q.regulator
     b1 = rational.add(b, rational.ONE)
-    if policy.mode == "paper":
+    if policy == PAPER:
         if sign > 0:
             # -i e^(-i pi q / 2)
             phase = rational.mul(a, (-1, 2)), rational.mul(b1, (-1, 2))

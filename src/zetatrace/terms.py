@@ -342,7 +342,7 @@ def _expand_to_lead(
 def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
     """A Gamma's key and offset: b = n/d splits into the offset ``n // d`` and the key's
     regulator, slope and ``n % d`` over ``d``, so Gammas of one key differ by integer shifts."""
-    if f.kind is not FactorKind.GAMMA:
+    if f.kind != FactorKind.GAMMA:
         return None
     whole, frac = divmod(f.beta[0], f.beta[1])
     return (f.regulator, f.alpha, frac, f.beta[1]), whole

@@ -17,11 +17,11 @@ from zetatrace.rational import to_float
 def factor_value(f, z: complex, bindings=None) -> complex:
     """A primitive factor's value at the regulator value z."""
     arg = complex(to_float(f.alpha)) * z + complex(to_float(f.beta))
-    if f.kind is FactorKind.GAMMA:
+    if f.kind == FactorKind.GAMMA:
         return lanczos.gamma(arg)
-    if f.kind is FactorKind.EXP_IPI:
+    if f.kind == FactorKind.EXP_IPI:
         return cmath.exp(1j * math.pi * arg)
-    if f.kind is FactorKind.AFFINE:
+    if f.kind == FactorKind.AFFINE:
         return arg ** f.power
     b = f.base_poly().eval(bindings or {})
     return b ** arg

@@ -670,7 +670,7 @@ EQUIVALENCE_MODELS = (
 )
 
 
-@pytest.mark.parametrize("policy", [PAPER, PRINCIPAL], ids=lambda p: p.mode)
+@pytest.mark.parametrize("policy", [PAPER, PRINCIPAL], ids=str)
 @pytest.mark.parametrize(
     "name, overrides", EQUIVALENCE_MODELS, ids=[f"{n}{o or ''}" for n, o in EQUIVALENCE_MODELS]
 )
@@ -732,7 +732,7 @@ INVARIANT_MODELS = (
 )
 
 
-@pytest.mark.parametrize("policy", [PAPER, PRINCIPAL], ids=lambda p: p.mode)
+@pytest.mark.parametrize("policy", [PAPER, PRINCIPAL], ids=str)
 @pytest.mark.parametrize(
     "name, overrides", INVARIANT_MODELS, ids=[f"{n}{o or ''}" for n, o in INVARIANT_MODELS]
 )

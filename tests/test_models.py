@@ -89,7 +89,7 @@ def test_all_models_pass_on_both_branches():
     for name in REGISTRY:
         for policy in (PAPER, PRINCIPAL):
             run = run_model(name, policy)
-            assert run.passed, f"{name} under {policy.mode}: {run.failures}"
+            assert run.passed, f"{name} under {policy}: {run.failures}"
 
 
 def test_branch_values_identical_across_registry():
@@ -111,3 +111,22 @@ def test_expected_mismatch_is_reported():
     run = run_model("broken", registry={"broken": entry})
     assert not run.passed
     assert run.failures
+
+
+def test_an_expected_value_equal_only_in_number_is_reported():
+    """A run compares with ``==``, not at sample bindings: chi_top = 1/(4 pi^2 J)
+    written as the number 0.25/pi^2 over J, with no ``pi`` atom, has the same
+    value at every binding but another monomial, so it fails."""
+    numeric = mono(0.25 / math.pi**2, J=-1)
+
+    def builder():
+        model = build_model("topological_oscillator")
+        model.expected = dict(model.expected, chi_top=numeric)
+        return model
+
+    run = run_model("numeric_chi", registry={"numeric_chi": RegistryEntry(builder, "rotor", "n/a")})
+    got = run.results["chi_top"].value
+    for j in (0.5, 1.0, 2.7):
+        assert got.eval({"J": j}) == pytest.approx(numeric.eval({"J": j}), rel=1e-12)
+    assert got != numeric
+    assert [f.split(":")[0] for f in run.failures] == ["chi_top"]

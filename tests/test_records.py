@@ -35,7 +35,7 @@ from zetatrace.models import ModelRun, RegistryEntry, harmonic_oscillator_1d, ph
 from zetatrace.params import Param, ParamPoly
 from zetatrace.records import FrozenRecord, Record
 from zetatrace.symbols import EvolutionPiece, IntegrandPiece, InvolutionEvolution, MatrixSymbol, ReducedPhase
-from zetatrace.tables import AffineExp, BranchPolicy
+from zetatrace.tables import AffineExp
 from zetatrace.terms import Divergent, TAsymptote, TAsymTerm, ZetaTerm
 
 P, Q = ParamPoly.var("m"), ParamPoly.number(2.0)
@@ -63,7 +63,6 @@ CASES = {
     ),
     TAsymTerm: ((P, Fraction(1), 1, Q), (Q, Fraction(0), 0, ParamPoly.zero())),
     Divergent: (("grows like T",), ("grows like ln(T)",)),
-    BranchPolicy: (("paper",), ("principal",)),
     AffineExp: (("z", (1, 1), (0, 1)), ("z2", (2, 1), (1, 2))),
     ReducedPhase: (({"u": P}, {"u": Q}, P, None, None), ({}, {}, Q, P, "r")),
     MatrixSymbol: ((P, Q, K_DIAGONAL, ()), (Q, P, K_SWAP, ("h",))),
@@ -157,8 +156,6 @@ def test_constructors_take_keywords_and_check_their_fields():
     assert ModelSpec(name="m", description="d", params=(), groups=(), hamiltonian=P, observables={},
                      t_symbol="TX") == ModelSpec("m", "d", (), (), P, {}, t_symbol="TX")
     assert KVAmplitudeSpec(dimension=2, vol_x=Q) == KVAmplitudeSpec(2, (), Q)
-    with pytest.raises(ValueError):
-        BranchPolicy("nearest")
 
 
 @pytest.mark.parametrize("record", [
@@ -236,7 +233,4 @@ def test_a_divergent_prints_its_reason_alone():
 
 def test_a_primitive_factors_repr_shows_no_cache():
     factor = PrimitiveFactor(*CASES[PrimitiveFactor][0])
-    hash(factor)
-    factor.raised(2)  # memoised in _formed
-    assert factor._hash is not None and factor._formed and factor.fold_key is not None
-    assert not any(slot in repr(factor) for slot in ("fold_key", "_hash", "_formed"))
+    assert factor.fold_key is not None and "fold_key" not in repr(factor)

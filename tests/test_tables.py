@@ -79,6 +79,10 @@ class TestOscLinear:
         with pytest.raises(GammaPole):
             osc_linear(AffineExp("z", (0, 1), (-1, 1)), +1, PAPER)
 
+    def test_unknown_branch_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown branch"):
+            osc_linear(Q_Z, +1, "nearest")
+
 
 class TestGaussRadial:
     def test_fresnel_value(self):

@@ -17,6 +17,7 @@ from zetatrace.laurent import (
     FactorKind,
     MeroFactorProduct,
     PrimitiveFactor,
+    expand_factor,
     expand_product,
     positive_base,
 )
@@ -31,6 +32,7 @@ from zetatrace.terms import (
     ZetaTermSum,
     _expand_to_lead,
     _merge_tlin,
+    _pair_key,
     divide_by_reference,
     ratio_limit,
     thermal_limit,
@@ -535,7 +537,7 @@ def test_unpaired_phases_are_inverted_in_every_term():
 def test_division_leaves_one_factor_per_phase_or_base(kind):
     """e^(i pi (z/2 - 1/4 + 3/2)) over e^(i pi (-1/4)) e^(i pi 3/2) is the one factor
     e^(-i pi z/2): pairing one by one left e^(i pi (-z/2 - 1/4)) e^(i pi 7/4) e^(i pi (-3/2))."""
-    base = positive_base(ParamPoly.number(0.5)) if kind is FactorKind.CONST_POW else None
+    base = positive_base(ParamPoly.number(0.5)) if kind == FactorKind.CONST_POW else None
     f = lambda a, b: PrimitiveFactor(kind, a, b, base=base)
     one = lambda *factors: ZetaTerm(MeroFactorProduct(ParamPoly.one(), factors))
     common = (f((0, 1), (-1, 4)), f((0, 1), (3, 2)))
@@ -595,7 +597,7 @@ def test_merged_keys_factors_as_a_multiset():
     assert [t.coeff.prefactor.terms for t in merged] == [{(): 3.0}, {(): 4.0}]
 
 
-@pytest.mark.parametrize("make", [
+one_factor_of_each_kind = pytest.mark.parametrize("make", [
     lambda: PrimitiveFactor(FactorKind.GAMMA, (1, 2), (-1, 1), regulator="z2"),
     lambda: PrimitiveFactor(FactorKind.EXP_IPI, (-1, 4), (3, 4)),
     lambda: PrimitiveFactor(FactorKind.AFFINE, (2, 1), (1, 3), power=-2),
@@ -604,6 +606,9 @@ def test_merged_keys_factors_as_a_multiset():
         base=positive_base(ParamPoly.monomial(2 / 9, {"J": Fraction(1, 2)})), regulator="z1",
     ),
 ], ids=["gamma", "half-turn", "affine", "const-pow"])
+
+
+@one_factor_of_each_kind
 def test_primitive_factor_hash_contract(make):
     a, b = make(), make()
     assert a == b and hash(a) == hash(b) == hash(b)
@@ -613,10 +618,21 @@ def test_primitive_factor_hash_contract(make):
     for i, other in enumerate([FactorKind.AFFINE, (3, 1), (5, 7), 4, (1.5, ExpKey()), "z9"]):
         if other != fields[i]:
             assert PrimitiveFactor(*fields[:i], other, *fields[i + 1:]) != a, i
-    object.__setattr__(a, "_hash", 12345)  # as if pickled by a process with another string-hash seed
     loaded = pickle.loads(pickle.dumps(a))
     assert loaded == b and hash(loaded) == hash(b)
     assert loaded.fold_key == b.fold_key
+
+
+@one_factor_of_each_kind
+def test_an_unpickled_factor_takes_the_branches_of_its_kind(make):
+    """A kind is a plain string, and an unpickled one is a fresh string: the
+    code compares kinds with ``==``, where ``is`` would take another branch."""
+    factor = make()
+    loaded = pickle.loads(pickle.dumps(factor))
+    assert loaded.kind == factor.kind and loaded.kind is not factor.kind
+    coeffs = lambda series: (series.lead, [repr(c.terms) for c in series.coeffs])
+    assert coeffs(expand_factor(loaded, 4)) == coeffs(expand_factor(factor, 4))
+    assert _pair_key(loaded) == _pair_key(factor)
 
 
 # ---------------------------------------------------------------------------
