@@ -42,7 +42,7 @@ from .symbols import (
     involution_exp,
     t_free,
 )
-from .tables import AffineExp, PAPER, angular_moment, gauss_radial, osc_linear
+from .tables import AffineExp, PAPER, PRINCIPAL, angular_moment, gauss_radial, osc_linear
 from .terms import (
     Divergent,
     TAsymptote,
@@ -547,12 +547,22 @@ def build_trace_sums(
     return num, den, steps
 
 
+def _check_arguments(policy: str, series_order: int) -> None:
+    """A derivation's branch and series order, checked where they enter: an
+    unknown branch would run as another, and order 0 would never end."""
+    if policy not in (PAPER, PRINCIPAL):
+        raise ValidationError(f"branch must be {PAPER!r} or {PRINCIPAL!r}, got {policy!r}")
+    if type(series_order) is not int or series_order < 1:
+        raise ValidationError(f"series order must be an int >= 1, got {series_order!r}")
+
+
 def expectation(
     model: ModelSpec,
     observable_name: str,
     policy: str = PAPER,
     series_order: int = DEFAULT_ORDER,
 ) -> ExpectationResult:
+    _check_arguments(policy, series_order)
     obs = model.observables[observable_name]
     num, den, steps = build_trace_sums(model, obs, policy)
     try:
@@ -590,6 +600,8 @@ class KVAmplitudeSpec(Record):
 
     def __init__(self, dimension: int, terms: tuple[tuple[Fraction, int, ParamPoly], ...] = (),
                  vol_x: ParamPoly | None = None):
+        if dimension < 1:
+            raise UnsupportedStructure("dimension must be >= 1")
         for d, l, _ in terms:
             if l < 0:
                 raise UnsupportedStructure("log order must be nonnegative")
@@ -667,6 +679,7 @@ def effective_potential(
     monomial times a numeric phase; the logarithm is then taken structurally
     and the non-polynomial remainder vanishes in the volume limit.
     """
+    _check_arguments(policy, series_order)
     if model.field_param is None:
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
     phase, integrals, (z_items,) = reduced_sides(model, (ParamPoly.one(),))

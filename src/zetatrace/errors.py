@@ -99,7 +99,7 @@ class ParseError(ZetatraceError):
 
 
 class ValidationError(ZetatraceError):
-    """Parsed model violates the reducibility hypotheses."""
+    """Parsed model violates the reducibility hypotheses, or a derivation's branch or series order is invalid."""
 
 
 class UsageError(ZetatraceError):

@@ -4,7 +4,10 @@ A regulator-dependent coefficient ``K(z)`` is kept as a canonical product of
 primitive factors (integer powers of a Gamma or of an affine polynomial, a
 half-turn exponential ``e^{i pi (a z + b)}``, rational powers of positive
 parameter monomials).  Each factor has a closed Taylor/Laurent expansion at
-``z = 0``; products expand by truncated convolution.
+``z = 0``; products expand by truncated convolution, one loop
+(``_convolve``) for numbers and ``ParamPoly`` coefficients alike.  A Gamma at
+a pole is no kind of its own: Gamma(a z - n) is Gamma(a z + 1) times the
+affine factors of ``gamma_quotient``, expanded as a product.
 
 The series of a Gamma, half-turn or affine factor is plain numbers times one
 fixed monomial (``pi^(1/2)`` for a Gamma at a half-integer, else none), so
@@ -187,6 +190,15 @@ def positive_base(base: ParamPoly) -> tuple[float, ExpKey]:
     return coeff.real, key
 
 
+def gamma_quotient(f: PrimitiveFactor, k: int) -> list[PrimitiveFactor]:
+    """Gamma(x + k) / Gamma(x) = x (x+1) ... (x+k-1), or 1/((x-1) ... (x+k)) for k < 0; f = Gamma(x)."""
+    shifts, power = (range(k), 1) if k >= 0 else (range(-1, k - 1, -1), -1)
+    return [
+        PrimitiveFactor(FactorKind.AFFINE, f.alpha, rational.add(f.beta, (j, 1)), power, regulator=f.regulator)
+        for j in shifts
+    ]
+
+
 def _affine_str(a: Q, b: Q, z: str) -> str:
     parts = []
     if a[0] != 0:
@@ -250,7 +262,8 @@ class LaurentSeries:
     Coefficients are ``ParamPoly``s; the regulator elimination in ``terms``
     reads a product's series and builds none of its own.  A coefficient may
     be zero, the lead one included: the lead order of a series is where its
-    first nonzero coefficient sits.  ``expand_product`` multiplies these
+    first nonzero coefficient sits.  ``mul`` truncates to the shorter series
+    and convolves with ``_convolve``.  ``expand_product`` multiplies these
     series only from its first ``const_pow`` factor on; the Gamma, half-turn
     and affine factors before it are convolved as lists of complex numbers.
     """
@@ -261,13 +274,9 @@ class LaurentSeries:
         self.lead = lead
         self.coeffs = list(coeffs)
 
-    def mul(self, other: "LaurentSeries", zero) -> "LaurentSeries":
+    def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         n = min(len(self.coeffs), len(other.coeffs))
-        out = [zero for _ in range(n)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                if i + j < n:
-                    out[i + j] = out[i + j] + a * b
+        out = _convolve(self.coeffs, other.coeffs, n, ParamPoly.zero())
         return LaurentSeries(self.lead + other.lead, out)
 
     def scale(self, poly) -> "LaurentSeries":
@@ -280,22 +289,12 @@ def _numeric_series(lead: int, coeffs: Sequence[complex]) -> LaurentSeries:
 
 def _exp_numeric(linear: Sequence[complex], order: int) -> list[complex]:
     """Taylor coefficients of exp(sum_k linear[k] z^(k+1)) to z^order."""
-    poly = [0j] * (order + 1)
-    for k, c in enumerate(linear):
-        if k + 1 <= order:
-            poly[k + 1] = c
-    acc = [0j] * (order + 1)
-    acc[0] = 1.0
-    term = [0j] * (order + 1)
-    term[0] = 1.0
+    poly = list(linear[:order]) + [0j] * (order - len(linear))  # coefficients of z^1 .. z^order
+    acc = [1.0] + [0j] * order
+    term = list(acc)
     for n in range(1, order + 1):
-        nxt = [0j] * (order + 1)
-        for i in range(order + 1):
-            if term[i] == 0:
-                continue
-            for j in range(1, order + 1 - i):
-                nxt[i + j] += term[i] * poly[j]
-        term = [v / n for v in nxt]
+        # term * poly, one power of z up: poly[0] is the coefficient of z^1
+        term = [0j] + [v / n for v in _convolve(term, poly, order)]
         for i in range(order + 1):
             acc[i] += term[i]
         if all(v == 0 for v in term):
@@ -304,9 +303,7 @@ def _exp_numeric(linear: Sequence[complex], order: int) -> list[complex]:
 
 
 def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Laurent series of a primitive factor at z = 0, ``order`` terms past the lead."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """Laurent series of a primitive factor at z = 0, ``order`` >= 0 terms past the lead."""
     a = rational.to_float(f.alpha)
 
     if f.kind == FactorKind.EXP_IPI:
@@ -341,28 +338,16 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
         if f.power < 1:
             raise UnsupportedFactor(f"Gamma to the power {f.power}")
         one = expand_factor(f.remade(f.alpha, f.beta), order)
-        return reduce(lambda series, _: series.mul(one, ParamPoly.zero()), range(f.power - 1), one)
+        return reduce(lambda series, _: series.mul(one), range(f.power - 1), one)
 
     if f.kind == FactorKind.GAMMA:
         b = f.beta
         if b[1] == 1 and b[0] <= 0:
             if f.alpha[0] == 0:
                 raise UnsupportedFactor(f"Gamma({b[0]}) has no regulator to expand against")
-            # Gamma(a z + b) = Gamma(a z + 1) / prod_{k=0..n} (a z - k),  n = -b
-            n = -b[0]
-            series = expand_factor(
-                PrimitiveFactor(FactorKind.GAMMA, f.alpha, rational.ONE, regulator=f.regulator), order + 1
-            )
-            num = [c.as_number() for c in series.coeffs]
-            for k in range(1, n + 1):
-                # 1/(a z - k) = -(1/k) sum_j (a z / k)^j
-                rec = [1.0 / -k]
-                for _ in range(order + 1):
-                    rec.append(rec[-1] * a / k)
-                num = _convolve(num, rec, order + 2)
-            # divide by (a z): shift lead down by one
-            num = [c / a for c in num]
-            return _numeric_series(-1, num[: order + 1])
+            # Gamma(a z - n) = Gamma(a z + 1) / ((a z) (a z - 1) ... (a z - n))
+            g = f.remade(f.alpha, rational.ONE)
+            return expand_product(MeroFactorProduct(ParamPoly.one(), (g, *gamma_quotient(g, b[0] - 1))), order)
         g0 = gamma_value(b)
         linear = [
             polygamma_value(k - 1, b) * a ** k / math.factorial(k)
@@ -385,10 +370,13 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
     return LaurentSeries(0, coeffs)
 
 
-def _convolve(xs: Sequence[complex], ys: Sequence[complex], n: int) -> list[complex]:
-    out = [0j] * n
+def _convolve(xs: Sequence, ys: Sequence, n: int, zero=0j) -> list:
+    """The first n coefficients of the product of two coefficient lists, numbers or
+    ``ParamPoly``s (``zero`` the zero poly): each out[m] adds x_i * y_(m-i) in
+    order of i, and skips a zero number x_i.  The one convolution loop."""
+    out = [zero] * n
     for i, x in enumerate(xs):
-        if x == 0:
+        if not x:
             continue
         for j, y in enumerate(ys):
             if i + j < n:
@@ -409,9 +397,10 @@ def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentS
     """Truncated Laurent expansion of a factor product times its prefactor.
 
     Bit for bit the fold ``series.mul(expand_factor(f))`` over the factors in
-    order, then ``.scale(prefactor)``: the factors before the first
-    ``const_pow`` are convolved as complex numbers in that same order, which
-    performs the same float operations.
+    order, then ``.scale(prefactor)``.  The one fast path: the factors before
+    the first ``const_pow`` are convolved as complex numbers in that same
+    order, which performs the same float operations, and lifted to one
+    ``ParamPoly`` per coefficient; the fold takes over from there.
     """
     factors = p.factors
     split = next((i for i, f in enumerate(factors) if f.kind == FactorKind.CONST_POW), len(factors))
@@ -425,18 +414,7 @@ def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentS
     if split == len(factors):
         pre = [(_merge_keys(key, k), c) for k, c in p.prefactor.terms.items()]
         return LaurentSeries(lead, [ParamPoly._canonical({k: x * c for k, c in pre}) for x in nums])
-    # The first const_pow's coefficients carry distinct powers of ln(base), so
-    # no two products share a monomial: each coefficient is one dict of
-    # products, which is what the fold's additions leave after pruning.
-    series = expand_factor(factors[split], order)
-    logs = _terms(series)
-    series = LaurentSeries(lead + series.lead, [
-        ParamPoly._canonical({
-            _merge_keys(key, logs[m - i][0]): nums[i] * logs[m - i][1]
-            for i in range(m + 1) if nums[i] and logs[m - i]
-        })
-        for m in range(order + 1)
-    ])
-    for f in factors[split + 1:]:
-        series = series.mul(expand_factor(f, order), ParamPoly.zero())
+    series = LaurentSeries(lead, [ParamPoly._canonical({key: x}) for x in nums])
+    for f in factors[split:]:
+        series = series.mul(expand_factor(f, order))
     return series.scale(p.prefactor)

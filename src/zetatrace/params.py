@@ -187,14 +187,6 @@ class ParamPoly:
     def is_one(self) -> bool:
         return self.terms == {(): 1.0}
 
-    def as_number(self) -> complex | None:
-        """Return the numeric value if the poly is a pure number, else None."""
-        if not self.terms:
-            return 0j
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
-
     def single_monomial(self) -> tuple[complex, ExpKey] | None:
         if len(self.terms) == 1:
             ((key, coeff),) = self.terms.items()

@@ -110,14 +110,12 @@ def gauss_radial(q: AffineExp, rate: ParamPoly | None = None) -> ZetaTerm:
 
 
 def angular_moment(powers: tuple[int, ...], dim: int) -> ParamPoly:
-    """Exact integral of prod_j xihat_j^(p_j) over the unit sphere S^(dim-1).
+    """Exact integral of prod_j xihat_j^(p_j) over the unit sphere S^(dim-1), dim >= 1.
 
     Odd monomials vanish; even monomials give
     2 * prod Gamma((p_j+1)/2) / Gamma((dim + sum p_j)/2), kept exact in
     rational multiples of half-integer powers of pi.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
     if len(powers) > dim:
         raise UnsupportedAngular("more direction components than dimensions")
     if any(p < 0 for p in powers):

@@ -52,6 +52,7 @@ from .laurent import (
     MeroFactorProduct,
     PrimitiveFactor,
     expand_product,
+    gamma_quotient,
 )
 from .params import ParamPoly
 from .rational import Q
@@ -358,15 +359,6 @@ def _partners(factors: tuple[PrimitiveFactor, ...]) -> dict[tuple, list[list[int
     return out
 
 
-def _gamma_quotient(f: PrimitiveFactor, k: int) -> list[PrimitiveFactor]:
-    """Gamma(x + k) / Gamma(x) = x (x+1) ... (x+k-1), or 1/((x-1) ... (x+k)) for k < 0; f = Gamma(x)."""
-    shifts, power = (range(k), 1) if k >= 0 else (range(-1, k - 1, -1), -1)
-    return [
-        PrimitiveFactor(FactorKind.AFFINE, f.alpha, rational.add(f.beta, (j, 1)), power, regulator=f.regulator)
-        for j in shifts
-    ]
-
-
 def _divide_term(
     t: ZetaTerm, partners: dict[tuple, list[list[int]]], divisor: list[tuple],
     inverses: tuple[PrimitiveFactor, ...], inverse_t_lin: TLin,
@@ -381,7 +373,7 @@ def _divide_term(
             take = min(need, e[2])
             e[2] -= take
             need -= take
-            slots[e[1]] += [q if take == 1 else q.raised(take) for q in _gamma_quotient(g, e[0] - offset)]
+            slots[e[1]] += [q if take == 1 else q.raised(take) for q in gamma_quotient(g, e[0] - offset)]
     for pool in partners.values():
         for _, i, left in pool:
             f = factors[i]

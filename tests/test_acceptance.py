@@ -239,7 +239,7 @@ def test_criterion_12_property_suites():
     fb = (PrimitiveFactor(FactorKind.AFFINE, (1, 1), (3, 1)),)
     joint = expand_product(MeroFactorProduct(ParamPoly.one(), fa + fb), 4)
     split = expand_product(MeroFactorProduct(ParamPoly.one(), fa), 4).mul(
-        expand_product(MeroFactorProduct(ParamPoly.one(), fb), 4), ParamPoly.zero()
+        expand_product(MeroFactorProduct(ParamPoly.one(), fb), 4)
     )
     for p in range(0, 4):
         x = (coeff_at(joint, p) or ParamPoly.zero()).eval({})
@@ -251,7 +251,7 @@ def test_criterion_12_property_suites():
         [osc_linear(AffineExp("z", (1, 1), (1, 1)), +1, PAPER),
          osc_linear(AffineExp("z", (1, 1), (1, 1)), -1, PAPER)]
     )
-    assert thermal_limit(ratio_limit(s, s)).as_number() == pytest.approx(1.0)
+    assert thermal_limit(ratio_limit(s, s)).eval() == pytest.approx(1.0)
 
     # involution group law at random bindings
     from zetatrace.symbols import involution_exp

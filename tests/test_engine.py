@@ -289,10 +289,10 @@ def test_complete_square_unit_case():
     amp = ParamPoly.var("r")
     new_phase, new_amp, const, shift = complete_square(phase, amp, "r")
     assert new_phase.g1["r"].is_zero()
-    assert const.as_number() == pytest.approx(1.0)
-    assert shift.as_number() == pytest.approx(1.0)
+    assert const.eval() == pytest.approx(1.0)
+    assert shift.eval() == pytest.approx(1.0)
     # amp(r - shift) = r - 1
-    assert new_amp.by_power("r")[0].as_number() == pytest.approx(-1.0)
+    assert new_amp.by_power("r")[0].eval() == pytest.approx(-1.0)
 
 
 def test_complete_square_identity_when_no_linear_part():
@@ -381,7 +381,7 @@ def test_expectation_identity_observable_is_one():
     model = topological_oscillator()
     model.observables["one"] = ParamPoly.one()
     res = expectation(model, "one", PAPER)
-    assert res.value.as_number() == pytest.approx(1.0)
+    assert res.value.eval() == pytest.approx(1.0)
 
 
 def test_expectation_harmonic_oscillator():
@@ -461,9 +461,9 @@ def direct_homogeneous_tail(dim, d, l):
 
 def test_kv_trace_single_term_examples():
     spec = KVAmplitudeSpec(dimension=1, terms=((Fraction(-3), 0, ParamPoly.one()),))
-    assert kv_trace_at_zero(spec).as_number() == pytest.approx(1.0)
+    assert kv_trace_at_zero(spec).eval() == pytest.approx(1.0)
     spec_log = KVAmplitudeSpec(dimension=1, terms=((Fraction(-3), 1, ParamPoly.one()),))
-    assert kv_trace_at_zero(spec_log).as_number() == pytest.approx(0.5)
+    assert kv_trace_at_zero(spec_log).eval() == pytest.approx(0.5)
 
 
 def test_kv_trace_empty_spec_is_zero():
@@ -497,6 +497,16 @@ def test_kv_trace_terms_that_cancel_exactly_give_an_exact_zero():
 def test_kv_trace_zero_angular_part_is_not_an_underflow():
     spec = KVAmplitudeSpec(dimension=1, terms=((Fraction(-3), 0, ParamPoly.zero()),))
     assert kv_trace_at_zero(spec).is_zero()
+
+
+@pytest.mark.parametrize("dimension, terms, message", [
+    (0, (), "dimension must be >= 1"),
+    (-2, ((Fraction(-3), 0, ParamPoly.one()),), "dimension must be >= 1"),
+    (2, ((Fraction(-3), -1, ParamPoly.one()),), "log order must be nonnegative"),
+])
+def test_kv_spec_rejects_a_dimension_below_one_like_a_negative_log_order(dimension, terms, message):
+    with pytest.raises(UnsupportedStructure, match=message):
+        KVAmplitudeSpec(dimension, terms)
 
 
 def test_kv_trace_critical_degree_rejected():

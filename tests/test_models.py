@@ -1,8 +1,10 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 
+from zetatrace.engine import ModelSpec, expectation
 from zetatrace.errors import UnknownModel, ValidationError
 from zetatrace.models import (
     REGISTRY,
@@ -14,7 +16,9 @@ from zetatrace.models import (
     schwinger_free,
 )
 from zetatrace.params import ParamPoly
+from zetatrace.symbols import MatrixSymbol
 from zetatrace.tables import PAPER, PRINCIPAL
+from zetatrace.terms import TAsymTerm
 
 
 def mono(c, **exps):
@@ -102,6 +106,66 @@ def test_branch_values_identical_across_registry():
             continue
         for obs, res in paper.results.items():
             assert res.value == principal.results[obs].value, obs
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    ("policy", "nearest", "branch must be 'paper' or 'principal', got 'nearest'"),
+    ("series_order", 0, "series order must be an int >= 1, got 0"),
+    ("series_order", -1, "series order must be an int >= 1, got -1"),
+])
+def test_every_model_rejects_a_bad_branch_or_series_order_by_name(argument, value, message):
+    """Each model raises one ``ValidationError`` before any derivation work.
+
+    Order 0 once doubled a truncation of 0 forever, so a hang fails the test
+    after a few seconds instead of stalling the suite.
+    """
+    def hung(signum, frame):
+        raise TimeoutError(f"run_model({argument}={value!r}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for name in REGISTRY:
+            with pytest.raises(ValidationError) as caught:
+                run_model(name, **{argument: value})
+            assert str(caught.value) == message, name
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def without_constant_terms(symbol, axes):
+    """A scalar symbol's monomials that carry an axis symbol, or b I + c K without b."""
+    if isinstance(symbol, MatrixSymbol):
+        return MatrixSymbol(ParamPoly.zero(), symbol.coeff, symbol.kmatrix, symbol.direction_syms)
+    return ParamPoly({k: c for k, c in symbol.terms.items() if any(name in axes for name, _ in k)})
+
+
+@pytest.mark.parametrize("name, observable, constant, decaying", [
+    ("harmonic_oscillator_1d", "H", mono(0.5, hbar=1, omega=1), mono(-1j, hbar=1)),
+    ("harmonic_oscillator_nd", "H", mono(1.5, hbar=1, omega=1), mono(-3j, hbar=1)),
+    ("schwinger_free", "H_m", mono(1, m=1), mono(1j)),
+    ("dirac_fermion", "H_m", mono(1, m=1), mono(3j)),
+    ("schwinger_boson_mass", "m_g^2", mono(1, e=2, pi=-1), mono(-1j)),
+])
+def test_the_registry_value_is_a_constant_term_of_the_input(name, observable, constant, decaying):
+    """Five registry values are a constant term of H or of the observable.
+
+    With that constant taken out of both, the thermal limit is 0 and the
+    finite-T value is the integrals' part alone, decaying like 1/T.
+    """
+    spec = build_model(name)
+    assert spec.expected[observable] == constant
+    symbol = spec.observables[observable]
+    stripped = without_constant_terms(symbol, {axis for g in spec.groups for axis in g.axes})
+    assert (symbol.scalar if isinstance(symbol, MatrixSymbol) else symbol - stripped) == constant
+    fields = dict(zip(spec.__match_args__, spec._fields()))
+    fields["observables"] = {observable: stripped}
+    if spec.hamiltonian is symbol:
+        fields["hamiltonian"] = stripped
+    result = expectation(ModelSpec(**fields), observable)
+    assert result.value.is_zero()
+    assert result.finite_t.terms == [TAsymTerm(decaying, Fraction(-1))]
 
 
 def test_expected_mismatch_is_reported():
