@@ -19,10 +19,12 @@ at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
 Elimination is lead first.  Each limit reads one Laurent coefficient of a
 sum, the lead one, so every term is first expanded to its own lead
 coefficient only; the full series to the requested truncation is built only
-when the coefficients at the least of those leads cancel.  A coefficient
-below a truncation is the same float operations at every truncation, so the
-leads, their coefficients and the truncation reported are those of the full
-expansion, bit for bit.
+when the coefficients at the least of those leads cancel, and a doubled one
+only while the sum still vanishes there.  Each sum runs this schedule on its
+own, and each truncation searches only the powers the last one did not
+reach.  A coefficient below a truncation is the same float operations at
+every truncation, so the leads, their coefficients and the truncation
+reported are those of the full expansion, bit for bit.
 
 A Laurent coefficient vanishes when its terms, grouped by exact structure
 (the set of canonical factors, ``T`` and ``ln T`` powers, the phase's exact
@@ -256,10 +258,10 @@ def _coefficients(
 
     A term with no factor in the regulator is its own prefactor at z^0.  The
     expansion of T^(a z) contributes exact powers of ln T.  Terms keep sum
-    order within each power.
+    order within each power.  An empty sum ends at z^0.
     """
     out: dict[int, list[ZetaTerm]] = {}
-    top = None
+    ends = []
     for term in s.terms:
         local = tuple(f for f in term.coeff.factors if f.regulator == regulator)
         rest_factors = tuple(f for f in term.coeff.factors if f.regulator != regulator)
@@ -272,7 +274,7 @@ def _coefficients(
         else:
             lead, coeffs = 0, [term.coeff.prefactor]
         end = lead + order + 1
-        top = end if top is None else min(top, end)
+        ends.append(end)
         # multiply by sum_k (a ln T)^k z^k / k!
         for j, cpoly in enumerate(coeffs):
             if cpoly.is_zero():
@@ -284,27 +286,29 @@ def _coefficients(
                     MeroFactorProduct._canonical(c, rest_factors), t_lin, term.t_const,
                     term.t_log + k, term.phase,
                 ))
-    return out, top
+    return out, min(ends, default=0)
 
 
-def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> tuple[int | None, ZetaTermSum]:
-    """Lead order of a sum in one regulator, and its lead coefficient merged.
+def _expand_sum_in(
+    s: ZetaTermSum, regulator: str, order: int, low: int | None = None
+) -> tuple[int | None, ZetaTermSum, int]:
+    """Lead order of a sum in one regulator, its lead coefficient merged, and the truncation.
 
     Lead first: each term is expanded to its own lead coefficient only
     (truncation 0).  Only if the merged coefficient at the least of those
-    leads cancels is the sum expanded to truncation ``order`` and searched
-    on, up to where its shortest term ends; each coefficient is merged once.
-    A coefficient below a truncation is the same float operations at any
+    leads cancels is the sum expanded to truncation ``order``, and while it
+    still vanishes, again by a call at ``max(2 * order, 1)`` up to
+    ``MAX_ORDER``; each truncation searches only the powers from ``low``,
+    where the last one stopped, so each coefficient is merged once.  A
+    coefficient below a truncation is the same float operations at any
     truncation (only the sign of a zero can differ, and ``ParamPoly``
     normalises it), so the result is the full expansion's bit for bit.  The
     coefficient is free of the regulator; the lead is None, with a zero sum,
-    when every coefficient below the truncation vanishes.
+    when every coefficient below the last truncation vanishes.  A retry is a
+    call, not a loop, because perfbench's tracer counts calls per truncation.
     """
     rest = tuple(r for r in s.regulators if r != regulator)
-    if not s.terms:
-        return None, ZetaTermSum.zero(rest, s.t_symbol)
-    low = None
-    for truncation in (0, order):
+    for truncation in (0, order) if low is None else (order,):
         out, top = _coefficients(s, regulator, truncation)
         if low is None:
             low = min(out, default=top)
@@ -312,32 +316,11 @@ def _expand_sum_in(s: ZetaTermSum, regulator: str, order: int) -> tuple[int | No
             if p in out:
                 coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
                 if coeff.terms:
-                    return p, coeff
+                    return p, coeff, order
         low = top
-    return None, ZetaTermSum.zero(rest, s.t_symbol)
-
-
-def _expand_to_lead(
-    sums: list[ZetaTermSum], regulator: str, order: int
-) -> tuple[list[int | None], list[ZetaTermSum], int]:
-    """Lead order and merged lead coefficient of each sum in one regulator.
-
-    Each sum is expanded lead first (``_expand_sum_in``) at truncation
-    ``order``.  While some sum vanishes to the truncation, the truncation
-    doubles, up to ``MAX_ORDER``, and those sums are expanded again; a lead
-    found at one truncation is the lead at every higher one.  Returns the
-    lead orders (``None`` for a sum still vanishing at the last truncation),
-    the lead coefficients and the truncation used.
-    """
-    found = [_expand_sum_in(s, regulator, order) for s in sums]
-    k = order
-    while k < MAX_ORDER and any(lead is None for lead, _ in found):
-        k *= 2
-        found = [
-            _expand_sum_in(s, regulator, k) if lead is None else (lead, coeff)
-            for s, (lead, coeff) in zip(sums, found)
-        ]
-    return [lead for lead, _ in found], [coeff for _, coeff in found], k
+    if order < MAX_ORDER:
+        return _expand_sum_in(s, regulator, max(2 * order, 1), low)
+    return None, ZetaTermSum.zero(rest, s.t_symbol), order
 
 
 def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
@@ -422,17 +405,19 @@ def divide_by_reference(
 def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
     """Evaluate the meromorphic extension of the sum at regulator zero.
 
+    Regulators go in declared order, each by its lead (``_expand_sum_in``):
+    a lead at z^0 passes its coefficient on, one above z^0 (or none to the
+    last truncation) makes the value zero without expanding the rest.
     Per-term poles must cancel across the sum; otherwise ``PoleAtZero`` is
     raised with the order and the residue-level diagnostic.
     """
-    current = s
     for reg in s.regulators:
-        (lead,), (coeff,), _ = _expand_to_lead([current], reg, order)
-        if lead is not None and lead < 0:
-            raise PoleAtZero(-lead, coeff.render())
-        # the value at z = 0 is the lead coefficient if the lead is z^0, else zero
-        current = coeff if lead == 0 else ZetaTermSum.zero(coeff.regulators, s.t_symbol)
-    return _to_asymptote(current)
+        lead, s, _ = _expand_sum_in(s, reg, order)
+        if lead is None or lead > 0:
+            return TAsymptote.zero(s.t_symbol)
+        if lead < 0:
+            raise PoleAtZero(-lead, s.render())
+    return _to_asymptote(s)
 
 
 def _to_asymptote(s: ZetaTermSum) -> TAsymptote:
@@ -469,7 +454,9 @@ def ratio_limit(
         raise DivergentLimit("denominator is identically zero")
     n, d, g_orders = divide_by_reference(n, d)
     for reg in n.regulators:
-        (pn, pd), (cn, cd), k = _expand_to_lead([n, d], reg, order)
+        pn, cn, kn = _expand_sum_in(n, reg, order)
+        pd, cd, kd = _expand_sum_in(d, reg, order)
+        k = max(kn, kd)
         if pn is None and pd is None:
             raise ZeroOverZeroUnresolved(f"0/0 in {reg} unresolved at truncation order {k}")
         if trace is not None:

@@ -2,6 +2,7 @@ import cmath
 import math
 import pickle
 import re
+import signal
 from fractions import Fraction
 from functools import partial
 
@@ -30,7 +31,7 @@ from zetatrace.terms import (
     TAsymTerm,
     ZetaTerm,
     ZetaTermSum,
-    _expand_to_lead,
+    _expand_sum_in,
     _merge_tlin,
     _pair_key,
     divide_by_reference,
@@ -684,6 +685,12 @@ def full_expansion_to_lead(sums, regulator, order):
         k *= 2
 
 
+def expand_to_lead(sums, regulator, order):
+    """Each sum's lead and lead coefficient in one regulator, and the largest truncation."""
+    found = [_expand_sum_in(s, regulator, order) for s in sums]
+    return [lead for lead, _, _ in found], [coeff for _, coeff, _ in found], max(k for _, _, k in found)
+
+
 def exact_terms(s):
     """Every term's structure and the repr of its coefficients, in sum order."""
     return s.regulators, [
@@ -799,7 +806,7 @@ def lead_problems(draw):
 def test_lead_first_elimination_is_the_full_expansion_bit_for_bit(problem):
     sums, order = problem
     for reg in sums[0].regulators:
-        leads, coeffs, k = _expand_to_lead(sums, reg, order)
+        leads, coeffs, k = expand_to_lead(sums, reg, order)
         want_leads, want_coeffs, want_k = full_expansion_to_lead(sums, reg, order)
         assert (leads, k) == (want_leads, want_k)
         assert [exact_terms(c) for c in coeffs] == [exact_terms(c) for c in want_coeffs]
@@ -812,7 +819,7 @@ def test_lead_first_elimination_falls_back_past_a_cancelling_lead():
         ZetaTerm(MeroFactorProduct(ParamPoly.number(3 / 7), (GAMMA_Z,)), t_lin=(("z", (-1, 2)),)),
         ZetaTerm(MeroFactorProduct(ParamPoly.number(-3 / 7), (GAMMA_Z,))),
     ])
-    (lead,), (coeff,), k = _expand_to_lead([s], "z", 4)
+    (lead,), (coeff,), k = expand_to_lead([s], "z", 4)
     want_leads, want_coeffs, want_k = full_expansion_to_lead([s], "z", 4)
     assert (lead, k) == (0, 4) and ([lead], k) == (want_leads, want_k)
     assert exact_terms(coeff) == exact_terms(want_coeffs[0])
@@ -823,9 +830,67 @@ def test_lead_first_elimination_doubles_the_truncation_for_a_vanishing_sum():
     gamma = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1))
     t = ZetaTerm(MeroFactorProduct(ParamPoly.number(0.3), (gamma,)))
     vanishing = ZetaTermSum([t, scaled(t, ParamPoly.number(-1.0))])
-    leads, coeffs, k = _expand_to_lead([vanishing, ZetaTermSum([t])], "z", 3)
+    leads, coeffs, k = expand_to_lead([vanishing, ZetaTermSum([t])], "z", 3)
     assert (leads, k) == ([None, -1], 24)
     assert coeffs[0].terms == []
+
+
+def test_a_vanishing_sum_expands_each_truncation_and_merges_each_power_once(monkeypatch):
+    """Truncation 0, the order, then doubled: each retry starts where the last stopped."""
+    from zetatrace import terms
+
+    gamma = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1))  # leads at z^-1
+    t = ZetaTerm(MeroFactorProduct(ParamPoly.number(0.3), (gamma,)))
+    truncations, merges = [], []
+    coefficients, merged = terms._coefficients, ZetaTermSum.merged
+    monkeypatch.setattr(terms, "_coefficients",
+                        lambda s, reg, order: truncations.append(order) or coefficients(s, reg, order))
+    monkeypatch.setattr(ZetaTermSum, "merged", lambda s: merges.append(s) or merged(s))
+    lead, coeff, k = _expand_sum_in(ZetaTermSum([t, scaled(t, ParamPoly.number(-1.0))]), "z", 3)
+    assert (lead, coeff.terms, k) == (None, [], 24)
+    assert truncations == [0, 3, 6, 12, 24]
+    assert len(merges) == 25  # z^-1 .. z^23
+
+
+@pytest.fixture
+def alarm():
+    """Fail a call that does not return within 5 s instead of stalling the suite."""
+    def hung(signum, frame):
+        raise TimeoutError("the truncation schedule did not end")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_order_zero_ends_past_a_cancelling_lead(alarm):
+    """The retry after truncation 0 is at truncation 1, not a doubled 0."""
+    # 3/7 Gamma(z) (T^(-z/2) - 1): the z^-1 leads cancel, the value is -3/14 ln T
+    s = ZetaTermSum([
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(3 / 7), (GAMMA_Z,)), t_lin=(("z", (-1, 2)),)),
+        ZetaTerm(MeroFactorProduct(ParamPoly.number(-3 / 7), (GAMMA_Z,))),
+    ])
+    assert value_at_zero(s, 0).terms == value_at_zero(s, 4).terms
+    assert value_at_zero(s, 0).terms[0].log_power == 1
+    one = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.one()))])
+    trace = []
+    assert ratio_limit(s, one, 0, trace).terms == ratio_limit(s, one, 4).terms
+    assert trace == ["limit z -> 0: lead orders num = 0, den = 0 (truncation 1)"]
+
+
+def test_value_at_zero_takes_the_regulators_in_declared_order():
+    """2 z1 Gamma(z2): zero if z1 goes first, a simple pole in z2 if z2 does."""
+    factors = (
+        PrimitiveFactor(FactorKind.AFFINE, (1, 1), (0, 1), regulator="z1"),
+        PrimitiveFactor(FactorKind.GAMMA, (1, 1), (0, 1), regulator="z2"),
+    )
+    term = ZetaTerm(MeroFactorProduct(ParamPoly.number(2.0), factors))
+    assert value_at_zero(ZetaTermSum([term], ("z1", "z2"))).terms == []
+    with pytest.raises(PoleAtZero) as caught:
+        value_at_zero(ZetaTermSum([term], ("z2", "z1")))
+    assert caught.value.order == 1
 
 
 # ---------------------------------------------------------------------------
