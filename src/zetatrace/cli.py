@@ -139,8 +139,8 @@ def _emit_potential(run, args, bindings) -> int:
     return 0
 
 
-#: a derivation's cost grows like the cube of the dimension (64 takes under a
-#: second, 400 a minute) and with the series order (20000 takes seconds)
+#: a derivation's cost grows faster than linearly in the dimension (64 takes
+#: about 30 ms, 400 under a second) and with the series order (20000 takes seconds)
 MAX_DIM = 64
 MAX_SERIES_ORDER = 256
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from . import rational
@@ -440,45 +441,35 @@ def reduce_pieces(
     """Reduce one side's enumeration to the canonical term sum, one term per branch.
 
     ``rows`` holds the table row of each integral index (``table_rows``);
-    ``build_trace_sums`` passes one list to both sides.  A branch grows as
-    its coefficient and the tuple of its picked indices, and becomes one
-    ``ZetaTerm`` at the end: the coefficient times every picked multiplier
-    in pick order (a table row's own prefactor is 1), the picked rows'
-    factors multiplied, the ``T`` exponents summed and the evolution phase.
+    ``build_trace_sums`` passes one list to both sides.  A branch picks one
+    alternative per symbol (``itertools.product``: the last symbol fastest)
+    in one pass: the item's coefficient times the prefactor and each picked
+    multiplier that is not exactly 1, in pick order, and its indices
+    counted.  Its ``ZetaTerm`` has each distinct row's factors and ``T``
+    exponents times its count (a row's prefactor is 1), and the phase.
     """
     out: list[ZetaTerm] = []
     for poly, t_power, symbols in items:
-        branches: list[tuple[ParamPoly, tuple[int, ...]]] = [(poly * model.prefactor, ())]
-        for alternatives in symbols:
-            branches = [
-                (_times(coeff, mult), picked + (i,))
-                for coeff, picked in branches
-                for mult, i in alternatives
-            ]
-        out.extend(
-            _branch_term(coeff, picked, t_power, phase.const, rows)
-            for coeff, picked in branches
-            if not coeff.is_zero()
-        )
+        base = poly * model.prefactor
+        for picks in product(*symbols):
+            coeff, counts = base, {}
+            for mult, i in picks:
+                if not mult.is_one():  # times exactly 1 leaves the same bits
+                    coeff = coeff * mult
+                counts[i] = counts.get(i, 0) + 1
+            if not coeff.is_zero():
+                out.append(_branch_term(coeff, counts, t_power, phase.const, rows))
     return ZetaTermSum(out, model.regulators(), model.t_symbol)
-
-
-# a product with a factor of exactly 1 is bit-identical to the other factor
-def _times(coeff: ParamPoly, factor: ParamPoly) -> ParamPoly:
-    return coeff if factor.is_one() else coeff * factor
 
 
 def _branch_term(
     coeff: ParamPoly,
-    picked: tuple[int, ...],
+    counts: dict[int, int],
     t_power: Fraction,
     phase: ParamPoly,
     rows: Sequence[ZetaTerm],
 ) -> ZetaTerm:
     # integrals repeat across symbols: each distinct row's factors and exponents times its multiplicity
-    counts: dict[int, int] = {}
-    for i in picked:
-        counts[i] = counts.get(i, 0) + 1
     distinct = [(rows[i], n) for i, n in counts.items()]
     t_lin: dict[str, Q] = {}
     t_const = rational.of(t_power)

@@ -296,8 +296,8 @@ def _expand_sum_in(
 
     Lead first: each term is expanded to its own lead coefficient only
     (truncation 0).  Only if the merged coefficient at the least of those
-    leads cancels is the sum expanded to truncation ``order``, and while it
-    still vanishes, again by a call at ``max(2 * order, 1)`` up to
+    leads cancels is the sum expanded to truncation ``order`` (if above 0),
+    and while it still vanishes, by a call at ``max(2 * order, 1)`` up to
     ``MAX_ORDER``; each truncation searches only the powers from ``low``,
     where the last one stopped, so each coefficient is merged once.  A
     coefficient below a truncation is the same float operations at any
@@ -308,7 +308,7 @@ def _expand_sum_in(
     call, not a loop, because perfbench's tracer counts calls per truncation.
     """
     rest = tuple(r for r in s.regulators if r != regulator)
-    for truncation in (0, order) if low is None else (order,):
+    for truncation in ((0, order) if order else (0,)) if low is None else (order,):
         out, top = _coefficients(s, regulator, truncation)
         if low is None:
             low = min(out, default=top)

@@ -20,18 +20,18 @@ from cost import src_calls
 #: label -> (model, series order, overrides, calls at the pin)
 PINNED = {
     **{f"ho_nd.n{n}": ("harmonic_oscillator_nd", 4, {"n": n}, calls)
-       for n, calls in [(1, 1737), (2, 2866), (3, 3931), (4, 4972), (5, 6041), (6, 7138),
-                        (16, 19648), (32, 45488), (64, 118672)]},
+       for n, calls in [(1, 1713), (2, 2806), (3, 3819), (4, 4792), (5, 5777), (6, 6774),
+                        (16, 17404), (32, 36908), (64, 85132)]},
     **{f"ho_nd_axis.n{n}": ("harmonic_oscillator_nd", 4, {"n": n, "per_axis": True}, calls)
-       for n, calls in [(1, 1740), (2, 3603), (3, 5930)]},
+       for n, calls in [(1, 1716), (2, 3543), (3, 5818)]},
     **{f"ho_1d.o{o}": ("harmonic_oscillator_1d", o, {}, calls)
-       for o, calls in [(4, 1737), (8, 1737), (16, 1737)]},
+       for o, calls in [(4, 1713), (8, 1713), (16, 1713)]},
     **{f"dirac.o{o}": ("dirac_fermion", o, {"n": 3}, calls)
-       for o, calls in [(4, 2935), (8, 3329), (16, 4261)]},
+       for o, calls in [(4, 2911), (8, 3305), (16, 4237)]},
 }
 
-#: the log2 growth of the count from n = 32 to n = 64 axes; 1.38 at the pin
-SLOPE_CEILING = 1.45
+#: the log2 growth of the count from n = 32 to n = 64 axes; 1.21 at the pin
+SLOPE_CEILING = 1.30
 
 
 def measure() -> dict[str, int]:

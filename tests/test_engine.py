@@ -675,7 +675,7 @@ def _reduce_by_products(items, integrals, model, phase, policy):
 
 EQUIVALENCE_MODELS = (
     [(name, {}) for name in REGISTRY]
-    + [("harmonic_oscillator_nd", {"n": n}) for n in range(1, 7)]
+    + [("harmonic_oscillator_nd", {"n": n}) for n in (*range(1, 7), 16, 32)]
     + [("harmonic_oscillator_nd", {"n": n, "per_axis": True}) for n in range(1, 4)]
 )
 

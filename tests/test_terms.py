@@ -835,8 +835,8 @@ def test_lead_first_elimination_doubles_the_truncation_for_a_vanishing_sum():
     assert coeffs[0].terms == []
 
 
-def test_a_vanishing_sum_expands_each_truncation_and_merges_each_power_once(monkeypatch):
-    """Truncation 0, the order, then doubled: each retry starts where the last stopped."""
+def _count_vanishing_sum_expansion(monkeypatch, order):
+    """Expand a sum that cancels exactly; return the result, truncations and merge count."""
     from zetatrace import terms
 
     gamma = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1))  # leads at z^-1
@@ -846,10 +846,24 @@ def test_a_vanishing_sum_expands_each_truncation_and_merges_each_power_once(monk
     monkeypatch.setattr(terms, "_coefficients",
                         lambda s, reg, order: truncations.append(order) or coefficients(s, reg, order))
     monkeypatch.setattr(ZetaTermSum, "merged", lambda s: merges.append(s) or merged(s))
-    lead, coeff, k = _expand_sum_in(ZetaTermSum([t, scaled(t, ParamPoly.number(-1.0))]), "z", 3)
-    assert (lead, coeff.terms, k) == (None, [], 24)
+    lead, coeff, k = _expand_sum_in(ZetaTermSum([t, scaled(t, ParamPoly.number(-1.0))]), "z", order)
+    return (lead, coeff.terms, k), truncations, len(merges)
+
+
+def test_a_vanishing_sum_expands_each_truncation_and_merges_each_power_once(monkeypatch):
+    """Truncation 0, the order, then doubled: each retry starts where the last stopped."""
+    result, truncations, merges = _count_vanishing_sum_expansion(monkeypatch, 3)
+    assert result == (None, [], 24)
     assert truncations == [0, 3, 6, 12, 24]
-    assert len(merges) == 25  # z^-1 .. z^23
+    assert merges == 25  # z^-1 .. z^23
+
+
+def test_a_vanishing_sum_at_order_zero_expands_truncation_zero_once(monkeypatch):
+    """Order 0 does not repeat truncation 0 before doubling from 1."""
+    result, truncations, merges = _count_vanishing_sum_expansion(monkeypatch, 0)
+    assert result == (None, [], 16)
+    assert truncations == [0, 1, 2, 4, 8, 16]
+    assert merges == 17  # z^-1 .. z^15
 
 
 @pytest.fixture
