@@ -429,6 +429,8 @@ def _symbol_alternatives(
 
 def table_rows(integrals: Sequence[ReducedIntegral], policy: str) -> list[ZetaTerm]:
     """The table row of each of a derivation's distinct integrals (``reduced_sides``), in index order."""
+    if policy not in (PAPER, PRINCIPAL):  # checked where it is read, oscillatory rows or none
+        raise ValidationError(f"branch must be {PAPER!r} or {PRINCIPAL!r}, got {policy!r}")
     return [
         gauss_radial(i.q, i.rate) if i.kind == "gauss" else osc_linear(i.q, i.sign, policy, i.rate)
         for i in integrals
@@ -538,11 +540,8 @@ def build_trace_sums(
     return num, den, steps
 
 
-def _check_arguments(policy: str, series_order: int) -> None:
-    """A derivation's branch and series order, checked where they enter: an
-    unknown branch would run as another, and order 0 would never end."""
-    if policy not in (PAPER, PRINCIPAL):
-        raise ValidationError(f"branch must be {PAPER!r} or {PRINCIPAL!r}, got {policy!r}")
+def _check_order(series_order: int) -> None:
+    """A derivation's series order, checked where it enters: order 0 would never end."""
     if type(series_order) is not int or series_order < 1:
         raise ValidationError(f"series order must be an int >= 1, got {series_order!r}")
 
@@ -553,7 +552,7 @@ def expectation(
     policy: str = PAPER,
     series_order: int = DEFAULT_ORDER,
 ) -> ExpectationResult:
-    _check_arguments(policy, series_order)
+    _check_order(series_order)
     obs = model.observables[observable_name]
     num, den, steps = build_trace_sums(model, obs, policy)
     try:
@@ -670,7 +669,7 @@ def effective_potential(
     monomial times a numeric phase; the logarithm is then taken structurally
     and the non-polynomial remainder vanishes in the volume limit.
     """
-    _check_arguments(policy, series_order)
+    _check_order(series_order)
     if model.field_param is None:
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
     phase, integrals, (z_items,) = reduced_sides(model, (ParamPoly.one(),))

@@ -5,15 +5,16 @@ primitive factors (integer powers of a Gamma or of an affine polynomial, a
 half-turn exponential ``e^{i pi (a z + b)}``, rational powers of positive
 parameter monomials).  Each factor has a closed Taylor/Laurent expansion at
 ``z = 0``; products expand by truncated convolution, one loop
-(``_convolve``) for numbers and ``ParamPoly`` coefficients alike.  A Gamma at
-a pole is no kind of its own: Gamma(a z - n) is Gamma(a z + 1) times the
-affine factors of ``gamma_quotient``, expanded as a product.
+(``_convolve``) for numbers and ``ParamPoly`` coefficients alike.
 
-The series of a Gamma, half-turn or affine factor is plain numbers times one
-fixed monomial (``pi^(1/2)`` for a Gamma at a half-integer, else none), so
-``expand_product`` convolves the leading run of such factors over complex
-numbers and lifts each coefficient to a ``ParamPoly`` once.  From the first
-``const_pow`` factor on, whose coefficients carry ``ln(base)^k``, it
+The series of every factor but a ``const_pow`` with a slope is plain numbers
+times one fixed monomial (``pi^(1/2)`` for a Gamma at a half-integer,
+``base^b`` for a ``const_pow`` with none), built as numbers by
+``_numeric_factor``.  ``_numeric_run`` convolves a run of such factors over
+complex numbers: a Gamma power, a Gamma at a pole (Gamma(a z - n) is
+Gamma(a z + 1) times the affine factors of ``gamma_quotient``) and the
+factors of a product before its first ``const_pow`` with a slope.  From that
+factor on, whose coefficients carry ``ln(base)^k``, ``expand_product``
 multiplies ``ParamPoly`` series.  Either way the float operations, and so
 every last bit, are those of a ``ParamPoly`` fold over the factors in order.
 
@@ -28,12 +29,12 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 from . import rational
 from .errors import NumericOverflow, UnsupportedFactor, UnsupportedStructure
-from .params import ExpKey, ParamPoly, _merge_keys, log_param
+from .params import _NO_PARAMS, ExpKey, ParamPoly, _merge_keys, log_param
 from .rational import Q
 from .records import FrozenRecord
 
@@ -264,8 +265,8 @@ class LaurentSeries:
     be zero, the lead one included: the lead order of a series is where its
     first nonzero coefficient sits.  ``mul`` truncates to the shorter series
     and convolves with ``_convolve``.  ``expand_product`` multiplies these
-    series only from its first ``const_pow`` factor on; the Gamma, half-turn
-    and affine factors before it are convolved as lists of complex numbers.
+    series only from its first ``const_pow`` factor with a slope on; the
+    factors before it are convolved as lists of complex numbers.
     """
 
     __slots__ = ("lead", "coeffs")
@@ -283,10 +284,6 @@ class LaurentSeries:
         return LaurentSeries(self.lead, [c * poly for c in self.coeffs])
 
 
-def _numeric_series(lead: int, coeffs: Sequence[complex]) -> LaurentSeries:
-    return LaurentSeries(lead, [ParamPoly.number(c) for c in coeffs])
-
-
 def _exp_numeric(linear: Sequence[complex], order: int) -> list[complex]:
     """Taylor coefficients of exp(sum_k linear[k] z^(k+1)) to z^order."""
     poly = list(linear[:order]) + [0j] * (order - len(linear))  # coefficients of z^1 .. z^order
@@ -302,14 +299,14 @@ def _exp_numeric(linear: Sequence[complex], order: int) -> list[complex]:
     return acc
 
 
-def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Laurent series of a primitive factor at z = 0, ``order`` >= 0 terms past the lead."""
+def _numeric_factor(f: PrimitiveFactor, order: int) -> tuple[int, ExpKey, list[complex]]:
+    """Lead, monomial and ``order + 1`` numbers of the series of a factor that is
+    numbers times one monomial: any factor but a ``const_pow`` with a slope."""
     a = rational.to_float(f.alpha)
 
     if f.kind == FactorKind.EXP_IPI:
         const = half_turn(f.beta)
-        coeffs = _exp_numeric([1j * math.pi * a], order)
-        return _numeric_series(0, [const * c for c in coeffs])
+        return 0, _NO_PARAMS, [const * c for c in _exp_numeric([1j * math.pi * a], order)]
 
     if f.kind == FactorKind.AFFINE:
         b = rational.to_float(f.beta)
@@ -317,28 +314,26 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
         if f.beta[0] == 0:
             if f.alpha[0] == 0:
                 raise UnsupportedFactor("affine factor is identically zero")
-            return _numeric_series(n, [a ** n] + [0j] * order)
+            return n, _NO_PARAMS, [a ** n] + [0j] * order
+        coeffs = [0j] * (order + 1)
         if n >= 0:
-            coeffs = [0j] * (order + 1)
             for k in range(min(n, order) + 1):
                 coeffs[k] = float(math.comb(n, k)) * b ** (n - k) * a ** k
-            return _numeric_series(0, coeffs)
+            return 0, _NO_PARAMS, coeffs
         # negative power, regular point: generalized binomial
         ratio = a / b
-        coeffs = [0j] * (order + 1)
         c = b ** n
         coeffs[0] = c
         binom = 1.0
         for k in range(1, order + 1):
             binom *= (n - k + 1) / k
             coeffs[k] = c * binom * ratio ** k
-        return _numeric_series(0, coeffs)
+        return 0, _NO_PARAMS, coeffs
 
     if f.kind == FactorKind.GAMMA and f.power != 1:  # Gamma(x)^k as a k-fold product
         if f.power < 1:
             raise UnsupportedFactor(f"Gamma to the power {f.power}")
-        one = expand_factor(f.remade(f.alpha, f.beta), order)
-        return reduce(lambda series, _: series.mul(one), range(f.power - 1), one)
+        return _numeric_run((f.remade(f.alpha, f.beta),) * f.power, order)
 
     if f.kind == FactorKind.GAMMA:
         b = f.beta
@@ -347,20 +342,36 @@ def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeri
                 raise UnsupportedFactor(f"Gamma({b[0]}) has no regulator to expand against")
             # Gamma(a z - n) = Gamma(a z + 1) / ((a z) (a z - 1) ... (a z - n))
             g = f.remade(f.alpha, rational.ONE)
-            return expand_product(MeroFactorProduct(ParamPoly.one(), (g, *gamma_quotient(g, b[0] - 1))), order)
-        g0 = gamma_value(b)
-        linear = [
-            polygamma_value(k - 1, b) * a ** k / math.factorial(k)
-            for k in range(1, order + 1)
-        ]
-        coeffs = _exp_numeric(linear, order)
-        return LaurentSeries(0, [g0.scale(c) for c in coeffs])
+            return _numeric_run((g, *gamma_quotient(g, b[0] - 1)), order)
+        key, g0 = next(iter(gamma_value(b).terms.items()), (_NO_PARAMS, 0j))  # 0 if it underflows
+        linear = [polygamma_value(k - 1, b) * a ** k / math.factorial(k) for k in range(1, order + 1)]
+        return 0, key, [g0 * c for c in _exp_numeric(linear, order)]
 
-    # CONST_POW: base^(a z + b) = base^b * exp(a z * ln(base))
+    # CONST_POW with no slope: the constant base^b
+    key, const = next(iter(f.base_poly().mono_pow(rational.fraction(f.beta)).terms.items()), (_NO_PARAMS, 0j))
+    return 0, key, [const] + [0j] * order
+
+
+def _numeric_run(factors: Sequence[PrimitiveFactor], order: int) -> tuple[int, ExpKey, list[complex]]:
+    """Lead, monomial and ``order + 1`` complex numbers of the product of factors
+    of ``_numeric_factor``, convolved in their order from 1."""
+    lead, key, nums = 0, _NO_PARAMS, [1 + 0j] + [0j] * order
+    for f in factors:
+        f_lead, f_key, f_nums = _numeric_factor(f, order)
+        lead, key = lead + f_lead, _merge_keys(key, f_key)
+        nums = _convolve(nums, f_nums, order + 1)
+    return lead, key, nums
+
+
+def expand_factor(f: PrimitiveFactor, order: int = DEFAULT_ORDER) -> LaurentSeries:
+    """Laurent series of a primitive factor at z = 0, ``order`` >= 0 terms past the lead."""
+    if f.kind != FactorKind.CONST_POW or f.alpha[0] == 0:
+        lead, key, nums = _numeric_run((f,), order)  # a run of one, so its numbers are complex
+        return LaurentSeries(lead, [ParamPoly._canonical({key: x}) for x in nums])
+    # base^(a z + b) = base^b * exp(a z * ln(base))
+    a = rational.to_float(f.alpha)
     base = f.base_poly()
     const = base.mono_pow(rational.fraction(f.beta))
-    if f.alpha[0] == 0:
-        return LaurentSeries(0, [const] + [ParamPoly.zero()] * order)
     lg = log_param(base)
     coeffs = [const]
     power = ParamPoly.one()
@@ -384,33 +395,19 @@ def _convolve(xs: Sequence, ys: Sequence, n: int, zero=0j) -> list:
     return out
 
 
-def _terms(series: LaurentSeries) -> list[tuple[ExpKey, complex] | None]:
-    """The one term of each coefficient of a factor's series, None where it is zero."""
-    terms = []
-    for c in series.coeffs:
-        (term,) = c.terms.items() or (None,)  # a single monomial, by construction
-        terms.append(term)
-    return terms
-
-
 def expand_product(p: MeroFactorProduct, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Truncated Laurent expansion of a factor product times its prefactor.
 
     Bit for bit the fold ``series.mul(expand_factor(f))`` over the factors in
-    order, then ``.scale(prefactor)``.  The one fast path: the factors before
-    the first ``const_pow`` are convolved as complex numbers in that same
-    order, which performs the same float operations, and lifted to one
-    ``ParamPoly`` per coefficient; the fold takes over from there.
+    order, then ``.scale(prefactor)``.  The factors before the first
+    ``const_pow`` with a slope are convolved as complex numbers in that same
+    order (``_numeric_run``), which performs the same float operations, and
+    lifted to one ``ParamPoly`` per coefficient; the fold takes over from
+    there.
     """
     factors = p.factors
-    split = next((i for i, f in enumerate(factors) if f.kind == FactorKind.CONST_POW), len(factors))
-    lead, nums, key = 0, [1 + 0j] + [0j] * order, ExpKey()
-    for f in factors[:split]:
-        series = expand_factor(f, order)
-        terms = _terms(series)
-        lead += series.lead
-        nums = _convolve(nums, [t[1] if t else 0j for t in terms], order + 1)
-        key = _merge_keys(key, next((t[0] for t in terms if t), ()))  # one monomial per factor
+    split = next((i for i, f in enumerate(factors) if f.kind == FactorKind.CONST_POW and f.alpha[0]), len(factors))
+    lead, key, nums = _numeric_run(factors[:split], order)
     if split == len(factors):
         pre = [(_merge_keys(key, k), c) for k, c in p.prefactor.terms.items()]
         return LaurentSeries(lead, [ParamPoly._canonical({k: x * c for k, c in pre}) for x in nums])

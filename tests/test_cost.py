@@ -20,17 +20,17 @@ from cost import src_calls
 #: label -> (model, series order, overrides, calls at the pin)
 PINNED = {
     **{f"ho_nd.n{n}": ("harmonic_oscillator_nd", 4, {"n": n}, calls)
-       for n, calls in [(1, 1713), (2, 2806), (3, 3819), (4, 4792), (5, 5777), (6, 6774),
-                        (16, 17404), (32, 36908), (64, 85132)]},
+       for n, calls in [(1, 1613), (2, 2646), (3, 3599), (4, 4512), (5, 5437), (6, 6374),
+                        (16, 16404), (32, 34948), (64, 81252)]},
     **{f"ho_nd_axis.n{n}": ("harmonic_oscillator_nd", 4, {"n": n, "per_axis": True}, calls)
-       for n, calls in [(1, 1716), (2, 3543), (3, 5818)]},
+       for n, calls in [(1, 1616), (2, 3343), (3, 5518)]},
     **{f"ho_1d.o{o}": ("harmonic_oscillator_1d", o, {}, calls)
-       for o, calls in [(4, 1713), (8, 1713), (16, 1713)]},
+       for o, calls in [(4, 1613), (8, 1613), (16, 1613)]},
     **{f"dirac.o{o}": ("dirac_fermion", o, {"n": 3}, calls)
-       for o, calls in [(4, 2911), (8, 3305), (16, 4237)]},
+       for o, calls in [(4, 2641), (8, 2903), (16, 3571)]},
 }
 
-#: the log2 growth of the count from n = 32 to n = 64 axes; 1.21 at the pin
+#: the log2 growth of the count from n = 32 to n = 64 axes; 1.22 at the pin
 SLOPE_CEILING = 1.30
 
 

@@ -330,6 +330,15 @@ def test_complete_square_requires_quadratic_part():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", REGISTRY)
+def test_build_trace_sums_rejects_an_unknown_branch_by_name(name):
+    # the oscillator rows alone read the branch: Gaussian-only models once ran
+    # under any name, the others raised a bare ValueError from the table
+    with pytest.raises(ValidationError) as caught:
+        build_trace_sums(build_model(name), ParamPoly.one(), "nearest")
+    assert str(caught.value) == "branch must be 'paper' or 'principal', got 'nearest'"
+
+
 def test_reduce_rotor_denominator_single_gaussian_term():
     model = topological_oscillator()
     num, den, _ = build_trace_sums(model, ParamPoly.one(), PAPER)

@@ -204,9 +204,11 @@ def exact(series):
 
 slopes = st.sampled_from([rational.of(Fraction(k, d)) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 4)])
 half_integers = st.integers(-3, 3).map(lambda k: (2 * k + 1, 2))
+poles = st.integers(-3, 0).map(lambda n: (n, 1))
+# Gamma(x)^k, regular or at a pole, for k = 1..3
+gammas = st.builds(PrimitiveFactor, st.just(FactorKind.GAMMA), slopes, half_integers | poles, st.integers(1, 3))
 numeric_factors = st.one_of(
-    st.builds(PrimitiveFactor, st.just(FactorKind.GAMMA), slopes, half_integers),
-    st.builds(PrimitiveFactor, st.just(FactorKind.GAMMA), slopes, st.integers(-3, 0).map(lambda n: (n, 1))),
+    gammas,
     st.builds(PrimitiveFactor, st.just(FactorKind.EXP_IPI), slopes, slopes),
     st.builds(PrimitiveFactor, st.just(FactorKind.AFFINE), slopes, st.just(rational.ZERO),
               st.integers(-3, 3).filter(bool)),
@@ -217,8 +219,10 @@ bases = st.builds(
     st.sampled_from([0.3, 2.0, 7.5]),
     st.sampled_from([Fraction(1), Fraction(-1, 2)]),
 )
+# a zero slope makes a constant, numbers times one monomial like the factors above
 const_pows = st.builds(
-    lambda base, a, b: PrimitiveFactor(FactorKind.CONST_POW, a, b, base=base), bases, slopes, slopes
+    lambda base, a, b: PrimitiveFactor(FactorKind.CONST_POW, a, b, base=base),
+    bases, slopes | st.just(rational.ZERO), slopes,
 )
 any_factors = st.booleans().flatmap(lambda power: const_pows if power else numeric_factors)
 monomials = st.builds(
@@ -239,6 +243,40 @@ prefactors = st.lists(monomials, min_size=1, max_size=3).map(lambda ms: sum(ms, 
 def test_expand_product_is_the_param_poly_fold_bit_for_bit(head, tail, prefactor, order):
     p = MeroFactorProduct(prefactor, tuple(head + tail))
     assert exact(expand_product(p, order)) == exact(folded_product(p, order))
+
+
+@given(gammas.filter(lambda g: g.power > 1), st.integers(0, 16))
+def test_a_gamma_power_is_the_param_poly_fold_of_its_copies_bit_for_bit(g, order):
+    one = g.remade(g.alpha, g.beta)
+    copies = MeroFactorProduct._canonical(ParamPoly.one(), (one,) * g.power)  # unfolded
+    assert exact(expand_factor(g, order)) == exact(folded_product(copies, order))
+
+
+@pytest.mark.parametrize("factor, order", [
+    (PrimitiveFactor(FactorKind.GAMMA, (1, 1), (171, 1)), 4),  # 170! psi(171)^4 / 4! overflows
+    (PrimitiveFactor(FactorKind.GAMMA, (1, 1), (150, 1), power=2), 2),  # (149!)^2 overflows
+])
+def test_a_series_past_the_float_range_overflows_alone_and_in_a_product(factor, order):
+    half = PrimitiveFactor(FactorKind.EXP_IPI, (-1, 2), (1, 2))
+    sloped = PrimitiveFactor(FactorKind.CONST_POW, (1, 1), (1, 2),
+                             base=positive_base(ParamPoly.monomial(2.0, {"J": Fraction(1)})))
+    with pytest.raises(NumericOverflow, match="not finite"):
+        expand_factor(factor, order)
+    for factors in [(half, factor), (half, factor, sloped), (sloped, factor)]:
+        with pytest.raises(NumericOverflow, match="not finite"):
+            expand_product(MeroFactorProduct(ParamPoly.one(), factors), order)
+
+
+@pytest.mark.parametrize("tiny", [
+    PrimitiveFactor(FactorKind.CONST_POW, rational.ZERO, (2, 1),
+                    base=positive_base(ParamPoly.monomial(1e-300, {"J": Fraction(1)}))),  # 1e-600 J^2
+    PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1000, 3)),  # Gamma(-1000/3) ~ 1e-700
+])
+def test_a_factor_that_underflows_expands_to_zero_alone_and_after_a_gamma(tiny):
+    gamma = PrimitiveFactor(FactorKind.GAMMA, (1, 1), (1, 2))
+    for series in [expand_factor(tiny, 4), expand_product(MeroFactorProduct(ParamPoly.number(3.0), (gamma, tiny)), 4)]:
+        assert series.lead == 0 and len(series.coeffs) == 5
+        assert all(c.is_zero() for c in series.coeffs)
 
 
 def raw_fold(factors, order):

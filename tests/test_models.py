@@ -114,7 +114,7 @@ def test_branch_values_identical_across_registry():
     ("series_order", -1, "series order must be an int >= 1, got -1"),
 ])
 def test_every_model_rejects_a_bad_branch_or_series_order_by_name(argument, value, message):
-    """Each model raises one ``ValidationError`` before any derivation work.
+    """Each model raises one ``ValidationError`` before any Laurent expansion.
 
     Order 0 once doubled a truncation of 0 forever, so a hang fails the test
     after a few seconds instead of stalling the suite.
