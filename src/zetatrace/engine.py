@@ -46,6 +46,7 @@ from .symbols import (
 from .tables import AffineExp, PAPER, PRINCIPAL, angular_moment, gauss_radial, osc_linear
 from .terms import (
     Divergent,
+    TAsymTerm,
     TAsymptote,
     ZetaTerm,
     ZetaTermSum,
@@ -437,9 +438,7 @@ def table_rows(integrals: Sequence[ReducedIntegral], policy: str) -> list[ZetaTe
     ]
 
 
-def reduce_pieces(
-    items: Enumeration, model: ModelSpec, phase: ReducedPhase, rows: Sequence[ZetaTerm]
-) -> ZetaTermSum:
+def reduce_pieces(items: Enumeration, model: ModelSpec, rows: Sequence[ZetaTerm]) -> ZetaTermSum:
     """Reduce one side's enumeration to the canonical term sum, one term per branch.
 
     ``rows`` holds the table row of each integral index (``table_rows``);
@@ -448,7 +447,9 @@ def reduce_pieces(
     in one pass: the item's coefficient times the prefactor and each picked
     multiplier that is not exactly 1, in pick order, and its indices
     counted.  Its ``ZetaTerm`` has each distinct row's factors and ``T``
-    exponents times its count (a row's prefactor is 1), and the phase.
+    exponents times its count (a row's prefactor is 1).  The evolution's
+    constant phase is common to every branch and is left out
+    (``_term_suffix`` renders it).
     """
     out: list[ZetaTerm] = []
     for poly, t_power, symbols in items:
@@ -460,16 +461,12 @@ def reduce_pieces(
                     coeff = coeff * mult
                 counts[i] = counts.get(i, 0) + 1
             if not coeff.is_zero():
-                out.append(_branch_term(coeff, counts, t_power, phase.const, rows))
+                out.append(_branch_term(coeff, counts, t_power, rows))
     return ZetaTermSum(out, model.regulators(), model.t_symbol)
 
 
 def _branch_term(
-    coeff: ParamPoly,
-    counts: dict[int, int],
-    t_power: Fraction,
-    phase: ParamPoly,
-    rows: Sequence[ZetaTerm],
+    coeff: ParamPoly, counts: dict[int, int], t_power: Fraction, rows: Sequence[ZetaTerm]
 ) -> ZetaTerm:
     # integrals repeat across symbols: each distinct row's factors and exponents times its multiplicity
     distinct = [(rows[i], n) for i, n in counts.items()]
@@ -482,7 +479,7 @@ def _branch_term(
             t_lin[reg] = rational.add(t_lin[reg], a) if reg in t_lin else a
     factors = tuple(f if n == 1 else f.raised(n) for row, n in distinct for f in row.coeff.factors)
     t_lin_items = tuple(sorted((reg, a) for reg, a in t_lin.items() if a[0] != 0))
-    return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const, 0, phase)
+    return ZetaTerm(MeroFactorProduct(coeff, factors), t_lin_items, t_const)
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +525,22 @@ def build_trace_sums(
     """
     phase, integrals, (num_items, den_items) = reduced_sides(model, (observable, ParamPoly.one()))
     rows = table_rows(integrals, policy)
-    num = reduce_pieces(num_items, model, phase, rows)
-    den = reduce_pieces(den_items, model, phase, rows)
-    tokens = sorted(model.tokens)
+    num = reduce_pieces(num_items, model, rows)
+    den = reduce_pieces(den_items, model, rows)
+    suffix = _term_suffix(model, phase.const)
     steps: list[Step] = [
         lambda: f"gauge: {gauge_text(model)}",
         f"reduce: numerator {len(num.terms)} terms, denominator {len(den.terms)} terms",
-        lambda: f"numerator = {num.render(tokens)}",
-        lambda: f"denominator = {den.render(tokens)}",
+        lambda: f"numerator = {num.render(suffix)}",
+        lambda: f"denominator = {den.render(suffix)}",
     ]
     return num, den, steps
+
+
+def _term_suffix(model: ModelSpec, phase: ParamPoly) -> str:
+    """What ends every rendered term of a derivation: its common phase e^(i c T), then its sector labels."""
+    suffix = "" if phase.is_zero() else f" * e^(i*({phase.render(mul='*')})*{model.t_symbol})"
+    return suffix + (f" * [{','.join(sorted(model.tokens))}]" if model.tokens else "")
 
 
 def _check_order(series_order: int) -> None:
@@ -673,16 +676,16 @@ def effective_potential(
     if model.field_param is None:
         raise UnsupportedStructure(f"model {model.name} is not a potential model")
     phase, integrals, (z_items,) = reduced_sides(model, (ParamPoly.one(),))
-    z_sum = reduce_pieces(z_items, model, phase, table_rows(integrals, policy))
+    z_sum = reduce_pieces(z_items, model, table_rows(integrals, policy))
     z0 = value_at_zero(z_sum, series_order)
     if len(z0.terms) != 1:
         raise LogOfNonmonomial("partition function is not a single structured term")
     t = z0.terms[0]
-    pot = -t.phase  # ln e^(i phase T X) / (-i T X) = -phase
+    pot = -phase.const  # ln e^(i phase T X) / (-i T X) = -phase
     mono = t.coeff.single_monomial()
     if mono is None:
         raise LogOfNonmonomial(f"residual factor is not a monomial: {t.coeff.render()}")
-    residual = TAsymptote([t], model.t_symbol)
+    residual = TAsymptote([TAsymTerm(t.coeff, t.t_power, t.log_power, phase.const)], model.t_symbol)
 
     phi = model.field_param
     d1 = pot.diff(phi)
@@ -699,7 +702,7 @@ def effective_potential(
                 masses.append(mass)
     steps: list[Step] = [
         lambda: f"gauge: {gauge_text(model)}",
-        lambda: f"partition sum = {z_sum.render(sorted(model.tokens))}",
+        lambda: f"partition sum = {z_sum.render(_term_suffix(model, phase.const))}",
         lambda: (
             f"V = {pot.render()} + ln({t.coeff.render()} * {model.t_symbol}^{t.t_power}) "
             f"/ (-i*{model.t_symbol})"

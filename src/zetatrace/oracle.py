@@ -276,13 +276,17 @@ def potential_numeric(model, bindings: Mapping[str, float]) -> tuple[list[float]
     real root of dV where the second difference of V is positive is a
     minimum with mass sqrt(V'').  The step is 1e-4 times the largest |root|
     (1e-4 if every root is 0): a fixed step of 1e-4 differences V below its
-    rounding error once the roots reach 1e10.
+    rounding error once the roots reach 1e10.  A power of the field in dV
+    that is not a nonnegative integer has no polynomial root finder:
+    ``UnsupportedStructure`` names it.
     """
     if model.field_param is None:
         raise UnsupportedStructure("not a potential model")
     phi = model.field_param
     pot = -reduced_sides(model, ())[0].const
     dv = pot.diff(phi).by_power(phi)
+    if bad := [e for e in dv if e < 0 or e.denominator != 1]:
+        raise UnsupportedStructure(f"dV has the power {phi}^{bad[0]}, not a nonnegative integer power")
     coeffs = {int(e): part.eval(bindings).real for e, part in dv.items()}  # dV by power of phi
     roots = _real_roots([coeffs.get(p, 0.0) for p in range(max(coeffs, default=0), -1, -1)])
     h = 1e-4 * (max((abs(r) for r in roots), default=0.0) or 1.0)

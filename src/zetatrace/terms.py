@@ -2,19 +2,22 @@
 
 Every reduced trace integral is a finite sum of terms
 
-    K(z1, z2, ...) * T^(a1 z1 + a2 z2 + ... + b) * (ln T)^l * e^(i c T)
+    K(z1, z2, ...) * T^(a1 z1 + a2 z2 + ... + b) * (ln T)^l
 
-with ``K`` a product of primitive meromorphic factors, rational ``a_k`` and
-``b``, and ``c`` a real parameter polynomial.  ``ratio_limit`` first divides
-numerator and denominator by one reference divisor taken from the first
-denominator term (its phases, ``const_pow`` factors, ``T^(a.z)`` exponent and
-the Gammas every term shares up to an integer shift), which leaves the
-quotient alone but the Laurent expansions small; it then eliminates the
-regulators one at a time (joint Laurent expansion of numerator and
-denominator, lead-order comparison) and reports lead orders of the undivided
-sums, i.e. shifted by the divisor's order.  ``value_at_zero`` evaluates a single sum
-at ``z = 0`` with exact ``ln T`` bookkeeping, and ``thermal_limit`` sends
-``T -> infinity``.
+with ``K`` a product of primitive meromorphic factors and rational ``a_k``
+and ``b``.  The evolution's constant phase e^(i c T) is common to every term
+of a derivation, so no term carries it: the quotient cancels it, and the
+engine applies it where it is read (the trace text and ln Z).
+
+``ratio_limit`` first divides numerator and denominator by one reference
+divisor taken from the first denominator term (its half-turn phases,
+``const_pow`` factors, ``T^(a.z)`` exponent and the Gammas every term shares
+up to an integer shift), which leaves the quotient alone but the Laurent expansions small; it
+then eliminates the regulators one at a time (joint Laurent expansion of
+numerator and denominator, lead-order comparison) and reports lead orders of
+the undivided sums, i.e. shifted by the divisor's order.  ``value_at_zero``
+evaluates a single sum at ``z = 0`` with exact ``ln T`` bookkeeping, and
+``thermal_limit`` sends ``T -> infinity``.
 
 Elimination is lead first.  Each limit reads one Laurent coefficient of a
 sum, the lead one, so every term is first expanded to its own lead
@@ -27,16 +30,16 @@ every truncation, so the leads, their coefficients and the truncation
 reported are those of the full expansion, bit for bit.
 
 A Laurent coefficient vanishes when its terms, grouped by exact structure
-(the set of canonical factors, ``T`` and ``ln T`` powers, the phase's exact
-coefficients), have prefactors that sum to the zero poly: which
-order leads depends on exact cancellation alone, never on a tolerance.
+(the set of canonical factors, ``T`` and ``ln T`` powers), have prefactors
+that sum to the zero poly: which order leads depends on exact cancellation
+alone, never on a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import rational
 from .errors import (
@@ -65,30 +68,24 @@ TLin = tuple[tuple[str, Q], ...]
 
 
 class ZetaTerm(FrozenRecord):
-    """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l * e^(i phase T).
+    """One term K(z) * T^(sum_a a_r z_r + b) * (ln T)^l.
 
     The exponents ``t_lin`` and ``t_const`` are normalised integer pairs
-    (``rational``); ``phase`` is 0 unless given.
+    (``rational``).  A derivation's common phase e^(i c T) is not part of
+    the term.
     """
 
-    __slots__ = ("coeff", "t_lin", "t_const", "t_log", "phase")
+    __slots__ = ("coeff", "t_lin", "t_const", "t_log")
 
     def __init__(self, coeff: MeroFactorProduct, t_lin: TLin = (), t_const: Q = rational.ZERO,
-                 t_log: int = 0, phase: ParamPoly | None = None):
+                 t_log: int = 0):
         self.coeff = coeff
         self.t_lin = t_lin
         self.t_const = t_const
         self.t_log = t_log
-        self.phase = ParamPoly.zero() if phase is None else phase
 
     def structure_key(self) -> tuple:
-        return (
-            frozenset(self.coeff.factors),
-            self.t_lin,
-            self.t_const,
-            self.t_log,
-            frozenset(self.phase.terms.items()),
-        )
+        return frozenset(self.coeff.factors), self.t_lin, self.t_const, self.t_log
 
     def t_coeff(self, regulator: str) -> Q:
         for r, a in self.t_lin:
@@ -108,8 +105,6 @@ class ZetaTerm(FrozenRecord):
             parts.append(f"{t_symbol}^({exp})")
         if self.t_log:
             parts.append(f"ln({t_symbol})^{self.t_log}")
-        if not self.phase.is_zero():
-            parts.append(f"e^(i*({self.phase.render(mul='*')})*{t_symbol})")
         return " * ".join(parts)
 
 
@@ -147,20 +142,18 @@ class ZetaTermSum:
                 buckets[key] = (t, t.coeff.prefactor)
         out = [
             rep if acc is rep.coeff.prefactor else ZetaTerm(
-                MeroFactorProduct._canonical(acc, rep.coeff.factors),
-                rep.t_lin, rep.t_const, rep.t_log, rep.phase,
+                MeroFactorProduct._canonical(acc, rep.coeff.factors), rep.t_lin, rep.t_const, rep.t_log
             )
             for rep, acc in buckets.values()
             if not acc.is_zero()
         ]
         return ZetaTermSum(out, self.regulators, self.t_symbol)
 
-    def render(self, tokens: Sequence[str] = ()) -> str:
-        """The sum as text; ``tokens``, a model's sector labels, end every term."""
+    def render(self, suffix: str = "") -> str:
+        """The sum as text; ``suffix``, what all terms share (the engine's phase and sector labels), ends each."""
         if not self.terms:
             return "0"
-        label = f" * [{','.join(tokens)}]" if tokens else ""
-        return "  +  ".join(t.render(self.t_symbol) + label for t in self.terms)
+        return "  +  ".join(t.render(self.t_symbol) + suffix for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +276,7 @@ def _coefficients(
             for k in range(end - p0 if a[0] != 0 else 1):
                 c = cpoly.scale(slope ** k / math.factorial(k)) if k else cpoly
                 out.setdefault(p0 + k, []).append(ZetaTerm(
-                    MeroFactorProduct._canonical(c, rest_factors), t_lin, term.t_const,
-                    term.t_log + k, term.phase,
+                    MeroFactorProduct._canonical(c, rest_factors), t_lin, term.t_const, term.t_log + k
                 ))
     return out, min(ends, default=0)
 
@@ -362,10 +354,8 @@ def _divide_term(
             f = factors[i]
             slots[i].append(f if left == f.power else f.remade(f.alpha, f.beta, left))
     quotient = tuple(x for f, s in zip(factors, slots) for x in (s or (f,))) + inverses
-    return ZetaTerm(
-        MeroFactorProduct(t.coeff.prefactor, quotient),
-        _merge_tlin(t.t_lin, inverse_t_lin), t.t_const, t.t_log, t.phase,
-    )
+    t_lin = _merge_tlin(t.t_lin, inverse_t_lin)
+    return ZetaTerm(MeroFactorProduct(t.coeff.prefactor, quotient), t_lin, t.t_const, t.t_log)
 
 
 def divide_by_reference(
@@ -378,7 +368,7 @@ def divide_by_reference(
     term's own), and as much of each of its Gammas as every term of n and d has
     partners for: Gammas of one ``_pair_key``, which subtract multiplicities and
     leave affine factors in the partner's place.  Prefactors, constant ``T`` and
-    ``ln T`` powers and oscillating phases are left alone, so the quotient n/d
+    ``ln T`` powers are left alone, so the quotient n/d
     and the prefactors its limit is read from do not change.  Returns the
     divided sums and g's order at 0 in each regulator.
     """
@@ -427,7 +417,7 @@ def _to_asymptote(s: ZetaTermSum) -> TAsymptote:
             raise UnsupportedStructure(
                 f"residual regulator factors survived elimination: {t.render()}"
             )
-        out.append(TAsymTerm(t.coeff.prefactor, rational.fraction(t.t_const), t.t_log, t.phase))
+        out.append(TAsymTerm(t.coeff.prefactor, rational.fraction(t.t_const), t.t_log))
     return TAsymptote(out, s.t_symbol)
 
 
@@ -497,14 +487,11 @@ def divide_term_sums(n: ZetaTermSum, d: ZetaTermSum) -> TAsymptote:
         log_pow = t.t_log - dt.t_log
         if log_pow < 0:
             raise UnresolvedDenominator("negative ln T power after division")
-        out.append(
-            TAsymTerm(
-                t.coeff.prefactor.divide(dt.coeff.prefactor),
-                rational.fraction(rational.sub(t.t_const, dt.t_const)),
-                log_pow,
-                t.phase - dt.phase,
-            )
-        )
+        out.append(TAsymTerm(
+            t.coeff.prefactor.divide(dt.coeff.prefactor),
+            rational.fraction(rational.sub(t.t_const, dt.t_const)),
+            log_pow,
+        ))
     return TAsymptote(out, n.t_symbol)
 
 

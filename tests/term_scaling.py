@@ -14,4 +14,4 @@ from zetatrace.terms import ZetaTerm
 def scaled(term: ZetaTerm, poly: ParamPoly) -> ZetaTerm:
     """``term`` with its prefactor times ``poly``; its factors and exponents are kept."""
     coeff = MeroFactorProduct(term.coeff.prefactor * poly, term.coeff.factors)
-    return ZetaTerm(coeff, term.t_lin, term.t_const, term.t_log, term.phase)
+    return ZetaTerm(coeff, term.t_lin, term.t_const, term.t_log)

@@ -20,14 +20,14 @@ from cost import src_calls
 #: label -> (model, series order, overrides, calls at the pin)
 PINNED = {
     **{f"ho_nd.n{n}": ("harmonic_oscillator_nd", 4, {"n": n}, calls)
-       for n, calls in [(1, 1613), (2, 2646), (3, 3599), (4, 4512), (5, 5437), (6, 6374),
-                        (16, 16404), (32, 34948), (64, 81252)]},
+       for n, calls in [(1, 1564), (2, 2590), (3, 3538), (4, 4445), (5, 5364), (6, 6295),
+                        (16, 16265), (32, 34713), (64, 80825)]},
     **{f"ho_nd_axis.n{n}": ("harmonic_oscillator_nd", 4, {"n": n, "per_axis": True}, calls)
-       for n, calls in [(1, 1616), (2, 3343), (3, 5518)]},
+       for n, calls in [(1, 1567), (2, 3256), (3, 5391)]},
     **{f"ho_1d.o{o}": ("harmonic_oscillator_1d", o, {}, calls)
-       for o, calls in [(4, 1613), (8, 1613), (16, 1613)]},
+       for o, calls in [(4, 1564), (8, 1564), (16, 1564)]},
     **{f"dirac.o{o}": ("dirac_fermion", o, {"n": 3}, calls)
-       for o, calls in [(4, 2641), (8, 2903), (16, 3571)]},
+       for o, calls in [(4, 2577), (8, 2839), (16, 3507)]},
 }
 
 #: the log2 growth of the count from n = 32 to n = 64 axes; 1.22 at the pin

@@ -649,15 +649,11 @@ def test_branch_policy_invariance_of_expectations():
 # ---------------------------------------------------------------------------
 
 
-def _reduce_by_products(items, integrals, model, phase, policy):
+def _reduce_by_products(items, integrals, model, policy):
     """Each branch of one side's enumeration as a chain of term products over freshly built, scaled table rows."""
     out = []
     for poly, t_power, symbols in items:
-        start = ZetaTerm(
-            MeroFactorProduct(poly * model.prefactor),
-            t_const=rational.of(t_power),
-            phase=phase.const,
-        )
+        start = ZetaTerm(MeroFactorProduct(poly * model.prefactor), t_const=rational.of(t_power))
         branches = [start]
         for alternatives in symbols:
             rows = []
@@ -674,7 +670,7 @@ def _reduce_by_products(items, integrals, model, phase, policy):
                         b.coeff.prefactor * r.coeff.prefactor, b.coeff.factors + r.coeff.factors
                     ),
                     _merge_tlin(b.t_lin, r.t_lin), rational.add(b.t_const, r.t_const),
-                    b.t_log + r.t_log, b.phase + r.phase,
+                    b.t_log + r.t_log,
                 )
                 for b in branches for r in rows
             ]
@@ -697,18 +693,17 @@ def test_reduction_equals_the_product_of_fresh_rows(name, overrides, policy):
     model = build_model(name, **overrides)
     # the unit denominator and every observable, each enumerated twice
     labels, observables = zip(("1", ParamPoly.one()), *model.observables.items())
-    phase, integrals, sides = engine.reduced_sides(model, observables)
+    _, integrals, sides = engine.reduced_sides(model, observables)
     _, fresh_integrals, fresh_sides = engine.reduced_sides(model, observables)
     rows = engine.table_rows(integrals, policy)
     for label, items, fresh in zip(labels, sides, fresh_sides):
-        got = engine.reduce_pieces(items, model, phase, rows).terms
-        want = _reduce_by_products(fresh, fresh_integrals, model, phase, policy)
+        got = engine.reduce_pieces(items, model, rows).terms
+        want = _reduce_by_products(fresh, fresh_integrals, model, policy)
         assert len(got) == len(want), label
         for g, w in zip(got, want):
             assert g.coeff.factors == w.coeff.factors, label
             assert g.coeff.prefactor.terms == w.coeff.prefactor.terms, label
             assert g.t_lin == w.t_lin and g.t_const == w.t_const and g.t_log == w.t_log, label
-            assert g.phase.terms == w.phase.terms, label
 
 
 def _count_rows(monkeypatch):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -227,7 +228,7 @@ def regulator_sum_value(s, zs, t_value, bindings):
         for f in t.coeff.factors:
             v *= factor_value(f, zs[f.regulator], bindings)
         v *= t_value ** (to_float(t.t_const) + sum(to_float(a) * zs[r] for r, a in t.t_lin))
-        v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
+        v *= math.log(t_value) ** t.t_log
         total += v
     return total
 
@@ -558,6 +559,25 @@ def test_potential_numeric_keeps_a_repeated_nonzero_root(monkeypatch):
     # V'' = 3 phi^2 - 8 phi + 5 is 1 at phi = 2 and 0 at the inflection phi = 1
     assert minima[-1] == pytest.approx(2.0, rel=1e-12)
     assert masses[-1] == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("power, shown", [
+    # before the check: ([], []), since int(3/2) keyed dV's phi^(3/2) part as phi^1
+    (Fraction(5, 2), "3/2"),
+    # before the check: phi^-3 was dropped from dV, and V overflowed at phi = 0
+    (Fraction(-2), "-3"),
+], ids=["half_integer", "negative"])
+def test_potential_numeric_rejects_a_field_power_no_polynomial_has(power, shown):
+    from zetatrace.models import phi4
+    from zetatrace.params import ParamPoly
+
+    bindings = {"mu": 1.0, "lambda": 6.0}
+    model = phi4()
+    model.hamiltonian = model.hamiltonian + ParamPoly.monomial(0.1, {model.field_param: power})
+    with pytest.raises(UnsupportedStructure, match=rf"^dV has the power phi\^{shown}, not a nonnegative integer"):
+        oracle.potential_numeric(model, bindings)
+    minima, masses = oracle.potential_numeric(phi4(), bindings)
+    assert minima == pytest.approx([-1.0, 1.0]) and masses == pytest.approx([math.sqrt(2)] * 2, rel=1e-6)
 
 
 def test_potential_numeric_rejects_a_ratio_model():

@@ -1,4 +1,3 @@
-import cmath
 import math
 import pickle
 import re
@@ -161,13 +160,6 @@ def test_ratio_limit_zero_when_numerator_vanishes_faster():
     den = osc_sum([gamma_term(1.0)])
     ta = ratio_limit(num, den)
     assert not ta.terms
-
-
-def test_phase_cancellation_between_numerator_and_denominator():
-    phase = ParamPoly.var("m").scale(-1)
-    n = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.var("m")), phase=phase)])
-    d = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.one()), phase=phase)])
-    assert thermal_limit(ratio_limit(n, d)) == ParamPoly.var("m")
 
 
 def test_thermal_limit_cases():
@@ -371,7 +363,7 @@ def _quotient_near_zero(num, den, bindings, t_value, eps=1e-5):
         for t in s.terms:
             power = sum(rational.to_float(a) for _, a in t.t_lin) * z + rational.to_float(t.t_const)
             v = product_value(t.coeff, z, bindings) * t_value**power
-            v *= math.log(t_value) ** t.t_log * cmath.exp(1j * t.phase.eval(bindings) * t_value)
+            v *= math.log(t_value) ** t.t_log
             total += v
         return total
 
@@ -391,7 +383,7 @@ def test_ratio_limit_matches_the_quotient_near_zero(make):
 
 @st.composite
 def common_factors(draw, regulators):
-    """A ZetaTerm of Gammas (shifted, fresh, with a pole), phases, powers and T^(a z)."""
+    """A ZetaTerm of Gammas (shifted, fresh, with a pole), half-turns, powers and T^(a z)."""
     reg = lambda: draw(st.sampled_from(regulators))
     gamma = partial(PrimitiveFactor, FactorKind.GAMMA)
     factors = [
@@ -435,7 +427,7 @@ def test_ratio_limit_invariant_under_a_common_factor(data):
         return ZetaTermSum([
             ZetaTerm(
                 MeroFactorProduct(t.coeff.prefactor * c.coeff.prefactor, t.coeff.factors + c.coeff.factors),
-                _merge_tlin(t.t_lin, c.t_lin), rational.add(t.t_const, c.t_const), t.t_log, t.phase,
+                _merge_tlin(t.t_lin, c.t_lin), rational.add(t.t_const, c.t_const), t.t_log,
             )
             for t in s.terms
         ], s.regulators, s.t_symbol)
@@ -578,8 +570,6 @@ def test_merged_drops_only_buckets_that_cancel_exactly():
 def test_phases_that_differ_in_the_last_digits_are_not_merged():
     w = ParamPoly.var("w")
     w_near = ParamPoly.var("w", coeff=1 + 1e-13)
-    s = ZetaTermSum([ZetaTerm(MeroFactorProduct(ParamPoly.one()), phase=p) for p in (w, w_near, w)])
-    assert [t.phase.terms for t in s.merged().terms] == [w.terms, w_near.terms]
     asym = TAsymptote([TAsymTerm(ParamPoly.one(), phase=p) for p in (w, w_near, w)])
     assert [t.phase.terms for t in asym.terms] == [w.terms, w_near.terms]
     assert [t.coeff.terms for t in asym.terms] == [{(): 2.0}, {(): 1.0}]
@@ -665,8 +655,7 @@ def full_expansion_lead(s, regulator, order):
             for k in range(end - p0 if a != rational.ZERO else 1):
                 factor = rational.to_float(a) ** k / math.factorial(k) if k else 1.0
                 out.setdefault(p0 + k, []).append(ZetaTerm(
-                    MeroFactorProduct(cpoly.scale(factor), rest_factors), t_lin, term.t_const,
-                    term.t_log + k, term.phase,
+                    MeroFactorProduct(cpoly.scale(factor), rest_factors), t_lin, term.t_const, term.t_log + k
                 ))
     for p in sorted(p for p in out if p < top):
         coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
@@ -694,8 +683,7 @@ def expand_to_lead(sums, regulator, order):
 def exact_terms(s):
     """Every term's structure and the repr of its coefficients, in sum order."""
     return s.regulators, [
-        (t.coeff.factors, t.t_lin, t.t_const, t.t_log,
-         repr(list(t.phase.terms.items())), repr(list(t.coeff.prefactor.terms.items())))
+        (t.coeff.factors, t.t_lin, t.t_const, t.t_log, repr(list(t.coeff.prefactor.terms.items())))
         for t in s.terms
     ]
 
