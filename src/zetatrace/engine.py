@@ -41,7 +41,6 @@ from .symbols import (
     compose_observable,
     decompose_phase,
     involution_exp,
-    t_free,
 )
 from .tables import AffineExp, PAPER, PRINCIPAL, angular_moment, gauss_radial, osc_linear
 from .terms import (
@@ -102,13 +101,14 @@ class ModelSpec(Record):
     ``tokens`` are sector labels whose traces factor out of both sums and
     cancel; the trace ends every numerator and denominator term with them.
     ``field_param`` is a potential model's constant field, a signed parameter
-    of H.  ``derived[name] = (source observable, multiplier)`` gives the value
-    multiplier * <source>.  ``expected`` and ``derived`` default to a new
-    empty dict, ``prefactor`` to 1.
+    of H; such a model's volume is T X, written ``TX``
+    (``effective_potential``).  ``derived[name] = (source observable,
+    multiplier)`` gives the value multiplier * <source>.  ``expected`` and
+    ``derived`` default to a new empty dict, ``prefactor`` to 1.
     """
 
     __slots__ = ("name", "description", "params", "groups", "hamiltonian", "observables", "expected",
-                 "hbar", "prefactor", "tokens", "t_symbol", "field_param", "derived")
+                 "hbar", "prefactor", "tokens", "field_param", "derived")
 
     def __init__(
         self,
@@ -122,7 +122,6 @@ class ModelSpec(Record):
         hbar: str | None = None,
         prefactor: ParamPoly | None = None,
         tokens: tuple[str, ...] = (),
-        t_symbol: str = "T",
         field_param: str | None = None,
         derived: dict[str, tuple[str, ParamPoly]] | None = None,
     ):
@@ -136,7 +135,6 @@ class ModelSpec(Record):
         self.hbar = hbar
         self.prefactor = ParamPoly.one() if prefactor is None else prefactor
         self.tokens = tokens
-        self.t_symbol = t_symbol
         self.field_param = field_param
         self.derived = {} if derived is None else derived
 
@@ -166,32 +164,24 @@ def gauge_text(model: ModelSpec) -> str:
 
 
 def _build_phase(model: ModelSpec) -> tuple[ReducedPhase, InvolutionEvolution | None]:
-    hbar_inv = (
-        ParamPoly.var(model.hbar, -1) if model.hbar else ParamPoly.one()
-    )
+    """H/hbar split by ``decompose_phase`` alone, and a matrix H's evolution.
+
+    A scalar H splits over the gauged symbols.  H = b I + c K splits part by
+    part over the integrated ones: b must be axis-free, c one radial symbol
+    to the power one.
+    """
+    hbar_inv = ParamPoly.var(model.hbar, -1) if model.hbar else ParamPoly.one()
     if isinstance(model.hamiltonian, MatrixSymbol):
         integrated = model.integrated_symbols()
-        evo = involution_exp(model.hamiltonian)
-        scalar = dict(axis_terms(model.hamiltonian.scalar, integrated))
-        b = t_free(scalar.pop((), ParamPoly.zero()))
-        if scalar:
+        scalar = decompose_phase(model.hamiltonian.scalar * hbar_inv, integrated)
+        if scalar.g2 or scalar.g1:
             raise UnsupportedStructure("matrix scalar part must be axis-free")
-        parts = dict(axis_terms(model.hamiltonian.coeff, integrated))
-        syms = {name for key in parts for name, _ in key}
-        if len(syms) != 1:
-            raise UnsupportedStructure("involution coefficient must be one radial symbol")
-        (sym,) = syms
-        coeff = t_free(parts.get(((sym, 1),), ParamPoly.zero()))
-        if coeff.is_zero() or len(parts) != 1:
-            raise UnsupportedStructure("involution coefficient must be linear in the radius")
-        phase = ReducedPhase(
-            g2={},
-            g1={},
-            const=-(b * hbar_inv),
-            osc_coeff=coeff * hbar_inv,
-            osc_symbol=sym,
-        )
-        return phase, evo
+        coeff = decompose_phase(model.hamiltonian.coeff * hbar_inv, integrated)
+        if coeff.g2 or len(coeff.g1) != 1 or not coeff.const.is_zero():
+            raise UnsupportedStructure("involution coefficient must be linear in one radial symbol")
+        ((sym, c),) = coeff.g1.items()
+        phase = ReducedPhase(g2={}, g1={}, const=scalar.const, osc_coeff=c, osc_symbol=sym)
+        return phase, involution_exp(model.hamiltonian)
     return decompose_phase(model.hamiltonian * hbar_inv, {s for g in model.groups for s in g.gauged()}), None
 
 
@@ -245,6 +235,8 @@ class ReducedIntegral(FrozenRecord):
         return self.kind, self.q, self.sign, tuple(sorted(self.rate.terms.items()))
 
 
+#: the most branches one side of a derivation may have: its time and memory grow with the count
+MAX_BRANCHES = 4096
 #: one reduced symbol's alternatives as (multiplier, integral index) pairs
 Alternatives = list[tuple[ParamPoly, int]]
 #: one side's items: coefficient, T power, per-symbol alternatives
@@ -315,8 +307,10 @@ def reduced_sides(
     ``UnsupportedStructure``.  The phase split, each observable's
     composition with the evolution and its enumeration
     (``reduced_integrals``, with every per-symbol check) run next, in that
-    order.  The integrals are the table that every side indexes: one per
-    distinct integral, in order of first use.
+    order.  A side with more than ``MAX_BRANCHES`` branches (the sum over
+    its items of the product of their symbols' alternative counts) is an
+    ``UnsupportedStructure``.  The integrals are the table that every side
+    indexes: one per distinct integral, in order of first use.
     """
     axes = [a for g in model.groups for a in g.axes]
     if twice := sorted({a for a in axes if axes.count(a) > 1}):
@@ -344,6 +338,9 @@ def reduced_sides(
     enumerations = [
         reduced_integrals(compose_observable(evo, o), model, phase, moments, table) for o in observables
     ]
+    for items in enumerations:
+        if (branches := sum([math.prod(map(len, symbols)) for _, _, symbols in items])) > MAX_BRANCHES:
+            raise UnsupportedStructure(f"one side has {branches} branches, more than the {MAX_BRANCHES} allowed")
     return phase, [integral for _, integral in table.values()], enumerations
 
 
@@ -462,7 +459,7 @@ def reduce_pieces(items: Enumeration, model: ModelSpec, rows: Sequence[ZetaTerm]
                 counts[i] = counts.get(i, 0) + 1
             if not coeff.is_zero():
                 out.append(_branch_term(coeff, counts, t_power, rows))
-    return ZetaTermSum(out, model.regulators(), model.t_symbol)
+    return ZetaTermSum(out, model.regulators())
 
 
 def _branch_term(
@@ -537,9 +534,9 @@ def build_trace_sums(
     return num, den, steps
 
 
-def _term_suffix(model: ModelSpec, phase: ParamPoly) -> str:
+def _term_suffix(model: ModelSpec, phase: ParamPoly, t_symbol: str = "T") -> str:
     """What ends every rendered term of a derivation: its common phase e^(i c T), then its sector labels."""
-    suffix = "" if phase.is_zero() else f" * e^(i*({phase.render(mul='*')})*{model.t_symbol})"
+    suffix = "" if phase.is_zero() else f" * e^(i*({phase.render(mul='*')})*{t_symbol})"
     return suffix + (f" * [{','.join(sorted(model.tokens))}]" if model.tokens else "")
 
 
@@ -567,7 +564,7 @@ def expectation(
         )
     value = thermal_limit(finite_t)
     steps.append(
-        lambda: f"regulator limits: finite-{model.t_symbol} value = {finite_t.render()}"
+        lambda: f"regulator limits: finite-T value = {finite_t.render()}"
     )
     steps.append(
         lambda: "thermal limit: "
@@ -670,7 +667,8 @@ def effective_potential(
 
     The partition function must reduce to e^(-i T X P(field)) times a positive
     monomial times a numeric phase; the logarithm is then taken structurally
-    and the non-polynomial remainder vanishes in the volume limit.
+    and the non-polynomial remainder vanishes in the volume limit.  The
+    volume is T X, so the trace and the residual write it ``TX``.
     """
     _check_order(series_order)
     if model.field_param is None:
@@ -685,7 +683,7 @@ def effective_potential(
     mono = t.coeff.single_monomial()
     if mono is None:
         raise LogOfNonmonomial(f"residual factor is not a monomial: {t.coeff.render()}")
-    residual = TAsymptote([TAsymTerm(t.coeff, t.t_power, t.log_power, phase.const)], model.t_symbol)
+    residual = TAsymptote([TAsymTerm(t.coeff, t.t_power, t.log_power, phase.const)], "TX")
 
     phi = model.field_param
     d1 = pot.diff(phi)
@@ -702,11 +700,8 @@ def effective_potential(
                 masses.append(mass)
     steps: list[Step] = [
         lambda: f"gauge: {gauge_text(model)}",
-        lambda: f"partition sum = {z_sum.render(_term_suffix(model, phase.const))}",
-        lambda: (
-            f"V = {pot.render()} + ln({t.coeff.render()} * {model.t_symbol}^{t.t_power}) "
-            f"/ (-i*{model.t_symbol})"
-        ),
+        lambda: f"partition sum = {z_sum.render(_term_suffix(model, phase.const, 'TX'), 'TX')}",
+        lambda: f"V = {pot.render()} + ln({t.coeff.render()} * TX^{t.t_power}) / (-i*TX)",
         lambda: (
             "critical points: " + ", ".join(p.render() for p in crit)
             + f"; minima: {[p.render() for p in minima]}; masses: {[m.render() for m in masses]}"

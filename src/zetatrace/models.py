@@ -198,7 +198,6 @@ def phi4() -> ModelSpec:
             "minimum": _poly(6**0.5, mu=1, **{"lambda": Fraction(-1, 2)}),
             "mass": _poly(2**0.5, mu=1),
         },
-        t_symbol="TX",
         field_param="phi",
         prefactor=_poly(0.5, pi=-1),
     )

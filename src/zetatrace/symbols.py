@@ -88,8 +88,10 @@ class ReducedPhase(Record):
 def decompose_phase(h: ParamPoly, axes: Collection[str]) -> ReducedPhase:
     """Split ``h`` into g2 and g1 per axis and the constant: minus the axis-free part.
 
-    ``h`` is split by the phase ``axes`` alone (``axis_terms``); every other
-    atom is part of a coefficient.  Each axis part must be one axis to the
+    The one phase split, of a scalar Hamiltonian and of each part of a
+    matrix one (``engine._build_phase``).  ``h`` is split by the phase
+    ``axes`` alone (``axis_terms``); every other atom is part of a
+    coefficient.  Each axis part must be one axis to the
     power one or two: cross-axis couplings, inverse powers and higher
     degrees are rejected.  Which atoms a phase may hold at all is checked
     before, by ``engine.reduced_sides``.

@@ -117,18 +117,13 @@ def _merge_tlin(a: TLin, b: TLin) -> TLin:
 
 
 class ZetaTermSum:
-    """Finite sum of ZetaTerms sharing an ordered tuple of regulators."""
+    """Finite sum of ZetaTerms sharing an ordered tuple of regulators; ``render`` names the volume."""
 
-    __slots__ = ("terms", "regulators", "t_symbol")
+    __slots__ = ("terms", "regulators")
 
-    def __init__(self, terms: Iterable[ZetaTerm], regulators=("z",), t_symbol="T"):
+    def __init__(self, terms: Iterable[ZetaTerm], regulators=("z",)):
         self.terms = list(terms)
         self.regulators = tuple(regulators)
-        self.t_symbol = t_symbol
-
-    @staticmethod
-    def zero(regulators=("z",), t_symbol="T") -> "ZetaTermSum":
-        return ZetaTermSum([], regulators, t_symbol)
 
     def merged(self) -> "ZetaTermSum":
         """Merge terms with identical structure; drop those whose prefactors sum to zero."""
@@ -147,13 +142,13 @@ class ZetaTermSum:
             for rep, acc in buckets.values()
             if not acc.is_zero()
         ]
-        return ZetaTermSum(out, self.regulators, self.t_symbol)
+        return ZetaTermSum(out, self.regulators)
 
-    def render(self, suffix: str = "") -> str:
-        """The sum as text; ``suffix``, what all terms share (the engine's phase and sector labels), ends each."""
+    def render(self, suffix: str = "", t_symbol: str = "T") -> str:
+        """The sum as text, the volume written ``t_symbol``; ``suffix`` (phase, sector labels) ends each term."""
         if not self.terms:
             return "0"
-        return "  +  ".join(t.render(self.t_symbol) + suffix for t in self.terms)
+        return "  +  ".join(t.render(t_symbol) + suffix for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +197,6 @@ class TAsymptote:
         out = [t for t in merged.values() if not t.coeff.is_zero()]
         self.terms = sorted(out, key=lambda t: (-t.t_power, -t.log_power))
         self.t_symbol = t_symbol
-
-    @staticmethod
-    def zero(t_symbol="T") -> "TAsymptote":
-        return TAsymptote([], t_symbol)
 
     def eval(self, bindings: Mapping[str, float], t_value: float) -> complex:
         import cmath
@@ -306,13 +297,13 @@ def _expand_sum_in(
             low = min(out, default=top)
         for p in range(low, top):
             if p in out:
-                coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
+                coeff = ZetaTermSum(out[p], rest).merged()
                 if coeff.terms:
                     return p, coeff, order
         low = top
     if order < MAX_ORDER:
         return _expand_sum_in(s, regulator, max(2 * order, 1), low)
-    return None, ZetaTermSum.zero(rest, s.t_symbol), order
+    return None, ZetaTermSum([], rest), order
 
 
 def _pair_key(f: PrimitiveFactor) -> tuple[tuple, int] | None:
@@ -388,8 +379,7 @@ def divide_by_reference(
     divided = [_divide_term(t, p, divisor, inverses, inverse_t_lin)
                for t, p in zip(n.terms + d.terms, partners)]
     k = len(n.terms)
-    n_div = ZetaTermSum(divided[:k], n.regulators, n.t_symbol)
-    return n_div, ZetaTermSum(divided[k:], d.regulators, d.t_symbol), orders
+    return ZetaTermSum(divided[:k], n.regulators), ZetaTermSum(divided[k:], d.regulators), orders
 
 
 def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
@@ -404,7 +394,7 @@ def value_at_zero(s: ZetaTermSum, order: int = DEFAULT_ORDER) -> TAsymptote:
     for reg in s.regulators:
         lead, s, _ = _expand_sum_in(s, reg, order)
         if lead is None or lead > 0:
-            return TAsymptote.zero(s.t_symbol)
+            return TAsymptote()
         if lead < 0:
             raise PoleAtZero(-lead, s.render())
     return _to_asymptote(s)
@@ -418,7 +408,7 @@ def _to_asymptote(s: ZetaTermSum) -> TAsymptote:
                 f"residual regulator factors survived elimination: {t.render()}"
             )
         out.append(TAsymTerm(t.coeff.prefactor, rational.fraction(t.t_const), t.t_log))
-    return TAsymptote(out, s.t_symbol)
+    return TAsymptote(out)
 
 
 def ratio_limit(
@@ -457,14 +447,14 @@ def ratio_limit(
                 f" (truncation {k})"
             )
         if pn is None:
-            return TAsymptote.zero(n.t_symbol)
+            return TAsymptote()
         if pd is None:
             raise DivergentLimit(f"denominator vanishes identically in {reg}")
         if pn > pd:
-            return TAsymptote.zero(n.t_symbol)
+            return TAsymptote()
         if pn < pd:
             raise DivergentLimit(
-                f"quotient diverges like {reg}^{pn - pd} at fixed {n.t_symbol}"
+                f"quotient diverges like {reg}^{pn - pd} at fixed T"
             )
         n, d = cn, cd
     return divide_term_sums(n, d)
@@ -492,7 +482,7 @@ def divide_term_sums(n: ZetaTermSum, d: ZetaTermSum) -> TAsymptote:
             rational.fraction(rational.sub(t.t_const, dt.t_const)),
             log_pow,
         ))
-    return TAsymptote(out, n.t_symbol)
+    return TAsymptote(out)
 
 
 def thermal_limit(t: TAsymptote) -> ParamPoly | Divergent:

@@ -18,7 +18,7 @@ def factor_value(f, z: complex, bindings=None) -> complex:
     """A primitive factor's value at the regulator value z."""
     arg = complex(to_float(f.alpha)) * z + complex(to_float(f.beta))
     if f.kind == FactorKind.GAMMA:
-        return lanczos.gamma(arg)
+        return lanczos.gamma(arg) ** f.power
     if f.kind == FactorKind.EXP_IPI:
         return cmath.exp(1j * math.pi * arg)
     if f.kind == FactorKind.AFFINE:

@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -247,6 +248,44 @@ def test_model_file_with_a_negative_quadratic_phase_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: quadratic phase coefficient must be positive\n"
+
+
+def linear_phase_file(path, k):
+    """k ungrouped axes, phase x0 + ... + x(k-1) and observable x0^2 + ... + x(k-1)^2: k 2^k branches."""
+    axes = "".join(f"x{j} = position\n" for j in range(k))
+    phase = " + ".join(f"x{j}" for j in range(k))
+    observable = " + ".join(f"x{j}^2" for j in range(k))
+    path.write_text(f"[params]\n[axes]\n{axes}[phase]\n{phase}\n[observable]\n{observable}\n")
+    return path
+
+
+@pytest.fixture
+def five_seconds():
+    def expire(*_args):
+        raise TimeoutError("took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("k, branches", [(9, 4608), (16, 1048576)])
+def test_a_reduction_past_the_branch_bound_exits_two_before_it_builds_a_branch(tmp_path, capsys, five_seconds,
+                                                                               k, branches):
+    # before the bound, k = 16 ran for minutes; k = 9 took 1.7 s and k = 10 93 MB
+    code, out, err = run_cli(capsys, "model", str(linear_phase_file(tmp_path / "linear.zt", k)))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: one side has {branches} branches, more than the 4096 allowed\n"
+
+
+def test_the_largest_reduction_under_the_branch_bound_still_runs(tmp_path, capsys):
+    # k = 8: 2048 numerator branches
+    code, out, _ = run_cli(capsys, "model", str(linear_phase_file(tmp_path / "linear.zt", 8)))
+    assert code == 0
+    assert out.splitlines()[0] == "⟨observable⟩ = 0"
 
 
 OSCILLATOR_PHASE = "xi^2/(2*m) + m*w^2*x^2/2 + w/2"

@@ -38,7 +38,7 @@ from zetatrace.models import (
     topological_oscillator,
 )
 from zetatrace.params import Param, ParamPoly
-from zetatrace.symbols import ReducedPhase, compose_observable
+from zetatrace.symbols import MatrixSymbol, ReducedPhase, compose_observable
 from zetatrace.tables import PAPER, PRINCIPAL
 from zetatrace.terms import Divergent, TAsymptote, ZetaTerm, ZetaTermSum, _merge_tlin
 
@@ -224,6 +224,46 @@ def test_each_per_symbol_check_holds_for_both_symbol_kinds(radial, phase, error,
         engine.reduced_sides(model, (*model.observables.values(), ParamPoly.one()))
 
 
+def schwinger_with(scalar=None, coeff=None):
+    """``schwinger_free`` with its Hamiltonian's scalar part b or coefficient c (H = b I + c K) replaced."""
+    model = schwinger_free()
+    h = model.hamiltonian
+    scalar = h.scalar if scalar is None else scalar
+    coeff = h.coeff if coeff is None else coeff
+    model.hamiltonian = MatrixSymbol(scalar, coeff, h.kmatrix, h.direction_syms)
+    return model
+
+
+LINEAR_IN_ONE = "involution coefficient must be linear in one radial symbol"
+
+
+@pytest.mark.parametrize("scalar, coeff, error, message", [
+    (mono(1, m=1) + mono(1, xi=1), None, UnsupportedStructure, "matrix scalar part must be axis-free"),
+    (None, mono(1, xi=2), UnsupportedStructure, LINEAR_IN_ONE),
+    (None, mono(1, xi=1) + mono(1, m=1), UnsupportedStructure, LINEAR_IN_ONE),
+    # decompose_phase's own rejection, as for a cubic scalar phase
+    (None, mono(1, xi=3), DegenerateCase, "axis xi has neither quadratic nor linear phase but degree 3"),
+    (None, ParamPoly.zero(), UnsupportedStructure, LINEAR_IN_ONE),
+], ids=["scalar_with_axis", "quadratic_coeff", "coeff_plus_constant", "cubic_coeff", "zero_coeff"])
+def test_a_matrix_phase_other_than_b_plus_linear_c_is_rejected_before_any_table_row(
+        no_table_rows, scalar, coeff, error, message):
+    model = schwinger_with(scalar, coeff)
+    with pytest.raises(error, match=message):
+        engine.reduced_sides(model, (*model.observables.values(), ParamPoly.one()))
+
+
+def test_a_side_past_the_branch_bound_is_rejected_before_any_table_row(no_table_rows, no_quadrature):
+    # 13 axes, each under its own regulator with a linear phase: two rays each, 2^13 branches per side
+    axes = [f"x{j}" for j in range(13)]
+    model = ModelSpec(
+        name="linear", description="custom model", params=(),
+        groups=tuple(GaugeGroup(a, (a,), f"z{j + 1}") for j, a in enumerate(axes)),
+        hamiltonian=sum((mono(1, **{a: 1}) for a in axes), ParamPoly.zero()),
+        observables={"observable": ParamPoly.one()},
+    )
+    assert_rejected(model, f"one side has 8192 branches, more than the {engine.MAX_BRANCHES} allowed")
+
+
 @pytest.mark.parametrize("radial, observable", [
     (False, lambda s: mono(1, **{s: 1})),  # an odd degree under a Gaussian
     (True, lambda s: mono(1, **{"u1^": 1})),  # an odd direction degree: the sphere moment is 0
@@ -378,7 +418,6 @@ def test_same_gauge_contract():
     model = harmonic_oscillator_1d()
     num, den, _ = build_trace_sums(model, model.observables["H"], PAPER)
     assert num.regulators == den.regulators == ("z1", "z2")
-    assert num.t_symbol == den.t_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +597,6 @@ def test_free_quadratic_potential():
         groups=(GaugeGroup("g", ("p",), "z"),),
         hamiltonian=mono(0.5, p=2) + mono(0.5, phi=2),
         observables={},
-        t_symbol="TX",
         field_param="phi",
     )
     pot = effective_potential(model, PAPER)

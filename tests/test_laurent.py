@@ -333,7 +333,14 @@ def test_a_repeated_gamma_is_one_factor_with_its_power():
     assert c(series, -3) == pytest.approx(-1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("factor", FACTORS)
+#: Gamma powers, checked against the direct value only: ``FACTORS`` feeds the product property
+GAMMA_POWERS = [
+    PrimitiveFactor(FactorKind.GAMMA, (1, 2), (3, 2), power=2),
+    PrimitiveFactor(FactorKind.GAMMA, (1, 1), (-1, 1), power=2),  # a double pole at z = 0
+]
+
+
+@pytest.mark.parametrize("factor", FACTORS + GAMMA_POWERS)
 @pytest.mark.parametrize("z", [1e-3, 1e-4])
 def test_series_matches_direct_numeric_value(factor, z):
     series = expand_factor(factor, order=6)

@@ -220,6 +220,41 @@ def test_model_quotient_rejects_what_the_engine_rejects(shifted_oscillator):
     assert str(oracle_error.value) == str(engine_error.value)
 
 
+def linear_phase_model(k, grouped, observable):
+    """k position axes x0 .. x(k-1), in one group g or each its own, with phase x0 + ... + x(k-1)."""
+    from zetatrace.modelfile import parse_model_text, to_model_spec
+
+    group = ", g" if grouped else ""
+    axes = "".join(f"x{j} = position{group}\n" for j in range(k))
+    phase = " + ".join(f"x{j}" for j in range(k))
+    text = f"[params]\n[axes]\n{axes}[phase]\n{phase}\n[observable]\n{observable}\n"
+    return to_model_spec(parse_model_text(text))
+
+
+#: grouped (k, observable) cases whose rays cancel as floats, so a residue of 1e-16 leads (ROADMAP F1, item 1)
+F1_CASES = {(3, "x0"), (3, "x0^2"), (4, "x0^2"), (5, "x0^2")}
+
+
+F1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="F1: float residues decide lead orders")
+
+
+@pytest.mark.parametrize("k, observable, grouped", [
+    pytest.param(k, observable, grouped, id=f"{'grouped' if grouped else 'ungrouped'}-{observable}-k{k}",
+                 marks=[F1] if grouped and (k, observable) in F1_CASES else [])
+    for grouped in (False, True) for observable in ("x0", "x0^2") for k in range(1, 7)
+])
+def test_the_linear_phase_family_matches_the_oracle_at_finite_t(k, observable, grouped):
+    # the oracle gives -i/T for x0 and -2/T^2 for x0^2 at every k; at (4, x0^2) the engine says Divergent
+    from zetatrace.engine import expectation
+    from zetatrace.tables import PRINCIPAL
+
+    model = linear_phase_model(k, grouped, observable)
+    finite_t = expectation(model, "observable", PRINCIPAL).finite_t
+    assert finite_t is not None
+    want = oracle.small_z_ratio(model, "observable", (-0.2, -0.1, -0.05), 7.0, {})
+    assert finite_t.eval({}, 7.0) == pytest.approx(want, rel=1e-9)
+
+
 def regulator_sum_value(s, zs, t_value, bindings):
     """A term sum at explicit per-regulator values zs, with the oracle's Gamma."""
     total = 0j
@@ -547,7 +582,6 @@ def test_potential_numeric_keeps_a_repeated_nonzero_root(monkeypatch):
         groups=(GaugeGroup("g", ("p",), "z"),),
         hamiltonian=ParamPoly.monomial(0.5, {"p": 2}) + v,
         observables={},
-        t_symbol="TX",
         field_param="phi",
     )
     roots = []

@@ -72,8 +72,8 @@ CASES = {
     GaugeGroup: (("g", ("x",), "z", "separable"), ("h", ("x", "y"), "z2", "radial")),
     ModelSpec: (
         ("m", "d", (Param("J"),), (GaugeGroup("g", ("x",), "z"),), P, {"H": P}, {"H": Q}, "hbar", Q,
-         ("a",), "T", "phi", {"E": ("H", Q)}),
-        ("n", "e", (), (GaugeGroup("h", ("y",), "z"),), Q, {}, {}, None, P, (), "TX", None, {}),
+         ("a",), "phi", {"E": ("H", Q)}),
+        ("n", "e", (), (GaugeGroup("h", ("y",), "z"),), Q, {}, {}, None, P, (), None, {}),
     ),
     ReducedIntegral: (
         ("gauss", AffineExp("z", (1, 1), (0, 1)), 1, P),
@@ -152,8 +152,8 @@ def test_mutable_defaults_are_fresh_per_instance():
 
 
 def test_constructors_take_keywords_and_check_their_fields():
-    assert ModelSpec(name="m", description="d", params=(), groups=(), hamiltonian=P, observables={},
-                     t_symbol="TX") == ModelSpec("m", "d", (), (), P, {}, t_symbol="TX")
+    assert ModelSpec(name="m", description="d", params=(), groups=(), hamiltonian=P,
+                     observables={}) == ModelSpec("m", "d", (), (), P, {})
     assert KVAmplitudeSpec(dimension=2, vol_x=Q) == KVAmplitudeSpec(2, (), Q)
 
 

@@ -430,7 +430,7 @@ def test_ratio_limit_invariant_under_a_common_factor(data):
                 _merge_tlin(t.t_lin, c.t_lin), rational.add(t.t_const, c.t_const), t.t_log,
             )
             for t in s.terms
-        ], s.regulators, s.t_symbol)
+        ], s.regulators)
 
     got = ratio_limit(with_c(num), with_c(den), trace=trace)
     points = [({**bindings, "a": 0.8}, 7.0), ({**bindings, "a": 1.7}, 23.0)]
@@ -658,10 +658,10 @@ def full_expansion_lead(s, regulator, order):
                     MeroFactorProduct(cpoly.scale(factor), rest_factors), t_lin, term.t_const, term.t_log + k
                 ))
     for p in sorted(p for p in out if p < top):
-        coeff = ZetaTermSum(out[p], rest, s.t_symbol).merged()
+        coeff = ZetaTermSum(out[p], rest).merged()
         if coeff.terms:
             return p, coeff
-    return None, ZetaTermSum.zero(rest, s.t_symbol)
+    return None, ZetaTermSum([], rest)
 
 
 def full_expansion_to_lead(sums, regulator, order):
